@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import hyperbolic
 from .errors import (
     BudgetExceededError,
     ConvergenceError,
@@ -28,13 +27,13 @@ from .errors import (
 from .group import Word, limit_set_sample
 from .hyperbolic import Geodesic, HPoint, IdealPoint, Isometry
 from .lamination import (
+    DEFAULT_ESCAPE_HORIZON,
+    DEFAULT_GROWTH_RATIO,
     AxiomParams,
-    GeodesicFamily,
     axiom_report,
     crossing_audit,
     escape_test,
-    extract_limit_leaves,
-    juncture_orbit,
+    laminate,
     transversal_intersections,
 )
 from .markov import (
@@ -97,43 +96,37 @@ def _write_json(path, payload, names=None):
     )
 
 
-def _add_shared_flags(parser):
-    parser.add_argument("--tol", type=float, default=None,
-                        help="convergence tolerance for chain extraction")
-    parser.add_argument("--horizon", type=int, default=None,
-                        help="iterate range half-width")
-    parser.add_argument("--ball", type=int, default=None,
-                        help="conjugator ball radius")
-    parser.add_argument("--json", dest="json_path", metavar="PATH",
-                        default=None, help="write the structured report here")
-    parser.add_argument("--angle-tol", type=float, default=None,
-                        help="ideal-point equality tolerance (radians)")
-    parser.add_argument("--trace-tol", type=float, default=None,
-                        help="isometry classification tolerance")
-    parser.add_argument("--max-letters", type=int, default=10 ** 6,
-                        help="substitution length budget")
-    parser.add_argument("--max-words", type=int, default=10 ** 6,
-                        help="enumeration size budget")
+# Help text of the flag of each AxiomParams field, in help order.  A flag
+# takes its default and its type from the field's default.
+_PARAM_HELP = {
+    "tol": "convergence tolerance for chain extraction",
+    "horizon": "iterate range half-width",
+    "ball": "conjugator ball radius",
+    "angle_tol": "ideal-point equality tolerance (radians)",
+    "trace_tol": "isometry classification tolerance",
+    "max_letters": "substitution length budget",
+    "max_words": "enumeration size budget",
+}
+_PARAM_DEFAULTS = AxiomParams()
 
 
-def _apply_tolerance_overrides(args):
-    if getattr(args, "angle_tol", None) is not None:
-        hyperbolic.ANGLE_TOL = args.angle_tol
-    if getattr(args, "trace_tol", None) is not None:
-        hyperbolic.TRACE_TOL = args.trace_tol
+def _add_flags(parser, names, **defaults):
+    """Register the flags in ``names``: AxiomParams fields and "json"."""
+    for name, text in _PARAM_HELP.items():
+        if name in names:
+            default = getattr(_PARAM_DEFAULTS, name)
+            parser.add_argument("--" + name.replace("_", "-"),
+                                type=type(default), default=default,
+                                help=text)
+    if "json" in names:
+        parser.add_argument("--json", dest="json_path", metavar="PATH",
+                            default=None,
+                            help="write the structured report here")
+    parser.set_defaults(**defaults)
 
 
 def _axiom_params(args) -> AxiomParams:
-    params = AxiomParams()
-    if args.horizon is not None:
-        params.horizon = args.horizon
-    if args.ball is not None:
-        params.ball = args.ball
-    if args.tol is not None:
-        params.tol = args.tol
-    params.max_letters = args.max_letters
-    params.max_words = args.max_words
-    return params
+    return AxiomParams(**{name: getattr(args, name) for name in _PARAM_HELP})
 
 
 def _require_markov(scene: Scene):
@@ -155,7 +148,9 @@ def _parse_base(text) -> HPoint:
 def cmd_limit_set(args) -> int:
     scene = load_scene(args.scene)
     sample = limit_set_sample(scene.group, _parse_base(args.base),
-                              args.depth, max_words=args.max_words)
+                              args.depth, max_words=args.max_words,
+                              angle_tol=args.angle_tol,
+                              trace_tol=args.trace_tol)
     print(f"scene: {scene.name}")
     print(f"words sampled: {sample.words}")
     print(f"orbit points: {len(sample.orbit)}")
@@ -178,38 +173,25 @@ def cmd_limit_set(args) -> int:
     return EXIT_OK
 
 
-def _laminations(scene: Scene, params: AxiomParams):
-    n_range = range(-params.horizon, params.horizon + 1)
-    families = {"-": [], "+": []}
-    for j in scene.junctures:
-        families[j.sign].append(
-            juncture_orbit(scene, j, n_range, params.ball,
-                           max_letters=params.max_letters,
-                           max_words=params.max_words)
-        )
-    lams = {}
-    for sign, key in (("-", "+"), ("+", "-")):
-        if families[sign]:
-            lams[key] = extract_limit_leaves(
-                GeodesicFamily.merge(families[sign]), tol=params.tol
-            )
-    return families, lams
+def _leaf_layers(run):
+    return [(f"lamination-{sign}", lam)
+            for sign, lam in (("+", run.plus), ("-", run.minus))
+            if lam is not None]
 
 
 def cmd_laminate(args) -> int:
     scene = load_scene(args.scene)
     params = _axiom_params(args)
-    families, lams = _laminations(scene, params)
+    run = laminate(scene, params)
     report = {"scene": scene.name, "horizon": params.horizon,
               "ball": params.ball, "tol": params.tol, "laminations": {}}
     print(f"scene: {scene.name} (horizon {params.horizon}, "
           f"ball {params.ball}, tol {params.tol:g})")
-    for sign in ("+", "-"):
-        lam = lams.get(sign)
+    for sign, lam in (("+", run.plus), ("-", run.minus)):
         if lam is None:
             print(f"lamination {sign}: no junctures of the opposite sign")
             continue
-        audit = crossing_audit(lam)
+        audit = crossing_audit(lam, params.angle_tol)
         print(f"lamination {sign}: {len(lam.leaves)} leaves, "
               f"{len(lam.certificates)} certified chains, "
               f"{len(lam.skipped)} skipped, {len(audit)} crossing "
@@ -223,16 +205,13 @@ def cmd_laminate(args) -> int:
             "skipped": _jsonable(lam.skipped, scene.group.names),
             "crossing_violations": _jsonable(audit),
         }
-    if "+" in lams and "-" in lams:
-        meager = transversal_intersections(lams["+"], lams["-"])
+    if run.plus is not None and run.minus is not None:
+        meager = transversal_intersections(run.plus, run.minus,
+                                           params.angle_tol)
         print(f"transverse intersection points: {len(meager.points)}")
         report["intersections"] = _jsonable(meager)
     if args.out:
-        layers = []
-        for sign in ("+", "-"):
-            if sign in lams:
-                layers.append((f"lamination-{sign}", lams[sign]))
-        svg = render_svg(layers, _style(args))
+        svg = render_svg(_leaf_layers(run), _style(args))
         Path(args.out).write_text(svg, encoding="utf-8")
         print(f"wrote {args.out}")
     if args.json_path:
@@ -243,12 +222,12 @@ def cmd_laminate(args) -> int:
 
 def cmd_escape(args) -> int:
     scene = load_scene(args.scene)
-    horizon = args.horizon if args.horizon is not None else 20
-    reports = [escape_test(scene, j, horizon=horizon,
+    reports = [escape_test(scene, j, horizon=args.horizon,
                            growth_ratio=args.growth_ratio,
-                           max_letters=args.max_letters)
+                           max_letters=args.max_letters,
+                           trace_tol=args.trace_tol)
                for j in scene.junctures]
-    print(f"scene: {scene.name} (horizon {horizon}, "
+    print(f"scene: {scene.name} (horizon {args.horizon}, "
           f"growth ratio {args.growth_ratio:g})")
     for rep in reports:
         first, last = rep.rows[0].length, rep.rows[-1].length
@@ -365,32 +344,14 @@ def cmd_markov(args) -> int:
 
 
 def _style(args) -> RenderStyle:
-    style = RenderStyle()
-    if getattr(args, "size", None):
-        style = RenderStyle(size=args.size)
-    return style
+    return RenderStyle(size=args.size) if args.size else RenderStyle()
 
 
 def cmd_render(args) -> int:
     scene = load_scene(args.scene)
-    params = _axiom_params(args)
-    if args.horizon is None:
-        params.horizon = 4
-    if args.ball is None:
-        params.ball = 1
-    n_range = range(-params.horizon, params.horizon + 1)
-    layers = []
-    for j in scene.junctures:
-        fam = juncture_orbit(scene, j, n_range, params.ball,
-                             max_letters=params.max_letters,
-                             max_words=params.max_words)
-        layers.append((f"junctures-{j.end}", fam))
-    if args.leaves:
-        _, lams = _laminations(scene, params)
-        for sign in ("+", "-"):
-            if sign in lams:
-                layers.append((f"lamination-{sign}", lams[sign]))
-    svg = render_svg(layers, _style(args))
+    run = laminate(scene, _axiom_params(args), extract=args.leaves)
+    layers = [(f"junctures-{j.end}", fam) for j, fam in run.families]
+    svg = render_svg(layers + _leaf_layers(run), _style(args))
     Path(args.out).write_text(svg, encoding="utf-8")
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -411,27 +372,29 @@ def build_parser() -> _Parser:
                    help="half-plane base point as 'x,y'")
     p.add_argument("--out", default=None, help="write an SVG here")
     p.add_argument("--size", type=int, default=None, help="canvas size")
-    _add_shared_flags(p)
+    _add_flags(p, ("angle_tol", "trace_tol", "max_words", "json"))
     p.set_defaults(func=cmd_limit_set)
 
     p = sub.add_parser("laminate", help="extract certified limit leaves")
     p.add_argument("scene")
     p.add_argument("--out", default=None, help="write an SVG here")
     p.add_argument("--size", type=int, default=None)
-    _add_shared_flags(p)
+    _add_flags(p, (*_PARAM_HELP, "json"))
     p.set_defaults(func=cmd_laminate)
 
     p = sub.add_parser("escape", help="translation-length escape dichotomy")
     p.add_argument("scene")
-    p.add_argument("--growth-ratio", type=float, default=1.5)
+    p.add_argument("--growth-ratio", type=float,
+                   default=DEFAULT_GROWTH_RATIO)
     p.add_argument("--verbose", action="store_true",
                    help="print the full length table")
-    _add_shared_flags(p)
+    _add_flags(p, ("horizon", "trace_tol", "max_letters", "json"),
+               horizon=DEFAULT_ESCAPE_HORIZON)
     p.set_defaults(func=cmd_escape)
 
     p = sub.add_parser("axioms", help="finite-scale diagnostic report")
     p.add_argument("scene")
-    _add_shared_flags(p)
+    _add_flags(p, (*_PARAM_HELP, "json"))
     p.set_defaults(func=cmd_axioms)
 
     p = sub.add_parser("markov", help="crossing-family checks and spectra")
@@ -441,7 +404,7 @@ def build_parser() -> _Parser:
     p.add_argument("-m", "--length", type=int, default=5,
                    help="word length for the words subcommand")
     p.add_argument("--list-words", action="store_true")
-    _add_shared_flags(p)
+    _add_flags(p, ("json",))
     p.set_defaults(func=cmd_markov)
 
     p = sub.add_parser("render", help="draw juncture orbits (and leaves)")
@@ -450,7 +413,7 @@ def build_parser() -> _Parser:
     p.add_argument("--leaves", action="store_true",
                    help="also extract and draw limit leaves")
     p.add_argument("--size", type=int, default=None)
-    _add_shared_flags(p)
+    _add_flags(p, _PARAM_HELP, horizon=4, ball=1)
     p.set_defaults(func=cmd_render)
 
     return parser
@@ -466,7 +429,6 @@ def run_command(argv) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_VALIDATION
     try:
-        _apply_tolerance_overrides(args)
         return args.func(args)
     except (BudgetExceededError, ConvergenceError) as exc:
         print(f"flagged: {exc}", file=sys.stderr)

@@ -17,9 +17,12 @@ from .errors import (
     ValidationError,
 )
 from .hyperbolic import (
+    ANGLE_TOL,
+    TRACE_TOL,
     HPoint,
     IdealPoint,
     Isometry,
+    apply_isometry,
     axis,
     classify_isometry,
     same_ideal_point,
@@ -293,21 +296,22 @@ class LimitSetSample:
 
 
 def limit_set_sample(group: FuchsianGroup, base: HPoint, k: int,
-                     max_words: int = DEFAULT_MAX_WORDS) -> LimitSetSample:
+                     max_words: int = DEFAULT_MAX_WORDS,
+                     angle_tol: float = ANGLE_TOL,
+                     trace_tol: float = TRACE_TOL) -> LimitSetSample:
     """Orbit of ``base`` under the radius-k ball, with the axis endpoints
-    of every hyperbolic ball element (a dense subset of the limit set)."""
+    of every hyperbolic ball element (a dense subset of the limit set).
+    Endpoints closer than ``angle_tol`` count once."""
     if k < 0:
         raise ValidationError("sample depth must be nonnegative")
-    from .hyperbolic import apply_isometry
-
     ball = enumerate_ball(group, k, max_words)
     orbit = []
     fixed: list[IdealPoint] = []
     for _, m in ball:
         orbit.append(to_disk(apply_isometry(m, base)))
-        if classify_isometry(m) == "hyperbolic":
-            g = axis(m)
+        if classify_isometry(m, trace_tol) == "hyperbolic":
+            g = axis(m, trace_tol)
             for p in (g.a, g.b):
-                if not any(same_ideal_point(p, q) for q in fixed):
+                if not any(same_ideal_point(p, q, angle_tol) for q in fixed):
                     fixed.append(p)
     return LimitSetSample(orbit=orbit, fixed_points=fixed, words=len(ball))

@@ -26,6 +26,9 @@ TWO_PI = 2.0 * math.pi
 ANGLE_TOL = 1e-9
 # Half-width of the |trace| = 2 band classified as parabolic.
 TRACE_TOL = 1e-9
+# Both are fixed.  Value validity uses them as they stand (a Geodesic needs
+# distinct endpoints, a scene's generators must be hyperbolic); a run's
+# comparisons take their own tolerances as arguments, defaulting to these.
 # Determinant agreement required of a freshly normalized matrix.
 DET_TOL = 1e-12
 
@@ -262,11 +265,6 @@ class Geodesic:
 
     def reversed(self) -> "Geodesic":
         return Geodesic(self.b, self.a)
-
-
-def same_geodesic(g1: Geodesic, g2: Geodesic, tol: float = ANGLE_TOL) -> bool:
-    """Equality as unoriented point sets."""
-    return geodesic_relation(g1, g2, tol) == "equal"
 
 
 def classify_isometry(m: Isometry, trace_tol: float | None = None) -> str:

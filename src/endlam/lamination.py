@@ -23,9 +23,11 @@ from .group import (
 )
 from .hyperbolic import (
     ANGLE_TOL,
+    TRACE_TOL,
     TWO_PI,
     Geodesic,
     IdealPoint,
+    Isometry,
     angular_gap,
     axis,
     boundary_action,
@@ -74,7 +76,7 @@ class Provenance:
     iterate: int
     # Evaluated conjugator, kept so chain limits can be transported from
     # the base chain equivariantly (equal endpoints stay equal in floats).
-    conjugator_isometry: object = None
+    conjugator_isometry: Isometry | None = None
 
     def chain_key(self):
         return (self.juncture, self.sign, self.conjugator.letters)
@@ -83,7 +85,7 @@ class Provenance:
 class _AngleSetDedup:
     """Tolerance deduplication of unordered angle pairs via grid cells."""
 
-    def __init__(self, tol: float = ANGLE_TOL):
+    def __init__(self, tol: float):
         self.tol = tol
         self.q = max(tol, 1e-12) * 2.0
         self.cells: dict[tuple[int, int], list[tuple[float, float]]] = {}
@@ -133,9 +135,10 @@ class GeodesicFamily:
         return [g for g, _ in self.entries]
 
     @classmethod
-    def merge(cls, families) -> "GeodesicFamily":
+    def merge(cls, families,
+              angle_tol: float = ANGLE_TOL) -> "GeodesicFamily":
         merged = cls()
-        dedup = _AngleSetDedup()
+        dedup = _AngleSetDedup(angle_tol)
         for fam in families:
             for geo, prov in fam.entries:
                 if dedup.check_and_add(geo):
@@ -147,7 +150,7 @@ class GeodesicFamily:
 
 
 def _iterate_axis(scene, juncture: JunctureSpec, n: int,
-                  max_letters: int) -> Geodesic:
+                  max_letters: int, trace_tol: float) -> Geodesic:
     """Axis of the n-th substitution image of the juncture word.
 
     Evaluates the cyclically reduced core and transports its axis by the
@@ -158,13 +161,13 @@ def _iterate_axis(scene, juncture: JunctureSpec, n: int,
                                 max_letters=max_letters)
     conj, core = word_n.cyclic_decomposition()
     core_m = evaluate_word(scene.group, core)
-    kind = classify_isometry(core_m)
+    kind = classify_isometry(core_m, trace_tol)
     if kind != "hyperbolic":
         raise NotHyperbolicError(
             f"iterate {n} of juncture {juncture.end!r} evaluates to a "
             f"{kind} isometry"
         )
-    base = axis(core_m)
+    base = axis(core_m, trace_tol)
     if conj.is_identity():
         return base
     conj_m = evaluate_word(scene.group, conj)
@@ -175,7 +178,9 @@ def _iterate_axis(scene, juncture: JunctureSpec, n: int,
 def juncture_orbit(scene, juncture: JunctureSpec, n_range=None,
                    ball_k: int = DEFAULT_BALL,
                    max_letters: int = DEFAULT_MAX_LETTERS,
-                   max_words: int = DEFAULT_MAX_WORDS) -> GeodesicFamily:
+                   max_words: int = DEFAULT_MAX_WORDS,
+                   angle_tol: float = ANGLE_TOL,
+                   trace_tol: float = TRACE_TOL) -> GeodesicFamily:
     """Axes of the conjugated juncture iterates.
 
     For every iterate n in ``n_range`` and every conjugator g in the
@@ -194,10 +199,10 @@ def juncture_orbit(scene, juncture: JunctureSpec, n_range=None,
                       reverse=(juncture.sign == "+"))
     ball = enumerate_ball(scene.group, ball_k, max_words=max_words)
     family = GeodesicFamily()
-    dedup = _AngleSetDedup()
+    dedup = _AngleSetDedup(angle_tol)
     axes: dict[int, Geodesic] = {}
     for n in iterates:
-        axes[n] = _iterate_axis(scene, juncture, n, max_letters)
+        axes[n] = _iterate_axis(scene, juncture, n, max_letters, trace_tol)
     for g_word, g_iso in ball:
         for n in iterates:
             base = axes[n]
@@ -236,7 +241,8 @@ class EscapeReport:
 def escape_test(scene, juncture: JunctureSpec,
                 horizon: int = DEFAULT_ESCAPE_HORIZON,
                 growth_ratio: float = DEFAULT_GROWTH_RATIO,
-                max_letters: int = DEFAULT_MAX_LETTERS) -> EscapeReport:
+                max_letters: int = DEFAULT_MAX_LETTERS,
+                trace_tol: float = TRACE_TOL) -> EscapeReport:
     """Translation-length dichotomy along the juncture's growth direction.
 
     Bounded lengths over the horizon read as escaping; growth past the
@@ -255,12 +261,12 @@ def escape_test(scene, juncture: JunctureSpec,
         # cyclic core keeps the evaluation numerically sane.
         _, core = word_n.cyclic_decomposition()
         m = evaluate_word(scene.group, core)
-        if classify_isometry(m) != "hyperbolic":
+        if classify_isometry(m, trace_tol) != "hyperbolic":
             raise NotHyperbolicError(
                 f"iterate {n} of juncture {juncture.end!r} is not hyperbolic"
             )
         rows.append(EscapeRow(iterate=n, word_length=len(word_n),
-                              length=translation_length(m)))
+                              length=translation_length(m, trace_tol)))
     lengths = [r.length for r in rows]
     base = lengths[0]
     if all(ell <= growth_ratio * base for ell in lengths):
@@ -322,7 +328,8 @@ def _chain_gap(g1: Geodesic, g2: Geodesic) -> float:
 
 
 def extract_limit_leaves(family: GeodesicFamily,
-                         tol: float = DEFAULT_TOL) -> LaminationApprox:
+                         tol: float = DEFAULT_TOL,
+                         angle_tol: float = ANGLE_TOL) -> LaminationApprox:
     """Extrapolate each convergent provenance chain to a limit geodesic.
 
     A chain is accepted when its last gaps sink below ``tol`` while
@@ -345,7 +352,7 @@ def extract_limit_leaves(family: GeodesicFamily,
     leaves: list[Geodesic] = []
     certificates: list[ChainCertificate] = []
     skipped: list[SkippedChain] = []
-    leaf_set = _AngleSetDedup()
+    leaf_set = _AngleSetDedup(angle_tol)
     base_limits: dict[tuple, Geodesic] = {}
 
     for key, items in chains.items():
@@ -388,7 +395,7 @@ def extract_limit_leaves(family: GeodesicFamily,
                 or prov.conjugator_isometry is None:
             theta_a = _aitken_angle([g.a.theta for g in geos])
             theta_b = _aitken_angle([g.b.theta for g in geos])
-            if angular_gap(theta_a, theta_b) < ANGLE_TOL:
+            if angular_gap(theta_a, theta_b) < angle_tol:
                 skipped.append(SkippedChain(prov.juncture, prov.sign,
                                             prov.conjugator,
                                             "chain collapses toward a "
@@ -495,11 +502,50 @@ def transversal_intersections(lam_plus: LaminationApprox,
 
 @dataclass
 class AxiomParams:
+    """Everything one lamination run reads, tolerances included."""
+
     horizon: int = DEFAULT_HORIZON
     ball: int = DEFAULT_BALL
     tol: float = DEFAULT_TOL
     max_letters: int = DEFAULT_MAX_LETTERS
     max_words: int = DEFAULT_MAX_WORDS
+    angle_tol: float = ANGLE_TOL
+    trace_tol: float = TRACE_TOL
+
+
+@dataclass
+class LaminationRun:
+    """Juncture families of a scene and the two laminations they yield."""
+
+    families: list[tuple[JunctureSpec, GeodesicFamily]]  # scene order
+    # None without junctures of the opposite sign, or without extraction.
+    plus: LaminationApprox | None = None
+    minus: LaminationApprox | None = None
+
+
+def laminate(scene, params: AxiomParams,
+             extract: bool = True) -> LaminationRun:
+    """Juncture orbits in scene order, then the limit leaves of each sign
+    (negative junctures give the plus lamination).  ``extract=False``
+    builds the families only."""
+    n_range = range(-params.horizon, params.horizon + 1)
+    run = LaminationRun([
+        (j, juncture_orbit(scene, j, n_range, params.ball,
+                           max_letters=params.max_letters,
+                           max_words=params.max_words,
+                           angle_tol=params.angle_tol,
+                           trace_tol=params.trace_tol))
+        for j in scene.junctures
+    ])
+    if not extract:
+        return run
+    for juncture_sign, attr in (("-", "plus"), ("+", "minus")):
+        families = [fam for j, fam in run.families if j.sign == juncture_sign]
+        if families:
+            merged = GeodesicFamily.merge(families, params.angle_tol)
+            setattr(run, attr, extract_limit_leaves(
+                merged, tol=params.tol, angle_tol=params.angle_tol))
+    return run
 
 
 @dataclass
@@ -526,19 +572,9 @@ def axiom_report(scene, params: AxiomParams | None = None) -> AxiomReport:
     says so via its caveat field.
     """
     params = params or AxiomParams()
-    n_range = range(-params.horizon, params.horizon + 1)
-    families = {"-": [], "+": []}
-    for j in scene.junctures:
-        fam = juncture_orbit(scene, j, n_range, params.ball,
-                             max_letters=params.max_letters,
-                             max_words=params.max_words)
-        families[j.sign].append(fam)
-    lam_plus = extract_limit_leaves(GeodesicFamily.merge(families["-"]),
-                                    tol=params.tol) \
-        if families["-"] else LaminationApprox("+", [], [], [])
-    lam_minus = extract_limit_leaves(GeodesicFamily.merge(families["+"]),
-                                     tol=params.tol) \
-        if families["+"] else LaminationApprox("-", [], [], [])
+    run = laminate(scene, params)
+    lam_plus = run.plus or LaminationApprox("+", [], [], [])
+    lam_minus = run.minus or LaminationApprox("-", [], [], [])
 
     axioms: dict[str, AxiomStatus] = {}
     endperiodic_like = bool(lam_plus.leaves) and bool(lam_minus.leaves)
@@ -557,8 +593,8 @@ def axiom_report(scene, params: AxiomParams | None = None) -> AxiomReport:
             intersections=MeagerInvariantSet([], [], []),
         )
 
-    violations_plus = crossing_audit(lam_plus)
-    violations_minus = crossing_audit(lam_minus)
+    violations_plus = crossing_audit(lam_plus, params.angle_tol)
+    violations_minus = crossing_audit(lam_minus, params.angle_tol)
     ok = not violations_plus and not violations_minus
     axioms["I"] = AxiomStatus(
         "pass" if ok else "fail",
@@ -578,7 +614,7 @@ def axiom_report(scene, params: AxiomParams | None = None) -> AxiomReport:
         "strong closedness has no finite-horizon certificate",
     )
 
-    meager = transversal_intersections(lam_plus, lam_minus)
+    meager = transversal_intersections(lam_plus, lam_minus, params.angle_tol)
     cov_plus = meager.coverage_plus(len(lam_plus.leaves))
     cov_minus = meager.coverage_minus(len(lam_minus.leaves))
     full = not meager.uncovered_plus and not meager.uncovered_minus

@@ -348,8 +348,6 @@ def coding_consistency(A, depth: int,
             extends = bool(A[word[-1] - 1].any())
             if not extends:
                 blocked.append(word)
-            if extends != (word[-1] not in dead_ends):
-                blocked.append(word)
     ok = (match is not False) and not dead_ends
     return CodingReport(
         depth=depth,

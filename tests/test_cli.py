@@ -3,8 +3,9 @@ import shutil
 
 import pytest
 
+from endlam import hyperbolic, lamination
 from endlam.cli import run_command
-from endlam.scene import scene_path
+from endlam.scene import load_scene, scene_path
 
 
 @pytest.fixture
@@ -198,3 +199,74 @@ class TestRender:
         assert run_command(["render", str(schottky), "--out", str(out),
                             "--leaves", "--horizon", "8"]) == 0
         assert 'id="lamination-+"' in out.read_text()
+
+
+class TestRunTolerances:
+    """--angle-tol/--trace-tol reach their own run and only that run."""
+
+    def test_angle_tol_does_not_outlive_its_run(self, schottky, capsys):
+        assert run_command(["laminate", str(schottky),
+                            "--angle-tol", "1e-2"]) == 0
+        capsys.readouterr()
+        assert run_command(["laminate", str(schottky)]) == 0
+        assert "transverse intersection points: 128" in \
+            capsys.readouterr().out
+        assert hyperbolic.ANGLE_TOL == 1e-9
+
+    def test_angle_tol_reaches_limit_set_dedup(self, schottky, tmp_path):
+        counts = []
+        for extra in ([], ["--angle-tol", "1e-1"]):
+            report = tmp_path / "limits.json"
+            assert run_command(["limit-set", str(schottky), "--depth", "4",
+                                "--json", str(report)] + extra) == 0
+            counts.append(len(json.loads(report.read_text())
+                              ["fixed_point_angles"]))
+        assert counts[1] < counts[0]
+
+
+class TestUnreadFlags:
+    @pytest.mark.parametrize("argv", [
+        ["markov", "entropy", "golden.json", "--horizon", "3"],
+        ["markov", "words", "golden.json", "--max-words", "9"],
+        ["escape", "schottky_ab.json", "--ball", "2"],
+        ["escape", "schottky_ab.json", "--angle-tol", "1e-3"],
+        ["limit-set", "schottky_ab.json", "--tol", "1e-3"],
+        ["limit-set", "schottky_ab.json", "--max-letters", "9"],
+        ["render", "schottky_ab.json", "--out", "x.svg", "--json", "x.json"],
+    ])
+    def test_exits_one_with_usage(self, argv, golden, schottky, tmp_path,
+                                  capsys):
+        argv = [str(tmp_path / a) if a.endswith((".json", ".svg")) else a
+                for a in argv]
+        assert run_command(argv) == 1
+        assert "usage" in capsys.readouterr().err.lower()
+        assert not (tmp_path / "x.svg").exists()
+
+
+class TestOnePipeline:
+    def _count_calls(self, monkeypatch, name):
+        calls = []
+        original = getattr(lamination, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(lamination, name, counting)
+        return calls
+
+    def test_render_leaves_orbits_each_juncture_once(self, schottky,
+                                                      tmp_path, monkeypatch):
+        orbits = self._count_calls(monkeypatch, "juncture_orbit")
+        extractions = self._count_calls(monkeypatch, "extract_limit_leaves")
+        assert run_command(["render", str(schottky), "--out",
+                            str(tmp_path / "leaves.svg"), "--leaves"]) == 0
+        assert len(orbits) == len(load_scene(schottky).junctures)
+        assert len(extractions) == 2
+
+    def test_render_without_leaves_skips_extraction(self, schottky,
+                                                     tmp_path, monkeypatch):
+        extractions = self._count_calls(monkeypatch, "extract_limit_leaves")
+        assert run_command(["render", str(schottky), "--out",
+                            str(tmp_path / "scene.svg")]) == 0
+        assert extractions == []

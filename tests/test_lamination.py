@@ -23,6 +23,7 @@ from endlam.lamination import (
     escape_test,
     extract_limit_leaves,
     juncture_orbit,
+    laminate,
     transversal_intersections,
 )
 
@@ -288,6 +289,39 @@ class TestIntersections:
         meager = transversal_intersections(lam_p, lam_m)
         pairs = [(r.plus_index, r.minus_index) for r in meager.points]
         assert len(pairs) == len(set(pairs))
+
+
+class TestLaminate:
+    def test_matches_orbit_then_extract(self, torus_scene):
+        run = laminate(torus_scene, AxiomParams(horizon=10, ball=1))
+        assert [j for j, _ in run.families] == torus_scene.junctures
+        direct = {j.sign: extract_limit_leaves(
+            juncture_orbit(torus_scene, j, range(-10, 11), 1))
+            for j in torus_scene.junctures}
+        assert run.plus.sign == "+" and run.minus.sign == "-"
+        assert run.plus.leaves == direct["-"].leaves
+        assert run.minus.leaves == direct["+"].leaves
+
+    def test_no_opposite_junctures_gives_none(self):
+        scene = make_scene(TORUS_A, TORUS_B, forward=("a b", "b"),
+                           inverse=("a b^-1", "b"),
+                           junctures=[("e-", "-", "a", 1)])
+        run = laminate(scene, AxiomParams(horizon=8, ball=1))
+        assert run.plus.leaves
+        assert run.minus is None
+
+    def test_extract_false_builds_families_only(self, torus_scene):
+        run = laminate(torus_scene, AxiomParams(horizon=6, ball=1),
+                       extract=False)
+        assert len(run.families) == 2
+        assert all(len(fam) for _, fam in run.families)
+        assert run.plus is None and run.minus is None
+
+    def test_angle_tol_reaches_orbit_dedup(self, torus_scene):
+        sizes = [sum(len(fam) for _, fam in laminate(
+            torus_scene, AxiomParams(horizon=10, ball=1, angle_tol=tol),
+            extract=False).families) for tol in (1e-9, 1e-2)]
+        assert sizes[1] < sizes[0]
 
 
 class TestAxiomReport:

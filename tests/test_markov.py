@@ -339,6 +339,7 @@ class TestCoding:
         A = np.array([[1, 1], [0, 0]])
         report = coding_consistency(A, 3)
         assert report.dead_end_symbols == [2]
+        assert report.blocked_words == [(1, 1, 2)]
         assert not report.ok
 
     def test_permutation_any_depth(self):
