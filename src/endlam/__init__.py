@@ -48,7 +48,6 @@ from .lamination import (
 )
 from .markov import (
     CrossingTable,
-    Rect4Gon,
     admissible_words,
     build_matrix_A,
     build_matrix_B,
@@ -60,6 +59,6 @@ from .markov import (
     verify_markov,
 )
 from .render import RenderStyle, render_svg
-from .scene import Scene, load_scene, parse_scene, scene_path, serialize_scene
+from .scene import Scene, load_scene, parse_scene, scene_path
 
 __version__ = "0.1.0"

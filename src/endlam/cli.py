@@ -1,9 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 validation problem (bad usage, bad scene, bad
-flags), 2 budget or convergence flags, 3 internal error.  Human-readable
-reports go to stdout; ``--json PATH`` additionally writes the structured
-report, field for field.
+flags), 2 budget, convergence or numeric-breakdown flags, 3 internal
+error.  Human-readable reports go to stdout; ``--json PATH`` additionally
+writes the structured report, field for field.
 """
 
 from __future__ import annotations
@@ -277,10 +277,10 @@ def cmd_axioms(args) -> int:
 
 def cmd_markov(args) -> int:
     scene = load_scene(args.scene)
-    block = _require_markov(scene)
+    table = _require_markov(scene)
     names = scene.group.names
     if args.markov_cmd == "verify":
-        check = verify_markov(block.rects, block.table)
+        check = verify_markov(table)
         if check.ok:
             print("Markov family: OK")
         else:
@@ -292,7 +292,7 @@ def cmd_markov(args) -> int:
             print(f"wrote {args.json_path}")
         return EXIT_OK
     if args.markov_cmd == "entropy":
-        A = build_matrix_A(block.table, block.rects)
+        A = build_matrix_A(table)
         data = perron(A)
         if not data.converged:
             print(f"power iteration did not converge "
@@ -310,7 +310,7 @@ def cmd_markov(args) -> int:
             print(f"wrote {args.json_path}")
         return EXIT_OK
     if args.markov_cmd == "measure":
-        B = build_matrix_B(block.table)
+        B = build_matrix_B(table)
         result = invariant_measures(B)
         print(f"count matrix B: {B.tolist()}")
         print(f"projective constant: {result.kappa:.12f}")
@@ -323,7 +323,7 @@ def cmd_markov(args) -> int:
             print(f"wrote {args.json_path}")
         return EXIT_OK if result.converged else EXIT_FLAGGED
     if args.markov_cmd == "words":
-        A = build_matrix_A(block.table, block.rects)
+        A = build_matrix_A(table)
         listing = admissible_words(A, args.length)
         coding = coding_consistency(A, max(2, args.length))
         print(f"admissible words of length {args.length}: {listing.count}")
@@ -416,13 +416,20 @@ def build_parser() -> _Parser:
     _add_flags(p, _PARAM_HELP, horizon=4, ball=1)
     p.set_defaults(func=cmd_render)
 
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)
     return parser
 
 
 def run_command(argv) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extras = parser.parse_known_args(argv)
+        if extras:
+            # The subcommand's parser reports them, so that its usage line
+            # shows the flags the subcommand does take.
+            getattr(args, "parser", parser).error(
+                f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_VALIDATION
     if not getattr(args, "command", None):
@@ -430,12 +437,10 @@ def run_command(argv) -> int:
         return EXIT_VALIDATION
     try:
         return args.func(args)
-    except (BudgetExceededError, ConvergenceError) as exc:
+    except (BudgetExceededError, ConvergenceError,
+            NumericDegeneracyError) as exc:
         print(f"flagged: {exc}", file=sys.stderr)
         return EXIT_FLAGGED
-    except (ValidationError, NumericDegeneracyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except EndlamError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

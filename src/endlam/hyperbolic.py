@@ -143,9 +143,6 @@ class Isometry:
             return Isometry._raw(a / s, b / s, c / s, d / s)
         return Isometry._raw(a, b, c, d)
 
-    def __matmul__(self, other: "Isometry") -> "Isometry":
-        return self.compose(other)
-
     def max_entry(self) -> float:
         return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
 

@@ -56,7 +56,6 @@ class JunctureSpec:
     end: str
     sign: str
     word: Word
-    period: int = 1
 
     def __post_init__(self):
         if self.sign not in ("+", "-"):
@@ -64,8 +63,6 @@ class JunctureSpec:
                                   f"got {self.sign!r}")
         if self.word.is_identity():
             raise ValidationError("juncture word must be nonempty")
-        if self.period < 1:
-            raise ValidationError("juncture period must be positive")
 
 
 @dataclass(frozen=True)
@@ -464,11 +461,10 @@ class MeagerInvariantSet:
     uncovered_plus: list[int]    # leaves meeting nothing on the other side
     uncovered_minus: list[int]
 
-    def coverage_plus(self, total: int) -> float:
-        return 1.0 - len(self.uncovered_plus) / total if total else 0.0
 
-    def coverage_minus(self, total: int) -> float:
-        return 1.0 - len(self.uncovered_minus) / total if total else 0.0
+def _coverage(uncovered: list[int], total: int) -> float:
+    """Share of a family's leaves that meet the other family."""
+    return 1.0 - len(uncovered) / total if total else 0.0
 
 
 def transversal_intersections(lam_plus: LaminationApprox,
@@ -615,8 +611,8 @@ def axiom_report(scene, params: AxiomParams | None = None) -> AxiomReport:
     )
 
     meager = transversal_intersections(lam_plus, lam_minus, params.angle_tol)
-    cov_plus = meager.coverage_plus(len(lam_plus.leaves))
-    cov_minus = meager.coverage_minus(len(lam_minus.leaves))
+    cov_plus = _coverage(meager.uncovered_plus, len(lam_plus.leaves))
+    cov_minus = _coverage(meager.uncovered_minus, len(lam_minus.leaves))
     full = not meager.uncovered_plus and not meager.uncovered_minus
     axioms["III"] = AxiomStatus(
         "pass" if full else "flag",

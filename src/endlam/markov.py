@@ -15,37 +15,16 @@ import numpy as np
 
 from .errors import ConvergenceError, ValidationError
 
-DEGENERACIES = ("full", "arc+", "arc-", "point")
-
 PERRON_TOL = 1e-12
 PERRON_MAXITER = 10 ** 5
 SUPPORT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Rect4Gon:
-    """Rectangle of the crossing family; degenerate forms are allowed."""
-
-    id: str
-    degeneracy: str = "full"
-    corners: tuple | None = None  # optional disk anchors for rendering
-
-    def __post_init__(self):
-        if self.degeneracy not in DEGENERACIES:
-            raise ValidationError(
-                f"degeneracy {self.degeneracy!r} not one of {DEGENERACIES}"
-            )
-        if self.corners is not None and len(self.corners) != 4:
-            raise ValidationError("geometric anchor needs four corners")
-
-
 class CrossingTable:
     """Component counts of image-rectangle against rectangle, per ordered pair.
-
-    Count-one entries may carry an orientation tag, recorded verbatim.
     """
 
-    def __init__(self, rect_ids, counts, orientations=None):
+    def __init__(self, rect_ids, counts):
         self.rect_ids = tuple(rect_ids)
         n = len(self.rect_ids)
         counts = np.asarray(counts, dtype=np.int64)
@@ -56,21 +35,14 @@ class CrossingTable:
         if (counts < 0).any():
             raise ValidationError("crossing counts must be nonnegative")
         self.counts = counts
-        self.orientations = dict(orientations or {})
 
     @classmethod
     def from_triples(cls, rect_ids, triples) -> "CrossingTable":
-        """Build from 1-based (i, j, count[, orientation]) rows; missing
-        pairs default to zero."""
+        """Build from 1-based (i, j, count) rows; missing pairs default to
+        zero."""
         n = len(rect_ids)
         counts = np.zeros((n, n), dtype=np.int64)
-        orientations = {}
-        for row in triples:
-            if len(row) == 4:
-                i, j, count, tag = row
-            else:
-                i, j, count = row
-                tag = None
+        for i, j, count in triples:
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ValidationError(
                     f"crossing pair ({i}, {j}) outside 1..{n}"
@@ -80,9 +52,7 @@ class CrossingTable:
                     f"crossing count at ({i}, {j}) is negative"
                 )
             counts[i - 1, j - 1] = count
-            if tag is not None:
-                orientations[(i, j)] = tag
-        return cls(rect_ids, counts, orientations)
+        return cls(rect_ids, counts)
 
     @property
     def size(self) -> int:
@@ -96,15 +66,8 @@ class MarkovCheck:
     # (i, j, count) with 1-based indices, listed when count > 1
 
 
-def verify_markov(rects, table: CrossingTable) -> MarkovCheck:
+def verify_markov(table: CrossingTable) -> MarkovCheck:
     """Every positive crossing count must be exactly one."""
-    if len(rects) != table.size:
-        raise ValidationError(
-            f"{len(rects)} rectangles against a {table.size}-row table"
-        )
-    ids = tuple(r.id for r in rects)
-    if ids != table.rect_ids:
-        raise ValidationError("rectangle ids disagree with the table")
     violations = [
         (i + 1, j + 1, int(c))
         for (i, j), c in np.ndenumerate(table.counts)
@@ -113,12 +76,9 @@ def verify_markov(rects, table: CrossingTable) -> MarkovCheck:
     return MarkovCheck(ok=not violations, violations=violations)
 
 
-def build_matrix_A(table: CrossingTable, rects=None) -> np.ndarray:
+def build_matrix_A(table: CrossingTable) -> np.ndarray:
     """0/1 transition matrix of a verified family."""
-    rects = rects if rects is not None else [
-        Rect4Gon(id=r) for r in table.rect_ids
-    ]
-    check = verify_markov(rects, table)
+    check = verify_markov(table)
     if not check.ok:
         raise ValidationError(
             f"crossing table is not Markov, offending counts: "
@@ -141,37 +101,19 @@ def _as_count_matrix(M) -> np.ndarray:
     return M
 
 
-def _int_matrix_power(A: np.ndarray, power: int) -> list[list[int]]:
-    """Exact power over Python integers (no overflow)."""
-    n = A.shape[0]
-    rows = [[int(x) for x in row] for row in A]
-    result = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    base = rows
-    while power:
-        if power & 1:
-            result = [
-                [sum(result[i][k] * base[k][j] for k in range(n))
-                 for j in range(n)]
-                for i in range(n)
-            ]
-        base = [
-            [sum(base[i][k] * base[k][j] for k in range(n))
-             for j in range(n)]
-            for i in range(n)
-        ]
-        power >>= 1
-    return result
-
-
 def count_admissible(A, m: int) -> int:
     """Number of admissible length-m symbol words: sum of A^(m-1)."""
     A = _as_count_matrix(A)
     if m < 1:
         raise ValidationError("word length must be >= 1")
-    if m == 1:
-        return A.shape[0]
-    power = _int_matrix_power(A, m - 1)
-    return sum(sum(row) for row in power)
+    # 1^T A^(m-1) 1 as m-1 vector-matrix products over Python integers,
+    # which never overflow.
+    rows = [[int(x) for x in row] for row in A]
+    n = len(rows)
+    v = [1] * n
+    for _ in range(m - 1):
+        v = [sum(v[k] * rows[k][j] for k in range(n)) for j in range(n)]
+    return sum(v)
 
 
 @dataclass

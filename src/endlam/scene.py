@@ -1,4 +1,4 @@
-"""Scene files: JSON in, validated objects out, and back again.
+"""Scene files: JSON in, validated objects out.
 
 The format is hand-writable and diff-friendly:
 
@@ -12,8 +12,9 @@ The format is hand-writable and diff-friendly:
     }
 
 Words are whitespace-separated generator names, each optionally carrying
-the suffix ``^-1``.  Crossing rows are 1-based (i, j, count) with an
-optional orientation tag as a fourth element.
+the suffix ``^-1``.  A juncture's ``period`` may be omitted; when given it
+must be 1, since chains step by one iterate.  Rectangles are distinct id
+strings and crossing rows are exactly three integers, 1-based [i, j, count].
 """
 
 from __future__ import annotations
@@ -26,23 +27,16 @@ from .errors import NotHyperbolicError, SceneError, ValidationError
 from .group import FreeAutomorphism, FuchsianGroup, Word, verify_automorphism
 from .hyperbolic import Isometry
 from .lamination import JunctureSpec
-from .markov import CrossingTable, Rect4Gon
-
-
-@dataclass
-class MarkovBlock:
-    rects: list[Rect4Gon]
-    table: CrossingTable
+from .markov import CrossingTable
 
 
 @dataclass
 class Scene:
     name: str
-    description: str
     group: FuchsianGroup
     automorphism: FreeAutomorphism
     junctures: list[JunctureSpec]
-    markov: MarkovBlock | None = None
+    markov: CrossingTable | None = None
 
 
 def _reject_duplicates(pairs):
@@ -105,7 +99,6 @@ def parse_scene(text: str) -> Scene:
     if not isinstance(metadata, dict):
         raise SceneError("field metadata must be an object")
     name = metadata.get("name", "")
-    description = metadata.get("description", "")
 
     group_block = _expect(raw, "group", "group", dict)
     if not group_block:
@@ -156,12 +149,14 @@ def parse_scene(text: str) -> Scene:
             raise SceneError(f"field {path} must be an object")
         word = _parse_word(_expect(item, "word", f"{path}.word"),
                            names, f"{path}.word")
+        period = item.get("period", 1)
+        if type(period) is not int or period != 1:
+            raise SceneError(f"field {path}.period must be 1")
         try:
             junctures.append(JunctureSpec(
                 end=_expect(item, "end", f"{path}.end", str),
                 sign=_expect(item, "sign", f"{path}.sign", str),
                 word=word,
-                period=item.get("period", 1),
             ))
         except ValidationError as exc:
             raise SceneError(f"{path}: {exc}") from exc
@@ -171,42 +166,27 @@ def parse_scene(text: str) -> Scene:
         markov_block = raw["markov"]
         if not isinstance(markov_block, dict):
             raise SceneError("field markov must be an object")
-        rect_items = _expect(markov_block, "rects", "markov.rects", list)
-        rects = []
-        for idx, item in enumerate(rect_items):
-            path = f"markov.rects[{idx}]"
-            try:
-                if isinstance(item, str):
-                    rects.append(Rect4Gon(id=item))
-                elif isinstance(item, dict):
-                    rects.append(Rect4Gon(
-                        id=_expect(item, "id", f"{path}.id", str),
-                        degeneracy=item.get("degeneracy", "full"),
-                        corners=tuple(tuple(c) for c in item["corners"])
-                        if "corners" in item else None,
-                    ))
-                else:
-                    raise SceneError(f"field {path} must be an id or object")
-            except ValidationError as exc:
-                raise SceneError(f"{path}: {exc}") from exc
-        ids = [r.id for r in rects]
+        ids = _expect(markov_block, "rects", "markov.rects", list)
+        for idx, item in enumerate(ids):
+            if not isinstance(item, str):
+                raise SceneError(f"field markov.rects[{idx}] must be an id "
+                                 f"string")
         if len(set(ids)) != len(ids):
             raise SceneError("markov.rects: duplicate rectangle id")
         crossings = _expect(markov_block, "crossings", "markov.crossings",
                             list)
         for idx, row in enumerate(crossings):
-            if not isinstance(row, list) or len(row) not in (3, 4):
+            if (not isinstance(row, list) or len(row) != 3
+                    or any(type(x) is not int for x in row)):
                 raise SceneError(
-                    f"markov.crossings[{idx}] must be [i, j, count] with an "
-                    f"optional orientation tag"
+                    f"markov.crossings[{idx}] must be integers [i, j, count]"
                 )
         try:
-            table = CrossingTable.from_triples(ids, crossings)
+            markov = CrossingTable.from_triples(ids, crossings)
         except ValidationError as exc:
             raise SceneError(f"markov.crossings: {exc}") from exc
-        markov = MarkovBlock(rects=rects, table=table)
 
-    return Scene(name=name, description=description, group=group,
+    return Scene(name=name, group=group,
                  automorphism=automorphism, junctures=junctures,
                  markov=markov)
 
@@ -223,55 +203,6 @@ def load_scene(path) -> Scene:
         return parse_scene(text)
     except SceneError as exc:
         raise SceneError(f"{path}: {exc}") from exc
-
-
-def serialize_scene(scene: Scene) -> str:
-    """Canonical JSON for a validated scene; inverse of parse_scene on the
-    validated fields."""
-    names = scene.group.names
-    doc = {
-        "metadata": {"name": scene.name, "description": scene.description},
-        "group": {
-            name: [list(row) for row in m.matrix]
-            for name, m in zip(names, scene.group.generators)
-        },
-        "automorphism": {
-            "forward": {name: rule.format(names)
-                        for name, rule in zip(names,
-                                              scene.automorphism.forward)},
-            "inverse": {name: rule.format(names)
-                        for name, rule in zip(names,
-                                              scene.automorphism.inverse)},
-        },
-        "junctures": [
-            {"end": j.end, "sign": j.sign, "word": j.word.format(names),
-             "period": j.period}
-            for j in scene.junctures
-        ],
-    }
-    if scene.markov is not None:
-        rects = []
-        for r in scene.markov.rects:
-            if r.degeneracy == "full" and r.corners is None:
-                rects.append(r.id)
-            else:
-                entry = {"id": r.id, "degeneracy": r.degeneracy}
-                if r.corners is not None:
-                    entry["corners"] = [list(c) for c in r.corners]
-                rects.append(entry)
-        crossings = []
-        table = scene.markov.table
-        for i in range(table.size):
-            for j in range(table.size):
-                count = int(table.counts[i, j])
-                tag = table.orientations.get((i + 1, j + 1))
-                if count or tag is not None:
-                    row = [i + 1, j + 1, count]
-                    if tag is not None:
-                        row.append(tag)
-                    crossings.append(row)
-        doc["markov"] = {"rects": rects, "crossings": crossings}
-    return json.dumps(doc, indent=2) + "\n"
 
 
 def scene_path(name: str) -> Path:

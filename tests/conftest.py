@@ -22,8 +22,8 @@ def make_scene(gen_a, gen_b, forward, inverse, junctures):
     return SimpleNamespace(
         group=group,
         automorphism=phi,
-        junctures=[JunctureSpec(end=e, sign=s, word=group.word(w), period=p)
-                   for e, s, w, p in junctures],
+        junctures=[JunctureSpec(end=e, sign=s, word=group.word(w))
+                   for e, s, w in junctures],
     )
 
 
@@ -34,7 +34,7 @@ def torus_scene():
         TORUS_A, TORUS_B,
         forward=("a b", "b"),
         inverse=("a b^-1", "b"),
-        junctures=[("e-", "-", "a", 1), ("e+", "+", "a", 1)],
+        junctures=[("e-", "-", "a"), ("e+", "+", "a")],
     )
 
 
@@ -45,7 +45,7 @@ def inner_scene():
         TORUS_A, TORUS_B,
         forward=("b a b^-1", "b"),
         inverse=("b^-1 a b", "b"),
-        junctures=[("e-", "-", "a", 1), ("e+", "+", "b", 1)],
+        junctures=[("e-", "-", "a"), ("e+", "+", "b")],
     )
 
 
@@ -55,7 +55,7 @@ def identity_scene():
         TORUS_A, TORUS_B,
         forward=("a", "b"),
         inverse=("a", "b"),
-        junctures=[("e-", "-", "a", 1), ("e+", "+", "b", 1)],
+        junctures=[("e-", "-", "a"), ("e+", "+", "b")],
     )
 
 

@@ -53,6 +53,14 @@ class TestExitCodes:
         assert code == 2
         assert "flagged" in capsys.readouterr().err
 
+    def test_numeric_breakdown_flagged(self, schottky, capsys):
+        code = run_command(["limit-set", str(schottky), "--base=0,2e-12",
+                            "--depth", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("flagged: ")
+        assert "collapsed onto the boundary" in err
+
     def test_markov_without_block(self, schottky, capsys):
         assert run_command(["markov", "verify", str(schottky)]) == 1
         assert "no markov block" in capsys.readouterr().err
@@ -239,7 +247,8 @@ class TestUnreadFlags:
         argv = [str(tmp_path / a) if a.endswith((".json", ".svg")) else a
                 for a in argv]
         assert run_command(argv) == 1
-        assert "usage" in capsys.readouterr().err.lower()
+        assert capsys.readouterr().err.startswith(
+            f"usage: endlam {argv[0]} ")
         assert not (tmp_path / "x.svg").exists()
 
 

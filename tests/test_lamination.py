@@ -109,7 +109,7 @@ class TestEscape:
         scene = make_scene(
             [[2, 0], [0, 0.5]], [[8, 0.5], [0.5, 0.25]],
             forward=("b", "a"), inverse=("b", "a"),
-            junctures=[("e-", "-", "a", 1)],
+            junctures=[("e-", "-", "a")],
         )
         report = escape_test(scene, scene.junctures[0], horizon=3)
         assert report.verdict == "inconclusive"
@@ -185,7 +185,7 @@ class TestExtract:
         conj = make_scene(
             TORUS_A, TORUS_B,
             forward=("a b", "b"), inverse=("a b^-1", "b"),
-            junctures=[("e-", "-", "a", 1)],
+            junctures=[("e-", "-", "a")],
         )
         moved = [g.compose(m).compose(g.inverse())
                  for m in conj.group.generators]
@@ -305,7 +305,7 @@ class TestLaminate:
     def test_no_opposite_junctures_gives_none(self):
         scene = make_scene(TORUS_A, TORUS_B, forward=("a b", "b"),
                            inverse=("a b^-1", "b"),
-                           junctures=[("e-", "-", "a", 1)])
+                           junctures=[("e-", "-", "a")])
         run = laminate(scene, AxiomParams(horizon=8, ball=1))
         assert run.plus.leaves
         assert run.minus is None
@@ -348,7 +348,7 @@ class TestAxiomReport:
             [[2, 0], [0, 0.5]],
             [[b.a, b.b], [b.c, b.d]],
             forward=("a b", "b"), inverse=("a b^-1", "b"),
-            junctures=[("e-", "-", "a", 1), ("e+", "+", "a", 1)],
+            junctures=[("e-", "-", "a"), ("e+", "+", "a")],
         )
         report = axiom_report(scene, AxiomParams(horizon=12, ball=3))
         assert report.axioms["I"].status == "fail"
