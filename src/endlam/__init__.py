@@ -58,7 +58,7 @@ from .markov import (
     shift,
     verify_markov,
 )
-from .render import RenderStyle, render_svg
+from .render import render_svg
 from .scene import Scene, load_scene, parse_scene, scene_path
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .group import Word, limit_set_sample
-from .hyperbolic import Geodesic, HPoint, IdealPoint, Isometry
+from .hyperbolic import Geodesic, HPoint
 from .lamination import (
     DEFAULT_ESCAPE_HORIZON,
     DEFAULT_GROWTH_RATIO,
@@ -45,7 +45,7 @@ from .markov import (
     perron,
     verify_markov,
 )
-from .render import RenderStyle, render_svg
+from .render import check_size, render_svg
 from .scene import Scene, load_scene
 
 EXIT_OK = 0
@@ -65,26 +65,16 @@ class _Parser(argparse.ArgumentParser):
 def _jsonable(obj, names=None):
     if isinstance(obj, Word):
         return obj.format(names) if names else list(obj.letters)
-    if isinstance(obj, IdealPoint):
-        return obj.theta
     if isinstance(obj, Geodesic):
         return {"a_angle": obj.a.theta, "b_angle": obj.b.theta}
-    if isinstance(obj, Isometry):
-        return [list(row) for row in obj.matrix]
-    if isinstance(obj, HPoint):
-        return {"x": obj.x, "y": obj.y}
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _jsonable(getattr(obj, f.name), names)
                 for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v, names) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set)):
+    if isinstance(obj, (list, tuple)):
         return [_jsonable(x, names) for x in obj]
     return obj
 
@@ -125,6 +115,18 @@ def _add_flags(parser, names, **defaults):
     parser.set_defaults(**defaults)
 
 
+class _SizeAction(argparse.Action):
+    """Checks ``--size`` while parsing, so that a canvas with no room to
+    draw is a usage error before the command prints anything."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        try:
+            check_size(value)
+        except ValidationError as exc:
+            parser.error(f"argument {option_string}: {exc}")
+        setattr(namespace, self.dest, value)
+
+
 def _axiom_params(args) -> AxiomParams:
     return AxiomParams(**{name: getattr(args, name) for name in _PARAM_HELP})
 
@@ -157,7 +159,7 @@ def cmd_limit_set(args) -> int:
     print(f"boundary fixed points: {len(sample.fixed_points)}")
     print(f"min boundary gap: {sample.min_boundary_gap():.6e}")
     if args.out:
-        svg = render_svg([("limit-set", sample)], _style(args))
+        svg = render_svg([("limit-set", sample)], args.size)
         Path(args.out).write_text(svg, encoding="utf-8")
         print(f"wrote {args.out}")
     if args.json_path:
@@ -211,7 +213,7 @@ def cmd_laminate(args) -> int:
         print(f"transverse intersection points: {len(meager.points)}")
         report["intersections"] = _jsonable(meager)
     if args.out:
-        svg = render_svg(_leaf_layers(run), _style(args))
+        svg = render_svg(_leaf_layers(run), args.size)
         Path(args.out).write_text(svg, encoding="utf-8")
         print(f"wrote {args.out}")
     if args.json_path:
@@ -256,8 +258,7 @@ def cmd_axioms(args) -> int:
     print(f"caveat: {report.caveat}")
     if not report.endperiodic_like:
         print("flag: scene is not endperiodic-like at this horizon")
-    for name in ("I", "II", "III", "IV", "V", "VI"):
-        status = report.axioms[name]
+    for name, status in report.axioms.items():
         print(f"axiom {name}: {status.status} - {status.detail}")
     if args.json_path:
         payload = {
@@ -343,15 +344,11 @@ def cmd_markov(args) -> int:
     raise ValidationError(f"unknown markov subcommand {args.markov_cmd!r}")
 
 
-def _style(args) -> RenderStyle:
-    return RenderStyle(size=args.size) if args.size else RenderStyle()
-
-
 def cmd_render(args) -> int:
     scene = load_scene(args.scene)
     run = laminate(scene, _axiom_params(args), extract=args.leaves)
     layers = [(f"junctures-{j.end}", fam) for j, fam in run.families]
-    svg = render_svg(layers + _leaf_layers(run), _style(args))
+    svg = render_svg(layers + _leaf_layers(run), args.size)
     Path(args.out).write_text(svg, encoding="utf-8")
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -371,14 +368,15 @@ def build_parser() -> _Parser:
     p.add_argument("--base", default="0,1",
                    help="half-plane base point as 'x,y'")
     p.add_argument("--out", default=None, help="write an SVG here")
-    p.add_argument("--size", type=int, default=None, help="canvas size")
+    p.add_argument("--size", type=int, default=1000, action=_SizeAction,
+                   help="canvas size")
     _add_flags(p, ("angle_tol", "trace_tol", "max_words", "json"))
     p.set_defaults(func=cmd_limit_set)
 
     p = sub.add_parser("laminate", help="extract certified limit leaves")
     p.add_argument("scene")
     p.add_argument("--out", default=None, help="write an SVG here")
-    p.add_argument("--size", type=int, default=None)
+    p.add_argument("--size", type=int, default=1000, action=_SizeAction)
     _add_flags(p, (*_PARAM_HELP, "json"))
     p.set_defaults(func=cmd_laminate)
 
@@ -412,7 +410,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--leaves", action="store_true",
                    help="also extract and draw limit leaves")
-    p.add_argument("--size", type=int, default=None)
+    p.add_argument("--size", type=int, default=1000, action=_SizeAction)
     _add_flags(p, _PARAM_HELP, horizon=4, ball=1)
     p.set_defaults(func=cmd_render)
 

@@ -222,9 +222,6 @@ class IdealPoint:
         """Half-plane coordinate; INF for the point at infinity."""
         return boundary_from_angle(self.theta)
 
-    def close_to(self, other: "IdealPoint", tol: float = ANGLE_TOL) -> bool:
-        return angular_gap(self.theta, other.theta) < tol
-
 
 def same_ideal_point(p: IdealPoint, q: IdealPoint,
                      tol: float = ANGLE_TOL) -> bool:
@@ -253,31 +250,24 @@ class Geodesic:
     def from_angles(cls, ta: float, tb: float) -> "Geodesic":
         return cls(IdealPoint(ta), IdealPoint(tb))
 
-    def angles(self) -> tuple[float, float]:
-        return (self.a.theta, self.b.theta)
-
     def sorted_angles(self) -> tuple[float, float]:
         ta, tb = self.a.theta, self.b.theta
         return (ta, tb) if ta <= tb else (tb, ta)
 
-    def reversed(self) -> "Geodesic":
-        return Geodesic(self.b, self.a)
 
-
-def classify_isometry(m: Isometry, trace_tol: float | None = None) -> str:
+def classify_isometry(m: Isometry, trace_tol: float = TRACE_TOL) -> str:
     """One of 'identity', 'elliptic', 'parabolic', 'hyperbolic'.
 
     The identity gets its own class so degenerate generators can be
     rejected explicitly instead of being lumped with rotations.
     """
-    tol = TRACE_TOL if trace_tol is None else trace_tol
     if (abs(m.a - 1.0) <= 1e-12 and abs(m.d - 1.0) <= 1e-12
             and abs(m.b) <= 1e-12 and abs(m.c) <= 1e-12):
         return "identity"
     t = abs(m.trace())
-    if t < 2.0 - tol:
+    if t < 2.0 - trace_tol:
         return "elliptic"
-    if t <= 2.0 + tol:
+    if t <= 2.0 + trace_tol:
         return "parabolic"
     return "hyperbolic"
 
@@ -333,7 +323,7 @@ def _fixed_points(m: Isometry) -> tuple[float, float]:
     return (t1, t2)
 
 
-def axis(m: Isometry, trace_tol: float | None = None) -> Geodesic:
+def axis(m: Isometry, trace_tol: float = TRACE_TOL) -> Geodesic:
     """Invariant geodesic of a hyperbolic isometry, repelling -> attracting."""
     kind = classify_isometry(m, trace_tol)
     if kind != "hyperbolic":
@@ -343,7 +333,7 @@ def axis(m: Isometry, trace_tol: float | None = None) -> Geodesic:
                     IdealPoint.from_boundary(att))
 
 
-def translation_length(m: Isometry, trace_tol: float | None = None) -> float:
+def translation_length(m: Isometry, trace_tol: float = TRACE_TOL) -> float:
     """2 * arccosh(|trace| / 2) along the axis."""
     kind = classify_isometry(m, trace_tol)
     if kind != "hyperbolic":
@@ -370,18 +360,17 @@ def boundary_action(m: Isometry, p: IdealPoint) -> IdealPoint:
 
 
 def geodesic_relation(g1: Geodesic, g2: Geodesic,
-                      tol: float | None = None) -> str:
+                      tol: float = ANGLE_TOL) -> str:
     """'equal', 'share_endpoint', 'cross', or 'disjoint'.
 
     Crossing means the endpoint pairs strictly interleave on the circle.
     """
-    eps = ANGLE_TOL if tol is None else tol
     a1, b1 = g1.a.theta, g1.b.theta
     a2, b2 = g2.a.theta, g2.b.theta
     matches = 0
     for u in (a1, b1):
         for v in (a2, b2):
-            if angular_gap(u, v) < eps:
+            if angular_gap(u, v) < tol:
                 matches += 1
     if matches >= 2:
         return "equal"
@@ -407,7 +396,7 @@ def _carrier(g: Geodesic):
 
 
 def geodesic_intersection(g1: Geodesic, g2: Geodesic,
-                          tol: float | None = None) -> HPoint:
+                          tol: float = ANGLE_TOL) -> HPoint:
     """Unique crossing point of two transverse geodesics."""
     if geodesic_relation(g1, g2, tol) != "cross":
         raise NoIntersectionError("geodesics do not cross")

@@ -26,7 +26,6 @@ from .hyperbolic import (
     TRACE_TOL,
     TWO_PI,
     Geodesic,
-    IdealPoint,
     Isometry,
     angular_gap,
     axis,
@@ -146,30 +145,34 @@ class GeodesicFamily:
         return {prov.sign for _, prov in self.entries}
 
 
-def _iterate_axis(scene, juncture: JunctureSpec, n: int,
-                  max_letters: int, trace_tol: float) -> Geodesic:
-    """Axis of the n-th substitution image of the juncture word.
+def _iterate_cores(scene, juncture: JunctureSpec, iterates,
+                   max_letters: int, trace_tol: float):
+    """Yield ``(n, phi^n(w), g, core isometry)`` for each n in ``iterates``,
+    in the given order, where phi^n(w) = g * core * g^-1 with the core
+    cyclically reduced and hyperbolic.
 
-    Evaluates the cyclically reduced core and transports its axis by the
-    stripped conjugator; evaluating the full word directly would cancel
-    the trace catastrophically once the conjugator grows.
+    Each word is one substitution step from its neighbour toward n = 0,
+    so every step is taken once.  Only the core is evaluated: the full
+    word would cancel its trace catastrophically once g grows.
     """
-    word_n = apply_automorphism(scene.automorphism, juncture.word, n,
-                                max_letters=max_letters)
-    conj, core = word_n.cyclic_decomposition()
-    core_m = evaluate_word(scene.group, core)
-    kind = classify_isometry(core_m, trace_tol)
-    if kind != "hyperbolic":
-        raise NotHyperbolicError(
-            f"iterate {n} of juncture {juncture.end!r} evaluates to a "
-            f"{kind} isometry"
-        )
-    base = axis(core_m, trace_tol)
-    if conj.is_identity():
-        return base
-    conj_m = evaluate_word(scene.group, conj)
-    return Geodesic(boundary_action(conj_m, base.a),
-                    boundary_action(conj_m, base.b))
+    words = {0: juncture.word}
+    for n in iterates:
+        step = 1 if n > 0 else -1
+        start = n
+        while start not in words:
+            start -= step
+        for m in range(start, n, step):
+            words[m + step] = apply_automorphism(
+                scene.automorphism, words[m], step, max_letters=max_letters)
+        conj, core = words[n].cyclic_decomposition()
+        core_m = evaluate_word(scene.group, core)
+        kind = classify_isometry(core_m, trace_tol)
+        if kind != "hyperbolic":
+            raise NotHyperbolicError(
+                f"iterate {n} of juncture {juncture.end!r} evaluates to a "
+                f"{kind} isometry"
+            )
+        yield n, words[n], conj, core_m
 
 
 def juncture_orbit(scene, juncture: JunctureSpec, n_range=None,
@@ -198,8 +201,14 @@ def juncture_orbit(scene, juncture: JunctureSpec, n_range=None,
     family = GeodesicFamily()
     dedup = _AngleSetDedup(angle_tol)
     axes: dict[int, Geodesic] = {}
-    for n in iterates:
-        axes[n] = _iterate_axis(scene, juncture, n, max_letters, trace_tol)
+    for n, _, conj, core_m in _iterate_cores(scene, juncture, iterates,
+                                             max_letters, trace_tol):
+        base = axis(core_m, trace_tol)
+        if not conj.is_identity():
+            conj_m = evaluate_word(scene.group, conj)
+            base = Geodesic(boundary_action(conj_m, base.a),
+                            boundary_action(conj_m, base.b))
+        axes[n] = base
     for g_word, g_iso in ball:
         for n in iterates:
             base = axes[n]
@@ -248,22 +257,17 @@ def escape_test(scene, juncture: JunctureSpec,
     """
     if horizon < 3:
         raise ValidationError("escape horizon must be at least 3")
+    if not growth_ratio > 1:
+        raise ValidationError(
+            f"escape growth ratio must exceed 1, got {growth_ratio:g}")
     direction = 1 if juncture.sign == "-" else -1
-    rows = []
-    for step in range(horizon + 1):
-        n = direction * step
-        word_n = apply_automorphism(scene.automorphism, juncture.word, n,
-                                    max_letters=max_letters)
-        # Translation length only depends on the conjugacy class; the
-        # cyclic core keeps the evaluation numerically sane.
-        _, core = word_n.cyclic_decomposition()
-        m = evaluate_word(scene.group, core)
-        if classify_isometry(m, trace_tol) != "hyperbolic":
-            raise NotHyperbolicError(
-                f"iterate {n} of juncture {juncture.end!r} is not hyperbolic"
-            )
-        rows.append(EscapeRow(iterate=n, word_length=len(word_n),
-                              length=translation_length(m, trace_tol)))
+    iterates = [direction * step for step in range(horizon + 1)]
+    # Translation length depends only on the conjugacy class, so the core
+    # alone gives it.
+    rows = [EscapeRow(iterate=n, word_length=len(word_n),
+                      length=translation_length(core_m, trace_tol))
+            for n, word_n, _, core_m in _iterate_cores(
+                scene, juncture, iterates, max_letters, trace_tol)]
     lengths = [r.length for r in rows]
     base = lengths[0]
     if all(ell <= growth_ratio * base for ell in lengths):
@@ -354,54 +358,39 @@ def extract_limit_leaves(family: GeodesicFamily,
 
     for key, items in chains.items():
         prov = chain_meta[key]
-        reverse = prov.sign == "+"
-        items.sort(key=lambda item: item[0], reverse=reverse)
+        items.sort(key=lambda item: item[0], reverse=prov.sign == "+")
+        geos = [geo for _, geo in items]
+        gaps = [_chain_gap(g1, g2) for g1, g2 in zip(geos, geos[1:])]
+        tail = gaps[-4:]
+        base = base_limits.get((prov.juncture, prov.sign))
+        transported = not (prov.conjugator.is_identity() or base is None
+                           or prov.conjugator_isometry is None)
+        ends = None
+        if not transported and len(items) >= 4:
+            ends = (_aitken_angle([g.a.theta for g in geos[-3:]]),
+                    _aitken_angle([g.b.theta for g in geos[-3:]]))
+        reason = None
         if len(items) == 1:
             # Deduplication collapsed the whole chain, either because the
             # substitution fixes this axis (then the limit is the family
             # member itself, which the lamination excludes by definition)
             # or because an earlier chain already carries these axes.
+            reason = ("chain collapsed to a single axis; its limit is a "
+                      "family member")
+        elif len(items) < 4:
+            reason = "fewer than 4 distinct iterates"
+        elif tail[-1] >= tol:
+            reason = (f"last gap {tail[-1]:.3e} above tolerance "
+                      f"{tol:.1e}")
+        elif not all(b < a or b < GAP_FLOOR for a, b in zip(tail, tail[1:])):
+            reason = "endpoint gaps not decreasing"
+        elif ends and angular_gap(*ends) < angle_tol:
+            reason = "chain collapses toward a single boundary point"
+        if reason is not None:
             skipped.append(SkippedChain(prov.juncture, prov.sign,
-                                        prov.conjugator,
-                                        "chain collapsed to a single axis; "
-                                        "its limit is a family member"))
+                                        prov.conjugator, reason))
             continue
-        if len(items) < 4:
-            skipped.append(SkippedChain(prov.juncture, prov.sign,
-                                        prov.conjugator,
-                                        "fewer than 4 distinct iterates"))
-            continue
-        geos = [geo for _, geo in items]
-        gaps = [_chain_gap(g1, g2) for g1, g2 in zip(geos, geos[1:])]
-        tail = gaps[-4:] if len(gaps) >= 4 else gaps
-        if tail[-1] >= tol:
-            skipped.append(SkippedChain(prov.juncture, prov.sign,
-                                        prov.conjugator,
-                                        f"last gap {tail[-1]:.3e} above "
-                                        f"tolerance {tol:.1e}"))
-            continue
-        decreasing = all(b < a or b < GAP_FLOOR
-                         for a, b in zip(tail, tail[1:]))
-        if not decreasing:
-            skipped.append(SkippedChain(prov.juncture, prov.sign,
-                                        prov.conjugator,
-                                        "endpoint gaps not decreasing"))
-            continue
-        base = base_limits.get((prov.juncture, prov.sign))
-        if prov.conjugator.is_identity() or base is None \
-                or prov.conjugator_isometry is None:
-            theta_a = _aitken_angle([g.a.theta for g in geos])
-            theta_b = _aitken_angle([g.b.theta for g in geos])
-            if angular_gap(theta_a, theta_b) < angle_tol:
-                skipped.append(SkippedChain(prov.juncture, prov.sign,
-                                            prov.conjugator,
-                                            "chain collapses toward a "
-                                            "single boundary point"))
-                continue
-            limit = Geodesic(IdealPoint(theta_a), IdealPoint(theta_b))
-            if prov.conjugator.is_identity():
-                base_limits[(prov.juncture, prov.sign)] = limit
-        else:
+        if transported:
             # Transport the base chain's limit: the conjugated chain
             # converges to exactly this geodesic, and computing it as a
             # single Mobius image keeps endpoints that are shared between
@@ -410,6 +399,10 @@ def extract_limit_leaves(family: GeodesicFamily,
                 boundary_action(prov.conjugator_isometry, base.a),
                 boundary_action(prov.conjugator_isometry, base.b),
             )
+        else:
+            limit = Geodesic.from_angles(*ends)
+            if prov.conjugator.is_identity():
+                base_limits[(prov.juncture, prov.sign)] = limit
         if not leaf_set.check_and_add(limit):
             continue
         leaves.append(limit)
@@ -433,7 +426,7 @@ class CrossingViolation:
 
 
 def crossing_audit(lam: LaminationApprox,
-                   tol: float | None = None) -> list[CrossingViolation]:
+                   tol: float = ANGLE_TOL) -> list[CrossingViolation]:
     """Pairs of leaves of one lamination that transversely cross."""
     violations = []
     leaves = lam.leaves
@@ -469,7 +462,7 @@ def _coverage(uncovered: list[int], total: int) -> float:
 
 def transversal_intersections(lam_plus: LaminationApprox,
                               lam_minus: LaminationApprox,
-                              tol: float | None = None) -> MeagerInvariantSet:
+                              tol: float = ANGLE_TOL) -> MeagerInvariantSet:
     """All cross pairs between the two leaf families with their points.
 
     Two distinct geodesics meet at most once, so each pair contributes at
@@ -507,6 +500,14 @@ class AxiomParams:
     max_words: int = DEFAULT_MAX_WORDS
     angle_tol: float = ANGLE_TOL
     trace_tol: float = TRACE_TOL
+
+    def __post_init__(self):
+        if self.horizon < 0:
+            raise ValidationError(
+                f"horizon must be nonnegative, got {self.horizon}")
+        if not self.tol > 0:
+            raise ValidationError(
+                f"chain tolerance must be positive, got {self.tol:g}")
 
 
 @dataclass
@@ -571,23 +572,22 @@ def axiom_report(scene, params: AxiomParams | None = None) -> AxiomReport:
     run = laminate(scene, params)
     lam_plus = run.plus or LaminationApprox("+", [], [], [])
     lam_minus = run.minus or LaminationApprox("-", [], [], [])
+    report = AxiomReport(
+        caveat="finite-approximation evidence only",
+        endperiodic_like=bool(lam_plus.leaves) and bool(lam_minus.leaves),
+        axioms={},
+        lamination_plus=lam_plus,
+        lamination_minus=lam_minus,
+        intersections=MeagerInvariantSet([], [], []),
+    )
+    axioms = report.axioms
 
-    axioms: dict[str, AxiomStatus] = {}
-    endperiodic_like = bool(lam_plus.leaves) and bool(lam_minus.leaves)
-
-    if not endperiodic_like:
+    if not report.endperiodic_like:
         detail = ("no limit leaves emerged at this horizon; the scene does "
                   "not look endperiodic")
         for name in ("I", "II", "III", "IV", "V", "VI"):
             axioms[name] = AxiomStatus("not-checked", detail)
-        return AxiomReport(
-            caveat="finite-approximation evidence only",
-            endperiodic_like=False,
-            axioms=axioms,
-            lamination_plus=lam_plus,
-            lamination_minus=lam_minus,
-            intersections=MeagerInvariantSet([], [], []),
-        )
+        return report
 
     violations_plus = crossing_audit(lam_plus, params.angle_tol)
     violations_minus = crossing_audit(lam_minus, params.angle_tol)
@@ -611,6 +611,7 @@ def axiom_report(scene, params: AxiomParams | None = None) -> AxiomReport:
     )
 
     meager = transversal_intersections(lam_plus, lam_minus, params.angle_tol)
+    report.intersections = meager
     cov_plus = _coverage(meager.uncovered_plus, len(lam_plus.leaves))
     cov_minus = _coverage(meager.uncovered_minus, len(lam_minus.leaves))
     full = not meager.uncovered_plus and not meager.uncovered_minus
@@ -652,11 +653,4 @@ def axiom_report(scene, params: AxiomParams | None = None) -> AxiomReport:
         data={"accepted_chains": accepted, "skipped_chains": skipped},
     )
 
-    return AxiomReport(
-        caveat="finite-approximation evidence only",
-        endperiodic_like=True,
-        axioms=axioms,
-        lamination_plus=lam_plus,
-        lamination_minus=lam_minus,
-        intersections=meager,
-    )
+    return report

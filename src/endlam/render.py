@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .errors import ValidationError
 from .group import LimitSetSample
 from .hyperbolic import TWO_PI, Geodesic
-from .lamination import GeodesicFamily, LaminationApprox, MeagerInvariantSet
+from .lamination import GeodesicFamily, LaminationApprox
 
 # Endpoint pairs this close to antipodal are drawn as straight chords:
 # the orthogonal circle's radius would exceed ~1e3, where nine-decimal
@@ -23,27 +23,24 @@ from .lamination import GeodesicFamily, LaminationApprox, MeagerInvariantSet
 # sagitta is far below one pixel anyway).
 ANTIPODAL_DOT = 1e-6
 
+# The fixed style: every canvas draws the boundary circle, and layers take
+# the palette's colours in turn.
+MARGIN = 10.0
+STROKE_WIDTH = 1.5
+BOUNDARY_WIDTH = 1.0
+POINT_RADIUS = 2.5
+BOUNDARY_POINT_RADIUS = 3.5
+BOUNDARY_COLOR = "#222222"
 PALETTE = ("#c0392b", "#2980b9", "#27ae60", "#8e44ad", "#d35400",
            "#16a085", "#7f8c8d")
 
 
-@dataclass
-class RenderStyle:
-    size: int = 1000
-    margin: float = 10.0
-    stroke_width: float = 1.5
-    boundary_width: float = 1.0
-    point_radius: float = 2.5
-    boundary_point_radius: float = 3.5
-    draw_boundary: bool = True
-    boundary_color: str = "#222222"
-    colors: tuple[str, ...] = PALETTE
-
-    def __post_init__(self):
-        if self.size <= 0 or self.margin < 0:
-            raise ValidationError("canvas dimensions must be positive")
-        if self.margin >= self.size / 2:
-            raise ValidationError("margin swallows the whole canvas")
+def check_size(size: int) -> None:
+    """A canvas must leave a disk to draw inside its margins."""
+    if size <= 2 * MARGIN:
+        raise ValidationError(
+            f"canvas size must exceed {2 * MARGIN:g}, twice the margin; "
+            f"got {size}")
 
 
 @dataclass
@@ -60,8 +57,6 @@ def _coerce_layer(label, payload) -> _Layer:
         layer.geodesics = payload.geodesics()
     elif isinstance(payload, LaminationApprox):
         layer.geodesics = list(payload.leaves)
-    elif isinstance(payload, MeagerInvariantSet):
-        layer.points = [(rec.x, rec.y) for rec in payload.points]
     elif isinstance(payload, LimitSetSample):
         layer.points = list(payload.orbit)
         layer.boundary_angles = [p.theta for p in payload.fixed_points]
@@ -89,10 +84,10 @@ def _fmt(value: float) -> str:
 
 
 class _Canvas:
-    def __init__(self, style: RenderStyle):
-        self.cx = style.size / 2.0
-        self.cy = style.size / 2.0
-        self.scale = style.size / 2.0 - style.margin
+    def __init__(self, size: int):
+        self.cx = size / 2.0
+        self.cy = size / 2.0
+        self.scale = size / 2.0 - MARGIN
 
     def point(self, x: float, y: float) -> tuple[float, float]:
         return (self.cx + self.scale * x, self.cy - self.scale * y)
@@ -129,42 +124,32 @@ def _geodesic_path(geo: Geodesic, canvas: _Canvas) -> str:
             f'{arc}{_fmt(x2)} {_fmt(y2)}"/>')
 
 
-def render_svg(families, style: RenderStyle | None = None) -> str:
-    """Render labeled families of geodesics and points over the unit disk.
+def render_svg(families, size: int = 1000) -> str:
+    """Render labeled families of geodesics and points over the unit disk
+    on a ``size`` x ``size`` canvas.
 
     ``families`` is a sequence of (label, payload) pairs; a payload may be
-    a GeodesicFamily, a LaminationApprox, a MeagerInvariantSet, a
-    LimitSetSample, or a plain list of Geodesic/point entries.  Bare
-    payloads get positional labels.
+    a GeodesicFamily, a LaminationApprox, a LimitSetSample, or a plain
+    list of Geodesic/point entries.
     """
-    style = style or RenderStyle()
-    canvas = _Canvas(style)
-    layers = []
-    for idx, item in enumerate(families):
-        if isinstance(item, tuple) and len(item) == 2 \
-                and isinstance(item[0], str):
-            label, payload = item
-        else:
-            label, payload = f"family-{idx}", item
-        layers.append(_coerce_layer(label, payload))
+    check_size(size)
+    canvas = _Canvas(size)
+    layers = [_coerce_layer(label, payload) for label, payload in families]
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{style.size}" '
-        f'height="{style.size}" '
-        f'viewBox="0 0 {style.size} {style.size}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
+        f'height="{size}" '
+        f'viewBox="0 0 {size} {size}">',
+        f'<circle cx="{_fmt(canvas.cx)}" cy="{_fmt(canvas.cy)}" '
+        f'r="{_fmt(canvas.scale)}" fill="none" '
+        f'stroke="{BOUNDARY_COLOR}" '
+        f'stroke-width="{_fmt(BOUNDARY_WIDTH)}"/>',
     ]
-    if style.draw_boundary:
-        lines.append(
-            f'<circle cx="{_fmt(canvas.cx)}" cy="{_fmt(canvas.cy)}" '
-            f'r="{_fmt(canvas.scale)}" fill="none" '
-            f'stroke="{style.boundary_color}" '
-            f'stroke-width="{_fmt(style.boundary_width)}"/>'
-        )
     for idx, layer in enumerate(layers):
-        color = style.colors[idx % len(style.colors)]
+        color = PALETTE[idx % len(PALETTE)]
         lines.append(f'<g id="{layer.label}" stroke="{color}" fill="none" '
-                     f'stroke-width="{_fmt(style.stroke_width)}">')
+                     f'stroke-width="{_fmt(STROKE_WIDTH)}">')
         for geo in layer.geodesics:
             lines.append(_geodesic_path(geo, canvas))
         lines.append('</g>')
@@ -174,12 +159,12 @@ def render_svg(families, style: RenderStyle | None = None) -> str:
             for x, y in layer.points:
                 px, py = canvas.point(x, y)
                 lines.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" '
-                             f'r="{_fmt(style.point_radius)}"/>')
+                             f'r="{_fmt(POINT_RADIUS)}"/>')
             for theta in layer.boundary_angles:
                 px, py = canvas.point(math.cos(theta), math.sin(theta))
                 lines.append(
                     f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" '
-                    f'r="{_fmt(style.boundary_point_radius)}"/>'
+                    f'r="{_fmt(BOUNDARY_POINT_RADIUS)}"/>'
                 )
             lines.append('</g>')
     lines.append('</svg>')

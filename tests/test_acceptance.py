@@ -28,6 +28,7 @@ from endlam.hyperbolic import (
     boundary_action,
     classify_isometry,
     hyperbolic_distance,
+    same_ideal_point,
 )
 from endlam.lamination import (
     crossing_audit,
@@ -41,7 +42,7 @@ from endlam.markov import (
     invariant_measures,
     perron,
 )
-from endlam.render import RenderStyle, render_svg
+from endlam.render import render_svg
 from endlam.scene import load_scene, scene_path
 
 from conftest import (
@@ -97,7 +98,8 @@ def test_criterion_2_axis_correctness():
         m = _random_hyperbolic(rng)
         g = axis(m)
         for endpoint in (g.a, g.b):
-            assert boundary_action(m, endpoint).close_to(endpoint, ANGLE_TOL)
+            assert same_ideal_point(boundary_action(m, endpoint), endpoint,
+                                    ANGLE_TOL)
         conj = _random_isometry(rng)
         lhs = axis(conj.compose(m).compose(conj.inverse()))
         assert angular_gap(lhs.a.theta,
@@ -253,13 +255,12 @@ def test_criterion_6_escape_dichotomy():
 
 def test_criterion_7_rendering_orthogonality():
     start = time.perf_counter()
-    style = RenderStyle()
     worst = 0.0
     for name in ("schottky_ab", "golden", "inner_b"):
-        svg = render_svg(shipped_layers(f"{name}.json"), style)
+        svg = render_svg(shipped_layers(f"{name}.json"))
         golden_file = Path(__file__).parent / "golden" / f"{name}.svg"
         assert svg.encode() == golden_file.read_bytes()
-        for p1, p2, r, _ in parse_arcs(svg, style):
+        for p1, p2, r, _ in parse_arcs(svg):
             c = orthogonal_center(p1, p2, r)
             residual = abs(c[0] ** 2 + c[1] ** 2 - r * r - 1.0)
             worst = max(worst, residual)

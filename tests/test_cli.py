@@ -53,6 +53,13 @@ class TestExitCodes:
         assert code == 2
         assert "flagged" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["laminate", "escape"])
+    def test_letter_budget_flagged(self, command, schottky, capsys):
+        code = run_command([command, str(schottky), "--max-letters", "5"])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "flagged: substitution exceeded 5 letters\n"
+
     def test_numeric_breakdown_flagged(self, schottky, capsys):
         code = run_command(["limit-set", str(schottky), "--base=0,2e-12",
                             "--depth", "1"])
@@ -127,6 +134,13 @@ class TestEscape:
         assert len(data["reports"]) == 2
         assert len(data["reports"][0]["rows"]) == 7
         assert data["reports"][0]["verdict"] == "escaping"
+
+    def test_growth_ratio_at_most_one_rejected(self, inner, capsys):
+        assert run_command(["escape", str(inner),
+                            "--growth-ratio", "0.5"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: escape growth ratio must exceed 1, got 0.5\n"
 
     def test_inconclusive_exits_two(self, tmp_path, capsys):
         scene = {
@@ -207,6 +221,47 @@ class TestRender:
         assert run_command(["render", str(schottky), "--out", str(out),
                             "--leaves", "--horizon", "8"]) == 0
         assert 'id="lamination-+"' in out.read_text()
+
+
+class TestRunRanges:
+    @pytest.mark.parametrize("command", ["laminate", "axioms", "render"])
+    @pytest.mark.parametrize("flag, value", [("--horizon", "-2"),
+                                             ("--tol", "-1"),
+                                             ("--tol", "0")])
+    def test_rejected(self, command, flag, value, schottky, tmp_path,
+                      capsys):
+        argv = [command, str(schottky), flag, value]
+        if command == "render":
+            argv += ["--out", str(tmp_path / "x.svg")]
+        assert run_command(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
+        assert not (tmp_path / "x.svg").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["render", "schottky_ab.json", "--out", "x.svg", "--size", "0"],
+        ["render", "schottky_ab.json", "--out", "x.svg", "--size", "20"],
+        ["laminate", "schottky_ab.json", "--out", "x.svg", "--size", "7"],
+        ["limit-set", "schottky_ab.json", "--depth", "2", "--size", "-5",
+         "--out", "x.svg"],
+    ])
+    def test_size_without_a_disk_rejected(self, argv, schottky, tmp_path,
+                                          capsys):
+        argv = [str(tmp_path / a) if a.endswith((".json", ".svg")) else a
+                for a in argv]
+        assert run_command(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"usage: endlam {argv[0]} ")
+        assert "argument --size: canvas size must exceed 20" in err
+        assert not (tmp_path / "x.svg").exists()
+
+    def test_smallest_size_accepted(self, schottky, tmp_path):
+        out = tmp_path / "x.svg"
+        assert run_command(["render", str(schottky), "--out", str(out),
+                            "--size", "21"]) == 0
+        assert 'width="21"' in out.read_text()
 
 
 class TestRunTolerances:

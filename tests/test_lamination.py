@@ -2,7 +2,11 @@ import math
 
 import pytest
 
-from endlam.errors import ValidationError
+from endlam.errors import (
+    BudgetExceededError,
+    NotHyperbolicError,
+    ValidationError,
+)
 from endlam.group import FuchsianGroup, Word
 from endlam.hyperbolic import (
     Geodesic,
@@ -18,6 +22,7 @@ from endlam.lamination import (
     GeodesicFamily,
     JunctureSpec,
     LaminationApprox,
+    Provenance,
     axiom_report,
     crossing_audit,
     escape_test,
@@ -80,6 +85,36 @@ class TestJunctureOrbit:
                              n_range=range(0, 4), ball_k=0)
         assert sorted(p.iterate for _, p in fam.entries) == [0, 1, 2, 3]
 
+    def test_sparse_iterates_match_single_ones(self, torus_scene):
+        # Iterates are stepped from their neighbours toward 0; a sparse,
+        # unordered range must give each axis as computed on its own.
+        j = torus_scene.junctures[0]
+        fam = juncture_orbit(torus_scene, j, (9, -5, 3), ball_k=0)
+        assert sorted(p.iterate for _, p in fam.entries) == [-5, 3, 9]
+        for geo, prov in fam.entries:
+            alone = juncture_orbit(torus_scene, j, [prov.iterate], ball_k=0)
+            assert alone.geodesics() == [geo]
+
+    def test_non_hyperbolic_iterate_named(self):
+        # trace(a b) = 2 * 0.25 + 0.5 * 3 = 2: the first iterate of a is
+        # parabolic.  The orbit and the escape test report it alike.
+        scene = make_scene([[2, 0], [0, 0.5]], [[0.25, 0.5], [-0.5, 3]],
+                           forward=("a b", "b"), inverse=("a b^-1", "b"),
+                           junctures=[("e-", "-", "a")])
+        j = scene.junctures[0]
+        message = ("iterate 1 of juncture 'e-' evaluates to a parabolic "
+                   "isometry")
+        with pytest.raises(NotHyperbolicError, match=message):
+            juncture_orbit(scene, j, range(0, 3), 0)
+        with pytest.raises(NotHyperbolicError, match=message):
+            escape_test(scene, j, horizon=3)
+
+    def test_letter_budget_enforced(self, torus_scene):
+        # a b^n has n + 1 letters, so horizon 12 needs 13.
+        with pytest.raises(BudgetExceededError):
+            juncture_orbit(torus_scene, torus_scene.junctures[0],
+                           range(-12, 13), 0, max_letters=5)
+
 
 class TestEscape:
     def test_inner_automorphism_escaping(self, inner_scene):
@@ -125,6 +160,18 @@ class TestEscape:
     def test_horizon_validated(self, torus_scene):
         with pytest.raises(ValidationError):
             escape_test(torus_scene, torus_scene.junctures[0], horizon=2)
+
+    @pytest.mark.parametrize("ratio", [1.0, 0.5, -2.0, math.nan])
+    def test_growth_ratio_must_exceed_one(self, inner_scene, ratio):
+        # With a ratio <= 1 bounded lengths would read as non-escaping.
+        with pytest.raises(ValidationError):
+            escape_test(inner_scene, inner_scene.junctures[0],
+                        growth_ratio=ratio)
+
+    def test_letter_budget_enforced(self, torus_scene):
+        with pytest.raises(BudgetExceededError):
+            escape_test(torus_scene, torus_scene.junctures[0], horizon=20,
+                        max_letters=5)
 
 
 class TestExtract:
@@ -206,6 +253,40 @@ class TestExtract:
                 and angular_gap(image.b.theta, other.b.theta) < 1e-6
                 for other in conj_lam.leaves
             )
+
+    def test_each_skip_reason(self):
+        # One hand-built chain per reason, in the order the verdict tests
+        # them; every chain has a distinct conjugator.
+        def chain(letters, pairs):
+            return [(Geodesic.from_angles(a, b),
+                     Provenance("e-", "-", Word(letters), n))
+                    for n, (a, b) in enumerate(pairs)]
+
+        def steps(gaps):
+            thetas = [1.0]
+            for gap in gaps:
+                thetas.append(thetas[-1] + gap)
+            return [(t, 3.0) for t in thetas]
+
+        # Endpoints 2 +- 2^-n: both sides converge on angle 2.
+        pinch = [(2.0 - 0.5 ** n, 2.0 + 0.5 ** n) for n in range(22)]
+        fam = GeodesicFamily(
+            chain((), [(1.0, 3.0)])
+            + chain((1,), steps([0.1, 0.1]))
+            + chain((2,), steps([0.1] * 4))
+            + chain((1, 1), steps([4e-7, 3e-7, 2e-7, 3e-7]))
+            + chain((2, 2), pinch)
+        )
+        lam = extract_limit_leaves(fam, tol=1e-6)
+        assert lam.leaves == [] and lam.certificates == []
+        assert [(s.conjugator.letters, s.reason) for s in lam.skipped] == [
+            ((), "chain collapsed to a single axis; its limit is a family "
+                 "member"),
+            ((1,), "fewer than 4 distinct iterates"),
+            ((2,), "last gap 1.000e-01 above tolerance 1.0e-06"),
+            ((1, 1), "endpoint gaps not decreasing"),
+            ((2, 2), "chain collapses toward a single boundary point"),
+        ]
 
     def test_mixed_sign_family_rejected(self, torus_scene):
         minus = juncture_orbit(torus_scene, torus_scene.junctures[0],
@@ -322,6 +403,18 @@ class TestLaminate:
             torus_scene, AxiomParams(horizon=10, ball=1, angle_tol=tol),
             extract=False).families) for tol in (1e-9, 1e-2)]
         assert sizes[1] < sizes[0]
+
+
+class TestAxiomParams:
+    @pytest.mark.parametrize("fields", [
+        {"horizon": -1}, {"tol": 0.0}, {"tol": -1.0}, {"tol": math.nan},
+    ])
+    def test_out_of_range_rejected(self, fields):
+        with pytest.raises(ValidationError):
+            AxiomParams(**fields)
+
+    def test_zero_horizon_allowed(self):
+        assert AxiomParams(horizon=0).horizon == 0
 
 
 class TestAxiomReport:

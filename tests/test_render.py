@@ -6,7 +6,7 @@ import pytest
 from endlam.errors import ValidationError
 from endlam.hyperbolic import Geodesic
 from endlam.lamination import juncture_orbit
-from endlam.render import RenderStyle, render_svg
+from endlam.render import MARGIN, render_svg
 from endlam.scene import load_scene, scene_path
 
 ARC_PATH_RE = re.compile(
@@ -22,24 +22,24 @@ LINE_RE = re.compile(
 )
 
 
-def to_disk_coords(px, py, style):
-    cx = cy = style.size / 2.0
-    scale = style.size / 2.0 - style.margin
+def to_disk_coords(px, py, size):
+    cx = cy = size / 2.0
+    scale = size / 2.0 - MARGIN
     return ((px - cx) / scale, (cy - py) / scale)
 
 
-def parse_arcs(svg, style):
+def parse_arcs(svg, size=1000):
     """Recover (P1, P2, r, sweep) per arc segment, in disk coordinates.
 
     Geodesic paths carry two arc segments split at the deepest point;
     both are checked independently.
     """
     out = []
-    scale = style.size / 2.0 - style.margin
+    scale = size / 2.0 - MARGIN
     for m in ARC_PATH_RE.finditer(svg):
-        p1 = to_disk_coords(float(m["x1"]), float(m["y1"]), style)
-        pm = to_disk_coords(float(m["xm"]), float(m["ym"]), style)
-        p2 = to_disk_coords(float(m["x2"]), float(m["y2"]), style)
+        p1 = to_disk_coords(float(m["x1"]), float(m["y1"]), size)
+        pm = to_disk_coords(float(m["xm"]), float(m["ym"]), size)
+        p2 = to_disk_coords(float(m["x2"]), float(m["y2"]), size)
         out.append((p1, pm, float(m["r"]) / scale, int(m["sw"])))
         out.append((pm, p2, float(m["r2"]) / scale, int(m["sw2"])))
     return out
@@ -71,11 +71,6 @@ def svg_spec_center(p1, p2, r, large, sweep):
     return (cxp + (p1[0] + p2[0]) / 2.0, cyp + (p1[1] + p2[1]) / 2.0)
 
 
-@pytest.fixture
-def style():
-    return RenderStyle()
-
-
 def shipped_layers(name, horizon=4, ball=1):
     scene = load_scene(scene_path(name))
     layers = []
@@ -86,37 +81,44 @@ def shipped_layers(name, horizon=4, ball=1):
 
 
 class TestGeodesicArcs:
-    def test_diameter_for_antipodal(self, style):
-        svg = render_svg([("g", [Geodesic.from_angles(0.0, math.pi)])], style)
+    def test_diameter_for_antipodal(self):
+        svg = render_svg([("g", [Geodesic.from_angles(0.0, math.pi)])])
         assert LINE_RE.search(svg)
         assert "A " not in svg
 
-    def test_quarter_arc_orthogonal(self, style):
+    def test_quarter_arc_orthogonal(self):
         # Orthogonal-circle oracle: for angles 0 and 90 degrees the center
         # is (u + v)/(1 + 0) = (1, 1) and r = 1, so |C|^2 - r^2 = 1.
-        svg = render_svg(
-            [("g", [Geodesic.from_angles(0.0, math.pi / 2)])], style
-        )
-        arcs = parse_arcs(svg, style)
+        svg = render_svg([("g", [Geodesic.from_angles(0.0, math.pi / 2)])])
+        arcs = parse_arcs(svg)
         assert len(arcs) == 2  # split at the deepest point
         for p1, p2, r, _ in arcs:
             c = orthogonal_center(p1, p2, r)
             assert abs(c[0] - 1) < 1e-9 and abs(c[1] - 1) < 1e-9
             assert abs(r - 1) < 1e-9
 
-    def test_every_shipped_arc_orthogonal(self, style):
+    def test_size_scales_the_canvas(self):
+        svg = render_svg([("g", [Geodesic.from_angles(0.0, math.pi / 2)])],
+                         size=400)
+        assert 'width="400" height="400" viewBox="0 0 400 400"' in svg
+        assert 'r="190.000000000"' in svg  # boundary circle
+        for p1, p2, r, _ in parse_arcs(svg, size=400):
+            c = orthogonal_center(p1, p2, r)
+            assert abs(c[0] - 1) < 1e-9 and abs(c[1] - 1) < 1e-9
+
+    def test_every_shipped_arc_orthogonal(self):
         for name in ("schottky_ab.json", "golden.json", "inner_b.json"):
-            svg = render_svg(shipped_layers(name), style)
-            arcs = parse_arcs(svg, style)
+            svg = render_svg(shipped_layers(name))
+            arcs = parse_arcs(svg)
             assert arcs
             for p1, p2, r, _ in arcs:
                 c = orthogonal_center(p1, p2, r)
                 residual = abs(c[0] ** 2 + c[1] ** 2 - r * r - 1.0)
                 assert residual < 1e-9
 
-    def test_drawn_arc_stays_inside_disk(self, style):
-        svg = render_svg(shipped_layers("schottky_ab.json"), style)
-        for p1, p2, r, sweep in parse_arcs(svg, style):
+    def test_drawn_arc_stays_inside_disk(self):
+        svg = render_svg(shipped_layers("schottky_ab.json"))
+        for p1, p2, r, sweep in parse_arcs(svg):
             c = svg_spec_center(p1, p2, r, 0, sweep)
             mx, my = (p1[0] + p2[0]) / 2.0, (p1[1] + p2[1]) / 2.0
             ux, uy = mx - c[0], my - c[1]
@@ -126,38 +128,37 @@ class TestGeodesicArcs:
 
 
 class TestDeterminism:
-    def test_byte_identical_across_runs(self, style):
+    def test_byte_identical_across_runs(self):
         layers = shipped_layers("schottky_ab.json")
-        assert render_svg(layers, style) == render_svg(layers, style)
+        assert render_svg(layers) == render_svg(layers)
 
-    def test_empty_input_boundary_only(self, style):
-        svg = render_svg([], style)
+    def test_empty_input_boundary_only(self):
+        svg = render_svg([])
         assert svg.count("<circle") == 1
         assert "<path" not in svg
 
-    def test_boundary_toggle(self):
-        style = RenderStyle(draw_boundary=False)
-        assert "<circle" not in render_svg([], style)
-
-    def test_two_families_two_groups(self, style):
+    def test_two_families_two_groups(self):
         svg = render_svg([
             ("first", [Geodesic.from_angles(0.1, 1.0)]),
             ("second", [Geodesic.from_angles(2.0, 3.0)]),
-        ], style)
+        ])
         assert '<g id="first"' in svg
         assert '<g id="second"' in svg
         colors = re.findall(r'<g id="[^"]+" stroke="(#\w+)"', svg)
         assert colors[0] != colors[1]
 
     def test_bad_style_rejected(self):
-        with pytest.raises(ValidationError):
-            RenderStyle(size=-5)
+        # The disk needs more than the two margins (2 * 10 pixels).
+        for size in (-5, 0, 20):
+            with pytest.raises(ValidationError):
+                render_svg([], size=size)
+        assert render_svg([], size=21).startswith("<?xml")
 
 
 class TestGolden:
     @pytest.mark.parametrize("name", ["schottky_ab", "golden", "inner_b"])
-    def test_matches_golden_file(self, name, style):
+    def test_matches_golden_file(self, name):
         import pathlib
         golden = pathlib.Path(__file__).parent / "golden" / f"{name}.svg"
-        svg = render_svg(shipped_layers(f"{name}.json"), style)
+        svg = render_svg(shipped_layers(f"{name}.json"))
         assert svg.encode() == golden.read_bytes()
