@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -79,11 +78,13 @@ def _jsonable(obj, names=None):
     return obj
 
 
-def _write_json(path, payload, names=None):
-    Path(path).write_text(
-        json.dumps(_jsonable(payload, names), indent=2) + "\n",
-        encoding="utf-8",
-    )
+def _write(path, text) -> None:
+    Path(path).write_text(text, encoding="utf-8")
+    print(f"wrote {path}")
+
+
+def _write_json(path, payload, names=None) -> None:
+    _write(path, json.dumps(_jsonable(payload, names), indent=2) + "\n")
 
 
 # Help text of the flag of each AxiomParams field, in help order.  A flag
@@ -128,7 +129,10 @@ class _SizeAction(argparse.Action):
 
 
 def _axiom_params(args) -> AxiomParams:
-    return AxiomParams(**{name: getattr(args, name) for name in _PARAM_HELP})
+    """The run parameters of the flags ``args`` holds; the fields of flags
+    its command does not take keep their defaults."""
+    return AxiomParams(**{name: getattr(args, name) for name in _PARAM_HELP
+                          if hasattr(args, name)})
 
 
 def _require_markov(scene: Scene):
@@ -149,19 +153,18 @@ def _parse_base(text) -> HPoint:
 
 def cmd_limit_set(args) -> int:
     scene = load_scene(args.scene)
+    params = _axiom_params(args)
     sample = limit_set_sample(scene.group, _parse_base(args.base),
-                              args.depth, max_words=args.max_words,
-                              angle_tol=args.angle_tol,
-                              trace_tol=args.trace_tol)
+                              args.depth, max_words=params.max_words,
+                              angle_tol=params.angle_tol,
+                              trace_tol=params.trace_tol)
     print(f"scene: {scene.name}")
     print(f"words sampled: {sample.words}")
     print(f"orbit points: {len(sample.orbit)}")
     print(f"boundary fixed points: {len(sample.fixed_points)}")
     print(f"min boundary gap: {sample.min_boundary_gap():.6e}")
     if args.out:
-        svg = render_svg([("limit-set", sample)], args.size)
-        Path(args.out).write_text(svg, encoding="utf-8")
-        print(f"wrote {args.out}")
+        _write(args.out, render_svg([("limit-set", sample)], args.size))
     if args.json_path:
         _write_json(args.json_path, {
             "scene": scene.name,
@@ -171,7 +174,6 @@ def cmd_limit_set(args) -> int:
             "fixed_point_angles": [p.theta for p in sample.fixed_points],
             "min_boundary_gap": sample.min_boundary_gap(),
         }, scene.group.names)
-        print(f"wrote {args.json_path}")
     return EXIT_OK
 
 
@@ -202,34 +204,32 @@ def cmd_laminate(args) -> int:
             print(f"  skipped chain [{s.conjugator.format(scene.group.names) or '1'}]: "
                   f"{s.reason}")
         report["laminations"][sign] = {
-            "leaves": _jsonable(lam.leaves),
-            "certificates": _jsonable(lam.certificates, scene.group.names),
-            "skipped": _jsonable(lam.skipped, scene.group.names),
-            "crossing_violations": _jsonable(audit),
+            "leaves": lam.leaves,
+            "certificates": lam.certificates,
+            "skipped": lam.skipped,
+            "crossing_violations": audit,
         }
     if run.plus is not None and run.minus is not None:
         meager = transversal_intersections(run.plus, run.minus,
                                            params.angle_tol)
         print(f"transverse intersection points: {len(meager.points)}")
-        report["intersections"] = _jsonable(meager)
+        report["intersections"] = meager
     if args.out:
-        svg = render_svg(_leaf_layers(run), args.size)
-        Path(args.out).write_text(svg, encoding="utf-8")
-        print(f"wrote {args.out}")
+        _write(args.out, render_svg(_leaf_layers(run), args.size))
     if args.json_path:
         _write_json(args.json_path, report, scene.group.names)
-        print(f"wrote {args.json_path}")
     return EXIT_OK
 
 
 def cmd_escape(args) -> int:
     scene = load_scene(args.scene)
-    reports = [escape_test(scene, j, horizon=args.horizon,
+    params = _axiom_params(args)
+    reports = [escape_test(scene, j, horizon=params.horizon,
                            growth_ratio=args.growth_ratio,
-                           max_letters=args.max_letters,
-                           trace_tol=args.trace_tol)
+                           max_letters=params.max_letters,
+                           trace_tol=params.trace_tol)
                for j in scene.junctures]
-    print(f"scene: {scene.name} (horizon {args.horizon}, "
+    print(f"scene: {scene.name} (horizon {params.horizon}, "
           f"growth ratio {args.growth_ratio:g})")
     for rep in reports:
         first, last = rep.rows[0].length, rep.rows[-1].length
@@ -243,7 +243,6 @@ def cmd_escape(args) -> int:
         _write_json(args.json_path, {"scene": scene.name,
                                      "reports": reports},
                     scene.group.names)
-        print(f"wrote {args.json_path}")
     if any(rep.verdict == "inconclusive" for rep in reports):
         return EXIT_FLAGGED
     return EXIT_OK
@@ -265,14 +264,12 @@ def cmd_axioms(args) -> int:
             "scene": scene.name,
             "caveat": report.caveat,
             "endperiodic_like": report.endperiodic_like,
-            "axioms": {k: _jsonable(v, scene.group.names)
-                       for k, v in report.axioms.items()},
-            "leaves_plus": _jsonable(report.lamination_plus.leaves),
-            "leaves_minus": _jsonable(report.lamination_minus.leaves),
-            "intersections": _jsonable(report.intersections),
+            "axioms": report.axioms,
+            "leaves_plus": report.lamination_plus.leaves,
+            "leaves_minus": report.lamination_minus.leaves,
+            "intersections": report.intersections,
         }
         _write_json(args.json_path, payload, scene.group.names)
-        print(f"wrote {args.json_path}")
     return EXIT_OK
 
 
@@ -290,16 +287,11 @@ def cmd_markov(args) -> int:
                 print(f"  h(R{i}) crosses R{j} in {count} components")
         if args.json_path:
             _write_json(args.json_path, check, names)
-            print(f"wrote {args.json_path}")
         return EXIT_OK
     if args.markov_cmd == "entropy":
         A = build_matrix_A(table)
         data = perron(A)
-        if not data.converged:
-            print(f"power iteration did not converge "
-                  f"(residual {data.residual:.3e})")
-            return EXIT_FLAGGED
-        value = math.log(data.kappa)
+        value = data.entropy()
         print(f"transition matrix A: {A.tolist()}")
         print(f"dominant eigenvalue: {data.kappa:.12f}")
         print(f"entropy: {value:.12f}")
@@ -308,7 +300,6 @@ def cmd_markov(args) -> int:
                 "A": A, "kappa": data.kappa, "entropy": value,
                 "residual": data.residual,
             })
-            print(f"wrote {args.json_path}")
         return EXIT_OK
     if args.markov_cmd == "measure":
         B = build_matrix_B(table)
@@ -321,7 +312,6 @@ def cmd_markov(args) -> int:
             print("flag: not full support (reducible count matrix)")
         if args.json_path:
             _write_json(args.json_path, result)
-            print(f"wrote {args.json_path}")
         return EXIT_OK if result.converged else EXIT_FLAGGED
     if args.markov_cmd == "words":
         A = build_matrix_A(table)
@@ -339,7 +329,6 @@ def cmd_markov(args) -> int:
                 "words": listing.words,
                 "coding": coding,
             })
-            print(f"wrote {args.json_path}")
         return EXIT_OK
     raise ValidationError(f"unknown markov subcommand {args.markov_cmd!r}")
 
@@ -348,9 +337,7 @@ def cmd_render(args) -> int:
     scene = load_scene(args.scene)
     run = laminate(scene, _axiom_params(args), extract=args.leaves)
     layers = [(f"junctures-{j.end}", fam) for j, fam in run.families]
-    svg = render_svg(layers + _leaf_layers(run), args.size)
-    Path(args.out).write_text(svg, encoding="utf-8")
-    print(f"wrote {args.out}")
+    _write(args.out, render_svg(layers + _leaf_layers(run), args.size))
     return EXIT_OK
 
 

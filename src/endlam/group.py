@@ -19,13 +19,13 @@ from .errors import (
 from .hyperbolic import (
     ANGLE_TOL,
     TRACE_TOL,
+    AngleSet,
     HPoint,
     IdealPoint,
     Isometry,
     apply_isometry,
     axis,
     classify_isometry,
-    same_ideal_point,
     to_disk,
 )
 
@@ -307,11 +307,12 @@ def limit_set_sample(group: FuchsianGroup, base: HPoint, k: int,
     ball = enumerate_ball(group, k, max_words)
     orbit = []
     fixed: list[IdealPoint] = []
+    seen = AngleSet(angle_tol)
     for _, m in ball:
         orbit.append(to_disk(apply_isometry(m, base)))
         if classify_isometry(m, trace_tol) == "hyperbolic":
             g = axis(m, trace_tol)
             for p in (g.a, g.b):
-                if not any(same_ideal_point(p, q, angle_tol) for q in fixed):
+                if seen.add(p.theta, p.theta):
                     fixed.append(p)
     return LimitSetSample(orbit=orbit, fixed_points=fixed, words=len(ball))

@@ -228,6 +228,39 @@ def same_ideal_point(p: IdealPoint, q: IdealPoint,
     return angular_gap(p.theta, q.theta) < tol
 
 
+class AngleSet:
+    """Angle pairs kept up to ``tol`` per coordinate, found via grid cells
+    2 * tol wide.  A geodesic enters as its ``sorted_angles()``; a boundary
+    point t as (t, t), which tests it like :func:`same_ideal_point`."""
+
+    def __init__(self, tol: float):
+        self.tol = tol
+        self.q = max(tol, 1e-12) * 2.0
+        self.cells: dict[tuple[int, int], list[tuple[float, float]]] = {}
+
+    def _indices(self, t: float):
+        base = round(t / self.q)
+        yield base
+        if t < self.tol:
+            yield round((t + TWO_PI) / self.q)
+        if TWO_PI - t < self.tol:
+            yield round((t - TWO_PI) / self.q)
+
+    def add(self, u: float, v: float) -> bool:
+        """True (and keep the pair) when no kept pair is within tol."""
+        for iu in self._indices(u):
+            for iv in self._indices(v):
+                for du in (-1, 0, 1):
+                    for dv in (-1, 0, 1):
+                        for (su, sv) in self.cells.get((iu + du, iv + dv), ()):
+                            if (angular_gap(su, u) < self.tol
+                                    and angular_gap(sv, v) < self.tol):
+                                return False
+        cell = (round(u / self.q), round(v / self.q))
+        self.cells.setdefault(cell, []).append((u, v))
+        return True
+
+
 @dataclass(frozen=True)
 class Geodesic:
     """Complete geodesic named by its two distinct ideal endpoints.

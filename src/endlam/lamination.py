@@ -25,6 +25,7 @@ from .hyperbolic import (
     ANGLE_TOL,
     TRACE_TOL,
     TWO_PI,
+    AngleSet,
     Geodesic,
     Isometry,
     angular_gap,
@@ -78,46 +79,6 @@ class Provenance:
         return (self.juncture, self.sign, self.conjugator.letters)
 
 
-class _AngleSetDedup:
-    """Tolerance deduplication of unordered angle pairs via grid cells."""
-
-    def __init__(self, tol: float):
-        self.tol = tol
-        self.q = max(tol, 1e-12) * 2.0
-        self.cells: dict[tuple[int, int], list[tuple[float, float]]] = {}
-
-    def _indices(self, t: float):
-        base = round(t / self.q)
-        yield base
-        if t < self.tol:
-            yield round((t + TWO_PI) / self.q)
-        if TWO_PI - t < self.tol:
-            yield round((t - TWO_PI) / self.q)
-
-    def contains(self, u: float, v: float) -> bool:
-        for iu in self._indices(u):
-            for iv in self._indices(v):
-                for du in (-1, 0, 1):
-                    for dv in (-1, 0, 1):
-                        for (su, sv) in self.cells.get((iu + du, iv + dv), ()):
-                            if (angular_gap(su, u) < self.tol
-                                    and angular_gap(sv, v) < self.tol):
-                                return True
-        return False
-
-    def add(self, u: float, v: float) -> None:
-        cell = (round(u / self.q), round(v / self.q))
-        self.cells.setdefault(cell, []).append((u, v))
-
-    def check_and_add(self, geo: Geodesic) -> bool:
-        """True (and record it) when the geodesic is new."""
-        u, v = geo.sorted_angles()
-        if self.contains(u, v):
-            return False
-        self.add(u, v)
-        return True
-
-
 @dataclass
 class GeodesicFamily:
     """Deduplicated geodesics with the provenance of each entry."""
@@ -134,10 +95,10 @@ class GeodesicFamily:
     def merge(cls, families,
               angle_tol: float = ANGLE_TOL) -> "GeodesicFamily":
         merged = cls()
-        dedup = _AngleSetDedup(angle_tol)
+        dedup = AngleSet(angle_tol)
         for fam in families:
             for geo, prov in fam.entries:
-                if dedup.check_and_add(geo):
+                if dedup.add(*geo.sorted_angles()):
                     merged.entries.append((geo, prov))
         return merged
 
@@ -199,7 +160,7 @@ def juncture_orbit(scene, juncture: JunctureSpec, n_range=None,
                       reverse=(juncture.sign == "+"))
     ball = enumerate_ball(scene.group, ball_k, max_words=max_words)
     family = GeodesicFamily()
-    dedup = _AngleSetDedup(angle_tol)
+    dedup = AngleSet(angle_tol)
     axes: dict[int, Geodesic] = {}
     for n, _, conj, core_m in _iterate_cores(scene, juncture, iterates,
                                              max_letters, trace_tol):
@@ -216,7 +177,7 @@ def juncture_orbit(scene, juncture: JunctureSpec, n_range=None,
                 boundary_action(g_iso, base.a),
                 boundary_action(g_iso, base.b),
             )
-            if dedup.check_and_add(geo):
+            if dedup.add(*geo.sorted_angles()):
                 family.entries.append((geo, Provenance(
                     juncture=juncture.end,
                     sign=juncture.sign,
@@ -353,7 +314,7 @@ def extract_limit_leaves(family: GeodesicFamily,
     leaves: list[Geodesic] = []
     certificates: list[ChainCertificate] = []
     skipped: list[SkippedChain] = []
-    leaf_set = _AngleSetDedup(angle_tol)
+    leaf_set = AngleSet(angle_tol)
     base_limits: dict[tuple, Geodesic] = {}
 
     for key, items in chains.items():
@@ -403,7 +364,7 @@ def extract_limit_leaves(family: GeodesicFamily,
             limit = Geodesic.from_angles(*ends)
             if prov.conjugator.is_identity():
                 base_limits[(prov.juncture, prov.sign)] = limit
-        if not leaf_set.check_and_add(limit):
+        if not leaf_set.add(*limit.sorted_angles()):
             continue
         leaves.append(limit)
         certificates.append(ChainCertificate(
@@ -491,7 +452,8 @@ def transversal_intersections(lam_plus: LaminationApprox,
 
 @dataclass
 class AxiomParams:
-    """Everything one lamination run reads, tolerances included."""
+    """Everything one lamination run reads, tolerances included.  The CLI
+    also checks the flags of ``limit-set`` and ``escape`` through it."""
 
     horizon: int = DEFAULT_HORIZON
     ball: int = DEFAULT_BALL
@@ -505,9 +467,17 @@ class AxiomParams:
         if self.horizon < 0:
             raise ValidationError(
                 f"horizon must be nonnegative, got {self.horizon}")
-        if not self.tol > 0:
-            raise ValidationError(
-                f"chain tolerance must be positive, got {self.tol:g}")
+        for what, value in (("chain tolerance", self.tol),
+                            ("angle tolerance", self.angle_tol),
+                            ("trace tolerance", self.trace_tol)):
+            if not value > 0:
+                raise ValidationError(
+                    f"{what} must be positive, got {value:g}")
+        for what, value in (("letter budget", self.max_letters),
+                            ("word budget", self.max_words)):
+            if value < 1:
+                raise ValidationError(
+                    f"{what} must be at least 1, got {value}")
 
 
 @dataclass

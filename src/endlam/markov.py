@@ -171,6 +171,16 @@ class PerronData:
     converged: bool
     iterations: int
 
+    def entropy(self) -> float:
+        """log of the dominant eigenvalue; zero for permutation matrices."""
+        if not self.converged:
+            raise ConvergenceError(
+                f"power iteration stalled at residual {self.residual:.3e}"
+            )
+        if self.kappa <= 0.0:
+            raise ConvergenceError("dominant eigenvalue collapsed to zero")
+        return math.log(self.kappa)
+
 
 def perron(M, tol: float = PERRON_TOL,
            maxiter: int = PERRON_MAXITER) -> PerronData:
@@ -205,14 +215,7 @@ def perron(M, tol: float = PERRON_TOL,
 
 def entropy(A, tol: float = PERRON_TOL, maxiter: int = PERRON_MAXITER) -> float:
     """log of the dominant eigenvalue; zero for permutation matrices."""
-    data = perron(A, tol=tol, maxiter=maxiter)
-    if not data.converged:
-        raise ConvergenceError(
-            f"power iteration stalled at residual {data.residual:.3e}"
-        )
-    if data.kappa <= 0.0:
-        raise ConvergenceError("dominant eigenvalue collapsed to zero")
-    return math.log(data.kappa)
+    return perron(A, tol=tol, maxiter=maxiter).entropy()
 
 
 @dataclass

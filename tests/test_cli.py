@@ -1,10 +1,12 @@
 import json
 import shutil
 
+import numpy as np
 import pytest
 
-from endlam import hyperbolic, lamination
+from endlam import cli, hyperbolic, lamination
 from endlam.cli import run_command
+from endlam.markov import PerronData
 from endlam.scene import load_scene, scene_path
 
 
@@ -194,6 +196,21 @@ class TestMarkov:
         assert abs(data["entropy"] - math.log((1 + math.sqrt(5)) / 2)) < 1e-9
         assert data["residual"] <= 1e-12
 
+    def test_entropy_not_converged_flagged(self, golden, tmp_path,
+                                           monkeypatch, capsys):
+        stalled = PerronData(kappa=1.00002, vector=np.array([1.0, 0.0]),
+                             residual=4e-10, converged=False,
+                             iterations=10 ** 5)
+        monkeypatch.setattr(cli, "perron", lambda A: stalled)
+        report = tmp_path / "entropy.json"
+        assert run_command(["markov", "entropy", str(golden),
+                            "--json", str(report)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("flagged: power iteration stalled at residual "
+                       "4.000e-10\n")
+        assert not report.exists()
+
     def test_measure(self, golden, capsys):
         assert run_command(["markov", "measure", str(golden)]) == 0
         out = capsys.readouterr().out
@@ -238,6 +255,40 @@ class TestRunRanges:
         assert out == ""
         assert err.startswith("error: ")
         assert not (tmp_path / "x.svg").exists()
+
+    @pytest.mark.parametrize("command, flag, value", [
+        (command, flag, value)
+        for command, flags in (
+            ("laminate", ("--angle-tol", "--trace-tol", "--max-letters",
+                          "--max-words")),
+            ("axioms", ("--angle-tol", "--trace-tol", "--max-letters",
+                        "--max-words")),
+            ("render", ("--angle-tol", "--trace-tol", "--max-letters",
+                        "--max-words")),
+            ("limit-set", ("--angle-tol", "--trace-tol", "--max-words")),
+            ("escape", ("--trace-tol", "--max-letters")),
+        )
+        for flag in flags
+        for value in (("0", "-1") if flag.endswith("-tol") else ("0",))
+    ])
+    def test_tolerance_and_budget_rejected(self, command, flag, value,
+                                           schottky, tmp_path, capsys):
+        argv = [command, str(schottky), flag, value]
+        if command == "render":
+            argv += ["--out", str(tmp_path / "x.svg")]
+        if command == "limit-set":
+            argv += ["--depth", "3"]
+        assert run_command(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
+        assert not (tmp_path / "x.svg").exists()
+
+    def test_escape_negative_horizon_rejected(self, schottky, capsys):
+        assert run_command(["escape", str(schottky), "--horizon", "-1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: horizon must be nonnegative, got -1\n"
 
     @pytest.mark.parametrize("argv", [
         ["render", "schottky_ab.json", "--out", "x.svg", "--size", "0"],

@@ -1,8 +1,8 @@
 """Byte-level pins of the README command lines.
 
-For each command, ``golden/cli_outputs.json`` holds the exit code, stdout,
-stderr and the sha256 of every file it writes (``--json``/``--out``).
-``limit-set`` runs at depth 4 instead of the README's 6 to stay fast.
+Every command line of the README's usage block is pinned verbatim: for
+each, ``golden/cli_outputs.json`` holds the exit code, stdout, stderr and
+the sha256 of every file it writes (``--json``/``--out``).
 
 Regenerate only when an output change is intended, from the repo root:
 ``PYTHONPATH=src python tests/test_cli_golden.py``.
@@ -26,7 +26,7 @@ from endlam.scene import scene_path
 GOLDEN = Path(__file__).parent / "golden" / "cli_outputs.json"
 
 COMMANDS = (
-    "limit-set schottky_ab.json --depth 4 --out limits.svg",
+    "limit-set schottky_ab.json --depth 6 --out limits.svg",
     "laminate schottky_ab.json --horizon 12 --ball 3 --tol 1e-6 "
     "--json report.json",
     "escape schottky_ab.json --horizon 20 --growth-ratio 1.5",

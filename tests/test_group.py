@@ -17,7 +17,14 @@ from endlam.group import (
     limit_set_sample,
     verify_automorphism,
 )
-from endlam.hyperbolic import HPoint, Isometry
+from endlam.hyperbolic import (
+    HPoint,
+    Isometry,
+    axis,
+    classify_isometry,
+    same_ideal_point,
+)
+from endlam.scene import load_scene, scene_path
 
 
 def two_generator_group():
@@ -239,6 +246,37 @@ class TestLimitSetSample:
         assert len(angles) == 4
         for got, want in zip(angles, expected):
             assert abs(got - want) < 1e-9
+
+    @staticmethod
+    def _fixed_points_by_scan(group, k, angle_tol):
+        """The pairwise scan limit_set_sample once ran, as the reference."""
+        fixed = []
+        for _, m in enumerate_ball(group, k):
+            if classify_isometry(m) == "hyperbolic":
+                g = axis(m)
+                for p in (g.a, g.b):
+                    if not any(same_ideal_point(p, q, angle_tol)
+                               for q in fixed):
+                        fixed.append(p)
+        return fixed
+
+    @pytest.mark.parametrize("angle_tol", [1e-9, 1e-3, 1e-1])
+    @pytest.mark.parametrize("turn", [0.0, 0.3])
+    def test_fixed_points_match_pairwise_scan(self, angle_tol, turn):
+        # The shipped pair has the point at infinity (angle 0) as a fixed
+        # point, so fixed points straddle the 0/2*pi seam; a rotated
+        # conjugate moves the seam elsewhere in the limit set.
+        group = load_scene(scene_path("schottky_ab.json")).group
+        if turn:
+            r = Isometry.from_matrix([[math.cos(turn), math.sin(turn)],
+                                      [-math.sin(turn), math.cos(turn)]])
+            group = FuchsianGroup(group.names, [
+                r.compose(m).compose(r.inverse())
+                for m in group.generators])
+        sample = limit_set_sample(group, HPoint(0, 1), 5,
+                                  angle_tol=angle_tol)
+        expected = self._fixed_points_by_scan(group, 5, angle_tol)
+        assert sample.fixed_points == expected
 
     def test_min_gap_decreases_with_depth(self):
         G = two_generator_group()

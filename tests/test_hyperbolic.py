@@ -10,6 +10,8 @@ from endlam.errors import (
 )
 from endlam.hyperbolic import (
     ANGLE_TOL,
+    TWO_PI,
+    AngleSet,
     Geodesic,
     HPoint,
     IdealPoint,
@@ -311,3 +313,43 @@ class TestToDisk:
         g = Geodesic.from_boundary(0, INF)
         ta, tb = to_disk(g)
         assert abs(ta - math.pi) < 1e-12 and abs(tb) < 1e-12
+
+
+class TestAngleSet:
+    def test_keeps_new_pairs_only(self):
+        kept = AngleSet(1e-3)
+        assert kept.add(1.0, 2.0)
+        assert not kept.add(1.0, 2.0)
+        assert not kept.add(1.0 + 5e-4, 2.0 - 5e-4)
+        assert kept.add(1.0, 2.0 + 2e-3)   # one coordinate apart is new
+
+    @pytest.mark.parametrize("shift, new", [(0.999e-3, False),
+                                            (1.001e-3, True)])
+    def test_tolerance_boundary(self, shift, new):
+        kept = AngleSet(1e-3)
+        assert kept.add(1.0, 2.0)
+        assert kept.add(1.0 + shift, 2.0) is new
+        assert kept.add(1.0, 2.0 - shift) is new
+
+    @pytest.mark.parametrize("first, second", [(1e-4, TWO_PI - 1e-4),
+                                               (TWO_PI - 1e-4, 1e-4),
+                                               (0.0, TWO_PI - 9e-4)])
+    def test_pairs_wrap_at_zero(self, first, second):
+        kept = AngleSet(1e-3)
+        assert kept.add(first, 3.0)
+        assert not kept.add(second, 3.0)
+        assert kept.add(3.0, first)
+        assert not kept.add(3.0, second)
+
+    @pytest.mark.parametrize("first, second, new", [
+        (TWO_PI - 2e-4, 3e-4, False),
+        (3e-4, TWO_PI - 2e-4, False),
+        (TWO_PI - 6e-4, 6e-4, True),
+        (6e-4, TWO_PI - 6e-4, True),
+    ])
+    def test_points_wrap_like_same_ideal_point(self, first, second, new):
+        kept = AngleSet(1e-3)
+        assert kept.add(first, first)
+        assert kept.add(second, second) is new
+        assert new is not same_ideal_point(IdealPoint(first),
+                                           IdealPoint(second), 1e-3)

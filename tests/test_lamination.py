@@ -408,6 +408,10 @@ class TestLaminate:
 class TestAxiomParams:
     @pytest.mark.parametrize("fields", [
         {"horizon": -1}, {"tol": 0.0}, {"tol": -1.0}, {"tol": math.nan},
+        {"angle_tol": 0.0}, {"angle_tol": -1.0}, {"angle_tol": math.nan},
+        {"trace_tol": 0.0}, {"trace_tol": -1.0}, {"trace_tol": math.nan},
+        {"max_letters": 0}, {"max_letters": -1},
+        {"max_words": 0}, {"max_words": -1},
     ])
     def test_out_of_range_rejected(self, fields):
         with pytest.raises(ValidationError):
@@ -415,6 +419,10 @@ class TestAxiomParams:
 
     def test_zero_horizon_allowed(self):
         assert AxiomParams(horizon=0).horizon == 0
+
+    def test_smallest_budgets_allowed(self):
+        params = AxiomParams(max_letters=1, max_words=1)
+        assert (params.max_letters, params.max_words) == (1, 1)
 
 
 class TestAxiomReport:

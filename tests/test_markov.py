@@ -6,9 +6,10 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
-from endlam.errors import ValidationError
+from endlam.errors import ConvergenceError, ValidationError
 from endlam.markov import (
     CrossingTable,
+    PerronData,
     admissible_words,
     build_matrix_A,
     build_matrix_B,
@@ -260,6 +261,22 @@ class TestEntropy:
         for k in range(1, 5):
             Ak = Ak @ GOLDEN
             assert abs(entropy(Ak) - k * base) < 1e-6
+
+
+    def test_method_matches_function(self):
+        assert perron(GOLDEN).entropy() == entropy(GOLDEN)
+
+    @pytest.mark.parametrize("converged, kappa, message", [
+        (False, 1.5, "power iteration stalled at residual 3.000e-04"),
+        (True, 0.0, "dominant eigenvalue collapsed to zero"),
+        (True, -1e-3, "dominant eigenvalue collapsed to zero"),
+    ])
+    def test_breakdown_raises(self, converged, kappa, message):
+        data = PerronData(kappa=kappa, vector=np.array([0.5, 0.5]),
+                          residual=3e-4, converged=converged, iterations=7)
+        with pytest.raises(ConvergenceError) as info:
+            data.entropy()
+        assert str(info.value) == message
 
 
 class TestInvariantMeasures:
