@@ -30,12 +30,13 @@ from .lamination import (
     DEFAULT_GROWTH_RATIO,
     AxiomParams,
     axiom_report,
-    crossing_audit,
     escape_test,
     laminate,
-    transversal_intersections,
 )
+# Not called here; perfbench's tracer test checks this binding.
+from .lamination import crossing_audit  # noqa: F401
 from .markov import (
+    LIST_BUDGET,
     admissible_words,
     build_matrix_A,
     build_matrix_B,
@@ -179,8 +180,12 @@ def cmd_limit_set(args) -> int:
 
 def _leaf_layers(run):
     return [(f"lamination-{sign}", lam)
-            for sign, lam in (("+", run.plus), ("-", run.minus))
-            if lam is not None]
+            for sign, lam in run.laminations.items()]
+
+
+def _run_header(scene, params) -> None:
+    print(f"scene: {scene.name} (horizon {params.horizon}, "
+          f"ball {params.ball}, tol {params.tol:g})")
 
 
 def cmd_laminate(args) -> int:
@@ -188,32 +193,25 @@ def cmd_laminate(args) -> int:
     params = _axiom_params(args)
     run = laminate(scene, params)
     report = {"scene": scene.name, "horizon": params.horizon,
-              "ball": params.ball, "tol": params.tol, "laminations": {}}
-    print(f"scene: {scene.name} (horizon {params.horizon}, "
-          f"ball {params.ball}, tol {params.tol:g})")
-    for sign, lam in (("+", run.plus), ("-", run.minus)):
+              "ball": params.ball, "tol": params.tol,
+              "laminations": run.laminations}
+    _run_header(scene, params)
+    for sign in ("+", "-"):
+        lam = run.laminations.get(sign)
         if lam is None:
             print(f"lamination {sign}: no junctures of the opposite sign")
             continue
-        audit = crossing_audit(lam, params.angle_tol)
         print(f"lamination {sign}: {len(lam.leaves)} leaves, "
               f"{len(lam.certificates)} certified chains, "
-              f"{len(lam.skipped)} skipped, {len(audit)} crossing "
-              f"violations")
+              f"{len(lam.skipped)} skipped, "
+              f"{len(lam.crossing_violations)} crossing violations")
         for s in lam.skipped[:5]:
             print(f"  skipped chain [{s.conjugator.format(scene.group.names) or '1'}]: "
                   f"{s.reason}")
-        report["laminations"][sign] = {
-            "leaves": lam.leaves,
-            "certificates": lam.certificates,
-            "skipped": lam.skipped,
-            "crossing_violations": audit,
-        }
-    if run.plus is not None and run.minus is not None:
-        meager = transversal_intersections(run.plus, run.minus,
-                                           params.angle_tol)
-        print(f"transverse intersection points: {len(meager.points)}")
-        report["intersections"] = meager
+    if run.intersections is not None:
+        print(f"transverse intersection points: "
+              f"{len(run.intersections.points)}")
+        report["intersections"] = run.intersections
     if args.out:
         _write(args.out, render_svg(_leaf_layers(run), args.size))
     if args.json_path:
@@ -252,22 +250,22 @@ def cmd_axioms(args) -> int:
     scene = load_scene(args.scene)
     params = _axiom_params(args)
     report = axiom_report(scene, params)
-    print(f"scene: {scene.name} (horizon {params.horizon}, "
-          f"ball {params.ball}, tol {params.tol:g})")
+    _run_header(scene, params)
     print(f"caveat: {report.caveat}")
     if not report.endperiodic_like:
         print("flag: scene is not endperiodic-like at this horizon")
     for name, status in report.axioms.items():
         print(f"axiom {name}: {status.status} - {status.detail}")
     if args.json_path:
+        lams = report.run.laminations
         payload = {
             "scene": scene.name,
             "caveat": report.caveat,
             "endperiodic_like": report.endperiodic_like,
             "axioms": report.axioms,
-            "leaves_plus": report.lamination_plus.leaves,
-            "leaves_minus": report.lamination_minus.leaves,
-            "intersections": report.intersections,
+            "leaves_plus": lams["+"].leaves if "+" in lams else [],
+            "leaves_minus": lams["-"].leaves if "-" in lams else [],
+            "intersections": report.run.intersections,
         }
         _write_json(args.json_path, payload, scene.group.names)
     return EXIT_OK
@@ -316,9 +314,17 @@ def cmd_markov(args) -> int:
     if args.markov_cmd == "words":
         A = build_matrix_A(table)
         listing = admissible_words(A, args.length)
-        coding = coding_consistency(A, max(2, args.length))
+        if args.list_words and listing.words is None:
+            raise BudgetExceededError(
+                f"{listing.count} admissible words of length {args.length} "
+                f"exceed the listing budget of {LIST_BUDGET}")
+        # The coding check runs at length 2 at least; it reuses the
+        # listing when that has its length.
+        coding = coding_consistency(
+            A, max(2, args.length),
+            listing=listing if args.length >= 2 else None)
         print(f"admissible words of length {args.length}: {listing.count}")
-        if listing.words is not None and args.list_words:
+        if args.list_words:
             for word in listing.words:
                 print("  " + "".join(str(s) for s in word))
         if coding.dead_end_symbols:

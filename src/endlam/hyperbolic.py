@@ -29,6 +29,9 @@ TRACE_TOL = 1e-9
 # Both are fixed.  Value validity uses them as they stand (a Geodesic needs
 # distinct endpoints, a scene's generators must be hyperbolic); a run's
 # comparisons take their own tolerances as arguments, defaulting to these.
+# The smallest angle tolerance a run may take: below it, endpoints that
+# leaves share stop comparing equal through float noise.
+ANGLE_TOL_FLOOR = 1e-12
 # Determinant agreement required of a freshly normalized matrix.
 DET_TOL = 1e-12
 
@@ -235,7 +238,7 @@ class AngleSet:
 
     def __init__(self, tol: float):
         self.tol = tol
-        self.q = max(tol, 1e-12) * 2.0
+        self.q = max(tol, ANGLE_TOL_FLOOR) * 2.0
         self.cells: dict[tuple[int, int], list[tuple[float, float]]] = {}
 
     def _indices(self, t: float):

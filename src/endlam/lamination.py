@@ -23,6 +23,7 @@ from .group import (
 )
 from .hyperbolic import (
     ANGLE_TOL,
+    ANGLE_TOL_FLOOR,
     TRACE_TOL,
     TWO_PI,
     AngleSet,
@@ -264,10 +265,11 @@ class SkippedChain:
 class LaminationApprox:
     """Certified limit leaves of one sign of lamination."""
 
-    sign: str                    # sign of the lamination, not the junctures
     leaves: list[Geodesic]
     certificates: list[ChainCertificate]
     skipped: list[SkippedChain]
+    # Axiom I audit of the leaves; None until laminate() runs it.
+    crossing_violations: list[CrossingViolation] | None = None
 
 
 def _aitken_angle(thetas) -> float:
@@ -299,11 +301,8 @@ def extract_limit_leaves(family: GeodesicFamily,
     Constant chains are excluded: their limit is the juncture axis
     itself, and the lamination is the closure minus the family.
     """
-    signs = family.signs()
-    if len(signs) > 1:
+    if len(family.signs()) > 1:
         raise ValidationError("family mixes juncture signs; extract per sign")
-    juncture_sign = signs.pop() if signs else "-"
-    lam_sign = "+" if juncture_sign == "-" else "-"
 
     chains: dict[tuple, list[tuple[int, Geodesic]]] = {}
     chain_meta: dict[tuple, Provenance] = {}
@@ -374,8 +373,8 @@ def extract_limit_leaves(family: GeodesicFamily,
             iterates=tuple(n for n, _ in items),
             gaps=tuple(gaps[-8:]),
         ))
-    return LaminationApprox(sign=lam_sign, leaves=leaves,
-                            certificates=certificates, skipped=skipped)
+    return LaminationApprox(leaves=leaves, certificates=certificates,
+                            skipped=skipped)
 
 
 @dataclass
@@ -473,6 +472,10 @@ class AxiomParams:
             if not value > 0:
                 raise ValidationError(
                     f"{what} must be positive, got {value:g}")
+        if self.angle_tol < ANGLE_TOL_FLOOR:
+            raise ValidationError(
+                f"angle tolerance must be at least {ANGLE_TOL_FLOOR:g}, "
+                f"got {self.angle_tol:g}")
         for what, value in (("letter budget", self.max_letters),
                             ("word budget", self.max_words)):
             if value < 1:
@@ -482,18 +485,21 @@ class AxiomParams:
 
 @dataclass
 class LaminationRun:
-    """Juncture families of a scene and the two laminations they yield."""
+    """Juncture families of a scene, the audited laminations they yield
+    and where the two laminations meet."""
 
     families: list[tuple[JunctureSpec, GeodesicFamily]]  # scene order
-    # None without junctures of the opposite sign, or without extraction.
-    plus: LaminationApprox | None = None
-    minus: LaminationApprox | None = None
+    # Keyed by lamination sign, "+" first; a sign is absent without
+    # junctures of the opposite sign, and both are without extraction.
+    laminations: dict[str, LaminationApprox] = field(default_factory=dict)
+    intersections: MeagerInvariantSet | None = None  # needs both signs
 
 
 def laminate(scene, params: AxiomParams,
              extract: bool = True) -> LaminationRun:
-    """Juncture orbits in scene order, then the limit leaves of each sign
-    (negative junctures give the plus lamination).  ``extract=False``
+    """Juncture orbits in scene order, the limit leaves of each sign
+    (negative junctures give the plus lamination), their crossing audits
+    and the transverse intersections of the two.  ``extract=False``
     builds the families only."""
     n_range = range(-params.horizon, params.horizon + 1)
     run = LaminationRun([
@@ -506,12 +512,18 @@ def laminate(scene, params: AxiomParams,
     ])
     if not extract:
         return run
-    for juncture_sign, attr in (("-", "plus"), ("+", "minus")):
+    lams = run.laminations
+    for lam_sign, juncture_sign in (("+", "-"), ("-", "+")):
         families = [fam for j, fam in run.families if j.sign == juncture_sign]
         if families:
             merged = GeodesicFamily.merge(families, params.angle_tol)
-            setattr(run, attr, extract_limit_leaves(
-                merged, tol=params.tol, angle_tol=params.angle_tol))
+            lams[lam_sign] = extract_limit_leaves(
+                merged, tol=params.tol, angle_tol=params.angle_tol)
+    for lam in lams.values():
+        lam.crossing_violations = crossing_audit(lam, params.angle_tol)
+    if len(lams) == 2:
+        run.intersections = transversal_intersections(
+            lams["+"], lams["-"], params.angle_tol)
     return run
 
 
@@ -527,28 +539,23 @@ class AxiomReport:
     caveat: str
     endperiodic_like: bool
     axioms: dict[str, AxiomStatus]
-    lamination_plus: LaminationApprox
-    lamination_minus: LaminationApprox
-    intersections: MeagerInvariantSet
+    run: LaminationRun
 
 
 def axiom_report(scene, params: AxiomParams | None = None) -> AxiomReport:
-    """Run orbits, extraction, audits and intersections for both signs.
+    """Grade one audited lamination run against the axioms.
 
     Everything here is finite-horizon evidence, never proof; the report
     says so via its caveat field.
     """
-    params = params or AxiomParams()
-    run = laminate(scene, params)
-    lam_plus = run.plus or LaminationApprox("+", [], [], [])
-    lam_minus = run.minus or LaminationApprox("-", [], [], [])
+    run = laminate(scene, params or AxiomParams())
+    lams = run.laminations
     report = AxiomReport(
         caveat="finite-approximation evidence only",
-        endperiodic_like=bool(lam_plus.leaves) and bool(lam_minus.leaves),
+        endperiodic_like=len(lams) == 2 and all(
+            lam.leaves for lam in lams.values()),
         axioms={},
-        lamination_plus=lam_plus,
-        lamination_minus=lam_minus,
-        intersections=MeagerInvariantSet([], [], []),
+        run=run,
     )
     axioms = report.axioms
 
@@ -559,8 +566,9 @@ def axiom_report(scene, params: AxiomParams | None = None) -> AxiomReport:
             axioms[name] = AxiomStatus("not-checked", detail)
         return report
 
-    violations_plus = crossing_audit(lam_plus, params.angle_tol)
-    violations_minus = crossing_audit(lam_minus, params.angle_tol)
+    lam_plus, lam_minus = lams["+"], lams["-"]
+    violations_plus = lam_plus.crossing_violations
+    violations_minus = lam_minus.crossing_violations
     ok = not violations_plus and not violations_minus
     axioms["I"] = AxiomStatus(
         "pass" if ok else "fail",
@@ -580,8 +588,7 @@ def axiom_report(scene, params: AxiomParams | None = None) -> AxiomReport:
         "strong closedness has no finite-horizon certificate",
     )
 
-    meager = transversal_intersections(lam_plus, lam_minus, params.angle_tol)
-    report.intersections = meager
+    meager = run.intersections
     cov_plus = _coverage(meager.uncovered_plus, len(lam_plus.leaves))
     cov_minus = _coverage(meager.uncovered_minus, len(lam_minus.leaves))
     full = not meager.uncovered_plus and not meager.uncovered_minus

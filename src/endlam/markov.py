@@ -18,6 +18,8 @@ from .errors import ConvergenceError, ValidationError
 PERRON_TOL = 1e-12
 PERRON_MAXITER = 10 ** 5
 SUPPORT_TOL = 1e-12
+# Most admissible words a listing holds; past it only the count is kept.
+LIST_BUDGET = 10 ** 5
 
 
 class CrossingTable:
@@ -122,7 +124,8 @@ class AdmissibleWords:
     words: list[tuple[int, ...]] | None  # None when over the list budget
 
 
-def admissible_words(A, m: int, max_list: int = 10 ** 5) -> AdmissibleWords:
+def admissible_words(A, m: int,
+                     max_list: int = LIST_BUDGET) -> AdmissibleWords:
     """Count admissible words of length m; list them under the budget.
 
     Symbols are 1-based; a word (i_0, ..., i_{m-1}) is admissible when
@@ -268,20 +271,23 @@ class CodingReport:
     ok: bool
 
 
-def coding_consistency(A, depth: int,
-                       max_list: int = 10 ** 5) -> CodingReport:
+def coding_consistency(A, depth: int, max_list: int = LIST_BUDGET,
+                       listing: AdmissibleWords | None = None) -> CodingReport:
     """Finite-depth consistency of the symbol coding.
 
     Checks that enumeration agrees with the matrix-power count and that a
     word extends one step further exactly when its last symbol has an
     outgoing transition; symbols with all-zero rows are coding defects.
+    A caller that already holds the length-``depth`` listing passes it as
+    ``listing`` and the words are not enumerated again.
     """
     A = _as_count_matrix(A)
     if depth < 2:
         raise ValidationError("coding depth must be >= 2")
     n = A.shape[0]
     dead_ends = [i + 1 for i in range(n) if not A[i].any()]
-    listing = admissible_words(A, depth, max_list=max_list)
+    if listing is None:
+        listing = admissible_words(A, depth, max_list=max_list)
     count_matrix = listing.count
     blocked: list[tuple[int, ...]] = []
     count_enum: int | None = None

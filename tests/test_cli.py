@@ -4,8 +4,9 @@ import shutil
 import numpy as np
 import pytest
 
-from endlam import cli, hyperbolic, lamination
+from endlam import cli, hyperbolic, lamination, markov
 from endlam.cli import run_command
+from endlam.errors import NumericDegeneracyError
 from endlam.markov import PerronData
 from endlam.scene import load_scene, scene_path
 
@@ -108,6 +109,21 @@ class TestLaminate:
         assert data["laminations"]["+"]["crossing_violations"] == []
         assert data["intersections"]["points"]
 
+    def test_breakdown_in_the_run_prints_nothing(self, schottky, tmp_path,
+                                                 monkeypatch, capsys):
+        def degenerate(*args, **kwargs):
+            raise NumericDegeneracyError("carriers graze tangentially")
+
+        monkeypatch.setattr(lamination, "transversal_intersections",
+                            degenerate)
+        report = tmp_path / "report.json"
+        assert run_command(["laminate", str(schottky), "--horizon", "8",
+                            "--ball", "1", "--json", str(report)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "flagged: carriers graze tangentially\n"
+        assert not report.exists()
+
     def test_svg_deterministic(self, schottky, tmp_path):
         a = tmp_path / "a.svg"
         b = tmp_path / "b.svg"
@@ -172,6 +188,16 @@ class TestAxioms:
         data = json.loads(report.read_text())
         assert data["axioms"]["I"]["status"] == "pass"
         assert data["caveat"] == "finite-approximation evidence only"
+        assert len(data["intersections"]["points"]) == \
+            data["axioms"]["III"]["data"]["points"]
+
+    def test_one_sided_scene_has_no_intersections(self, golden, tmp_path):
+        report = tmp_path / "axioms.json"
+        assert run_command(["axioms", str(golden), "--horizon", "6",
+                            "--json", str(report)]) == 0
+        data = json.loads(report.read_text())
+        assert data["leaves_minus"] == []
+        assert data["intersections"] is None
 
 
 class TestMarkov:
@@ -223,6 +249,39 @@ class TestMarkov:
         assert "admissible words of length 3: 5" in out
         assert "121" in out
 
+    def test_listing_over_budget_flagged(self, golden, tmp_path, capsys):
+        report = tmp_path / "words.json"
+        assert run_command(["markov", "words", str(golden), "-m", "30",
+                            "--list-words", "--json", str(report)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("flagged: 2178309 admissible words of length 30 "
+                       "exceed the listing budget of 100000\n")
+        assert not report.exists()
+
+    def test_count_over_budget_without_listing(self, golden, capsys):
+        assert run_command(["markov", "words", str(golden), "-m", "30"]) == 0
+        assert capsys.readouterr().out == \
+            "admissible words of length 30: 2178309\n"
+
+    @pytest.mark.parametrize("length, calls", [(1, 2), (2, 1), (5, 1),
+                                               (20, 1), (30, 1)])
+    def test_one_enumeration_per_run(self, length, calls, golden,
+                                     monkeypatch):
+        lengths = []
+        original = markov.admissible_words
+
+        def counting(A, m, *args, **kwargs):
+            lengths.append(m)
+            return original(A, m, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "admissible_words", counting)
+        monkeypatch.setattr(markov, "admissible_words", counting)
+        assert run_command(["markov", "words", str(golden), "-m",
+                            str(length)]) == 0
+        # Length 1 has no coding check of its own; that one runs at 2.
+        assert lengths == [length, 2][:calls]
+
 
 class TestRender:
     def test_render_writes_file(self, schottky, tmp_path):
@@ -269,7 +328,8 @@ class TestRunRanges:
             ("escape", ("--trace-tol", "--max-letters")),
         )
         for flag in flags
-        for value in (("0", "-1") if flag.endswith("-tol") else ("0",))
+        for value in {"--angle-tol": ("0", "-1", "1e-13", "1e-300"),
+                      "--trace-tol": ("0", "-1")}.get(flag, ("0",))
     ])
     def test_tolerance_and_budget_rejected(self, command, flag, value,
                                            schottky, tmp_path, capsys):
@@ -327,6 +387,14 @@ class TestRunTolerances:
             capsys.readouterr().out
         assert hyperbolic.ANGLE_TOL == 1e-9
 
+    def test_angle_tol_floor_keeps_shared_endpoints(self, schottky,
+                                                    capsys):
+        assert run_command(["laminate", str(schottky),
+                            "--angle-tol", "1e-12"]) == 0
+        out = capsys.readouterr().out
+        assert out.count(" 0 crossing violations") == 2
+        assert "transverse intersection points: 128" in out
+
     def test_angle_tol_reaches_limit_set_dedup(self, schottky, tmp_path):
         counts = []
         for extra in ([], ["--angle-tol", "1e-1"]):
@@ -378,6 +446,20 @@ class TestOnePipeline:
                             str(tmp_path / "leaves.svg"), "--leaves"]) == 0
         assert len(orbits) == len(load_scene(schottky).junctures)
         assert len(extractions) == 2
+
+    @pytest.mark.parametrize("command", ["laminate", "axioms"])
+    @pytest.mark.parametrize("scene, audits, meets", [("schottky", 2, 1),
+                                                      ("golden", 1, 0)])
+    def test_one_audit_per_sign_and_one_intersection(
+            self, command, scene, audits, meets, request, monkeypatch):
+        path = request.getfixturevalue(scene)
+        audit_calls = self._count_calls(monkeypatch, "crossing_audit")
+        meet_calls = self._count_calls(monkeypatch,
+                                       "transversal_intersections")
+        assert run_command([command, str(path), "--horizon", "10",
+                            "--ball", "1"]) == 0
+        assert len(audit_calls) == audits
+        assert len(meet_calls) == meets
 
     def test_render_without_leaves_skips_extraction(self, schottky,
                                                      tmp_path, monkeypatch):

@@ -29,6 +29,7 @@ COMMANDS = (
     "limit-set schottky_ab.json --depth 6 --out limits.svg",
     "laminate schottky_ab.json --horizon 12 --ball 3 --tol 1e-6 "
     "--json report.json",
+    "laminate golden.json --json golden_report.json",
     "escape schottky_ab.json --horizon 20 --growth-ratio 1.5",
     "axioms schottky_ab.json --horizon 12 --ball 3",
     "markov verify golden.json",

@@ -9,6 +9,7 @@ from endlam.errors import (
 )
 from endlam.group import FuchsianGroup, Word
 from endlam.hyperbolic import (
+    ANGLE_TOL_FLOOR,
     Geodesic,
     INF,
     Isometry,
@@ -304,7 +305,6 @@ class TestExtract:
 class TestCrossingAudit:
     def test_disjoint_pair_clean(self):
         lam = LaminationApprox(
-            "+",
             [Geodesic.from_boundary(0, 1), Geodesic.from_boundary(2, 3)],
             [], [],
         )
@@ -312,7 +312,6 @@ class TestCrossingAudit:
 
     def test_injected_crossing_reported(self):
         lam = LaminationApprox(
-            "+",
             [Geodesic.from_boundary(0, 2), Geodesic.from_boundary(1, 3)],
             [], [],
         )
@@ -345,18 +344,16 @@ class TestCrossingAudit:
 
 class TestIntersections:
     def test_symmetric_crossing_at_origin(self):
-        lam_p = LaminationApprox("+", [Geodesic.from_boundary(0, INF)],
-                                 [], [])
-        lam_m = LaminationApprox("-", [Geodesic.from_boundary(-1, 1)],
-                                 [], [])
+        lam_p = LaminationApprox([Geodesic.from_boundary(0, INF)], [], [])
+        lam_m = LaminationApprox([Geodesic.from_boundary(-1, 1)], [], [])
         meager = transversal_intersections(lam_p, lam_m)
         assert len(meager.points) == 1
         rec = meager.points[0]
         assert math.hypot(rec.x, rec.y) < 1e-9  # i maps to the disk origin
 
     def test_disjoint_families_flagged(self):
-        lam_p = LaminationApprox("+", [Geodesic.from_boundary(0, 1)], [], [])
-        lam_m = LaminationApprox("-", [Geodesic.from_boundary(2, 3)], [], [])
+        lam_p = LaminationApprox([Geodesic.from_boundary(0, 1)], [], [])
+        lam_m = LaminationApprox([Geodesic.from_boundary(2, 3)], [], [])
         meager = transversal_intersections(lam_p, lam_m)
         assert meager.points == []
         assert meager.uncovered_plus == [0]
@@ -379,24 +376,42 @@ class TestLaminate:
         direct = {j.sign: extract_limit_leaves(
             juncture_orbit(torus_scene, j, range(-10, 11), 1))
             for j in torus_scene.junctures}
-        assert run.plus.sign == "+" and run.minus.sign == "-"
-        assert run.plus.leaves == direct["-"].leaves
-        assert run.minus.leaves == direct["+"].leaves
+        assert list(run.laminations) == ["+", "-"]
+        assert run.laminations["+"].leaves == direct["-"].leaves
+        assert run.laminations["-"].leaves == direct["+"].leaves
+
+    def test_audits_and_intersections_belong_to_the_run(self, torus_scene):
+        run = laminate(torus_scene, AxiomParams(horizon=10, ball=1))
+        lams = run.laminations
+        for lam in lams.values():
+            assert lam.leaves
+            assert lam.crossing_violations == crossing_audit(lam)
+        assert run.intersections == transversal_intersections(
+            lams["+"], lams["-"])
+        assert run.intersections.points
+
+    def test_extraction_alone_leaves_the_audit_unset(self, torus_scene):
+        fam = juncture_orbit(torus_scene, torus_scene.junctures[0],
+                             range(-6, 7), 1)
+        assert extract_limit_leaves(fam).crossing_violations is None
 
     def test_no_opposite_junctures_gives_none(self):
         scene = make_scene(TORUS_A, TORUS_B, forward=("a b", "b"),
                            inverse=("a b^-1", "b"),
                            junctures=[("e-", "-", "a")])
         run = laminate(scene, AxiomParams(horizon=8, ball=1))
-        assert run.plus.leaves
-        assert run.minus is None
+        assert list(run.laminations) == ["+"]
+        assert run.laminations["+"].leaves
+        assert run.laminations["+"].crossing_violations == []
+        assert run.intersections is None
 
     def test_extract_false_builds_families_only(self, torus_scene):
         run = laminate(torus_scene, AxiomParams(horizon=6, ball=1),
                        extract=False)
         assert len(run.families) == 2
         assert all(len(fam) for _, fam in run.families)
-        assert run.plus is None and run.minus is None
+        assert run.laminations == {}
+        assert run.intersections is None
 
     def test_angle_tol_reaches_orbit_dedup(self, torus_scene):
         sizes = [sum(len(fam) for _, fam in laminate(
@@ -412,6 +427,7 @@ class TestAxiomParams:
         {"trace_tol": 0.0}, {"trace_tol": -1.0}, {"trace_tol": math.nan},
         {"max_letters": 0}, {"max_letters": -1},
         {"max_words": 0}, {"max_words": -1},
+        {"angle_tol": 1e-13}, {"angle_tol": 1e-300},
     ])
     def test_out_of_range_rejected(self, fields):
         with pytest.raises(ValidationError):
@@ -423,6 +439,14 @@ class TestAxiomParams:
     def test_smallest_budgets_allowed(self):
         params = AxiomParams(max_letters=1, max_words=1)
         assert (params.max_letters, params.max_words) == (1, 1)
+
+    def test_angle_tol_floor_allowed(self):
+        assert AxiomParams(angle_tol=ANGLE_TOL_FLOOR).angle_tol == 1e-12
+
+    def test_angle_tol_below_floor_named(self):
+        with pytest.raises(ValidationError, match="angle tolerance must be "
+                           "at least 1e-12, got 1e-13"):
+            AxiomParams(angle_tol=1e-13)
 
 
 class TestAxiomReport:

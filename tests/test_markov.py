@@ -6,6 +6,7 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
+from endlam import markov
 from endlam.errors import ConvergenceError, ValidationError
 from endlam.markov import (
     CrossingTable,
@@ -356,3 +357,13 @@ class TestCoding:
     def test_depth_validation(self):
         with pytest.raises(ValidationError):
             coding_consistency(GOLDEN, 1)
+
+    def test_given_listing_is_not_enumerated_again(self, monkeypatch):
+        expected = coding_consistency(GOLDEN, 5)
+        listing = admissible_words(GOLDEN, 5)
+
+        def enumerate_again(*args, **kwargs):
+            raise AssertionError("listing enumerated twice")
+
+        monkeypatch.setattr(markov, "admissible_words", enumerate_again)
+        assert coding_consistency(GOLDEN, 5, listing=listing) == expected
