@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import NotHyperbolicError, ValidationError
 from .group import (
     DEFAULT_MAX_LETTERS,
@@ -34,7 +36,6 @@ from .hyperbolic import (
     boundary_action,
     classify_isometry,
     geodesic_intersection,
-    geodesic_relation,
     to_disk,
     translation_length,
 )
@@ -385,17 +386,42 @@ class CrossingViolation:
     leaf_b: Geodesic
 
 
+_MASK_ROWS = 64  # mask rows per block: float temporaries stay under ~1 MB
+
+
+def _crossing_mask(leaves_p: list[Geodesic], leaves_q: list[Geodesic],
+                   tol: float) -> np.ndarray:
+    """True where leaf i of ``leaves_p`` crosses leaf j of ``leaves_q``.
+
+    Only the float steps of ``geodesic_relation`` (subtraction, ``abs``,
+    ``%``, comparisons), so each pair gets the scalar verdict bit for bit.
+    """
+    p, q = (np.array([(g.a.theta, g.b.theta) for g in leaves]).reshape(-1, 2)
+            for leaves in (leaves_p, leaves_q))
+    a2, b2 = q.T
+    mask = np.empty((len(p), len(q)), dtype=bool)
+    for start in range(0, len(p), _MASK_ROWS):
+        block = p[start:start + _MASK_ROWS]
+        a1, b1 = block[:, :1], block[:, 1:]
+        beta = (b1 - a1) % TWO_PI
+        crossing = ((a2 - a1) % TWO_PI < beta) != ((b2 - a1) % TWO_PI < beta)
+        for u in (a1, b1):
+            for v in (a2, b2):
+                d = np.abs(u - v) % TWO_PI
+                crossing &= np.minimum(d, TWO_PI - d) >= tol
+        mask[start:start + _MASK_ROWS] = crossing
+    return mask
+
+
 def crossing_audit(lam: LaminationApprox,
                    tol: float = ANGLE_TOL) -> list[CrossingViolation]:
-    """Pairs of leaves of one lamination that transversely cross."""
-    violations = []
+    """Pairs of leaves of one lamination that transversely cross, read
+    row-major off the crossing mask (``geodesic_relation`` per pair is
+    the scalar reference)."""
     leaves = lam.leaves
-    for i in range(len(leaves)):
-        for j in range(i + 1, len(leaves)):
-            if geodesic_relation(leaves[i], leaves[j], tol) == "cross":
-                violations.append(CrossingViolation(i, j, leaves[i],
-                                                    leaves[j]))
-    return violations
+    mask = np.triu(_crossing_mask(leaves, leaves, tol), 1)
+    return [CrossingViolation(i, j, leaves[i], leaves[j])
+            for i, j in np.argwhere(mask).tolist()]
 
 
 @dataclass
@@ -425,28 +451,19 @@ def transversal_intersections(lam_plus: LaminationApprox,
                               tol: float = ANGLE_TOL) -> MeagerInvariantSet:
     """All cross pairs between the two leaf families with their points.
 
-    Two distinct geodesics meet at most once, so each pair contributes at
-    most one record.  Leaves meeting nothing opposite are flagged.
+    The crossing mask picks the pairs (row-major), and only those reach
+    the scalar ``geodesic_intersection``.  Two distinct geodesics meet at
+    most once, so each pair contributes at most one record.  Leaves
+    meeting nothing opposite are flagged.
     """
-    points: list[IntersectionRecord] = []
-    met_plus = set()
-    met_minus = set()
-    for i, gp in enumerate(lam_plus.leaves):
-        for j, gm in enumerate(lam_minus.leaves):
-            if geodesic_relation(gp, gm, tol) != "cross":
-                continue
-            met_plus.add(i)
-            met_minus.add(j)
-            p = geodesic_intersection(gp, gm, tol)
-            x, y = to_disk(p)
-            points.append(IntersectionRecord(plus_index=i, minus_index=j,
-                                             x=x, y=y))
-    uncovered_plus = [i for i in range(len(lam_plus.leaves))
-                      if i not in met_plus]
-    uncovered_minus = [j for j in range(len(lam_minus.leaves))
-                       if j not in met_minus]
-    return MeagerInvariantSet(points=points, uncovered_plus=uncovered_plus,
-                              uncovered_minus=uncovered_minus)
+    mask = _crossing_mask(lam_plus.leaves, lam_minus.leaves, tol)
+    points = [IntersectionRecord(i, j, *to_disk(geodesic_intersection(
+                  lam_plus.leaves[i], lam_minus.leaves[j], tol)))
+              for i, j in np.argwhere(mask).tolist()]
+    return MeagerInvariantSet(
+        points=points,
+        uncovered_plus=np.flatnonzero(~mask.any(axis=1)).tolist(),
+        uncovered_minus=np.flatnonzero(~mask.any(axis=0)).tolist())
 
 
 @dataclass

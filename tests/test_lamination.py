@@ -1,6 +1,8 @@
+import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from endlam.errors import (
     BudgetExceededError,
@@ -9,20 +11,27 @@ from endlam.errors import (
 )
 from endlam.group import FuchsianGroup, Word
 from endlam.hyperbolic import (
+    ANGLE_TOL,
     ANGLE_TOL_FLOOR,
+    TWO_PI,
     Geodesic,
     INF,
     Isometry,
     angle_from_boundary,
     angular_gap,
     boundary_action,
+    geodesic_intersection,
     geodesic_relation,
+    to_disk,
 )
 from endlam.lamination import (
     AxiomParams,
+    CrossingViolation,
     GeodesicFamily,
+    IntersectionRecord,
     JunctureSpec,
     LaminationApprox,
+    MeagerInvariantSet,
     Provenance,
     axiom_report,
     crossing_audit,
@@ -32,6 +41,7 @@ from endlam.lamination import (
     laminate,
     transversal_intersections,
 )
+from endlam.scene import parse_scene, scene_path
 
 from conftest import (
     TORUS_A,
@@ -367,6 +377,138 @@ class TestIntersections:
         meager = transversal_intersections(lam_p, lam_m)
         pairs = [(r.plus_index, r.minus_index) for r in meager.points]
         assert len(pairs) == len(set(pairs))
+
+
+def reference_audit(leaves, tol):
+    """The per-pair scalar loop that the crossing mask replaces."""
+    return [CrossingViolation(i, j, leaves[i], leaves[j])
+            for i in range(len(leaves)) for j in range(i + 1, len(leaves))
+            if geodesic_relation(leaves[i], leaves[j], tol) == "cross"]
+
+
+def reference_intersections(plus, minus, tol):
+    points, met_plus, met_minus = [], set(), set()
+    for i, gp in enumerate(plus):
+        for j, gm in enumerate(minus):
+            if geodesic_relation(gp, gm, tol) == "cross":
+                met_plus.add(i)
+                met_minus.add(j)
+                x, y = to_disk(geodesic_intersection(gp, gm, tol))
+                points.append(IntersectionRecord(i, j, x, y))
+    return MeagerInvariantSet(
+        points,
+        [i for i in range(len(plus)) if i not in met_plus],
+        [j for j in range(len(minus)) if j not in met_minus])
+
+
+def mul(x, y):
+    return [[sum(x[i][k] * y[k][j] for k in range(2)) for j in range(2)]
+            for i in range(2)]
+
+
+def outcome(func, *args):
+    """A call's result, or the type of the error it raised."""
+    try:
+        return func(*args)
+    except Exception as exc:  # a degenerate pair must fail alike
+        return type(exc)
+
+
+# Endpoint offsets in units of the tolerance: shared, inside, on either
+# side of the boundary, and well outside.
+NUDGES = (0.0, 0.5, -0.5, 0.999, -0.999, 1.001, -1.001, 2.0, -2.0)
+
+
+@st.composite
+def chord_case(draw):
+    """A tolerance and two chord families whose endpoints cluster within a
+    few tolerances of shared anchors, the wrap-around at 0 = 2 pi too."""
+    tol = draw(st.sampled_from((1e-12, 1e-9, 1e-3)))
+    anchors = draw(st.lists(
+        st.one_of(st.floats(0.0, TWO_PI, exclude_max=True),
+                  st.sampled_from((0.0, TWO_PI, math.nextafter(TWO_PI, 0),
+                                   0.5 * tol, TWO_PI - 0.5 * tol))),
+        min_size=1, max_size=5))
+
+    def family():
+        leaves = []
+        for _ in range(draw(st.integers(0, 6))):
+            ends = [draw(st.sampled_from(anchors))
+                    + tol * draw(st.sampled_from(NUDGES)) for _ in "ab"]
+            try:
+                leaves.append(Geodesic.from_angles(*ends))
+            except ValidationError:   # endpoints coincide: no leaf
+                pass
+        return leaves
+
+    return tol, family(), family()
+
+
+class TestCrossingMask:
+    """``crossing_audit`` and ``transversal_intersections`` against the
+    scalar ``geodesic_relation`` loops they replace."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(chord_case())
+    def test_random_families_match_scalar_loops(self, case):
+        tol, plus, minus = case
+        for leaves in (plus, minus):
+            assert crossing_audit(LaminationApprox(leaves, [], []),
+                                  tol) == reference_audit(leaves, tol)
+        assert outcome(transversal_intersections,
+                       LaminationApprox(plus, [], []),
+                       LaminationApprox(minus, [], []),
+                       tol) == outcome(reference_intersections,
+                                       plus, minus, tol)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-3])
+    def test_small_families(self, n, tol):
+        # Every chord ends at 2 or within 1.001 tol of it: (1.5, 2) shares
+        # that endpoint with (0, 2) exactly, (1, 2 + 0.999 tol) within the
+        # tolerance, and (1, 2 + 1.001 tol) misses it and crosses (0, 2).
+        plus = [Geodesic.from_angles(0.0, 2.0),
+                Geodesic.from_angles(1.0, 2.0 + 0.999 * tol)][:n]
+        minus = [Geodesic.from_angles(1.5, 2.0),
+                 Geodesic.from_angles(1.0, 2.0 + 1.001 * tol)][:n]
+        for leaves in (plus, minus, plus + minus):
+            assert crossing_audit(LaminationApprox(leaves, [], []),
+                                  tol) == reference_audit(leaves, tol)
+        meager = transversal_intersections(
+            LaminationApprox(plus, [], []), LaminationApprox(minus, [], []),
+            tol)
+        assert meager == reference_intersections(plus, minus, tol)
+        assert len(meager.points) == (n == 2)
+
+    @pytest.mark.parametrize("conjugator, horizon, ball", [
+        (None, 16, 4), ((3.3, -0.3, 0.8), 14, 3)])
+    def test_real_scene_matches_scalar_loops(self, conjugator, horizon,
+                                             ball):
+        # The conjugate replaces every generator g of schottky_ab by
+        # h g h^-1 with h = K(theta) A(t) N(x), drawn like the benchmark's
+        # conjugates.  Its Möbius images spread shared endpoints past the
+        # angle tolerance: 30 crossing violations in Λ−.
+        raw = json.loads(scene_path("schottky_ab.json").read_text())
+        if conjugator:
+            theta, t, x = conjugator
+            c, s, e = math.cos(theta / 2), math.sin(theta / 2), math.exp(t / 2)
+            h = mul([[c, s], [-s, c]],
+                    mul([[e, 0.0], [0.0, 1 / e]], [[1.0, x], [0.0, 1.0]]))
+            h_inv = [[h[1][1], -h[0][1]], [-h[1][0], h[0][0]]]
+            for gen, m in raw["group"].items():
+                raw["group"][gen] = mul(h, mul(m, h_inv))
+        run = laminate(parse_scene(json.dumps(raw)),
+                       AxiomParams(horizon=horizon, ball=ball))
+        lams = run.laminations
+        violations = 0
+        for lam in lams.values():
+            assert lam.crossing_violations == reference_audit(
+                lam.leaves, ANGLE_TOL)
+            violations += len(lam.crossing_violations)
+        assert run.intersections == reference_intersections(
+            lams["+"].leaves, lams["-"].leaves, ANGLE_TOL)
+        assert run.intersections.points
+        assert (violations > 0) == bool(conjugator)
 
 
 class TestLaminate:
