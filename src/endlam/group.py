@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 
 from .errors import (
     BudgetExceededError,
@@ -19,13 +20,13 @@ from .errors import (
 from .hyperbolic import (
     ANGLE_TOL,
     TRACE_TOL,
-    AngleSet,
     HPoint,
     IdealPoint,
     Isometry,
     apply_isometry,
     axis,
     classify_isometry,
+    first_distinct,
     to_disk,
 )
 
@@ -306,13 +307,12 @@ def limit_set_sample(group: FuchsianGroup, base: HPoint, k: int,
         raise ValidationError("sample depth must be nonnegative")
     ball = enumerate_ball(group, k, max_words)
     orbit = []
-    fixed: list[IdealPoint] = []
-    seen = AngleSet(angle_tol)
+    ends: list[float] = []
     for _, m in ball:
         orbit.append(to_disk(apply_isometry(m, base)))
         if classify_isometry(m, trace_tol) == "hyperbolic":
             g = axis(m, trace_tol)
-            for p in (g.a, g.b):
-                if seen.add(p.theta, p.theta):
-                    fixed.append(p)
-    return LimitSetSample(orbit=orbit, fixed_points=fixed, words=len(ball))
+            ends.extend((g.a.theta, g.b.theta))
+    keep = first_distinct(ends, ends, angle_tol).tolist()
+    return LimitSetSample(orbit=orbit, fixed_points=[
+        IdealPoint(t) for t in compress(ends, keep)], words=len(ball))

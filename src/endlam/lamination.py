@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -28,13 +29,15 @@ from .hyperbolic import (
     ANGLE_TOL_FLOOR,
     TRACE_TOL,
     TWO_PI,
-    AngleSet,
     Geodesic,
     Isometry,
     angular_gap,
+    angular_gaps,
     axis,
     boundary_action,
+    boundary_images,
     classify_isometry,
+    first_distinct,
     geodesic_intersection,
     to_disk,
     translation_length,
@@ -81,6 +84,12 @@ class Provenance:
         return (self.juncture, self.sign, self.conjugator.letters)
 
 
+def _distinct(geodesics: list[Geodesic], angle_tol: float) -> list[bool]:
+    """Keep-mask of :func:`first_distinct` over the geodesics in order."""
+    u, v = np.array([g.sorted_angles() for g in geodesics]).reshape(-1, 2).T
+    return first_distinct(u, v, angle_tol).tolist()
+
+
 @dataclass
 class GeodesicFamily:
     """Deduplicated geodesics with the provenance of each entry."""
@@ -96,13 +105,9 @@ class GeodesicFamily:
     @classmethod
     def merge(cls, families,
               angle_tol: float = ANGLE_TOL) -> "GeodesicFamily":
-        merged = cls()
-        dedup = AngleSet(angle_tol)
-        for fam in families:
-            for geo, prov in fam.entries:
-                if dedup.add(*geo.sorted_angles()):
-                    merged.entries.append((geo, prov))
-        return merged
+        entries = [entry for fam in families for entry in fam.entries]
+        return cls(list(compress(
+            entries, _distinct([g for g, _ in entries], angle_tol))))
 
     def signs(self):
         return {prov.sign for _, prov in self.entries}
@@ -161,9 +166,7 @@ def juncture_orbit(scene, juncture: JunctureSpec, n_range=None,
     iterates = sorted(set(int(n) for n in n_range),
                       reverse=(juncture.sign == "+"))
     ball = enumerate_ball(scene.group, ball_k, max_words=max_words)
-    family = GeodesicFamily()
-    dedup = AngleSet(angle_tol)
-    axes: dict[int, Geodesic] = {}
+    axes: list[Geodesic] = []
     for n, _, conj, core_m in _iterate_cores(scene, juncture, iterates,
                                              max_letters, trace_tol):
         base = axis(core_m, trace_tol)
@@ -171,22 +174,31 @@ def juncture_orbit(scene, juncture: JunctureSpec, n_range=None,
             conj_m = evaluate_word(scene.group, conj)
             base = Geodesic(boundary_action(conj_m, base.a),
                             boundary_action(conj_m, base.b))
-        axes[n] = base
-    for g_word, g_iso in ball:
-        for n in iterates:
-            base = axes[n]
-            geo = base if g_word.is_identity() else Geodesic(
-                boundary_action(g_iso, base.a),
-                boundary_action(g_iso, base.b),
-            )
-            if dedup.add(*geo.sorted_angles()):
-                family.entries.append((geo, Provenance(
-                    juncture=juncture.end,
-                    sign=juncture.sign,
-                    conjugator=g_word,
-                    iterate=n,
-                    conjugator_isometry=g_iso,
-                )))
+        axes.append(base)
+    # Endpoint angles of every candidate, g-major and iterate-minor; the
+    # identity, first in the ball, keeps the axes' own angles.
+    mats = [[getattr(g, x) for _, g in ball] for x in "abcd"]
+    ends = []
+    for x in "ab":
+        points = [getattr(base, x) for base in axes]
+        t = boundary_images(*mats, points)
+        t[0] = [p.theta for p in points]
+        ends.append(t.ravel())
+    ta, tb = ends
+    if (angular_gaps(ta, tb) < ANGLE_TOL).any():
+        raise ValidationError("geodesic endpoints coincide")
+    family = GeodesicFamily()
+    keep = first_distinct(np.minimum(ta, tb), np.maximum(ta, tb), angle_tol)
+    for k, a, b in zip(np.flatnonzero(keep).tolist(), ta[keep].tolist(),
+                       tb[keep].tolist()):
+        g_word, g_iso = ball[k // len(axes)]
+        family.entries.append((Geodesic.from_angles(a, b), Provenance(
+            juncture=juncture.end,
+            sign=juncture.sign,
+            conjugator=g_word,
+            iterate=iterates[k % len(axes)],
+            conjugator_isometry=g_iso,
+        )))
     return family
 
 
@@ -314,7 +326,6 @@ def extract_limit_leaves(family: GeodesicFamily,
     leaves: list[Geodesic] = []
     certificates: list[ChainCertificate] = []
     skipped: list[SkippedChain] = []
-    leaf_set = AngleSet(angle_tol)
     base_limits: dict[tuple, Geodesic] = {}
 
     for key, items in chains.items():
@@ -364,8 +375,6 @@ def extract_limit_leaves(family: GeodesicFamily,
             limit = Geodesic.from_angles(*ends)
             if prov.conjugator.is_identity():
                 base_limits[(prov.juncture, prov.sign)] = limit
-        if not leaf_set.add(*limit.sorted_angles()):
-            continue
         leaves.append(limit)
         certificates.append(ChainCertificate(
             juncture=prov.juncture,
@@ -374,7 +383,9 @@ def extract_limit_leaves(family: GeodesicFamily,
             iterates=tuple(n for n, _ in items),
             gaps=tuple(gaps[-8:]),
         ))
-    return LaminationApprox(leaves=leaves, certificates=certificates,
+    keep = _distinct(leaves, angle_tol)
+    return LaminationApprox(leaves=list(compress(leaves, keep)),
+                            certificates=list(compress(certificates, keep)),
                             skipped=skipped)
 
 
@@ -407,8 +418,7 @@ def _crossing_mask(leaves_p: list[Geodesic], leaves_q: list[Geodesic],
         crossing = ((a2 - a1) % TWO_PI < beta) != ((b2 - a1) % TWO_PI < beta)
         for u in (a1, b1):
             for v in (a2, b2):
-                d = np.abs(u - v) % TWO_PI
-                crossing &= np.minimum(d, TWO_PI - d) >= tol
+                crossing &= angular_gaps(u, v) >= tol
         mask[start:start + _MASK_ROWS] = crossing
     return mask
 

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from endlam.group import FreeAutomorphism, FuchsianGroup, Word
-from endlam.hyperbolic import Isometry
+from endlam.hyperbolic import ANGLE_TOL_FLOOR, TWO_PI, Isometry, angular_gap
 from endlam.lamination import JunctureSpec
 
 TORUS_A = [[4, 0], [0, 0.25]]
@@ -110,3 +110,43 @@ def exact_translation_length(m):
     det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
     assert det == 1
     return 2.0 * math.acosh(abs(float(tr)) / 2.0)
+
+
+class SequentialAngleSet:
+    """Reference for ``hyperbolic.first_distinct``: angle pairs offered one
+    at a time, each kept when no kept pair lies within ``tol`` in both
+    coordinates, the kept pairs found through grid cells 2 * tol wide."""
+
+    def __init__(self, tol: float):
+        self.tol = tol
+        self.q = max(tol, ANGLE_TOL_FLOOR) * 2.0
+        self.cells: dict[tuple[int, int], list[tuple[float, float]]] = {}
+
+    def _indices(self, t: float):
+        base = round(t / self.q)
+        yield base
+        if t < self.tol:
+            yield round((t + TWO_PI) / self.q)
+        if TWO_PI - t < self.tol:
+            yield round((t - TWO_PI) / self.q)
+
+    def add(self, u: float, v: float) -> bool:
+        """True (and keep the pair) when no kept pair is within tol."""
+        for iu in self._indices(u):
+            for iv in self._indices(v):
+                for du in (-1, 0, 1):
+                    for dv in (-1, 0, 1):
+                        for (su, sv) in self.cells.get((iu + du, iv + dv), ()):
+                            if (angular_gap(su, u) < self.tol
+                                    and angular_gap(sv, v) < self.tol):
+                                return False
+        cell = (round(u / self.q), round(v / self.q))
+        self.cells.setdefault(cell, []).append((u, v))
+        return True
+
+
+def sequential_first_distinct(u, v, tol):
+    """Keep-mask of the pairs (u[i], v[i]) offered to one
+    :class:`SequentialAngleSet` in order."""
+    kept = SequentialAngleSet(tol)
+    return [kept.add(a, b) for a, b in zip(u, v)]

@@ -1,8 +1,11 @@
 import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from endlam import hyperbolic
 from endlam.errors import (
     NoIntersectionError,
     NotHyperbolicError,
@@ -11,7 +14,6 @@ from endlam.errors import (
 from endlam.hyperbolic import (
     ANGLE_TOL,
     TWO_PI,
-    AngleSet,
     Geodesic,
     HPoint,
     IdealPoint,
@@ -21,7 +23,9 @@ from endlam.hyperbolic import (
     apply_isometry,
     axis,
     boundary_action,
+    boundary_images,
     classify_isometry,
+    first_distinct,
     geodesic_intersection,
     geodesic_relation,
     hyperbolic_distance,
@@ -29,6 +33,8 @@ from endlam.hyperbolic import (
     to_disk,
     translation_length,
 )
+
+from conftest import sequential_first_distinct
 
 
 def iso(rows):
@@ -315,31 +321,98 @@ class TestToDisk:
         assert abs(ta - math.pi) < 1e-12 and abs(tb) < 1e-12
 
 
+def bits(values):
+    """Bit patterns of floats, so -0.0 and 0.0 differ."""
+    return [float(x).hex() for x in values]
+
+
+class TestBoundaryImages:
+    """``boundary_images`` against ``boundary_action`` per isometry."""
+
+    # Angle 0 is the point at infinity; 1e-300 lies at t = -2e300.
+    POINTS = [IdealPoint(t) for t in (0.0, 1e-300, 0.1, 1.0, math.pi, 2.5,
+                                      3.9, 5.5, math.nextafter(TWO_PI, 0))]
+
+    @staticmethod
+    def images(isometries, p):
+        a, b, c, d = ([getattr(m, x) for m in isometries] for x in "abcd")
+        return bits(boundary_images(a, b, c, d, [p]).ravel())
+
+    @staticmethod
+    def reference(isometries, p):
+        return bits(boundary_action(m, p).theta for m in isometries)
+
+    @pytest.mark.parametrize("k", range(len(POINTS)))
+    def test_random_isometries(self, k):
+        rng = random.Random(k)
+        ms = []
+        for _ in range(300):
+            a, b, c = (rng.uniform(-9, 9) for _ in range(3))
+            if abs(a) > 1e-3:
+                ms.append(Isometry(a, b, c, (1.0 + b * c) / a))
+        p = self.POINTS[k]
+        assert self.images(ms, p) == self.reference(ms, p)
+
+    @pytest.mark.parametrize("k", range(len(POINTS)))
+    def test_diagonal_powers_and_overflow(self, k):
+        # diag(4, 1/4)^n has c == 0; from n of about 256 on, the image of a
+        # finite point overflows to a non-finite value.
+        ms = [Isometry(4.0 ** n, 0.0, 0.0, 4.0 ** -n) for n in range(0, 491, 7)]
+        ms += [m.inverse() for m in ms]
+        # a / c overflows to +inf and, after canonicalising, to -inf.
+        ms += [Isometry._raw(1e300, 1.0, 1e-300, 1.0),
+               Isometry._raw(-1e300, 0.0, 1e-300, 0.0)]
+        p = self.POINTS[k]
+        assert self.images(ms, p) == self.reference(ms, p)
+
+    def test_all_points_at_once(self):
+        # One call maps every point; the point at infinity takes its own
+        # branch in its column only.
+        rng = random.Random(7)
+        ms = [Isometry(4.0 ** n, 0.0, 0.0, 4.0 ** -n) for n in (0, 3, 300)]
+        for _ in range(20):
+            a, b, c = (rng.uniform(-9, 9) for _ in range(3))
+            ms.append(Isometry(a, b, c, (1.0 + b * c) / a))
+        a, b, c, d = ([getattr(m, x) for m in ms] for x in "abcd")
+        got = boundary_images(a, b, c, d, self.POINTS)
+        assert got.shape == (len(ms), len(self.POINTS))
+        assert [bits(column) for column in got.T] == [
+            self.reference(ms, p) for p in self.POINTS]
+
+    @pytest.mark.parametrize("k", range(2, len(POINTS)))
+    def test_zero_denominator(self, k):
+        # [[0, 1], [-1, t]] sends t to infinity: c t + d is exactly 0.
+        p = self.POINTS[k]
+        t = p.boundary
+        ms = [Isometry(0.0, 1.0, -1.0, t), Isometry(0.0, -2.0, 0.5, -0.5 * t)]
+        assert [m.c * t + m.d for m in ms] == [0.0, 0.0]
+        assert self.images(ms, p) == self.reference(ms, p) == bits([0.0, 0.0])
+
+
 class TestAngleSet:
+    """Verdicts of the tolerant angle set, :func:`first_distinct`."""
+
     def test_keeps_new_pairs_only(self):
-        kept = AngleSet(1e-3)
-        assert kept.add(1.0, 2.0)
-        assert not kept.add(1.0, 2.0)
-        assert not kept.add(1.0 + 5e-4, 2.0 - 5e-4)
-        assert kept.add(1.0, 2.0 + 2e-3)   # one coordinate apart is new
+        u = [1.0, 1.0, 1.0 + 5e-4, 1.0]
+        v = [2.0, 2.0, 2.0 - 5e-4, 2.0 + 2e-3]   # one coordinate apart is new
+        assert first_distinct(u, v, 1e-3).tolist() == [True, False, False,
+                                                        True]
 
     @pytest.mark.parametrize("shift, new", [(0.999e-3, False),
                                             (1.001e-3, True)])
     def test_tolerance_boundary(self, shift, new):
-        kept = AngleSet(1e-3)
-        assert kept.add(1.0, 2.0)
-        assert kept.add(1.0 + shift, 2.0) is new
-        assert kept.add(1.0, 2.0 - shift) is new
+        u = [1.0, 1.0 + shift, 1.0]
+        v = [2.0, 2.0, 2.0 - shift]
+        assert first_distinct(u, v, 1e-3).tolist() == [True, new, new]
 
     @pytest.mark.parametrize("first, second", [(1e-4, TWO_PI - 1e-4),
                                                (TWO_PI - 1e-4, 1e-4),
                                                (0.0, TWO_PI - 9e-4)])
     def test_pairs_wrap_at_zero(self, first, second):
-        kept = AngleSet(1e-3)
-        assert kept.add(first, 3.0)
-        assert not kept.add(second, 3.0)
-        assert kept.add(3.0, first)
-        assert not kept.add(3.0, second)
+        u = [first, second, 3.0, 3.0]
+        v = [3.0, 3.0, first, second]
+        assert first_distinct(u, v, 1e-3).tolist() == [True, False, True,
+                                                        False]
 
     @pytest.mark.parametrize("first, second, new", [
         (TWO_PI - 2e-4, 3e-4, False),
@@ -348,8 +421,100 @@ class TestAngleSet:
         (6e-4, TWO_PI - 6e-4, True),
     ])
     def test_points_wrap_like_same_ideal_point(self, first, second, new):
-        kept = AngleSet(1e-3)
-        assert kept.add(first, first)
-        assert kept.add(second, second) is new
+        t = [first, second]
+        assert first_distinct(t, t, 1e-3).tolist() == [True, new]
         assert new is not same_ideal_point(IdealPoint(first),
                                            IdealPoint(second), 1e-3)
+
+    def test_order_decides_a_chain(self):
+        # Steps of 0.6 tol: the 2nd item is within tol of the 1st, the 3rd
+        # only of the 2nd, which is not kept.  Reversed, the 3rd comes
+        # first and the 1st is kept again.
+        tol = 1e-3
+        u = [1.0, 1.0 + 0.6 * tol, 1.0 + 1.2 * tol]
+        assert first_distinct(u, u, tol).tolist() == [True, False, True]
+        assert first_distinct(u[::-1], u[::-1], tol).tolist() == [
+            True, False, True]
+        assert first_distinct(u[1:], u[1:], tol).tolist() == [True, False]
+
+    def test_repeat_of_a_dropped_pair_is_dropped(self):
+        tol = 1e-3
+        u = [1.0, 1.0 + 0.6 * tol, 1.0 + 1.2 * tol, 1.0 + 0.6 * tol]
+        assert first_distinct(u, u, tol).tolist() == [True, False, True,
+                                                      False]
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_empty_and_single(self, n):
+        assert first_distinct([2.0] * n, [3.0] * n, 1e-9).tolist() == (
+            [True] * n)
+
+    def test_many_blocks(self):
+        # Three rows per block, and a long chain across every boundary.
+        rng = random.Random(11)
+        tol = 1e-3
+        u = [1.0 + 0.6 * tol * k for k in range(60)]
+        u += [rng.choice(u) + rng.uniform(-2, 2) * tol for _ in range(200)]
+        v = [rng.choice((t, 2.0)) for t in u]
+        expected = sequential_first_distinct(u, v, tol)
+        for rows in (1, 3, hyperbolic._DEDUP_ROWS):
+            with mock.patch.object(hyperbolic, "_DEDUP_ROWS", rows):
+                assert first_distinct(u, v, tol).tolist() == expected
+
+
+def greedy_first_distinct(u, v, tol):
+    """The verdict by definition: no kept pair within tol, by brute force."""
+    kept, out = [], []
+    for a, b in zip(u, v):
+        out.append(not any(angular_gap(a, x) < tol and angular_gap(b, y) < tol
+                           for x, y in kept))
+        if out[-1]:
+            kept.append((a, b))
+    return out
+
+
+TOLERANCES = (1e-12, 1e-9, 1e-3, 1e-1)
+# Angles anywhere, and on either side of the tolerance from the seam.
+ANGLES = {tol: st.one_of(
+    st.floats(0.0, TWO_PI, exclude_max=True),
+    st.sampled_from((0.0, 0.5 * tol, 0.999 * tol, 1.001 * tol,
+                     TWO_PI - 0.5 * tol, TWO_PI - 0.999 * tol,
+                     math.nextafter(TWO_PI, 0))))
+    for tol in TOLERANCES}
+KINDS = st.sampled_from(("new", "point", "repeat", "offset", "chain"))
+STEPS = {"chain": st.sampled_from((0.6, -0.6, 0.0)),
+         "offset": st.sampled_from((0.999, -0.999, 1.001, -1.001, 0.0))}
+
+
+@st.composite
+def angle_pairs(draw):
+    """A tolerance and pairs that repeat, chain, straddle the tolerance
+    and the 0/2 pi seam, and include points (t, t)."""
+    tol = draw(st.sampled_from(TOLERANCES))
+    angle = ANGLES[tol]
+    pairs = []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(KINDS)
+        if kind == "new" or not pairs:
+            pair = (draw(angle), draw(angle))
+        elif kind == "point":
+            t = draw(angle)
+            pair = (t, t)
+        else:
+            base = pairs[-1] if kind == "chain" else pairs[
+                draw(st.integers(0, len(pairs) - 1))]
+            pair = base if kind == "repeat" else tuple(
+                (t + tol * draw(STEPS[kind])) % TWO_PI for t in base)
+        pairs.append(pair)
+    return tol, [u for u, _ in pairs], [v for _, v in pairs]
+
+
+class TestFirstDistinct:
+    @settings(max_examples=400, deadline=None)
+    @given(angle_pairs())
+    def test_matches_sequential_angle_set(self, case):
+        tol, u, v = case
+        expected = sequential_first_distinct(u, v, tol)
+        assert expected == greedy_first_distinct(u, v, tol)
+        for rows in (4, hyperbolic._DEDUP_ROWS):
+            with mock.patch.object(hyperbolic, "_DEDUP_ROWS", rows):
+                assert first_distinct(u, v, tol).tolist() == expected

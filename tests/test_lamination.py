@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +10,13 @@ from endlam.errors import (
     NotHyperbolicError,
     ValidationError,
 )
-from endlam.group import FuchsianGroup, Word
+from endlam.group import (
+    DEFAULT_MAX_LETTERS,
+    FuchsianGroup,
+    Word,
+    enumerate_ball,
+    evaluate_word,
+)
 from endlam.hyperbolic import (
     ANGLE_TOL,
     ANGLE_TOL_FLOOR,
@@ -17,13 +24,16 @@ from endlam.hyperbolic import (
     Geodesic,
     INF,
     Isometry,
+    TRACE_TOL,
     angle_from_boundary,
     angular_gap,
+    axis,
     boundary_action,
     geodesic_intersection,
     geodesic_relation,
     to_disk,
 )
+from endlam import lamination
 from endlam.lamination import (
     AxiomParams,
     CrossingViolation,
@@ -33,6 +43,7 @@ from endlam.lamination import (
     LaminationApprox,
     MeagerInvariantSet,
     Provenance,
+    _iterate_cores,
     axiom_report,
     crossing_audit,
     escape_test,
@@ -41,7 +52,7 @@ from endlam.lamination import (
     laminate,
     transversal_intersections,
 )
-from endlam.scene import parse_scene, scene_path
+from endlam.scene import load_scene, parse_scene, scene_path
 
 from conftest import (
     TORUS_A,
@@ -52,6 +63,7 @@ from conftest import (
     frac_matrix,
     make_scene,
     quadratic_axis_oracle,
+    SequentialAngleSet,
 )
 
 
@@ -406,6 +418,22 @@ def mul(x, y):
             for i in range(2)]
 
 
+def schottky_conjugate(conjugator):
+    """schottky_ab with every generator g replaced by h g h^-1, where
+    h = K(theta) A(t) N(x) for ``conjugator`` = (theta, t, x), drawn like
+    the benchmark's conjugates; the scene itself for None."""
+    raw = json.loads(scene_path("schottky_ab.json").read_text())
+    if conjugator:
+        theta, t, x = conjugator
+        c, s, e = math.cos(theta / 2), math.sin(theta / 2), math.exp(t / 2)
+        h = mul([[c, s], [-s, c]],
+                mul([[e, 0.0], [0.0, 1 / e]], [[1.0, x], [0.0, 1.0]]))
+        h_inv = [[h[1][1], -h[0][1]], [-h[1][0], h[0][0]]]
+        for gen, m in raw["group"].items():
+            raw["group"][gen] = mul(h, mul(m, h_inv))
+    return parse_scene(json.dumps(raw))
+
+
 def outcome(func, *args):
     """A call's result, or the type of the error it raised."""
     try:
@@ -488,16 +516,7 @@ class TestCrossingMask:
         # h g h^-1 with h = K(theta) A(t) N(x), drawn like the benchmark's
         # conjugates.  Its Möbius images spread shared endpoints past the
         # angle tolerance: 30 crossing violations in Λ−.
-        raw = json.loads(scene_path("schottky_ab.json").read_text())
-        if conjugator:
-            theta, t, x = conjugator
-            c, s, e = math.cos(theta / 2), math.sin(theta / 2), math.exp(t / 2)
-            h = mul([[c, s], [-s, c]],
-                    mul([[e, 0.0], [0.0, 1 / e]], [[1.0, x], [0.0, 1.0]]))
-            h_inv = [[h[1][1], -h[0][1]], [-h[1][0], h[0][0]]]
-            for gen, m in raw["group"].items():
-                raw["group"][gen] = mul(h, mul(m, h_inv))
-        run = laminate(parse_scene(json.dumps(raw)),
+        run = laminate(schottky_conjugate(conjugator),
                        AxiomParams(horizon=horizon, ball=ball))
         lams = run.laminations
         violations = 0
@@ -509,6 +528,102 @@ class TestCrossingMask:
             lams["+"].leaves, lams["-"].leaves, ANGLE_TOL)
         assert run.intersections.points
         assert (violations > 0) == bool(conjugator)
+
+
+def reference_orbit(scene, juncture, n_range, ball_k):
+    """The scalar loop that ``juncture_orbit`` replaces: each candidate
+    axis is mapped one ``boundary_action`` at a time and offered to a
+    sequential angle set.  Entries as (angle bits, conjugator letters,
+    conjugator matrix, iterate)."""
+    iterates = sorted(set(n_range), reverse=juncture.sign == "+")
+    ball = enumerate_ball(scene.group, ball_k)
+    axes = {}
+    for n, _, conj, core_m in _iterate_cores(
+            scene, juncture, iterates, DEFAULT_MAX_LETTERS, TRACE_TOL):
+        base = axis(core_m)
+        if not conj.is_identity():
+            conj_m = evaluate_word(scene.group, conj)
+            base = Geodesic(boundary_action(conj_m, base.a),
+                            boundary_action(conj_m, base.b))
+        axes[n] = base
+    dedup = SequentialAngleSet(ANGLE_TOL)
+    entries = []
+    for g_word, g_iso in ball:
+        for n in iterates:
+            base = axes[n]
+            geo = base if g_word.is_identity() else Geodesic(
+                boundary_action(g_iso, base.a), boundary_action(g_iso, base.b))
+            if dedup.add(*geo.sorted_angles()):
+                entries.append((geo.a.theta.hex(), geo.b.theta.hex(),
+                                g_word.letters, g_iso.matrix, n))
+    return entries
+
+
+def orbit_entries(family):
+    return [(geo.a.theta.hex(), geo.b.theta.hex(), prov.conjugator.letters,
+             prov.conjugator_isometry.matrix, prov.iterate)
+            for geo, prov in family.entries]
+
+
+class TestOrbitArrays:
+    """``juncture_orbit`` against the scalar loop it replaces, on the
+    shipped scenes and a benchmark-style conjugate."""
+
+    # Kept entries per juncture out of (ball size) x (iterates) candidates;
+    # golden's orbit is almost all repeats.
+    @pytest.mark.parametrize("scene, horizon, ball, kept", [
+        ("schottky_ab", 16, 4, 2857), ((3.3, -0.3, 0.8), 14, 3, 1026),
+        ("golden", 14, 3, 27)])
+    def test_entries_match_scalar_loop(self, scene, horizon, ball, kept,
+                                       monkeypatch):
+        scene = (load_scene(scene_path(f"{scene}.json"))
+                 if isinstance(scene, str) else schottky_conjugate(scene))
+        balls = []
+        monkeypatch.setattr(lamination, "enumerate_ball",
+                            lambda *a, **k: balls.append(
+                                enumerate_ball(*a, **k)) or balls[-1])
+        n_range = range(-horizon, horizon + 1)
+        for juncture in scene.junctures:
+            family = juncture_orbit(scene, juncture, n_range, ball)
+            assert orbit_entries(family) == reference_orbit(
+                scene, juncture, n_range, ball)
+            assert len(family) == kept
+            # Each conjugator is the ball's own isometry, not a copy.
+            own = dict((g.letters, m) for g, m in balls[-1])
+            assert all(prov.conjugator_isometry is own[prov.conjugator.letters]
+                       for _, prov in family.entries)
+
+    def test_every_candidate_is_validated(self, torus_scene, monkeypatch):
+        # Ball row 1 maps the axis to (1, 1 + 2e-9) and every later row to
+        # (1, 1 + 5e-10), whose endpoints coincide.  At angle_tol 1e-3
+        # those repeat row 1, and the orbit is refused all the same.
+        calls = []
+
+        def images(a, b, c, d, points):
+            calls.append(points)
+            out = np.full((len(a), len(points)), 1.0)
+            if len(calls) == 2:
+                out[1], out[2:] = 1.0 + 2e-9, 1.0 + 5e-10
+            return out
+
+        monkeypatch.setattr(lamination, "boundary_images", images)
+        with pytest.raises(ValidationError,
+                           match="geodesic endpoints coincide"):
+            juncture_orbit(torus_scene, torus_scene.junctures[0], [0], 1,
+                           angle_tol=1e-3)
+
+    def test_collapsed_axis_still_refused(self):
+        # inner_b's conjugator squeezes a transported axis below the angle
+        # tolerance: a numeric collapse, reported as before.
+        scene = load_scene(scene_path("inner_b.json"))
+        minus, plus = scene.junctures
+        for orbit in (juncture_orbit, reference_orbit):
+            with pytest.raises(ValidationError,
+                               match="geodesic endpoints coincide"):
+                orbit(scene, minus, range(-12, 13), 3)
+        assert orbit_entries(juncture_orbit(
+            scene, plus, range(-12, 13), 3)) == reference_orbit(
+                scene, plus, range(-12, 13), 3)
 
 
 class TestLaminate:
