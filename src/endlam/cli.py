@@ -67,7 +67,7 @@ def _jsonable(obj, names=None):
         return obj.format(names) if names else list(obj.letters)
     if isinstance(obj, Geodesic):
         return {"a_angle": obj.a.theta, "b_angle": obj.b.theta}
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _jsonable(getattr(obj, f.name), names)

@@ -71,11 +71,13 @@ class JunctureSpec:
 
 
 @dataclass(frozen=True)
-class Provenance:
+class ChainProvenance:
+    """Where one chain of a family comes from: a juncture, its sign and a
+    conjugator (fixed along the chain while the iterate advances)."""
+
     juncture: str
     sign: str
     conjugator: Word
-    iterate: int
     # Evaluated conjugator, kept so chain limits can be transported from
     # the base chain equivariantly (equal endpoints stay equal in floats).
     conjugator_isometry: Isometry | None = None
@@ -84,33 +86,90 @@ class Provenance:
         return (self.juncture, self.sign, self.conjugator.letters)
 
 
-def _distinct(geodesics: list[Geodesic], angle_tol: float) -> list[bool]:
-    """Keep-mask of :func:`first_distinct` over the geodesics in order."""
-    u, v = np.array([g.sorted_angles() for g in geodesics]).reshape(-1, 2).T
-    return first_distinct(u, v, angle_tol).tolist()
+@dataclass(frozen=True)
+class Provenance:
+    """One entry's chain and iterate, as ``GeodesicFamily.entries`` gives
+    them."""
+
+    juncture: str
+    sign: str
+    conjugator: Word
+    iterate: int
+    conjugator_isometry: Isometry | None = None
+
+    def chain_key(self):
+        return (self.juncture, self.sign, self.conjugator.letters)
 
 
-@dataclass
+@dataclass(eq=False)
 class GeodesicFamily:
-    """Deduplicated geodesics with the provenance of each entry."""
+    """Deduplicated geodesics held as arrays, one element per entry.
 
-    entries: list[tuple[Geodesic, Provenance]] = field(default_factory=list)
+    Entry i has endpoint angles ``ta[i]``, ``tb[i]`` (distinct under
+    ``ANGLE_TOL``) and is iterate ``iterate[i]`` of chain
+    ``chains[chain[i]]``.  Chains are numbered in the order their first
+    entries appear, and no two share a chain key.  ``entries`` and
+    ``geodesics()`` build objects from the arrays on demand.
+    """
+
+    ta: np.ndarray
+    tb: np.ndarray
+    chain: np.ndarray
+    iterate: np.ndarray
+    chains: list[ChainProvenance]
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.ta)
 
-    def geodesics(self):
-        return [g for g, _ in self.entries]
+    @property
+    def entries(self) -> list[tuple[Geodesic, Provenance]]:
+        return [(Geodesic.from_checked_angles(a, b),
+                 Provenance(c.juncture, c.sign, c.conjugator, n,
+                            c.conjugator_isometry))
+                for a, b, c, n in zip(self.ta.tolist(), self.tb.tolist(),
+                                      map(self.chains.__getitem__,
+                                          self.chain.tolist()),
+                                      self.iterate.tolist())]
+
+    def geodesics(self) -> list[Geodesic]:
+        return [Geodesic.from_checked_angles(a, b)
+                for a, b in zip(self.ta.tolist(), self.tb.tolist())]
 
     @classmethod
     def merge(cls, families,
               angle_tol: float = ANGLE_TOL) -> "GeodesicFamily":
-        entries = [entry for fam in families for entry in fam.entries]
-        return cls(list(compress(
-            entries, _distinct([g for g, _ in entries], angle_tol))))
+        """The entries of ``families`` in order, kept by
+        :func:`first_distinct` at ``angle_tol``, with chains of equal key
+        joined.  A lone family is returned unchanged: ``juncture_orbit``
+        deduplicated it at the run's ``angle_tol`` already, and
+        ``first_distinct`` keeps every pair of its own output."""
+        families = list(families)
+        if len(families) == 1:
+            return families[0]
+        ta, tb, chain, iterate = (
+            np.concatenate([getattr(fam, name) for fam in families])
+            for name in ("ta", "tb", "chain", "iterate"))
+        offsets = np.cumsum([0] + [len(fam.chains) for fam in families])
+        chain += np.repeat(offsets[:-1], [len(fam) for fam in families])
+        chains = [c for fam in families for c in fam.chains]
+        keep = first_distinct(np.minimum(ta, tb), np.maximum(ta, tb),
+                              angle_tol)
+        chain = chain[keep]
+        # Renumber the chains left in first-appearance order.
+        ids, first = np.unique(chain, return_index=True)
+        numbers: dict[tuple, int] = {}
+        kept: list[ChainProvenance] = []
+        renumber = np.zeros(len(chains), dtype=np.int64)
+        for c in ids[np.argsort(first)].tolist():
+            key = chains[c].chain_key()
+            if key not in numbers:
+                numbers[key] = len(kept)
+                kept.append(chains[c])
+            renumber[c] = numbers[key]
+        return cls(ta[keep], tb[keep], renumber[chain], iterate[keep], kept)
 
     def signs(self):
-        return {prov.sign for _, prov in self.entries}
+        return {c.sign for c in self.chains}
 
 
 def _iterate_cores(scene, juncture: JunctureSpec, iterates,
@@ -155,7 +214,8 @@ def juncture_orbit(scene, juncture: JunctureSpec, n_range=None,
     radius-``ball_k`` ball, the axis of g * phi^n(w) * g^-1 enters the
     family (computed equivariantly as the g-image of the axis of
     phi^n(w)).  Entries are deduplicated keeping first occurrence, with
-    the identity conjugator enumerated first so its chain stays intact.
+    the identity conjugator enumerated first so its chain stays intact,
+    and kept as arrays: no per-entry object is built.
     """
     if n_range is None:
         n_range = range(-DEFAULT_HORIZON, DEFAULT_HORIZON + 1)
@@ -187,19 +247,13 @@ def juncture_orbit(scene, juncture: JunctureSpec, n_range=None,
     ta, tb = ends
     if (angular_gaps(ta, tb) < ANGLE_TOL).any():
         raise ValidationError("geodesic endpoints coincide")
-    family = GeodesicFamily()
     keep = first_distinct(np.minimum(ta, tb), np.maximum(ta, tb), angle_tol)
-    for k, a, b in zip(np.flatnonzero(keep).tolist(), ta[keep].tolist(),
-                       tb[keep].tolist()):
-        g_word, g_iso = ball[k // len(axes)]
-        family.entries.append((Geodesic.from_angles(a, b), Provenance(
-            juncture=juncture.end,
-            sign=juncture.sign,
-            conjugator=g_word,
-            iterate=iterates[k % len(axes)],
-            conjugator_isometry=g_iso,
-        )))
-    return family
+    kept = np.flatnonzero(keep)
+    used, chain = np.unique(kept // len(axes), return_inverse=True)
+    return GeodesicFamily(
+        ta[keep], tb[keep], chain, np.array(iterates)[kept % len(axes)],
+        [ChainProvenance(juncture.end, juncture.sign, *ball[g])
+         for g in used.tolist()])
 
 
 @dataclass
@@ -299,11 +353,6 @@ def _aitken_angle(thetas) -> float:
     return (t2 + correction) % TWO_PI
 
 
-def _chain_gap(g1: Geodesic, g2: Geodesic) -> float:
-    return max(angular_gap(g1.a.theta, g2.a.theta),
-               angular_gap(g1.b.theta, g2.b.theta))
-
-
 def extract_limit_leaves(family: GeodesicFamily,
                          tol: float = DEFAULT_TOL,
                          angle_tol: float = ANGLE_TOL) -> LaminationApprox:
@@ -314,42 +363,47 @@ def extract_limit_leaves(family: GeodesicFamily,
     Constant chains are excluded: their limit is the juncture axis
     itself, and the lamination is the closure minus the family.
     """
-    if len(family.signs()) > 1:
+    signs = family.signs()
+    if len(signs) > 1:
         raise ValidationError("family mixes juncture signs; extract per sign")
 
-    chains: dict[tuple, list[tuple[int, Geodesic]]] = {}
-    chain_meta: dict[tuple, Provenance] = {}
-    for geo, prov in family.entries:
-        chains.setdefault(prov.chain_key(), []).append((prov.iterate, geo))
-        chain_meta.setdefault(prov.chain_key(), prov)
+    # Entries by chain in first-appearance order, and along each chain by
+    # iterate in its convergence direction (descending for "+" junctures).
+    order = np.lexsort((-family.iterate if signs == {"+"}
+                        else family.iterate, family.chain))
+    chain, ta, tb = family.chain[order], family.ta[order], family.tb[order]
+    steps = np.maximum(angular_gaps(ta[:-1], ta[1:]),
+                       angular_gaps(tb[:-1], tb[1:])).tolist()
+    starts = np.flatnonzero(np.diff(chain, prepend=-1)).tolist()
+    chain, ta, tb = chain.tolist(), ta.tolist(), tb.tolist()
+    iterates = family.iterate[order].tolist()
 
     leaves: list[Geodesic] = []
     certificates: list[ChainCertificate] = []
     skipped: list[SkippedChain] = []
     base_limits: dict[tuple, Geodesic] = {}
 
-    for key, items in chains.items():
-        prov = chain_meta[key]
-        items.sort(key=lambda item: item[0], reverse=prov.sign == "+")
-        geos = [geo for _, geo in items]
-        gaps = [_chain_gap(g1, g2) for g1, g2 in zip(geos, geos[1:])]
+    for start, end in zip(starts, starts[1:] + [len(chain)]):
+        prov = family.chains[chain[start]]
+        count = end - start
+        gaps = steps[start:end - 1]
         tail = gaps[-4:]
         base = base_limits.get((prov.juncture, prov.sign))
         transported = not (prov.conjugator.is_identity() or base is None
                            or prov.conjugator_isometry is None)
         ends = None
-        if not transported and len(items) >= 4:
-            ends = (_aitken_angle([g.a.theta for g in geos[-3:]]),
-                    _aitken_angle([g.b.theta for g in geos[-3:]]))
+        if not transported and count >= 4:
+            ends = (_aitken_angle(ta[end - 3:end]),
+                    _aitken_angle(tb[end - 3:end]))
         reason = None
-        if len(items) == 1:
+        if count == 1:
             # Deduplication collapsed the whole chain, either because the
             # substitution fixes this axis (then the limit is the family
             # member itself, which the lamination excludes by definition)
             # or because an earlier chain already carries these axes.
             reason = ("chain collapsed to a single axis; its limit is a "
                       "family member")
-        elif len(items) < 4:
+        elif count < 4:
             reason = "fewer than 4 distinct iterates"
         elif tail[-1] >= tol:
             reason = (f"last gap {tail[-1]:.3e} above tolerance "
@@ -380,10 +434,11 @@ def extract_limit_leaves(family: GeodesicFamily,
             juncture=prov.juncture,
             sign=prov.sign,
             conjugator=prov.conjugator,
-            iterates=tuple(n for n, _ in items),
+            iterates=tuple(iterates[start:end]),
             gaps=tuple(gaps[-8:]),
         ))
-    keep = _distinct(leaves, angle_tol)
+    u, v = np.array([g.sorted_angles() for g in leaves]).reshape(-1, 2).T
+    keep = first_distinct(u, v, angle_tol).tolist()
     return LaminationApprox(leaves=list(compress(leaves, keep)),
                             certificates=list(compress(certificates, keep)),
                             skipped=skipped)

@@ -2,11 +2,29 @@ import math
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from endlam.group import FreeAutomorphism, FuchsianGroup, Word
-from endlam.hyperbolic import ANGLE_TOL_FLOOR, TWO_PI, Isometry, angular_gap
-from endlam.lamination import JunctureSpec
+from endlam.hyperbolic import (
+    ANGLE_TOL,
+    ANGLE_TOL_FLOOR,
+    TWO_PI,
+    Geodesic,
+    Isometry,
+    angular_gap,
+    boundary_action,
+)
+from endlam.lamination import (
+    GAP_FLOOR,
+    ChainCertificate,
+    ChainProvenance,
+    GeodesicFamily,
+    JunctureSpec,
+    LaminationApprox,
+    SkippedChain,
+    _aitken_angle,
+)
 
 TORUS_A = [[4, 0], [0, 0.25]]
 TORUS_B = [[2, 1], [1, 1]]
@@ -150,3 +168,94 @@ def sequential_first_distinct(u, v, tol):
     :class:`SequentialAngleSet` in order."""
     kept = SequentialAngleSet(tol)
     return [kept.add(a, b) for a, b in zip(u, v)]
+
+
+def sorted_first_distinct(geodesics, tol):
+    """:func:`sequential_first_distinct` over the geodesics' sorted
+    endpoint angles."""
+    pairs = [g.sorted_angles() for g in geodesics]
+    return sequential_first_distinct([u for u, _ in pairs],
+                                     [v for _, v in pairs], tol)
+
+
+def family_of(entries):
+    """A GeodesicFamily holding the (Geodesic, Provenance) pairs in order;
+    a chain's record is its first entry's."""
+    numbers, chains, chain = {}, [], []
+    for _, prov in entries:
+        if prov.chain_key() not in numbers:
+            numbers[prov.chain_key()] = len(chains)
+            chains.append(ChainProvenance(prov.juncture, prov.sign,
+                                          prov.conjugator,
+                                          prov.conjugator_isometry))
+        chain.append(numbers[prov.chain_key()])
+    ta, tb = np.array([(g.a.theta, g.b.theta)
+                       for g, _ in entries]).reshape(-1, 2).T
+    return GeodesicFamily(ta, tb, np.array(chain, dtype=np.int64),
+                          np.array([p.iterate for _, p in entries],
+                                   dtype=np.int64), chains)
+
+
+def reference_merge(families, angle_tol=ANGLE_TOL):
+    """Entries of the families concatenated and offered in order to one
+    sequential angle set: the merge before families were arrays."""
+    entries = [entry for fam in families for entry in fam.entries]
+    keep = sorted_first_distinct([g for g, _ in entries], angle_tol)
+    return [entry for entry, kept in zip(entries, keep) if kept]
+
+
+def reference_extract(entries, tol, angle_tol=ANGLE_TOL):
+    """The object-based chain loop of ``extract_limit_leaves`` before
+    families were arrays, over (Geodesic, Provenance) pairs."""
+    chains, chain_meta = {}, {}
+    for geo, prov in entries:
+        chains.setdefault(prov.chain_key(), []).append((prov.iterate, geo))
+        chain_meta.setdefault(prov.chain_key(), prov)
+    leaves, certificates, skipped, base_limits = [], [], [], {}
+    for key, items in chains.items():
+        prov = chain_meta[key]
+        items.sort(key=lambda item: item[0], reverse=prov.sign == "+")
+        geos = [geo for _, geo in items]
+        gaps = [max(angular_gap(g1.a.theta, g2.a.theta),
+                    angular_gap(g1.b.theta, g2.b.theta))
+                for g1, g2 in zip(geos, geos[1:])]
+        tail = gaps[-4:]
+        base = base_limits.get((prov.juncture, prov.sign))
+        transported = not (prov.conjugator.is_identity() or base is None
+                           or prov.conjugator_isometry is None)
+        ends = None
+        if not transported and len(items) >= 4:
+            ends = (_aitken_angle([g.a.theta for g in geos[-3:]]),
+                    _aitken_angle([g.b.theta for g in geos[-3:]]))
+        reason = None
+        if len(items) == 1:
+            reason = ("chain collapsed to a single axis; its limit is a "
+                      "family member")
+        elif len(items) < 4:
+            reason = "fewer than 4 distinct iterates"
+        elif tail[-1] >= tol:
+            reason = f"last gap {tail[-1]:.3e} above tolerance {tol:.1e}"
+        elif not all(b < a or b < GAP_FLOOR for a, b in zip(tail, tail[1:])):
+            reason = "endpoint gaps not decreasing"
+        elif ends and angular_gap(*ends) < angle_tol:
+            reason = "chain collapses toward a single boundary point"
+        if reason is not None:
+            skipped.append(SkippedChain(prov.juncture, prov.sign,
+                                        prov.conjugator, reason))
+            continue
+        if transported:
+            limit = Geodesic(
+                boundary_action(prov.conjugator_isometry, base.a),
+                boundary_action(prov.conjugator_isometry, base.b))
+        else:
+            limit = Geodesic.from_angles(*ends)
+            if prov.conjugator.is_identity():
+                base_limits[(prov.juncture, prov.sign)] = limit
+        leaves.append(limit)
+        certificates.append(ChainCertificate(
+            prov.juncture, prov.sign, prov.conjugator,
+            tuple(n for n, _ in items), tuple(gaps[-8:])))
+    keep = sorted_first_distinct(leaves, angle_tol)
+    return LaminationApprox(
+        [g for g, k in zip(leaves, keep) if k],
+        [c for c, k in zip(certificates, keep) if k], skipped)

@@ -76,6 +76,20 @@ class TestExitCodes:
         assert "no markov block" in capsys.readouterr().err
 
 
+class TestJson:
+    def test_numpy_scalars_written_as_python_values(self, tmp_path, capsys):
+        # A stray numpy scalar in a report writes the bytes of the Python
+        # value instead of failing the run with exit 3.
+        for name, row in (("numpy", lamination.EscapeRow(
+                np.int64(-3), np.int64(7), np.float64(0.1))),
+                          ("python", lamination.EscapeRow(-3, 7, 0.1))):
+            cli._write_json(tmp_path / f"{name}.json", {"rows": [row]})
+        assert ((tmp_path / "numpy.json").read_bytes()
+                == (tmp_path / "python.json").read_bytes())
+        assert json.loads((tmp_path / "numpy.json").read_text()) == {
+            "rows": [{"iterate": -3, "word_length": 7, "length": 0.1}]}
+
+
 class TestLimitSet:
     def test_writes_svg_and_json(self, schottky, tmp_path, capsys):
         out = tmp_path / "limits.svg"

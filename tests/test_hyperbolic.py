@@ -2,6 +2,7 @@ import math
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -518,3 +519,14 @@ class TestFirstDistinct:
         for rows in (4, hyperbolic._DEDUP_ROWS):
             with mock.patch.object(hyperbolic, "_DEDUP_ROWS", rows):
                 assert first_distinct(u, v, tol).tolist() == expected
+
+    @settings(max_examples=400, deadline=None)
+    @given(angle_pairs())
+    def test_keeps_all_of_its_own_output(self, case):
+        # Each kept pair is clear of every earlier kept pair, so a second
+        # pass at the same tol keeps them all: why GeodesicFamily.merge
+        # returns a lone, already deduplicated family unchanged.
+        tol, u, v = case
+        keep = first_distinct(u, v, tol)
+        assert first_distinct(np.asarray(u, dtype=float)[keep],
+                              np.asarray(v, dtype=float)[keep], tol).all()

@@ -35,6 +35,7 @@ from endlam.hyperbolic import (
 )
 from endlam import lamination
 from endlam.lamination import (
+    DEFAULT_TOL,
     AxiomParams,
     CrossingViolation,
     GeodesicFamily,
@@ -59,10 +60,13 @@ from conftest import (
     TORUS_B,
     exact_translation_length,
     exact_word_matrix,
+    family_of,
     frac_inverse,
     frac_matrix,
     make_scene,
     quadratic_axis_oracle,
+    reference_extract,
+    reference_merge,
     SequentialAngleSet,
 )
 
@@ -293,7 +297,7 @@ class TestExtract:
 
         # Endpoints 2 +- 2^-n: both sides converge on angle 2.
         pinch = [(2.0 - 0.5 ** n, 2.0 + 0.5 ** n) for n in range(22)]
-        fam = GeodesicFamily(
+        fam = family_of(
             chain((), [(1.0, 3.0)])
             + chain((1,), steps([0.1, 0.1]))
             + chain((2,), steps([0.1] * 4))
@@ -624,6 +628,107 @@ class TestOrbitArrays:
         assert orbit_entries(juncture_orbit(
             scene, plus, range(-12, 13), 3)) == reference_orbit(
                 scene, plus, range(-12, 13), 3)
+
+
+def entry_bits(entries):
+    # Entries of chains joined by a merge share the first one's isometry
+    # object, so isometries compare by matrix.
+    return [(geo.a.theta.hex(), geo.b.theta.hex(), prov.chain_key(),
+             prov.iterate, prov.conjugator_isometry.matrix)
+            for geo, prov in entries]
+
+
+def assert_same_extraction(lam, ref):
+    """Equal leaves (angle bits), certificates and skipped chains, in the
+    same order, holding Python scalars only."""
+    assert [(g.a.theta.hex(), g.b.theta.hex()) for g in lam.leaves] == [
+        (g.a.theta.hex(), g.b.theta.hex()) for g in ref.leaves]
+    assert lam.certificates == ref.certificates
+    assert [[x.hex() for x in c.gaps] for c in lam.certificates] == [
+        [x.hex() for x in c.gaps] for c in ref.certificates]
+    for cert in lam.certificates:
+        assert {type(n) for n in cert.iterates} == {int}
+        assert {type(x) for x in cert.gaps} <= {float}
+    assert lam.skipped == ref.skipped
+
+
+def two_juncture_families(scene):
+    """Three minus-juncture orbits of the torus scene: one juncture split
+    at iterate 0 (equal chain keys on both sides, iterate 0 in each) and a
+    second juncture a b = phi(a), whose axes repeat the first one's."""
+    j = scene.junctures[0]
+    other = JunctureSpec("f-", "-", scene.group.word("a b"))
+    return [juncture_orbit(scene, j, range(-10, 1), 2),
+            juncture_orbit(scene, j, range(0, 11), 2),
+            juncture_orbit(scene, other, range(-10, 11), 2)]
+
+
+class TestExtractArrays:
+    """``merge`` and ``extract_limit_leaves`` on array families against
+    the object-based loops they replace (``tests/conftest.py``)."""
+
+    @pytest.mark.parametrize("scene, horizon, ball", [
+        ("schottky_ab", 16, 4), ((3.3, -0.3, 0.8), 14, 3),
+        ("golden", 14, 3)])
+    def test_matches_object_loop(self, scene, horizon, ball):
+        scene = (load_scene(scene_path(f"{scene}.json"))
+                 if isinstance(scene, str) else schottky_conjugate(scene))
+        run = laminate(scene, AxiomParams(horizon=horizon, ball=ball))
+        for lam_sign, juncture_sign in (("+", "-"), ("-", "+")):
+            families = [fam for j, fam in run.families
+                        if j.sign == juncture_sign]
+            if not families:
+                assert lam_sign not in run.laminations
+                continue
+            assert_same_extraction(run.laminations[lam_sign],
+                                   reference_extract(
+                                       reference_merge(families),
+                                       DEFAULT_TOL))
+
+    def test_merged_family_matches_object_loop(self, torus_scene):
+        families = two_juncture_families(torus_scene)
+        merged = GeodesicFamily.merge(families)
+        assert len(merged.chains) < sum(len(f.chains) for f in families)
+        # A joined chain keeps the record of its first appearance.
+        first = {c.chain_key(): c for fam in reversed(families)
+                 for c in fam.chains}
+        assert all(c is first[c.chain_key()] for c in merged.chains)
+        lam = extract_limit_leaves(merged)
+        assert lam.leaves and lam.skipped
+        assert_same_extraction(lam, reference_extract(
+            reference_merge(families), DEFAULT_TOL))
+
+    @pytest.mark.parametrize("count", [2, 3])
+    @pytest.mark.parametrize("angle_tol", [ANGLE_TOL, 1e-3])
+    def test_merge_matches_concatenated_dedup(self, torus_scene, count,
+                                              angle_tol):
+        families = two_juncture_families(torus_scene)[:count]
+        merged = GeodesicFamily.merge(families, angle_tol)
+        assert entry_bits(merged.entries) == entry_bits(
+            reference_merge(families, angle_tol))
+
+    def test_merge_orders_chains_by_first_kept_entry(self):
+        # Chain (1,)'s first entry repeats chain ()'s and is dropped, so
+        # chain (2,) appears before it; extraction visits them so too.
+        def entry(letters, n, a):
+            return (Geodesic.from_angles(a, a + 1.0),
+                    Provenance("e-", "-", Word(letters), n))
+
+        families = [family_of([entry((), 0, 1.0)]),
+                    family_of([entry((1,), 0, 1.0), entry((2,), 0, 2.0),
+                               entry((1,), 1, 3.0)])]
+        merged = GeodesicFamily.merge(families)
+        assert [c.conjugator.letters for c in merged.chains] == [
+            (), (2,), (1,)]
+        assert_same_extraction(extract_limit_leaves(merged),
+                               reference_extract(reference_merge(families),
+                                                 DEFAULT_TOL))
+
+    def test_lone_family_returned_unchanged(self, torus_scene):
+        family = two_juncture_families(torus_scene)[0]
+        assert GeodesicFamily.merge([family]) is family
+        assert entry_bits(family.entries) == entry_bits(
+            reference_merge([family]))
 
 
 class TestLaminate:
