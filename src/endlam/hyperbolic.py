@@ -338,16 +338,6 @@ class Geodesic:
     def from_angles(cls, ta: float, tb: float) -> "Geodesic":
         return cls(IdealPoint(ta), IdealPoint(tb))
 
-    @classmethod
-    def from_checked_angles(cls, ta: float, tb: float) -> "Geodesic":
-        """From two angles whose endpoints a batch check (``angular_gaps``
-        against ``ANGLE_TOL``) already found distinct; the per-object
-        check is not repeated."""
-        geo = object.__new__(cls)
-        object.__setattr__(geo, "a", IdealPoint(ta))
-        object.__setattr__(geo, "b", IdealPoint(tb))
-        return geo
-
     def sorted_angles(self) -> tuple[float, float]:
         ta, tb = self.a.theta, self.b.theta
         return (ta, tb) if ta <= tb else (tb, ta)

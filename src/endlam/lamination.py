@@ -80,59 +80,52 @@ class ChainProvenance:
     conjugator: Word
     # Evaluated conjugator, kept so chain limits can be transported from
     # the base chain equivariantly (equal endpoints stay equal in floats).
-    conjugator_isometry: Isometry | None = None
+    conjugator_isometry: Isometry | None = field(default=None, kw_only=True)
 
     def chain_key(self):
         return (self.juncture, self.sign, self.conjugator.letters)
 
 
 @dataclass(frozen=True)
-class Provenance:
+class Provenance(ChainProvenance):
     """One entry's chain and iterate, as ``GeodesicFamily.entries`` gives
     them."""
 
-    juncture: str
-    sign: str
-    conjugator: Word
     iterate: int
-    conjugator_isometry: Isometry | None = None
-
-    def chain_key(self):
-        return (self.juncture, self.sign, self.conjugator.letters)
 
 
 @dataclass(eq=False)
 class GeodesicFamily:
     """Deduplicated geodesics held as arrays, one element per entry.
 
-    Entry i has endpoint angles ``ta[i]``, ``tb[i]`` (distinct under
-    ``ANGLE_TOL``) and is iterate ``iterate[i]`` of chain
-    ``chains[chain[i]]``.  Chains are numbered in the order their first
-    entries appear, and no two share a chain key.  ``entries`` and
-    ``geodesics()`` build objects from the arrays on demand.
+    Entry i has endpoint angles ``ta[i]``, ``tb[i]`` and is iterate
+    ``iterate[i]`` of chain ``chains[chain[i]]``.  Chains are numbered in
+    the order their first entries appear, and no two share a chain key.
+    ``angle_tol`` is the tolerance the entries were deduplicated at, or
+    None when that is not known.  ``entries`` and ``geodesics()`` build
+    (checked) objects from the arrays on demand.
     """
 
-    ta: np.ndarray
-    tb: np.ndarray
-    chain: np.ndarray
-    iterate: np.ndarray
-    chains: list[ChainProvenance]
+    ta: np.ndarray = field(default_factory=lambda: np.empty(0))
+    tb: np.ndarray = field(default_factory=lambda: np.empty(0))
+    chain: np.ndarray = field(default_factory=lambda: np.empty(0, int))
+    iterate: np.ndarray = field(default_factory=lambda: np.empty(0, int))
+    chains: list[ChainProvenance] = field(default_factory=list)
+    angle_tol: float | None = None
 
     def __len__(self):
         return len(self.ta)
 
     @property
     def entries(self) -> list[tuple[Geodesic, Provenance]]:
-        return [(Geodesic.from_checked_angles(a, b),
-                 Provenance(c.juncture, c.sign, c.conjugator, n,
-                            c.conjugator_isometry))
+        return [(Geodesic.from_angles(a, b), Provenance(**vars(c), iterate=n))
                 for a, b, c, n in zip(self.ta.tolist(), self.tb.tolist(),
                                       map(self.chains.__getitem__,
                                           self.chain.tolist()),
                                       self.iterate.tolist())]
 
     def geodesics(self) -> list[Geodesic]:
-        return [Geodesic.from_checked_angles(a, b)
+        return [Geodesic.from_angles(a, b)
                 for a, b in zip(self.ta.tolist(), self.tb.tolist())]
 
     @classmethod
@@ -140,12 +133,14 @@ class GeodesicFamily:
               angle_tol: float = ANGLE_TOL) -> "GeodesicFamily":
         """The entries of ``families`` in order, kept by
         :func:`first_distinct` at ``angle_tol``, with chains of equal key
-        joined.  A lone family is returned unchanged: ``juncture_orbit``
-        deduplicated it at the run's ``angle_tol`` already, and
+        joined.  A lone family already deduplicated at ``angle_tol`` (as
+        ``juncture_orbit`` leaves it) is returned unchanged:
         ``first_distinct`` keeps every pair of its own output."""
         families = list(families)
-        if len(families) == 1:
+        if len(families) == 1 and families[0].angle_tol == angle_tol:
             return families[0]
+        if not families:
+            return cls(angle_tol=angle_tol)
         ta, tb, chain, iterate = (
             np.concatenate([getattr(fam, name) for fam in families])
             for name in ("ta", "tb", "chain", "iterate"))
@@ -166,7 +161,8 @@ class GeodesicFamily:
                 numbers[key] = len(kept)
                 kept.append(chains[c])
             renumber[c] = numbers[key]
-        return cls(ta[keep], tb[keep], renumber[chain], iterate[keep], kept)
+        return cls(ta[keep], tb[keep], renumber[chain], iterate[keep], kept,
+                   angle_tol)
 
     def signs(self):
         return {c.sign for c in self.chains}
@@ -252,8 +248,9 @@ def juncture_orbit(scene, juncture: JunctureSpec, n_range=None,
     used, chain = np.unique(kept // len(axes), return_inverse=True)
     return GeodesicFamily(
         ta[keep], tb[keep], chain, np.array(iterates)[kept % len(axes)],
-        [ChainProvenance(juncture.end, juncture.sign, *ball[g])
-         for g in used.tolist()])
+        [ChainProvenance(juncture.end, juncture.sign, word,
+                         conjugator_isometry=g_m)
+         for word, g_m in map(ball.__getitem__, used.tolist())], angle_tol)
 
 
 @dataclass

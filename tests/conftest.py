@@ -185,9 +185,9 @@ def family_of(entries):
     for _, prov in entries:
         if prov.chain_key() not in numbers:
             numbers[prov.chain_key()] = len(chains)
-            chains.append(ChainProvenance(prov.juncture, prov.sign,
-                                          prov.conjugator,
-                                          prov.conjugator_isometry))
+            chains.append(ChainProvenance(
+                prov.juncture, prov.sign, prov.conjugator,
+                conjugator_isometry=prov.conjugator_isometry))
         chain.append(numbers[prov.chain_key()])
     ta, tb = np.array([(g.a.theta, g.b.theta)
                        for g, _ in entries]).reshape(-1, 2).T

@@ -730,6 +730,38 @@ class TestExtractArrays:
         assert entry_bits(family.entries) == entry_bits(
             reference_merge([family]))
 
+    def test_lone_family_at_another_tol_deduplicated(self, torus_scene):
+        family = two_juncture_families(torus_scene)[0]
+        merged = GeodesicFamily.merge([family], 1e-2)
+        assert merged.angle_tol == 1e-2
+        assert len(merged) < len(family)
+        assert entry_bits(merged.entries) == entry_bits(
+            reference_merge([family], 1e-2))
+
+    def test_lone_family_of_unknown_tol_deduplicated(self):
+        pairs = [(Geodesic.from_angles(a, 3.0),
+                  Provenance("e-", "-", Word(()), n))
+                 for n, a in enumerate([1.0, 2.0, 1.0 + 1e-10])]
+        family = family_of(pairs)
+        assert family.angle_tol is None
+        merged = GeodesicFamily.merge([family])
+        assert [p.iterate for _, p in merged.entries] == [0, 1]
+
+    def test_empty_family(self):
+        for family in (GeodesicFamily(), GeodesicFamily.merge([])):
+            assert len(family) == 0 and family.entries == []
+            lam = extract_limit_leaves(family)
+            assert (lam.leaves, lam.certificates, lam.skipped) == ([], [], [])
+
+    def test_objects_keep_the_endpoint_check(self):
+        family = family_of([(Geodesic.from_angles(1.0, 2.0),
+                             Provenance("e-", "-", Word(()), 0))])
+        family.tb[0] = 1.0
+        for build in (lambda: family.entries, family.geodesics):
+            with pytest.raises(ValidationError,
+                               match="geodesic endpoints coincide"):
+                build()
+
 
 class TestLaminate:
     def test_matches_orbit_then_extract(self, torus_scene):
