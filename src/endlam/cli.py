@@ -3,7 +3,10 @@
 Exit codes: 0 success, 1 validation problem (bad usage, bad scene, bad
 flags), 2 budget, convergence or numeric-breakdown flags, 3 internal
 error.  Human-readable reports go to stdout; ``--json PATH`` additionally
-writes the structured report, field for field.
+writes the structured report, field for field: the bytes
+``json.dumps(report, indent=2)`` writes plus a newline, so non-ASCII text
+is written as ASCII escapes, floats as Python's ``repr``, and NaN and
+infinities as ``NaN``, ``Infinity`` and ``-Infinity``.
 """
 
 from __future__ import annotations
@@ -11,7 +14,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -62,30 +67,118 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
-def _jsonable(obj, names=None):
-    if isinstance(obj, Word):
-        return obj.format(names) if names else list(obj.letters)
-    if isinstance(obj, Geodesic):
-        return {"a_angle": obj.a.theta, "b_angle": obj.b.theta}
-    if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name), names)
-                for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v, names) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x, names) for x in obj]
-    return obj
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+# How json.dumps spells each type it writes as it is; exact types only, so
+# that a subclass (np.float64 is one of float) takes the converting path.
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+_SCALAR_TYPES = frozenset(_SCALAR_TEXT)
+
+
+class _ReportText:
+    """The text of ``json.dumps(report, indent=2)``, where the report is
+    the payload with its result objects replaced by JSON values, built in
+    one walk over the payload.
+
+    A ``Word`` becomes its spelling in ``names`` (its letters without
+    names), a ``Geodesic`` its ``a_angle``/``b_angle``, numpy values their
+    ``tolist()``, a dataclass the dict of its fields, dict keys ``str(k)``
+    and tuples lists; the types are tried in that order.  A list or dict
+    whose members are all scalars goes to json's C encoder in one call.
+    """
+
+    def __init__(self, names=None):
+        self.names = names
+        self._fields = {}   # type -> its dataclass field names, or None
+        self._flat = {}     # depth -> encoder of flat containers there
+
+    def text(self, obj, depth=0) -> str:
+        """``obj`` as JSON whose members are indented to ``depth + 1``."""
+        kind = type(obj)
+        scalar = _SCALAR_TEXT.get(kind)
+        if scalar is not None:
+            return scalar(obj)
+        if isinstance(obj, Word):
+            return self.text(obj.format(self.names) if self.names
+                             else list(obj.letters), depth)
+        if isinstance(obj, Geodesic):
+            return self._mapping({"a_angle": obj.a.theta,
+                                  "b_angle": obj.b.theta}, depth)
+        if isinstance(obj, (np.ndarray, np.generic)):
+            return self.text(obj.tolist(), depth)
+        if kind not in self._fields:
+            self._fields[kind] = (
+                tuple(f.name for f in dataclasses.fields(kind))
+                if dataclasses.is_dataclass(kind) else None)
+        if self._fields[kind] is not None:
+            return self._mapping({name: getattr(obj, name)
+                                  for name in self._fields[kind]}, depth)
+        if isinstance(obj, dict):
+            if not all(type(k) is str for k in obj):
+                obj = {str(k): v for k, v in obj.items()}
+            return self._mapping(obj, depth)
+        if isinstance(obj, (list, tuple)):
+            if not obj:
+                return "[]"
+            if _SCALAR_TYPES.issuperset(map(type, obj)):
+                return self._flat_text(obj, depth)
+            pad = "\n" + "  " * (depth + 1)
+            return ("[" + pad
+                    + ("," + pad).join([self.text(x, depth + 1) for x in obj])
+                    + "\n" + "  " * depth + "]")
+        raise TypeError(f"Object of type {kind.__name__} "
+                        f"is not JSON serializable")
+
+    def _mapping(self, obj: dict, depth) -> str:
+        """``obj`` has str keys only."""
+        if not obj:
+            return "{}"
+        if _SCALAR_TYPES.issuperset(map(type, obj.values())):
+            return self._flat_text(obj, depth)
+        pad = "\n" + "  " * (depth + 1)
+        return ("{" + pad
+                + ("," + pad).join([encode_basestring_ascii(k) + ": "
+                                    + self.text(v, depth + 1)
+                                    for k, v in obj.items()])
+                + "\n" + "  " * depth + "}")
+
+    def _flat_text(self, obj, depth) -> str:
+        # Without indent json's C encoder writes each member after the item
+        # separator, so "," plus the line break and indent of the members
+        # gives the indent=2 layout once the brackets get theirs.
+        encoder = self._flat.get(depth)
+        if encoder is None:
+            encoder = self._flat[depth] = json.JSONEncoder(
+                separators=(",\n" + "  " * (depth + 1), ": "))
+        text = encoder.encode(obj)
+        return (text[0] + "\n" + "  " * (depth + 1) + text[1:-1]
+                + "\n" + "  " * depth + text[-1])
 
 
 def _write(path, text) -> None:
-    Path(path).write_text(text, encoding="utf-8")
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror}") from exc
     print(f"wrote {path}")
 
 
 def _write_json(path, payload, names=None) -> None:
-    _write(path, json.dumps(_jsonable(payload, names), indent=2) + "\n")
+    _write(path, _ReportText(names).text(payload) + "\n")
 
 
 # Help text of the flag of each AxiomParams field, in help order.  A flag

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 from fractions import Fraction
 from types import SimpleNamespace
@@ -25,6 +27,7 @@ from endlam.lamination import (
     SkippedChain,
     _aitken_angle,
 )
+from endlam.scene import scene_path
 
 TORUS_A = [[4, 0], [0, 0.25]]
 TORUS_B = [[2, 1], [1, 1]]
@@ -259,3 +262,50 @@ def reference_extract(entries, tol, angle_tol=ANGLE_TOL):
     return LaminationApprox(
         [g for g, k in zip(leaves, keep) if k],
         [c for c, k in zip(certificates, keep) if k], skipped)
+
+
+def reference_jsonable(obj, names=None):
+    """Reference for the ``--json`` writer: the payload as JSON values,
+    converted node by node; ``json.dumps`` of this tree with ``indent=2``
+    is the text the writer must build in one walk."""
+    if isinstance(obj, Word):
+        return obj.format(names) if names else list(obj.letters)
+    if isinstance(obj, Geodesic):
+        return {"a_angle": obj.a.theta, "b_angle": obj.b.theta}
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: reference_jsonable(getattr(obj, f.name), names)
+                for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): reference_jsonable(v, names) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [reference_jsonable(x, names) for x in obj]
+    return obj
+
+
+def reference_json_text(payload, names=None) -> str:
+    """What ``--json`` must write for ``payload``."""
+    return json.dumps(reference_jsonable(payload, names), indent=2) + "\n"
+
+
+def _mul(x, y):
+    return [[sum(x[i][k] * y[k][j] for k in range(2)) for j in range(2)]
+            for i in range(2)]
+
+
+def schottky_conjugate_data(conjugator):
+    """The scene file data of schottky_ab with every generator g replaced
+    by h g h^-1, where h = K(theta) A(t) N(x) for ``conjugator`` =
+    (theta, t, x), drawn like the benchmark's conjugates; the scene itself
+    for None."""
+    raw = json.loads(scene_path("schottky_ab.json").read_text())
+    if conjugator:
+        theta, t, x = conjugator
+        c, s, e = math.cos(theta / 2), math.sin(theta / 2), math.exp(t / 2)
+        h = _mul([[c, s], [-s, c]],
+                 _mul([[e, 0.0], [0.0, 1 / e]], [[1.0, x], [0.0, 1.0]]))
+        h_inv = [[h[1][1], -h[0][1]], [-h[1][0], h[0][0]]]
+        for gen, m in raw["group"].items():
+            raw["group"][gen] = _mul(h, _mul(m, h_inv))
+    return raw

@@ -1,14 +1,24 @@
+import contextlib
+import io
 import json
 import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from endlam import cli, hyperbolic, lamination, markov
 from endlam.cli import run_command
 from endlam.errors import NumericDegeneracyError
+from endlam.group import Word
+from endlam.hyperbolic import Geodesic
 from endlam.markov import PerronData
 from endlam.scene import load_scene, scene_path
+
+from conftest import reference_json_text, schottky_conjugate_data
 
 
 @pytest.fixture
@@ -88,6 +98,138 @@ class TestJson:
                 == (tmp_path / "python.json").read_bytes())
         assert json.loads((tmp_path / "numpy.json").read_text()) == {
             "rows": [{"iterate": -3, "word_length": 7, "length": 0.1}]}
+
+
+
+# Reports drawn for the writer: every kind of value ``--json`` is handed.
+_ints = st.one_of(st.integers(-10, 10), st.integers(-2 ** 80, 2 ** 80))
+_floats = st.one_of(st.floats(), st.sampled_from(
+    [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 0.1, 1e300]))
+_python_scalars = st.one_of(st.none(), st.booleans(), _ints, _floats,
+                            st.text(max_size=8),
+                            st.sampled_from(['"', "\\", "\n\t\x00\x1f",
+                                             "\u00e9\u03bb\U0001d11e"]))
+_numpy_scalars = st.one_of(st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+                           _floats.map(np.float64),
+                           st.booleans().map(np.bool_))
+_numbers = st.one_of(_ints, _floats, _numpy_scalars)
+_arrays = hnp.arrays(st.sampled_from([np.int64, np.float64, np.bool_]),
+                     hnp.array_shapes(min_dims=1, max_dims=2, min_side=0,
+                                      max_side=4))
+_words = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=6).map(
+    lambda letters: Word(tuple(letters)))
+_geodesics = st.builds(lambda a, gap: Geodesic.from_angles(a, a + gap),
+                       st.floats(0.0, 6.28), st.floats(0.01, 6.2))
+_records = st.one_of(
+    st.builds(lamination.EscapeRow, _numbers, _numbers, _numbers),
+    st.builds(lamination.IntersectionRecord, _numbers, _numbers, _numbers,
+              _numbers),
+    st.builds(lamination.ChainCertificate, st.text(max_size=3),
+              st.sampled_from(["+", "-"]), _words,
+              st.lists(_numbers, max_size=5).map(tuple),
+              st.lists(_numbers, max_size=5).map(tuple)),
+    st.builds(lamination.CrossingViolation, _numbers, _numbers, _geodesics,
+              _geodesics),
+)
+_reports = st.recursive(
+    st.one_of(_python_scalars, _numpy_scalars, _arrays, _words, _geodesics,
+              _records),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=4), st.integers(-3, 3)),
+                        inner, max_size=4)),
+    max_leaves=30)
+
+
+def _written(payload, names):
+    """The bytes ``cli._write_json`` writes for ``payload``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "report.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli._write_json(path, payload, names)
+        return path.read_bytes()
+
+
+class TestJsonText:
+    """The one-walk ``--json`` writer against ``json.dumps`` of the
+    reference conversion (``tests/conftest.py``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(report=_reports,
+           names=st.sampled_from([None, (), ("a", "b"), ("x\u00e9", "y")]))
+    def test_bytes_of_json_dumps(self, report, names):
+        assert _written(report, names) == \
+            reference_json_text(report, names).encode()
+
+    def test_colliding_keys_keep_the_last_value(self):
+        report = {1: "int", "1": "str", True: ["a", {2: None}]}
+        assert _written(report, None) == reference_json_text(report).encode()
+
+    def test_unknown_type_refused(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            _written({"x": [object()]}, None)
+
+
+def _conjugate_file(tmp_path):
+    path = tmp_path / "conjugate.json"
+    path.write_text(json.dumps(schottky_conjugate_data((3.3, -0.3, 0.8))))
+    return path
+
+
+class TestEveryJsonCommand:
+    """Each ``--json`` command writes the reference encoding of the payload
+    it hands to ``_write_json``."""
+
+    @pytest.mark.parametrize("argv, scene", [
+        (["laminate", "{}", "--horizon", "20", "--ball", "5"], "schottky"),
+        (["laminate", "{}", "--horizon", "20", "--ball", "5"], "conjugate"),
+        (["axioms", "{}"], "schottky"),
+        (["axioms", "{}"], "golden"),
+        (["limit-set", "{}", "--depth", "6"], "schottky"),
+        (["escape", "{}", "--horizon", "20"], "schottky"),
+        (["markov", "verify", "{}"], "golden"),
+        (["markov", "entropy", "{}"], "golden"),
+        (["markov", "measure", "{}"], "golden"),
+        (["markov", "words", "{}", "-m", "5", "--list-words"], "golden"),
+    ])
+    def test_written_bytes(self, argv, scene, schottky, golden, tmp_path,
+                           monkeypatch, capsys):
+        scenes = {"schottky": schottky, "golden": golden,
+                  "conjugate": _conjugate_file(tmp_path)}
+        calls = []
+        original = cli._write_json
+
+        def recording(path, payload, names=None):
+            calls.append((path, payload, names))
+            original(path, payload, names)
+
+        monkeypatch.setattr(cli, "_write_json", recording)
+        report = tmp_path / "report.json"
+        argv = [a.format(scenes[scene]) for a in argv]
+        assert run_command(argv + ["--json", str(report)]) == 0
+        [(path, payload, names)] = calls
+        assert Path(path) == report
+        assert report.read_bytes() == \
+            reference_json_text(payload, names).encode()
+        if argv[0] == "axioms" and scene == "golden":
+            assert payload["intersections"] is None
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("argv", [
+        ["laminate", "{scene}", "--horizon", "4", "--ball", "1",
+         "--json", "{path}"],
+        ["limit-set", "{scene}", "--depth", "2", "--out", "{path}"],
+        ["render", "{scene}", "--out", "{path}"],
+    ])
+    def test_validation_error(self, argv, golden, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.out"
+        code = run_command([a.format(scene=golden, path=path) for a in argv])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            f"error: cannot write {path}: No such file or directory\n"
+        assert not path.parent.exists()
 
 
 class TestLimitSet:

@@ -67,6 +67,7 @@ from conftest import (
     quadratic_axis_oracle,
     reference_extract,
     reference_merge,
+    schottky_conjugate_data,
     SequentialAngleSet,
 )
 
@@ -417,25 +418,9 @@ def reference_intersections(plus, minus, tol):
         [j for j in range(len(minus)) if j not in met_minus])
 
 
-def mul(x, y):
-    return [[sum(x[i][k] * y[k][j] for k in range(2)) for j in range(2)]
-            for i in range(2)]
-
-
 def schottky_conjugate(conjugator):
-    """schottky_ab with every generator g replaced by h g h^-1, where
-    h = K(theta) A(t) N(x) for ``conjugator`` = (theta, t, x), drawn like
-    the benchmark's conjugates; the scene itself for None."""
-    raw = json.loads(scene_path("schottky_ab.json").read_text())
-    if conjugator:
-        theta, t, x = conjugator
-        c, s, e = math.cos(theta / 2), math.sin(theta / 2), math.exp(t / 2)
-        h = mul([[c, s], [-s, c]],
-                mul([[e, 0.0], [0.0, 1 / e]], [[1.0, x], [0.0, 1.0]]))
-        h_inv = [[h[1][1], -h[0][1]], [-h[1][0], h[0][0]]]
-        for gen, m in raw["group"].items():
-            raw["group"][gen] = mul(h, mul(m, h_inv))
-    return parse_scene(json.dumps(raw))
+    """schottky_ab conjugated as ``schottky_conjugate_data`` draws it."""
+    return parse_scene(json.dumps(schottky_conjugate_data(conjugator)))
 
 
 def outcome(func, *args):
