@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import math
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -175,6 +177,21 @@ def _write(path, text) -> None:
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc.strerror}") from exc
     print(f"wrote {path}")
+
+
+def _check_output(path) -> None:
+    """Refuse, before the run, a path ``_write`` cannot write: its parent
+    must be a writable directory, and it must not be a directory itself."""
+    target = Path(path)
+    if target.is_dir():
+        code = errno.EISDIR
+    elif not target.parent.is_dir():
+        code = errno.ENOTDIR if target.parent.exists() else errno.ENOENT
+    elif not os.access(target.parent, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ValidationError(f"cannot write {path}: {os.strerror(code)}")
 
 
 def _write_json(path, payload, names=None) -> None:
@@ -520,6 +537,10 @@ def run_command(argv) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_VALIDATION
     try:
+        for path in (getattr(args, "out", None),
+                     getattr(args, "json_path", None)):
+            if path:
+                _check_output(path)
         return args.func(args)
     except (BudgetExceededError, ConvergenceError,
             NumericDegeneracyError) as exc:

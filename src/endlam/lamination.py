@@ -72,18 +72,20 @@ class JunctureSpec:
 
 @dataclass(frozen=True)
 class ChainProvenance:
-    """Where one chain of a family comes from: a juncture, its sign and a
+    """Where one chain of a family comes from: a juncture component and a
     conjugator (fixed along the chain while the iterate advances)."""
 
-    juncture: str
-    sign: str
+    juncture: JunctureSpec
     conjugator: Word
     # Evaluated conjugator, kept so chain limits can be transported from
     # the base chain equivariantly (equal endpoints stay equal in floats).
     conjugator_isometry: Isometry | None = field(default=None, kw_only=True)
 
     def chain_key(self):
-        return (self.juncture, self.sign, self.conjugator.letters)
+        # Nothing in endlam reads this: the benchmark tracer
+        # (perfbench/spans.py) counts a family's chains as the distinct
+        # keys of its entries.
+        return (self.juncture, self.conjugator.letters)
 
 
 @dataclass(frozen=True)
@@ -100,7 +102,7 @@ class GeodesicFamily:
 
     Entry i has endpoint angles ``ta[i]``, ``tb[i]`` and is iterate
     ``iterate[i]`` of chain ``chains[chain[i]]``.  Chains are numbered in
-    the order their first entries appear, and no two share a chain key.
+    the order their first entries appear.
     ``angle_tol`` is the tolerance the entries were deduplicated at, or
     None when that is not known.  ``entries`` and ``geodesics()`` build
     (checked) objects from the arrays on demand.
@@ -132,10 +134,12 @@ class GeodesicFamily:
     def merge(cls, families,
               angle_tol: float = ANGLE_TOL) -> "GeodesicFamily":
         """The entries of ``families`` in order, kept by
-        :func:`first_distinct` at ``angle_tol``, with chains of equal key
-        joined.  A lone family already deduplicated at ``angle_tol`` (as
-        ``juncture_orbit`` leaves it) is returned unchanged:
-        ``first_distinct`` keeps every pair of its own output."""
+        :func:`first_distinct` at ``angle_tol``.  Chains of different
+        families stay apart; a chain left without entries is dropped and
+        the rest are numbered by their first kept entries.  A lone family
+        already deduplicated at ``angle_tol`` (as ``juncture_orbit`` leaves
+        it) is returned unchanged: ``first_distinct`` keeps every pair of
+        its own output."""
         families = list(families)
         if len(families) == 1 and families[0].angle_tol == angle_tol:
             return families[0]
@@ -150,22 +154,12 @@ class GeodesicFamily:
         keep = first_distinct(np.minimum(ta, tb), np.maximum(ta, tb),
                               angle_tol)
         chain = chain[keep]
-        # Renumber the chains left in first-appearance order.
         ids, first = np.unique(chain, return_index=True)
-        numbers: dict[tuple, int] = {}
-        kept: list[ChainProvenance] = []
+        used = ids[np.argsort(first)]
         renumber = np.zeros(len(chains), dtype=np.int64)
-        for c in ids[np.argsort(first)].tolist():
-            key = chains[c].chain_key()
-            if key not in numbers:
-                numbers[key] = len(kept)
-                kept.append(chains[c])
-            renumber[c] = numbers[key]
-        return cls(ta[keep], tb[keep], renumber[chain], iterate[keep], kept,
-                   angle_tol)
-
-    def signs(self):
-        return {c.sign for c in self.chains}
+        renumber[used] = np.arange(len(used))
+        return cls(ta[keep], tb[keep], renumber[chain], iterate[keep],
+                   [chains[c] for c in used.tolist()], angle_tol)
 
 
 def _iterate_cores(scene, juncture: JunctureSpec, iterates,
@@ -248,8 +242,7 @@ def juncture_orbit(scene, juncture: JunctureSpec, n_range=None,
     used, chain = np.unique(kept // len(axes), return_inverse=True)
     return GeodesicFamily(
         ta[keep], tb[keep], chain, np.array(iterates)[kept % len(axes)],
-        [ChainProvenance(juncture.end, juncture.sign, word,
-                         conjugator_isometry=g_m)
+        [ChainProvenance(juncture, word, conjugator_isometry=g_m)
          for word, g_m in map(ball.__getitem__, used.tolist())], angle_tol)
 
 
@@ -360,7 +353,7 @@ def extract_limit_leaves(family: GeodesicFamily,
     Constant chains are excluded: their limit is the juncture axis
     itself, and the lamination is the closure minus the family.
     """
-    signs = family.signs()
+    signs = {c.juncture.sign for c in family.chains}
     if len(signs) > 1:
         raise ValidationError("family mixes juncture signs; extract per sign")
 
@@ -378,14 +371,14 @@ def extract_limit_leaves(family: GeodesicFamily,
     leaves: list[Geodesic] = []
     certificates: list[ChainCertificate] = []
     skipped: list[SkippedChain] = []
-    base_limits: dict[tuple, Geodesic] = {}
+    base_limits: dict[JunctureSpec, Geodesic] = {}
 
     for start, end in zip(starts, starts[1:] + [len(chain)]):
         prov = family.chains[chain[start]]
         count = end - start
         gaps = steps[start:end - 1]
         tail = gaps[-4:]
-        base = base_limits.get((prov.juncture, prov.sign))
+        base = base_limits.get(prov.juncture)
         transported = not (prov.conjugator.is_identity() or base is None
                            or prov.conjugator_isometry is None)
         ends = None
@@ -410,8 +403,9 @@ def extract_limit_leaves(family: GeodesicFamily,
         elif ends and angular_gap(*ends) < angle_tol:
             reason = "chain collapses toward a single boundary point"
         if reason is not None:
-            skipped.append(SkippedChain(prov.juncture, prov.sign,
-                                        prov.conjugator, reason))
+            skipped.append(SkippedChain(
+                prov.juncture.end, prov.juncture.sign, prov.conjugator,
+                reason))
             continue
         if transported:
             # Transport the base chain's limit: the conjugated chain
@@ -425,11 +419,11 @@ def extract_limit_leaves(family: GeodesicFamily,
         else:
             limit = Geodesic.from_angles(*ends)
             if prov.conjugator.is_identity():
-                base_limits[(prov.juncture, prov.sign)] = limit
+                base_limits[prov.juncture] = limit
         leaves.append(limit)
         certificates.append(ChainCertificate(
-            juncture=prov.juncture,
-            sign=prov.sign,
+            juncture=prov.juncture.end,
+            sign=prov.juncture.sign,
             conjugator=prov.conjugator,
             iterates=tuple(iterates[start:end]),
             gaps=tuple(gaps[-8:]),

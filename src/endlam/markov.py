@@ -40,11 +40,12 @@ class CrossingTable:
 
     @classmethod
     def from_triples(cls, rect_ids, triples) -> "CrossingTable":
-        """Build from 1-based (i, j, count) rows; missing pairs default to
-        zero."""
+        """Build from 1-based (i, j, count) rows, one row per pair at
+        most; missing pairs default to zero."""
         n = len(rect_ids)
         counts = np.zeros((n, n), dtype=np.int64)
-        for i, j, count in triples:
+        rows = {}
+        for row, (i, j, count) in enumerate(triples):
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ValidationError(
                     f"crossing pair ({i}, {j}) outside 1..{n}"
@@ -52,6 +53,11 @@ class CrossingTable:
             if count < 0:
                 raise ValidationError(
                     f"crossing count at ({i}, {j}) is negative"
+                )
+            first = rows.setdefault((i, j), row)
+            if first != row:
+                raise ValidationError(
+                    f"row {row} repeats the pair ({i}, {j}) of row {first}"
                 )
             counts[i - 1, j - 1] = count
         return cls(rect_ids, counts)

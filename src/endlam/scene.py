@@ -14,7 +14,8 @@ The format is hand-writable and diff-friendly:
 Words are whitespace-separated generator names, each optionally carrying
 the suffix ``^-1``.  A juncture's ``period`` may be omitted; when given it
 must be 1, since chains step by one iterate.  Rectangles are distinct id
-strings and crossing rows are exactly three integers, 1-based [i, j, count].
+strings and crossing rows are exactly three integers, 1-based [i, j, count],
+one row per pair at most.  ``metadata.name``, when given, is a string.
 """
 
 from __future__ import annotations
@@ -98,7 +99,8 @@ def parse_scene(text: str) -> Scene:
     metadata = raw.get("metadata", {})
     if not isinstance(metadata, dict):
         raise SceneError("field metadata must be an object")
-    name = metadata.get("name", "")
+    name = (_expect(metadata, "name", "metadata.name", str)
+            if "name" in metadata else "")
 
     group_block = _expect(raw, "group", "group", dict)
     if not group_block:

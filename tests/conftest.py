@@ -189,7 +189,7 @@ def family_of(entries):
         if prov.chain_key() not in numbers:
             numbers[prov.chain_key()] = len(chains)
             chains.append(ChainProvenance(
-                prov.juncture, prov.sign, prov.conjugator,
+                prov.juncture, prov.conjugator,
                 conjugator_isometry=prov.conjugator_isometry))
         chain.append(numbers[prov.chain_key()])
     ta, tb = np.array([(g.a.theta, g.b.theta)
@@ -201,7 +201,9 @@ def family_of(entries):
 
 def reference_merge(families, angle_tol=ANGLE_TOL):
     """Entries of the families concatenated and offered in order to one
-    sequential angle set: the merge before families were arrays."""
+    sequential angle set: the merge before families were arrays.  Each
+    entry names its juncture and conjugator, so families of distinct
+    junctures keep their chains apart."""
     entries = [entry for fam in families for entry in fam.entries]
     keep = sorted_first_distinct([g for g, _ in entries], angle_tol)
     return [entry for entry, kept in zip(entries, keep) if kept]
@@ -217,13 +219,14 @@ def reference_extract(entries, tol, angle_tol=ANGLE_TOL):
     leaves, certificates, skipped, base_limits = [], [], [], {}
     for key, items in chains.items():
         prov = chain_meta[key]
-        items.sort(key=lambda item: item[0], reverse=prov.sign == "+")
+        items.sort(key=lambda item: item[0],
+                   reverse=prov.juncture.sign == "+")
         geos = [geo for _, geo in items]
         gaps = [max(angular_gap(g1.a.theta, g2.a.theta),
                     angular_gap(g1.b.theta, g2.b.theta))
                 for g1, g2 in zip(geos, geos[1:])]
         tail = gaps[-4:]
-        base = base_limits.get((prov.juncture, prov.sign))
+        base = base_limits.get(prov.juncture)
         transported = not (prov.conjugator.is_identity() or base is None
                            or prov.conjugator_isometry is None)
         ends = None
@@ -243,7 +246,7 @@ def reference_extract(entries, tol, angle_tol=ANGLE_TOL):
         elif ends and angular_gap(*ends) < angle_tol:
             reason = "chain collapses toward a single boundary point"
         if reason is not None:
-            skipped.append(SkippedChain(prov.juncture, prov.sign,
+            skipped.append(SkippedChain(prov.juncture.end, prov.juncture.sign,
                                         prov.conjugator, reason))
             continue
         if transported:
@@ -253,10 +256,10 @@ def reference_extract(entries, tol, angle_tol=ANGLE_TOL):
         else:
             limit = Geodesic.from_angles(*ends)
             if prov.conjugator.is_identity():
-                base_limits[(prov.juncture, prov.sign)] = limit
+                base_limits[prov.juncture] = limit
         leaves.append(limit)
         certificates.append(ChainCertificate(
-            prov.juncture, prov.sign, prov.conjugator,
+            prov.juncture.end, prov.juncture.sign, prov.conjugator,
             tuple(n for n, _ in items), tuple(gaps[-8:])))
     keep = sorted_first_distinct(leaves, angle_tol)
     return LaminationApprox(

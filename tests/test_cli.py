@@ -227,9 +227,49 @@ class TestUnwritableOutput:
         path = tmp_path / "missing" / "x.out"
         code = run_command([a.format(scene=golden, path=path) for a in argv])
         assert code == 1
-        assert capsys.readouterr().err == \
-            f"error: cannot write {path}: No such file or directory\n"
+        assert capsys.readouterr() == (
+            "", f"error: cannot write {path}: No such file or directory\n")
         assert not path.parent.exists()
+
+    def test_checked_before_the_run(self, golden, tmp_path, capsys):
+        # The SVG path is fine, but nothing is printed or written while
+        # the report path cannot be written.
+        svg, path = tmp_path / "ok.svg", tmp_path / "missing" / "x.json"
+        code = run_command(["laminate", str(golden), "--horizon", "4",
+                            "--ball", "1", "--out", str(svg),
+                            "--json", str(path)])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"error: cannot write {path}: No such file or directory\n")
+        assert list(tmp_path.iterdir()) == [golden]
+
+    @pytest.mark.parametrize("flag", ["--out", "--json"])
+    def test_directory_refused(self, flag, golden, tmp_path, capsys):
+        code = run_command(["limit-set", str(golden), "--depth", "2",
+                            flag, str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"error: cannot write {tmp_path}: Is a directory\n")
+
+    def test_parent_that_is_a_file_refused(self, golden, tmp_path, capsys):
+        path = golden / "x.svg"
+        code = run_command(["render", str(golden), "--out", str(path)])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"error: cannot write {path}: Not a directory\n")
+
+    def test_write_failure_still_reported(self, golden, tmp_path,
+                                          monkeypatch, capsys):
+        # A path that passes the check but fails on writing (here, the
+        # directory vanishes during the run) is still a validation error.
+        path = tmp_path / "gone" / "x.svg"
+        path.parent.mkdir()
+        monkeypatch.setattr(cli, "render_svg",
+                            lambda *a: path.parent.rmdir() or "<svg/>")
+        code = run_command(["render", str(golden), "--out", str(path)])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"error: cannot write {path}: No such file or directory\n")
 
 
 class TestLimitSet:
@@ -368,6 +408,16 @@ class TestMarkov:
         bad.write_text(json.dumps(doc))
         assert run_command(["markov", "verify", str(bad)]) == 0
         assert "VIOLATIONS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("sub", ["verify", "entropy"])
+    def test_repeated_crossing_pair_refused(self, sub, golden, capsys):
+        doc = json.loads(golden.read_text())
+        doc["markov"]["crossings"].append([1, 2, 0])
+        golden.write_text(json.dumps(doc))
+        assert run_command(["markov", sub, str(golden)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {golden}: markov.crossings: row 4 repeats the "
+                f"pair (1, 2) of row 1\n")
 
     def test_entropy_golden_mean(self, golden, tmp_path, capsys):
         report = tmp_path / "entropy.json"

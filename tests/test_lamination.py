@@ -72,6 +72,10 @@ from conftest import (
 )
 
 
+# The juncture of hand-built chains.
+E_MINUS = JunctureSpec("e-", "-", Word((1,)))
+
+
 def torus_letter_matrices():
     A = frac_matrix(TORUS_A)
     B = frac_matrix(TORUS_B)
@@ -287,7 +291,7 @@ class TestExtract:
         # them; every chain has a distinct conjugator.
         def chain(letters, pairs):
             return [(Geodesic.from_angles(a, b),
-                     Provenance("e-", "-", Word(letters), n))
+                     Provenance(E_MINUS, Word(letters), n))
                     for n, (a, b) in enumerate(pairs)]
 
         def steps(gaps):
@@ -616,8 +620,6 @@ class TestOrbitArrays:
 
 
 def entry_bits(entries):
-    # Entries of chains joined by a merge share the first one's isometry
-    # object, so isometries compare by matrix.
     return [(geo.a.theta.hex(), geo.b.theta.hex(), prov.chain_key(),
              prov.iterate, prov.conjugator_isometry.matrix)
             for geo, prov in entries]
@@ -637,15 +639,19 @@ def assert_same_extraction(lam, ref):
     assert lam.skipped == ref.skipped
 
 
-def two_juncture_families(scene):
-    """Three minus-juncture orbits of the torus scene: one juncture split
-    at iterate 0 (equal chain keys on both sides, iterate 0 in each) and a
-    second juncture a b = phi(a), whose axes repeat the first one's."""
-    j = scene.junctures[0]
-    other = JunctureSpec("f-", "-", scene.group.word("a b"))
-    return [juncture_orbit(scene, j, range(-10, 1), 2),
-            juncture_orbit(scene, j, range(0, 11), 2),
-            juncture_orbit(scene, other, range(-10, 11), 2)]
+def three_juncture_families(scene):
+    """Orbits of three distinct minus junctures of the torus scene: a at
+    iterates -10..0; a b = phi(a) at -1..9, which are a's iterates 0..10,
+    so its iterate -1 repeats a's iterate 0; and b^-1 a b, whose chain
+    with conjugator g repeats the chain g b^-1 of the other two and loses
+    every entry when g b^-1 lies in the ball."""
+    def orbit(end, word, n_range):
+        return juncture_orbit(scene, JunctureSpec(end, "-", scene.group.word(
+            word)), n_range, 2)
+
+    return [orbit("e-", "a", range(-10, 1)),
+            orbit("f-", "a b", range(-1, 10)),
+            orbit("g-", "b^-1 a b", range(-10, 11))]
 
 
 class TestExtractArrays:
@@ -671,23 +677,44 @@ class TestExtractArrays:
                                        DEFAULT_TOL))
 
     def test_merged_family_matches_object_loop(self, torus_scene):
-        families = two_juncture_families(torus_scene)
+        families = three_juncture_families(torus_scene)
         merged = GeodesicFamily.merge(families)
         assert len(merged.chains) < sum(len(f.chains) for f in families)
-        # A joined chain keeps the record of its first appearance.
-        first = {c.chain_key(): c for fam in reversed(families)
-                 for c in fam.chains}
-        assert all(c is first[c.chain_key()] for c in merged.chains)
+        # The chains left are the families' own records.
+        records = [c for fam in families for c in fam.chains]
+        assert all(any(c is r for r in records) for c in merged.chains)
         lam = extract_limit_leaves(merged)
         assert lam.leaves and lam.skipped
         assert_same_extraction(lam, reference_extract(
             reference_merge(families), DEFAULT_TOL))
 
     @pytest.mark.parametrize("count", [2, 3])
+    def test_tracer_chain_count_is_exact(self, torus_scene, count):
+        # perfbench/spans.py counts a family's chains as the distinct
+        # chain keys of its entries.
+        merged = GeodesicFamily.merge(
+            three_juncture_families(torus_scene)[:count])
+        assert len({p.chain_key() for _, p in merged.entries}) == len(
+            merged.chains)
+
+    def test_pieces_of_one_orbit_stay_apart(self, torus_scene):
+        # Two iterate ranges of one juncture are two families: the merge
+        # keeps every chain of each, with its own entries.
+        j = torus_scene.junctures[0]
+        families = [juncture_orbit(torus_scene, j, n_range, 1)
+                    for n_range in (range(-6, 1), range(1, 7))]
+        merged = GeodesicFamily.merge(families)
+        assert len(merged) == sum(len(f) for f in families)
+        assert merged.chains == families[0].chains + families[1].chains
+        offset = len(families[0].chains)
+        assert merged.chain.tolist() == families[0].chain.tolist() + [
+            offset + c for c in families[1].chain.tolist()]
+
+    @pytest.mark.parametrize("count", [2, 3])
     @pytest.mark.parametrize("angle_tol", [ANGLE_TOL, 1e-3])
     def test_merge_matches_concatenated_dedup(self, torus_scene, count,
                                               angle_tol):
-        families = two_juncture_families(torus_scene)[:count]
+        families = three_juncture_families(torus_scene)[:count]
         merged = GeodesicFamily.merge(families, angle_tol)
         assert entry_bits(merged.entries) == entry_bits(
             reference_merge(families, angle_tol))
@@ -697,7 +724,7 @@ class TestExtractArrays:
         # chain (2,) appears before it; extraction visits them so too.
         def entry(letters, n, a):
             return (Geodesic.from_angles(a, a + 1.0),
-                    Provenance("e-", "-", Word(letters), n))
+                    Provenance(E_MINUS, Word(letters), n))
 
         families = [family_of([entry((), 0, 1.0)]),
                     family_of([entry((1,), 0, 1.0), entry((2,), 0, 2.0),
@@ -710,13 +737,13 @@ class TestExtractArrays:
                                                  DEFAULT_TOL))
 
     def test_lone_family_returned_unchanged(self, torus_scene):
-        family = two_juncture_families(torus_scene)[0]
+        family = three_juncture_families(torus_scene)[0]
         assert GeodesicFamily.merge([family]) is family
         assert entry_bits(family.entries) == entry_bits(
             reference_merge([family]))
 
     def test_lone_family_at_another_tol_deduplicated(self, torus_scene):
-        family = two_juncture_families(torus_scene)[0]
+        family = three_juncture_families(torus_scene)[0]
         merged = GeodesicFamily.merge([family], 1e-2)
         assert merged.angle_tol == 1e-2
         assert len(merged) < len(family)
@@ -725,7 +752,7 @@ class TestExtractArrays:
 
     def test_lone_family_of_unknown_tol_deduplicated(self):
         pairs = [(Geodesic.from_angles(a, 3.0),
-                  Provenance("e-", "-", Word(()), n))
+                  Provenance(E_MINUS, Word(()), n))
                  for n, a in enumerate([1.0, 2.0, 1.0 + 1e-10])]
         family = family_of(pairs)
         assert family.angle_tol is None
@@ -740,7 +767,7 @@ class TestExtractArrays:
 
     def test_objects_keep_the_endpoint_check(self):
         family = family_of([(Geodesic.from_angles(1.0, 2.0),
-                             Provenance("e-", "-", Word(()), 0))])
+                             Provenance(E_MINUS, Word(()), 0))])
         family.tb[0] = 1.0
         for build in (lambda: family.entries, family.geodesics):
             with pytest.raises(ValidationError,
@@ -791,6 +818,30 @@ class TestLaminate:
         assert all(len(fam) for _, fam in run.families)
         assert run.laminations == {}
         assert run.intersections is None
+
+    @pytest.mark.parametrize("word, leaves, skipped, points", [
+        ("a b a", 53, 18, 128), ("b a b^-1 a", 80, 5, 181)])
+    def test_end_label_does_not_change_the_lamination(self, word, leaves,
+                                                      skipped, points):
+        # A second minus component of schottky_ab gives one plus
+        # lamination whether or not it shares the first one's end label.
+        runs = []
+        for label in ("e-", "f-"):
+            raw = schottky_conjugate_data(None)
+            raw["junctures"].append({"end": label, "sign": "-",
+                                     "word": word})
+            runs.append(laminate(parse_scene(json.dumps(raw)),
+                                 AxiomParams()))
+        for run in runs:
+            lam = run.laminations["+"]
+            assert (len(lam.leaves), len(lam.certificates), len(lam.skipped),
+                    len(run.intersections.points)) == (
+                leaves, leaves, skipped, points)
+        shared, own = (run.laminations["+"] for run in runs)
+        assert [g.sorted_angles() for g in shared.leaves] == [
+            g.sorted_angles() for g in own.leaves]
+        assert [(c.conjugator, c.iterates) for c in shared.certificates] == [
+            (c.conjugator, c.iterates) for c in own.certificates]
 
     def test_angle_tol_reaches_orbit_dedup(self, torus_scene):
         sizes = [sum(len(fam) for _, fam in laminate(

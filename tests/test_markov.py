@@ -98,6 +98,12 @@ class TestVerify:
         with pytest.raises(ValidationError):
             CrossingTable.from_triples(["R1"], [[1, 1, -1]])
 
+    def test_repeated_pair_rejected(self):
+        with pytest.raises(ValidationError, match=r"row 2 repeats the pair "
+                           r"\(1, 2\) of row 0"):
+            CrossingTable.from_triples(
+                ["R1", "R2"], [[1, 2, 1], [2, 1, 1], [1, 2, 0]])
+
 
 class TestBuildMatrices:
     def test_golden_A(self):

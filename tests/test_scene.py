@@ -117,6 +117,18 @@ class TestParse:
         with pytest.raises(SceneError, match=r"markov.rects\[1\]"):
             parse_scene(json.dumps(doc))
 
+    @pytest.mark.parametrize("name", [["x", 1], 7, None, True])
+    def test_metadata_name_must_be_string(self, name):
+        doc = json.loads(scene_text())
+        doc["metadata"]["name"] = name
+        with pytest.raises(SceneError, match="metadata.name"):
+            parse_scene(json.dumps(doc))
+
+    def test_metadata_name_may_be_omitted(self):
+        doc = json.loads(scene_text())
+        del doc["metadata"]["name"]
+        assert parse_scene(json.dumps(doc)).name == ""
+
     @pytest.mark.parametrize("period", [2, "2", 1.0, True, 0],
                              ids=["2", "string", "float", "bool", "0"])
     def test_juncture_period_other_than_one_rejected(self, period):
