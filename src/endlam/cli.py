@@ -61,8 +61,19 @@ EXIT_FLAGGED = 2
 EXIT_INTERNAL = 3
 
 
+class _Formatter(argparse.HelpFormatter):
+    """Usage and help text wrapped at 78 columns, whatever the terminal:
+    the width argparse takes when stdout is not one."""
+
+    def __init__(self, prog):
+        super().__init__(prog, width=78)
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on usage errors; the contract wants 1."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, formatter_class=_Formatter, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -262,9 +273,11 @@ def _parse_base(text) -> HPoint:
         ) from exc
 
 
-def cmd_limit_set(args) -> int:
-    scene = load_scene(args.scene)
-    params = _axiom_params(args)
+# A command takes the loaded scene, the run's AxiomParams and the parsed
+# flags, computes and prints its report, and returns its exit code, its
+# SVG layers (None without --out) and its --json report (None without
+# --json); run_command writes both files.
+def cmd_limit_set(scene, params, args):
     sample = limit_set_sample(scene.group, _parse_base(args.base),
                               args.depth, max_words=params.max_words,
                               angle_tol=params.angle_tol,
@@ -274,18 +287,14 @@ def cmd_limit_set(args) -> int:
     print(f"orbit points: {len(sample.orbit)}")
     print(f"boundary fixed points: {len(sample.fixed_points)}")
     print(f"min boundary gap: {sample.min_boundary_gap():.6e}")
-    if args.out:
-        _write(args.out, render_svg([("limit-set", sample)], args.size))
-    if args.json_path:
-        _write_json(args.json_path, {
-            "scene": scene.name,
-            "depth": args.depth,
-            "words": sample.words,
-            "orbit": sample.orbit,
-            "fixed_point_angles": [p.theta for p in sample.fixed_points],
-            "min_boundary_gap": sample.min_boundary_gap(),
-        }, scene.group.names)
-    return EXIT_OK
+    return EXIT_OK, [("limit-set", sample)], {
+        "scene": scene.name,
+        "depth": args.depth,
+        "words": sample.words,
+        "orbit": sample.orbit,
+        "fixed_point_angles": [p.theta for p in sample.fixed_points],
+        "min_boundary_gap": sample.min_boundary_gap(),
+    }
 
 
 def _leaf_layers(run):
@@ -298,9 +307,7 @@ def _run_header(scene, params) -> None:
           f"ball {params.ball}, tol {params.tol:g})")
 
 
-def cmd_laminate(args) -> int:
-    scene = load_scene(args.scene)
-    params = _axiom_params(args)
+def cmd_laminate(scene, params, args):
     run = laminate(scene, params)
     report = {"scene": scene.name, "horizon": params.horizon,
               "ball": params.ball, "tol": params.tol,
@@ -322,16 +329,10 @@ def cmd_laminate(args) -> int:
         print(f"transverse intersection points: "
               f"{len(run.intersections.points)}")
         report["intersections"] = run.intersections
-    if args.out:
-        _write(args.out, render_svg(_leaf_layers(run), args.size))
-    if args.json_path:
-        _write_json(args.json_path, report, scene.group.names)
-    return EXIT_OK
+    return EXIT_OK, _leaf_layers(run), report
 
 
-def cmd_escape(args) -> int:
-    scene = load_scene(args.scene)
-    params = _axiom_params(args)
+def cmd_escape(scene, params, args):
     reports = [escape_test(scene, j, horizon=params.horizon,
                            growth_ratio=args.growth_ratio,
                            max_letters=params.max_letters,
@@ -347,18 +348,12 @@ def cmd_escape(args) -> int:
             for row in rep.rows:
                 print(f"  n={row.iterate:+d} letters={row.word_length:4d} "
                       f"length={row.length:.9f}")
-    if args.json_path:
-        _write_json(args.json_path, {"scene": scene.name,
-                                     "reports": reports},
-                    scene.group.names)
-    if any(rep.verdict == "inconclusive" for rep in reports):
-        return EXIT_FLAGGED
-    return EXIT_OK
+    code = (EXIT_FLAGGED if any(rep.verdict == "inconclusive"
+                                for rep in reports) else EXIT_OK)
+    return code, None, {"scene": scene.name, "reports": reports}
 
 
-def cmd_axioms(args) -> int:
-    scene = load_scene(args.scene)
-    params = _axiom_params(args)
+def cmd_axioms(scene, params, args):
     report = axiom_report(scene, params)
     _run_header(scene, params)
     print(f"caveat: {report.caveat}")
@@ -366,106 +361,99 @@ def cmd_axioms(args) -> int:
         print("flag: scene is not endperiodic-like at this horizon")
     for name, status in report.axioms.items():
         print(f"axiom {name}: {status.status} - {status.detail}")
-    if args.json_path:
-        lams = report.run.laminations
-        payload = {
-            "scene": scene.name,
-            "caveat": report.caveat,
-            "endperiodic_like": report.endperiodic_like,
-            "axioms": report.axioms,
-            "leaves_plus": lams["+"].leaves if "+" in lams else [],
-            "leaves_minus": lams["-"].leaves if "-" in lams else [],
-            "intersections": report.run.intersections,
-        }
-        _write_json(args.json_path, payload, scene.group.names)
-    return EXIT_OK
+    lams = report.run.laminations
+    return EXIT_OK, None, {
+        "scene": scene.name,
+        "caveat": report.caveat,
+        "endperiodic_like": report.endperiodic_like,
+        "axioms": report.axioms,
+        "leaves_plus": lams["+"].leaves if "+" in lams else [],
+        "leaves_minus": lams["-"].leaves if "-" in lams else [],
+        "intersections": report.run.intersections,
+    }
 
 
-def cmd_markov(args) -> int:
-    scene = load_scene(args.scene)
-    table = _require_markov(scene)
-    names = scene.group.names
-    if args.markov_cmd == "verify":
-        check = verify_markov(table)
-        if check.ok:
-            print("Markov family: OK")
-        else:
-            print("Markov family: VIOLATIONS")
-            for i, j, count in check.violations:
-                print(f"  h(R{i}) crosses R{j} in {count} components")
-        if args.json_path:
-            _write_json(args.json_path, check, names)
-        return EXIT_OK
-    if args.markov_cmd == "entropy":
-        A = build_matrix_A(table)
-        data = perron(A)
-        value = data.entropy()
-        print(f"transition matrix A: {A.tolist()}")
-        print(f"dominant eigenvalue: {data.kappa:.12f}")
-        print(f"entropy: {value:.12f}")
-        if args.json_path:
-            _write_json(args.json_path, {
-                "A": A, "kappa": data.kappa, "entropy": value,
-                "residual": data.residual,
-            })
-        return EXIT_OK
-    if args.markov_cmd == "measure":
-        B = build_matrix_B(table)
-        result = invariant_measures(B)
-        print(f"count matrix B: {B.tolist()}")
-        print(f"projective constant: {result.kappa:.12f}")
-        print(f"mu+ weights: {[f'{x:.9f}' for x in result.mu_plus]}")
-        print(f"mu- weights: {[f'{x:.9f}' for x in result.mu_minus]}")
-        if not result.full_support_plus or not result.full_support_minus:
-            print("flag: not full support (reducible count matrix)")
-        if args.json_path:
-            _write_json(args.json_path, result)
-        return EXIT_OK if result.converged else EXIT_FLAGGED
-    if args.markov_cmd == "words":
-        A = build_matrix_A(table)
-        listing = admissible_words(A, args.length)
-        if args.list_words and listing.words is None:
-            raise BudgetExceededError(
-                f"{listing.count} admissible words of length {args.length} "
-                f"exceed the listing budget of {LIST_BUDGET}")
-        # The coding check runs at length 2 at least; it reuses the
-        # listing when that has its length.
-        coding = coding_consistency(
-            A, max(2, args.length),
-            listing=listing if args.length >= 2 else None)
-        print(f"admissible words of length {args.length}: {listing.count}")
-        if args.list_words:
-            for word in listing.words:
-                print("  " + "".join(str(s) for s in word))
-        if coding.dead_end_symbols:
-            print(f"dead-end symbols: {coding.dead_end_symbols}")
-        if args.json_path:
-            _write_json(args.json_path, {
-                "count": listing.count,
-                "words": listing.words,
-                "coding": coding,
-            })
-        return EXIT_OK
-    raise ValidationError(f"unknown markov subcommand {args.markov_cmd!r}")
+def cmd_markov_verify(scene, params, args):
+    check = verify_markov(_require_markov(scene))
+    if check.ok:
+        print("Markov family: OK")
+    else:
+        print("Markov family: VIOLATIONS")
+        for i, j, count in check.violations:
+            print(f"  h(R{i}) crosses R{j} in {count} components")
+    return EXIT_OK, None, check
 
 
-def cmd_render(args) -> int:
-    scene = load_scene(args.scene)
-    run = laminate(scene, _axiom_params(args), extract=args.leaves)
+def cmd_markov_entropy(scene, params, args):
+    A = build_matrix_A(_require_markov(scene))
+    data = perron(A)
+    value = data.entropy()
+    print(f"transition matrix A: {A.tolist()}")
+    print(f"dominant eigenvalue: {data.kappa:.12f}")
+    print(f"entropy: {value:.12f}")
+    return EXIT_OK, None, {"A": A, "kappa": data.kappa, "entropy": value,
+                           "residual": data.residual}
+
+
+def cmd_markov_measure(scene, params, args):
+    B = build_matrix_B(_require_markov(scene))
+    result = invariant_measures(B)
+    print(f"count matrix B: {B.tolist()}")
+    print(f"projective constant: {result.kappa:.12f}")
+    print(f"mu+ weights: {[f'{x:.9f}' for x in result.mu_plus]}")
+    print(f"mu- weights: {[f'{x:.9f}' for x in result.mu_minus]}")
+    if not result.full_support_plus or not result.full_support_minus:
+        print("flag: not full support (reducible count matrix)")
+    return EXIT_OK if result.converged else EXIT_FLAGGED, None, result
+
+
+def cmd_markov_words(scene, params, args):
+    A = build_matrix_A(_require_markov(scene))
+    listing = admissible_words(A, args.length)
+    if args.list_words and listing.words is None:
+        raise BudgetExceededError(
+            f"{listing.count} admissible words of length {args.length} "
+            f"exceed the listing budget of {LIST_BUDGET}")
+    # The coding check runs at length 2 at least; it reuses the listing
+    # when that has its length.
+    coding = coding_consistency(
+        A, max(2, args.length),
+        listing=listing if args.length >= 2 else None)
+    print(f"admissible words of length {args.length}: {listing.count}")
+    if args.list_words:
+        for word in listing.words:
+            print("  " + "".join(str(s) for s in word))
+    if coding.dead_end_symbols:
+        print(f"dead-end symbols: {coding.dead_end_symbols}")
+    return EXIT_OK, None, {"count": listing.count, "words": listing.words,
+                           "coding": coding}
+
+
+def cmd_render(scene, params, args):
+    run = laminate(scene, params, extract=args.leaves)
     layers = [(f"junctures-{j.end}", fam) for j, fam in run.families]
-    _write(args.out, render_svg(layers + _leaf_layers(run), args.size))
-    return EXIT_OK
+    return EXIT_OK, layers + _leaf_layers(run), None
+
+
+def _command(sub, name, func, text):
+    """A subcommand parser taking a scene, run by ``func``; ``text`` is its
+    help line."""
+    p = sub.add_parser(name, help=text)
+    p.add_argument("scene")
+    p.set_defaults(func=func, parser=p)
+    return p
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="endlam",
                      description="Desk-scale lamination approximations for "
                                  "endperiodic surface maps")
-    sub = parser.add_subparsers(dest="command")
+    # Each prog is given so that argparse does not format a usage line to
+    # find it.
+    sub = parser.add_subparsers(dest="command", prog=parser.prog)
 
-    p = sub.add_parser("limit-set", parents=[], help="sample the orbit and "
-                       "boundary fixed points")
-    p.add_argument("scene")
+    p = _command(sub, "limit-set", cmd_limit_set,
+                 "sample the orbit and boundary fixed points")
     p.add_argument("--depth", type=int, default=6,
                    help="word-length radius of the sample")
     p.add_argument("--base", default="0,1",
@@ -474,51 +462,48 @@ def build_parser() -> _Parser:
     p.add_argument("--size", type=int, default=1000, action=_SizeAction,
                    help="canvas size")
     _add_flags(p, ("angle_tol", "trace_tol", "max_words", "json"))
-    p.set_defaults(func=cmd_limit_set)
 
-    p = sub.add_parser("laminate", help="extract certified limit leaves")
-    p.add_argument("scene")
+    p = _command(sub, "laminate", cmd_laminate,
+                 "extract certified limit leaves")
     p.add_argument("--out", default=None, help="write an SVG here")
     p.add_argument("--size", type=int, default=1000, action=_SizeAction)
     _add_flags(p, (*_PARAM_HELP, "json"))
-    p.set_defaults(func=cmd_laminate)
 
-    p = sub.add_parser("escape", help="translation-length escape dichotomy")
-    p.add_argument("scene")
+    p = _command(sub, "escape", cmd_escape,
+                 "translation-length escape dichotomy")
     p.add_argument("--growth-ratio", type=float,
                    default=DEFAULT_GROWTH_RATIO)
     p.add_argument("--verbose", action="store_true",
                    help="print the full length table")
     _add_flags(p, ("horizon", "trace_tol", "max_letters", "json"),
                horizon=DEFAULT_ESCAPE_HORIZON)
-    p.set_defaults(func=cmd_escape)
 
-    p = sub.add_parser("axioms", help="finite-scale diagnostic report")
-    p.add_argument("scene")
+    p = _command(sub, "axioms", cmd_axioms, "finite-scale diagnostic report")
     _add_flags(p, (*_PARAM_HELP, "json"))
-    p.set_defaults(func=cmd_axioms)
 
     p = sub.add_parser("markov", help="crossing-family checks and spectra")
-    p.add_argument("markov_cmd",
-                   choices=("verify", "entropy", "measure", "words"))
-    p.add_argument("scene")
+    markov = p.add_subparsers(dest="markov_cmd", required=True, prog=p.prog)
+    for name, func, text in (
+            ("verify", cmd_markov_verify, "check the crossing family"),
+            ("entropy", cmd_markov_entropy, "entropy of the transition "
+             "matrix"),
+            ("measure", cmd_markov_measure, "invariant measures of the "
+             "count matrix")):
+        _add_flags(_command(markov, name, func, text), ("json",))
+    p = _command(markov, "words", cmd_markov_words, "count admissible words")
     p.add_argument("-m", "--length", type=int, default=5,
-                   help="word length for the words subcommand")
-    p.add_argument("--list-words", action="store_true")
+                   help="word length")
+    p.add_argument("--list-words", action="store_true",
+                   help="print the words")
     _add_flags(p, ("json",))
-    p.set_defaults(func=cmd_markov)
 
-    p = sub.add_parser("render", help="draw juncture orbits (and leaves)")
-    p.add_argument("scene")
+    p = _command(sub, "render", cmd_render,
+                 "draw juncture orbits (and leaves)")
     p.add_argument("--out", required=True)
     p.add_argument("--leaves", action="store_true",
                    help="also extract and draw limit leaves")
     p.add_argument("--size", type=int, default=1000, action=_SizeAction)
     _add_flags(p, _PARAM_HELP, horizon=4, ball=1)
-    p.set_defaults(func=cmd_render)
-
-    for p in sub.choices.values():
-        p.set_defaults(parser=p)
     return parser
 
 
@@ -536,12 +521,19 @@ def run_command(argv) -> int:
     if not getattr(args, "command", None):
         parser.print_usage(sys.stderr)
         return EXIT_VALIDATION
+    out = getattr(args, "out", None)
+    json_path = getattr(args, "json_path", None)
     try:
-        for path in (getattr(args, "out", None),
-                     getattr(args, "json_path", None)):
+        for path in (out, json_path):
             if path:
                 _check_output(path)
-        return args.func(args)
+        scene = load_scene(args.scene)
+        code, layers, report = args.func(scene, _axiom_params(args), args)
+        if out:
+            _write(out, render_svg(layers, args.size))
+        if json_path:
+            _write_json(json_path, report, scene.group.names)
+        return code
     except (BudgetExceededError, ConvergenceError,
             NumericDegeneracyError) as exc:
         print(f"flagged: {exc}", file=sys.stderr)

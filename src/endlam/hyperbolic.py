@@ -34,8 +34,6 @@ TRACE_TOL = 1e-9
 # The smallest angle tolerance a run may take: below it, endpoints that
 # leaves share stop comparing equal through float noise.
 ANGLE_TOL_FLOOR = 1e-12
-# Determinant agreement required of a freshly normalized matrix.
-DET_TOL = 1e-12
 
 INF = math.inf
 

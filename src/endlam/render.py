@@ -10,6 +10,7 @@ nine-decimal coordinates.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
@@ -105,7 +106,8 @@ def _geodesic_path(geo: Geodesic, canvas: _Canvas) -> str:
                 f'L {_fmt(x2)} {_fmt(y2)}"/>')
     cx = (ux + vx) / (1.0 + dot)
     cy = (uy + vy) / (1.0 + dot)
-    r = math.sqrt(cx * cx + cy * cy - 1.0)
+    # Rounding can take |C|^2 just below 1 for endpoints a hair apart.
+    r = math.sqrt(max(cx * cx + cy * cy - 1.0, 0.0))
     # Central angle from u to v; the minor arc is the one inside the disk.
     # Emit it as two half-arcs split at its deepest point, keeping every
     # segment's central angle below pi/2 so the coordinates re-determine
@@ -122,6 +124,19 @@ def _geodesic_path(geo: Geodesic, canvas: _Canvas) -> str:
     return (f'<path d="M {_fmt(x1)} {_fmt(y1)} '
             f'{arc}{_fmt(xm)} {_fmt(ym)} '
             f'{arc}{_fmt(x2)} {_fmt(y2)}"/>')
+
+
+def _group_ids(labels) -> list[str]:
+    """The layers' SVG group ids: a label of one layer as it is, a label
+    that several layers share with ``-1``, ``-2``, ... in layer order."""
+    counts, seen = Counter(labels), Counter()
+    ids = []
+    for label in labels:
+        if counts[label] > 1:
+            seen[label] += 1
+            label = f"{label}-{seen[label]}"
+        ids.append(label)
+    return ids
 
 
 def render_svg(families, size: int = 1000) -> str:
@@ -146,15 +161,16 @@ def render_svg(families, size: int = 1000) -> str:
         f'stroke="{BOUNDARY_COLOR}" '
         f'stroke-width="{_fmt(BOUNDARY_WIDTH)}"/>',
     ]
-    for idx, layer in enumerate(layers):
+    ids = _group_ids([layer.label for layer in layers])
+    for idx, (layer, gid) in enumerate(zip(layers, ids)):
         color = PALETTE[idx % len(PALETTE)]
-        lines.append(f'<g id="{layer.label}" stroke="{color}" fill="none" '
+        lines.append(f'<g id="{gid}" stroke="{color}" fill="none" '
                      f'stroke-width="{_fmt(STROKE_WIDTH)}">')
         for geo in layer.geodesics:
             lines.append(_geodesic_path(geo, canvas))
         lines.append('</g>')
         if layer.points or layer.boundary_angles:
-            lines.append(f'<g id="{layer.label}-points" fill="{color}" '
+            lines.append(f'<g id="{gid}-points" fill="{color}" '
                          f'stroke="none">')
             for x, y in layer.points:
                 px, py = canvas.point(x, y)

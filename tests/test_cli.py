@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -504,6 +505,17 @@ class TestRender:
                             "--leaves", "--horizon", "8"]) == 0
         assert 'id="lamination-+"' in out.read_text()
 
+    def test_shared_end_label_gets_numbered_group_ids(self, tmp_path):
+        # A second minus component labelled e- as well: its juncture group
+        # and the first one's are numbered, the lone e+ keeps its label.
+        raw = schottky_conjugate_data(None)
+        raw["junctures"].append({"end": "e-", "sign": "-", "word": "a b a"})
+        scene, out = tmp_path / "shared.json", tmp_path / "shared.svg"
+        scene.write_text(json.dumps(raw))
+        assert run_command(["render", str(scene), "--out", str(out)]) == 0
+        ids = re.findall(r'<g id="([^"]+)"', out.read_text())
+        assert ids == ["junctures-e--1", "junctures-e+", "junctures-e--2"]
+
 
 class TestRunRanges:
     @pytest.mark.parametrize("command", ["laminate", "axioms", "render"])
@@ -621,15 +633,29 @@ class TestUnreadFlags:
         ["limit-set", "schottky_ab.json", "--tol", "1e-3"],
         ["limit-set", "schottky_ab.json", "--max-letters", "9"],
         ["render", "schottky_ab.json", "--out", "x.svg", "--json", "x.json"],
+        ["markov", "entropy", "golden.json", "-m", "3"],
+        ["markov", "verify", "golden.json", "--list-words"],
+        ["markov", "measure", "golden.json", "--list-words"],
     ])
     def test_exits_one_with_usage(self, argv, golden, schottky, tmp_path,
                                   capsys):
         argv = [str(tmp_path / a) if a.endswith((".json", ".svg")) else a
                 for a in argv]
+        command = argv[:2] if argv[0] == "markov" else argv[:1]
         assert run_command(argv) == 1
         assert capsys.readouterr().err.startswith(
-            f"usage: endlam {argv[0]} ")
+            f"usage: endlam {' '.join(command)} ")
         assert not (tmp_path / "x.svg").exists()
+
+    def test_usage_text_ignores_the_terminal_width(self, golden,
+                                                   monkeypatch, capsys):
+        errs = []
+        for columns in ("40", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            assert run_command(["laminate", str(golden), "--depth", "3"]) == 1
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert max(map(len, errs[0].splitlines()[:-1])) <= 78
 
 
 class TestOnePipeline:

@@ -72,6 +72,15 @@ def test_matches_golden(command, tmp_path):
     assert record(command, tmp_path) == expected
 
 
+def test_readme_lists_these_commands():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    block = readme.split("## Command line")[1].split("```sh\n")[1]
+    lines = block.split("```")[0].splitlines()
+    assert tuple(" ".join(line.removeprefix("endlam ").split())
+                 for line in lines) == COMMANDS
+
+
 def _regenerate() -> None:
     table = {}
     for command in COMMANDS:

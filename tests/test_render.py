@@ -116,6 +116,14 @@ class TestGeodesicArcs:
                 residual = abs(c[0] ** 2 + c[1] ** 2 - r * r - 1.0)
                 assert residual < 1e-9
 
+    def test_endpoints_a_hair_apart(self):
+        # Rounding puts the center of this arc a hair inside the unit
+        # circle; its radius is drawn as 0 instead of failing the render.
+        t = 0.16974793006237798
+        svg = render_svg([("g", [Geodesic.from_angles(
+            t, t + 2.978913782209841e-09)])])
+        assert [r for _, _, r, _ in parse_arcs(svg)] == [0.0, 0.0]
+
     def test_drawn_arc_stays_inside_disk(self):
         svg = render_svg(shipped_layers("schottky_ab.json"))
         for p1, p2, r, sweep in parse_arcs(svg):
