@@ -52,7 +52,7 @@ from .markov import (
     perron,
     verify_markov,
 )
-from .render import check_size, render_svg
+from .render import check_size, numbered_labels, render_svg
 from .scene import Scene, load_scene
 
 EXIT_OK = 0
@@ -340,9 +340,10 @@ def cmd_escape(scene, params, args):
                for j in scene.junctures]
     print(f"scene: {scene.name} (horizon {params.horizon}, "
           f"growth ratio {args.growth_ratio:g})")
-    for rep in reports:
+    labels = numbered_labels([rep.juncture for rep in reports])
+    for rep, label in zip(reports, labels):
         first, last = rep.rows[0].length, rep.rows[-1].length
-        print(f"juncture {rep.juncture} (sign {rep.sign}): {rep.verdict}; "
+        print(f"juncture {label} (sign {rep.sign}): {rep.verdict}; "
               f"length {first:.6f} -> {last:.6f}")
         if args.verbose:
             for row in rep.rows:

@@ -9,7 +9,7 @@ its dominant nonnegative eigenpair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -17,7 +17,8 @@ from .errors import ConvergenceError, ValidationError
 
 PERRON_TOL = 1e-12
 PERRON_MAXITER = 10 ** 5
-SUPPORT_TOL = 1e-12
+# Class spectral radii this close, relative to rho, are one radius.
+RADIUS_RTOL = 1e-9
 # Most admissible words a listing holds; past it only the count is kept.
 LIST_BUDGET = 10 ** 5
 
@@ -178,7 +179,10 @@ class PerronData:
     vector: np.ndarray  # nonnegative, normalized to sum 1
     residual: float     # max |M y - kappa y|
     converged: bool
-    iterations: int
+    iterations: int     # power-iteration steps behind the vector
+    # States that reach a basic class the vector is built on, read off the
+    # class graph; ``perron`` always sets it.
+    support: np.ndarray | None = None
 
     def entropy(self) -> float:
         """log of the dominant eigenvalue; zero for permutation matrices."""
@@ -191,23 +195,19 @@ class PerronData:
         return math.log(self.kappa)
 
 
-def perron(M, tol: float = PERRON_TOL,
-           maxiter: int = PERRON_MAXITER) -> PerronData:
-    """Dominant nonnegative eigenpair by power iteration from uniform.
+def _power_iteration(M: np.ndarray, tol: float, maxiter: int) -> PerronData:
+    """Power iteration of (M + I) from uniform.
 
-    Iterates (M + I) so periodic transition patterns converge too; the
-    shift leaves eigenvectors alone and is subtracted from the reported
-    eigenvalue.  Reducible matrices simply converge to a vector that may
-    have zero entries.
+    The shift leaves eigenvectors alone, makes an irreducible M primitive
+    so periodic transition patterns converge too, and is subtracted from
+    the reported eigenvalue.  An irreducible M is supported everywhere.
     """
-    M = np.asarray(_as_count_matrix(M), dtype=float)
     n = M.shape[0]
-    if not M.any():
-        raise ValidationError("all-zero matrix has no dominant eigenpair")
     v = np.full(n, 1.0 / n)
     kappa = 0.0
     residual = math.inf
     iterations = 0
+    converged = False
     for iterations in range(1, maxiter + 1):
         z = M @ v + v
         v = z / z.sum()
@@ -215,11 +215,108 @@ def perron(M, tol: float = PERRON_TOL,
         kappa = image.sum()  # Rayleigh-style ratio, since v sums to 1
         residual = float(np.max(np.abs(image - kappa * v)))
         if residual <= tol:
-            return PerronData(kappa=float(kappa), vector=v,
-                              residual=residual, converged=True,
-                              iterations=iterations)
+            converged = True
+            break
     return PerronData(kappa=float(kappa), vector=v, residual=residual,
-                      converged=False, iterations=iterations)
+                      converged=converged, iterations=iterations,
+                      support=np.ones(n, dtype=bool))
+
+
+def _reach(M: np.ndarray) -> np.ndarray:
+    """reach[i, j]: a path of M's graph leads from state i to state j;
+    every state reaches itself."""
+    n = M.shape[0]
+    reach = M > 0
+    reach.flat[::n + 1] = True
+    # k squarings cover every path of up to 2^k steps.
+    for _ in range((n - 1).bit_length()):
+        reach = reach @ reach
+    return reach
+
+
+def _block_perron(M: np.ndarray, states, tol: float,
+                  maxiter: int) -> PerronData:
+    """Perron pair of the irreducible block of a class; a lone state's is
+    its loop weight."""
+    if len(states) > 1:
+        return _power_iteration(M[np.ix_(states, states)], tol, maxiter)
+    s = states[0]
+    return PerronData(kappa=float(M[s, s]), vector=np.ones(1), residual=0.0,
+                      converged=True, iterations=0)
+
+
+def perron(M, tol: float = PERRON_TOL,
+           maxiter: int = PERRON_MAXITER) -> PerronData:
+    """Dominant nonnegative eigenpair, decided from M's class graph.
+
+    An irreducible M, or a reducible one whose dominant eigenvalue rho has
+    Perron index 1 (no class of spectral radius rho, a basic class,
+    reaches another), goes to the (M + I) power iteration as a whole.
+    Otherwise rho is defective and that iteration would crawl, so the
+    vector is built from the classes (Frobenius normal form, Lind-Marcus
+    4.4; Rothblum's index theorem): for every basic class C that no other
+    basic class reaches, the power iteration on C's irreducible block,
+    back-substituted as x_K = (kappa_C I - M_KK)^-1 M_K. x over the classes
+    K upstream of C, which are not basic, so x_K >= 0.  The vectors are
+    summed and normalized; residual and verdict are taken on the whole of
+    M.  A nilpotent M gets kappa 0 and a vector on its source states.
+    """
+    M = np.asarray(_as_count_matrix(M), dtype=float)
+    n = M.shape[0]
+    if not M.any():
+        raise ValidationError("all-zero matrix has no dominant eigenpair")
+    reach = _reach(M)
+    if reach.all():
+        return _power_iteration(M, tol, maxiter)
+    # Classes successor first: a class reaches more states than any class
+    # it reaches.
+    owner = (reach & reach.T).argmax(axis=1)
+    reps = sorted(set(owner.tolist()), key=lambda r: (reach[r].sum(), r))
+    classes = [np.flatnonzero(owner == r) for r in reps]
+    # The spectral radius of a block lies between its least and its
+    # largest row sum, and the same for column sums, so only the classes
+    # that may reach the largest lower bound can be basic.
+    bounds = []
+    for states in classes:
+        block = M[np.ix_(states, states)]
+        rows, cols = block.sum(axis=1), block.sum(axis=0)
+        bounds.append((max(rows.min(), cols.min()),
+                       min(rows.max(), cols.max())))
+    floor = max(low for low, _ in bounds)
+    floor -= RADIUS_RTOL * max(1.0, floor)
+    basic = [k for k, (_, high) in enumerate(bounds) if high >= floor]
+    blocks = {}
+    if len(basic) > 1:
+        blocks = {k: _block_perron(M, classes[k], tol, maxiter)
+                  for k in basic}
+        rho = max(b.kappa for b in blocks.values())
+        basic = [k for k in basic if abs(blocks[k].kappa - rho)
+                 <= RADIUS_RTOL * max(1.0, rho)]
+    top = [c for c in basic
+           if not any(reach[reps[k], reps[c]] for k in basic if k != c)]
+    support = reach[:, [reps[c] for c in top]].any(axis=1)
+    if len(top) == len(basic):
+        return replace(_power_iteration(M, tol, maxiter), support=support)
+    v = np.zeros(n)
+    for c in top:
+        x = np.zeros(n)
+        x[classes[c]] = blocks[c].vector
+        kappa_c = blocks[c].kappa
+        for k in range(c + 1, len(classes)):
+            if reach[reps[k], reps[c]]:
+                states = classes[k]
+                x[states] = np.linalg.solve(
+                    kappa_c * np.eye(len(states)) - M[np.ix_(states, states)],
+                    M[states] @ x)
+        v += x
+    v /= v.sum()
+    image = M @ v
+    kappa = image.sum()
+    residual = float(np.max(np.abs(image - kappa * v)))
+    return PerronData(kappa=float(kappa), vector=v, residual=residual,
+                      converged=residual <= tol,
+                      iterations=sum(blocks[c].iterations for c in top),
+                      support=support)
 
 
 def entropy(A, tol: float = PERRON_TOL, maxiter: int = PERRON_MAXITER) -> float:
@@ -260,8 +357,8 @@ def invariant_measures(B, tol: float = PERRON_TOL,
         kappa_minus=minus.kappa,
         residual_plus=plus.residual,
         residual_minus=minus.residual,
-        full_support_plus=bool((plus.vector > SUPPORT_TOL).all()),
-        full_support_minus=bool((minus.vector > SUPPORT_TOL).all()),
+        full_support_plus=bool(plus.support.all()),
+        full_support_minus=bool(minus.support.all()),
         converged=plus.converged and minus.converged,
     )
 

@@ -126,9 +126,11 @@ def _geodesic_path(geo: Geodesic, canvas: _Canvas) -> str:
             f'{arc}{_fmt(x2)} {_fmt(y2)}"/>')
 
 
-def _group_ids(labels) -> list[str]:
-    """The layers' SVG group ids: a label of one layer as it is, a label
-    that several layers share with ``-1``, ``-2``, ... in layer order."""
+def numbered_labels(labels) -> list[str]:
+    """The labels told apart: a label used once as it is, a label that
+    several items share with ``-1``, ``-2``, ... in their order.  These
+    are the SVG group ids of layers and the juncture names ``escape``
+    prints."""
     counts, seen = Counter(labels), Counter()
     ids = []
     for label in labels:
@@ -161,7 +163,7 @@ def render_svg(families, size: int = 1000) -> str:
         f'stroke="{BOUNDARY_COLOR}" '
         f'stroke-width="{_fmt(BOUNDARY_WIDTH)}"/>',
     ]
-    ids = _group_ids([layer.label for layer in layers])
+    ids = numbered_labels([layer.label for layer in layers])
     for idx, (layer, gid) in enumerate(zip(layers, ids)):
         color = PALETTE[idx % len(PALETTE)]
         lines.append(f'<g id="{gid}" stroke="{color}" fill="none" '

@@ -27,6 +27,7 @@ from endlam.lamination import (
     SkippedChain,
     _aitken_angle,
 )
+from endlam.markov import PERRON_MAXITER, PERRON_TOL, PerronData
 from endlam.scene import scene_path
 
 TORUS_A = [[4, 0], [0, 0.25]]
@@ -265,6 +266,30 @@ def reference_extract(entries, tol, angle_tol=ANGLE_TOL):
     return LaminationApprox(
         [g for g, k in zip(leaves, keep) if k],
         [c for c, k in zip(certificates, keep) if k], skipped)
+
+
+def reference_power_iteration(M, tol=PERRON_TOL, maxiter=PERRON_MAXITER):
+    """Reference for ``markov.perron`` on a root of Perron index 1: the
+    (M + I) power iteration from uniform over the whole matrix, as
+    ``perron`` ran every matrix before it read the class graph."""
+    M = np.asarray(M, dtype=float)
+    n = M.shape[0]
+    v = np.full(n, 1.0 / n)
+    kappa = 0.0
+    residual = math.inf
+    iterations = 0
+    for iterations in range(1, maxiter + 1):
+        z = M @ v + v
+        v = z / z.sum()
+        image = M @ v
+        kappa = image.sum()
+        residual = float(np.max(np.abs(image - kappa * v)))
+        if residual <= tol:
+            return PerronData(kappa=float(kappa), vector=v,
+                              residual=residual, converged=True,
+                              iterations=iterations)
+    return PerronData(kappa=float(kappa), vector=v, residual=residual,
+                      converged=False, iterations=iterations)
 
 
 def reference_jsonable(obj, names=None):

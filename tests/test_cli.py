@@ -350,6 +350,23 @@ class TestEscape:
         assert len(data["reports"][0]["rows"]) == 7
         assert data["reports"][0]["verdict"] == "escaping"
 
+    def test_shared_end_label_gets_numbered_rows(self, tmp_path, capsys):
+        # As the SVG group ids: the two e- rows are numbered in scene
+        # order, the lone e+ keeps its label, and --json keeps the label.
+        raw = schottky_conjugate_data(None)
+        raw["junctures"].append({"end": "e-", "sign": "-", "word": "a b a"})
+        scene, report = tmp_path / "shared.json", tmp_path / "escape.json"
+        scene.write_text(json.dumps(raw))
+        assert run_command(["escape", str(scene), "--json",
+                            str(report)]) == 0
+        rows = [line.split(":")[0] for line in
+                capsys.readouterr().out.splitlines()
+                if line.startswith("juncture ")]
+        assert rows == ["juncture e--1 (sign -)", "juncture e+ (sign +)",
+                        "juncture e--2 (sign -)"]
+        data = json.loads(report.read_text())
+        assert [r["juncture"] for r in data["reports"]] == ["e-", "e+", "e-"]
+
     def test_growth_ratio_at_most_one_rejected(self, inner, capsys):
         assert run_command(["escape", str(inner),
                             "--growth-ratio", "0.5"]) == 1
@@ -443,6 +460,16 @@ class TestMarkov:
         assert err == ("flagged: power iteration stalled at residual "
                        "4.000e-10\n")
         assert not report.exists()
+
+    def test_entropy_of_nilpotent_table_collapses(self, golden, capsys):
+        # [[0, 1], [0, 0]]: the class graph gives kappa 0 at once, where
+        # the power iteration ran out its 10^5 steps.
+        doc = json.loads(golden.read_text())
+        doc["markov"]["crossings"] = [[1, 2, 1]]
+        golden.write_text(json.dumps(doc))
+        assert run_command(["markov", "entropy", str(golden)]) == 2
+        assert capsys.readouterr() == (
+            "", "flagged: dominant eigenvalue collapsed to zero\n")
 
     def test_measure(self, golden, capsys):
         assert run_command(["markov", "measure", str(golden)]) == 0

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from decimal import Decimal, getcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from endlam.markov import (
     verify_markov,
 )
 
+from conftest import frac_matrix, reference_power_iteration
+
 GOLDEN = np.array([[1, 1], [1, 0]])
 PHI = (1 + math.sqrt(5)) / 2  # root of x^2 - x - 1, the kappa oracle
 
@@ -45,7 +48,8 @@ def brute_force_count(A, m):
 
 
 def decimal_perron(M, iterations=2000):
-    """50-digit power-iteration rerun used as the eigenvalue oracle."""
+    """50-digit power-iteration rerun used as the eigenvalue oracle; it
+    stops early once the vector holds still to 40 digits."""
     getcontext().prec = 50
     n = len(M)
     rows = [[Decimal(int(x)) for x in row] for row in M]
@@ -55,27 +59,91 @@ def decimal_perron(M, iterations=2000):
         z = [sum(rows[i][j] * v[j] for j in range(n)) + v[i]
              for i in range(n)]
         s = sum(z)
-        v = [x / s for x in z]
+        previous, v = v, [x / s for x in z]
         kappa = sum(sum(rows[i][j] * v[j] for j in range(n))
                     for i in range(n))
+        if max(abs(x - y) for x, y in zip(v, previous)) <= Decimal(10) ** -40:
+            break
     return float(kappa)
+
+
+def reachable(M, start):
+    """States a path of M's graph leads to from ``start``, itself too."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        i = stack.pop()
+        for j in range(len(M)):
+            if M[i][j] and j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return seen
 
 
 def strongly_connected(M):
     """Reachability oracle: every state reaches every other."""
+    return all(len(reachable(M, start)) == len(M) for start in range(len(M)))
+
+
+def class_oracle(M):
+    """(rho, Perron index, support) of M from its classes, by reachability
+    and 50-digit arithmetic: each class's radius is ``decimal_perron`` of
+    its block, the basic classes are those of radius rho, the index is the
+    most basic classes one path passes, and the support is every state
+    that reaches a basic class no other basic class reaches."""
     n = len(M)
-    for start in range(n):
-        seen = {start}
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if M[i][j] and j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        if len(seen) != n:
-            return False
-    return True
+    reach = [reachable(M, i) for i in range(n)]
+    classes = []
+    for i in range(n):
+        if not any(i in c for c in classes):
+            classes.append([j for j in sorted(reach[i]) if i in reach[j]])
+    radius = [decimal_perron([[M[i][j] for j in c] for i in c])
+              for c in classes]
+    rho = max(radius)
+    basic = [c for c, r in zip(classes, radius)
+             if abs(r - rho) <= 1e-12 * max(1.0, rho)]
+
+    def below(c):  # the basic classes c reaches, itself excluded
+        return [d for d in basic if d is not c and d[0] in reach[c[0]]]
+
+    def chain(c):
+        return 1 + max((chain(d) for d in below(c)), default=0)
+
+    top = [c for c in basic if not any(c in below(d) for d in basic)]
+    support = [any(c[0] in reach[i] for c in top) for i in range(n)]
+    return rho, max(chain(c) for c in basic), support
+
+
+def seeded_draws(count=80, seed=61):
+    """Count tables, n uniform in 2..8, drawn like acceptance criterion 4
+    but at densities 0.3, 0.5 and 0.7, so that defective roots come up
+    often; each with its 0/1 pattern and both transposes."""
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(count):
+        n = rng.randint(2, 8)
+        density = rng.choice((0.3, 0.5, 0.7))
+        table = [[rng.randint(0, 10) if rng.random() < density else 0
+                  for _ in range(n)] for _ in range(n)]
+        if not any(any(row) for row in table):
+            table[0][0] = 1
+        pattern = [[1 if x else 0 for x in row] for row in table]
+        for M in (table, pattern):
+            draws += [M, [list(col) for col in zip(*M)]]
+    return [(M, class_oracle(M)) for M in draws]
+
+
+@pytest.fixture(scope="module")
+def draws():
+    return seeded_draws()
+
+
+def assert_exact_eigenpair(M, data):
+    """M v = kappa v in exact rational arithmetic on the float values."""
+    v = [Fraction(x) for x in data.vector]
+    kappa = Fraction(data.kappa)
+    assert [sum(a * b for a, b in zip(row, v))
+            for row in frac_matrix(M)] == [kappa * x for x in v]
 
 
 class TestVerify:
@@ -247,6 +315,116 @@ class TestPerron:
             assert k1 >= k0 - 1e-9
 
 
+# Three basic classes {1, 2} -> {3, 4} -> {5, 6} of radius 2 on one chain,
+# fed by the source state 0: x_0 = (2 * 1/2 + 2 * 1/2) / 2 = 1.
+THREE_CHAIN = [
+    [0, 2, 2, 0, 0, 0, 0],
+    [0, 1, 1, 0, 0, 0, 0],
+    [0, 1, 1, 1, 0, 0, 0],
+    [0, 0, 0, 1, 1, 0, 0],
+    [0, 0, 0, 1, 1, 1, 0],
+    [0, 0, 0, 0, 0, 1, 1],
+    [0, 0, 0, 0, 0, 1, 1],
+]
+
+
+class TestPerronByClasses:
+    """Defective roots (Perron index > 1) built from the class graph."""
+
+    @pytest.mark.parametrize("M, kappa, vector", [
+        ([[1, 1], [0, 1]], 1, [1, 0]),
+        ([[2, 1, 0], [0, 2, 0], [0, 0, 1]], 2, [1, 0, 0]),
+        (THREE_CHAIN, 2, [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4),
+                          0, 0, 0, 0]),
+        # Two basic classes that both reach a third.
+        ([[1, 0, 1], [0, 1, 1], [0, 0, 1]], 1,
+         [Fraction(1, 2), Fraction(1, 2), 0]),
+        # The transpose of the last, as the mu- side reads it.
+        ([[1, 0, 0], [0, 1, 0], [1, 1, 1]], 1, [0, 0, 1]),
+        # A class below rho upstream of the basic ones.
+        ([[0, 1, 0], [0, 1, 1], [0, 0, 1]], 1,
+         [Fraction(1, 2), Fraction(1, 2), 0]),
+    ])
+    def test_exact_eigenpair(self, M, kappa, vector):
+        data = perron(np.array(M))
+        assert data.converged
+        assert data.residual == 0.0
+        assert data.kappa == kappa
+        assert [Fraction(x) for x in data.vector] == vector
+        assert_exact_eigenpair(M, data)
+        assert data.support.tolist() == [x > 0 for x in vector]
+
+    def test_transposed_chain_gives_mu_minus(self):
+        result = invariant_measures(np.array(THREE_CHAIN))
+        assert result.converged
+        assert result.kappa_plus == result.kappa_minus == 2
+        assert result.mu_plus.tolist() == [0.5, 0.25, 0.25, 0, 0, 0, 0]
+        assert result.mu_minus.tolist() == [0, 0, 0, 0, 0, 0.5, 0.5]
+        assert_exact_eigenpair(np.array(THREE_CHAIN).T.tolist(),
+                               perron(np.array(THREE_CHAIN).T))
+        assert not result.full_support_plus
+        assert not result.full_support_minus
+
+    @pytest.mark.parametrize("M, vector", [
+        ([[0, 1], [0, 0]], [1, 0]),
+        ([[0, 1, 1], [0, 0, 1], [0, 0, 0]], [1, 0, 0]),
+        ([[0, 0, 1], [0, 0, 1], [0, 0, 0]], [0.5, 0.5, 0]),
+    ])
+    def test_nilpotent_collapses_at_once(self, M, vector):
+        data = perron(np.array(M))
+        assert (data.kappa, data.residual, data.converged) == (0.0, 0.0, True)
+        assert data.vector.tolist() == vector
+        with pytest.raises(ConvergenceError,
+                           match="dominant eigenvalue collapsed to zero"):
+            data.entropy()
+
+    def test_draws_hold_both_cases(self, draws):
+        indices = [index for _, (_, index, _) in draws]
+        assert sum(index > 1 for index in indices) >= 10
+        assert sum(index == 1 for index in indices) >= 100
+
+    def test_draws_converge_to_the_oracle(self, draws):
+        for M, (rho, _, support) in draws:
+            data = perron(np.array(M))
+            assert data.converged, M
+            assert data.residual <= 1e-12
+            assert abs(data.kappa - rho) <= 1e-10
+            assert data.iterations <= 2000
+            assert data.support.tolist() == support
+
+    def test_index_one_draws_equal_the_reference(self, draws):
+        for M, (_, index, _) in draws:
+            if index > 1:
+                continue
+            data, want = perron(np.array(M)), reference_power_iteration(M)
+            assert (data.kappa, data.residual, data.converged,
+                    data.iterations) == (want.kappa, want.residual,
+                                         want.converged, want.iterations)
+            assert data.vector.tobytes() == want.vector.tobytes()
+
+    def test_support_against_the_old_threshold(self, draws):
+        # Full support used to be read as (vector > 1e-12).all().  On these
+        # draws the two rules differ only where a state outside the support
+        # (it reaches no basic class) still held a residue above 1e-12
+        # when the iteration stopped.
+        misjudged = []
+        for M, (_, index, support) in draws:
+            if index > 1:
+                continue
+            vector = reference_power_iteration(M).vector
+            if bool((vector > 1e-12).all()) != all(support):
+                assert not all(support)
+                assert vector[~np.array(support)].max() < 1e-11
+                misjudged.append(M)
+        assert misjudged == [
+            [[0, 9, 0, 0], [2, 0, 3, 1], [0, 0, 5, 0], [7, 1, 0, 0]],
+            [[0, 1, 0, 0], [1, 0, 1, 1], [0, 0, 1, 0], [1, 1, 0, 0]],
+            [[1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 0], [1, 0, 0, 0]],
+            [[0, 0, 0, 1, 1, 1], [0, 0, 0, 1, 1, 0], [1, 0, 1, 0, 1, 1],
+             [0, 1, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 0, 1]],
+        ]
+
+
 class TestEntropy:
     def test_golden(self):
         assert abs(entropy(GOLDEN) - math.log(PHI)) < 1e-12
@@ -318,8 +496,7 @@ class TestInvariantMeasures:
             assert abs(result.kappa_plus - result.kappa_minus) <= 1e-9
 
     def test_zero_vector_entries_imply_reducible(self):
-        # Support detection only; defective sparse draws converge slowly,
-        # so the iteration budget is capped and residuals are not asserted.
+        # Sparse draws, defective roots among them, at the default budget.
         rng = random.Random(59)
         checked = 0
         for _ in range(50):
@@ -328,7 +505,10 @@ class TestInvariantMeasures:
                            for _ in range(n)] for _ in range(n)])
             if not B.any():
                 continue
-            result = invariant_measures(B, maxiter=3000)
+            result = invariant_measures(B)
+            assert result.converged
+            assert result.residual_plus <= markov.PERRON_TOL
+            assert result.residual_minus <= markov.PERRON_TOL
             if not result.full_support_plus:
                 checked += 1
                 assert not strongly_connected(B.tolist())
