@@ -528,6 +528,10 @@ def run_command(argv) -> int:
         for path in (out, json_path):
             if path:
                 _check_output(path)
+        if (out and json_path
+                and Path(out).resolve() == Path(json_path).resolve()):
+            raise ValidationError(
+                f"--out and --json name the same file: {out}")
         scene = load_scene(args.scene)
         code, layers, report = args.func(scene, _axiom_params(args), args)
         if out:

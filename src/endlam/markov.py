@@ -131,8 +131,7 @@ class AdmissibleWords:
     words: list[tuple[int, ...]] | None  # None when over the list budget
 
 
-def admissible_words(A, m: int,
-                     max_list: int = LIST_BUDGET) -> AdmissibleWords:
+def admissible_words(A, m: int) -> AdmissibleWords:
     """Count admissible words of length m; list them under the budget.
 
     Symbols are 1-based; a word (i_0, ..., i_{m-1}) is admissible when
@@ -140,7 +139,7 @@ def admissible_words(A, m: int,
     """
     A = _as_count_matrix(A)
     count = count_admissible(A, m)
-    if count > max_list:
+    if count > LIST_BUDGET:
         return AdmissibleWords(count=count, words=None)
     n = A.shape[0]
     words: list[tuple[int, ...]] = []
@@ -179,7 +178,7 @@ class PerronData:
     vector: np.ndarray  # nonnegative, normalized to sum 1
     residual: float     # max |M y - kappa y|
     converged: bool
-    iterations: int     # power-iteration steps behind the vector
+    iterations: int     # every power-iteration step run
     # States that reach a basic class the vector is built on, read off the
     # class graph; ``perron`` always sets it.
     support: np.ndarray | None = None
@@ -195,7 +194,7 @@ class PerronData:
         return math.log(self.kappa)
 
 
-def _power_iteration(M: np.ndarray, tol: float, maxiter: int) -> PerronData:
+def _power_iteration(M: np.ndarray) -> PerronData:
     """Power iteration of (M + I) from uniform.
 
     The shift leaves eigenvectors alone, makes an irreducible M primitive
@@ -208,13 +207,13 @@ def _power_iteration(M: np.ndarray, tol: float, maxiter: int) -> PerronData:
     residual = math.inf
     iterations = 0
     converged = False
-    for iterations in range(1, maxiter + 1):
+    for iterations in range(1, PERRON_MAXITER + 1):
         z = M @ v + v
         v = z / z.sum()
         image = M @ v
         kappa = image.sum()  # Rayleigh-style ratio, since v sums to 1
         residual = float(np.max(np.abs(image - kappa * v)))
-        if residual <= tol:
+        if residual <= PERRON_TOL:
             converged = True
             break
     return PerronData(kappa=float(kappa), vector=v, residual=residual,
@@ -234,28 +233,18 @@ def _reach(M: np.ndarray) -> np.ndarray:
     return reach
 
 
-def _block_perron(M: np.ndarray, states, tol: float,
-                  maxiter: int) -> PerronData:
-    """Perron pair of the irreducible block of a class; a lone state's is
-    its loop weight."""
-    if len(states) > 1:
-        return _power_iteration(M[np.ix_(states, states)], tol, maxiter)
-    s = states[0]
-    return PerronData(kappa=float(M[s, s]), vector=np.ones(1), residual=0.0,
-                      converged=True, iterations=0)
-
-
-def perron(M, tol: float = PERRON_TOL,
-           maxiter: int = PERRON_MAXITER) -> PerronData:
+def perron(M) -> PerronData:
     """Dominant nonnegative eigenpair, decided from M's class graph.
 
-    An irreducible M, or a reducible one whose dominant eigenvalue rho has
-    Perron index 1 (no class of spectral radius rho, a basic class,
-    reaches another), goes to the (M + I) power iteration as a whole.
-    Otherwise rho is defective and that iteration would crawl, so the
-    vector is built from the classes (Frobenius normal form, Lind-Marcus
-    4.4; Rothblum's index theorem): for every basic class C that no other
-    basic class reaches, the power iteration on C's irreducible block,
+    An irreducible M goes to the (M + I) power iteration as a whole.  A
+    reducible M is split into its classes (Frobenius normal form,
+    Lind-Marcus 4.4), and each class's spectral radius is the largest
+    eigenvalue modulus of its irreducible block; the classes of radius rho
+    are the basic ones.  When no basic class reaches another (Perron index
+    1), the whole of M takes the power iteration.  Otherwise rho is
+    defective and that iteration would crawl, so the vector is built from
+    the classes (Rothblum's index theorem): for every basic class C that no
+    other basic class reaches, the power iteration on C's block,
     back-substituted as x_K = (kappa_C I - M_KK)^-1 M_K. x over the classes
     K upstream of C, which are not basic, so x_K >= 0.  The vectors are
     summed and normalized; residual and verdict are taken on the whole of
@@ -267,46 +256,37 @@ def perron(M, tol: float = PERRON_TOL,
         raise ValidationError("all-zero matrix has no dominant eigenpair")
     reach = _reach(M)
     if reach.all():
-        return _power_iteration(M, tol, maxiter)
+        return _power_iteration(M)
     # Classes successor first: a class reaches more states than any class
     # it reaches.
     owner = (reach & reach.T).argmax(axis=1)
     reps = sorted(set(owner.tolist()), key=lambda r: (reach[r].sum(), r))
     classes = [np.flatnonzero(owner == r) for r in reps]
-    # The spectral radius of a block lies between its least and its
-    # largest row sum, and the same for column sums, so only the classes
-    # that may reach the largest lower bound can be basic.
-    bounds = []
-    for states in classes:
-        block = M[np.ix_(states, states)]
-        rows, cols = block.sum(axis=1), block.sum(axis=0)
-        bounds.append((max(rows.min(), cols.min()),
-                       min(rows.max(), cols.max())))
-    floor = max(low for low, _ in bounds)
-    floor -= RADIUS_RTOL * max(1.0, floor)
-    basic = [k for k, (_, high) in enumerate(bounds) if high >= floor]
-    blocks = {}
-    if len(basic) > 1:
-        blocks = {k: _block_perron(M, classes[k], tol, maxiter)
-                  for k in basic}
-        rho = max(b.kappa for b in blocks.values())
-        basic = [k for k in basic if abs(blocks[k].kappa - rho)
-                 <= RADIUS_RTOL * max(1.0, rho)]
+    # The Perron root of an irreducible block is a simple eigenvalue, so
+    # LAPACK's error on it lies far inside RADIUS_RTOL.
+    radii = [np.abs(np.linalg.eigvals(M[np.ix_(states, states)])).max()
+             for states in classes]
+    rho = max(radii)
+    basic = [k for k, radius in enumerate(radii)
+             if rho - radius <= RADIUS_RTOL * max(1.0, rho)]
     top = [c for c in basic
            if not any(reach[reps[k], reps[c]] for k in basic if k != c)]
     support = reach[:, [reps[c] for c in top]].any(axis=1)
     if len(top) == len(basic):
-        return replace(_power_iteration(M, tol, maxiter), support=support)
+        return replace(_power_iteration(M), support=support)
     v = np.zeros(n)
+    iterations = 0
     for c in top:
+        block = _power_iteration(M[np.ix_(classes[c], classes[c])])
+        iterations += block.iterations
         x = np.zeros(n)
-        x[classes[c]] = blocks[c].vector
-        kappa_c = blocks[c].kappa
+        x[classes[c]] = block.vector
         for k in range(c + 1, len(classes)):
             if reach[reps[k], reps[c]]:
                 states = classes[k]
                 x[states] = np.linalg.solve(
-                    kappa_c * np.eye(len(states)) - M[np.ix_(states, states)],
+                    block.kappa * np.eye(len(states))
+                    - M[np.ix_(states, states)],
                     M[states] @ x)
         v += x
     v /= v.sum()
@@ -314,14 +294,13 @@ def perron(M, tol: float = PERRON_TOL,
     kappa = image.sum()
     residual = float(np.max(np.abs(image - kappa * v)))
     return PerronData(kappa=float(kappa), vector=v, residual=residual,
-                      converged=residual <= tol,
-                      iterations=sum(blocks[c].iterations for c in top),
-                      support=support)
+                      converged=residual <= PERRON_TOL,
+                      iterations=iterations, support=support)
 
 
-def entropy(A, tol: float = PERRON_TOL, maxiter: int = PERRON_MAXITER) -> float:
+def entropy(A) -> float:
     """log of the dominant eigenvalue; zero for permutation matrices."""
-    return perron(A, tol=tol, maxiter=maxiter).entropy()
+    return perron(A).entropy()
 
 
 @dataclass
@@ -338,8 +317,7 @@ class InvariantMeasures:
     converged: bool
 
 
-def invariant_measures(B, tol: float = PERRON_TOL,
-                       maxiter: int = PERRON_MAXITER) -> InvariantMeasures:
+def invariant_measures(B) -> InvariantMeasures:
     """Weight vectors from B and its transpose, sharing the eigenvalue.
 
     The transpose run produces the left eigenvector of B, i.e. the weights
@@ -347,8 +325,8 @@ def invariant_measures(B, tol: float = PERRON_TOL,
     full-support flags instead of being an error.
     """
     B = _as_count_matrix(B)
-    plus = perron(B, tol=tol, maxiter=maxiter)
-    minus = perron(np.asarray(B).T, tol=tol, maxiter=maxiter)
+    plus = perron(B)
+    minus = perron(np.asarray(B).T)
     return InvariantMeasures(
         mu_plus=plus.vector,
         mu_minus=minus.vector,
@@ -374,7 +352,7 @@ class CodingReport:
     ok: bool
 
 
-def coding_consistency(A, depth: int, max_list: int = LIST_BUDGET,
+def coding_consistency(A, depth: int,
                        listing: AdmissibleWords | None = None) -> CodingReport:
     """Finite-depth consistency of the symbol coding.
 
@@ -390,7 +368,7 @@ def coding_consistency(A, depth: int, max_list: int = LIST_BUDGET,
     n = A.shape[0]
     dead_ends = [i + 1 for i in range(n) if not A[i].any()]
     if listing is None:
-        listing = admissible_words(A, depth, max_list=max_list)
+        listing = admissible_words(A, depth)
     count_matrix = listing.count
     blocked: list[tuple[int, ...]] = []
     count_enum: int | None = None
@@ -398,10 +376,8 @@ def coding_consistency(A, depth: int, max_list: int = LIST_BUDGET,
     if listing.words is not None:
         count_enum = len(listing.words)
         match = count_enum == count_matrix
-        for word in listing.words:
-            extends = bool(A[word[-1] - 1].any())
-            if not extends:
-                blocked.append(word)
+        dead = set(dead_ends)
+        blocked = [word for word in listing.words if word[-1] in dead]
     ok = (match is not False) and not dead_ends
     return CodingReport(
         depth=depth,

@@ -252,6 +252,19 @@ class TestUnwritableOutput:
         assert capsys.readouterr() == (
             "", f"error: cannot write {tmp_path}: Is a directory\n")
 
+    @pytest.mark.parametrize("json_name", ["same.out", "sub/../same.out"])
+    def test_out_and_json_on_one_file_refused(self, json_name, golden,
+                                              tmp_path, capsys):
+        (tmp_path / "sub").mkdir()
+        out = tmp_path / "same.out"
+        code = run_command(["laminate", str(golden), "--horizon", "4",
+                            "--ball", "1", "--out", str(out),
+                            "--json", str(tmp_path / json_name)])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"error: --out and --json name the same file: {out}\n")
+        assert not out.exists()
+
     def test_parent_that_is_a_file_refused(self, golden, tmp_path, capsys):
         path = golden / "x.svg"
         code = run_command(["render", str(golden), "--out", str(path)])

@@ -231,9 +231,10 @@ class TestAdmissibleWords:
                 assert count_admissible(A, m) == int(power.sum())
 
     def test_budget_returns_count_only(self):
-        result = admissible_words(np.ones((3, 3), int), 8, max_list=10)
+        # 3^12 words exceed markov.LIST_BUDGET.
+        result = admissible_words(np.ones((3, 3), int), 12)
         assert result.words is None
-        assert result.count == 3 ** 8
+        assert result.count == 3 ** 12
 
     def test_random_matrices_match_brute_force(self):
         rng = random.Random(41)
@@ -377,6 +378,38 @@ class TestPerronByClasses:
         with pytest.raises(ConvergenceError,
                            match="dominant eigenvalue collapsed to zero"):
             data.entropy()
+
+    @pytest.mark.parametrize("M, vector", [
+        ([[1 + 1e-12, 1], [0, 1]], [1, 0]),
+        ([[1, 1], [0, 1 + 1e-12]], [1, 0]),
+        ([[1, 1, 0], [0, 1 + 1e-12, 1], [0, 0, 1]], [1, 0, 0]),
+    ])
+    def test_near_tie_is_one_radius(self, M, vector):
+        # Class radii within RADIUS_RTOL of rho are read as rho, so each
+        # of these is a defective root built from its top class.
+        data = perron(np.array(M))
+        assert (data.residual, data.converged) == (0.0, True)
+        assert data.vector.tolist() == vector
+
+    def test_index_one_iterates_once(self, monkeypatch):
+        # Two classes whose row and column sums cannot tell their radii
+        # apart; only the whole matrix is iterated.
+        M = [[0, 6, 0, 0, 7], [0, 0, 4, 0, 0], [8, 4, 3, 0, 0],
+             [0, 0, 0, 0, 8], [0, 0, 0, 6, 0]]
+        calls = []
+        iterate = markov._power_iteration
+
+        def counted(block, *args):
+            calls.append(block.shape)
+            return iterate(block, *args)
+
+        monkeypatch.setattr(markov, "_power_iteration", counted)
+        data, want = perron(np.array(M)), reference_power_iteration(M)
+        assert calls == [(5, 5)]
+        assert (data.kappa, data.residual, data.converged,
+                data.iterations) == (want.kappa, want.residual,
+                                     want.converged, want.iterations)
+        assert data.vector.tobytes() == want.vector.tobytes()
 
     def test_draws_hold_both_cases(self, draws):
         indices = [index for _, (_, index, _) in draws]
