@@ -422,8 +422,9 @@ def cmd_markov_words(scene, params, args):
         listing=listing if args.length >= 2 else None)
     print(f"admissible words of length {args.length}: {listing.count}")
     if args.list_words:
-        for word in listing.words:
-            print("  " + "".join(str(s) for s in word))
+        symbols = [str(i) for i in range(A.shape[0] + 1)]
+        sys.stdout.write("".join(["  " + "".join([symbols[s] for s in word])
+                                  + "\n" for word in listing.words]))
     if coding.dead_end_symbols:
         print(f"dead-end symbols: {coding.dead_end_symbols}")
     return EXIT_OK, None, {"count": listing.count, "words": listing.words,
@@ -445,14 +446,17 @@ def _command(sub, name, func, text):
     return p
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="endlam",
-                     description="Desk-scale lamination approximations for "
-                                 "endperiodic surface maps")
-    # Each prog is given so that argparse does not format a usage line to
-    # find it.
-    sub = parser.add_subparsers(dest="command", prog=parser.prog)
+def _chosen(registry, argv):
+    """The registration functions of the parsers ``argv`` may need: the one
+    ``argv[0]`` names, or all of them in registry order."""
+    if argv and argv[0] in registry:
+        return [registry[argv[0]]]
+    return list(registry.values())
 
+
+# Each function registers one subcommand's parser on ``sub``; ``rest`` is
+# the argv after its name, which only markov reads.
+def _add_limit_set(sub, rest):
     p = _command(sub, "limit-set", cmd_limit_set,
                  "sample the orbit and boundary fixed points")
     p.add_argument("--depth", type=int, default=6,
@@ -464,12 +468,16 @@ def build_parser() -> _Parser:
                    help="canvas size")
     _add_flags(p, ("angle_tol", "trace_tol", "max_words", "json"))
 
+
+def _add_laminate(sub, rest):
     p = _command(sub, "laminate", cmd_laminate,
                  "extract certified limit leaves")
     p.add_argument("--out", default=None, help="write an SVG here")
     p.add_argument("--size", type=int, default=1000, action=_SizeAction)
     _add_flags(p, (*_PARAM_HELP, "json"))
 
+
+def _add_escape(sub, rest):
     p = _command(sub, "escape", cmd_escape,
                  "translation-length escape dichotomy")
     p.add_argument("--growth-ratio", type=float,
@@ -479,18 +487,19 @@ def build_parser() -> _Parser:
     _add_flags(p, ("horizon", "trace_tol", "max_letters", "json"),
                horizon=DEFAULT_ESCAPE_HORIZON)
 
+
+def _add_axioms(sub, rest):
     p = _command(sub, "axioms", cmd_axioms, "finite-scale diagnostic report")
     _add_flags(p, (*_PARAM_HELP, "json"))
 
-    p = sub.add_parser("markov", help="crossing-family checks and spectra")
-    markov = p.add_subparsers(dest="markov_cmd", required=True, prog=p.prog)
-    for name, func, text in (
-            ("verify", cmd_markov_verify, "check the crossing family"),
-            ("entropy", cmd_markov_entropy, "entropy of the transition "
-             "matrix"),
-            ("measure", cmd_markov_measure, "invariant measures of the "
-             "count matrix")):
-        _add_flags(_command(markov, name, func, text), ("json",))
+
+def _markov_json_only(name, func, text):
+    """Registers a markov subcommand whose one flag is --json."""
+    return lambda markov: _add_flags(_command(markov, name, func, text),
+                                     ("json",))
+
+
+def _add_markov_words(markov):
     p = _command(markov, "words", cmd_markov_words, "count admissible words")
     p.add_argument("-m", "--length", type=int, default=5,
                    help="word length")
@@ -498,6 +507,26 @@ def build_parser() -> _Parser:
                    help="print the words")
     _add_flags(p, ("json",))
 
+
+_MARKOV_COMMANDS = {
+    "verify": _markov_json_only("verify", cmd_markov_verify,
+                                "check the crossing family"),
+    "entropy": _markov_json_only("entropy", cmd_markov_entropy,
+                                 "entropy of the transition matrix"),
+    "measure": _markov_json_only("measure", cmd_markov_measure,
+                                 "invariant measures of the count matrix"),
+    "words": _add_markov_words,
+}
+
+
+def _add_markov(sub, rest):
+    p = sub.add_parser("markov", help="crossing-family checks and spectra")
+    markov = p.add_subparsers(dest="markov_cmd", required=True, prog=p.prog)
+    for add in _chosen(_MARKOV_COMMANDS, rest):
+        add(markov)
+
+
+def _add_render(sub, rest):
     p = _command(sub, "render", cmd_render,
                  "draw juncture orbits (and leaves)")
     p.add_argument("--out", required=True)
@@ -505,11 +534,45 @@ def build_parser() -> _Parser:
                    help="also extract and draw limit leaves")
     p.add_argument("--size", type=int, default=1000, action=_SizeAction)
     _add_flags(p, _PARAM_HELP, horizon=4, ball=1)
+
+
+# In the order of the top-level usage and help.
+_COMMANDS = {
+    "limit-set": _add_limit_set,
+    "laminate": _add_laminate,
+    "escape": _add_escape,
+    "axioms": _add_axioms,
+    "markov": _add_markov,
+    "render": _add_render,
+}
+
+
+def build_parser(argv=()) -> _Parser:
+    """The parser of the command line ``argv``, holding only the path that
+    ``argv`` names.
+
+    When ``argv[0]`` is a command only its parser is registered, and under
+    ``markov`` only that of the subcommand ``argv[1]`` names.  argparse hands
+    every argument after a command's name to that command's parser, and a
+    parser prints its list of subcommands only when the name is missing or
+    unknown.  So every other argv gets all the parsers of its level: no
+    command, ``-h``, a flag or an unknown name in the command's place (the
+    full tree), and ``markov`` alone, ``markov -h`` or an unknown markov
+    subcommand (all four markov subcommands).
+    """
+    parser = _Parser(prog="endlam",
+                     description="Desk-scale lamination approximations for "
+                                 "endperiodic surface maps")
+    # Each prog is given so that argparse does not format a usage line to
+    # find it.
+    sub = parser.add_subparsers(dest="command", prog=parser.prog)
+    for add in _chosen(_COMMANDS, argv):
+        add(sub, argv[1:])
     return parser
 
 
 def run_command(argv) -> int:
-    parser = build_parser()
+    parser = build_parser(argv)
     try:
         args, extras = parser.parse_known_args(argv)
         if extras:

@@ -116,12 +116,12 @@ def count_admissible(A, m: int) -> int:
     if m < 1:
         raise ValidationError("word length must be >= 1")
     # 1^T A^(m-1) 1 as m-1 vector-matrix products over Python integers,
-    # which never overflow.
-    rows = [[int(x) for x in row] for row in A]
-    n = len(rows)
-    v = [1] * n
+    # which never overflow; each column sums over its nonzero entries only.
+    columns = [[(k, int(a)) for k, a in enumerate(column) if a]
+               for column in A.T.tolist()]
+    v = [1] * len(columns)
     for _ in range(m - 1):
-        v = [sum(v[k] * rows[k][j] for k in range(n)) for j in range(n)]
+        v = [sum([v[k] * a for k, a in column]) for column in columns]
     return sum(v)
 
 
@@ -141,22 +141,27 @@ def admissible_words(A, m: int) -> AdmissibleWords:
     count = count_admissible(A, m)
     if count > LIST_BUDGET:
         return AdmissibleWords(count=count, words=None)
-    n = A.shape[0]
+    # successors[i]: the symbols j with A[i, j] nonzero, for 1-based i.
+    successors = [()] + [tuple(j + 1 for j, a in enumerate(row) if a)
+                         for row in A.tolist()]
     words: list[tuple[int, ...]] = []
-
-    def extend(prefix):
-        if len(prefix) == m:
+    # Depth first and smallest symbol first, so the words come out sorted;
+    # todo[k] runs over the choices for prefix[k].  A loop rather than
+    # recursion, so that m may exceed Python's recursion limit.
+    prefix: list[int] = []
+    todo = [iter(range(1, A.shape[0] + 1))]
+    while todo:
+        for j in todo[-1]:
+            prefix.append(j)
+            if len(prefix) < m:
+                todo.append(iter(successors[j]))
+                break
             words.append(tuple(prefix))
-            return
-        last = prefix[-1]
-        for j in range(1, n + 1):
-            if A[last - 1, j - 1]:
-                prefix.append(j)
-                extend(prefix)
+            prefix.pop()
+        else:
+            todo.pop()
+            if prefix:
                 prefix.pop()
-
-    for i in range(1, n + 1):
-        extend([i])
     return AdmissibleWords(count=count, words=words)
 
 

@@ -496,6 +496,27 @@ class TestMarkov:
         assert "admissible words of length 3: 5" in out
         assert "121" in out
 
+    def test_listing_spells_two_digit_symbols(self, golden, capsys):
+        # 12 symbols, each followed by itself, the next and the one after:
+        # symbols 10-12 are two digits, as str() wrote them one by one.
+        n = 12
+        doc = json.loads(golden.read_text())
+        doc["markov"] = {
+            "rects": [f"R{i}" for i in range(1, n + 1)],
+            "crossings": [[i, (i + d - 1) % n + 1, 1]
+                          for i in range(1, n + 1) for d in range(3)]}
+        golden.write_text(json.dumps(doc))
+        assert run_command(["markov", "words", str(golden), "-m", "3",
+                            "--list-words"]) == 0
+        A = markov.build_matrix_A(load_scene(golden).markov)
+        words = markov.admissible_words(A, 3).words
+        assert capsys.readouterr().out == (
+            "admissible words of length 3: 108\n"
+            + "".join("  " + "".join(str(s) for s in word) + "\n"
+                      for word in words))
+        assert ("  101112\n" in "".join(
+            "  " + "".join(str(s) for s in word) + "\n" for word in words))
+
     def test_listing_over_budget_flagged(self, golden, tmp_path, capsys):
         report = tmp_path / "words.json"
         assert run_command(["markov", "words", str(golden), "-m", "30",
@@ -696,6 +717,35 @@ class TestUnreadFlags:
             errs.append(capsys.readouterr().err)
         assert errs[0] == errs[1]
         assert max(map(len, errs[0].splitlines()[:-1])) <= 78
+
+
+class TestParserPath:
+    """A run builds the parsers on the path its argv names; where a name is
+    missing or unknown it builds every parser of that level, whose usage
+    lists them all."""
+
+    @pytest.mark.parametrize("argv, built", [
+        (["markov", "entropy", "G"], 3),
+        (["markov", "words", "G", "-m", "x"], 3),
+        (["laminate", "S"], 2),
+        (["render", "-h"], 2),
+        (["markov", "ent", "G"], 6),
+        (["markov"], 6),
+        (["frobnicate"], 11),
+        (["-h"], 11),
+        ([], 11),
+    ])
+    def test_parsers_built(self, argv, built, monkeypatch, capsys):
+        count = []
+        original = cli._Parser.__init__
+
+        def counting(self, *args, **kwargs):
+            count.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting)
+        run_command(argv)
+        assert len(count) == built
 
 
 class TestOnePipeline:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from endlam import markov
 from endlam.errors import ConvergenceError, ValidationError
@@ -243,6 +244,33 @@ class TestAdmissibleWords:
             A = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
             for m in range(1, 6):
                 assert count_admissible(np.array(A), m) == brute_force_count(A, m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda n: st.lists(
+        st.lists(st.integers(0, 3), min_size=n, max_size=n),
+        min_size=n, max_size=n)), st.integers(1, 25))
+    def test_count_is_the_exact_matrix_power_sum(self, rows, m):
+        A = np.array(rows, dtype=np.int64)
+        power = np.linalg.matrix_power(A.astype(object), m - 1)
+        assert count_admissible(A, m) == int(power.sum())
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(st.integers(0, 1), min_size=n, max_size=n),
+        min_size=n, max_size=n)), st.integers(1, 6))
+    def test_listing_is_every_admissible_word_in_order(self, rows, m):
+        A = np.array(rows, dtype=np.int64)
+        n = len(rows)
+        expected = [word for word in itertools.product(range(1, n + 1),
+                                                       repeat=m)
+                    if all(A[i - 1, j - 1] for i, j in zip(word, word[1:]))]
+        result = admissible_words(A, m)
+        assert result.words == expected
+        assert result.count == len(expected)
+
+    def test_listing_longer_than_the_recursion_limit(self):
+        result = admissible_words(np.eye(2, dtype=int), 1500)
+        assert result.words == [(1,) * 1500, (2,) * 1500]
 
 
 class TestShift:
