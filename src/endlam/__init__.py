@@ -55,7 +55,6 @@ from .markov import (
     entropy,
     invariant_measures,
     perron,
-    shift,
     verify_markov,
 )
 from .render import render_svg

@@ -9,14 +9,13 @@ its dominant nonnegative eigenpair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
 
 PERRON_TOL = 1e-12
-PERRON_MAXITER = 10 ** 5
 # Class spectral radii this close, relative to rho, are one radius.
 RADIUS_RTOL = 1e-9
 # Most admissible words a listing holds; past it only the count is kept.
@@ -135,10 +134,12 @@ def admissible_words(A, m: int) -> AdmissibleWords:
     """Count admissible words of length m; list them under the budget.
 
     Symbols are 1-based; a word (i_0, ..., i_{m-1}) is admissible when
-    A[i_k, i_{k+1}] is nonzero for every consecutive pair.
+    A[i_k, i_{k+1}] is nonzero for every consecutive pair.  Each word
+    counts once, whatever the entries: the count is over A's nonzero
+    pattern, so it equals the length of the listing.
     """
     A = _as_count_matrix(A)
-    count = count_admissible(A, m)
+    count = count_admissible(A > 0, m)
     if count > LIST_BUDGET:
         return AdmissibleWords(count=count, words=None)
     # successors[i]: the symbols j with A[i, j] nonzero, for 1-based i.
@@ -165,65 +166,27 @@ def admissible_words(A, m: int) -> AdmissibleWords:
     return AdmissibleWords(count=count, words=words)
 
 
-def is_admissible(A, word) -> bool:
-    A = _as_count_matrix(A)
-    return all(A[i - 1, j - 1] for i, j in zip(word, word[1:]))
-
-
-def shift(word):
-    """Drop the leading symbol; admissibility of the suffix is automatic."""
-    if len(word) < 2:
-        raise ValidationError("cannot shift a word of length < 2")
-    return tuple(word[1:])
-
-
 @dataclass
 class PerronData:
     kappa: float
     vector: np.ndarray  # nonnegative, normalized to sum 1
     residual: float     # max |M y - kappa y|
-    converged: bool
-    iterations: int     # every power-iteration step run
+    converged: bool     # residual <= PERRON_TOL * max(1, kappa)
+    iterations: int     # always 0; only perfbench's tracer reads it
     # States that reach a basic class the vector is built on, read off the
-    # class graph; ``perron`` always sets it.
-    support: np.ndarray | None = None
+    # class graph.
+    support: np.ndarray
 
     def entropy(self) -> float:
         """log of the dominant eigenvalue; zero for permutation matrices."""
         if not self.converged:
             raise ConvergenceError(
-                f"power iteration stalled at residual {self.residual:.3e}"
+                f"eigenpair residual {self.residual:.3e} above tolerance "
+                f"{PERRON_TOL * max(1.0, self.kappa):.3e}"
             )
         if self.kappa <= 0.0:
             raise ConvergenceError("dominant eigenvalue collapsed to zero")
         return math.log(self.kappa)
-
-
-def _power_iteration(M: np.ndarray) -> PerronData:
-    """Power iteration of (M + I) from uniform.
-
-    The shift leaves eigenvectors alone, makes an irreducible M primitive
-    so periodic transition patterns converge too, and is subtracted from
-    the reported eigenvalue.  An irreducible M is supported everywhere.
-    """
-    n = M.shape[0]
-    v = np.full(n, 1.0 / n)
-    kappa = 0.0
-    residual = math.inf
-    iterations = 0
-    converged = False
-    for iterations in range(1, PERRON_MAXITER + 1):
-        z = M @ v + v
-        v = z / z.sum()
-        image = M @ v
-        kappa = image.sum()  # Rayleigh-style ratio, since v sums to 1
-        residual = float(np.max(np.abs(image - kappa * v)))
-        if residual <= PERRON_TOL:
-            converged = True
-            break
-    return PerronData(kappa=float(kappa), vector=v, residual=residual,
-                      converged=converged, iterations=iterations,
-                      support=np.ones(n, dtype=bool))
 
 
 def _reach(M: np.ndarray) -> np.ndarray:
@@ -238,30 +201,38 @@ def _reach(M: np.ndarray) -> np.ndarray:
     return reach
 
 
+def _block_eigenpair(block: np.ndarray) -> tuple[float, np.ndarray]:
+    """Perron root and vector (sum 1) of an irreducible nonnegative block.
+
+    Its spectral radius is the eigenvalue of largest real part, periodic
+    blocks included, and is simple, so its eigenvector is one complex
+    multiple of a positive vector: the moduli are that vector.
+    """
+    values, vectors = np.linalg.eig(block)
+    top = values.real.argmax()
+    x = np.abs(vectors[:, top])
+    return float(values[top].real), x / x.sum()
+
+
 def perron(M) -> PerronData:
     """Dominant nonnegative eigenpair, decided from M's class graph.
 
-    An irreducible M goes to the (M + I) power iteration as a whole.  A
-    reducible M is split into its classes (Frobenius normal form,
-    Lind-Marcus 4.4), and each class's spectral radius is the largest
-    eigenvalue modulus of its irreducible block; the classes of radius rho
-    are the basic ones.  When no basic class reaches another (Perron index
-    1), the whole of M takes the power iteration.  Otherwise rho is
-    defective and that iteration would crawl, so the vector is built from
-    the classes (Rothblum's index theorem): for every basic class C that no
-    other basic class reaches, the power iteration on C's block,
-    back-substituted as x_K = (kappa_C I - M_KK)^-1 M_K. x over the classes
-    K upstream of C, which are not basic, so x_K >= 0.  The vectors are
-    summed and normalized; residual and verdict are taken on the whole of
-    M.  A nilpotent M gets kappa 0 and a vector on its source states.
+    M is split into its classes (Frobenius normal form, Lind-Marcus 4.4);
+    an irreducible M is one class.  Each class's root and nonnegative
+    vector come from one ``numpy.linalg.eig`` of its block, and the classes
+    whose root is rho are the basic ones.  For every basic class C that no
+    other basic class reaches, C's vector is back-substituted as
+    x_K = (kappa_C I - M_KK)^-1 M_K. x over the classes K upstream of C,
+    which are not basic, so x_K >= 0 (Rothblum's index theorem covers the
+    defective roots).  The vectors are summed and normalized; kappa,
+    residual and verdict are taken on the whole of M.  A nilpotent M gets
+    kappa 0 and a vector on its source states.
     """
     M = np.asarray(_as_count_matrix(M), dtype=float)
     n = M.shape[0]
     if not M.any():
         raise ValidationError("all-zero matrix has no dominant eigenpair")
     reach = _reach(M)
-    if reach.all():
-        return _power_iteration(M)
     # Classes successor first: a class reaches more states than any class
     # it reaches.
     owner = (reach & reach.T).argmax(axis=1)
@@ -269,38 +240,33 @@ def perron(M) -> PerronData:
     classes = [np.flatnonzero(owner == r) for r in reps]
     # The Perron root of an irreducible block is a simple eigenvalue, so
     # LAPACK's error on it lies far inside RADIUS_RTOL.
-    radii = [np.abs(np.linalg.eigvals(M[np.ix_(states, states)])).max()
+    pairs = [_block_eigenpair(M[np.ix_(states, states)])
              for states in classes]
-    rho = max(radii)
-    basic = [k for k, radius in enumerate(radii)
-             if rho - radius <= RADIUS_RTOL * max(1.0, rho)]
+    rho = max(root for root, _ in pairs)
+    basic = [k for k, (root, _) in enumerate(pairs)
+             if rho - root <= RADIUS_RTOL * max(1.0, rho)]
     top = [c for c in basic
            if not any(reach[reps[k], reps[c]] for k in basic if k != c)]
     support = reach[:, [reps[c] for c in top]].any(axis=1)
-    if len(top) == len(basic):
-        return replace(_power_iteration(M), support=support)
     v = np.zeros(n)
-    iterations = 0
     for c in top:
-        block = _power_iteration(M[np.ix_(classes[c], classes[c])])
-        iterations += block.iterations
+        root, vector = pairs[c]
         x = np.zeros(n)
-        x[classes[c]] = block.vector
+        x[classes[c]] = vector
         for k in range(c + 1, len(classes)):
             if reach[reps[k], reps[c]]:
                 states = classes[k]
                 x[states] = np.linalg.solve(
-                    block.kappa * np.eye(len(states))
-                    - M[np.ix_(states, states)],
+                    root * np.eye(len(states)) - M[np.ix_(states, states)],
                     M[states] @ x)
         v += x
     v /= v.sum()
     image = M @ v
-    kappa = image.sum()
+    kappa = image.sum()  # Rayleigh-style ratio, since v sums to 1
     residual = float(np.max(np.abs(image - kappa * v)))
     return PerronData(kappa=float(kappa), vector=v, residual=residual,
-                      converged=residual <= PERRON_TOL,
-                      iterations=iterations, support=support)
+                      converged=residual <= PERRON_TOL * max(1.0, kappa),
+                      iterations=0, support=support)
 
 
 def entropy(A) -> float:
@@ -349,7 +315,7 @@ def invariant_measures(B) -> InvariantMeasures:
 @dataclass
 class CodingReport:
     depth: int
-    count_matrix: int               # sum of A^(depth-1)
+    count_matrix: int               # sum of P^(depth-1), P = (A > 0)
     count_enumerated: int | None    # None when enumeration was skipped
     counts_match: bool | None
     dead_end_symbols: list[int]     # 1-based symbols whose row is zero

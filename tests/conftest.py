@@ -27,7 +27,7 @@ from endlam.lamination import (
     SkippedChain,
     _aitken_angle,
 )
-from endlam.markov import PERRON_MAXITER, PERRON_TOL, PerronData
+from endlam.markov import PERRON_TOL, PerronData
 from endlam.scene import scene_path
 
 TORUS_A = [[4, 0], [0, 0.25]]
@@ -268,10 +268,10 @@ def reference_extract(entries, tol, angle_tol=ANGLE_TOL):
         [c for c, k in zip(certificates, keep) if k], skipped)
 
 
-def reference_power_iteration(M, tol=PERRON_TOL, maxiter=PERRON_MAXITER):
-    """Reference for ``markov.perron`` on a root of Perron index 1: the
-    (M + I) power iteration from uniform over the whole matrix, as
-    ``perron`` ran every matrix before it read the class graph."""
+def reference_power_iteration(M, tol=PERRON_TOL, maxiter=10 ** 5):
+    """The (M + I) power iteration from uniform over the whole matrix, as
+    ``markov.perron`` ran every matrix before it read the class graph; its
+    support is the states the last iterate holds weight on."""
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
     v = np.full(n, 1.0 / n)
@@ -287,9 +287,9 @@ def reference_power_iteration(M, tol=PERRON_TOL, maxiter=PERRON_MAXITER):
         if residual <= tol:
             return PerronData(kappa=float(kappa), vector=v,
                               residual=residual, converged=True,
-                              iterations=iterations)
+                              iterations=iterations, support=v > 0)
     return PerronData(kappa=float(kappa), vector=v, residual=residual,
-                      converged=False, iterations=iterations)
+                      converged=False, iterations=iterations, support=v > 0)
 
 
 def reference_jsonable(obj, names=None):

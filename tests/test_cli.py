@@ -4,6 +4,7 @@ import json
 import re
 import shutil
 import tempfile
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -455,23 +456,26 @@ class TestMarkov:
         assert run_command(["markov", "entropy", str(golden),
                             "--json", str(report)]) == 0
         data = json.loads(report.read_text())
-        import math
-        assert abs(data["entropy"] - math.log((1 + math.sqrt(5)) / 2)) < 1e-9
+        with localcontext() as context:
+            context.prec = 50
+            log_phi = ((1 + Decimal(5).sqrt()) / 2).ln()
+        assert f"entropy: {log_phi:.12f}" in (
+            capsys.readouterr().out.splitlines())
         assert data["residual"] <= 1e-12
 
     def test_entropy_not_converged_flagged(self, golden, tmp_path,
                                            monkeypatch, capsys):
         stalled = PerronData(kappa=1.00002, vector=np.array([1.0, 0.0]),
-                             residual=4e-10, converged=False,
-                             iterations=10 ** 5)
+                             residual=4e-10, converged=False, iterations=0,
+                             support=np.array([True, False]))
         monkeypatch.setattr(cli, "perron", lambda A: stalled)
         report = tmp_path / "entropy.json"
         assert run_command(["markov", "entropy", str(golden),
                             "--json", str(report)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == ("flagged: power iteration stalled at residual "
-                       "4.000e-10\n")
+        assert err == ("flagged: eigenpair residual 4.000e-10 above "
+                       "tolerance 1.000e-12\n")
         assert not report.exists()
 
     def test_entropy_of_nilpotent_table_collapses(self, golden, capsys):
