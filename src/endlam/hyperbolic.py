@@ -467,6 +467,70 @@ def boundary_images(a, b, c, d, points) -> np.ndarray:
     return theta
 
 
+def geodesic_intersections(first, second, i, j):
+    """Disk coordinates (x, y) of the points where geodesic ``i[k]`` of
+    ``first`` crosses geodesic ``j[k]`` of ``second``, for pairs that
+    cross; ``first`` and ``second`` hold one row of endpoint angles per
+    geodesic.  Bit for bit ``to_disk(geodesic_intersection(...))`` of the
+    ``Geodesic.from_angles`` of the rows.  Carriers are computed once per
+    geodesic.  A degenerate pair raises what the scalar path raises, for
+    the first such k."""
+    first, second = (np.asarray(ends, dtype=float).reshape(-1, 2)
+                     for ends in (first, second))
+    # boundary_from_angle per endpoint, with libm's sin and cos (see
+    # boundary_images on numpy's SIMD transcendentals).
+    half = np.concatenate([first, second]) % TWO_PI / 2.0
+    values = half.ravel().tolist()
+    s, c = (np.fromiter(map(f, values), float, half.size).reshape(half.shape)
+            for f in (math.sin, math.cos))
+    with np.errstate(all="ignore"):
+        u, v = np.where(s == 0.0, INF, -c / s).T
+        # _carrier: a line at the finite end, or a circle.  No geodesic has
+        # both ends at infinity: they would coincide.
+        at_u = u == INF
+        line = at_u | (v == INF)
+        x0 = np.where(at_u, v, u)
+        cx, r = (u + v) / 2.0, np.abs(u - v) / 2.0
+        i, j = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
+        k = len(first) + j
+        line1, line2 = line[i], line[k]
+        cx1, cx2, r1, r2 = cx[i], cx[k], r[i], r[k]
+        # One line: x at the line, (cx, r) of the circle.
+        x_line = np.where(line1, x0[i], x0[k])
+        cx_line = np.where(line1, cx2, cx1)
+        r_line = np.where(line1, r2, r1)
+        y2_line = r_line * r_line - (x_line - cx_line) * (x_line - cx_line)
+        # Two circles.
+        x_circ = ((r1 * r1 - r2 * r2 + cx2 * cx2 - cx1 * cx1)
+                  / (2.0 * (cx2 - cx1)))
+        y2_circ = r1 * r1 - (x_circ - cx1) * (x_circ - cx1)
+        one_line = line1 != line2
+        x = np.where(one_line, x_line, x_circ)
+        y2 = np.where(one_line, y2_line, y2_circ)
+        y = np.sqrt(y2)
+        # A pair fails this test exactly when the scalar path raises on
+        # it: parallel, concentric and grazing carriers leave x or y
+        # non-finite or y at most 1e-12, and HPoint refuses the rest.  The
+        # first such pair goes through the scalar path, which raises.
+        fine = np.isfinite(x) & np.isfinite(y) & (y > 1e-12)
+        if not fine.all():
+            bad = fine.argmin()
+            _carrier_meet(Geodesic.from_angles(*first[i[bad]].tolist()),
+                          Geodesic.from_angles(*second[j[bad]].tolist()))
+            raise NumericDegeneracyError(
+                f"pair {bad}: the scalar carriers meet, the array ones "
+                "do not")
+        # to_disk: (z - i)/(z + i) by CPython's complex division (Smith's
+        # method), written out so that every rounding step is the same.
+        ar, ai, br, bi = x - 0.0, y - 1.0, x + 0.0, y + 1.0
+        wide = np.abs(br) >= np.abs(bi)
+        ratio = np.where(wide, bi / br, br / bi)
+        denom = np.where(wide, br + bi * ratio, br * ratio + bi)
+        wr = np.where(wide, ar + ai * ratio, ar * ratio + ai) / denom
+        wi = np.where(wide, ai - ar * ratio, ai * ratio - ar) / denom
+    return wr, wi
+
+
 def geodesic_relation(g1: Geodesic, g2: Geodesic,
                       tol: float = ANGLE_TOL) -> str:
     """'equal', 'share_endpoint', 'cross', or 'disjoint'.
@@ -508,6 +572,11 @@ def geodesic_intersection(g1: Geodesic, g2: Geodesic,
     """Unique crossing point of two transverse geodesics."""
     if geodesic_relation(g1, g2, tol) != "cross":
         raise NoIntersectionError("geodesics do not cross")
+    return _carrier_meet(g1, g2)
+
+
+def _carrier_meet(g1: Geodesic, g2: Geodesic) -> HPoint:
+    """Where the carriers of two crossing geodesics meet."""
     c1 = _carrier(g1)
     c2 = _carrier(g2)
     if c1[0] == "line" and c2[0] == "line":

@@ -38,8 +38,7 @@ from .hyperbolic import (
     boundary_images,
     classify_isometry,
     first_distinct,
-    geodesic_intersection,
-    to_disk,
+    geodesic_intersections,
     translation_length,
 )
 
@@ -446,38 +445,52 @@ class CrossingViolation:
 _MASK_ROWS = 64  # mask rows per block: float temporaries stay under ~1 MB
 
 
-def _crossing_mask(leaves_p: list[Geodesic], leaves_q: list[Geodesic],
-                   tol: float) -> np.ndarray:
-    """True where leaf i of ``leaves_p`` crosses leaf j of ``leaves_q``.
+def _endpoint_angles(leaves: list[Geodesic]) -> np.ndarray:
+    return np.array([(g.a.theta, g.b.theta) for g in leaves],
+                    dtype=float).reshape(-1, 2)
 
-    Only the float steps of ``geodesic_relation`` (subtraction, ``abs``,
-    ``%``, comparisons), so each pair gets the scalar verdict bit for bit.
+
+def _crossing_pairs(p: np.ndarray, q: np.ndarray, tol: float,
+                    upper: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j), row-major, where chord i of ``p`` crosses chord j of ``q``
+    (rows of endpoint angles); ``upper`` keeps only j > i, and each block
+    then evaluates only the columns past its first row.
+
+    ``geodesic_relation`` per pair is the scalar reference, and each pair
+    gets its verdict bit for bit.  The mask blocks hold the interleave test
+    only; the four ``angular_gaps >= tol`` tests, which clear shared
+    endpoints, run on the interleaved pairs alone.
     """
-    p, q = (np.array([(g.a.theta, g.b.theta) for g in leaves]).reshape(-1, 2)
-            for leaves in (leaves_p, leaves_q))
     a2, b2 = q.T
-    mask = np.empty((len(p), len(q)), dtype=bool)
+    found = [(np.empty(0, dtype=np.int64),) * 2]
     for start in range(0, len(p), _MASK_ROWS):
         block = p[start:start + _MASK_ROWS]
+        first = start + 1 if upper else 0
         a1, b1 = block[:, :1], block[:, 1:]
         beta = (b1 - a1) % TWO_PI
-        crossing = ((a2 - a1) % TWO_PI < beta) != ((b2 - a1) % TWO_PI < beta)
-        for u in (a1, b1):
-            for v in (a2, b2):
-                crossing &= angular_gaps(u, v) >= tol
-        mask[start:start + _MASK_ROWS] = crossing
-    return mask
+        i, j = np.nonzero(((a2[first:] - a1) % TWO_PI < beta)
+                          != ((b2[first:] - a1) % TWO_PI < beta))
+        if upper:  # block column j is leaf first + j: keep leaf j > leaf i
+            i, j = i[j >= i], j[j >= i]
+        found.append((start + i, first + j))
+    i, j = map(np.concatenate, zip(*found))
+    keep = np.ones(len(i), dtype=bool)
+    for u in p[i].T:
+        for v in q[j].T:
+            keep &= angular_gaps(u, v) >= tol
+    return i[keep], j[keep]
 
 
 def crossing_audit(lam: LaminationApprox,
                    tol: float = ANGLE_TOL) -> list[CrossingViolation]:
-    """Pairs of leaves of one lamination that transversely cross, read
-    row-major off the crossing mask (``geodesic_relation`` per pair is
-    the scalar reference)."""
+    """Pairs of leaves of one lamination that transversely cross, i < j
+    in row-major order, as ``geodesic_relation`` would read each pair;
+    only the columns j > i of each mask block are evaluated."""
     leaves = lam.leaves
-    mask = np.triu(_crossing_mask(leaves, leaves, tol), 1)
-    return [CrossingViolation(i, j, leaves[i], leaves[j])
-            for i, j in np.argwhere(mask).tolist()]
+    ends = _endpoint_angles(leaves)
+    i, j = _crossing_pairs(ends, ends, tol, upper=True)
+    return [CrossingViolation(a, b, leaves[a], leaves[b])
+            for a, b in zip(i.tolist(), j.tolist())]
 
 
 @dataclass
@@ -507,19 +520,24 @@ def transversal_intersections(lam_plus: LaminationApprox,
                               tol: float = ANGLE_TOL) -> MeagerInvariantSet:
     """All cross pairs between the two leaf families with their points.
 
-    The crossing mask picks the pairs (row-major), and only those reach
-    the scalar ``geodesic_intersection``.  Two distinct geodesics meet at
-    most once, so each pair contributes at most one record.  Leaves
-    meeting nothing opposite are flagged.
+    The crossing pairs come row-major from ``_crossing_pairs`` and their
+    points from one ``geodesic_intersections`` call, which equals the
+    scalar ``geodesic_intersection`` and ``to_disk`` per pair, errors
+    included.  Two distinct geodesics meet at most once, so each pair
+    contributes at most one record.  Leaves meeting nothing opposite are
+    flagged.
     """
-    mask = _crossing_mask(lam_plus.leaves, lam_minus.leaves, tol)
-    points = [IntersectionRecord(i, j, *to_disk(geodesic_intersection(
-                  lam_plus.leaves[i], lam_minus.leaves[j], tol)))
-              for i, j in np.argwhere(mask).tolist()]
+    plus, minus = (_endpoint_angles(lam.leaves)
+                   for lam in (lam_plus, lam_minus))
+    i, j = _crossing_pairs(plus, minus, tol)
+    x, y = geodesic_intersections(plus, minus, i, j)
     return MeagerInvariantSet(
-        points=points,
-        uncovered_plus=np.flatnonzero(~mask.any(axis=1)).tolist(),
-        uncovered_minus=np.flatnonzero(~mask.any(axis=0)).tolist())
+        points=list(map(IntersectionRecord, i.tolist(), j.tolist(),
+                        x.tolist(), y.tolist())),
+        uncovered_plus=np.flatnonzero(
+            np.bincount(i, minlength=len(plus)) == 0).tolist(),
+        uncovered_minus=np.flatnonzero(
+            np.bincount(j, minlength=len(minus)) == 0).tolist())
 
 
 @dataclass

@@ -10,6 +10,7 @@ from endlam import hyperbolic
 from endlam.errors import (
     NoIntersectionError,
     NotHyperbolicError,
+    NumericDegeneracyError,
     ValidationError,
 )
 from endlam.hyperbolic import (
@@ -28,6 +29,7 @@ from endlam.hyperbolic import (
     classify_isometry,
     first_distinct,
     geodesic_intersection,
+    geodesic_intersections,
     geodesic_relation,
     hyperbolic_distance,
     same_ideal_point,
@@ -388,6 +390,105 @@ class TestBoundaryImages:
         ms = [Isometry(0.0, 1.0, -1.0, t), Isometry(0.0, -2.0, 0.5, -0.5 * t)]
         assert [m.c * t + m.d for m in ms] == [0.0, 0.0]
         assert self.images(ms, p) == self.reference(ms, p) == bits([0.0, 0.0])
+
+
+def point_outcome(func):
+    """Bits of a disk point as a list, or the type and message of the
+    error as a tuple."""
+    try:
+        x, y = func()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return bits([x, y])
+
+
+class TestGeodesicIntersections:
+    """``geodesic_intersections`` against ``to_disk`` of the scalar
+    ``geodesic_intersection`` per crossing pair."""
+
+    # Angle 0 is the point at infinity (a vertical carrier); endpoints a
+    # hair from it give huge carriers that graze or overflow.
+    ANGLES = [0.0, 1e-300, 1e-13, 3e-13, 1e-9, math.nextafter(TWO_PI, 0),
+              TWO_PI - 1e-13, TWO_PI - 1e-9, math.pi,
+              math.nextafter(math.pi, 0)]
+
+    @classmethod
+    def crossing_pairs(cls, seed, count):
+        rng = random.Random(seed)
+        pairs = []
+        while len(pairs) < count:
+            ends = [rng.choice(cls.ANGLES) if rng.random() < 0.6
+                    else rng.uniform(0.0, TWO_PI) for _ in range(4)]
+            try:
+                g1, g2 = (Geodesic.from_angles(*ends[:2]),
+                          Geodesic.from_angles(*ends[2:]))
+            except ValidationError:
+                continue
+            if geodesic_relation(g1, g2) == "cross":
+                pairs.append((g1, g2))
+        return pairs
+
+    @staticmethod
+    def reference(g1, g2):
+        return point_outcome(lambda: to_disk(geodesic_intersection(g1, g2)))
+
+    @staticmethod
+    def angles(geodesics):
+        return [(g.a.theta, g.b.theta) for g in geodesics]
+
+    def test_each_pair_alone(self):
+        outcomes = []
+        for g1, g2 in self.crossing_pairs(3, 1500):
+            got = point_outcome(lambda: (
+                float(t[0]) for t in geodesic_intersections(
+                    self.angles([g1]), self.angles([g2]), [0], [0])))
+            assert got == self.reference(g1, g2)
+            outcomes.append(got)
+        # Points, and both errors the pool reaches.
+        assert {o[1] for o in outcomes if isinstance(o, tuple)} == {
+            "carriers graze tangentially",
+            "half-plane coordinates must be finite"}
+        assert sum(isinstance(o, list) for o in outcomes) > 500
+
+    def test_pairs_at_once(self):
+        pairs = [(g1, g2) for g1, g2 in self.crossing_pairs(5, 3000)
+                 if isinstance(self.reference(g1, g2), list)]
+        # The first family in reverse order, so that i and j differ.
+        first = self.angles(g1 for g1, _ in reversed(pairs))
+        second = self.angles(g2 for _, g2 in pairs)
+        k = np.arange(len(pairs))
+        x, y = geodesic_intersections(first, second, k[::-1], k)
+        assert [bits(p) for p in zip(x, y)] == [
+            self.reference(g1, g2) for g1, g2 in pairs]
+        assert geodesic_intersections(first, second, [], [])[0].size == 0
+        assert geodesic_intersections([], [], [], [])[0].size == 0
+
+    def test_first_degenerate_pair_raises(self):
+        pairs = self.crossing_pairs(7, 400)
+        outcomes = [self.reference(g1, g2) for g1, g2 in pairs]
+        assert len({o for o in outcomes if isinstance(o, tuple)}) == 2
+        for last in range(len(pairs)):
+            ref = next((o for o in outcomes[:last + 1]
+                        if isinstance(o, tuple)), None)
+            if ref is None:
+                continue
+            with pytest.raises(ref[0]) as info:
+                geodesic_intersections(
+                    self.angles(g1 for g1, _ in pairs[:last + 1]),
+                    self.angles(g2 for _, g2 in pairs[:last + 1]),
+                    range(last + 1), range(last + 1))
+            assert str(info.value) == ref[1]
+
+    def test_pair_the_scalar_path_places_still_raises(self, monkeypatch):
+        # A pair the array test rejects never passes through silently,
+        # even if the scalar carrier code returned a point for it.
+        g1, g2 = next((g1, g2) for g1, g2 in self.crossing_pairs(7, 400)
+                      if isinstance(self.reference(g1, g2), tuple))
+        monkeypatch.setattr(hyperbolic, "_carrier_meet",
+                            lambda g1, g2: HPoint(0.0, 1.0))
+        with pytest.raises(NumericDegeneracyError, match="pair 0"):
+            geodesic_intersections(self.angles([g1]), self.angles([g2]),
+                                   [0], [0])
 
 
 class TestAngleSet:

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -428,11 +429,11 @@ def schottky_conjugate(conjugator):
 
 
 def outcome(func, *args):
-    """A call's result, or the type of the error it raised."""
+    """A call's result, or the type and message of the error it raised."""
     try:
         return func(*args)
     except Exception as exc:  # a degenerate pair must fail alike
-        return type(exc)
+        return type(exc), str(exc)
 
 
 # Endpoint offsets in units of the tolerance: shared, inside, on either
@@ -465,6 +466,33 @@ def chord_case(draw):
     return tol, family(), family()
 
 
+@st.composite
+def block_case(draw):
+    """A tolerance and two families of 65-200 chords, more than one mask
+    block, around a few anchors (0, 2 pi and the float below 2 pi among
+    them), so that shared endpoints fall on either side of block edges and
+    of the i < j cut."""
+    tol = draw(st.sampled_from((1e-12, 1e-9, 1e-3)))
+    # At least one anchor away from 0, so that chords exist at any tol.
+    anchors = [0.0, TWO_PI, math.nextafter(TWO_PI, 0)] + draw(st.lists(
+        st.floats(0.5, TWO_PI - 0.5), min_size=1, max_size=3))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def family(size):
+        leaves = []
+        while len(leaves) < size:
+            try:
+                leaves.append(Geodesic.from_angles(*(
+                    rng.choice(anchors) + tol * rng.choice(NUDGES)
+                    for _ in "ab")))
+            except ValidationError:   # endpoints coincide: no leaf
+                pass
+        return leaves
+
+    return (tol, family(draw(st.integers(65, 200))),
+            family(draw(st.integers(65, 200))))
+
+
 class TestCrossingMask:
     """``crossing_audit`` and ``transversal_intersections`` against the
     scalar ``geodesic_relation`` loops they replace."""
@@ -473,6 +501,20 @@ class TestCrossingMask:
     @given(chord_case())
     def test_random_families_match_scalar_loops(self, case):
         tol, plus, minus = case
+        for leaves in (plus, minus):
+            assert crossing_audit(LaminationApprox(leaves, [], []),
+                                  tol) == reference_audit(leaves, tol)
+        assert outcome(transversal_intersections,
+                       LaminationApprox(plus, [], []),
+                       LaminationApprox(minus, [], []),
+                       tol) == outcome(reference_intersections,
+                                       plus, minus, tol)
+
+    @settings(max_examples=40, deadline=None)
+    @given(block_case())
+    def test_families_past_one_block_match_scalar_loops(self, case):
+        tol, plus, minus = case
+        assert len(plus) > lamination._MASK_ROWS
         for leaves in (plus, minus):
             assert crossing_audit(LaminationApprox(leaves, [], []),
                                   tol) == reference_audit(leaves, tol)
@@ -521,6 +563,15 @@ class TestCrossingMask:
             lams["+"].leaves, lams["-"].leaves, ANGLE_TOL)
         assert run.intersections.points
         assert (violations > 0) == bool(conjugator)
+
+    def test_deep_run_points_match_scalar_loop(self):
+        # The benchmark's lam-deep depth: 485 leaves a side, 1272 points.
+        run = laminate(load_scene(scene_path("schottky_ab.json")),
+                       AxiomParams(horizon=20, ball=5))
+        assert run.intersections == reference_intersections(
+            run.laminations["+"].leaves, run.laminations["-"].leaves,
+            ANGLE_TOL)
+        assert len(run.intersections.points) == 1272
 
 
 def reference_orbit(scene, juncture, n_range, ball_k):
