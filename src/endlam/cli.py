@@ -286,14 +286,15 @@ def cmd_limit_set(scene, params, args):
     print(f"words sampled: {sample.words}")
     print(f"orbit points: {len(sample.orbit)}")
     print(f"boundary fixed points: {len(sample.fixed_points)}")
-    print(f"min boundary gap: {sample.min_boundary_gap():.6e}")
+    gap = sample.min_boundary_gap()
+    print(f"min boundary gap: {gap:.6e}")
     return EXIT_OK, [("limit-set", sample)], {
         "scene": scene.name,
         "depth": args.depth,
         "words": sample.words,
         "orbit": sample.orbit,
         "fixed_point_angles": [p.theta for p in sample.fixed_points],
-        "min_boundary_gap": sample.min_boundary_gap(),
+        "min_boundary_gap": gap,
     }
 
 

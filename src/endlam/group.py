@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import compress
+
+import numpy as np
 
 from .errors import (
     BudgetExceededError,
@@ -25,8 +26,12 @@ from .hyperbolic import (
     Isometry,
     apply_isometry,
     axis,
+    axis_angles,
+    ball_products,
     classify_isometry,
     first_distinct,
+    is_hyperbolic,
+    orbit_points,
     to_disk,
 )
 
@@ -249,24 +254,32 @@ def ball_size(rank: int, k: int) -> int:
     return total
 
 
+def _letter_order(rank: int) -> list[int]:
+    """a < a^-1 < b < b^-1 < ...: each letter's partner is its neighbour."""
+    return [letter for i in range(1, rank + 1) for letter in (i, -i)]
+
+
+def _check_ball(rank: int, k: int, max_words: int) -> None:
+    if k < 0:
+        raise ValidationError("ball radius must be nonnegative")
+    expected = ball_size(rank, k)
+    if expected > max_words:
+        raise BudgetExceededError(
+            f"ball of radius {k} holds {expected} words, over the budget "
+            f"of {max_words}"
+        )
+
+
 def enumerate_ball(group: FuchsianGroup, k: int,
                    max_words: int = DEFAULT_MAX_WORDS):
     """All freely reduced words of length <= k with their isometries.
 
     Ordered by length, then lexicographically with the letter order
     a < a^-1 < b < b^-1 < ...; deterministic for a fixed group.
+    ``hyperbolic.ball_products`` gives the same isometries as arrays.
     """
-    if k < 0:
-        raise ValidationError("ball radius must be nonnegative")
-    expected = ball_size(group.rank, k)
-    if expected > max_words:
-        raise BudgetExceededError(
-            f"ball of radius {k} holds {expected} words, over the budget "
-            f"of {max_words}"
-        )
-    letter_order = []
-    for i in range(1, group.rank + 1):
-        letter_order.extend((i, -i))
+    _check_ball(group.rank, k, max_words)
+    letter_order = _letter_order(group.rank)
     out: list[tuple[Word, Isometry]] = [(Word.identity(), Isometry.identity())]
     frontier = [((), Isometry.identity())]
     for _ in range(k):
@@ -302,17 +315,36 @@ def limit_set_sample(group: FuchsianGroup, base: HPoint, k: int,
                      trace_tol: float = TRACE_TOL) -> LimitSetSample:
     """Orbit of ``base`` under the radius-k ball, with the axis endpoints
     of every hyperbolic ball element (a dense subset of the limit set).
-    Endpoints closer than ``angle_tol`` count once."""
+    Endpoints closer than ``angle_tol`` count once.
+
+    The ball's products, orbit points and axis endpoints are computed as
+    arrays (``hyperbolic.ball_products``, ``orbit_points``, ``is_hyperbolic``
+    and ``axis_angles``), in ``enumerate_ball``'s order and bit for bit
+    what ``to_disk(apply_isometry(m, base))`` and ``axis(m)`` give for each
+    of its isometries m.  A numeric breakdown raises what that per-word
+    loop raises at its first failing element."""
     if k < 0:
         raise ValidationError("sample depth must be nonnegative")
-    ball = enumerate_ball(group, k, max_words)
-    orbit = []
-    ends: list[float] = []
-    for _, m in ball:
-        orbit.append(to_disk(apply_isometry(m, base)))
+    _check_ball(group.rank, k, max_words)
+    a, b, c, d = ball_products(
+        [group.letter_isometry(x) for x in _letter_order(group.rank)], k)
+    x, y, fine = orbit_points(a, b, c, d, base)
+    hyperbolic = is_hyperbolic(a, b, c, d, trace_tol)
+    ends, ok = axis_angles(a[hyperbolic], b[hyperbolic], c[hyperbolic],
+                           d[hyperbolic])
+    fine[hyperbolic] &= ok
+    # The per-word steps for each element the arrays do not vouch for, in
+    # ball order: the first that fails raises what the loop raised, and one
+    # that passes has its array values already, as the steps are the same.
+    for i in np.flatnonzero(~fine).tolist():
+        m = Isometry._raw(float(a[i]), float(b[i]), float(c[i]),
+                          float(d[i]))
+        to_disk(apply_isometry(m, base))
         if classify_isometry(m, trace_tol) == "hyperbolic":
-            g = axis(m, trace_tol)
-            ends.extend((g.a.theta, g.b.theta))
-    keep = first_distinct(ends, ends, angle_tol).tolist()
-    return LimitSetSample(orbit=orbit, fixed_points=[
-        IdealPoint(t) for t in compress(ends, keep)], words=len(ball))
+            axis(m, trace_tol)
+    ends = ends.ravel()
+    keep = first_distinct(ends, ends, angle_tol)
+    return LimitSetSample(
+        orbit=list(zip(x.tolist(), y.tolist())),
+        fixed_points=[IdealPoint(t) for t in ends[keep].tolist()],
+        words=len(a))

@@ -146,14 +146,6 @@ class Isometry:
             return Isometry._raw(a / s, b / s, c / s, d / s)
         return Isometry._raw(a, b, c, d)
 
-    def max_entry(self) -> float:
-        return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
-
-    def approx_eq(self, other: "Isometry", tol: float = 1e-9) -> bool:
-        return (abs(self.a - other.a) <= tol and abs(self.b - other.b) <= tol
-                and abs(self.c - other.c) <= tol
-                and abs(self.d - other.d) <= tol)
-
     def __repr__(self) -> str:
         return (f"Isometry([[{self.a:.12g}, {self.b:.12g}], "
                 f"[{self.c:.12g}, {self.d:.12g}]])")
@@ -445,6 +437,34 @@ def boundary_action(m: Isometry, p: IdealPoint) -> IdealPoint:
     return IdealPoint.from_boundary(image)
 
 
+def _boundary_angles(t):
+    """``IdealPoint.from_boundary(t).theta`` per element of the array t,
+    bit for bit: 0.0 at +INF, elsewhere libm's atan2 element by element,
+    reduced twice as ``angle_from_boundary`` and ``IdealPoint`` reduce it.
+    numpy's SIMD arctan2 differs from libm's in the last bit on some inputs
+    (21,716 of 500,000 images of random boundary points under the radius-5
+    ball of schottky_ab, AVX-512 Xeon, numpy 2.4), which would move output
+    bytes.  Call it under ``np.errstate(all="ignore")``."""
+    y, x = -2.0 * t, t * t - 1.0
+    theta = np.fromiter(map(math.atan2, y.ravel().tolist(),
+                            x.ravel().tolist()), float, t.size)
+    theta = theta.reshape(t.shape) % TWO_PI % TWO_PI
+    theta[t == INF] = 0.0
+    return theta
+
+
+def _complex_quotient(ar, ai, br, bi):
+    """(ar + ai*i) / (br + bi*i) on arrays by CPython's complex division
+    (Smith's method), written out so that every rounding step is the same.
+    Where both parts of the divisor are zero CPython raises; here the
+    quotient is not finite.  Call it under ``np.errstate(all="ignore")``."""
+    wide = np.abs(br) >= np.abs(bi)
+    ratio = np.where(wide, bi / br, br / bi)
+    denom = np.where(wide, br + bi * ratio, br * ratio + bi)
+    return (np.where(wide, ar + ai * ratio, ar * ratio + ai) / denom,
+            np.where(wide, ai - ar * ratio, ai * ratio - ar) / denom)
+
+
 def boundary_images(a, b, c, d, points) -> np.ndarray:
     """Angles of g(p), a row per isometry g with entries a, b, c, d and a
     column per ideal point p: ``boundary_action(g, p).theta`` bit for bit,
@@ -455,16 +475,120 @@ def boundary_images(a, b, c, d, points) -> np.ndarray:
         image = (a * t + b) / (c * t + d)
         image[~np.isfinite(image)] = INF
         image = np.where(t == INF, np.where(c == 0.0, INF, a / c), image)
-        y, x = -2.0 * image, image * image - 1.0
-    # libm's atan2, element by element: numpy's SIMD arctan2 differs from
-    # it in the last bit on some inputs (21,716 of 500,000 images of random
-    # boundary points under the radius-5 ball of schottky_ab, AVX-512 Xeon,
-    # numpy 2.4), which would move output bytes.
-    theta = np.fromiter(map(math.atan2, y.ravel().tolist(),
-                            x.ravel().tolist()), float, image.size)
-    theta = theta.reshape(image.shape) % TWO_PI % TWO_PI
-    theta[image == INF] = 0.0
-    return theta
+        return _boundary_angles(image)
+
+
+def ball_products(letters, k: int):
+    """Entries a, b, c, d of the products of every word of length <= k in
+    ``letters`` (isometries in the order x1, x1^-1, x2, x2^-1, ..., so a
+    letter never follows its partner), as four arrays in
+    ``group.enumerate_ball``'s order: length by length, each word's
+    children in letter order.  Each product is the chained
+    ``Isometry.compose`` from the identity, bit for bit: products, Dekker
+    determinant, the ``_RENORM_CAP`` test, square-root normalisation and
+    sign canonicalisation.  A product that overflows or whose determinant
+    collapses raises what ``compose`` raises, for the first such word."""
+    gens = np.array([(m.a, m.b, m.c, m.d) for m in letters],
+                    dtype=float).reshape(-1, 4)
+    front = tuple(np.array([x]) for x in (1.0, 0.0, 0.0, 1.0))
+    last = np.array([-1])  # letter index of each word's last letter
+    levels = [front]
+    for _ in range(k):
+        parent = np.repeat(np.arange(len(last)), len(gens))
+        letter = np.tile(np.arange(len(gens)), len(last))
+        keep = letter != (last[parent] ^ 1)
+        parent, letter = parent[keep], letter[keep]
+        a1, b1, c1, d1 = (x[parent] for x in front)
+        a2, b2, c2, d2 = gens[letter].T
+        with np.errstate(all="ignore"):
+            a = a1 * a2 + b1 * c2
+            b = a1 * b2 + b1 * d2
+            c = c1 * a2 + d1 * c2
+            d = c1 * b2 + d1 * d2
+            small = np.maximum(np.maximum(np.abs(a), np.abs(b)),
+                               np.maximum(np.abs(c), np.abs(d))) <= _RENORM_CAP
+            det = _det(a, b, c, d)
+            ok = (np.isfinite(a) & np.isfinite(b) & np.isfinite(c)
+                  & np.isfinite(d) & ((det > 0.0) | ~small))
+            if not ok.all():
+                bad = ok.argmin()
+                Isometry._raw(*(float(x[bad]) for x in (a1, b1, c1, d1))
+                              ).compose(letters[letter[bad]])
+                raise NumericDegeneracyError(
+                    f"product {bad}: the scalar product is fine, the array "
+                    "one is not")
+            # x / 1.0 is x, so the products left unnormalised stay as they are.
+            s = np.sqrt(np.where(small, det, 1.0))
+            a, b, c, d = a / s, b / s, c / s, d / s
+        lead = np.where(a != 0.0, a, np.where(b != 0.0, b,
+                                              np.where(c != 0.0, c, d)))
+        flip = lead < 0.0
+        front = tuple(np.where(flip, -x, x) for x in (a, b, c, d))
+        last = letter
+        levels.append(front)
+    return tuple(np.concatenate(parts) for parts in zip(*levels))
+
+
+def orbit_points(a, b, c, d, p: HPoint):
+    """Disk coordinates (x, y) of g(p), one per isometry g with entries a,
+    b, c, d: ``to_disk(apply_isometry(g, p))`` bit for bit, with CPython's
+    complex steps written out; and a mask of the isometries for which
+    ``apply_isometry`` surely does not raise.  Elsewhere the scalar path
+    decides: it raises, or gives these coordinates."""
+    x, y = p.x, p.y
+    with np.errstate(all="ignore"):
+        # CPython 3.11 computes f*z + g, floats f and g, as complex(f, 0.0)
+        # * z + complex(g, 0.0).  With x and y finite and y > 0, the terms
+        # this adds are +0.0 and change nothing but an imaginary -0.0.
+        nr, ni = a * x + b, a * y + 0.0
+        dr, di = c * x + d, c * y + 0.0
+        wr, wi = _complex_quotient(nr, ni, dr, di)
+        # abs(c*z + d) is the hypot of its parts: no smaller than the
+        # larger part, and finite (no OverflowError) while that is at most
+        # 1e307.
+        big = np.maximum(np.abs(dr), np.abs(di))
+        fine = ((big >= 1e-14) & (big <= 1e307) & np.isfinite(wr)
+                & np.isfinite(wi) & (wi > 1e-12))
+        return (*_complex_quotient(wr - 0.0, wi - 1.0, wr + 0.0, wi + 1.0),
+                fine)
+
+
+def is_hyperbolic(a, b, c, d, trace_tol: float = TRACE_TOL) -> np.ndarray:
+    """``classify_isometry(g, trace_tol) == "hyperbolic"`` per isometry g
+    with finite entries a, b, c, d."""
+    identity = ((np.abs(a - 1.0) <= 1e-12) & (np.abs(d - 1.0) <= 1e-12)
+                & (np.abs(b) <= 1e-12) & (np.abs(c) <= 1e-12))
+    t = np.abs(a + d)
+    return ~identity & ~(t < 2.0 - trace_tol) & ~(t <= 2.0 + trace_tol)
+
+
+def axis_angles(a, b, c, d):
+    """Endpoint angles, one (repelling, attracting) row per hyperbolic
+    isometry with entries a, b, c, d: ``to_disk(axis(g))`` bit for bit,
+    through the branches of ``_fixed_points`` and libm's atan2; and a mask
+    of the isometries whose ``axis`` does not raise."""
+    with np.errstate(all="ignore"):
+        flat = c == 0.0
+        amd = a - d
+        disc = (d - a) * (d - a) + 4.0 * b * c
+        sq = np.sqrt(disc)
+        up = amd >= 0.0
+        t1 = np.where(up, amd + sq, amd - sq) / (2.0 * c)
+        t2 = np.where(t1 != 0.0, (-b / c) / t1,
+                      np.where(up, amd - sq, amd + sq) / (2.0 * c))
+        swap = np.abs(c * t1 + d) > np.abs(c * t2 + d)
+        t = b / (d - a)
+        out = np.abs(a) > np.abs(d)
+        rep = np.where(flat, np.where(out, t, INF), np.where(swap, t2, t1))
+        att = np.where(flat, np.where(out, INF, t), np.where(swap, t1, t2))
+        ends = _boundary_angles(np.stack([rep, att], axis=1))
+        # _fixed_points divides by d - a when c == 0 and refuses disc <= 0;
+        # IdealPoint refuses a non-finite angle and Geodesic endpoints
+        # closer than ANGLE_TOL.
+        fine = (np.where(flat, d - a != 0.0, disc > 0.0)
+                & np.isfinite(ends).all(axis=1)
+                & (angular_gaps(ends[:, 0], ends[:, 1]) >= ANGLE_TOL))
+    return ends, fine
 
 
 def geodesic_intersections(first, second, i, j):
@@ -478,7 +602,7 @@ def geodesic_intersections(first, second, i, j):
     first, second = (np.asarray(ends, dtype=float).reshape(-1, 2)
                      for ends in (first, second))
     # boundary_from_angle per endpoint, with libm's sin and cos (see
-    # boundary_images on numpy's SIMD transcendentals).
+    # _boundary_angles on numpy's SIMD transcendentals).
     half = np.concatenate([first, second]) % TWO_PI / 2.0
     values = half.ravel().tolist()
     s, c = (np.fromiter(map(f, values), float, half.size).reshape(half.shape)
@@ -520,15 +644,8 @@ def geodesic_intersections(first, second, i, j):
             raise NumericDegeneracyError(
                 f"pair {bad}: the scalar carriers meet, the array ones "
                 "do not")
-        # to_disk: (z - i)/(z + i) by CPython's complex division (Smith's
-        # method), written out so that every rounding step is the same.
-        ar, ai, br, bi = x - 0.0, y - 1.0, x + 0.0, y + 1.0
-        wide = np.abs(br) >= np.abs(bi)
-        ratio = np.where(wide, bi / br, br / bi)
-        denom = np.where(wide, br + bi * ratio, br * ratio + bi)
-        wr = np.where(wide, ar + ai * ratio, ar * ratio + ai) / denom
-        wi = np.where(wide, ai - ar * ratio, ai * ratio - ar) / denom
-    return wr, wi
+        # to_disk: (z - i)/(z + i).
+        return _complex_quotient(x - 0.0, y - 1.0, x + 0.0, y + 1.0)
 
 
 def geodesic_relation(g1: Geodesic, g2: Geodesic,

@@ -2,20 +2,36 @@ import dataclasses
 import json
 import math
 from fractions import Fraction
+from itertools import compress
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from endlam.group import FreeAutomorphism, FuchsianGroup, Word
+from endlam.errors import ValidationError
+from endlam.group import (
+    DEFAULT_MAX_WORDS,
+    FreeAutomorphism,
+    FuchsianGroup,
+    LimitSetSample,
+    Word,
+    enumerate_ball,
+)
 from endlam.hyperbolic import (
     ANGLE_TOL,
     ANGLE_TOL_FLOOR,
+    TRACE_TOL,
     TWO_PI,
     Geodesic,
+    IdealPoint,
     Isometry,
     angular_gap,
+    apply_isometry,
+    axis,
     boundary_action,
+    classify_isometry,
+    first_distinct,
+    to_disk,
 )
 from endlam.lamination import (
     GAP_FLOOR,
@@ -266,6 +282,26 @@ def reference_extract(entries, tol, angle_tol=ANGLE_TOL):
     return LaminationApprox(
         [g for g, k in zip(leaves, keep) if k],
         [c for c, k in zip(certificates, keep) if k], skipped)
+
+
+def reference_limit_set_sample(group, base, k, max_words=DEFAULT_MAX_WORDS,
+                               angle_tol=ANGLE_TOL, trace_tol=TRACE_TOL):
+    """``group.limit_set_sample`` as a loop over ``enumerate_ball``: one
+    orbit point, classification and axis per ball element, as it ran
+    before the ball's products, orbit points and axes were arrays."""
+    if k < 0:
+        raise ValidationError("sample depth must be nonnegative")
+    ball = enumerate_ball(group, k, max_words)
+    orbit = []
+    ends: list[float] = []
+    for _, m in ball:
+        orbit.append(to_disk(apply_isometry(m, base)))
+        if classify_isometry(m, trace_tol) == "hyperbolic":
+            g = axis(m, trace_tol)
+            ends.extend((g.a.theta, g.b.theta))
+    keep = first_distinct(ends, ends, angle_tol).tolist()
+    return LimitSetSample(orbit=orbit, fixed_points=[
+        IdealPoint(t) for t in compress(ends, keep)], words=len(ball))
 
 
 def reference_power_iteration(M, tol=PERRON_TOL, maxiter=10 ** 5):

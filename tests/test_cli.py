@@ -76,12 +76,15 @@ class TestExitCodes:
             "flagged: substitution exceeded 5 letters\n"
 
     def test_numeric_breakdown_flagged(self, schottky, capsys):
-        code = run_command(["limit-set", str(schottky), "--base=0,2e-12",
-                            "--depth", "1"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("flagged: ")
-        assert "collapsed onto the boundary" in err
+        for base, depth, point in (("0,2e-12", "1", "(0.0, 2e-12)"),
+                                   ("1e308,1", "6", "(1e+308, 1.0)"),
+                                   ("0,1e300", "6", "(0.0, 1e+300)")):
+            code = run_command(["limit-set", str(schottky), f"--base={base}",
+                                "--depth", depth])
+            assert code == 2
+            assert capsys.readouterr() == (
+                "", f"flagged: image of {point} collapsed onto the "
+                "boundary\n")
 
     def test_markov_without_block(self, schottky, capsys):
         assert run_command(["markov", "verify", str(schottky)]) == 1

@@ -1,6 +1,8 @@
+import json
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -21,10 +23,13 @@ from endlam.hyperbolic import (
     HPoint,
     Isometry,
     axis,
+    ball_products,
     classify_isometry,
     same_ideal_point,
 )
-from endlam.scene import load_scene, scene_path
+from endlam.scene import load_scene, parse_scene, scene_path
+
+from conftest import reference_limit_set_sample, schottky_conjugate_data
 
 
 def two_generator_group():
@@ -39,6 +44,12 @@ def shift_automorphism():
         forward=(Word((1, 2)), Word((2,))),
         inverse=(Word((1, -2)), Word((2,))),
     )
+
+
+def entries_close(m1, m2, tol=1e-9):
+    """Every entry of m1 within tol of the same entry of m2."""
+    return all(abs(x - y) <= tol for x, y in zip(
+        (m1.a, m1.b, m1.c, m1.d), (m2.a, m2.b, m2.c, m2.d)))
 
 
 letters = st.integers(min_value=-3, max_value=3).filter(lambda x: x != 0)
@@ -94,12 +105,12 @@ class TestGroup:
     def test_empty_word_evaluates_to_identity(self):
         G = two_generator_group()
         m = evaluate_word(G, Word.identity())
-        assert m.approx_eq(Isometry.identity())
+        assert entries_close(m, Isometry.identity())
 
     def test_single_letter(self):
         G = two_generator_group()
         m = evaluate_word(G, Word((1,)))
-        assert m.approx_eq(G.generators[0])
+        assert entries_close(m, G.generators[0])
 
     def test_inverse_law(self):
         G = two_generator_group()
@@ -108,7 +119,7 @@ class TestGroup:
             raw = [rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(0, 20))]
             w = Word(tuple(raw))
             m = evaluate_word(G, w * w.inverse())
-            assert m.approx_eq(Isometry.identity(), tol=1e-9)
+            assert entries_close(m, Isometry.identity(), tol=1e-9)
 
     def test_homomorphism(self):
         G = two_generator_group()
@@ -120,7 +131,7 @@ class TestGroup:
                            for _ in range(rng.randint(0, 12))))
             lhs = evaluate_word(G, u * v)
             rhs = evaluate_word(G, u).compose(evaluate_word(G, v))
-            scale = max(1.0, rhs.max_entry())
+            scale = max(1.0, abs(rhs.a), abs(rhs.b), abs(rhs.c), abs(rhs.d))
             assert all(
                 abs(x - y) <= 1e-9 * scale
                 for x, y in zip(
@@ -284,3 +295,111 @@ class TestLimitSetSample:
         gaps = [limit_set_sample(G, base, k).min_boundary_gap()
                 for k in range(1, 7)]
         assert all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
+
+
+def shipped_and_conjugate_groups():
+    """(id, group) of the three shipped scenes and of four schottky_ab
+    conjugates drawn as the benchmark draws them (K(theta) A(t) N(x), the
+    seeds' theta, t and x uniform as there)."""
+    out = [(name, load_scene(scene_path(f"{name}.json")).group)
+           for name in ("schottky_ab", "golden", "inner_b")]
+    for seed in range(4):
+        rng = random.Random(seed)
+        conjugator = (rng.uniform(0.0, 2.0 * math.pi), rng.uniform(-1.0, 1.0),
+                      rng.uniform(-1.0, 1.0))
+        out.append((f"conj-{seed}", parse_scene(json.dumps(
+            schottky_conjugate_data(conjugator))).group))
+    return out
+
+
+GROUPS = shipped_and_conjugate_groups()
+
+
+def sample_bits(func):
+    """Every float of a limit-set sample as its bits (so -0.0 and 0.0
+    differ), or the type and message of the error the call raised."""
+    try:
+        sample = func()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return ([(x.hex(), y.hex()) for x, y in sample.orbit],
+            [p.theta.hex() for p in sample.fixed_points], sample.words,
+            sample.min_boundary_gap().hex())
+
+
+def both_samples(group, base, k, **kwargs):
+    """Bits of limit_set_sample and of the per-word reference loop."""
+    return (sample_bits(lambda: limit_set_sample(group, base, k, **kwargs)),
+            sample_bits(lambda: reference_limit_set_sample(group, base, k,
+                                                           **kwargs)))
+
+
+class TestLimitSetArrays:
+    """The array ball, orbit and axes of ``limit_set_sample`` against the
+    per-word loop (``conftest.reference_limit_set_sample``), bit for bit,
+    errors included."""
+
+    @pytest.mark.parametrize("k", range(7))
+    @pytest.mark.parametrize("name, group", GROUPS, ids=[g[0] for g in GROUPS])
+    def test_ball_products_match_chained_compose(self, name, group, k):
+        a, b, c, d = ball_products(
+            [group.letter_isometry(x) for x in (1, -1, 2, -2)], k)
+        assert [row.hex() for row in np.stack([a, b, c, d], 1).ravel()] == [
+            x.hex() for _, m in enumerate_ball(group, k)
+            for x in (m.a, m.b, m.c, m.d)]
+
+    @pytest.mark.parametrize("k", range(7))
+    @pytest.mark.parametrize("name, group", GROUPS, ids=[g[0] for g in GROUPS])
+    def test_samples_match_reference(self, name, group, k):
+        rng = random.Random(k)
+        bases = [HPoint(-0.0 if k % 2 else 0.0, 1.0),
+                 HPoint(rng.uniform(-2.0, 2.0), rng.uniform(0.3, 3.0))]
+        for base in bases:
+            for angle_tol in (1e-12, 1e-9, 1e-3, 1e-1):
+                got, ref = both_samples(group, base, k, angle_tol=angle_tol)
+                assert isinstance(ref, tuple) and len(ref) == 4
+                assert got == ref
+
+    @pytest.mark.parametrize("base", [
+        (1e308, 1.0), (-1e308, 1.0), (0.0, 1e300), (1e300, 1e300),
+        (0.0, 2e-12), (0.0, 1e-11), (5.0, 1e-9), (-1e8, 1e-8)])
+    @pytest.mark.parametrize("name, group", GROUPS[:4],
+                             ids=[g[0] for g in GROUPS[:4]])
+    def test_breakdowns_match_reference(self, name, group, base):
+        for k in (0, 1, 3, 6):
+            got, ref = both_samples(group, HPoint(*base), k)
+            assert got == ref
+
+    def test_depth_and_budget_errors_match(self):
+        # The radius-3 ball holds 53 words.
+        for k, max_words in ((-1, 10), (12, 100), (3, 52), (3, 53)):
+            got, ref = both_samples(GROUPS[0][1], HPoint(0.0, 1.0), k,
+                                    max_words=max_words)
+            assert got == ref
+
+    # Hyperbolic generators: schottky_ab's pair, one whose fixed points 0
+    # and 1e-10 give an axis with coinciding endpoints, dilations whose
+    # powers throw orbits onto the boundary, and one of trace 2 + 2.5e-9,
+    # hyperbolic or parabolic as the trace tolerance says.
+    GENERATORS = [[[4.0, 0.0], [0.0, 0.25]], [[2.0, 1.0], [1.0, 1.0]],
+                  [[0.5, 0.0], [-1.5e10, 2.0]], [[1e3, 0.0], [0.0, 1e-3]],
+                  [[1e6, 1.0], [0.0, 1e-6]], [[1.0 + 5e-5, 1.0],
+                                              [0.0, 1.0 / (1.0 + 5e-5)]]]
+
+    def test_groups_whose_axes_or_orbits_break(self):
+        # Every one- and two-generator group of the list, at bases that
+        # its orbits do or do not throw onto the boundary first.
+        seen = set()
+        cases = [[m] for m in self.GENERATORS] + [
+            [m1, m2] for m1 in self.GENERATORS for m2 in self.GENERATORS]
+        for n, gens in enumerate(cases):
+            group = FuchsianGroup("ab"[:len(gens)],
+                                  [Isometry.from_matrix(m) for m in gens])
+            for base in ((0.0, 1.0), (0.3, 1.2), (0.0, 1e-10), (0.0, 2e-12),
+                         (1e8, 1e-8), (-1e308, 1.0)):
+                trace_tol = (1e-12, 1e-9, 1e-3)[n % 3]
+                got, ref = both_samples(group, HPoint(*base), 3,
+                                        trace_tol=trace_tol)
+                assert got == ref
+                seen.add(ref[1].split(" of ")[0] if len(ref) == 2 else "ok")
+        assert seen == {"ok", "image", "geodesic endpoints coincide"}

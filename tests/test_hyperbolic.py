@@ -1,10 +1,11 @@
 import math
 import random
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from endlam import hyperbolic
 from endlam.errors import (
@@ -13,6 +14,7 @@ from endlam.errors import (
     NumericDegeneracyError,
     ValidationError,
 )
+from endlam.group import FuchsianGroup, enumerate_ball
 from endlam.hyperbolic import (
     ANGLE_TOL,
     TWO_PI,
@@ -24,6 +26,8 @@ from endlam.hyperbolic import (
     angular_gap,
     apply_isometry,
     axis,
+    axis_angles,
+    ball_products,
     boundary_action,
     boundary_images,
     classify_isometry,
@@ -32,6 +36,8 @@ from endlam.hyperbolic import (
     geodesic_intersections,
     geodesic_relation,
     hyperbolic_distance,
+    is_hyperbolic,
+    orbit_points,
     same_ideal_point,
     to_disk,
     translation_length,
@@ -489,6 +495,188 @@ class TestGeodesicIntersections:
         with pytest.raises(NumericDegeneracyError, match="pair 0"):
             geodesic_intersections(self.angles([g1]), self.angles([g2]),
                                    [0], [0])
+
+
+def outcome_bits(func):
+    """Bits of the floats a call returns, or the type and message of the
+    error it raised as a tuple."""
+    try:
+        return bits(func())
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def entries(isometries):
+    """The four entry arrays a, b, c, d of a list of isometries."""
+    return tuple(np.array([getattr(m, x) for m in isometries], dtype=float)
+                 for x in "abcd")
+
+
+# Matrix entries for the array kernels: ordinary values, signed zeros,
+# repeats (so that c == 0 and d == a come up), the renormalisation cap and
+# magnitudes whose products overflow or underflow.
+ENTRY = st.one_of(
+    st.floats(-20.0, 20.0),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 3.0, 0.5, 16.0, -16.0,
+                     1e-15, 1e-200, -1e-200, 1e200, -1e200, 1e300]))
+RAW = st.builds(Isometry._raw, ENTRY, ENTRY, ENTRY, ENTRY)
+
+
+class TestBallProducts:
+    """``ball_products`` against the chained ``Isometry.compose`` of
+    ``enumerate_ball``."""
+
+    @staticmethod
+    def chained(letters, k):
+        """enumerate_ball's isometries over arbitrary letters, the one at
+        2i - 2 standing for +i and the one at 2i - 1 for -i."""
+        group = SimpleNamespace(
+            rank=len(letters) // 2,
+            letter_isometry=lambda x: letters[2 * abs(x) - 2 + (x < 0)])
+        return [bits((m.a, m.b, m.c, m.d)) for _, m in enumerate_ball(
+            group, k)]
+
+    @staticmethod
+    def arrays(letters, k):
+        return [bits(row) for row in np.stack(ball_products(letters, k), 1)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(RAW, RAW, st.booleans()), min_size=1,
+                    max_size=2), st.integers(0, 4))
+    # Entries past 1e154 overflow in a product; a singular letter has a
+    # product of determinant 0 under the cap.
+    @example([(Isometry._raw(1e200, 0.0, 0.0, 1e-200),
+               Isometry._raw(1.0, 0.0, 0.0, 1.0), True)], 2)
+    @example([(Isometry._raw(1.0, 1.0, 1.0, 1.0),
+               Isometry._raw(1.0, 0.0, 0.0, 1.0), False)], 1)
+    def test_matches_chained_compose(self, gens, k):
+        # A generator's partner is its inverse or an arbitrary matrix:
+        # words only skip the partner of their last letter.
+        letters = [m for g, h, inv in gens for m in (g, g.inverse() if inv
+                                                     else h)]
+        ref = outcome_bits(lambda: self.chained(letters, k))
+        got = outcome_bits(lambda: self.arrays(letters, k))
+        assert got == ref
+
+    def test_both_raises_come_through(self):
+        overflow = [Isometry._raw(1e200, 0.0, 0.0, 1e-200)]
+        overflow.append(overflow[0].inverse())
+        with pytest.raises(NumericDegeneracyError,
+                           match="^isometry product overflowed$"):
+            ball_products(overflow, 2)
+        singular = [Isometry._raw(1.0, 1.0, 1.0, 1.0)] * 2
+        with pytest.raises(NumericDegeneracyError,
+                           match=r"^product determinant collapsed to 0\.0$"):
+            ball_products(singular, 1)
+
+    def test_product_the_scalar_path_takes_still_raises(self, monkeypatch):
+        singular = [Isometry._raw(1.0, 1.0, 1.0, 1.0)] * 2
+        monkeypatch.setattr(Isometry, "compose", lambda self, other: other)
+        with pytest.raises(NumericDegeneracyError, match="product 0"):
+            ball_products(singular, 1)
+
+
+class TestOrbitPoints:
+    """``orbit_points`` against ``to_disk(apply_isometry(g, p))``."""
+
+    BASES = [HPoint(0.0, 1.0), HPoint(-0.0, 1.0), HPoint(0.3, 1.2),
+             HPoint(-1.7, 0.4), HPoint(0.0, 2e-12), HPoint(1e308, 1.0),
+             HPoint(0.0, 1e300), HPoint(-1e8, 1e-8), HPoint(0.0, 1e-11)]
+
+    @staticmethod
+    def check(isometries, p):
+        """The array points where the mask vouches for them, and the scalar
+        outcome of every isometry; a masked-out one that passes the scalar
+        path must have the array point."""
+        x, y, fine = orbit_points(*entries(isometries), p)
+        ref = [outcome_bits(lambda: to_disk(apply_isometry(m, p)))
+               for m in isometries]
+        got = [bits(pair) for pair in zip(x, y)]
+        for r, g, ok in zip(ref, got, fine):
+            assert r == g if ok else (isinstance(r, tuple) or r == g)
+        return ref, fine
+
+    @pytest.mark.parametrize("p", BASES, ids=repr)
+    def test_ball_of_schottky_ab(self, p):
+        group = FuchsianGroup("ab", (iso([[4, 0], [0, 0.25]]),
+                                     iso([[2, 1], [1, 1]])))
+        ref, fine = self.check([m for _, m in enumerate_ball(group, 5)], p)
+        assert [isinstance(r, list) for r in ref] == fine.tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(RAW, min_size=1, max_size=20),
+           st.one_of(st.sampled_from(BASES),
+                     st.builds(HPoint, st.floats(-1e3, 1e3),
+                               st.floats(1e-11, 1e3))))
+    @example([Isometry._raw(1.0, 0.0, 1e-3, 1e-15)], HPoint(0.0, 2e-12))
+    def test_arbitrary_matrices(self, isometries, p):
+        self.check(isometries, p)
+
+    def test_both_errors_come_through(self):
+        # The last image lies at y = 1e-12 exactly, which HPoint refuses.
+        ref, fine = self.check([Isometry._raw(1.0, 0.0, 1e-3, 1e-15),
+                                Isometry._raw(1e-200, 0.0, 0.0, 1.0),
+                                Isometry._raw(0.5, 0.0, 0.0, 1.0)],
+                               HPoint(0.0, 2e-12))
+        collapsed = (NumericDegeneracyError,
+                     "image of (0.0, 2e-12) collapsed onto the boundary")
+        assert ref == [
+            (NumericDegeneracyError, "denominator c*z + d collapsed"),
+            collapsed, collapsed]
+        assert not fine.any()
+
+
+class TestAxisAngles:
+    """``is_hyperbolic`` and ``axis_angles`` against ``classify_isometry``
+    and ``to_disk(axis(g))``."""
+
+    @staticmethod
+    def check(isometries, trace_tol=1e-9):
+        hyp = is_hyperbolic(*entries(isometries), trace_tol)
+        assert hyp.tolist() == [classify_isometry(m, trace_tol) == "hyperbolic"
+                                for m in isometries]
+        chosen = [m for m, h in zip(isometries, hyp) if h]
+        ends, fine = axis_angles(*entries(chosen))
+        ref = [outcome_bits(lambda: to_disk(axis(m, trace_tol)))
+               for m in chosen]
+        assert [isinstance(r, list) for r in ref] == fine.tolist()
+        assert [r for r in ref if isinstance(r, list)] == [
+            bits(row) for row in ends[fine]]
+        return ref
+
+    def test_random_hyperbolic(self):
+        rng = random.Random(11)
+        ms = [random_hyperbolic(rng) for _ in range(500)]
+        ms += [Isometry(4.0 ** n, 0.0, 0.0, 4.0 ** -n) for n in range(1, 60)]
+        ms += [m.inverse() for m in ms]
+        assert all(isinstance(r, list) for r in self.check(ms))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(RAW, min_size=1, max_size=20),
+           st.sampled_from([1e-12, 1e-9, 1e-3, 0.5]))
+    def test_arbitrary_matrices(self, isometries, trace_tol):
+        self.check(isometries, trace_tol)
+
+    def test_every_error_comes_through(self):
+        # c == 0 with d == a (b / 0.0 is +inf or -inf in numpy), a
+        # negative discriminant, and fixed points 0 and 1e-10, whose angles
+        # lie 2e-10 apart.
+        ref = self.check([Isometry._raw(3.0, 1.0, 0.0, 3.0),
+                          Isometry._raw(3.0, -1.0, 0.0, 3.0),
+                          Isometry._raw(3.0, 1.0, -10.0, 3.0),
+                          Isometry(0.5, 0.0, -1.5e10, 2.0)])
+        assert ref == [
+            (ZeroDivisionError, "float division by zero"),
+            (ZeroDivisionError, "float division by zero"),
+            (NotHyperbolicError, "no real axis: discriminant <= 0"),
+            (ValidationError, "geodesic endpoints coincide")]
+
+    def test_near_identity_is_not_hyperbolic(self):
+        # Its trace exceeds 2 + trace_tol, but classify_isometry calls it
+        # the identity first.
+        m = Isometry._raw(1.0 + 5e-13, 0.0, 0.0, 1.0 + 5e-13)
+        assert classify_isometry(m, 1e-13) == "identity"
+        assert self.check([m], 1e-13) == []
 
 
 class TestAngleSet:
