@@ -32,7 +32,6 @@ from .hyperbolic import (
     first_distinct,
     is_hyperbolic,
     orbit_points,
-    to_disk,
 )
 
 DEFAULT_MAX_LETTERS = 10 ** 6
@@ -321,8 +320,8 @@ def limit_set_sample(group: FuchsianGroup, base: HPoint, k: int,
     arrays (``hyperbolic.ball_products``, ``orbit_points``, ``is_hyperbolic``
     and ``axis_angles``), in ``enumerate_ball``'s order and bit for bit
     what ``to_disk(apply_isometry(m, base))`` and ``axis(m)`` give for each
-    of its isometries m.  A numeric breakdown raises what that per-word
-    loop raises at its first failing element."""
+    of its isometries m.  A numeric breakdown raises what those calls
+    raise at the first ball element where one of them fails."""
     if k < 0:
         raise ValidationError("sample depth must be nonnegative")
     _check_ball(group.rank, k, max_words)
@@ -333,13 +332,13 @@ def limit_set_sample(group: FuchsianGroup, base: HPoint, k: int,
     ends, ok = axis_angles(a[hyperbolic], b[hyperbolic], c[hyperbolic],
                            d[hyperbolic])
     fine[hyperbolic] &= ok
-    # The per-word steps for each element the arrays do not vouch for, in
-    # ball order: the first that fails raises what the loop raised, and one
-    # that passes has its array values already, as the steps are the same.
+    # The scalar calls for each element the arrays do not vouch for, in
+    # ball order: the first that fails raises, and one that passes has its
+    # array values already, as the steps are the same.
     for i in np.flatnonzero(~fine).tolist():
         m = Isometry._raw(float(a[i]), float(b[i]), float(c[i]),
                           float(d[i]))
-        to_disk(apply_isometry(m, base))
+        apply_isometry(m, base)
         if classify_isometry(m, trace_tol) == "hyperbolic":
             axis(m, trace_tol)
     ends = ends.ravel()

@@ -488,18 +488,18 @@ def ball_products(letters, k: int):
     determinant, the ``_RENORM_CAP`` test, square-root normalisation and
     sign canonicalisation.  A product that overflows or whose determinant
     collapses raises what ``compose`` raises, for the first such word."""
-    gens = np.array([(m.a, m.b, m.c, m.d) for m in letters],
+    mats = np.array([(m.a, m.b, m.c, m.d) for m in letters],
                     dtype=float).reshape(-1, 4)
     front = tuple(np.array([x]) for x in (1.0, 0.0, 0.0, 1.0))
     last = np.array([-1])  # letter index of each word's last letter
     levels = [front]
     for _ in range(k):
-        parent = np.repeat(np.arange(len(last)), len(gens))
-        letter = np.tile(np.arange(len(gens)), len(last))
+        parent = np.repeat(np.arange(len(last)), len(mats))
+        letter = np.tile(np.arange(len(mats)), len(last))
         keep = letter != (last[parent] ^ 1)
         parent, letter = parent[keep], letter[keep]
         a1, b1, c1, d1 = (x[parent] for x in front)
-        a2, b2, c2, d2 = gens[letter].T
+        a2, b2, c2, d2 = mats[letter].T
         with np.errstate(all="ignore"):
             a = a1 * a2 + b1 * c2
             b = a1 * b2 + b1 * d2
