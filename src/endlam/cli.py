@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -100,6 +101,7 @@ _SCALAR_TEXT = {
     type(None): lambda _: "null",
 }
 _SCALAR_TYPES = frozenset(_SCALAR_TEXT)
+_SEQUENCE_TYPES = frozenset((list, tuple))
 
 
 class _ReportText:
@@ -112,6 +114,11 @@ class _ReportText:
     ``tolist()``, a dataclass the dict of its fields, dict keys ``str(k)``
     and tuples lists; the types are tried in that order.  A list or dict
     whose members are all scalars goes to json's C encoder in one call.
+    So does a list of rows: non-empty flat containers of one bracket kind,
+    which are lists or tuples of scalars, str-keyed dicts of scalars,
+    ``Geodesic`` objects or dataclasses whose fields are all scalars.  The
+    first member decides whether a list is tried as rows; one that is not
+    rows after all is walked member by member.
     """
 
     def __init__(self, names=None):
@@ -133,13 +140,10 @@ class _ReportText:
                                   "b_angle": obj.b.theta}, depth)
         if isinstance(obj, (np.ndarray, np.generic)):
             return self.text(obj.tolist(), depth)
-        if kind not in self._fields:
-            self._fields[kind] = (
-                tuple(f.name for f in dataclasses.fields(kind))
-                if dataclasses.is_dataclass(kind) else None)
-        if self._fields[kind] is not None:
+        names = self._field_names(kind)
+        if names is not None:
             return self._mapping({name: getattr(obj, name)
-                                  for name in self._fields[kind]}, depth)
+                                  for name in names}, depth)
         if isinstance(obj, dict):
             if not all(type(k) is str for k in obj):
                 obj = {str(k): v for k, v in obj.items()}
@@ -149,12 +153,71 @@ class _ReportText:
                 return "[]"
             if _SCALAR_TYPES.issuperset(map(type, obj)):
                 return self._flat_text(obj, depth)
+            rows = self._rows(obj)
+            if rows is not None:
+                return self._rows_text(rows, depth)
             pad = "\n" + "  " * (depth + 1)
             return ("[" + pad
                     + ("," + pad).join([self.text(x, depth + 1) for x in obj])
                     + "\n" + "  " * depth + "]")
         raise TypeError(f"Object of type {kind.__name__} "
                         f"is not JSON serializable")
+
+    def _field_names(self, kind):
+        """The field names of the dataclass ``kind``, or None."""
+        if kind not in self._fields:
+            self._fields[kind] = (
+                tuple(f.name for f in dataclasses.fields(kind))
+                if dataclasses.is_dataclass(kind) else None)
+        return self._fields[kind]
+
+    def _rows(self, obj):
+        """The members of the list ``obj`` as JSON rows when they are rows
+        (see the class docstring): ``obj`` itself for lists, tuples and
+        dicts, the dict of each member for the others; else None."""
+        kind = type(obj[0])
+        if kind in _SEQUENCE_TYPES:
+            if not _SEQUENCE_TYPES.issuperset(map(type, obj)):
+                return None
+            rows, values = obj, chain.from_iterable(obj)
+        else:
+            if not {kind}.issuperset(map(type, obj)):
+                return None
+            if kind is dict:
+                keys = chain.from_iterable(obj)
+                if not {str}.issuperset(map(type, keys)):
+                    return None
+                rows = obj
+            elif kind is Geodesic:
+                rows = [{"a_angle": g.a.theta, "b_angle": g.b.theta}
+                        for g in obj]
+            else:
+                names = self._field_names(kind)
+                if not names or not _SCALAR_TYPES.issuperset(
+                        type(getattr(obj[0], name)) for name in names):
+                    return None
+                rows = [{name: getattr(x, name) for name in names}
+                        for x in obj]
+            values = chain.from_iterable(map(dict.values, rows))
+        if all(rows) and _SCALAR_TYPES.issuperset(map(type, values)):
+            return rows
+        return None
+
+    def _rows_text(self, rows, depth) -> str:
+        # The flat encoder one level down writes every row's members on
+        # their own lines already.  Between rows it writes the closing
+        # bracket, the item separator and the opening bracket; no encoded
+        # scalar ends in a bracket or holds a raw newline, so that text
+        # appears only there and becomes the indent=2 row break.
+        opening, closing = "{}" if type(rows[0]) is dict else "[]"
+        inner = "\n" + "  " * (depth + 1)
+        member = "\n" + "  " * (depth + 2)
+        text = self._flat_encoder(depth + 1).encode(rows)
+        return ("[" + inner + opening + member
+                + text[2:-2].replace(closing + "," + member + opening,
+                                     inner + closing + "," + inner + opening
+                                     + member)
+                + inner + closing + "\n" + "  " * depth + "]")
 
     def _mapping(self, obj: dict, depth) -> str:
         """``obj`` has str keys only."""
@@ -173,13 +236,18 @@ class _ReportText:
         # Without indent json's C encoder writes each member after the item
         # separator, so "," plus the line break and indent of the members
         # gives the indent=2 layout once the brackets get theirs.
+        text = self._flat_encoder(depth).encode(obj)
+        return (text[0] + "\n" + "  " * (depth + 1) + text[1:-1]
+                + "\n" + "  " * depth + text[-1])
+
+    def _flat_encoder(self, depth):
+        """The encoder whose item separator is "," and the line break and
+        indent of members at ``depth + 1``."""
         encoder = self._flat.get(depth)
         if encoder is None:
             encoder = self._flat[depth] = json.JSONEncoder(
                 separators=(",\n" + "  " * (depth + 1), ": "))
-        text = encoder.encode(obj)
-        return (text[0] + "\n" + "  " * (depth + 1) + text[1:-1]
-                + "\n" + "  " * depth + text[-1])
+        return encoder
 
 
 def _write(path, text) -> None:
@@ -285,7 +353,7 @@ def cmd_limit_set(scene, params, args):
     print(f"scene: {scene.name}")
     print(f"words sampled: {sample.words}")
     print(f"orbit points: {len(sample.orbit)}")
-    print(f"boundary fixed points: {len(sample.fixed_points)}")
+    print(f"boundary fixed points: {len(sample.fixed_point_angles)}")
     gap = sample.min_boundary_gap()
     print(f"min boundary gap: {gap:.6e}")
     return EXIT_OK, [("limit-set", sample)], {
@@ -293,7 +361,7 @@ def cmd_limit_set(scene, params, args):
         "depth": args.depth,
         "words": sample.words,
         "orbit": sample.orbit,
-        "fixed_point_angles": [p.theta for p in sample.fixed_points],
+        "fixed_point_angles": sample.fixed_point_angles,
         "min_boundary_gap": gap,
     }
 

@@ -22,7 +22,6 @@ from .hyperbolic import (
     ANGLE_TOL,
     TRACE_TOL,
     HPoint,
-    IdealPoint,
     Isometry,
     apply_isometry,
     axis,
@@ -297,10 +296,11 @@ def enumerate_ball(group: FuchsianGroup, k: int,
 
 @dataclass
 class LimitSetSample:
-    """Orbit points (disk coordinates) plus boundary fixed points."""
+    """Orbit points (disk coordinates) plus the disk angles, in [0, 2*pi),
+    of boundary fixed points."""
 
     orbit: list[tuple[float, float]]
-    fixed_points: list[IdealPoint]
+    fixed_point_angles: list[float]
     words: int
 
     def min_boundary_gap(self) -> float:
@@ -345,5 +345,5 @@ def limit_set_sample(group: FuchsianGroup, base: HPoint, k: int,
     keep = first_distinct(ends, ends, angle_tol)
     return LimitSetSample(
         orbit=list(zip(x.tolist(), y.tolist())),
-        fixed_points=[IdealPoint(t) for t in ends[keep].tolist()],
+        fixed_point_angles=ends[keep].tolist(),
         words=len(a))

@@ -60,7 +60,7 @@ def _coerce_layer(label, payload) -> _Layer:
         layer.geodesics = list(payload.leaves)
     elif isinstance(payload, LimitSetSample):
         layer.points = list(payload.orbit)
-        layer.boundary_angles = [p.theta for p in payload.fixed_points]
+        layer.boundary_angles = payload.fixed_point_angles
     elif isinstance(payload, (list, tuple)):
         for item in payload:
             if isinstance(item, Geodesic):
@@ -84,6 +84,17 @@ def _fmt(value: float) -> str:
     return f"{value:.9f}"
 
 
+# One template per element kind.  Each coordinate goes in as ``x + 0.0``,
+# which turns -0.0 into 0.0 and leaves every other float as it is, so
+# "%.9f" writes what _fmt writes.
+_POINT = '<circle cx="%%.9f" cy="%%.9f" r="%s"/>' % _fmt(POINT_RADIUS)
+_BOUNDARY_POINT = ('<circle cx="%%.9f" cy="%%.9f" r="%s"/>'
+                   % _fmt(BOUNDARY_POINT_RADIUS))
+_CHORD = '<path d="M %.9f %.9f L %.9f %.9f"/>'
+_ARC = ('<path d="M %.9f %.9f A %.9f %.9f 0 0 %d %.9f %.9f '
+        'A %.9f %.9f 0 0 %d %.9f %.9f"/>')
+
+
 class _Canvas:
     def __init__(self, size: int):
         self.cx = size / 2.0
@@ -92,6 +103,19 @@ class _Canvas:
 
     def point(self, x: float, y: float) -> tuple[float, float]:
         return (self.cx + self.scale * x, self.cy - self.scale * y)
+
+    def points(self, points) -> list[str]:
+        """The orbit point elements of disk points ``(x, y)``."""
+        cx, cy, scale = self.cx, self.cy, self.scale
+        return [_POINT % (cx + scale * x + 0.0, cy - scale * y + 0.0)
+                for x, y in points]
+
+    def boundary_points(self, angles) -> list[str]:
+        """The boundary point elements of disk angles."""
+        cx, cy, scale = self.cx, self.cy, self.scale
+        return [_BOUNDARY_POINT % (cx + scale * math.cos(t) + 0.0,
+                                   cy - scale * math.sin(t) + 0.0)
+                for t in angles]
 
 
 def _geodesic_path(geo: Geodesic, canvas: _Canvas) -> str:
@@ -102,8 +126,7 @@ def _geodesic_path(geo: Geodesic, canvas: _Canvas) -> str:
     x2, y2 = canvas.point(vx, vy)
     dot = ux * vx + uy * vy
     if 1.0 + dot <= ANTIPODAL_DOT:
-        return (f'<path d="M {_fmt(x1)} {_fmt(y1)} '
-                f'L {_fmt(x2)} {_fmt(y2)}"/>')
+        return _CHORD % (x1 + 0.0, y1 + 0.0, x2 + 0.0, y2 + 0.0)
     cx = (ux + vx) / (1.0 + dot)
     cy = (uy + vy) / (1.0 + dot)
     # Rounding can take |C|^2 just below 1 for endpoints a hair apart.
@@ -119,11 +142,10 @@ def _geodesic_path(geo: Geodesic, canvas: _Canvas) -> str:
     xm, ym = canvas.point(cx + r * math.cos(alpha_m),
                           cy + r * math.sin(alpha_m))
     sweep = 1 if delta < 0 else 0  # canvas y points down
-    r_canvas = r * canvas.scale
-    arc = f'A {_fmt(r_canvas)} {_fmt(r_canvas)} 0 0 {sweep} '
-    return (f'<path d="M {_fmt(x1)} {_fmt(y1)} '
-            f'{arc}{_fmt(xm)} {_fmt(ym)} '
-            f'{arc}{_fmt(x2)} {_fmt(y2)}"/>')
+    r_canvas = r * canvas.scale + 0.0
+    return _ARC % (x1 + 0.0, y1 + 0.0, r_canvas, r_canvas, sweep,
+                   xm + 0.0, ym + 0.0, r_canvas, r_canvas, sweep,
+                   x2 + 0.0, y2 + 0.0)
 
 
 def numbered_labels(labels) -> list[str]:
@@ -168,22 +190,13 @@ def render_svg(families, size: int = 1000) -> str:
         color = PALETTE[idx % len(PALETTE)]
         lines.append(f'<g id="{gid}" stroke="{color}" fill="none" '
                      f'stroke-width="{_fmt(STROKE_WIDTH)}">')
-        for geo in layer.geodesics:
-            lines.append(_geodesic_path(geo, canvas))
+        lines += [_geodesic_path(geo, canvas) for geo in layer.geodesics]
         lines.append('</g>')
         if layer.points or layer.boundary_angles:
             lines.append(f'<g id="{gid}-points" fill="{color}" '
                          f'stroke="none">')
-            for x, y in layer.points:
-                px, py = canvas.point(x, y)
-                lines.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" '
-                             f'r="{_fmt(POINT_RADIUS)}"/>')
-            for theta in layer.boundary_angles:
-                px, py = canvas.point(math.cos(theta), math.sin(theta))
-                lines.append(
-                    f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" '
-                    f'r="{_fmt(BOUNDARY_POINT_RADIUS)}"/>'
-                )
+            lines += canvas.points(layer.points)
+            lines += canvas.boundary_points(layer.boundary_angles)
             lines.append('</g>')
     lines.append('</svg>')
     return "\n".join(lines) + "\n"

@@ -23,7 +23,6 @@ from endlam.hyperbolic import (
     TRACE_TOL,
     TWO_PI,
     Geodesic,
-    IdealPoint,
     Isometry,
     angular_gap,
     apply_isometry,
@@ -300,8 +299,9 @@ def reference_limit_set_sample(group, base, k, max_words=DEFAULT_MAX_WORDS,
             g = axis(m, trace_tol)
             ends.extend((g.a.theta, g.b.theta))
     keep = first_distinct(ends, ends, angle_tol).tolist()
-    return LimitSetSample(orbit=orbit, fixed_points=[
-        IdealPoint(t) for t in compress(ends, keep)], words=len(ball))
+    return LimitSetSample(orbit=orbit,
+                          fixed_point_angles=list(compress(ends, keep)),
+                          words=len(ball))
 
 
 def reference_power_iteration(M, tol=PERRON_TOL, maxiter=10 ** 5):

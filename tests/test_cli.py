@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from endlam import cli, hyperbolic, lamination, markov
@@ -136,9 +136,41 @@ _records = st.one_of(
     st.builds(lamination.CrossingViolation, _numbers, _numbers, _geodesics,
               _geodesics),
 )
+# Lists of flat rows of one kind, which the writer encodes in one call,
+# some with an odd member at either end, which makes it walk the list.
+_row_scalars = st.one_of(
+    st.none(), st.booleans(), _ints, _floats, st.text(max_size=6),
+    st.sampled_from(["],", "},", "[", "{", "\n", "],\n    [", "},\n{",
+                     "\u00e9\u03bb\U0001d11e"]))
+_row_keys = st.one_of(st.text(max_size=3), st.sampled_from(["],", "{", "\n"]))
+_row_kinds = [
+    st.lists(_row_scalars, min_size=1, max_size=4).map(tuple),
+    st.lists(_row_scalars, min_size=1, max_size=4),
+    st.dictionaries(_row_keys, _row_scalars, min_size=1, max_size=3),
+    _geodesics,
+    st.builds(lamination.IntersectionRecord, _row_scalars, _row_scalars,
+              _row_scalars, _row_scalars),
+    st.builds(lamination.EscapeRow, _row_scalars, _row_scalars,
+              _row_scalars),
+]
+_odd_rows = st.one_of(
+    st.sampled_from([(), [], {}]),
+    # Keys that str() spells other than json does, or that collide.
+    st.dictionaries(st.one_of(st.integers(-3, 3), st.booleans(), st.none(),
+                              st.sampled_from(["1", "True", "None"])),
+                    _row_scalars, min_size=1, max_size=3),
+    st.lists(_numpy_scalars, min_size=1, max_size=2).map(tuple),
+    st.builds(lamination.EscapeRow, _numpy_scalars, _ints, _floats),
+    st.lists(st.lists(_row_scalars, max_size=2), min_size=1, max_size=2),
+    _python_scalars, _words, *_row_kinds)
+_row_lists = st.one_of(*[
+    st.tuples(st.lists(kind, max_size=6),
+              st.lists(_odd_rows, max_size=1), st.booleans()).map(
+        lambda t: t[1] + t[0] if t[2] else t[0] + t[1])
+    for kind in _row_kinds])
 _reports = st.recursive(
     st.one_of(_python_scalars, _numpy_scalars, _arrays, _words, _geodesics,
-              _records),
+              _records, _row_lists),
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=4).map(tuple),
@@ -166,6 +198,31 @@ class TestJsonText:
     def test_bytes_of_json_dumps(self, report, names):
         assert _written(report, names) == \
             reference_json_text(report, names).encode()
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=_row_lists, depth=st.integers(0, 2))
+    @example(rows=[{"a": 1}, {True: 2, None: 3}], depth=0)
+    @example(rows=[{1: "int", "1": "str"}], depth=1)
+    @example(rows=[(1, 2), ()], depth=0)
+    @example(rows=[[np.float64(0.5)], [1.5]], depth=2)
+    def test_row_lists(self, rows, depth):
+        report = rows
+        for _ in range(depth):
+            report = {"rows": [report, "x"]}
+        assert _written(report, None) == reference_json_text(report).encode()
+
+    def test_row_list_in_one_encoder_call(self, monkeypatch):
+        calls = []
+        encode = json.JSONEncoder.encode
+        monkeypatch.setattr(json.JSONEncoder, "encode",
+                            lambda self, o: calls.append(o) or encode(self, o))
+        rows = [(0.1 * i, -0.0, "],\n      [") for i in range(40)]
+        for report, count in (({"orbit": rows}, 1),
+                              ({"orbit": rows + [(np.float64(1.0),)]}, 40)):
+            expected = reference_json_text(report).encode()
+            calls.clear()
+            assert _written(report, None) == expected
+            assert len(calls) == count
 
     def test_colliding_keys_keep_the_last_value(self):
         report = {1: "int", "1": "str", True: ["a", {2: None}]}

@@ -248,7 +248,7 @@ class TestLimitSetSample:
         b = r.compose(a).compose(r.inverse())
         G = FuchsianGroup(("a", "b"), (a, b))
         sample = limit_set_sample(G, HPoint(0, 1), 1)
-        angles = sorted(p.theta for p in sample.fixed_points)
+        angles = sorted(sample.fixed_point_angles)
         expected = sorted([
             math.atan2(-2 * t, t * t - 1) % (2 * math.pi) if t is not None
             else 0.0
@@ -287,7 +287,7 @@ class TestLimitSetSample:
         sample = limit_set_sample(group, HPoint(0, 1), 5,
                                   angle_tol=angle_tol)
         expected = self._fixed_points_by_scan(group, 5, angle_tol)
-        assert sample.fixed_points == expected
+        assert sample.fixed_point_angles == [p.theta for p in expected]
 
     def test_min_gap_decreases_with_depth(self):
         G = two_generator_group()
@@ -323,7 +323,7 @@ def sample_bits(func):
     except Exception as exc:
         return type(exc), str(exc)
     return ([(x.hex(), y.hex()) for x, y in sample.orbit],
-            [p.theta.hex() for p in sample.fixed_points], sample.words,
+            [t.hex() for t in sample.fixed_point_angles], sample.words,
             sample.min_boundary_gap().hex())
 
 

@@ -2,11 +2,20 @@ import math
 import re
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from endlam.errors import ValidationError
-from endlam.hyperbolic import Geodesic
+from endlam.group import LimitSetSample
+from endlam.hyperbolic import TWO_PI, Geodesic
 from endlam.lamination import juncture_orbit
-from endlam.render import MARGIN, render_svg
+from endlam.render import (
+    ANTIPODAL_DOT,
+    BOUNDARY_POINT_RADIUS,
+    MARGIN,
+    POINT_RADIUS,
+    _fmt,
+    render_svg,
+)
 from endlam.scene import load_scene, scene_path
 
 ARC_PATH_RE = re.compile(
@@ -170,3 +179,108 @@ class TestGolden:
         golden = pathlib.Path(__file__).parent / "golden" / f"{name}.svg"
         svg = render_svg(shipped_layers(f"{name}.json"))
         assert svg.encode() == golden.read_bytes()
+
+
+def reference_elements(geodesics, points, angles, size):
+    """The path and circle elements of one layer, each coordinate written
+    by its own ``_fmt`` call, as ``render_svg`` wrote them before its
+    element kinds had templates."""
+    cx = cy = size / 2.0
+    scale = size / 2.0 - MARGIN
+
+    def point(x, y):
+        return (cx + scale * x, cy - scale * y)
+
+    out = []
+    for geo in geodesics:
+        ta, tb = geo.a.theta, geo.b.theta
+        ux, uy = math.cos(ta), math.sin(ta)
+        vx, vy = math.cos(tb), math.sin(tb)
+        x1, y1 = point(ux, uy)
+        x2, y2 = point(vx, vy)
+        dot = ux * vx + uy * vy
+        if 1.0 + dot <= ANTIPODAL_DOT:
+            out.append(f'<path d="M {_fmt(x1)} {_fmt(y1)} '
+                       f'L {_fmt(x2)} {_fmt(y2)}"/>')
+            continue
+        ox = (ux + vx) / (1.0 + dot)
+        oy = (uy + vy) / (1.0 + dot)
+        r = math.sqrt(max(ox * ox + oy * oy - 1.0, 0.0))
+        alpha_u = math.atan2(uy - oy, ux - ox)
+        alpha_v = math.atan2(vy - oy, vx - ox)
+        delta = (alpha_v - alpha_u + math.pi) % TWO_PI - math.pi
+        alpha_m = alpha_u + delta / 2.0
+        xm, ym = point(ox + r * math.cos(alpha_m), oy + r * math.sin(alpha_m))
+        sweep = 1 if delta < 0 else 0
+        arc = f'A {_fmt(r * scale)} {_fmt(r * scale)} 0 0 {sweep} '
+        out.append(f'<path d="M {_fmt(x1)} {_fmt(y1)} '
+                   f'{arc}{_fmt(xm)} {_fmt(ym)} '
+                   f'{arc}{_fmt(x2)} {_fmt(y2)}"/>')
+    for x, y in points:
+        px, py = point(x, y)
+        out.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" '
+                   f'r="{_fmt(POINT_RADIUS)}"/>')
+    for theta in angles:
+        px, py = point(math.cos(theta), math.sin(theta))
+        out.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" '
+                   f'r="{_fmt(BOUNDARY_POINT_RADIUS)}"/>')
+    return out
+
+
+_sizes = st.one_of(st.sampled_from([21, 1000]), st.integers(21, 4000))
+# Inputs whose canvas coordinates or radius land on or next to 0, and
+# large ones.
+_edge_floats = st.sampled_from([-0.0, 0.0, 1e-12, -1e-12, 1e6, -1e15, 1e300])
+_angles = st.one_of(st.floats(0.0, TWO_PI, exclude_max=True), _edge_floats)
+
+
+@st.composite
+def _geodesics_to_draw(draw):
+    """Geodesics with generic endpoints, endpoints a hair apart and
+    endpoints on either side of the chord threshold."""
+    a = draw(st.floats(0.0, TWO_PI, exclude_max=True))
+    b = draw(st.one_of(
+        st.floats(0.0, TWO_PI, exclude_max=True),
+        st.floats(2e-9, 1e-6).map(lambda d: a + d),
+        st.floats(-3e-3, 3e-3).map(lambda d: a + math.pi + d)))
+    try:
+        return Geodesic.from_angles(a, b)
+    except ValidationError:
+        return Geodesic.from_angles(a, a + 1.0)
+
+
+@st.composite
+def _points_to_draw(draw, size):
+    """Disk points, some placed so that a canvas coordinate is -0.0, 0.0
+    or +-1e-12 away from it."""
+    scale = size / 2.0 - MARGIN
+    near_edge = st.sampled_from([-0.0, 0.0, 1e-12, -1e-12]).map(
+        lambda t: (t - size / 2.0) / scale)
+    coordinate = st.one_of(st.floats(), _edge_floats, near_edge)
+    return (draw(coordinate), draw(coordinate.map(lambda c: -c)))
+
+
+class TestElementTemplates:
+    """Every element kind's template against per-value ``_fmt``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), size=_sizes,
+           geodesics=st.lists(_geodesics_to_draw(), max_size=6),
+           angles=st.lists(_angles, max_size=6))
+    @example(data=None, size=21, geodesics=[
+        Geodesic.from_angles(0.0, math.pi - 1e-3),
+        Geodesic.from_angles(1.0, 1.0 + 2.978913782209841e-09)],
+        angles=[-0.0, 1e-12, -1e-12, math.pi / 2])
+    def test_elements_as_fmt_writes_them(self, data, size, geodesics,
+                                         angles):
+        # At size 21 the first two points land on 0.0 and -0.0...01.
+        points = ([(-21.0, 21.0), (-21.000000000002, 21.000000000002),
+                   (1e-12, -1e-12), (-0.0, 1e300)]
+                  if data is None else
+                  data.draw(st.lists(_points_to_draw(size), max_size=6)))
+        svg = render_svg([("g", geodesics), ("s", LimitSetSample(
+            orbit=points, fixed_point_angles=angles, words=0))], size)
+        drawn = [line for line in svg.splitlines()[3:]
+                 if line.startswith(("<path", "<circle"))]
+        assert drawn == (reference_elements(geodesics, [], [], size)
+                         + reference_elements([], points, angles, size))
