@@ -229,25 +229,72 @@ def same_ideal_point(p: IdealPoint, q: IdealPoint,
     return angular_gap(p.theta, q.theta) < tol
 
 
-# Rows decided per block.  A row's candidates are the block's rows and the
-# kept pairs of nine cells, at most four to a cell for tol at or above
-# ANGLE_TOL_FLOOR, so the temporaries stay bounded whatever the tolerance.
-_DEDUP_ROWS = 256
+# A block decides up to _DEDUP_ROWS rows.  Each row meets the kept pairs
+# of earlier blocks in its nine cells, at most four to a cell for tol at or
+# above ANGLE_TOL_FLOOR, and, unless one of those is within tol, earlier
+# rows of the block in the same cells.  The block ends before these
+# in-block candidates would pass _DEDUP_PAIRS (its first row has none), so
+# its index temporaries hold at most _DEDUP_PAIRS + 36 * _DEDUP_ROWS
+# entries, a few MB, whatever the input.  One block for the 16k distinct
+# rows of a horizon-20, ball-5 orbit is no faster and takes 2.4 times the
+# peak memory.
+_DEDUP_ROWS = 2048
+_DEDUP_PAIRS = 1 << 18
 
 
-def _close_pairs(u, v, tol, keys, rows, query, first):
-    """(i, j) with i = ``first`` + a query row, j < i one of ``rows``
-    (sorted by their ``keys``) in a cell the row queries, and the two
-    pairs within ``tol`` in both coordinates; i ascending."""
-    lo = np.searchsorted(keys, query, "left")
-    counts = (np.searchsorted(keys, query, "right") - lo).ravel()
-    slot = np.repeat(np.arange(len(counts)), counts)
-    at = np.arange(len(slot)) - np.repeat(
-        np.cumsum(counts) - counts - lo.ravel(), counts)
-    i, j = first + slot // query.shape[1], rows[at]
-    close = ((j < i) & (angular_gaps(u[i], u[j]) < tol)
-             & (angular_gaps(v[i], v[j]) < tol))
+def _cell_runs(keys, query):
+    """The query cells found in the sorted ``keys``, as flat indices into
+    ``query``, and the start and length of each one's run of keys, from
+    one search over the distinct cells."""
+    edge = np.ones(len(keys) + 1, dtype=bool)
+    edge[1:-1] = keys[1:] != keys[:-1]
+    edges = np.flatnonzero(edge)  # where each run starts, then len(keys)
+    cells = keys[edges[:-1]]
+    at = np.searchsorted(cells, query).ravel()
+    np.minimum(at, len(cells) - 1, out=at)
+    found = np.flatnonzero(cells[at] == query.ravel())
+    at = at[found]
+    lo = edges[at]
+    return found, lo, edges[at + 1] - lo
+
+
+def _close_pairs(u, v, tol, rows, i, lo, counts):
+    """(i, j) for each row i and j < i one of ``rows[lo:lo + count]``, the
+    two pairs within ``tol`` in both coordinates; i ascending when the
+    given i are."""
+    at = np.arange(counts.sum()) - np.repeat(
+        np.cumsum(counts) - counts - lo, counts)
+    i, j = np.repeat(i, counts), rows[at]
+    earlier = j < i
+    i, j = i[earlier], j[earlier]
+    close = (angular_gaps(u[i], u[j]) < tol) & (angular_gaps(v[i], v[j]) < tol)
     return i[close], j[close]
+
+
+def _first_occurrences(u, v):
+    """Ascending indices of the first occurrence of each exact pair."""
+    order = np.lexsort((v, u))
+    su, sv = u[order], v[order]
+    new = np.ones(len(u), dtype=bool)
+    new[1:] = (su[1:] != su[:-1]) | (sv[1:] != sv[:-1])
+    return np.sort(order[new], kind="stable")
+
+
+def _grid_keys(u, v, tol):
+    """Key of each pair's grid cell, and the keys of the nine cells around
+    it, its own included, as one row each.
+
+    The cells are 2 * tol wide and wrap around the circle, so a pair
+    within tol of another lies in one of the nine.  Where a key overflows,
+    two cells may share it, which only adds candidates."""
+    q = 2.0 * max(tol, ANGLE_TOL_FLOOR)
+    wrap = max(1, round(TWO_PI / q))
+    cu, cv = (np.rint(t / q).astype(np.int64) for t in (u, v))
+    step = np.array([-1, 0, 1])
+    a = (cu[:, None] + step) % wrap * wrap
+    b = (cv[:, None] + step) % wrap
+    keys = cu % wrap * wrap + cv % wrap
+    return keys, (a[:, :, None] + b[:, None, :]).reshape(len(u), 9)
 
 
 def first_distinct(u, v, tol: float) -> np.ndarray:
@@ -255,53 +302,69 @@ def first_distinct(u, v, tol: float) -> np.ndarray:
     taken in order: a pair is kept when no earlier kept pair lies within
     ``tol`` of it in both coordinates (``angular_gap``).  A geodesic
     enters as its ``sorted_angles()``, a boundary point t as (t, t), which
-    tests it like :func:`same_ideal_point`."""
+    tests it like :func:`same_ideal_point`.
+
+    Rows are decided a block at a time, each against the block's own rows
+    and the kept rows of earlier blocks.  A block holds at most
+    ``_DEDUP_ROWS`` rows and ends before its candidates among its own rows
+    would pass ``_DEDUP_PAIRS``, which bounds the temporaries whatever the
+    input."""
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     mask = np.zeros(len(u), dtype=bool)
     # An exact repeat is never new, so only first occurrences go on.
-    order = np.lexsort((v, u))
-    su, sv = u[order], v[order]
-    new = np.ones(len(u), dtype=bool)
-    new[1:] = (su[1:] != su[:-1]) | (sv[1:] != sv[:-1])
-    first = np.sort(order[new], kind="stable")
+    first = _first_occurrences(u, v)
     u, v = u[first], v[first]
-    # Grid cells 2 * tol wide, wrapped around the circle: a pair within tol
-    # of another lies in its cell or a neighbouring one, in both coordinates.
-    # A key names a cell; where one overflows, two cells may share it, which
-    # only adds candidates.
-    q = 2.0 * max(tol, ANGLE_TOL_FLOOR)
-    wrap = max(1, round(TWO_PI / q))
-    near = [[((np.rint(t / q) + step) % wrap).astype(np.int64)
-             for step in (-1, 0, 1)] for t in (u, v)]
-    keys = near[0][1] * wrap + near[1][1]
-    query = np.stack([a * wrap + b for a in near[0] for b in near[1]], axis=1)
+    keys, query = _grid_keys(u, v, tol)
     kept = np.zeros(len(u), dtype=bool)
-    kept_keys = kept_rows = np.zeros(0, dtype=np.int64)  # sorted by key
-    for s in range(0, len(u), _DEDUP_ROWS):
+    # Kept rows of earlier blocks, sorted by key and within a key by row.
+    kept_keys = kept_rows = np.zeros(0, dtype=np.int64)
+    s = 0
+    while s < len(u):
+        # One table holds the kept rows and the next _DEDUP_ROWS rows; a
+        # cell's run lists its kept rows first, then the block's in order.
         e = min(len(u), s + _DEDUP_ROWS)
-        i, _ = _close_pairs(u, v, tol, kept_keys, kept_rows, query[s:e], s)
+        table = np.concatenate((kept_keys, keys[s:e]))
+        order = np.argsort(table, kind="stable")
+        table = table[order]
+        rows = np.concatenate((kept_rows, np.arange(s, e)))[order]
+        found, lo, size = _cell_runs(table, query[s:e])
+        i = s + found // query.shape[1]
+        kept_before = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(rows < s, out=kept_before[1:])
+        k = kept_before[lo + size]
+        k -= kept_before[lo]
+        # A row near a kept one is not kept.
+        hit, _ = _close_pairs(u, v, tol, rows, i, lo, k)
         blocked = np.zeros(e - s, dtype=bool)
-        blocked[i - s] = True
-        by_key = np.argsort(keys[s:e], kind="stable")
-        i, j = _close_pairs(u, v, tol, keys[s:e][by_key], s + by_key,
-                            query[s:e], s)
+        blocked[hit - s] = True
+        # The others meet the earlier rows of the block among the first
+        # i - s block rows of a run.  The block ends before these
+        # candidates pass _DEDUP_PAIRS; its first row has none.
+        size -= k
+        np.minimum(size, i - s, out=size)
+        size[blocked[i - s]] = 0
+        e = s + int(np.searchsorted(
+            np.cumsum(np.bincount(i - s, size, e - s)), _DEDUP_PAIRS, "right"))
+        n = np.searchsorted(i, e)
+        i, j = _close_pairs(u, v, tol, rows, i[:n], lo[:n] + k[:n], size[:n])
         i, j = i - s, j - s
+        blocked = blocked[:e - s]
         i, j = i[~blocked[j]], j[~blocked[j]]
         # A row with no earlier conflict is kept, one in conflict with such
-        # a row is not, and the few others are decided in order.
+        # a row is not, and the others are decided in order.
         alone = ~blocked
         alone[i] = False
         beaten = blocked.copy()
         beaten[i[alone[j]]] = True
-        kept[s:e] = alone
-        for r in np.flatnonzero(~alone & ~beaten):
-            a, b = np.searchsorted(i, (r, r + 1))
-            kept[s + r] = not kept[s + j[a:b]].any()
-        added = s + np.flatnonzero(kept[s:e])
-        added = added[np.argsort(keys[added], kind="stable")]
-        at = np.searchsorted(kept_keys, keys[added])
-        kept_keys = np.insert(kept_keys, at, keys[added])
-        kept_rows = np.insert(kept_rows, at, added)
+        open_rows = np.flatnonzero(~alone & ~beaten)
+        bounds = np.searchsorted(i, [open_rows, open_rows + 1]).tolist()
+        keep, j = alone.tolist(), j.tolist()
+        for r, a, b in zip(open_rows.tolist(), *bounds):
+            keep[r] = not any(map(keep.__getitem__, j[a:b]))
+        kept[s:e] = keep
+        stay = (rows < s) | kept[rows]
+        kept_keys, kept_rows = table[stay], rows[stay]
+        s = e
     mask[first[kept]] = True
     return mask
 

@@ -45,6 +45,11 @@ from .hyperbolic import (
 # Gaps below this are at the resolution floor of double-precision angles;
 # a tail stuck there still counts as decreasing.
 GAP_FLOOR = 1e-13
+# Each tail gap at or above GAP_FLOOR is at most this times the one before
+# it.  A chain that alternates between two limits has gaps near a constant
+# that still decrease; certified chains on the shipped scene contract at
+# 0.171 or faster.
+CONTRACTION_RATIO = 0.5
 
 DEFAULT_TOL = 1e-6
 DEFAULT_HORIZON = 12
@@ -348,7 +353,8 @@ def extract_limit_leaves(family: GeodesicFamily,
     """Extrapolate each convergent provenance chain to a limit geodesic.
 
     A chain is accepted when its last gaps sink below ``tol`` while
-    decreasing (stalls below the floating-point floor are tolerated).
+    contracting by ``CONTRACTION_RATIO`` or faster (stalls below the
+    floating-point floor are tolerated).
     Constant chains are excluded: their limit is the juncture axis
     itself, and the lamination is the closure minus the family.
     """
@@ -399,6 +405,9 @@ def extract_limit_leaves(family: GeodesicFamily,
                       f"{tol:.1e}")
         elif not all(b < a or b < GAP_FLOOR for a, b in zip(tail, tail[1:])):
             reason = "endpoint gaps not decreasing"
+        elif not all(b <= CONTRACTION_RATIO * a or b < GAP_FLOOR
+                     for a, b in zip(tail, tail[1:])):
+            reason = "endpoint gaps not contracting"
         elif ends and angular_gap(*ends) < angle_tol:
             reason = "chain collapses toward a single boundary point"
         if reason is not None:

@@ -33,6 +33,7 @@ from endlam.hyperbolic import (
     to_disk,
 )
 from endlam.lamination import (
+    CONTRACTION_RATIO,
     GAP_FLOOR,
     ChainCertificate,
     ChainProvenance,
@@ -259,6 +260,9 @@ def reference_extract(entries, tol, angle_tol=ANGLE_TOL):
             reason = f"last gap {tail[-1]:.3e} above tolerance {tol:.1e}"
         elif not all(b < a or b < GAP_FLOOR for a, b in zip(tail, tail[1:])):
             reason = "endpoint gaps not decreasing"
+        elif not all(b <= CONTRACTION_RATIO * a or b < GAP_FLOOR
+                     for a, b in zip(tail, tail[1:])):
+            reason = "endpoint gaps not contracting"
         elif ends and angular_gap(*ends) < angle_tol:
             reason = "chain collapses toward a single boundary point"
         if reason is not None:

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from endlam import hyperbolic
+from endlam import hyperbolic, lamination
 from endlam.errors import (
     NoIntersectionError,
     NotHyperbolicError,
@@ -42,6 +43,8 @@ from endlam.hyperbolic import (
     to_disk,
     translation_length,
 )
+from endlam.lamination import juncture_orbit
+from endlam.scene import load_scene, scene_path
 
 from conftest import sequential_first_distinct
 
@@ -739,16 +742,81 @@ class TestAngleSet:
             [True] * n)
 
     def test_many_blocks(self):
-        # Three rows per block, and a long chain across every boundary.
+        # A long chain across every block boundary; a budget of 0 ends a
+        # block at its first row with a candidate among the block's rows,
+        # often after one row.
         rng = random.Random(11)
         tol = 1e-3
         u = [1.0 + 0.6 * tol * k for k in range(60)]
         u += [rng.choice(u) + rng.uniform(-2, 2) * tol for _ in range(200)]
         v = [rng.choice((t, 2.0)) for t in u]
-        expected = sequential_first_distinct(u, v, tol)
-        for rows in (1, 3, hyperbolic._DEDUP_ROWS):
-            with mock.patch.object(hyperbolic, "_DEDUP_ROWS", rows):
-                assert first_distinct(u, v, tol).tolist() == expected
+        assert_blocks_match_sequential(u, v, tol)
+
+    def test_crowded_cell(self):
+        # Hundreds of distinct pairs inside one grid cell (cells are
+        # centred on multiples of 2 * tol): each row meets every other,
+        # so the budget cuts the blocks, and the rows that neither a kept
+        # row nor an alone row settles are decided one by one.
+        rng = random.Random(12)
+        tol = 1e-3
+        u = [1.0 + rng.uniform(-0.99, 0.99) * tol for _ in range(400)]
+        v = [2.0 + rng.uniform(-0.99, 0.99) * tol for _ in range(400)]
+        assert_blocks_match_sequential(u, v, tol)
+
+    def test_long_chain(self):
+        # Steps of 0.6 tol: every other row is kept, each decided only
+        # after the one before it, across many blocks.
+        tol = 1e-3
+        u = [1.0 + 0.6 * tol * k for k in range(500)]
+        expected = sequential_first_distinct(u, [2.0] * 500, tol)
+        assert expected == [k % 2 == 0 for k in range(500)]
+        assert_blocks_match_sequential(u, [2.0] * 500, tol)
+        assert_blocks_match_sequential(u, u, tol)
+
+    def test_peak_memory_on_a_deep_orbit(self):
+        # The candidates of the schottky_ab orbit at horizon 20, ball 5:
+        # the blocks keep the temporaries near the size of the input (one
+        # block for all 16,266 distinct rows takes about 6.8 MB).
+        scene = load_scene(scene_path("schottky_ab.json"))
+        calls = []
+
+        def record(*args):
+            calls.append(args)
+            return first_distinct(*args)
+
+        with mock.patch.object(lamination, "first_distinct", record):
+            juncture_orbit(scene, scene.junctures[0], range(-20, 21), 5)
+        (u, v, tol), = calls
+        assert len(u) == 19885
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert first_distinct(u, v, tol).sum() == 7702
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < DEDUP_PEAK_MB * 1e6
+
+
+# Tracemalloc peak allowed to first_distinct on the deep orbit's
+# 19,885 candidates (about 2.9 MB).
+DEDUP_PEAK_MB = 5
+
+# Block shapes (rows, pair budget) that take every path of first_distinct:
+# one-row blocks, blocks cut by the budget, kept rows of earlier blocks,
+# and the defaults.
+BLOCK_SHAPES = ((1, 0), (3, 0), (3, 2), (16, 0), (16, 40),
+                (hyperbolic._DEDUP_ROWS, 300),
+                (hyperbolic._DEDUP_ROWS, hyperbolic._DEDUP_PAIRS))
+
+
+def assert_blocks_match_sequential(u, v, tol, shapes=BLOCK_SHAPES):
+    expected = sequential_first_distinct(u, v, tol)
+    for rows, pairs in shapes:
+        with mock.patch.multiple(hyperbolic, _DEDUP_ROWS=rows,
+                                 _DEDUP_PAIRS=pairs):
+            assert first_distinct(u, v, tol).tolist() == expected, (
+                rows, pairs)
 
 
 def greedy_first_distinct(u, v, tol):
@@ -803,11 +871,11 @@ class TestFirstDistinct:
     @given(angle_pairs())
     def test_matches_sequential_angle_set(self, case):
         tol, u, v = case
-        expected = sequential_first_distinct(u, v, tol)
-        assert expected == greedy_first_distinct(u, v, tol)
-        for rows in (4, hyperbolic._DEDUP_ROWS):
-            with mock.patch.object(hyperbolic, "_DEDUP_ROWS", rows):
-                assert first_distinct(u, v, tol).tolist() == expected
+        assert sequential_first_distinct(u, v, tol) == greedy_first_distinct(
+            u, v, tol)
+        assert_blocks_match_sequential(u, v, tol, (
+            (4, 0), (4, 6), (hyperbolic._DEDUP_ROWS, 6),
+            (hyperbolic._DEDUP_ROWS, hyperbolic._DEDUP_PAIRS)))
 
     @settings(max_examples=400, deadline=None)
     @given(angle_pairs())

@@ -308,6 +308,7 @@ class TestExtract:
             + chain((1,), steps([0.1, 0.1]))
             + chain((2,), steps([0.1] * 4))
             + chain((1, 1), steps([4e-7, 3e-7, 2e-7, 3e-7]))
+            + chain((1, 2), steps([4e-7, 3e-7, 2e-7, 1e-7]))
             + chain((2, 2), pinch)
         )
         lam = extract_limit_leaves(fam, tol=1e-6)
@@ -318,8 +319,39 @@ class TestExtract:
             ((1,), "fewer than 4 distinct iterates"),
             ((2,), "last gap 1.000e-01 above tolerance 1.0e-06"),
             ((1, 1), "endpoint gaps not decreasing"),
+            ((1, 2), "endpoint gaps not contracting"),
             ((2, 2), "chain collapses toward a single boundary point"),
         ]
+
+    def test_alternating_chain_with_a_dropped_iterate_refused(self):
+        # Iterates alternate between angles 1 and 1.5, each side closing
+        # in at 2^-n: the gaps stay near 0.5 and decrease.  Iterate 9 is
+        # missing, so the last gap joins iterates 8 and 10 and is below
+        # tol; only the contraction test tells this chain from a leaf.
+        error = [1e-6 * 0.5 ** n for n in range(11)]
+        pairs = [(1.0 - error[n] if n % 2 == 0 else 1.5 + error[n], 3.0)
+                 for n in range(11) if n != 9]
+        fam = family_of([(Geodesic.from_angles(*pair),
+                          Provenance(E_MINUS, Word((1,)), n))
+                         for n, pair in zip([*range(9), 10], pairs)])
+        lam = extract_limit_leaves(fam, tol=1e-6)
+        gaps = [abs(a[0] - b[0]) for a, b in zip(pairs, pairs[1:])][-4:]
+        assert gaps[-1] < 1e-6 and gaps == sorted(gaps, reverse=True)
+        assert lam.leaves == [] and lam.certificates == []
+        assert [s.reason for s in lam.skipped] == [
+            "endpoint gaps not contracting"]
+
+    def test_alternating_scene_certifies_no_leaf(self):
+        # The end of a has period 2 under a -> c, b -> b, c -> a b, but
+        # the scene declares period 1.  Its Λ+ chains of b^-1 a^-1, c a^-1
+        # and c^-1 c^-1 alternate between two leaves and lose an iterate
+        # near the end to deduplication.
+        run = laminate(alternating_scene(), AxiomParams(horizon=20, ball=2))
+        plus = run.laminations["+"]
+        assert plus.leaves == [] and len(plus.skipped) == 37
+        assert sorted(s.conjugator.letters for s in plus.skipped
+                      if s.reason == "endpoint gaps not contracting") == [
+            (-3, -3), (-2, -1), (3, -1)]
 
     def test_mixed_sign_family_rejected(self, torus_scene):
         minus = juncture_orbit(torus_scene, torus_scene.junctures[0],
@@ -399,6 +431,25 @@ class TestIntersections:
         meager = transversal_intersections(lam_p, lam_m)
         pairs = [(r.plus_index, r.minus_index) for r in meager.points]
         assert len(pairs) == len(set(pairs))
+
+
+def alternating_scene():
+    """Rank 3: a = diag(4, 1/4), b = [[2, 1], [1, 1]], c = R diag(5, 1/5) R^T
+    with R the rotation by pi/5, under a -> c, b -> b, c -> a b, with
+    junctures of a of both signs declared of period 1."""
+    cos, sin = math.cos(math.pi / 5), math.sin(math.pi / 5)
+    c = [[5 * cos * cos + 0.2 * sin * sin, (5 - 0.2) * cos * sin],
+         [(5 - 0.2) * cos * sin, 5 * sin * sin + 0.2 * cos * cos]]
+    return parse_scene(json.dumps({
+        "metadata": {"name": "alternating"},
+        "group": {"a": [[4, 0], [0, 0.25]], "b": [[2, 1], [1, 1]], "c": c},
+        "automorphism": {
+            "forward": {"a": "c", "b": "b", "c": "a b"},
+            "inverse": {"a": "c b^-1", "b": "b", "c": "a"}},
+        "junctures": [
+            {"end": "e-", "sign": "-", "word": "a", "period": 1},
+            {"end": "e+", "sign": "+", "word": "a", "period": 1}],
+    }))
 
 
 def reference_audit(leaves, tol):
