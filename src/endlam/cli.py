@@ -115,10 +115,15 @@ class _ReportText:
     and tuples lists; the types are tried in that order.  A list or dict
     whose members are all scalars goes to json's C encoder in one call.
     So does a list of rows: non-empty flat containers of one bracket kind,
-    which are lists or tuples of scalars, str-keyed dicts of scalars,
-    ``Geodesic`` objects or dataclasses whose fields are all scalars.  The
-    first member decides whether a list is tried as rows; one that is not
-    rows after all is walked member by member.
+    which are lists or tuples of scalars, str-keyed dicts of scalars or
+    ``Geodesic`` objects.  A list of records, members of one dataclass
+    type whose every field column is all scalars, all ``Word``s, all flat
+    lists or tuples of scalars (empty ones too) or all ``Geodesic``s, is
+    written column by column: each column is one encoder call, split into
+    its members' texts at the separators, and each record's text comes
+    from one template.  The first member decides whether a list is tried
+    as rows or as records; one that is neither after all is walked member
+    by member.
     """
 
     def __init__(self, names=None):
@@ -156,10 +161,11 @@ class _ReportText:
             rows = self._rows(obj)
             if rows is not None:
                 return self._rows_text(rows, depth)
-            pad = "\n" + "  " * (depth + 1)
-            return ("[" + pad
-                    + ("," + pad).join([self.text(x, depth + 1) for x in obj])
-                    + "\n" + "  " * depth + "]")
+            records = self._records_text(obj, depth)
+            if records is not None:
+                return records
+            return _lines("[", (self.text(x, depth + 1) for x in obj),
+                          depth, "]")
         raise TypeError(f"Object of type {kind.__name__} "
                         f"is not JSON serializable")
 
@@ -192,12 +198,7 @@ class _ReportText:
                 rows = [{"a_angle": g.a.theta, "b_angle": g.b.theta}
                         for g in obj]
             else:
-                names = self._field_names(kind)
-                if not names or not _SCALAR_TYPES.issuperset(
-                        type(getattr(obj[0], name)) for name in names):
-                    return None
-                rows = [{name: getattr(x, name) for name in names}
-                        for x in obj]
+                return None
             values = chain.from_iterable(map(dict.values, rows))
         if all(rows) and _SCALAR_TYPES.issuperset(map(type, values)):
             return rows
@@ -219,18 +220,76 @@ class _ReportText:
                                      + member)
                 + inner + closing + "\n" + "  " * depth + "]")
 
+    def _records_text(self, obj, depth):
+        """The list ``obj`` of one dataclass type written column by column
+        (see the class docstring), or None when it is not."""
+        kind = type(obj[0])
+        names = self._field_names(kind)
+        if (not names or issubclass(kind, (Word, Geodesic))
+                or not {kind}.issuperset(map(type, obj))):
+            return None
+        columns = []
+        for name in names:
+            column = self._column([getattr(x, name) for x in obj])
+            if column is None:
+                return None
+            columns.append(column)
+        # Field names are identifiers, so the template holds no other %.
+        row = _lines("{", [encode_basestring_ascii(name) + ": %s"
+                           for name in names], depth + 1, "}")
+        texts = [self._column_texts(*column, depth + 2) for column in columns]
+        return _lines("[", (row % values for values in zip(*texts)), depth,
+                      "]")
+
+    def _column(self, values):
+        """``values`` as one encoder call takes them and the brackets of
+        the containers among them (None for scalars), when they are all
+        scalars, all ``Word``s, all flat lists or tuples of scalars or all
+        ``Geodesic``s; else None."""
+        kinds = set(map(type, values))
+        if kinds == {Word}:
+            if self.names:
+                return [w.format(self.names) for w in values], None
+            values, kinds = [w.letters for w in values], {tuple}
+        if _SCALAR_TYPES.issuperset(kinds):
+            return values, None
+        if kinds == {Geodesic}:
+            return [{"a_angle": g.a.theta, "b_angle": g.b.theta}
+                    for g in values], "{}"
+        if (_SEQUENCE_TYPES.issuperset(kinds) and _SCALAR_TYPES.issuperset(
+                map(type, chain.from_iterable(values)))):
+            return values, "[]"
+        return None
+
+    def _column_texts(self, values, brackets, depth):
+        """The JSON text at ``depth`` of each of ``values``, from one encoder
+        call and one split; ``brackets`` are those of the containers among
+        them, None for scalars."""
+        encoder = self._flat_encoder(depth)
+        text = encoder.encode(values)
+        if brackets is None:
+            # No encoded scalar holds a raw newline, so the item
+            # separators are the only places to split.
+            return text[1:-1].split(encoder.item_separator)
+        # Between two containers the encoder writes the closing bracket,
+        # the item separator and the opening bracket, which no scalar text
+        # holds; inside one it writes the members at depth + 1 already.
+        opening, closing = brackets
+        inner = "\n" + "  " * (depth + 1)
+        outer = "\n" + "  " * depth + closing
+        return [opening + inner + members + outer if members else brackets
+                for members in text[2:-2].split(
+                    closing + encoder.item_separator + opening)]
+
     def _mapping(self, obj: dict, depth) -> str:
         """``obj`` has str keys only."""
         if not obj:
             return "{}"
         if _SCALAR_TYPES.issuperset(map(type, obj.values())):
             return self._flat_text(obj, depth)
-        pad = "\n" + "  " * (depth + 1)
-        return ("{" + pad
-                + ("," + pad).join([encode_basestring_ascii(k) + ": "
-                                    + self.text(v, depth + 1)
-                                    for k, v in obj.items()])
-                + "\n" + "  " * depth + "}")
+        return _lines("{", (encode_basestring_ascii(k) + ": "
+                            + self.text(v, depth + 1)
+                            for k, v in obj.items()), depth, "}")
 
     def _flat_text(self, obj, depth) -> str:
         # Without indent json's C encoder writes each member after the item
@@ -248,6 +307,15 @@ class _ReportText:
             encoder = self._flat[depth] = json.JSONEncoder(
                 separators=(",\n" + "  " * (depth + 1), ": "))
         return encoder
+
+
+def _lines(opening, members, depth, closing) -> str:
+    """The texts ``members`` yields, one to a line at ``depth + 1`` between
+    the brackets, the closing one on a line at ``depth``.  A generator
+    leaves no list of the members alive beside the text."""
+    pad = "\n" + "  " * (depth + 1)
+    body = ("," + pad).join(members)
+    return "".join((opening, pad, body, "\n", "  " * depth, closing))
 
 
 def _write(path, text) -> None:

@@ -347,6 +347,45 @@ def _aitken_angle(thetas) -> float:
     return (t2 + correction) % TWO_PI
 
 
+_SINGLE, _FEW, _LAST_GAP, _NOT_DECREASING, _NOT_CONTRACTING = range(1, 6)
+# Skip reasons by verdict, but for _LAST_GAP's, which names the gap.
+_REASONS = {
+    # Deduplication collapsed the whole chain, either because the
+    # substitution fixes this axis (then the limit is the family member
+    # itself, which the lamination excludes by definition) or because an
+    # earlier chain already carries these axes.
+    _SINGLE: "chain collapsed to a single axis; its limit is a family member",
+    _FEW: "fewer than 4 distinct iterates",
+    _NOT_DECREASING: "endpoint gaps not decreasing",
+    _NOT_CONTRACTING: "endpoint gaps not contracting",
+}
+
+
+def _chain_verdicts(steps: np.ndarray, counts: np.ndarray,
+                    ends: np.ndarray, tol: float) -> np.ndarray:
+    """Each chain's verdict from its entry count and its tail, the last
+    four gaps (three on a chain of four entries): the first test it fails,
+    in the order of the verdict numbers, or 0.  Chain i's gaps are
+    ``steps[ends[i] - counts[i]:ends[i] - 1]``."""
+    verdict = np.where(counts == 1, _SINGLE,
+                       np.where(counts < 4, _FEW, 0))
+    long = np.flatnonzero(counts >= 4)
+    last = ends[long] - 2
+    # Tail pairs (gap k - 1, gap k) for k = last, last - 1 and, on chains
+    # of five entries or more, last - 2; a missing pair passes both tests.
+    back = np.arange(3)[:, None]
+    k = last - back
+    missing = back > counts[long] - 3
+    a, b = steps[k - 1], steps[k]
+    floor = b < GAP_FLOOR
+    decreasing = ((b < a) | floor | missing).all(axis=0)
+    contracting = ((b <= CONTRACTION_RATIO * a) | floor | missing).all(axis=0)
+    verdict[long] = np.select(
+        [steps[last] >= tol, ~decreasing, ~contracting],
+        [_LAST_GAP, _NOT_DECREASING, _NOT_CONTRACTING], 0)
+    return verdict
+
+
 def extract_limit_leaves(family: GeodesicFamily,
                          tol: float = DEFAULT_TOL,
                          angle_tol: float = ANGLE_TOL) -> LaminationApprox:
@@ -357,6 +396,14 @@ def extract_limit_leaves(family: GeodesicFamily,
     floating-point floor are tolerated).
     Constant chains are excluded: their limit is the juncture axis
     itself, and the lamination is the closure minus the family.
+
+    Every chain's count and tail tests run at once on the sorted entry
+    arrays (``_chain_verdicts``).  Only chains without a base limit to
+    transport are extrapolated, one Aitken step per endpoint.  The leaves
+    transported from one base limit are its images under their chains'
+    conjugators, from one ``boundary_images`` call, which equals the
+    scalar ``boundary_action`` bit for bit; the leaves are then built in
+    chain order, so that the first chain whose endpoints coincide raises.
     """
     signs = {c.juncture.sign for c in family.chains}
     if len(signs) > 1:
@@ -368,75 +415,82 @@ def extract_limit_leaves(family: GeodesicFamily,
                         else family.iterate, family.chain))
     chain, ta, tb = family.chain[order], family.ta[order], family.tb[order]
     steps = np.maximum(angular_gaps(ta[:-1], ta[1:]),
-                       angular_gaps(tb[:-1], tb[1:])).tolist()
-    starts = np.flatnonzero(np.diff(chain, prepend=-1)).tolist()
-    chain, ta, tb = chain.tolist(), ta.tolist(), tb.tolist()
-    iterates = family.iterate[order].tolist()
+                       angular_gaps(tb[:-1], tb[1:]))
+    starts = np.flatnonzero(np.diff(chain, prepend=-1))
+    ends = np.append(starts[1:], len(chain))[:len(starts)]
+    verdicts = _chain_verdicts(steps, ends - starts, ends, tol).tolist()
+    steps, iterates = steps.tolist(), family.iterate[order].tolist()
 
-    leaves: list[Geodesic] = []
+    leaves: list[Geodesic | None] = []   # None: transported, built below
     certificates: list[ChainCertificate] = []
     skipped: list[SkippedChain] = []
     base_limits: dict[JunctureSpec, Geodesic] = {}
+    # id of a base limit -> (that limit, its leaf slots, their conjugators)
+    transports: dict[int, tuple[Geodesic, list[int], list[Isometry]]] = {}
+    failure = None
 
-    for start, end in zip(starts, starts[1:] + [len(chain)]):
-        prov = family.chains[chain[start]]
-        count = end - start
-        gaps = steps[start:end - 1]
-        tail = gaps[-4:]
-        base = base_limits.get(prov.juncture)
-        transported = not (prov.conjugator.is_identity() or base is None
-                           or prov.conjugator_isometry is None)
-        ends = None
-        if not transported and count >= 4:
-            ends = (_aitken_angle(ta[end - 3:end]),
-                    _aitken_angle(tb[end - 3:end]))
+    for c, start, end, verdict in zip(chain[starts].tolist(),
+                                      starts.tolist(), ends.tolist(),
+                                      verdicts):
+        prov = family.chains[c]
         reason = None
-        if count == 1:
-            # Deduplication collapsed the whole chain, either because the
-            # substitution fixes this axis (then the limit is the family
-            # member itself, which the lamination excludes by definition)
-            # or because an earlier chain already carries these axes.
-            reason = ("chain collapsed to a single axis; its limit is a "
-                      "family member")
-        elif count < 4:
-            reason = "fewer than 4 distinct iterates"
-        elif tail[-1] >= tol:
-            reason = (f"last gap {tail[-1]:.3e} above tolerance "
+        if verdict == _LAST_GAP:
+            reason = (f"last gap {steps[end - 2]:.3e} above tolerance "
                       f"{tol:.1e}")
-        elif not all(b < a or b < GAP_FLOOR for a, b in zip(tail, tail[1:])):
-            reason = "endpoint gaps not decreasing"
-        elif not all(b <= CONTRACTION_RATIO * a or b < GAP_FLOOR
-                     for a, b in zip(tail, tail[1:])):
-            reason = "endpoint gaps not contracting"
-        elif ends and angular_gap(*ends) < angle_tol:
-            reason = "chain collapses toward a single boundary point"
+        elif verdict:
+            reason = _REASONS[verdict]
+        elif not (prov.conjugator.is_identity()
+                  or prov.juncture not in base_limits
+                  or prov.conjugator_isometry is None):
+            # Transport the base chain's limit: the conjugated chain
+            # converges to exactly this geodesic, and computing it as a
+            # single Mobius image keeps endpoints that are shared between
+            # leaves equal at float resolution.
+            base = base_limits[prov.juncture]
+            _, slots, isometries = transports.setdefault(id(base),
+                                                         (base, [], []))
+            slots.append(len(leaves))
+            isometries.append(prov.conjugator_isometry)
+            limit = None
+        else:
+            ends_ab = (_aitken_angle(ta[end - 3:end].tolist()),
+                       _aitken_angle(tb[end - 3:end].tolist()))
+            if angular_gap(*ends_ab) < angle_tol:
+                reason = "chain collapses toward a single boundary point"
+            else:
+                try:
+                    limit = Geodesic.from_angles(*ends_ab)
+                except ValidationError as exc:
+                    # Raised once the leaves before it are built.
+                    failure = exc
+                    break
+                if prov.conjugator.is_identity():
+                    base_limits[prov.juncture] = limit
         if reason is not None:
             skipped.append(SkippedChain(
                 prov.juncture.end, prov.juncture.sign, prov.conjugator,
                 reason))
             continue
-        if transported:
-            # Transport the base chain's limit: the conjugated chain
-            # converges to exactly this geodesic, and computing it as a
-            # single Mobius image keeps endpoints that are shared between
-            # leaves equal at float resolution.
-            limit = Geodesic(
-                boundary_action(prov.conjugator_isometry, base.a),
-                boundary_action(prov.conjugator_isometry, base.b),
-            )
-        else:
-            limit = Geodesic.from_angles(*ends)
-            if prov.conjugator.is_identity():
-                base_limits[prov.juncture] = limit
         leaves.append(limit)
         certificates.append(ChainCertificate(
             juncture=prov.juncture.end,
             sign=prov.juncture.sign,
             conjugator=prov.conjugator,
             iterates=tuple(iterates[start:end]),
-            gaps=tuple(gaps[-8:]),
+            gaps=tuple(steps[max(start, end - 9):end - 1]),
         ))
-    u, v = np.array([g.sorted_angles() for g in leaves]).reshape(-1, 2).T
+
+    angles = {}
+    for base, slots, isometries in transports.values():
+        images = boundary_images(
+            *([getattr(g, x) for g in isometries] for x in "abcd"),
+            [base.a, base.b])
+        angles.update(zip(slots, images.tolist()))
+    leaves = [Geodesic.from_angles(*angles[i]) if limit is None else limit
+              for i, limit in enumerate(leaves)]
+    if failure is not None:
+        raise failure
+    u, v = np.sort(_endpoint_angles(leaves), axis=1).T
     keep = first_distinct(u, v, angle_tol).tolist()
     return LaminationApprox(leaves=list(compress(leaves, keep)),
                             certificates=list(compress(certificates, keep)),

@@ -168,9 +168,49 @@ _row_lists = st.one_of(*[
               st.lists(_odd_rows, max_size=1), st.booleans()).map(
         lambda t: t[1] + t[0] if t[2] else t[0] + t[1])
     for kind in _row_kinds])
+# Lists of one dataclass type whose every field column is all scalars, all
+# Words, all flat lists or tuples of scalars or all Geodesics, which the
+# writer writes column by column, some with an odd member at either end,
+# which makes it walk the list.  Strings that look like the separators it
+# splits encoded columns at, or like % templates, go in the string fields.
+_record_text = st.one_of(st.text(max_size=4), st.sampled_from(
+    ["],\n      [", "},\n      {", "],", "[", "\n", "%s", "%", "\u00e9"]))
+_record_seqs = st.one_of(
+    st.just(()), st.lists(_row_scalars, min_size=1, max_size=1),
+    st.lists(_row_scalars, min_size=2, max_size=24).map(tuple))
+_record_kinds = [
+    st.builds(lamination.ChainCertificate, _record_text, _record_text,
+              _words, _record_seqs, _record_seqs),
+    st.builds(lamination.SkippedChain, _record_text, _record_text, _words,
+              _record_text),
+    st.builds(lamination.CrossingViolation, _row_scalars, _row_scalars,
+              _geodesics, _geodesics),
+    st.builds(lamination.IntersectionRecord, _row_scalars, _row_scalars,
+              _row_scalars, _row_scalars),
+]
+_odd_records = st.one_of(
+    # A numpy scalar, a list that is not flat, a list for a Word and a
+    # None for a Geodesic in a column of their own.
+    st.builds(lamination.ChainCertificate, _record_text, _record_text,
+              _words, st.lists(_numpy_scalars, min_size=1, max_size=2),
+              _record_seqs),
+    st.builds(lamination.ChainCertificate, _record_text, _record_text,
+              _words, st.lists(st.lists(_row_scalars, max_size=2),
+                               min_size=1, max_size=2), _record_seqs),
+    st.builds(lamination.SkippedChain, _record_text, _record_text,
+              st.lists(st.sampled_from([1, -1, 2, -2]), max_size=3),
+              _record_text),
+    st.builds(lamination.CrossingViolation, _row_scalars, _row_scalars,
+              _geodesics, st.none()),
+    _python_scalars, _geodesics, _words, *_record_kinds)
+_record_lists = st.one_of(*[
+    st.tuples(st.lists(kind, min_size=1, max_size=6),
+              st.lists(_odd_records, max_size=1), st.booleans()).map(
+        lambda t: t[1] + t[0] if t[2] else t[0] + t[1])
+    for kind in _record_kinds])
 _reports = st.recursive(
     st.one_of(_python_scalars, _numpy_scalars, _arrays, _words, _geodesics,
-              _records, _row_lists),
+              _records, _row_lists, _record_lists),
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=4).map(tuple),
@@ -222,6 +262,46 @@ class TestJsonText:
             expected = reference_json_text(report).encode()
             calls.clear()
             assert _written(report, None) == expected
+            assert len(calls) == count
+
+    @settings(max_examples=300, deadline=None)
+    @given(records=_record_lists, depth=st.integers(0, 2),
+           names=st.sampled_from([None, (), ("a", "b")]))
+    @example(records=[lamination.ChainCertificate(
+        "],\n      [", "%s", Word((1, -2)), (), (0.5,))], depth=1,
+        names=None)
+    @example(records=[lamination.SkippedChain("e-", "-", Word((1,)), "r"),
+                      lamination.SkippedChain("e-", "-", [1, -2], "r")],
+             depth=0, names=("a", "b"))
+    def test_record_lists(self, records, depth, names):
+        report = records
+        for _ in range(depth):
+            report = {"rows": [report, "x"]}
+        assert _written(report, names) == \
+            reference_json_text(report, names).encode()
+
+    @pytest.mark.parametrize("names", [None, ("a", "b")])
+    def test_record_list_in_one_encoder_call_per_field(self, monkeypatch,
+                                                       names):
+        calls = []
+        encode = json.JSONEncoder.encode
+        monkeypatch.setattr(json.JSONEncoder, "encode",
+                            lambda self, o: calls.append(o) or encode(self, o))
+        certificates = [lamination.ChainCertificate(
+            "e-", "-", Word((1, 2, -1)[:i % 4]), tuple(range(1 + i % 20)),
+            tuple(0.5 ** k for k in range(1 + i % 8))) for i in range(970)]
+        odd = lamination.ChainCertificate("e-", "-", Word(()),
+                                          (np.int64(1),), ())
+        # Walked member by member, each non-empty list is one call: the
+        # iterates, the gaps and, without names, the conjugator's letters.
+        walk = 2 * 970 + (names is None) * sum(
+            bool(c.conjugator.letters) for c in certificates)
+        for report, count in (({"certificates": certificates}, 5),
+                              ({"certificates": certificates + [odd]}, walk),
+                              ({"certificates": [odd] + certificates}, walk)):
+            expected = reference_json_text(report, names).encode()
+            calls.clear()
+            assert _written(report, names) == expected
             assert len(calls) == count
 
     def test_colliding_keys_keep_the_last_value(self):

@@ -778,6 +778,85 @@ class TestExtractArrays:
                                        reference_merge(families),
                                        DEFAULT_TOL))
 
+    @pytest.mark.parametrize("conjugator, angle_tol, counts", [
+        # conj-2 of the benchmark's seed-2 lam-deep pass: the third
+        # (theta, t, x) that random.Random("lam-deep:2") draws.
+        ((2.4827842567176184, 0.2992838854969826, 0.2186851639812788),
+         ANGLE_TOL, {"+": (485, 0, 131), "-": (485, 0, 161)}),
+        # The b^-4 chain of Λ− stalls at its float noise and is skipped as
+        # not contracting.
+        (None, 1e-12, {"+": (485, 0, 8), "-": (484, 1, 0)}),
+    ])
+    def test_deep_run_matches_object_loop(self, conjugator, angle_tol,
+                                          counts):
+        run = laminate(schottky_conjugate(conjugator),
+                       AxiomParams(horizon=20, ball=5, angle_tol=angle_tol))
+        for lam_sign, juncture_sign in (("+", "-"), ("-", "+")):
+            lam = run.laminations[lam_sign]
+            assert_same_extraction(lam, reference_extract(
+                reference_merge([fam for j, fam in run.families
+                                 if j.sign == juncture_sign], angle_tol),
+                DEFAULT_TOL, angle_tol))
+            assert (len(lam.leaves), len(lam.skipped),
+                    len(lam.crossing_violations)) == counts[lam_sign]
+        if angle_tol == 1e-12:
+            (skip,) = run.laminations["-"].skipped
+            assert (skip.conjugator.letters, skip.reason) == (
+                (-2,) * 4, "endpoint gaps not contracting")
+
+    def test_tail_pairs_stay_inside_their_chain(self):
+        # A chain of four entries has three gaps, so two tail pairs.  The
+        # step before its first entry in the sorted arrays, here the last
+        # chain's 1e-12 wrapped round, is no gap of it.
+        def chain(letters, ta, gaps):
+            thetas = [ta]
+            for gap in gaps:
+                thetas.append(thetas[-1] + gap)
+            return [(Geodesic.from_angles(t, ta + 2.0),
+                     Provenance(E_MINUS, Word(letters), n))
+                    for n, t in enumerate(thetas)]
+
+        entries = (chain((), 1.0, [1e-7, 1e-8, 1e-9])
+                   + chain((1,), 2.0, [1e-8, 1e-9, 1e-10, 1e-11, 1e-12]))
+        lam = extract_limit_leaves(family_of(entries))
+        assert_same_extraction(lam, reference_extract(entries, DEFAULT_TOL))
+        assert [c.conjugator.letters for c in lam.certificates] == [(), (1,)]
+
+    def test_collapsed_leaf_refused_at_its_chain(self):
+        # E_MINUS's base chain converges to the chord (1, 2).  Conjugator
+        # a maps t to 1e10 t, which pushes both ends of that chord within
+        # 4e-10 of angle 0: the leaf a transports has coinciding endpoints,
+        # while b's is a leaf.  The base chain of a second juncture
+        # converges to ends 5e-10 apart, above angle_tol, so it is not
+        # skipped as collapsing, but too close for a Geodesic.
+        iso = {(1,): Isometry(1e5, 0.0, 0.0, 1e-5),
+               (2,): Isometry(2.0, 0.0, 0.0, 0.5)}
+
+        def chain(juncture, letters, ta, tb):
+            return [(Geodesic.from_angles(ta + 0.1 ** n, tb + 2 * 0.1 ** n),
+                     Provenance(juncture, Word(letters), n,
+                                conjugator_isometry=iso.get(letters)))
+                    for n in range(1, 9)]
+
+        base = chain(E_MINUS, (), 1.0, 2.0)
+        squeezed = chain(E_MINUS, (1,), 3.0, 4.0)
+        fine = chain(E_MINUS, (2,), 3.0, 4.0)
+        narrow = chain(JunctureSpec("f-", "-", Word((2,))), (), 5.0,
+                       5.0 + 5e-10)
+        lam = extract_limit_leaves(family_of(base + fine), angle_tol=1e-12)
+        assert_same_extraction(lam, reference_extract(base + fine,
+                                                      DEFAULT_TOL, 1e-12))
+        assert [c.conjugator.letters for c in lam.certificates] == [(), (2,)]
+        # The first chain in chain order that fails raises, transported or
+        # not.
+        for entries in (base + squeezed + fine, base + fine + squeezed,
+                        base + squeezed + narrow, base + narrow + squeezed,
+                        base + fine + narrow):
+            ref = outcome(reference_extract, entries, DEFAULT_TOL, 1e-12)
+            assert ref == (ValidationError, "geodesic endpoints coincide")
+            assert outcome(extract_limit_leaves, family_of(entries),
+                           DEFAULT_TOL, 1e-12) == ref
+
     def test_merged_family_matches_object_loop(self, torus_scene):
         families = three_juncture_families(torus_scene)
         merged = GeodesicFamily.merge(families)
