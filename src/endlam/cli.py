@@ -112,18 +112,15 @@ class _ReportText:
     A ``Word`` becomes its spelling in ``names`` (its letters without
     names), a ``Geodesic`` its ``a_angle``/``b_angle``, numpy values their
     ``tolist()``, a dataclass the dict of its fields, dict keys ``str(k)``
-    and tuples lists; the types are tried in that order.  A list or dict
-    whose members are all scalars goes to json's C encoder in one call.
-    So does a list of rows: non-empty flat containers of one bracket kind,
-    which are lists or tuples of scalars, str-keyed dicts of scalars or
-    ``Geodesic`` objects.  A list of records, members of one dataclass
-    type whose every field column is all scalars, all ``Word``s, all flat
-    lists or tuples of scalars (empty ones too) or all ``Geodesic``s, is
-    written column by column: each column is one encoder call, split into
-    its members' texts at the separators, and each record's text comes
-    from one template.  The first member decides whether a list is tried
-    as rows or as records; one that is neither after all is walked member
-    by member.
+    and tuples lists; the types are tried in that order.  A column is a
+    list of scalars, of ``Word``s, of flat lists or tuples of scalars, of
+    str-keyed dicts of scalars or of ``Geodesic``s (``_column``), and goes
+    to json's C encoder in one call; so does a dict of scalars.  A column
+    of non-empty containers is written from that text with one replace;
+    any other is split into its members' texts at the separators.  A list
+    of records, members of one dataclass type whose every field is a
+    column, is written column by column, each record's text from one
+    template.  Any other list is walked member by member.
     """
 
     def __init__(self, names=None):
@@ -156,15 +153,17 @@ class _ReportText:
         if isinstance(obj, (list, tuple)):
             if not obj:
                 return "[]"
-            if _SCALAR_TYPES.issuperset(map(type, obj)):
-                return self._flat_text(obj, depth)
-            rows = self._rows(obj)
-            if rows is not None:
-                return self._rows_text(rows, depth)
-            records = self._records_text(obj, depth)
-            if records is not None:
-                return records
-            return _lines("[", (self.text(x, depth + 1) for x in obj),
+            column = self._column(obj)
+            if column is None:
+                return (self._records_text(obj, depth)
+                        or _lines("[", (self.text(x, depth + 1) for x in obj),
+                                  depth, "]"))
+            values, brackets = column
+            if brackets is None:
+                return self._flat_text(values, depth)
+            if all(values):
+                return self._rows_text(values, brackets, depth)
+            return _lines("[", self._column_texts(values, brackets, depth + 1),
                           depth, "]")
         raise TypeError(f"Object of type {kind.__name__} "
                         f"is not JSON serializable")
@@ -177,40 +176,13 @@ class _ReportText:
                 if dataclasses.is_dataclass(kind) else None)
         return self._fields[kind]
 
-    def _rows(self, obj):
-        """The members of the list ``obj`` as JSON rows when they are rows
-        (see the class docstring): ``obj`` itself for lists, tuples and
-        dicts, the dict of each member for the others; else None."""
-        kind = type(obj[0])
-        if kind in _SEQUENCE_TYPES:
-            if not _SEQUENCE_TYPES.issuperset(map(type, obj)):
-                return None
-            rows, values = obj, chain.from_iterable(obj)
-        else:
-            if not {kind}.issuperset(map(type, obj)):
-                return None
-            if kind is dict:
-                keys = chain.from_iterable(obj)
-                if not {str}.issuperset(map(type, keys)):
-                    return None
-                rows = obj
-            elif kind is Geodesic:
-                rows = [{"a_angle": g.a.theta, "b_angle": g.b.theta}
-                        for g in obj]
-            else:
-                return None
-            values = chain.from_iterable(map(dict.values, rows))
-        if all(rows) and _SCALAR_TYPES.issuperset(map(type, values)):
-            return rows
-        return None
-
-    def _rows_text(self, rows, depth) -> str:
+    def _rows_text(self, rows, brackets, depth) -> str:
         # The flat encoder one level down writes every row's members on
         # their own lines already.  Between rows it writes the closing
         # bracket, the item separator and the opening bracket; no encoded
         # scalar ends in a bracket or holds a raw newline, so that text
         # appears only there and becomes the indent=2 row break.
-        opening, closing = "{}" if type(rows[0]) is dict else "[]"
+        opening, closing = brackets
         inner = "\n" + "  " * (depth + 1)
         member = "\n" + "  " * (depth + 2)
         text = self._flat_encoder(depth + 1).encode(rows)
@@ -244,21 +216,28 @@ class _ReportText:
     def _column(self, values):
         """``values`` as one encoder call takes them and the brackets of
         the containers among them (None for scalars), when they are all
-        scalars, all ``Word``s, all flat lists or tuples of scalars or all
-        ``Geodesic``s; else None."""
+        scalars, all ``Word``s, all flat lists or tuples of scalars, all
+        str-keyed dicts of scalars or all ``Geodesic``s; else None."""
         kinds = set(map(type, values))
         if kinds == {Word}:
             if self.names:
                 return [w.format(self.names) for w in values], None
             values, kinds = [w.letters for w in values], {tuple}
+        elif kinds == {Geodesic}:
+            values, kinds = [{"a_angle": g.a.theta, "b_angle": g.b.theta}
+                             for g in values], {dict}
         if _SCALAR_TYPES.issuperset(kinds):
             return values, None
-        if kinds == {Geodesic}:
-            return [{"a_angle": g.a.theta, "b_angle": g.b.theta}
-                    for g in values], "{}"
-        if (_SEQUENCE_TYPES.issuperset(kinds) and _SCALAR_TYPES.issuperset(
-                map(type, chain.from_iterable(values)))):
-            return values, "[]"
+        if kinds == {dict}:
+            if not {str}.issuperset(map(type, chain.from_iterable(values))):
+                return None
+            members, brackets = map(dict.values, values), "{}"
+        elif _SEQUENCE_TYPES.issuperset(kinds):
+            members, brackets = values, "[]"
+        else:
+            return None
+        if _SCALAR_TYPES.issuperset(map(type, chain.from_iterable(members))):
+            return values, brackets
         return None
 
     def _column_texts(self, values, brackets, depth):
@@ -725,9 +704,18 @@ def run_command(argv) -> int:
     out = getattr(args, "out", None)
     json_path = getattr(args, "json_path", None)
     try:
-        for path in (out, json_path):
+        for flag, path in (("--out", out), ("--json", json_path)):
             if path:
                 _check_output(path)
+                # Two stats, far cheaper than resolving both paths; it
+                # raises for a missing file, which is no scene to lose.
+                try:
+                    scene_file = os.path.samefile(path, args.scene)
+                except OSError:
+                    scene_file = False
+                if scene_file:
+                    raise ValidationError(
+                        f"{flag} names the scene file: {path}")
         if (out and json_path
                 and Path(out).resolve() == Path(json_path).resolve()):
             raise ValidationError(

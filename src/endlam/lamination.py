@@ -30,6 +30,7 @@ from .hyperbolic import (
     TRACE_TOL,
     TWO_PI,
     Geodesic,
+    IdealPoint,
     Isometry,
     angular_gap,
     angular_gaps,
@@ -250,6 +251,11 @@ def juncture_orbit(scene, juncture: JunctureSpec, n_range=None,
          for word, g_m in map(ball.__getitem__, used.tolist())], angle_tol)
 
 
+def _require_finite(what: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValidationError(f"{what} must be finite, got {value:g}")
+
+
 @dataclass
 class EscapeRow:
     iterate: int
@@ -283,6 +289,7 @@ def escape_test(scene, juncture: JunctureSpec,
     if not growth_ratio > 1:
         raise ValidationError(
             f"escape growth ratio must exceed 1, got {growth_ratio:g}")
+    _require_finite("escape growth ratio", growth_ratio)
     direction = 1 if juncture.sign == "-" else -1
     iterates = [direction * step for step in range(horizon + 1)]
     # Translation length depends only on the conjugacy class, so the core
@@ -347,7 +354,8 @@ def _aitken_angle(thetas) -> float:
     return (t2 + correction) % TWO_PI
 
 
-_SINGLE, _FEW, _LAST_GAP, _NOT_DECREASING, _NOT_CONTRACTING = range(1, 6)
+_SINGLE, _FEW, _LAST_GAP, _NOT_DECREASING, _NOT_CONTRACTING, _COLLAPSES = (
+    range(1, 7))
 # Skip reasons by verdict, but for _LAST_GAP's, which names the gap.
 _REASONS = {
     # Deduplication collapsed the whole chain, either because the
@@ -358,6 +366,8 @@ _REASONS = {
     _FEW: "fewer than 4 distinct iterates",
     _NOT_DECREASING: "endpoint gaps not decreasing",
     _NOT_CONTRACTING: "endpoint gaps not contracting",
+    # Decided on the Aitken limit of a chain that passed the others.
+    _COLLAPSES: "chain collapses toward a single boundary point",
 }
 
 
@@ -393,17 +403,18 @@ def extract_limit_leaves(family: GeodesicFamily,
 
     A chain is accepted when its last gaps sink below ``tol`` while
     contracting by ``CONTRACTION_RATIO`` or faster (stalls below the
-    floating-point floor are tolerated).
+    floating-point floor are tolerated), and its limit's endpoints lie at
+    least ``angle_tol`` apart.
     Constant chains are excluded: their limit is the juncture axis
     itself, and the lamination is the closure minus the family.
 
-    Every chain's count and tail tests run at once on the sorted entry
-    arrays (``_chain_verdicts``).  Only chains without a base limit to
-    transport are extrapolated, one Aitken step per endpoint.  The leaves
-    transported from one base limit are its images under their chains'
-    conjugators, from one ``boundary_images`` call, which equals the
-    scalar ``boundary_action`` bit for bit; the leaves are then built in
-    chain order, so that the first chain whose endpoints coincide raises.
+    Three passes over the entry arrays sorted by chain: every chain's
+    tests at once (``_chain_verdicts``); the limits of the chains they
+    pass, by one Aitken step per endpoint where no base limit is known,
+    else as the base limit's image under the chain's conjugator, one
+    ``boundary_images`` call per base (``boundary_action`` bit for bit);
+    the records, with the leaves built in chain order, so that the first
+    chain whose endpoints coincide raises.
     """
     signs = {c.juncture.sign for c in family.chains}
     if len(signs) > 1:
@@ -418,79 +429,52 @@ def extract_limit_leaves(family: GeodesicFamily,
                        angular_gaps(tb[:-1], tb[1:]))
     starts = np.flatnonzero(np.diff(chain, prepend=-1))
     ends = np.append(starts[1:], len(chain))[:len(starts)]
-    verdicts = _chain_verdicts(steps, ends - starts, ends, tol).tolist()
-    steps, iterates = steps.tolist(), family.iterate[order].tolist()
+    verdicts = _chain_verdicts(steps, ends - starts, ends, tol)
+    provs = [family.chains[c] for c in chain[starts].tolist()]
+    starts, ends = starts.tolist(), ends.tolist()
 
-    leaves: list[Geodesic | None] = []   # None: transported, built below
-    certificates: list[ChainCertificate] = []
-    skipped: list[SkippedChain] = []
-    base_limits: dict[JunctureSpec, Geodesic] = {}
-    # id of a base limit -> (that limit, its leaf slots, their conjugators)
-    transports: dict[int, tuple[Geodesic, list[int], list[Isometry]]] = {}
-    failure = None
-
-    for c, start, end, verdict in zip(chain[starts].tolist(),
-                                      starts.tolist(), ends.tolist(),
-                                      verdicts):
-        prov = family.chains[c]
-        reason = None
-        if verdict == _LAST_GAP:
-            reason = (f"last gap {steps[end - 2]:.3e} above tolerance "
-                      f"{tol:.1e}")
-        elif verdict:
-            reason = _REASONS[verdict]
-        elif not (prov.conjugator.is_identity()
-                  or prov.juncture not in base_limits
-                  or prov.conjugator_isometry is None):
-            # Transport the base chain's limit: the conjugated chain
-            # converges to exactly this geodesic, and computing it as a
-            # single Mobius image keeps endpoints that are shared between
-            # leaves equal at float resolution.
-            base = base_limits[prov.juncture]
-            _, slots, isometries = transports.setdefault(id(base),
-                                                         (base, [], []))
-            slots.append(len(leaves))
-            isometries.append(prov.conjugator_isometry)
-            limit = None
-        else:
-            ends_ab = (_aitken_angle(ta[end - 3:end].tolist()),
-                       _aitken_angle(tb[end - 3:end].tolist()))
+    # A conjugated chain converges to exactly the image of its base
+    # chain's limit, and computing it as a single Mobius image keeps
+    # endpoints that are shared between leaves equal at float resolution.
+    limits = np.zeros((len(provs), 2))
+    bases: dict[JunctureSpec, int] = {}         # juncture -> base chain
+    transported: dict[int, list[int]] = {}      # base chain -> its images
+    for i in np.flatnonzero(verdicts == 0).tolist():
+        prov, end = provs[i], ends[i]
+        if (prov.conjugator.is_identity() or prov.juncture not in bases
+                or prov.conjugator_isometry is None):
+            limits[i] = ends_ab = (_aitken_angle(ta[end - 3:end].tolist()),
+                                   _aitken_angle(tb[end - 3:end].tolist()))
             if angular_gap(*ends_ab) < angle_tol:
-                reason = "chain collapses toward a single boundary point"
-            else:
-                try:
-                    limit = Geodesic.from_angles(*ends_ab)
-                except ValidationError as exc:
-                    # Raised once the leaves before it are built.
-                    failure = exc
-                    break
-                if prov.conjugator.is_identity():
-                    base_limits[prov.juncture] = limit
-        if reason is not None:
-            skipped.append(SkippedChain(
-                prov.juncture.end, prov.juncture.sign, prov.conjugator,
-                reason))
-            continue
-        leaves.append(limit)
-        certificates.append(ChainCertificate(
-            juncture=prov.juncture.end,
-            sign=prov.juncture.sign,
-            conjugator=prov.conjugator,
-            iterates=tuple(iterates[start:end]),
-            gaps=tuple(steps[max(start, end - 9):end - 1]),
-        ))
-
-    angles = {}
-    for base, slots, isometries in transports.values():
-        images = boundary_images(
+                verdicts[i] = _COLLAPSES
+            elif prov.conjugator.is_identity():
+                bases[prov.juncture] = i
+        else:
+            transported.setdefault(bases[prov.juncture], []).append(i)
+    for base, images in transported.items():
+        isometries = [provs[i].conjugator_isometry for i in images]
+        limits[images] = boundary_images(
             *([getattr(g, x) for g in isometries] for x in "abcd"),
-            [base.a, base.b])
-        angles.update(zip(slots, images.tolist()))
-    leaves = [Geodesic.from_angles(*angles[i]) if limit is None else limit
-              for i, limit in enumerate(leaves)]
-    if failure is not None:
-        raise failure
-    u, v = np.sort(_endpoint_angles(leaves), axis=1).T
+            list(map(IdealPoint, limits[base].tolist())))
+
+    rows = limits[verdicts == 0]
+    leaves = [Geodesic.from_angles(a, b) for a, b in rows.tolist()]
+    certificates, skipped = [], []
+    steps, iterates = steps.tolist(), family.iterate[order].tolist()
+    for prov, start, end, verdict in zip(provs, starts, ends,
+                                         verdicts.tolist()):
+        j = prov.juncture
+        if not verdict:
+            certificates.append(ChainCertificate(
+                j.end, j.sign, prov.conjugator, tuple(iterates[start:end]),
+                tuple(steps[max(start, end - 9):end - 1])))
+        else:
+            skipped.append(SkippedChain(
+                j.end, j.sign, prov.conjugator,
+                f"last gap {steps[end - 2]:.3e} above tolerance {tol:.1e}"
+                if verdict == _LAST_GAP else _REASONS[verdict]))
+    # The leaves' own angles: IdealPoint takes an Aitken limit of 2 pi to 0.
+    u, v = np.sort(rows % TWO_PI, axis=1).T
     keep = first_distinct(u, v, angle_tol).tolist()
     return LaminationApprox(leaves=list(compress(leaves, keep)),
                             certificates=list(compress(certificates, keep)),
@@ -626,6 +610,7 @@ class AxiomParams:
             if not value > 0:
                 raise ValidationError(
                     f"{what} must be positive, got {value:g}")
+            _require_finite(what, value)
         if self.angle_tol < ANGLE_TOL_FLOOR:
             raise ValidationError(
                 f"angle tolerance must be at least {ANGLE_TOL_FLOOR:g}, "

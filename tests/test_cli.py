@@ -138,6 +138,7 @@ _records = st.one_of(
 )
 # Lists of flat rows of one kind, which the writer encodes in one call,
 # some with an odd member at either end, which makes it walk the list.
+# Columns with an empty member are split at the separators instead.
 _row_scalars = st.one_of(
     st.none(), st.booleans(), _ints, _floats, st.text(max_size=6),
     st.sampled_from(["],", "},", "[", "{", "\n", "],\n    [", "},\n{",
@@ -152,6 +153,12 @@ _row_kinds = [
               _row_scalars, _row_scalars),
     st.builds(lamination.EscapeRow, _row_scalars, _row_scalars,
               _row_scalars),
+    # Str-keyed dicts that may be empty, lists mixed with tuples, and Words,
+    # which the writer spells through the names when it has any.
+    st.dictionaries(_row_keys, _row_scalars, max_size=3),
+    st.one_of(st.lists(_row_scalars, max_size=4),
+              st.lists(_row_scalars, max_size=4).map(tuple)),
+    _words,
 ]
 _odd_rows = st.one_of(
     st.sampled_from([(), [], {}]),
@@ -405,6 +412,21 @@ class TestUnwritableOutput:
         assert capsys.readouterr() == (
             "", f"error: --out and --json name the same file: {out}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, name", [
+        ("--json", "golden.json"), ("--out", "sub/../golden.json"),
+        ("--json", "link.json")])
+    def test_scene_file_refused(self, flag, name, golden, tmp_path, capsys):
+        # Written over, the scene would be a report the next run refuses.
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.json").symlink_to(golden)
+        path = tmp_path / name
+        code = run_command(["laminate", str(golden), "--horizon", "4",
+                            "--ball", "1", flag, str(path)])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"error: {flag} names the scene file: {path}\n")
+        assert golden.read_bytes() == scene_path("golden.json").read_bytes()
 
     def test_parent_that_is_a_file_refused(self, golden, tmp_path, capsys):
         path = golden / "x.svg"
@@ -772,6 +794,22 @@ class TestRunRanges:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: horizon must be nonnegative, got -1\n"
+
+    @pytest.mark.parametrize("command, flag, what", [
+        ("escape", "--growth-ratio", "escape growth ratio"),
+        ("laminate", "--tol", "chain tolerance"),
+        ("laminate", "--angle-tol", "angle tolerance"),
+        ("laminate", "--trace-tol", "trace tolerance"),
+    ])
+    def test_infinite_value_rejected(self, command, flag, what, schottky,
+                                     capsys):
+        # An infinite ratio read as escaping, and infinite tolerances cut
+        # every orbit to one entry, blamed a parabolic isometry or dropped
+        # the last-gap bound.
+        assert run_command([command, str(schottky), flag, "inf"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {what} must be finite, got inf\n"
 
     @pytest.mark.parametrize("argv", [
         ["render", "schottky_ab.json", "--out", "x.svg", "--size", "0"],

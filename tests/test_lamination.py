@@ -194,7 +194,7 @@ class TestEscape:
         with pytest.raises(ValidationError):
             escape_test(torus_scene, torus_scene.junctures[0], horizon=2)
 
-    @pytest.mark.parametrize("ratio", [1.0, 0.5, -2.0, math.nan])
+    @pytest.mark.parametrize("ratio", [1.0, 0.5, -2.0, math.nan, math.inf])
     def test_growth_ratio_must_exceed_one(self, inner_scene, ratio):
         # With a ratio <= 1 bounded lengths would read as non-escaping.
         with pytest.raises(ValidationError):
@@ -857,6 +857,39 @@ class TestExtractArrays:
             assert outcome(extract_limit_leaves, family_of(entries),
                            DEFAULT_TOL, 1e-12) == ref
 
+    def test_collapsed_base_chain_transports_nothing(self):
+        # E_MINUS's base chain pinches onto angle 2 and is skipped as
+        # collapsing, so no base limit is known: chains (1,) and (2,),
+        # whose conjugators carry isometries, each take their own Aitken
+        # step.  A transport from the pinched limit would raise.  The
+        # skipped chains stay in chain order around it.
+        iso = {(1,): Isometry(2.0, 0.0, 0.0, 0.5),
+               (2,): Isometry(4.0, 0.0, 0.0, 0.25)}
+
+        def chain(letters, pairs):
+            return [(Geodesic.from_angles(a, b),
+                     Provenance(E_MINUS, Word(letters), n,
+                                conjugator_isometry=iso.get(letters)))
+                    for n, (a, b) in enumerate(pairs)]
+
+        def near(ta, tb):
+            return [(ta + 0.1 ** n, tb + 2 * 0.1 ** n) for n in range(1, 9)]
+
+        entries = (chain((1, 1), [(5.0, 6.0), (5.5, 6.0)])
+                   + chain((), [(2.0 - 0.5 ** n, 2.0 + 0.5 ** n)
+                                for n in range(22)])
+                   + chain((1,), near(3.0, 4.0))
+                   + chain((2,), near(0.5, 1.5))
+                   + chain((2, 2), [(t, 3.0) for t in (1.0, 1.1, 1.2, 1.3)]))
+        lam = extract_limit_leaves(family_of(entries))
+        assert_same_extraction(lam, reference_extract(entries, DEFAULT_TOL))
+        assert [c.conjugator.letters for c in lam.certificates] == [
+            (1,), (2,)]
+        assert [(s.conjugator.letters, s.reason) for s in lam.skipped] == [
+            ((1, 1), "fewer than 4 distinct iterates"),
+            ((), "chain collapses toward a single boundary point"),
+            ((2, 2), "last gap 1.000e-01 above tolerance 1.0e-06")]
+
     def test_merged_family_matches_object_loop(self, torus_scene):
         families = three_juncture_families(torus_scene)
         merged = GeodesicFamily.merge(families)
@@ -1039,6 +1072,7 @@ class TestAxiomParams:
         {"max_letters": 0}, {"max_letters": -1},
         {"max_words": 0}, {"max_words": -1},
         {"angle_tol": 1e-13}, {"angle_tol": 1e-300},
+        {"tol": math.inf}, {"angle_tol": math.inf}, {"trace_tol": math.inf},
     ])
     def test_out_of_range_rejected(self, fields):
         with pytest.raises(ValidationError):
