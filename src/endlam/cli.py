@@ -320,6 +320,16 @@ def _check_output(path) -> None:
     raise ValidationError(f"cannot write {path}: {os.strerror(code)}")
 
 
+def _same_file(first, second) -> bool:
+    """Whether two paths name one file: two stats when both exist, which
+    also see hard links, else the two resolved paths, which also see two
+    spellings of a file not yet written."""
+    try:
+        return os.path.samefile(first, second)
+    except OSError:
+        return Path(first).resolve() == Path(second).resolve()
+
+
 def _write_json(path, payload, names=None) -> None:
     _write(path, _ReportText(names).text(payload) + "\n")
 
@@ -716,8 +726,7 @@ def run_command(argv) -> int:
                 if scene_file:
                     raise ValidationError(
                         f"{flag} names the scene file: {path}")
-        if (out and json_path
-                and Path(out).resolve() == Path(json_path).resolve()):
+        if out and json_path and _same_file(out, json_path):
             raise ValidationError(
                 f"--out and --json name the same file: {out}")
         scene = load_scene(args.scene)

@@ -175,9 +175,16 @@ def _iterate_cores(scene, juncture: JunctureSpec, iterates,
 
     Each word is one substitution step from its neighbour toward n = 0,
     so every step is taken once.  Only the core is evaluated: the full
-    word would cancel its trace catastrophically once g grows.
+    word would cancel its trace catastrophically once g grows.  The
+    prefix products of the last core are kept, and a core is evaluated by
+    composing only its letters past the prefix it shares with the last
+    one: the same ``compose`` calls in the same order as ``evaluate_word``,
+    so the product is equal bit for bit and an overflow raises at the
+    same letter.
     """
+    letter_isometry = scene.group.letter_isometry
     words = {0: juncture.word}
+    last, products = (), [Isometry.identity()]
     for n in iterates:
         step = 1 if n > 0 else -1
         start = n
@@ -187,7 +194,13 @@ def _iterate_cores(scene, juncture: JunctureSpec, iterates,
             words[m + step] = apply_automorphism(
                 scene.automorphism, words[m], step, max_letters=max_letters)
         conj, core = words[n].cyclic_decomposition()
-        core_m = evaluate_word(scene.group, core)
+        letters = core.letters
+        shared = next((i for i, (x, y) in enumerate(zip(last, letters))
+                       if x != y), min(len(last), len(letters)))
+        del products[shared + 1:]
+        for x in letters[shared:]:
+            products.append(products[-1].compose(letter_isometry(x)))
+        last, core_m = letters, products[-1]
         kind = classify_isometry(core_m, trace_tol)
         if kind != "hyperbolic":
             raise NotHyperbolicError(
@@ -197,12 +210,76 @@ def _iterate_cores(scene, juncture: JunctureSpec, iterates,
         yield n, words[n], conj, core_m
 
 
+class _OrbitTable:
+    """The orbit work of one lamination run that its junctures share: the
+    ball, and per juncture word the ball images of its iterates' axes.
+
+    Each piece is built on first use and kept for the table's life, keyed
+    by everything it is built from.  A word's images are built in the
+    iterate order of the first juncture that asks for them; a juncture
+    that reads them in the opposite order gets the columns reversed,
+    which is what it would build itself, since the iterates are a sorted
+    set and the images are computed element by element.
+    """
+
+    def __init__(self, scene):
+        self.scene = scene
+        self._balls = {}
+        self._images = {}
+
+    def ball(self, ball_k: int, max_words: int):
+        key = ball_k, max_words
+        if key not in self._balls:
+            self._balls[key] = enumerate_ball(self.scene.group, ball_k,
+                                              max_words=max_words)
+        return self._balls[key]
+
+    def images(self, juncture: JunctureSpec, iterates: list[int],
+               ball_k: int, max_letters: int, max_words: int,
+               trace_tol: float) -> tuple[np.ndarray, np.ndarray]:
+        """Angles of the g-images of the endpoints a and b of the axis of
+        each phi^n(w), a row per ball element g and a column per iterate n
+        in the order of ``iterates``; the identity, first in the ball,
+        keeps the axes' own angles."""
+        key = (juncture.word, tuple(sorted(iterates)), ball_k, max_letters,
+               max_words, trace_tol)
+        if key not in self._images:
+            self._images[key] = iterates, self._build(
+                juncture, iterates, self.ball(ball_k, max_words),
+                max_letters, trace_tol)
+        order, ends = self._images[key]
+        if order == iterates:
+            return ends
+        return tuple(t[:, ::-1] for t in ends)
+
+    def _build(self, juncture, iterates, ball, max_letters, trace_tol):
+        scene = self.scene
+        axes: list[Geodesic] = []
+        for n, _, conj, core_m in _iterate_cores(scene, juncture, iterates,
+                                                 max_letters, trace_tol):
+            base = axis(core_m, trace_tol)
+            if not conj.is_identity():
+                conj_m = evaluate_word(scene.group, conj)
+                base = Geodesic(boundary_action(conj_m, base.a),
+                                boundary_action(conj_m, base.b))
+            axes.append(base)
+        mats = [[getattr(g, x) for _, g in ball] for x in "abcd"]
+        ends = []
+        for x in "ab":
+            points = [getattr(base, x) for base in axes]
+            t = boundary_images(*mats, points)
+            t[0] = [p.theta for p in points]
+            ends.append(t)
+        return tuple(ends)
+
+
 def juncture_orbit(scene, juncture: JunctureSpec, n_range=None,
                    ball_k: int = DEFAULT_BALL,
                    max_letters: int = DEFAULT_MAX_LETTERS,
                    max_words: int = DEFAULT_MAX_WORDS,
                    angle_tol: float = ANGLE_TOL,
-                   trace_tol: float = TRACE_TOL) -> GeodesicFamily:
+                   trace_tol: float = TRACE_TOL, *,
+                   table: _OrbitTable | None = None) -> GeodesicFamily:
     """Axes of the conjugated juncture iterates.
 
     For every iterate n in ``n_range`` and every conjugator g in the
@@ -210,43 +287,31 @@ def juncture_orbit(scene, juncture: JunctureSpec, n_range=None,
     family (computed equivariantly as the g-image of the axis of
     phi^n(w)).  Entries are deduplicated keeping first occurrence, with
     the identity conjugator enumerated first so its chain stays intact,
-    and kept as arrays: no per-entry object is built.
+    and kept as arrays: no per-entry object is built.  The ball and the
+    images come from ``table``, the run's shared ``_OrbitTable``; without
+    one the call builds its own.
     """
     if n_range is None:
         n_range = range(-DEFAULT_HORIZON, DEFAULT_HORIZON + 1)
+    if table is None:
+        table = _OrbitTable(scene)
     # Insert along the chain's convergence direction (ascending for
     # negative junctures, descending for positive ones) so that when the
     # tail clusters below the angle tolerance, deduplication keeps the
     # earliest cluster member and the surviving tail stays geometric.
     iterates = sorted(set(int(n) for n in n_range),
                       reverse=(juncture.sign == "+"))
-    ball = enumerate_ball(scene.group, ball_k, max_words=max_words)
-    axes: list[Geodesic] = []
-    for n, _, conj, core_m in _iterate_cores(scene, juncture, iterates,
-                                             max_letters, trace_tol):
-        base = axis(core_m, trace_tol)
-        if not conj.is_identity():
-            conj_m = evaluate_word(scene.group, conj)
-            base = Geodesic(boundary_action(conj_m, base.a),
-                            boundary_action(conj_m, base.b))
-        axes.append(base)
-    # Endpoint angles of every candidate, g-major and iterate-minor; the
-    # identity, first in the ball, keeps the axes' own angles.
-    mats = [[getattr(g, x) for _, g in ball] for x in "abcd"]
-    ends = []
-    for x in "ab":
-        points = [getattr(base, x) for base in axes]
-        t = boundary_images(*mats, points)
-        t[0] = [p.theta for p in points]
-        ends.append(t.ravel())
-    ta, tb = ends
+    ball = table.ball(ball_k, max_words)
+    # Endpoint angles of every candidate, g-major and iterate-minor.
+    ta, tb = (t.ravel() for t in table.images(
+        juncture, iterates, ball_k, max_letters, max_words, trace_tol))
     if (angular_gaps(ta, tb) < ANGLE_TOL).any():
         raise ValidationError("geodesic endpoints coincide")
     keep = first_distinct(np.minimum(ta, tb), np.maximum(ta, tb), angle_tol)
     kept = np.flatnonzero(keep)
-    used, chain = np.unique(kept // len(axes), return_inverse=True)
+    used, chain = np.unique(kept // len(iterates), return_inverse=True)
     return GeodesicFamily(
-        ta[keep], tb[keep], chain, np.array(iterates)[kept % len(axes)],
+        ta[keep], tb[keep], chain, np.array(iterates)[kept % len(iterates)],
         [ChainProvenance(juncture, word, conjugator_isometry=g_m)
          for word, g_m in map(ball.__getitem__, used.tolist())], angle_tol)
 
@@ -641,12 +706,13 @@ def laminate(scene, params: AxiomParams,
     and the transverse intersections of the two.  ``extract=False``
     builds the families only."""
     n_range = range(-params.horizon, params.horizon + 1)
+    table = _OrbitTable(scene)
     run = LaminationRun([
         (j, juncture_orbit(scene, j, n_range, params.ball,
                            max_letters=params.max_letters,
                            max_words=params.max_words,
                            angle_tol=params.angle_tol,
-                           trace_tol=params.trace_tol))
+                           trace_tol=params.trace_tol, table=table))
         for j in scene.junctures
     ])
     if not extract:

@@ -75,6 +75,18 @@ class TestExitCodes:
         assert capsys.readouterr().err == \
             "flagged: substitution exceeded 5 letters\n"
 
+    @pytest.mark.parametrize("command", ["laminate", "axioms", "render"])
+    def test_word_budget_flagged(self, command, schottky, tmp_path, capsys):
+        svg = tmp_path / "x.svg"
+        code = run_command([command, str(schottky), "--ball", "3",
+                            "--max-words", "52"]
+                           + ["--out", str(svg)] * (command == "render"))
+        assert code == 2
+        assert not svg.exists()
+        assert capsys.readouterr().err == (
+            "flagged: ball of radius 3 holds 53 words, over the budget of "
+            "52\n")
+
     def test_numeric_breakdown_flagged(self, schottky, capsys):
         for base, depth, point in (("0,2e-12", "1", "(0.0, 2e-12)"),
                                    ("1e308,1", "6", "(1e+308, 1.0)"),
@@ -412,6 +424,41 @@ class TestUnwritableOutput:
         assert capsys.readouterr() == (
             "", f"error: --out and --json name the same file: {out}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("link", ["symlink", "dangling symlink",
+                                      "hard link"])
+    def test_links_to_one_file_refused(self, link, golden, tmp_path, capsys):
+        out, other = tmp_path / "same.out", tmp_path / "other.json"
+        if link == "dangling symlink":
+            other.symlink_to(out)
+        else:
+            out.write_text("kept\n")
+            (other.symlink_to if link == "symlink" else other.hardlink_to)(
+                out)
+        code = run_command(["laminate", str(golden), "--horizon", "4",
+                            "--ball", "1", "--out", str(out),
+                            "--json", str(other)])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"error: --out and --json name the same file: {out}\n")
+        if link == "dangling symlink":
+            assert not out.exists()
+        else:
+            assert out.read_text() == "kept\n"
+
+    def test_existing_files_compared_without_resolving(self, golden,
+                                                       tmp_path, monkeypatch):
+        # Two existing files take two stats; only a missing one needs the
+        # resolved paths.
+        out, json_path = tmp_path / "x.svg", tmp_path / "x.json"
+        out.write_text("")
+        json_path.write_text("")
+        monkeypatch.setattr(Path, "resolve", None)
+        assert run_command(["laminate", str(golden), "--horizon", "4",
+                            "--ball", "1", "--out", str(out),
+                            "--json", str(json_path)]) == 0
+        assert "<svg" in out.read_text()
+        assert json.loads(json_path.read_text())
 
     @pytest.mark.parametrize("flag, name", [
         ("--json", "golden.json"), ("--out", "sub/../golden.json"),

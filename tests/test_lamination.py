@@ -1,20 +1,25 @@
+import dataclasses
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from endlam.cli import run_command
 from endlam.errors import (
     BudgetExceededError,
     NotHyperbolicError,
+    NumericDegeneracyError,
     ValidationError,
 )
 from endlam.group import (
     DEFAULT_MAX_LETTERS,
     FuchsianGroup,
     Word,
+    apply_automorphism,
     enumerate_ball,
     evaluate_word,
 )
@@ -719,6 +724,192 @@ class TestOrbitArrays:
         assert orbit_entries(juncture_orbit(
             scene, plus, range(-12, 13), 3)) == reference_orbit(
                 scene, plus, range(-12, 13), 3)
+
+
+def family_bits(family):
+    """Every array of a family, angles as hex, and its chains with their
+    conjugator matrices as hex."""
+    return ([x.hex() for x in family.ta.tolist()],
+            [x.hex() for x in family.tb.tolist()],
+            family.chain.tolist(), family.iterate.tolist(),
+            [(c.juncture, c.conjugator.letters,
+              [x.hex() for row in c.conjugator_isometry.matrix for x in row])
+             for c in family.chains], family.angle_tol)
+
+
+def two_minus_labels_scene():
+    """schottky_ab with a second minus juncture on a, under its own end
+    label: two junctures of one sign on one word."""
+    raw = schottky_conjugate_data(None)
+    raw["junctures"].insert(1, {"end": "f-", "sign": "-", "word": "a"})
+    return parse_scene(json.dumps(raw))
+
+
+# Scenes with (horizon, ball) and the number of distinct juncture words;
+# inner_b's two junctures ride different words, golden has one juncture.
+SHARING_CASES = [
+    ("schottky_ab", 12, 3, 1), ((3.3, -0.3, 0.8), 10, 2, 1),
+    ("inner_b", 6, 2, 2), ("golden", 14, 3, 1), ("two labels", 9, 2, 1)]
+
+
+def sharing_scene(scene):
+    if scene == "two labels":
+        return two_minus_labels_scene()
+    if isinstance(scene, str):
+        return load_scene(scene_path(f"{scene}.json"))
+    return schottky_conjugate(scene)
+
+
+class TestOrbitTable:
+    """``laminate`` shares one ball and each juncture word's images between
+    its junctures; each family is what ``juncture_orbit`` builds alone."""
+
+    @pytest.mark.parametrize("scene, horizon, ball, words", SHARING_CASES)
+    def test_run_families_equal_lone_orbits(self, scene, horizon, ball,
+                                            words):
+        scene = sharing_scene(scene)
+        params = AxiomParams(horizon=horizon, ball=ball)
+        run = laminate(scene, params)
+        assert [j for j, _ in run.families] == scene.junctures
+        for juncture, family in run.families:
+            alone = juncture_orbit(scene, juncture,
+                                   range(-horizon, horizon + 1), ball)
+            assert family_bits(family) == family_bits(alone)
+
+    @pytest.mark.parametrize("scene, horizon, ball, words", SHARING_CASES)
+    def test_ball_once_images_once_per_word(self, scene, horizon, ball,
+                                            words, monkeypatch):
+        scene = sharing_scene(scene)
+        calls = {"ball": 0, "images": 0}
+
+        def counted(key, func):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(lamination, "enumerate_ball",
+                            counted("ball", enumerate_ball))
+        monkeypatch.setattr(lamination, "boundary_images", counted(
+            "images", lamination.boundary_images))
+        laminate(scene, AxiomParams(horizon=horizon, ball=ball),
+                 extract=False)
+        assert calls == {"ball": 1, "images": 2 * words}
+
+    def test_no_junctures_no_ball(self, monkeypatch):
+        # The ball is built on the first juncture's demand, so a scene
+        # without junctures meets no word budget.
+        scene = make_scene(TORUS_A, TORUS_B, forward=("a b", "b"),
+                           inverse=("a b^-1", "b"), junctures=[])
+        monkeypatch.setattr(lamination, "enumerate_ball", None)
+        run = laminate(scene, AxiomParams(ball=9, max_words=1))
+        assert run.families == [] and run.laminations == {}
+
+    @pytest.mark.parametrize("order, message", [
+        ((0, 1), "iterate -6 of juncture 'e-'"),
+        ((1, 0), "iterate 6 of juncture 'e+'")])
+    def test_first_juncture_names_the_failing_iterate(self, order, message,
+                                                      monkeypatch):
+        # Cores a b^n with |n| >= 3 read as parabolic.  The shared iterates
+        # are evaluated in the scene's first juncture's order (ascending
+        # for e-, descending for e+), so its first failing iterate is the
+        # one named, as when each juncture built its own.
+        scene = load_scene(scene_path("schottky_ab.json"))
+        scene = dataclasses.replace(
+            scene, junctures=[scene.junctures[i] for i in order])
+        bad = {evaluate_word(scene.group, Word((1,) + (s,) * k)).matrix
+               for s in (2, -2) for k in range(3, 7)}
+        real = lamination.classify_isometry
+        monkeypatch.setattr(
+            lamination, "classify_isometry",
+            lambda m, tol: "parabolic" if m.matrix in bad else real(m, tol))
+        message = re.escape(f"{message} evaluates to a parabolic isometry")
+        with pytest.raises(NotHyperbolicError, match=f"^{message}$"):
+            juncture_orbit(scene, scene.junctures[0], range(-6, 7), 1)
+        with pytest.raises(NotHyperbolicError, match=f"^{message}$"):
+            laminate(scene, AxiomParams(horizon=6, ball=1))
+
+
+def fibonacci_scene():
+    """schottky_ab's generators under a -> a b, b -> a: the cores grow
+    like the Fibonacci numbers until their products overflow."""
+    raw = schottky_conjugate_data(None)
+    raw["automorphism"] = {"forward": {"a": "a b", "b": "a"},
+                           "inverse": {"a": "b", "b": "b^-1 a"}}
+    return raw
+
+
+def matrix_bits(m):
+    return [x.hex() for row in m.matrix for x in row]
+
+
+class TestCorePrefixes:
+    """``_iterate_cores`` composes each core past the prefix it shares with
+    the last one; every product is ``evaluate_word``'s bit for bit."""
+
+    @staticmethod
+    def orders(horizon):
+        ascending = list(range(-horizon, horizon + 1))
+        return [ascending, ascending[::-1],
+                [n for step in range(horizon + 1) for n in (step, -step)]]
+
+    @pytest.mark.parametrize("scene", [
+        "schottky_ab", "golden", "inner_b", (3.3, -0.3, 0.8),
+        (-2.1, 0.7, -0.4)])
+    def test_products_equal_evaluate_word(self, scene):
+        scene = sharing_scene(scene)
+        for juncture in scene.junctures:
+            for iterates in self.orders(16):
+                cores = list(_iterate_cores(scene, juncture, iterates,
+                                            DEFAULT_MAX_LETTERS, TRACE_TOL))
+                assert [n for n, *_ in cores] == iterates
+                for n, word, conj, core_m in cores:
+                    core = Word(word.letters[len(conj):len(word) - len(conj)])
+                    assert conj * core * conj.inverse() == word
+                    assert matrix_bits(core_m) == matrix_bits(
+                        evaluate_word(scene.group, core))
+
+    def test_inner_cores_do_not_extend(self):
+        # inner_b conjugates a by b^n: the core of every iterate is a.
+        scene = load_scene(scene_path("inner_b.json"))
+        cores = {word.letters[len(conj):len(word) - len(conj)]
+                 for _, word, conj, _ in _iterate_cores(
+                     scene, scene.junctures[0], range(-6, 7),
+                     DEFAULT_MAX_LETTERS, TRACE_TOL)}
+        assert cores == {(1,)}
+
+    # Cores of iterates -14..13 evaluate; those of 14 and of -15 overflow.
+    @pytest.mark.parametrize("iterates, failing", [
+        (range(-14, 21), 14), (range(13, -21, -1), -15), (range(21), 14),
+        (range(0, -21, -1), -15)])
+    def test_fibonacci_overflow_at_the_same_iterate(self, iterates, failing):
+        scene = parse_scene(json.dumps(fibonacci_scene()))
+        seen = []
+        with pytest.raises(NumericDegeneracyError,
+                           match="^isometry product overflowed$"):
+            for n, word, conj, core_m in _iterate_cores(
+                    scene, scene.junctures[0], iterates, DEFAULT_MAX_LETTERS,
+                    TRACE_TOL):
+                core = word.letters[len(conj):len(word) - len(conj)]
+                assert matrix_bits(core_m) == matrix_bits(
+                    evaluate_word(scene.group, core))
+                seen.append(n)
+        assert seen == list(iterates[:iterates.index(failing)])
+        core = apply_automorphism(scene.automorphism, scene.junctures[0].word,
+                                  failing).cyclic_decomposition()[1]
+        with pytest.raises(NumericDegeneracyError,
+                           match="^isometry product overflowed$"):
+            evaluate_word(scene.group, core)
+
+    @pytest.mark.parametrize("argv", [
+        ["escape", "--horizon", "14"],
+        ["laminate", "--horizon", "14", "--ball", "1"]])
+    def test_fibonacci_overflow_flagged(self, argv, tmp_path, capsys):
+        path = tmp_path / "fibonacci.json"
+        path.write_text(json.dumps(fibonacci_scene()))
+        code = run_command(argv[:1] + [str(path)] + argv[1:])
+        assert (code, capsys.readouterr()) == (
+            2, ("", "flagged: isometry product overflowed\n"))
 
 
 def entry_bits(entries):
