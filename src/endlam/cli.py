@@ -109,8 +109,8 @@ class _ReportText:
     the payload with its result objects replaced by JSON values, built in
     one walk over the payload.
 
-    A ``Word`` becomes its spelling in ``names`` (its letters without
-    names), a ``Geodesic`` its ``a_angle``/``b_angle``, numpy values their
+    A ``Word`` becomes its spelling in the generator ``names``, a
+    ``Geodesic`` its ``a_angle``/``b_angle``, numpy values their
     ``tolist()``, a dataclass the dict of its fields, dict keys ``str(k)``
     and tuples lists; the types are tried in that order.  A column is a
     list of scalars, of ``Word``s, of flat lists or tuples of scalars, of
@@ -123,7 +123,7 @@ class _ReportText:
     template.  Any other list is walked member by member.
     """
 
-    def __init__(self, names=None):
+    def __init__(self, names):
         self.names = names
         self._fields = {}   # type -> its dataclass field names, or None
         self._flat = {}     # depth -> encoder of flat containers there
@@ -135,8 +135,7 @@ class _ReportText:
         if scalar is not None:
             return scalar(obj)
         if isinstance(obj, Word):
-            return self.text(obj.format(self.names) if self.names
-                             else list(obj.letters), depth)
+            return self.text(obj.format(self.names), depth)
         if isinstance(obj, Geodesic):
             return self._mapping({"a_angle": obj.a.theta,
                                   "b_angle": obj.b.theta}, depth)
@@ -220,10 +219,8 @@ class _ReportText:
         str-keyed dicts of scalars or all ``Geodesic``s; else None."""
         kinds = set(map(type, values))
         if kinds == {Word}:
-            if self.names:
-                return [w.format(self.names) for w in values], None
-            values, kinds = [w.letters for w in values], {tuple}
-        elif kinds == {Geodesic}:
+            return [w.format(self.names) for w in values], None
+        if kinds == {Geodesic}:
             values, kinds = [{"a_angle": g.a.theta, "b_angle": g.b.theta}
                              for g in values], {dict}
         if _SCALAR_TYPES.issuperset(kinds):
@@ -330,7 +327,7 @@ def _same_file(first, second) -> bool:
         return Path(first).resolve() == Path(second).resolve()
 
 
-def _write_json(path, payload, names=None) -> None:
+def _write_json(path, payload, names) -> None:
     _write(path, _ReportText(names).text(payload) + "\n")
 
 

@@ -4,7 +4,8 @@ A juncture's conjugacy class is pushed around by the substitution rule;
 the axes of its conjugates form a geodesic family whose convergent chains
 (fixed conjugator, advancing iterate) are extrapolated to limit leaves.
 Each accepted chain carries a Cauchy certificate: the tail of successive
-endpoint gaps, which must sink below tolerance while decreasing.
+endpoint gaps, which must sink below tolerance while decreasing and
+contracting; a gap at the floating-point floor is exempt from both tests.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .hyperbolic import (
 )
 
 # Gaps below this are at the resolution floor of double-precision angles;
-# a tail stuck there still counts as decreasing.
+# a tail gap stuck there passes both the decrease and the contraction test.
 GAP_FLOOR = 1e-13
 # Each tail gap at or above GAP_FLOOR is at most this times the one before
 # it.  A chain that alternates between two limits has gaps near a constant
@@ -107,10 +108,8 @@ class GeodesicFamily:
 
     Entry i has endpoint angles ``ta[i]``, ``tb[i]`` and is iterate
     ``iterate[i]`` of chain ``chains[chain[i]]``.  Chains are numbered in
-    the order their first entries appear.
-    ``angle_tol`` is the tolerance the entries were deduplicated at, or
-    None when that is not known.  ``entries`` and ``geodesics()`` build
-    (checked) objects from the arrays on demand.
+    the order their first entries appear.  ``entries`` builds (checked)
+    objects from the arrays on demand.
     """
 
     ta: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -118,7 +117,6 @@ class GeodesicFamily:
     chain: np.ndarray = field(default_factory=lambda: np.empty(0, int))
     iterate: np.ndarray = field(default_factory=lambda: np.empty(0, int))
     chains: list[ChainProvenance] = field(default_factory=list)
-    angle_tol: float | None = None
 
     def __len__(self):
         return len(self.ta)
@@ -131,25 +129,17 @@ class GeodesicFamily:
                                           self.chain.tolist()),
                                       self.iterate.tolist())]
 
-    def geodesics(self) -> list[Geodesic]:
-        return [Geodesic.from_angles(a, b)
-                for a, b in zip(self.ta.tolist(), self.tb.tolist())]
-
     @classmethod
     def merge(cls, families,
               angle_tol: float = ANGLE_TOL) -> "GeodesicFamily":
         """The entries of ``families`` in order, kept by
         :func:`first_distinct` at ``angle_tol``.  Chains of different
         families stay apart; a chain left without entries is dropped and
-        the rest are numbered by their first kept entries.  A lone family
-        already deduplicated at ``angle_tol`` (as ``juncture_orbit`` leaves
-        it) is returned unchanged: ``first_distinct`` keeps every pair of
-        its own output."""
+        the rest are numbered by their first kept entries.  The result is
+        a new family, also for a lone one."""
         families = list(families)
-        if len(families) == 1 and families[0].angle_tol == angle_tol:
-            return families[0]
         if not families:
-            return cls(angle_tol=angle_tol)
+            return cls()
         ta, tb, chain, iterate = (
             np.concatenate([getattr(fam, name) for fam in families])
             for name in ("ta", "tb", "chain", "iterate"))
@@ -164,7 +154,7 @@ class GeodesicFamily:
         renumber = np.zeros(len(chains), dtype=np.int64)
         renumber[used] = np.arange(len(used))
         return cls(ta[keep], tb[keep], renumber[chain], iterate[keep],
-                   [chains[c] for c in used.tolist()], angle_tol)
+                   [chains[c] for c in used.tolist()])
 
 
 def _iterate_cores(scene, juncture: JunctureSpec, iterates,
@@ -313,7 +303,7 @@ def juncture_orbit(scene, juncture: JunctureSpec, n_range=None,
     return GeodesicFamily(
         ta[keep], tb[keep], chain, np.array(iterates)[kept % len(iterates)],
         [ChainProvenance(juncture, word, conjugator_isometry=g_m)
-         for word, g_m in map(ball.__getitem__, used.tolist())], angle_tol)
+         for word, g_m in map(ball.__getitem__, used.tolist())])
 
 
 def _require_finite(what: str, value: float) -> None:
@@ -721,9 +711,12 @@ def laminate(scene, params: AxiomParams,
     for lam_sign, juncture_sign in (("+", "-"), ("-", "+")):
         families = [fam for j, fam in run.families if j.sign == juncture_sign]
         if families:
-            merged = GeodesicFamily.merge(families, params.angle_tol)
+            # A lone family needs no merge: juncture_orbit deduplicated it
+            # at params.angle_tol, and first_distinct keeps its own output.
+            family = (families[0] if len(families) == 1
+                      else GeodesicFamily.merge(families, params.angle_tol))
             lams[lam_sign] = extract_limit_leaves(
-                merged, tol=params.tol, angle_tol=params.angle_tol)
+                family, tol=params.tol, angle_tol=params.angle_tol)
     for lam in lams.values():
         lam.crossing_violations = crossing_audit(lam, params.angle_tol)
     if len(lams) == 2:

@@ -47,7 +47,8 @@ def check_size(size: int) -> None:
 @dataclass
 class _Layer:
     label: str
-    geodesics: list[Geodesic] = field(default_factory=list)
+    # The endpoint angles (ta, tb) of each geodesic.
+    ends: list[tuple[float, float]] = field(default_factory=list)
     points: list[tuple[float, float]] = field(default_factory=list)
     boundary_angles: list[float] = field(default_factory=list)
 
@@ -55,16 +56,16 @@ class _Layer:
 def _coerce_layer(label, payload) -> _Layer:
     layer = _Layer(label=label)
     if isinstance(payload, GeodesicFamily):
-        layer.geodesics = payload.geodesics()
+        layer.ends = list(zip(payload.ta.tolist(), payload.tb.tolist()))
     elif isinstance(payload, LaminationApprox):
-        layer.geodesics = list(payload.leaves)
+        layer.ends = [(g.a.theta, g.b.theta) for g in payload.leaves]
     elif isinstance(payload, LimitSetSample):
         layer.points = list(payload.orbit)
         layer.boundary_angles = payload.fixed_point_angles
     elif isinstance(payload, (list, tuple)):
         for item in payload:
             if isinstance(item, Geodesic):
-                layer.geodesics.append(item)
+                layer.ends.append((item.a.theta, item.b.theta))
             elif isinstance(item, (list, tuple)) and len(item) == 2:
                 layer.points.append((float(item[0]), float(item[1])))
             else:
@@ -118,8 +119,7 @@ class _Canvas:
                 for t in angles]
 
 
-def _geodesic_path(geo: Geodesic, canvas: _Canvas) -> str:
-    ta, tb = geo.a.theta, geo.b.theta
+def _geodesic_path(ta: float, tb: float, canvas: _Canvas) -> str:
     ux, uy = math.cos(ta), math.sin(ta)
     vx, vy = math.cos(tb), math.sin(tb)
     x1, y1 = canvas.point(ux, uy)
@@ -169,7 +169,8 @@ def render_svg(families, size: int = 1000) -> str:
 
     ``families`` is a sequence of (label, payload) pairs; a payload may be
     a GeodesicFamily, a LaminationApprox, a LimitSetSample, or a plain
-    list of Geodesic/point entries.
+    list of Geodesic/point entries.  A geodesic is drawn from its endpoint
+    angles: a family's ``ta``/``tb`` rows, a Geodesic's thetas.
     """
     check_size(size)
     canvas = _Canvas(size)
@@ -190,7 +191,7 @@ def render_svg(families, size: int = 1000) -> str:
         color = PALETTE[idx % len(PALETTE)]
         lines.append(f'<g id="{gid}" stroke="{color}" fill="none" '
                      f'stroke-width="{_fmt(STROKE_WIDTH)}">')
-        lines += [_geodesic_path(geo, canvas) for geo in layer.geodesics]
+        lines += [_geodesic_path(ta, tb, canvas) for ta, tb in layer.ends]
         lines.append('</g>')
         if layer.points or layer.boundary_angles:
             lines.append(f'<g id="{gid}-points" fill="{color}" '

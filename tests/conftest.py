@@ -332,12 +332,12 @@ def reference_power_iteration(M, tol=PERRON_TOL, maxiter=10 ** 5):
                       converged=False, iterations=iterations, support=v > 0)
 
 
-def reference_jsonable(obj, names=None):
+def reference_jsonable(obj, names):
     """Reference for the ``--json`` writer: the payload as JSON values,
     converted node by node; ``json.dumps`` of this tree with ``indent=2``
     is the text the writer must build in one walk."""
     if isinstance(obj, Word):
-        return obj.format(names) if names else list(obj.letters)
+        return obj.format(names)
     if isinstance(obj, Geodesic):
         return {"a_angle": obj.a.theta, "b_angle": obj.b.theta}
     if isinstance(obj, (np.ndarray, np.generic)):
@@ -352,7 +352,7 @@ def reference_jsonable(obj, names=None):
     return obj
 
 
-def reference_json_text(payload, names=None) -> str:
+def reference_json_text(payload, names) -> str:
     """What ``--json`` must write for ``payload``."""
     return json.dumps(reference_jsonable(payload, names), indent=2) + "\n"
 

@@ -110,7 +110,8 @@ class TestJson:
         for name, row in (("numpy", lamination.EscapeRow(
                 np.int64(-3), np.int64(7), np.float64(0.1))),
                           ("python", lamination.EscapeRow(-3, 7, 0.1))):
-            cli._write_json(tmp_path / f"{name}.json", {"rows": [row]})
+            cli._write_json(tmp_path / f"{name}.json", {"rows": [row]},
+                            _NAMES)
         assert ((tmp_path / "numpy.json").read_bytes()
                 == (tmp_path / "python.json").read_bytes())
         assert json.loads((tmp_path / "numpy.json").read_text()) == {
@@ -119,6 +120,8 @@ class TestJson:
 
 
 # Reports drawn for the writer: every kind of value ``--json`` is handed.
+# Words are spelled through generator names; a group has at least one.
+_NAMES = ("a", "b")
 _ints = st.one_of(st.integers(-10, 10), st.integers(-2 ** 80, 2 ** 80))
 _floats = st.one_of(st.floats(), st.sampled_from(
     [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 0.1, 1e300]))
@@ -166,7 +169,7 @@ _row_kinds = [
     st.builds(lamination.EscapeRow, _row_scalars, _row_scalars,
               _row_scalars),
     # Str-keyed dicts that may be empty, lists mixed with tuples, and Words,
-    # which the writer spells through the names when it has any.
+    # which the writer spells through the names.
     st.dictionaries(_row_keys, _row_scalars, max_size=3),
     st.one_of(st.lists(_row_scalars, max_size=4),
               st.lists(_row_scalars, max_size=4).map(tuple)),
@@ -253,7 +256,7 @@ class TestJsonText:
 
     @settings(max_examples=300, deadline=None)
     @given(report=_reports,
-           names=st.sampled_from([None, (), ("a", "b"), ("x\u00e9", "y")]))
+           names=st.sampled_from([_NAMES, ("x\u00e9", "y")]))
     def test_bytes_of_json_dumps(self, report, names):
         assert _written(report, names) == \
             reference_json_text(report, names).encode()
@@ -268,7 +271,8 @@ class TestJsonText:
         report = rows
         for _ in range(depth):
             report = {"rows": [report, "x"]}
-        assert _written(report, None) == reference_json_text(report).encode()
+        assert _written(report, _NAMES) == \
+            reference_json_text(report, _NAMES).encode()
 
     def test_row_list_in_one_encoder_call(self, monkeypatch):
         calls = []
@@ -278,20 +282,20 @@ class TestJsonText:
         rows = [(0.1 * i, -0.0, "],\n      [") for i in range(40)]
         for report, count in (({"orbit": rows}, 1),
                               ({"orbit": rows + [(np.float64(1.0),)]}, 40)):
-            expected = reference_json_text(report).encode()
+            expected = reference_json_text(report, _NAMES).encode()
             calls.clear()
-            assert _written(report, None) == expected
+            assert _written(report, _NAMES) == expected
             assert len(calls) == count
 
     @settings(max_examples=300, deadline=None)
     @given(records=_record_lists, depth=st.integers(0, 2),
-           names=st.sampled_from([None, (), ("a", "b")]))
+           names=st.just(_NAMES))
     @example(records=[lamination.ChainCertificate(
         "],\n      [", "%s", Word((1, -2)), (), (0.5,))], depth=1,
-        names=None)
+        names=_NAMES)
     @example(records=[lamination.SkippedChain("e-", "-", Word((1,)), "r"),
                       lamination.SkippedChain("e-", "-", [1, -2], "r")],
-             depth=0, names=("a", "b"))
+             depth=0, names=_NAMES)
     def test_record_lists(self, records, depth, names):
         report = records
         for _ in range(depth):
@@ -299,9 +303,7 @@ class TestJsonText:
         assert _written(report, names) == \
             reference_json_text(report, names).encode()
 
-    @pytest.mark.parametrize("names", [None, ("a", "b")])
-    def test_record_list_in_one_encoder_call_per_field(self, monkeypatch,
-                                                       names):
+    def test_record_list_in_one_encoder_call_per_field(self, monkeypatch):
         calls = []
         encode = json.JSONEncoder.encode
         monkeypatch.setattr(json.JSONEncoder, "encode",
@@ -312,24 +314,24 @@ class TestJsonText:
         odd = lamination.ChainCertificate("e-", "-", Word(()),
                                           (np.int64(1),), ())
         # Walked member by member, each non-empty list is one call: the
-        # iterates, the gaps and, without names, the conjugator's letters.
-        walk = 2 * 970 + (names is None) * sum(
-            bool(c.conjugator.letters) for c in certificates)
+        # iterates and the gaps.
+        walk = 2 * 970
         for report, count in (({"certificates": certificates}, 5),
                               ({"certificates": certificates + [odd]}, walk),
                               ({"certificates": [odd] + certificates}, walk)):
-            expected = reference_json_text(report, names).encode()
+            expected = reference_json_text(report, _NAMES).encode()
             calls.clear()
-            assert _written(report, names) == expected
+            assert _written(report, _NAMES) == expected
             assert len(calls) == count
 
     def test_colliding_keys_keep_the_last_value(self):
         report = {1: "int", "1": "str", True: ["a", {2: None}]}
-        assert _written(report, None) == reference_json_text(report).encode()
+        assert _written(report, _NAMES) == \
+            reference_json_text(report, _NAMES).encode()
 
     def test_unknown_type_refused(self):
         with pytest.raises(TypeError, match="not JSON serializable"):
-            _written({"x": [object()]}, None)
+            _written({"x": [object()]}, _NAMES)
 
 
 def _conjugate_file(tmp_path):
@@ -361,7 +363,7 @@ class TestEveryJsonCommand:
         calls = []
         original = cli._write_json
 
-        def recording(path, payload, names=None):
+        def recording(path, payload, names):
             calls.append((path, payload, names))
             original(path, payload, names)
 

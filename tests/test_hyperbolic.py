@@ -881,8 +881,8 @@ class TestFirstDistinct:
     @given(angle_pairs())
     def test_keeps_all_of_its_own_output(self, case):
         # Each kept pair is clear of every earlier kept pair, so a second
-        # pass at the same tol keeps them all: why GeodesicFamily.merge
-        # returns a lone, already deduplicated family unchanged.
+        # pass at the same tol keeps them all: why laminate extracts a
+        # lone family, already deduplicated, without a merge.
         tol, u, v = case
         keep = first_distinct(u, v, tol)
         assert first_distinct(np.asarray(u, dtype=float)[keep],

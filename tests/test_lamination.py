@@ -129,9 +129,10 @@ class TestJunctureOrbit:
         j = torus_scene.junctures[0]
         fam = juncture_orbit(torus_scene, j, (9, -5, 3), ball_k=0)
         assert sorted(p.iterate for _, p in fam.entries) == [-5, 3, 9]
-        for geo, prov in fam.entries:
-            alone = juncture_orbit(torus_scene, j, [prov.iterate], ball_k=0)
-            assert alone.geodesics() == [geo]
+        for n, a, b in zip(fam.iterate.tolist(), fam.ta.tolist(),
+                           fam.tb.tolist()):
+            alone = juncture_orbit(torus_scene, j, [n], ball_k=0)
+            assert (alone.ta.tolist(), alone.tb.tolist()) == ([a], [b])
 
     def test_non_hyperbolic_iterate_named(self):
         # trace(a b) = 2 * 0.25 + 0.5 * 3 = 2: the first iterate of a is
@@ -734,7 +735,7 @@ def family_bits(family):
             family.chain.tolist(), family.iterate.tolist(),
             [(c.juncture, c.conjugator.letters,
               [x.hex() for row in c.conjugator_isometry.matrix for x in row])
-             for c in family.chains], family.angle_tol)
+             for c in family.chains])
 
 
 def two_minus_labels_scene():
@@ -1142,15 +1143,18 @@ class TestExtractArrays:
                                                  DEFAULT_TOL))
 
     def test_lone_family_returned_unchanged(self, torus_scene):
+        # A new family, equal to the lone one: first_distinct keeps every
+        # pair of its own output.
         family = three_juncture_families(torus_scene)[0]
-        assert GeodesicFamily.merge([family]) is family
+        merged = GeodesicFamily.merge([family])
+        assert merged is not family
+        assert family_bits(merged) == family_bits(family)
         assert entry_bits(family.entries) == entry_bits(
             reference_merge([family]))
 
     def test_lone_family_at_another_tol_deduplicated(self, torus_scene):
         family = three_juncture_families(torus_scene)[0]
         merged = GeodesicFamily.merge([family], 1e-2)
-        assert merged.angle_tol == 1e-2
         assert len(merged) < len(family)
         assert entry_bits(merged.entries) == entry_bits(
             reference_merge([family], 1e-2))
@@ -1159,9 +1163,7 @@ class TestExtractArrays:
         pairs = [(Geodesic.from_angles(a, 3.0),
                   Provenance(E_MINUS, Word(()), n))
                  for n, a in enumerate([1.0, 2.0, 1.0 + 1e-10])]
-        family = family_of(pairs)
-        assert family.angle_tol is None
-        merged = GeodesicFamily.merge([family])
+        merged = GeodesicFamily.merge([family_of(pairs)])
         assert [p.iterate for _, p in merged.entries] == [0, 1]
 
     def test_empty_family(self):
@@ -1174,10 +1176,9 @@ class TestExtractArrays:
         family = family_of([(Geodesic.from_angles(1.0, 2.0),
                              Provenance(E_MINUS, Word(()), 0))])
         family.tb[0] = 1.0
-        for build in (lambda: family.entries, family.geodesics):
-            with pytest.raises(ValidationError,
-                               match="geodesic endpoints coincide"):
-                build()
+        with pytest.raises(ValidationError,
+                           match="geodesic endpoints coincide"):
+            family.entries
 
 
 class TestLaminate:
@@ -1190,6 +1191,19 @@ class TestLaminate:
         assert list(run.laminations) == ["+", "-"]
         assert run.laminations["+"].leaves == direct["-"].leaves
         assert run.laminations["-"].leaves == direct["+"].leaves
+
+    def test_lone_family_extracted_as_built(self, torus_scene, monkeypatch):
+        # Each sign has one juncture here, whose family goes to extraction
+        # as juncture_orbit built it, without a merge.
+        extracted = []
+        extract = lamination.extract_limit_leaves
+        monkeypatch.setattr(lamination, "extract_limit_leaves",
+                            lambda family, **kw: extracted.append(family)
+                            or extract(family, **kw))
+        run = laminate(torus_scene, AxiomParams(horizon=10, ball=1))
+        (_, minus), (_, plus) = run.families
+        assert len(extracted) == 2
+        assert extracted[0] is minus and extracted[1] is plus
 
     def test_audits_and_intersections_belong_to_the_run(self, torus_scene):
         run = laminate(torus_scene, AxiomParams(horizon=10, ball=1))

@@ -1,13 +1,20 @@
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from endlam import hyperbolic
 from endlam.errors import ValidationError
-from endlam.group import LimitSetSample
+from endlam.group import LimitSetSample, Word
 from endlam.hyperbolic import TWO_PI, Geodesic
-from endlam.lamination import juncture_orbit
+from endlam.lamination import (
+    ChainProvenance,
+    GeodesicFamily,
+    JunctureSpec,
+    juncture_orbit,
+)
 from endlam.render import (
     ANTIPODAL_DOT,
     BOUNDARY_POINT_RADIUS,
@@ -142,6 +149,37 @@ class TestGeodesicArcs:
             n = math.hypot(ux, uy)
             mid = (c[0] + r * ux / n, c[1] + r * uy / n)
             assert math.hypot(*mid) < 1.0
+
+
+class TestFamilyLayers:
+    """A family is drawn from its angle arrays, with no Geodesic built."""
+
+    def test_no_endpoint_check(self, monkeypatch):
+        [(_, family)] = shipped_layers("golden.json")
+        calls = []
+        check = hyperbolic.same_ideal_point
+        monkeypatch.setattr(hyperbolic, "same_ideal_point",
+                            lambda *args: calls.append(args) or check(*args))
+        svg = render_svg([("j", family)])
+        assert calls == []
+        assert svg.count("<path") == len(family) > 0
+
+    def test_same_bytes_as_listed_geodesics(self):
+        # Angles at both ends of [0, 2 pi), which IdealPoint keeps as they
+        # are, on arcs and on a diameter.
+        top = math.nextafter(TWO_PI, 0.0)
+        pairs = [(0.0, 1.0), (3.0, top), (top, math.pi), (0.0, math.pi),
+                 (2.0, 0.5)]
+        ta, tb = np.array(pairs).T
+        family = GeodesicFamily(
+            ta, tb, np.zeros(len(pairs), dtype=np.int64),
+            np.arange(len(pairs)),
+            [ChainProvenance(JunctureSpec("e-", "-", Word((1,))), Word(()))])
+        listed = [Geodesic.from_angles(a, b) for a, b in pairs]
+        assert [(g.a.theta, g.b.theta) for g in listed] == pairs
+        svg = render_svg([("j", family)])
+        assert svg == render_svg([("j", listed)])
+        assert LINE_RE.search(svg) and ARC_PATH_RE.search(svg)
 
 
 class TestDeterminism:
