@@ -37,6 +37,7 @@ from .lamination import (
     DEFAULT_ESCAPE_HORIZON,
     DEFAULT_GROWTH_RATIO,
     AxiomParams,
+    _laminate,
     axiom_report,
     escape_test,
     laminate,
@@ -555,8 +556,8 @@ def cmd_markov_words(scene, params, args):
 
 
 def cmd_render(scene, params, args):
-    run = laminate(scene, params, extract=args.leaves)
-    layers = [(f"junctures-{j.end}", fam) for j, fam in run.families]
+    drawn, run = _laminate(scene, params, extract=args.leaves, layers=True)
+    layers = [(f"junctures-{j.end}", fam) for j, fam in drawn]
     return EXIT_OK, layers + _leaf_layers(run), None
 
 

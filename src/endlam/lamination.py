@@ -3,9 +3,13 @@
 A juncture's conjugacy class is pushed around by the substitution rule;
 the axes of its conjugates form a geodesic family whose convergent chains
 (fixed conjugator, advancing iterate) are extrapolated to limit leaves.
-Each accepted chain carries a Cauchy certificate: the tail of successive
-endpoint gaps, which must sink below tolerance while decreasing and
-contracting; a gap at the floating-point floor is exempt from both tests.
+A chain is one-sided: a juncture of sign - accumulates on the plus
+lamination as n -> +oo and one of sign + on the minus lamination as
+n -> -oo, so a run reads the iterates n = 0..h, or 0..-h, of each
+juncture, in that order.  Each accepted chain carries a Cauchy
+certificate: the tail of successive endpoint gaps, which must sink below
+tolerance while decreasing and contracting; a gap at the floating-point
+floor is exempt from both tests.
 """
 
 from __future__ import annotations
@@ -205,17 +209,26 @@ class _OrbitTable:
     ball, and per juncture word the ball images of its iterates' axes.
 
     Each piece is built on first use and kept for the table's life, keyed
-    by everything it is built from.  A word's images are built in the
-    iterate order of the first juncture that asks for them; a juncture
-    that reads them in the opposite order gets the columns reversed,
-    which is what it would build itself, since the iterates are a sorted
-    set and the images are computed element by element.
+    by everything it is built from.  ``reads`` names the iterates the run
+    will read of each juncture, so that a word's images are built once,
+    over the union of what its junctures read, sorted in the convergence
+    direction of the first juncture on it; a word the table was not told
+    of is built over the iterates first asked for.  A juncture gets its
+    columns of the build by index, equal bit for bit to a build of its
+    own, since the images are computed element by element.
     """
 
-    def __init__(self, scene):
+    def __init__(self, scene, reads=()):
         self.scene = scene
         self._balls = {}
         self._images = {}
+        unions = {}
+        for juncture, iterates in reads:
+            sign, union = unions.setdefault(juncture.word,
+                                            (juncture.sign, set()))
+            union.update(iterates)
+        self._orders = {word: sorted(union, reverse=(sign == "+"))
+                        for word, (sign, union) in unions.items()}
 
     def ball(self, ball_k: int, max_words: int):
         key = ball_k, max_words
@@ -231,16 +244,16 @@ class _OrbitTable:
         each phi^n(w), a row per ball element g and a column per iterate n
         in the order of ``iterates``; the identity, first in the ball,
         keeps the axes' own angles."""
-        key = (juncture.word, tuple(sorted(iterates)), ball_k, max_letters,
-               max_words, trace_tol)
+        order = self._orders.get(juncture.word, iterates)
+        key = (juncture.word, tuple(order), ball_k, max_letters, max_words,
+               trace_tol)
         if key not in self._images:
-            self._images[key] = iterates, self._build(
-                juncture, iterates, self.ball(ball_k, max_words),
-                max_letters, trace_tol)
-        order, ends = self._images[key]
-        if order == iterates:
-            return ends
-        return tuple(t[:, ::-1] for t in ends)
+            self._images[key] = self._build(
+                juncture, order, self.ball(ball_k, max_words), max_letters,
+                trace_tol)
+        column = {n: i for i, n in enumerate(order)}
+        columns = [column[n] for n in iterates]
+        return tuple(t[:, columns] for t in self._images[key])
 
     def _build(self, juncture, iterates, ball, max_letters, trace_tol):
         scene = self.scene
@@ -277,9 +290,11 @@ def juncture_orbit(scene, juncture: JunctureSpec, n_range=None,
     family (computed equivariantly as the g-image of the axis of
     phi^n(w)).  Entries are deduplicated keeping first occurrence, with
     the identity conjugator enumerated first so its chain stays intact,
-    and kept as arrays: no per-entry object is built.  The ball and the
-    images come from ``table``, the run's shared ``_OrbitTable``; without
-    one the call builds its own.
+    and kept as arrays: no per-entry object is built.  ``laminate``
+    passes the converging side of the juncture, n = 0..h or 0..-h;
+    ``render`` draws -h..h.  The ball and the images come from ``table``,
+    the run's shared ``_OrbitTable``, whose columns for these iterates are
+    what the call would build alone; without one the call builds its own.
     """
     if n_range is None:
         n_range = range(-DEFAULT_HORIZON, DEFAULT_HORIZON + 1)
@@ -304,6 +319,14 @@ def juncture_orbit(scene, juncture: JunctureSpec, n_range=None,
         ta[keep], tb[keep], chain, np.array(iterates)[kept % len(iterates)],
         [ChainProvenance(juncture, word, conjugator_isometry=g_m)
          for word, g_m in map(ball.__getitem__, used.tolist())])
+
+
+def _converging_iterates(juncture: JunctureSpec, horizon: int) -> list[int]:
+    """n = 0..horizon for a juncture of sign -, 0..-horizon for one of
+    sign +, in that order: the side on which its iterates accumulate on a
+    lamination (the plus one and the minus one respectively)."""
+    direction = 1 if juncture.sign == "-" else -1
+    return [direction * step for step in range(horizon + 1)]
 
 
 def _require_finite(what: str, value: float) -> None:
@@ -345,8 +368,7 @@ def escape_test(scene, juncture: JunctureSpec,
         raise ValidationError(
             f"escape growth ratio must exceed 1, got {growth_ratio:g}")
     _require_finite("escape growth ratio", growth_ratio)
-    direction = 1 if juncture.sign == "-" else -1
-    iterates = [direction * step for step in range(horizon + 1)]
+    iterates = _converging_iterates(juncture, horizon)
     # Translation length depends only on the conjugacy class, so the core
     # alone gives it.
     rows = [EscapeRow(iterate=n, word_length=len(word_n),
@@ -693,20 +715,38 @@ def laminate(scene, params: AxiomParams,
              extract: bool = True) -> LaminationRun:
     """Juncture orbits in scene order, the limit leaves of each sign
     (negative junctures give the plus lamination), their crossing audits
-    and the transverse intersections of the two.  ``extract=False``
-    builds the families only."""
-    n_range = range(-params.horizon, params.horizon + 1)
-    table = _OrbitTable(scene)
-    run = LaminationRun([
-        (j, juncture_orbit(scene, j, n_range, params.ball,
-                           max_letters=params.max_letters,
-                           max_words=params.max_words,
-                           angle_tol=params.angle_tol,
-                           trace_tol=params.trace_tol, table=table))
-        for j in scene.junctures
-    ])
+    and the transverse intersections of the two.  Each juncture's family
+    holds its converging side only, n = 0..h or 0..-h, and the junctures
+    share one ``_OrbitTable``: the ball once, and each word's images once,
+    over the union of its junctures' sides.  ``extract=False`` builds the
+    families only."""
+    return _laminate(scene, params, extract)[1]
+
+
+def _laminate(scene, params: AxiomParams, extract: bool = True,
+              layers: bool = False):
+    """``(layers, run)``: ``laminate``'s run and, with ``layers``, each
+    juncture's -h..h family, the juncture layers ``render`` draws, from
+    the run's table, which then builds each word over -h..h once.  Layers
+    without ``extract`` are all ``render`` needs: the run is then empty."""
+    h = params.horizon
+    drawn = [(j, range(-h, h + 1)) for j in scene.junctures] if layers else []
+    sides = ([(j, _converging_iterates(j, h)) for j in scene.junctures]
+             if extract or not layers else [])
+    table = _OrbitTable(scene, drawn + sides)
+
+    def orbits(reads):
+        return [(j, juncture_orbit(scene, j, n_range, params.ball,
+                                   max_letters=params.max_letters,
+                                   max_words=params.max_words,
+                                   angle_tol=params.angle_tol,
+                                   trace_tol=params.trace_tol, table=table))
+                for j, n_range in reads]
+
+    drawn = orbits(drawn)
+    run = LaminationRun(orbits(sides))
     if not extract:
-        return run
+        return drawn, run
     lams = run.laminations
     for lam_sign, juncture_sign in (("+", "-"), ("-", "+")):
         families = [fam for j, fam in run.families if j.sign == juncture_sign]
@@ -722,7 +762,7 @@ def laminate(scene, params: AxiomParams,
     if len(lams) == 2:
         run.intersections = transversal_intersections(
             lams["+"], lams["-"], params.angle_tol)
-    return run
+    return drawn, run
 
 
 @dataclass

@@ -993,11 +993,19 @@ class TestOnePipeline:
 
     def test_render_leaves_orbits_each_juncture_once(self, schottky,
                                                       tmp_path, monkeypatch):
-        orbits = self._count_calls(monkeypatch, "juncture_orbit")
+        # The -h..h layers and the one-sided families of schottky_ab's two
+        # junctures read one word: one ball and one image build serve all.
+        balls = self._count_calls(monkeypatch, "enumerate_ball")
+        builds = []
+        build = lamination._OrbitTable._build
+        monkeypatch.setattr(lamination._OrbitTable, "_build",
+                            lambda *args: builds.append(args) or build(*args))
         extractions = self._count_calls(monkeypatch, "extract_limit_leaves")
         assert run_command(["render", str(schottky), "--out",
                             str(tmp_path / "leaves.svg"), "--leaves"]) == 0
-        assert len(orbits) == len(load_scene(schottky).junctures)
+        assert len({j.word for j in load_scene(schottky).junctures}) == 1
+        assert len(balls) == 1
+        assert len(builds) == 1
         assert len(extractions) == 2
 
     @pytest.mark.parametrize("command", ["laminate", "axioms"])

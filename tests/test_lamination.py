@@ -761,9 +761,16 @@ def sharing_scene(scene):
     return schottky_conjugate(scene)
 
 
+def converging_side(juncture, horizon):
+    """n = 0..h for a minus juncture, 0..-h for a plus one."""
+    return (range(horizon + 1) if juncture.sign == "-"
+            else range(0, -horizon - 1, -1))
+
+
 class TestOrbitTable:
     """``laminate`` shares one ball and each juncture word's images between
-    its junctures; each family is what ``juncture_orbit`` builds alone."""
+    its junctures; each family is what ``juncture_orbit`` builds alone over
+    the juncture's converging side."""
 
     @pytest.mark.parametrize("scene, horizon, ball, words", SHARING_CASES)
     def test_run_families_equal_lone_orbits(self, scene, horizon, ball,
@@ -774,8 +781,36 @@ class TestOrbitTable:
         assert [j for j, _ in run.families] == scene.junctures
         for juncture, family in run.families:
             alone = juncture_orbit(scene, juncture,
-                                   range(-horizon, horizon + 1), ball)
+                                   converging_side(juncture, horizon), ball)
             assert family_bits(family) == family_bits(alone)
+
+    @pytest.mark.parametrize("scene, horizon, ball, words", SHARING_CASES)
+    def test_render_layers_and_families_from_one_table(
+            self, scene, horizon, ball, words, monkeypatch):
+        # render draws every juncture over -h..h and extracts from the
+        # converging sides: one ball and one build per word serve both.
+        scene = sharing_scene(scene)
+        calls = {"ball": 0, "build": 0}
+
+        def counted(key, func):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(lamination, "enumerate_ball",
+                            counted("ball", enumerate_ball))
+        monkeypatch.setattr(lamination._OrbitTable, "_build", counted(
+            "build", lamination._OrbitTable._build))
+        layers, run = lamination._laminate(
+            scene, AxiomParams(horizon=horizon, ball=ball), layers=True)
+        assert calls == {"ball": 1, "build": words}
+        assert [j for j, _ in layers] == scene.junctures
+        for (juncture, drawn), (_, family) in zip(layers, run.families):
+            assert family_bits(drawn) == family_bits(juncture_orbit(
+                scene, juncture, range(-horizon, horizon + 1), ball))
+            assert family_bits(family) == family_bits(juncture_orbit(
+                scene, juncture, converging_side(juncture, horizon), ball))
 
     @pytest.mark.parametrize("scene, horizon, ball, words", SHARING_CASES)
     def test_ball_once_images_once_per_word(self, scene, horizon, ball,
@@ -829,6 +864,25 @@ class TestOrbitTable:
             juncture_orbit(scene, scene.junctures[0], range(-6, 7), 1)
         with pytest.raises(NotHyperbolicError, match=f"^{message}$"):
             laminate(scene, AxiomParams(horizon=6, ball=1))
+
+    def test_laminate_evaluates_only_the_side_it_reads(self, monkeypatch):
+        # With e- alone the run reads iterates 0..6, so the cores a b^-k
+        # (k = 3..6) of its iterates -3..-6 are never evaluated.
+        scene = load_scene(scene_path("schottky_ab.json"))
+        scene = dataclasses.replace(scene, junctures=scene.junctures[:1])
+        bad = {evaluate_word(scene.group, Word((1,) + (-2,) * k)).matrix
+               for k in range(3, 7)}
+        real = lamination.classify_isometry
+        monkeypatch.setattr(
+            lamination, "classify_isometry",
+            lambda m, tol: "parabolic" if m.matrix in bad else real(m, tol))
+        run = laminate(scene, AxiomParams(horizon=6, ball=1))
+        ((_, family),) = run.families
+        assert set(family.iterate.tolist()) == set(range(7))
+        assert list(run.laminations) == ["+"]
+        with pytest.raises(NotHyperbolicError,
+                           match="^iterate -6 of juncture 'e-' "):
+            juncture_orbit(scene, scene.junctures[0], range(-6, 7), 1)
 
 
 def fibonacci_scene():
@@ -1191,6 +1245,28 @@ class TestLaminate:
         assert list(run.laminations) == ["+", "-"]
         assert run.laminations["+"].leaves == direct["-"].leaves
         assert run.laminations["-"].leaves == direct["+"].leaves
+
+    def test_one_sided_chains_keep_every_leaf_at_ball_6(self):
+        # On -h..h families each sign's chain of a^6 kept iterates across
+        # n = 0 (-20 and -2..3 for the plus lamination) and was skipped:
+        # 1456 leaves and 1 skipped per sign.
+        run = laminate(load_scene(scene_path("schottky_ab.json")),
+                       AxiomParams(horizon=20, ball=6))
+        for lam in run.laminations.values():
+            assert (len(lam.leaves), len(lam.certificates), len(lam.skipped),
+                    len(lam.crossing_violations)) == (1457, 1457, 0, 0)
+
+    @pytest.mark.parametrize("conjugator", [
+        None, (2.4827842567176184, 0.2992838854969826, 0.2186851639812788)])
+    def test_certificates_stay_on_the_converging_side(self, conjugator):
+        run = laminate(schottky_conjugate(conjugator),
+                       AxiomParams(horizon=12, ball=3))
+        for sign, direction in (("+", 1), ("-", -1)):
+            certificates = run.laminations[sign].certificates
+            assert certificates
+            for cert in certificates:
+                steps = [direction * n for n in cert.iterates]
+                assert steps[0] >= 0 and steps == sorted(set(steps))
 
     def test_lone_family_extracted_as_built(self, torus_scene, monkeypatch):
         # Each sign has one juncture here, whose family goes to extraction
