@@ -116,12 +116,11 @@ class _ReportText:
     and tuples lists; the types are tried in that order.  A column is a
     list of scalars, of ``Word``s, of flat lists or tuples of scalars, of
     str-keyed dicts of scalars or of ``Geodesic``s (``_column``), and goes
-    to json's C encoder in one call; so does a dict of scalars.  A column
-    of non-empty containers is written from that text with one replace;
-    any other is split into its members' texts at the separators.  A list
-    of records, members of one dataclass type whose every field is a
-    column, is written column by column, each record's text from one
-    template.  Any other list is walked member by member.
+    to json's C encoder in one call, whose text is split into its
+    members' texts at the separators (``_column_texts``).  A list of
+    records, members of one dataclass type whose every field is a column,
+    is written column by column, each record's text from one template.
+    Any other list, and every dict, is walked member by member.
     """
 
     def __init__(self, names):
@@ -158,13 +157,8 @@ class _ReportText:
                 return (self._records_text(obj, depth)
                         or _lines("[", (self.text(x, depth + 1) for x in obj),
                                   depth, "]"))
-            values, brackets = column
-            if brackets is None:
-                return self._flat_text(values, depth)
-            if all(values):
-                return self._rows_text(values, brackets, depth)
-            return _lines("[", self._column_texts(values, brackets, depth + 1),
-                          depth, "]")
+            return _lines("[", self._column_texts(*column, depth + 1), depth,
+                          "]")
         raise TypeError(f"Object of type {kind.__name__} "
                         f"is not JSON serializable")
 
@@ -175,22 +169,6 @@ class _ReportText:
                 tuple(f.name for f in dataclasses.fields(kind))
                 if dataclasses.is_dataclass(kind) else None)
         return self._fields[kind]
-
-    def _rows_text(self, rows, brackets, depth) -> str:
-        # The flat encoder one level down writes every row's members on
-        # their own lines already.  Between rows it writes the closing
-        # bracket, the item separator and the opening bracket; no encoded
-        # scalar ends in a bracket or holds a raw newline, so that text
-        # appears only there and becomes the indent=2 row break.
-        opening, closing = brackets
-        inner = "\n" + "  " * (depth + 1)
-        member = "\n" + "  " * (depth + 2)
-        text = self._flat_encoder(depth + 1).encode(rows)
-        return ("[" + inner + opening + member
-                + text[2:-2].replace(closing + "," + member + opening,
-                                     inner + closing + "," + inner + opening
-                                     + member)
-                + inner + closing + "\n" + "  " * depth + "]")
 
     def _records_text(self, obj, depth):
         """The list ``obj`` of one dataclass type written column by column
@@ -252,9 +230,9 @@ class _ReportText:
         # the item separator and the opening bracket, which no scalar text
         # holds; inside one it writes the members at depth + 1 already.
         opening, closing = brackets
-        inner = "\n" + "  " * (depth + 1)
+        head = opening + "\n" + "  " * (depth + 1)
         outer = "\n" + "  " * depth + closing
-        return [opening + inner + members + outer if members else brackets
+        return [f"{head}{members}{outer}" if members else brackets
                 for members in text[2:-2].split(
                     closing + encoder.item_separator + opening)]
 
@@ -262,19 +240,9 @@ class _ReportText:
         """``obj`` has str keys only."""
         if not obj:
             return "{}"
-        if _SCALAR_TYPES.issuperset(map(type, obj.values())):
-            return self._flat_text(obj, depth)
         return _lines("{", (encode_basestring_ascii(k) + ": "
                             + self.text(v, depth + 1)
                             for k, v in obj.items()), depth, "}")
-
-    def _flat_text(self, obj, depth) -> str:
-        # Without indent json's C encoder writes each member after the item
-        # separator, so "," plus the line break and indent of the members
-        # gives the indent=2 layout once the brackets get theirs.
-        text = self._flat_encoder(depth).encode(obj)
-        return (text[0] + "\n" + "  " * (depth + 1) + text[1:-1]
-                + "\n" + "  " * depth + text[-1])
 
     def _flat_encoder(self, depth):
         """The encoder whose item separator is "," and the line break and

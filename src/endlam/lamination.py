@@ -711,24 +711,23 @@ class LaminationRun:
     intersections: MeagerInvariantSet | None = None  # needs both signs
 
 
-def laminate(scene, params: AxiomParams,
-             extract: bool = True) -> LaminationRun:
+def laminate(scene, params: AxiomParams) -> LaminationRun:
     """Juncture orbits in scene order, the limit leaves of each sign
     (negative junctures give the plus lamination), their crossing audits
     and the transverse intersections of the two.  Each juncture's family
     holds its converging side only, n = 0..h or 0..-h, and the junctures
     share one ``_OrbitTable``: the ball once, and each word's images once,
-    over the union of its junctures' sides.  ``extract=False`` builds the
-    families only."""
-    return _laminate(scene, params, extract)[1]
+    over the union of its junctures' sides."""
+    return _laminate(scene, params)[1]
 
 
 def _laminate(scene, params: AxiomParams, extract: bool = True,
               layers: bool = False):
     """``(layers, run)``: ``laminate``'s run and, with ``layers``, each
     juncture's -h..h family, the juncture layers ``render`` draws, from
-    the run's table, which then builds each word over -h..h once.  Layers
-    without ``extract`` are all ``render`` needs: the run is then empty."""
+    the run's table, which then builds each word over -h..h once.  Without
+    ``extract`` the run holds the families only; with ``layers`` too, it is
+    empty, for the layers are all ``render`` needs then."""
     h = params.horizon
     drawn = [(j, range(-h, h + 1)) for j in scene.junctures] if layers else []
     sides = ([(j, _converging_iterates(j, h)) for j in scene.junctures]

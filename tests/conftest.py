@@ -65,6 +65,39 @@ def make_scene(gen_a, gen_b, forward, inverse, junctures):
     )
 
 
+def one_holed_torus_scene(x, y, z, k):
+    """The scene of the group with trace triple (tr a, tr b, tr ab) =
+    (x, y, z), a = diag(m, 1/m) and b = [[p, 1], [p s - 1, s]], under the
+    twist power a -> a b^k, b -> b, with junctures e- and e+ on a.  Its
+    base leaves are known in closed form (``one_holed_torus_leaf``)."""
+    m = (x + math.sqrt(x * x - 4)) / 2
+    p = (z - y / m) / (m - 1 / m)
+    s = y - p
+    return make_scene(
+        [[m, 0], [0, 1 / m]], [[p, 1], [p * s - 1, s]],
+        forward=(" ".join(["a"] + ["b"] * k), "b"),
+        inverse=(" ".join(["a"] + ["b^-1"] * k), "b"),
+        junctures=[("e-", "-", "a"), ("e+", "+", "a")],
+    )
+
+
+def one_holed_torus_leaf(scene, sign):
+    """The base leaf of lamination ``sign`` of ``one_holed_torus_scene``:
+    phi^n(a) = a b^(kn), so Lambda+ is (b^-inf, a b^+inf) and Lambda- is
+    (b^+inf, a b^-inf), each from the fixed points of b by the quadratic
+    formula and a's boundary map t -> m^2 t."""
+    (m, _), _ = scene.group.letter_isometry(1).matrix
+    (p, _), (c, s) = scene.group.letter_isometry(2).matrix
+    # b fixes the roots of c t^2 + (s - p) t - 1; its boundary derivative
+    # 1 / (c t + s)^2 is below 1 at the attracting one.
+    roots = [((p - s) + r * math.sqrt((p + s) ** 2 - 4)) / (2 * c)
+             for r in (1, -1)]
+    repelling, attracting = sorted(roots, key=lambda t: abs(c * t + s))
+    if sign == "-":
+        repelling, attracting = attracting, repelling
+    return Geodesic.from_boundary(repelling, m * m * attracting)
+
+
 @pytest.fixture
 def torus_scene():
     """Two-generator purely hyperbolic scene with the shift substitution."""
