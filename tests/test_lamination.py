@@ -1387,6 +1387,7 @@ class TestOneHoledTorus:
     @pytest.mark.parametrize("triple, k", _TORUS_CASES)
     def test_leaves_are_images_of_the_closed_form(self, triple, k):
         scene, run = _torus_run(triple, k)
+        ball = [m for _, m in enumerate_ball(scene.group, 4)]
         for sign in ("+", "-"):
             lam = run.laminations[sign]
             base = one_holed_torus_leaf(scene, sign)
@@ -1396,8 +1397,7 @@ class TestOneHoledTorus:
             assert angular_gap(identity.a.theta, base.a.theta) < 1e-12
             assert angular_gap(identity.b.theta, base.b.theta) < 1e-12
             images = [(boundary_action(m, base.a).theta,
-                       boundary_action(m, base.b).theta)
-                      for _, m in enumerate_ball(scene.group, 4)]
+                       boundary_action(m, base.b).theta) for m in ball]
             for leaf in lam.leaves:
                 assert min(max(angular_gap(leaf.a.theta, ta),
                                angular_gap(leaf.b.theta, tb))
