@@ -566,41 +566,72 @@ class CrossingViolation:
     leaf_b: Geodesic
 
 
-_MASK_ROWS = 64  # mask rows per block: float temporaries stay under ~1 MB
-
-
 def _endpoint_angles(leaves: list[Geodesic]) -> np.ndarray:
     return np.array([(g.a.theta, g.b.theta) for g in leaves],
                     dtype=float).reshape(-1, 2)
 
 
-def _crossing_pairs(p: np.ndarray, q: np.ndarray, tol: float,
-                    upper: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """(i, j), row-major, where chord i of ``p`` crosses chord j of ``q``
-    (rows of endpoint angles); ``upper`` keeps only j > i, and each block
-    then evaluates only the columns past its first row.
+def _interleaved(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j), i < j row-major, where the sorted ends of chords i and j
+    (rows of endpoint angles) interleave: the candidates of
+    ``_crossing_pairs``, from one sweep.
 
-    ``geodesic_relation`` per pair is the scalar reference, and each pair
-    gets its verdict bit for bit.  The mask blocks hold the interleave test
-    only; the four ``angular_gaps >= tol`` tests, which clear shared
-    endpoints, run on the interleaved pairs alone.
+    Each chord is the interval (lo, hi) of its sorted angles, and the 2n
+    ends go through one stable sort, opens before closes at equal angles.
+    The open chords are kept in opening order.  When a chord closes, it is
+    found by scanning back from the end, and every chord after it, opened
+    later and still open, interleaves with it.  The work is O(n log n + k)
+    for k interleaved pairs: a laminar family closes each chord at the top.
     """
-    a2, b2 = q.T
-    found = [(np.empty(0, dtype=np.int64),) * 2]
-    for start in range(0, len(p), _MASK_ROWS):
-        block = p[start:start + _MASK_ROWS]
-        first = start + 1 if upper else 0
-        a1, b1 = block[:, :1], block[:, 1:]
-        beta = (b1 - a1) % TWO_PI
-        i, j = np.nonzero(((a2[first:] - a1) % TWO_PI < beta)
-                          != ((b2[first:] - a1) % TWO_PI < beta))
-        if upper:  # block column j is leaf first + j: keep leaf j > leaf i
-            i, j = i[j >= i], j[j >= i]
-        found.append((start + i, first + j))
-    i, j = map(np.concatenate, zip(*found))
-    keep = np.ones(len(i), dtype=bool)
-    for u in p[i].T:
-        for v in q[j].T:
+    n = len(rows)
+    lo, hi = np.sort(rows, axis=1).T
+    stack, first, later = [], [], []
+    for e in np.argsort(np.concatenate((lo, hi)), kind="stable").tolist():
+        if e < n:                       # chord e opens
+            stack.append(e)
+            continue
+        at = len(stack) - 1             # chord e - n closes
+        while stack[at] != e - n:
+            at -= 1
+        first += [e - n] * (len(stack) - 1 - at)
+        later += stack[at + 1:]
+        del stack[at]
+    first, later = (np.array(x, dtype=np.int64) for x in (first, later))
+    i, j = np.minimum(first, later), np.maximum(first, later)
+    order = np.lexsort((j, i))
+    return i[order], j[order]
+
+
+def _crossing_pairs(p: np.ndarray, q: np.ndarray | None,
+                    tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j), row-major, where chord i of ``p`` crosses chord j of ``q``
+    (rows of endpoint angles); for ``q`` None, where chords i < j of ``p``
+    cross.  The candidates are the ``_interleaved`` pairs of ``p``, or of
+    ``p`` and ``q`` swept together with one chord of each kept.
+
+    ``geodesic_relation`` per pair is the scalar reference, and each
+    candidate gets its verdict bit for bit: the modular interleave test,
+    then the four ``angular_gaps >= tol`` tests, which clear shared
+    endpoints.  No pair the verdict accepts is missed: its four cross-chord
+    gaps are at least tol (at least ``ANGLE_TOL_FLOOR`` = 1e-12 in a run),
+    far above the ~1e-15 rounding of a modular difference, so the sorted
+    order of its ends agrees with the modular test.  Ties and ulp-close
+    ends can add or drop only pairs with a gap below tol, which the verdict
+    rejects anyway.
+    """
+    if q is None:
+        i, j = _interleaved(p)
+        q = p
+    else:
+        i, j = _interleaved(np.concatenate((p, q)))
+        across = (i < len(p)) & (j >= len(p))
+        i, j = i[across], j[across] - len(p)
+    a1, b1 = p[i].T
+    a2, b2 = q[j].T
+    beta = (b1 - a1) % TWO_PI
+    keep = ((a2 - a1) % TWO_PI < beta) != ((b2 - a1) % TWO_PI < beta)
+    for u in (a1, b1):
+        for v in (a2, b2):
             keep &= angular_gaps(u, v) >= tol
     return i[keep], j[keep]
 
@@ -609,10 +640,10 @@ def crossing_audit(lam: LaminationApprox,
                    tol: float = ANGLE_TOL) -> list[CrossingViolation]:
     """Pairs of leaves of one lamination that transversely cross, i < j
     in row-major order, as ``geodesic_relation`` would read each pair;
-    only the columns j > i of each mask block are evaluated."""
+    ``_crossing_pairs`` sweeps the leaves' endpoints once."""
     leaves = lam.leaves
     ends = _endpoint_angles(leaves)
-    i, j = _crossing_pairs(ends, ends, tol, upper=True)
+    i, j = _crossing_pairs(ends, None, tol)
     return [CrossingViolation(a, b, leaves[a], leaves[b])
             for a, b in zip(i.tolist(), j.tolist())]
 
@@ -644,12 +675,12 @@ def transversal_intersections(lam_plus: LaminationApprox,
                               tol: float = ANGLE_TOL) -> MeagerInvariantSet:
     """All cross pairs between the two leaf families with their points.
 
-    The crossing pairs come row-major from ``_crossing_pairs`` and their
-    points from one ``geodesic_intersections`` call, which equals the
-    scalar ``geodesic_intersection`` and ``to_disk`` per pair, errors
-    included.  Two distinct geodesics meet at most once, so each pair
-    contributes at most one record.  Leaves meeting nothing opposite are
-    flagged.
+    The crossing pairs come row-major from ``_crossing_pairs``, one sweep
+    over the endpoints of both families, and their points from one
+    ``geodesic_intersections`` call, which equals the scalar
+    ``geodesic_intersection`` and ``to_disk`` per pair, errors included.
+    Two distinct geodesics meet at most once, so each pair contributes at
+    most one record.  Leaves meeting nothing opposite are flagged.
     """
     plus, minus = (_endpoint_angles(lam.leaves)
                    for lam in (lam_plus, lam_minus))

@@ -25,6 +25,7 @@ from endlam.hyperbolic import (
     Geodesic,
     Isometry,
     angular_gap,
+    angular_gaps,
     apply_isometry,
     axis,
     boundary_action,
@@ -229,6 +230,32 @@ def sorted_first_distinct(geodesics, tol):
     pairs = [g.sorted_angles() for g in geodesics]
     return sequential_first_distinct([u for u, _ in pairs],
                                      [v for _, v in pairs], tol)
+
+
+def reference_crossing_pairs(p, q, tol, upper=False):
+    """(i, j), row-major, where chord i of ``p`` crosses chord j of ``q``,
+    from the 64-row mask blocks that the endpoint sweep replaced: each
+    block holds the interleave test for all its pairs, the four gap tests
+    run on the interleaved pairs alone, and ``upper`` keeps only j > i,
+    evaluating each block's columns past its first row."""
+    a2, b2 = q.T
+    found = [(np.empty(0, dtype=np.int64),) * 2]
+    for start in range(0, len(p), 64):
+        block = p[start:start + 64]
+        first = start + 1 if upper else 0
+        a1, b1 = block[:, :1], block[:, 1:]
+        beta = (b1 - a1) % TWO_PI
+        i, j = np.nonzero(((a2[first:] - a1) % TWO_PI < beta)
+                          != ((b2[first:] - a1) % TWO_PI < beta))
+        if upper:  # block column j is leaf first + j: keep leaf j > leaf i
+            i, j = i[j >= i], j[j >= i]
+        found.append((start + i, first + j))
+    i, j = map(np.concatenate, zip(*found))
+    keep = np.ones(len(i), dtype=bool)
+    for u in p[i].T:
+        for v in q[j].T:
+            keep &= angular_gaps(u, v) >= tol
+    return i[keep], j[keep]
 
 
 def family_of(entries):

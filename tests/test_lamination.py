@@ -73,6 +73,7 @@ from conftest import (
     one_holed_torus_leaf,
     one_holed_torus_scene,
     quadratic_axis_oracle,
+    reference_crossing_pairs,
     reference_extract,
     reference_merge,
     schottky_conjugate_data,
@@ -554,7 +555,8 @@ def block_case(draw):
 
 class TestCrossingMask:
     """``crossing_audit`` and ``transversal_intersections`` against the
-    scalar ``geodesic_relation`` loops they replace."""
+    scalar ``geodesic_relation`` loops and the mask blocks they replace,
+    and the corners of the endpoint sweep that proposes their pairs."""
 
     @settings(max_examples=400, deadline=None)
     @given(chord_case())
@@ -573,7 +575,7 @@ class TestCrossingMask:
     @given(block_case())
     def test_families_past_one_block_match_scalar_loops(self, case):
         tol, plus, minus = case
-        assert len(plus) > lamination._MASK_ROWS
+        assert len(plus) > 64
         for leaves in (plus, minus):
             assert crossing_audit(LaminationApprox(leaves, [], []),
                                   tol) == reference_audit(leaves, tol)
@@ -631,6 +633,99 @@ class TestCrossingMask:
             run.laminations["+"].leaves, run.laminations["-"].leaves,
             ANGLE_TOL)
         assert len(run.intersections.points) == 1272
+
+    def test_nested_family_has_no_candidates(self):
+        # 1000 chords around pi, each inside the next, in shuffled order:
+        # every chord closes at the top of the open list.
+        rng = random.Random(0)
+        width = [0.001 * (k + 1) for k in range(1000)]
+        rng.shuffle(width)
+        ends = np.array([(math.pi + w, math.pi - w) for w in width])
+        i, j = lamination._interleaved(ends)
+        assert len(i) == len(j) == 0
+        leaves = [Geodesic.from_angles(*row) for row in ends.tolist()]
+        assert crossing_audit(LaminationApprox(leaves, [], [])) == []
+
+    def test_mutually_crossing_family_gives_every_pair(self):
+        # 300 diameters: any two cross, so all 300 * 299 / 2 pairs are
+        # candidates and violations, row-major.
+        rng = random.Random(1)
+        angles = [math.pi * (k + 0.5) / 300 for k in range(300)]
+        rng.shuffle(angles)
+        ends = np.array([(t + math.pi, t) if k % 2 else (t, t + math.pi)
+                         for k, t in enumerate(angles)])
+        pairs = [(i, j) for i in range(300) for j in range(i + 1, 300)]
+        assert len(pairs) == 44850
+        i, j = lamination._interleaved(ends)
+        assert list(zip(i.tolist(), j.tolist())) == pairs
+        leaves = [Geodesic.from_angles(*row) for row in ends.tolist()]
+        violations = crossing_audit(LaminationApprox(leaves, [], []))
+        assert violations == reference_audit(leaves, ANGLE_TOL)
+        assert [(v.index_a, v.index_b) for v in violations] == pairs
+
+    @pytest.mark.parametrize("swap", [False, True])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_shared_and_wrapping_endpoints_match_scalar_loops(self, swap,
+                                                              reverse):
+        # Chords sharing an exact endpoint (one at 0.0, one at the float
+        # below 2 pi), each written both ways round and listed both ways,
+        # beside chords that cross them.
+        top = math.nextafter(TWO_PI, 0)
+        rows = [(0.0, 2.0), (2.0, 4.0), (1.0, top), (0.0, 3.0), (top, 5.0),
+                (3.0, 5.5), (2.0, 0.0), (0.5, 4.5), (top, 0.5)]
+        rows = [(b, a) if swap else (a, b) for a, b in rows]
+        leaves = [Geodesic.from_angles(*row) for row in rows]
+        leaves = leaves[::-1] if reverse else leaves
+        plus, minus = leaves[:5], leaves[4:]
+        for tol in (1e-12, ANGLE_TOL, 1e-3):
+            audit = crossing_audit(LaminationApprox(leaves, [], []), tol)
+            assert audit == reference_audit(leaves, tol)
+            assert len(audit) > 0
+            assert outcome(transversal_intersections,
+                           LaminationApprox(plus, [], []),
+                           LaminationApprox(minus, [], []),
+                           tol) == outcome(reference_intersections,
+                                           plus, minus, tol)
+
+    @settings(max_examples=400, deadline=None)
+    @given(chord_case())
+    def test_every_crossing_pair_is_a_candidate(self, case):
+        tol, plus, minus = case
+        leaves = plus + minus
+        i, j = lamination._interleaved(lamination._endpoint_angles(leaves))
+        candidates = set(zip(i.tolist(), j.tolist()))
+        for a in range(len(leaves)):
+            for b in range(a + 1, len(leaves)):
+                if geodesic_relation(leaves[a], leaves[b], tol) == "cross":
+                    assert (a, b) in candidates
+
+    @pytest.mark.parametrize("conjugator, ball, angle_tol, violations", [
+        (None, 6, ANGLE_TOL, 0),
+        (None, 5, 1e-10, 137),
+        (None, 5, 1e-12, 8),
+        ((3.3, -0.3, 0.8), 5, ANGLE_TOL, 152)])
+    def test_deep_runs_match_mask_reference(self, monkeypatch, conjugator,
+                                            ball, angle_tol, violations):
+        # Scales where the scalar loops are too slow: the sweep against
+        # the mask blocks it replaced, at horizon 20.
+        run = laminate(schottky_conjugate(conjugator),
+                       AxiomParams(horizon=20, ball=ball,
+                                   angle_tol=angle_tol))
+        lams = run.laminations
+
+        def mask_pairs(p, q, tol):
+            if q is None:
+                return reference_crossing_pairs(p, p, tol, upper=True)
+            return reference_crossing_pairs(p, q, tol)
+
+        monkeypatch.setattr(lamination, "_crossing_pairs", mask_pairs)
+        for lam in lams.values():
+            assert lam.crossing_violations == crossing_audit(lam, angle_tol)
+        assert run.intersections == transversal_intersections(
+            lams["+"], lams["-"], angle_tol)
+        assert run.intersections.points
+        assert sum(len(lam.crossing_violations)
+                   for lam in lams.values()) == violations
 
 
 def reference_orbit(scene, juncture, n_range, ball_k):
