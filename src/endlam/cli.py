@@ -681,7 +681,9 @@ def run_command(argv) -> int:
     json_path = getattr(args, "json_path", None)
     try:
         for flag, path in (("--out", out), ("--json", json_path)):
-            if path:
+            if path == "":
+                raise ValidationError(f"{flag} needs a file path, got ''")
+            if path is not None:
                 _check_output(path)
                 # Two stats, far cheaper than resolving both paths; it
                 # raises for a missing file, which is no scene to lose.

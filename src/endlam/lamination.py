@@ -111,9 +111,15 @@ class GeodesicFamily:
     """Deduplicated geodesics held as arrays, one element per entry.
 
     Entry i has endpoint angles ``ta[i]``, ``tb[i]`` and is iterate
-    ``iterate[i]`` of chain ``chains[chain[i]]``.  Chains are numbered in
-    the order their first entries appear.  ``entries`` builds (checked)
-    objects from the arrays on demand.
+    ``iterate[i]`` of chain ``chains[chain[i]]``.  ``entries`` builds
+    (checked) objects from the arrays on demand.
+
+    The rows keep a contract, which ``extract_limit_leaves`` reads in
+    place: the entries are grouped by chain; the chains are numbered
+    0, 1, ... in row order; and each chain's iterates run in its
+    convergence direction, ascending for sign - and descending for +.
+    ``juncture_orbit`` builds its families so, and ``merge`` keeps the
+    contract of families that keep it.
     """
 
     ta: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -208,19 +214,22 @@ class _OrbitTable:
     """The orbit work of one lamination run that its junctures share: the
     ball, and per juncture word the ball images of its iterates' axes.
 
-    Each piece is built on first use and kept for the table's life, keyed
-    by everything it is built from.  ``reads`` names the iterates the run
-    will read of each juncture, so that a word's images are built once,
-    over the union of what its junctures read, sorted in the convergence
-    direction of the first juncture on it; a word the table was not told
-    of is built over the iterates first asked for.  A juncture gets its
-    columns of the build by index, equal bit for bit to a build of its
-    own, since the images are computed element by element.
+    The table is built from the run's parameters and told every read up
+    front: ``reads`` names the iterates the run will read of each
+    juncture.  A word's images are built once, on the demand of its first
+    juncture, over the union of what its junctures read, sorted in the
+    convergence direction of the first juncture on it; the ball is
+    enumerated by the first build.  A juncture gets its columns of the
+    build by index, equal bit for bit to a build of its own, since the
+    images are computed element by element.
     """
 
-    def __init__(self, scene, reads=()):
+    def __init__(self, scene, reads, ball_k: int, max_letters: int,
+                 max_words: int, trace_tol: float):
         self.scene = scene
-        self._balls = {}
+        self.ball_k, self.max_words = ball_k, max_words
+        self.max_letters, self.trace_tol = max_letters, trace_tol
+        self.ball = None
         self._images = {}
         unions = {}
         for juncture, iterates in reads:
@@ -230,43 +239,34 @@ class _OrbitTable:
         self._orders = {word: sorted(union, reverse=(sign == "+"))
                         for word, (sign, union) in unions.items()}
 
-    def ball(self, ball_k: int, max_words: int):
-        key = ball_k, max_words
-        if key not in self._balls:
-            self._balls[key] = enumerate_ball(self.scene.group, ball_k,
-                                              max_words=max_words)
-        return self._balls[key]
-
-    def images(self, juncture: JunctureSpec, iterates: list[int],
-               ball_k: int, max_letters: int, max_words: int,
-               trace_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    def images(self, juncture: JunctureSpec,
+               iterates: list[int]) -> tuple[np.ndarray, np.ndarray]:
         """Angles of the g-images of the endpoints a and b of the axis of
         each phi^n(w), a row per ball element g and a column per iterate n
         in the order of ``iterates``; the identity, first in the ball,
         keeps the axes' own angles."""
-        order = self._orders.get(juncture.word, iterates)
-        key = (juncture.word, tuple(order), ball_k, max_letters, max_words,
-               trace_tol)
-        if key not in self._images:
-            self._images[key] = self._build(
-                juncture, order, self.ball(ball_k, max_words), max_letters,
-                trace_tol)
+        order = self._orders[juncture.word]
+        if juncture.word not in self._images:
+            self._images[juncture.word] = self._build(juncture, order)
         column = {n: i for i, n in enumerate(order)}
         columns = [column[n] for n in iterates]
-        return tuple(t[:, columns] for t in self._images[key])
+        return tuple(t[:, columns] for t in self._images[juncture.word])
 
-    def _build(self, juncture, iterates, ball, max_letters, trace_tol):
+    def _build(self, juncture, iterates):
         scene = self.scene
+        if self.ball is None:
+            self.ball = enumerate_ball(scene.group, self.ball_k,
+                                       max_words=self.max_words)
         axes: list[Geodesic] = []
-        for n, _, conj, core_m in _iterate_cores(scene, juncture, iterates,
-                                                 max_letters, trace_tol):
-            base = axis(core_m, trace_tol)
+        for n, _, conj, core_m in _iterate_cores(
+                scene, juncture, iterates, self.max_letters, self.trace_tol):
+            base = axis(core_m, self.trace_tol)
             if not conj.is_identity():
                 conj_m = evaluate_word(scene.group, conj)
                 base = Geodesic(boundary_action(conj_m, base.a),
                                 boundary_action(conj_m, base.b))
             axes.append(base)
-        mats = [[getattr(g, x) for _, g in ball] for x in "abcd"]
+        mats = [[getattr(g, x) for _, g in self.ball] for x in "abcd"]
         ends = []
         for x in "ab":
             points = [getattr(base, x) for base in axes]
@@ -293,23 +293,22 @@ def juncture_orbit(scene, juncture: JunctureSpec, n_range=None,
     and kept as arrays: no per-entry object is built.  ``laminate``
     passes the converging side of the juncture, n = 0..h or 0..-h;
     ``render`` draws -h..h.  The ball and the images come from ``table``,
-    the run's shared ``_OrbitTable``, whose columns for these iterates are
-    what the call would build alone; without one the call builds its own.
+    the run's ``_OrbitTable``, built from the same parameters and told
+    this read; without one the call builds a table of its own.
     """
     if n_range is None:
         n_range = range(-DEFAULT_HORIZON, DEFAULT_HORIZON + 1)
-    if table is None:
-        table = _OrbitTable(scene)
     # Insert along the chain's convergence direction (ascending for
     # negative junctures, descending for positive ones) so that when the
     # tail clusters below the angle tolerance, deduplication keeps the
     # earliest cluster member and the surviving tail stays geometric.
     iterates = sorted(set(int(n) for n in n_range),
                       reverse=(juncture.sign == "+"))
-    ball = table.ball(ball_k, max_words)
+    if table is None:
+        table = _OrbitTable(scene, [(juncture, iterates)], ball_k,
+                            max_letters, max_words, trace_tol)
     # Endpoint angles of every candidate, g-major and iterate-minor.
-    ta, tb = (t.ravel() for t in table.images(
-        juncture, iterates, ball_k, max_letters, max_words, trace_tol))
+    ta, tb = (t.ravel() for t in table.images(juncture, iterates))
     if (angular_gaps(ta, tb) < ANGLE_TOL).any():
         raise ValidationError("geodesic endpoints coincide")
     keep = first_distinct(np.minimum(ta, tb), np.maximum(ta, tb), angle_tol)
@@ -318,7 +317,7 @@ def juncture_orbit(scene, juncture: JunctureSpec, n_range=None,
     return GeodesicFamily(
         ta[keep], tb[keep], chain, np.array(iterates)[kept % len(iterates)],
         [ChainProvenance(juncture, word, conjugator_isometry=g_m)
-         for word, g_m in map(ball.__getitem__, used.tolist())])
+         for word, g_m in map(table.ball.__getitem__, used.tolist())])
 
 
 def _converging_iterates(juncture: JunctureSpec, horizon: int) -> list[int]:
@@ -485,10 +484,11 @@ def extract_limit_leaves(family: GeodesicFamily,
     Constant chains are excluded: their limit is the juncture axis
     itself, and the lamination is the closure minus the family.
 
-    Three passes over the entry arrays sorted by chain: every chain's
-    tests at once (``_chain_verdicts``); the limits of the chains they
-    pass, by one Aitken step per endpoint where no base limit is known,
-    else as the base limit's image under the chain's conjugator, one
+    Three passes over the entry arrays, read in place by the row
+    contract of ``GeodesicFamily``: every chain's tests at once
+    (``_chain_verdicts``); the limits of the chains they pass, by one
+    Aitken step per endpoint where no base limit is known, else as the
+    base limit's image under the chain's conjugator, one
     ``boundary_images`` call per base (``boundary_action`` bit for bit);
     the records, with the leaves built in chain order, so that the first
     chain whose endpoints coincide raises.
@@ -497,17 +497,13 @@ def extract_limit_leaves(family: GeodesicFamily,
     if len(signs) > 1:
         raise ValidationError("family mixes juncture signs; extract per sign")
 
-    # Entries by chain in first-appearance order, and along each chain by
-    # iterate in its convergence direction (descending for "+" junctures).
-    order = np.lexsort((-family.iterate if signs == {"+"}
-                        else family.iterate, family.chain))
-    chain, ta, tb = family.chain[order], family.ta[order], family.tb[order]
+    ta, tb = family.ta, family.tb
     steps = np.maximum(angular_gaps(ta[:-1], ta[1:]),
                        angular_gaps(tb[:-1], tb[1:]))
-    starts = np.flatnonzero(np.diff(chain, prepend=-1))
-    ends = np.append(starts[1:], len(chain))[:len(starts)]
+    starts = np.flatnonzero(np.diff(family.chain, prepend=-1))
+    ends = np.append(starts[1:], len(family))[:len(starts)]
     verdicts = _chain_verdicts(steps, ends - starts, ends, tol)
-    provs = [family.chains[c] for c in chain[starts].tolist()]
+    provs = family.chains
     starts, ends = starts.tolist(), ends.tolist()
 
     # A conjugated chain converges to exactly the image of its base
@@ -537,7 +533,7 @@ def extract_limit_leaves(family: GeodesicFamily,
     rows = limits[verdicts == 0]
     leaves = [Geodesic.from_angles(a, b) for a, b in rows.tolist()]
     certificates, skipped = [], []
-    steps, iterates = steps.tolist(), family.iterate[order].tolist()
+    steps, iterates = steps.tolist(), family.iterate.tolist()
     for prov, start, end, verdict in zip(provs, starts, ends,
                                          verdicts.tolist()):
         j = prov.juncture
@@ -763,7 +759,9 @@ def _laminate(scene, params: AxiomParams, extract: bool = True,
     drawn = [(j, range(-h, h + 1)) for j in scene.junctures] if layers else []
     sides = ([(j, _converging_iterates(j, h)) for j in scene.junctures]
              if extract or not layers else [])
-    table = _OrbitTable(scene, drawn + sides)
+    table = _OrbitTable(scene, drawn + sides, params.ball,
+                        params.max_letters, params.max_words,
+                        params.trace_tol)
 
     def orbits(reads):
         return [(j, juncture_orbit(scene, j, n_range, params.ball,

@@ -406,6 +406,19 @@ class TestUnwritableOutput:
             "", f"error: cannot write {path}: No such file or directory\n")
         assert list(tmp_path.iterdir()) == [golden]
 
+    @pytest.mark.parametrize("argv", [
+        ["render", "--out"], ["laminate", "--json"], ["laminate", "--out"],
+        ["limit-set", "--out"], ["limit-set", "--json"],
+        ["escape", "--json"], ["axioms", "--json"],
+        ["markov", "verify", "--json"], ["markov", "entropy", "--json"],
+        ["markov", "measure", "--json"], ["markov", "words", "--json"]])
+    def test_empty_path_refused(self, argv, golden, capsys):
+        *command, flag = argv
+        code = run_command([*command, str(golden), flag, ""])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"error: {flag} needs a file path, got ''\n")
+
     @pytest.mark.parametrize("flag", ["--out", "--json"])
     def test_directory_refused(self, flag, golden, tmp_path, capsys):
         code = run_command(["limit-set", str(golden), "--depth", "2",
