@@ -500,6 +500,22 @@ def cmd_markov_measure(scene, params, args):
     return EXIT_OK if result.converged else EXIT_FLAGGED, None, result
 
 
+def _word_lines(words: np.ndarray, n: int) -> str:
+    """The ``--list-words`` text: per word, two spaces, the ``str`` of
+    each symbol and a newline.  Each symbol's digits fill a row of one
+    byte table, padded to the widest with a NUL, which is dropped after."""
+    width = len(str(n))
+    digits = np.frombuffer("".join([str(i).ljust(width, "\0")
+                                    for i in range(n + 1)]).encode(),
+                           dtype=np.uint8).reshape(n + 1, width)
+    count, m = words.shape
+    lines = np.empty((count, m * width + 3), dtype=np.uint8)
+    lines[:, :2] = ord(" ")
+    lines[:, 2:-1] = digits[words].reshape(count, m * width)
+    lines[:, -1] = ord("\n")
+    return lines.tobytes().replace(b"\0", b"").decode("ascii")
+
+
 def cmd_markov_words(scene, params, args):
     A = build_matrix_A(_require_markov(scene))
     listing = admissible_words(A, args.length)
@@ -514,9 +530,7 @@ def cmd_markov_words(scene, params, args):
         listing=listing if args.length >= 2 else None)
     print(f"admissible words of length {args.length}: {listing.count}")
     if args.list_words:
-        symbols = [str(i) for i in range(A.shape[0] + 1)]
-        sys.stdout.write("".join(["  " + "".join([symbols[s] for s in word])
-                                  + "\n" for word in listing.words]))
+        sys.stdout.write(_word_lines(listing.words, A.shape[0]))
     if coding.dead_end_symbols:
         print(f"dead-end symbols: {coding.dead_end_symbols}")
     return EXIT_OK, None, {"count": listing.count, "words": listing.words,

@@ -20,6 +20,8 @@ PERRON_TOL = 1e-12
 RADIUS_RTOL = 1e-9
 # Most admissible words a listing holds; past it only the count is kept.
 LIST_BUDGET = 10 ** 5
+# Tables hold their counts as int64, so no count may exceed this.
+COUNT_MAX = 2 ** 63 - 1
 
 
 class CrossingTable:
@@ -29,7 +31,11 @@ class CrossingTable:
     def __init__(self, rect_ids, counts):
         self.rect_ids = tuple(rect_ids)
         n = len(self.rect_ids)
-        counts = np.asarray(counts, dtype=np.int64)
+        try:
+            counts = np.asarray(counts, dtype=np.int64)
+        except OverflowError:
+            raise ValidationError(
+                "crossing counts must lie in 0..2^63 - 1") from None
         if counts.shape != (n, n):
             raise ValidationError(
                 f"crossing table is {counts.shape}, expected ({n}, {n})"
@@ -54,6 +60,10 @@ class CrossingTable:
                 raise ValidationError(
                     f"crossing count at ({i}, {j}) is negative"
                 )
+            if count > COUNT_MAX:
+                raise ValidationError(
+                    f"crossing count at ({i}, {j}) is above 2^63 - 1"
+                )
             first = rows.setdefault((i, j), row)
             if first != row:
                 raise ValidationError(
@@ -76,11 +86,10 @@ class MarkovCheck:
 
 def verify_markov(table: CrossingTable) -> MarkovCheck:
     """Every positive crossing count must be exactly one."""
-    violations = [
-        (i + 1, j + 1, int(c))
-        for (i, j), c in np.ndenumerate(table.counts)
-        if c > 1
-    ]
+    over = table.counts > 1
+    i, j = np.nonzero(over)                 # row-major, as over's mask
+    violations = list(zip((i + 1).tolist(), (j + 1).tolist(),
+                          table.counts[over].tolist()))
     return MarkovCheck(ok=not violations, violations=violations)
 
 
@@ -126,8 +135,39 @@ def count_admissible(A, m: int) -> int:
 
 @dataclass
 class AdmissibleWords:
+    """The number of admissible words of one length and, within the list
+    budget, the words: one integer array, one row per word, 1-based
+    symbols, rows in lexicographic order."""
+
     count: int
-    words: list[tuple[int, ...]] | None  # None when over the list budget
+    words: np.ndarray | None  # None when the count is over the list budget
+
+
+class _Successors:
+    """CSR of a 0/1 pattern whose columns are cut to ``alive``: the
+    successors of symbol i, in symbol order, are ``to[start[i]:start[i +
+    1]]``.  ``single`` is set when every symbol of ``tails`` has exactly
+    one successor, and is then that successor per symbol."""
+
+    def __init__(self, P: np.ndarray, alive: np.ndarray, tails: np.ndarray):
+        pattern = P & alive
+        self.to = np.nonzero(pattern)[1]
+        degree = pattern.sum(axis=1)
+        self.start = np.concatenate(([0], np.cumsum(degree)))
+        self.single = (
+            self.to[np.minimum(self.start[:-1], len(self.to) - 1)]
+            if (degree[tails] == 1).all() else None)
+
+    def children(self, last: np.ndarray):
+        """(parent, child): every successor of every prefix ending in
+        ``last``, parents in order and each one's children in symbol
+        order."""
+        first = self.start[last]
+        degree = self.start[last + 1] - first
+        parent = np.repeat(np.arange(len(last)), degree)
+        # Child k of the level sits at to[first[parent] + its rank].
+        offset = first - (np.cumsum(degree) - degree)
+        return parent, self.to[offset[parent] + np.arange(len(parent))]
 
 
 def admissible_words(A, m: int) -> AdmissibleWords:
@@ -136,33 +176,65 @@ def admissible_words(A, m: int) -> AdmissibleWords:
     Symbols are 1-based; a word (i_0, ..., i_{m-1}) is admissible when
     A[i_k, i_{k+1}] is nonzero for every consecutive pair.  Each word
     counts once, whatever the entries: the count is over A's nonzero
-    pattern, so it equals the length of the listing.
+    pattern, so it equals the number of rows of the listing.
+
+    The words are built one symbol a level, every prefix's children in
+    symbol order, so each level stays sorted.  A prefix is only extended
+    by symbols that can still go the remaining steps: reach[k], the
+    symbols that start a path of k steps, is P^k 1 > 0, which stops
+    changing once two steps agree (within n steps), so the successor
+    tables cut to it are built once each.  No level is then larger than
+    the listing, and the rows are read back along the parent indices.  A
+    level where every prefix has one successor is one gather and keeps no
+    array: its column is read off the column before.
     """
     A = _as_count_matrix(A)
-    count = count_admissible(A > 0, m)
+    P = A > 0
+    count = count_admissible(P, m)
     if count > LIST_BUDGET:
         return AdmissibleWords(count=count, words=None)
-    # successors[i]: the symbols j with A[i, j] nonzero, for 1-based i.
-    successors = [()] + [tuple(j + 1 for j, a in enumerate(row) if a)
-                         for row in A.tolist()]
-    words: list[tuple[int, ...]] = []
-    # Depth first and smallest symbol first, so the words come out sorted;
-    # todo[k] runs over the choices for prefix[k].  A loop rather than
-    # recursion, so that m may exceed Python's recursion limit.
-    prefix: list[int] = []
-    todo = [iter(range(1, A.shape[0] + 1))]
-    while todo:
-        for j in todo[-1]:
-            prefix.append(j)
-            if len(prefix) < m:
-                todo.append(iter(successors[j]))
-                break
-            words.append(tuple(prefix))
-            prefix.pop()
+    # Filled a column at a time, each contiguous, and returned as rows.
+    columns = np.empty((m, count), dtype=np.int64)
+    words = columns.T
+    if not count:
+        return AdmissibleWords(count=count, words=words)
+    reach = [np.ones(P.shape[0], dtype=bool)]
+    while len(reach) < m:
+        step = P @ reach[-1]
+        if (step == reach[-1]).all():
+            break
+        reach.append(step)
+    stable = len(reach) - 1
+    # tables[k]: the successors that go k more steps, of the symbols that
+    # go k + 1; past ``stable`` every k has the same table.
+    tables = [_Successors(P, reach[k], reach[min(k + 1, stable)])
+              for k in range(min(stable, m - 2) + 1)]
+    tables += tables[-1:] * (m - 1 - len(tables))
+    last = np.flatnonzero(reach[-1])
+    # levels[c]: (parent row of each prefix, its last symbol) at column c,
+    # or None where every prefix has one child, which the column before
+    # decides.
+    levels = [(None, last)]
+    for steps in range(m - 2, -1, -1):
+        table = tables[steps]
+        if table.single is not None:
+            last = table.single[last]
+            levels.append(None)
         else:
-            todo.pop()
-            if prefix:
-                prefix.pop()
+            parent, last = table.children(last)
+            levels.append((parent, last))
+    rows = None             # level row of each word; None: the same row
+    for column in range(m - 1, -1, -1):
+        if levels[column] is not None:
+            parent, last = levels[column]
+            columns[column] = last if rows is None else last[rows]
+            if parent is not None:
+                rows = parent if rows is None else parent[rows]
+    for column in range(1, m):
+        if levels[column] is None:
+            columns[column] = tables[m - 1 - column].single[
+                columns[column - 1]]
+    columns += 1
     return AdmissibleWords(count=count, words=words)
 
 
@@ -336,8 +408,7 @@ def coding_consistency(A, depth: int,
     A = _as_count_matrix(A)
     if depth < 2:
         raise ValidationError("coding depth must be >= 2")
-    n = A.shape[0]
-    dead_ends = [i + 1 for i in range(n) if not A[i].any()]
+    dead_ends = (np.flatnonzero(~A.any(axis=1)) + 1).tolist()
     if listing is None:
         listing = admissible_words(A, depth)
     count_matrix = listing.count
@@ -347,8 +418,8 @@ def coding_consistency(A, depth: int,
     if listing.words is not None:
         count_enum = len(listing.words)
         match = count_enum == count_matrix
-        dead = set(dead_ends)
-        blocked = [word for word in listing.words if word[-1] in dead]
+        ends = np.isin(listing.words[:, -1], dead_ends)
+        blocked = list(map(tuple, listing.words[ends].tolist()))
     ok = (match is not False) and not dead_ends
     return CodingReport(
         depth=depth,

@@ -392,6 +392,46 @@ def reference_power_iteration(M, tol=PERRON_TOL, maxiter=10 ** 5):
                       converged=False, iterations=iterations, support=v > 0)
 
 
+def reference_admissible_words(A, m) -> list[tuple[int, ...]]:
+    """The admissible words of length m, 1-based, from the depth-first
+    walk ``markov.admissible_words`` ran before it built its words level
+    by level: every admissible prefix is visited, those that die before
+    length m too, smallest symbol first, so the words come out sorted."""
+    # successors[i]: the symbols j with A[i, j] nonzero, for 1-based i.
+    successors = [()] + [tuple(j + 1 for j, a in enumerate(row) if a)
+                         for row in np.asarray(A).tolist()]
+    words: list[tuple[int, ...]] = []
+    # todo[k] runs over the choices for prefix[k].  A loop rather than
+    # recursion, so that m may exceed Python's recursion limit.
+    prefix: list[int] = []
+    todo = [iter(range(1, len(successors)))]
+    while todo:
+        for j in todo[-1]:
+            prefix.append(j)
+            if len(prefix) < m:
+                todo.append(iter(successors[j]))
+                break
+            words.append(tuple(prefix))
+            prefix.pop()
+        else:
+            todo.pop()
+            if prefix:
+                prefix.pop()
+    return words
+
+
+def reference_word_lines(words) -> str:
+    """The ``--list-words`` text, one symbol's ``str`` at a time."""
+    return "".join("  " + "".join(str(s) for s in word) + "\n"
+                   for word in words)
+
+
+def reference_violations(counts):
+    """``verify_markov``'s violations from a walk over every entry."""
+    return [(i + 1, j + 1, int(c))
+            for (i, j), c in np.ndenumerate(counts) if c > 1]
+
+
 def reference_jsonable(obj, names):
     """Reference for the ``--json`` writer: the payload as JSON values,
     converted node by node; ``json.dumps`` of this tree with ``indent=2``

@@ -549,8 +549,7 @@ class TestLaminate:
         def degenerate(*args, **kwargs):
             raise NumericDegeneracyError("carriers graze tangentially")
 
-        monkeypatch.setattr(lamination, "transversal_intersections",
-                            degenerate)
+        monkeypatch.setattr(lamination, "geodesic_intersections", degenerate)
         report = tmp_path / "report.json"
         assert run_command(["laminate", str(schottky), "--horizon", "8",
                             "--ball", "1", "--json", str(report)]) == 2
@@ -674,6 +673,26 @@ class TestMarkov:
         assert capsys.readouterr() == (
             "", f"error: {golden}: markov.crossings: row 4 repeats the "
                 f"pair (1, 2) of row 1\n")
+
+    @pytest.mark.parametrize("sub", ["verify", "entropy", "measure",
+                                     "words"])
+    def test_count_beyond_int64_refused(self, sub, golden, capsys):
+        doc = json.loads(golden.read_text())
+        doc["markov"]["crossings"][2] = [2, 1, 10 ** 20]
+        golden.write_text(json.dumps(doc))
+        assert run_command(["markov", sub, str(golden)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {golden}: markov.crossings: crossing count at "
+                f"(2, 1) is above 2^63 - 1\n")
+
+    def test_largest_int64_count_accepted(self, golden, capsys):
+        doc = json.loads(golden.read_text())
+        doc["markov"]["crossings"][2] = [2, 1, 2 ** 63 - 1]
+        golden.write_text(json.dumps(doc))
+        assert run_command(["markov", "verify", str(golden)]) == 0
+        assert capsys.readouterr().out == (
+            "Markov family: VIOLATIONS\n"
+            "  h(R2) crosses R1 in 9223372036854775807 components\n")
 
     def test_entropy_golden_mean(self, golden, tmp_path, capsys):
         report = tmp_path / "entropy.json"
@@ -1026,12 +1045,15 @@ class TestOnePipeline:
                                                       ("golden", 1, 0)])
     def test_one_audit_per_sign_and_one_intersection(
             self, command, scene, audits, meets, request, monkeypatch):
+        # Each sign's violations and the points are built once, from one
+        # sweep over the endpoints of every leaf.
         path = request.getfixturevalue(scene)
-        audit_calls = self._count_calls(monkeypatch, "crossing_audit")
-        meet_calls = self._count_calls(monkeypatch,
-                                       "transversal_intersections")
+        sweeps = self._count_calls(monkeypatch, "_interleaved")
+        audit_calls = self._count_calls(monkeypatch, "_violations")
+        meet_calls = self._count_calls(monkeypatch, "_meager_set")
         assert run_command([command, str(path), "--horizon", "10",
                             "--ball", "1"]) == 0
+        assert len(sweeps) == 1
         assert len(audit_calls) == audits
         assert len(meet_calls) == meets
 

@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import time
+import tracemalloc
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from endlam import markov
+from endlam import cli, markov
 from endlam.errors import ConvergenceError, ValidationError
 from endlam.markov import (
     CrossingTable,
@@ -24,7 +26,13 @@ from endlam.markov import (
     verify_markov,
 )
 
-from conftest import frac_matrix, reference_power_iteration
+from conftest import (
+    frac_matrix,
+    reference_admissible_words,
+    reference_power_iteration,
+    reference_violations,
+    reference_word_lines,
+)
 
 GOLDEN = np.array([[1, 1], [1, 0]])
 PHI = (1 + math.sqrt(5)) / 2  # root of x^2 - x - 1, the kappa oracle
@@ -44,6 +52,22 @@ def brute_force_count(A, m):
         if all(A[i - 1][j - 1] for i, j in zip(seq, seq[1:])):
             total += 1
     return total
+
+
+def word_rows(words):
+    """The rows of a word listing as tuples of ints."""
+    return list(map(tuple, words.tolist()))
+
+
+def layered_table():
+    """50 symbols: 8 layers of 6, each symbol followed by every symbol of
+    the next layer, the last layer by nothing; symbols 49 and 50 follow
+    themselves."""
+    A = np.zeros((50, 50), dtype=np.int64)
+    for layer in range(7):
+        A[6 * layer:6 * layer + 6, 6 * layer + 6:6 * layer + 12] = 1
+    A[48, 48] = A[49, 49] = 1
+    return A
 
 
 def decimal_perron(M, iterations=2000):
@@ -165,6 +189,32 @@ class TestVerify:
         with pytest.raises(ValidationError):
             CrossingTable.from_triples(["R1"], [[1, 1, -1]])
 
+    def test_count_beyond_int64_rejected(self):
+        with pytest.raises(ValidationError, match=r"crossing count at "
+                           r"\(1, 2\) is above 2\^63 - 1"):
+            CrossingTable.from_triples(["R1", "R2"], [[1, 2, 2 ** 63]])
+        with pytest.raises(ValidationError, match=r"0\.\.2\^63 - 1"):
+            CrossingTable(["R1"], [[10 ** 20]])
+
+    def test_largest_int64_count_accepted(self):
+        top = 2 ** 63 - 1
+        table = CrossingTable.from_triples(["R1", "R2"], [[1, 2, top]])
+        assert table.counts.tolist() == [[0, top], [0, 0]]
+        assert CrossingTable(["R1"], [[top]]).counts.tolist() == [[top]]
+        assert verify_markov(table).violations == [(1, 2, top)]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 9).flatmap(lambda n: st.lists(
+        st.lists(st.integers(0, 4), min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    def test_violations_match_the_walk_over_every_entry(self, entries):
+        n = len(entries)
+        counts = np.array(entries, dtype=np.int64).reshape(n, n)
+        check = verify_markov(CrossingTable(range(n), counts))
+        assert check.violations == reference_violations(counts)
+        assert all(type(x) is int for row in check.violations for x in row)
+        assert check.ok == (counts <= 1).all()
+
     def test_repeated_pair_rejected(self):
         with pytest.raises(ValidationError, match=r"row 2 repeats the pair "
                            r"\(1, 2\) of row 0"):
@@ -204,7 +254,7 @@ class TestAdmissibleWords:
     def test_golden_length_three(self):
         result = admissible_words(GOLDEN, 3)
         assert result.count == 5
-        assert sorted(result.words) == [
+        assert word_rows(result.words) == [
             (1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1), (2, 1, 2)
         ]
 
@@ -264,12 +314,72 @@ class TestAdmissibleWords:
                                                        repeat=m)
                     if all(A[i - 1, j - 1] for i, j in zip(word, word[1:]))]
         result = admissible_words(A, m)
-        assert result.words == expected
+        assert result.words.shape == (len(expected), m)
+        assert word_rows(result.words) == expected
         assert result.count == len(expected)
 
     def test_listing_longer_than_the_recursion_limit(self):
         result = admissible_words(np.eye(2, dtype=int), 1500)
-        assert result.words == [(1,) * 1500, (2,) * 1500]
+        assert word_rows(result.words) == [(1,) * 1500, (2,) * 1500]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(st.sampled_from((0, 0, 1, 2, 3)), min_size=n,
+                          max_size=n), min_size=n, max_size=n),
+        st.sets(st.integers(0, n - 1)), st.sets(st.integers(0, n - 1)))),
+        st.booleans(), st.integers(1, 8))
+    @example(([[1 if (j - i) % 12 < 3 else 0 for j in range(12)]
+               for i in range(12)], set(), set()), True, 3)
+    def test_listing_matches_the_depth_first_walk(self, table, binary, m):
+        # Count and 0/1 tables, some rows and columns zeroed: the rows,
+        # their order, the count and the --list-words text are the walk's.
+        entries, zero_rows, zero_columns = table
+        A = np.array(entries, dtype=np.int64)
+        A[sorted(zero_rows)] = 0
+        A[:, sorted(zero_columns)] = 0
+        if binary:
+            A = (A > 0).astype(np.int64)
+        result = admissible_words(A, m)
+        if result.count > markov.LIST_BUDGET:
+            assert result.words is None
+            return
+        expected = reference_admissible_words(A, m)
+        assert result.count == len(expected)
+        assert result.words.shape == (len(expected), m)
+        assert word_rows(result.words) == expected
+        assert cli._word_lines(result.words, len(A)) == \
+            reference_word_lines(expected)
+
+    def test_prefixes_that_die_early_are_not_walked(self):
+        # 1,679,616 length-8 prefixes through the layers die before length
+        # 20; the two self-loops give the only words.
+        A = layered_table()
+        expected = [(49,) * 20, (50,) * 20]
+        start = time.process_time()
+        assert reference_admissible_words(A, 20) == expected
+        walk = time.process_time() - start
+        levels = math.inf
+        for _ in range(5):
+            start = time.process_time()
+            result = admissible_words(A, 20)
+            levels = min(levels, time.process_time() - start)
+            assert word_rows(result.words) == expected
+        assert levels * 100 < walk
+
+    def test_golden_listing_at_the_budget_in_less_memory(self):
+        # 75,025 words of length 23.  The depth-first walk's tuples and
+        # their text peaked at 25.6 MB under tracemalloc (Python 3.11); the
+        # array and its text must not take more.
+        tracemalloc.start()
+        try:
+            words = admissible_words(GOLDEN, 23).words
+            text = cli._word_lines(words, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert words.shape == (75025, 23)
+        assert len(text) == 75025 * 26
+        assert peak <= 25.6e6
 
 
 class TestPerron:
