@@ -598,16 +598,30 @@ def _interleaved(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return i[order], j[order]
 
 
-def _cross(p: np.ndarray, q: np.ndarray, i: np.ndarray, j: np.ndarray,
-           tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The candidates (i, j) where chord i of ``p`` crosses chord j of
-    ``q`` (rows of endpoint angles), in their order.
+def _crossing_pairs(p: np.ndarray, q: np.ndarray | None,
+                    tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j), row-major, where chord i of ``p`` crosses chord j of ``q``
+    (rows of endpoint angles); for ``q`` None, where chords i < j of ``p``
+    cross.  The candidates are the ``_interleaved`` pairs of ``p``, or of
+    ``p`` and ``q`` swept together with one chord of each kept.
 
     ``geodesic_relation`` per pair is the scalar reference, and each
     candidate gets its verdict bit for bit: the modular interleave test,
     then the four ``angular_gaps >= tol`` tests, which clear shared
-    endpoints.
+    endpoints.  No pair the verdict accepts is missed: its four cross-chord
+    gaps are at least tol (at least ``ANGLE_TOL_FLOOR`` = 1e-12 in a run),
+    far above the ~1e-15 rounding of a modular difference, so the sorted
+    order of its ends agrees with the modular test.  Ties and ulp-close
+    ends can add or drop only pairs with a gap below tol, which the verdict
+    rejects anyway.
     """
+    if q is None:
+        i, j = _interleaved(p)
+        q = p
+    else:
+        i, j = _interleaved(np.concatenate((p, q)))
+        across = (i < len(p)) & (j >= len(p))
+        i, j = i[across], j[across] - len(p)
     a1, b1 = p[i].T
     a2, b2 = q[j].T
     beta = (b1 - a1) % TWO_PI
@@ -618,41 +632,16 @@ def _cross(p: np.ndarray, q: np.ndarray, i: np.ndarray, j: np.ndarray,
     return i[keep], j[keep]
 
 
-def _crossing_pairs(p: np.ndarray, q: np.ndarray | None,
-                    tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(i, j), row-major, where chord i of ``p`` crosses chord j of ``q``
-    (rows of endpoint angles); for ``q`` None, where chords i < j of ``p``
-    cross.  The candidates are the ``_interleaved`` pairs of ``p``, or of
-    ``p`` and ``q`` swept together with one chord of each kept, and
-    ``_cross`` gives each its verdict.
-
-    No pair the verdict accepts is missed: its four cross-chord gaps are
-    at least tol (at least ``ANGLE_TOL_FLOOR`` = 1e-12 in a run), far
-    above the ~1e-15 rounding of a modular difference, so the sorted order
-    of its ends agrees with the modular test.  Ties and ulp-close ends can
-    add or drop only pairs with a gap below tol, which the verdict rejects
-    anyway.
-    """
-    if q is None:
-        return _cross(p, p, *_interleaved(p), tol)
-    i, j = _interleaved(np.concatenate((p, q)))
-    across = (i < len(p)) & (j >= len(p))
-    return _cross(p, q, i[across], j[across] - len(p), tol)
-
-
-def _violations(leaves: list[Geodesic], i: np.ndarray,
-                j: np.ndarray) -> list[CrossingViolation]:
-    return [CrossingViolation(a, b, leaves[a], leaves[b])
-            for a, b in zip(i.tolist(), j.tolist())]
-
-
 def crossing_audit(lam: LaminationApprox,
                    tol: float = ANGLE_TOL) -> list[CrossingViolation]:
     """Pairs of leaves of one lamination that transversely cross, i < j
     in row-major order, as ``geodesic_relation`` would read each pair;
     ``_crossing_pairs`` sweeps the leaves' endpoints once."""
-    ends = _endpoint_angles(lam.leaves)
-    return _violations(lam.leaves, *_crossing_pairs(ends, None, tol))
+    leaves = lam.leaves
+    ends = _endpoint_angles(leaves)
+    i, j = _crossing_pairs(ends, None, tol)
+    return [CrossingViolation(a, b, leaves[a], leaves[b])
+            for a, b in zip(i.tolist(), j.tolist())]
 
 
 @dataclass
@@ -677,20 +666,6 @@ def _coverage(uncovered: list[int], total: int) -> float:
     return 1.0 - len(uncovered) / total if total else 0.0
 
 
-def _meager_set(plus: np.ndarray, minus: np.ndarray, i: np.ndarray,
-                j: np.ndarray) -> MeagerInvariantSet:
-    """The points where chord i of ``plus`` crosses chord j of ``minus``,
-    per crossing pair, and the chords that cross nothing."""
-    x, y = geodesic_intersections(plus, minus, i, j)
-    return MeagerInvariantSet(
-        points=list(map(IntersectionRecord, i.tolist(), j.tolist(),
-                        x.tolist(), y.tolist())),
-        uncovered_plus=np.flatnonzero(
-            np.bincount(i, minlength=len(plus)) == 0).tolist(),
-        uncovered_minus=np.flatnonzero(
-            np.bincount(j, minlength=len(minus)) == 0).tolist())
-
-
 def transversal_intersections(lam_plus: LaminationApprox,
                               lam_minus: LaminationApprox,
                               tol: float = ANGLE_TOL) -> MeagerInvariantSet:
@@ -705,28 +680,15 @@ def transversal_intersections(lam_plus: LaminationApprox,
     """
     plus, minus = (_endpoint_angles(lam.leaves)
                    for lam in (lam_plus, lam_minus))
-    return _meager_set(plus, minus, *_crossing_pairs(plus, minus, tol))
-
-
-def _audit_and_meet(lam_plus: LaminationApprox, lam_minus: LaminationApprox,
-                    tol: float) -> MeagerInvariantSet:
-    """Each lamination's ``crossing_audit``, stored as its violations, and
-    the two's ``transversal_intersections``, from one sweep over the
-    endpoints of both.  The relative order of one family's ends is the
-    same in that sweep as in its own, so its pairs are those of its own
-    sweep, and every pair comes out row-major in its block."""
-    plus, minus = (_endpoint_angles(lam.leaves)
-                   for lam in (lam_plus, lam_minus))
-    n = len(plus)
-    ends = np.concatenate((plus, minus))
-    i, j = _cross(ends, ends, *_interleaved(ends), tol)
-    in_plus, in_minus = j < n, i >= n
-    across = ~(in_plus | in_minus)
-    lam_plus.crossing_violations = _violations(
-        lam_plus.leaves, i[in_plus], j[in_plus])
-    lam_minus.crossing_violations = _violations(
-        lam_minus.leaves, i[in_minus] - n, j[in_minus] - n)
-    return _meager_set(plus, minus, i[across], j[across] - n)
+    i, j = _crossing_pairs(plus, minus, tol)
+    x, y = geodesic_intersections(plus, minus, i, j)
+    return MeagerInvariantSet(
+        points=list(map(IntersectionRecord, i.tolist(), j.tolist(),
+                        x.tolist(), y.tolist())),
+        uncovered_plus=np.flatnonzero(
+            np.bincount(i, minlength=len(plus)) == 0).tolist(),
+        uncovered_minus=np.flatnonzero(
+            np.bincount(j, minlength=len(minus)) == 0).tolist())
 
 
 @dataclass
@@ -779,8 +741,7 @@ class LaminationRun:
 def laminate(scene, params: AxiomParams) -> LaminationRun:
     """Juncture orbits in scene order, the limit leaves of each sign
     (negative junctures give the plus lamination), their crossing audits
-    and the transverse intersections of the two, all three from one
-    endpoint sweep when both signs are there.  Each juncture's family
+    and the transverse intersections of the two.  Each juncture's family
     holds its converging side only, n = 0..h or 0..-h, and the junctures
     share one ``_OrbitTable``: the ball once, and each word's images once,
     over the union of its junctures' sides."""
@@ -824,12 +785,11 @@ def _laminate(scene, params: AxiomParams, extract: bool = True,
                       else GeodesicFamily.merge(families, params.angle_tol))
             lams[lam_sign] = extract_limit_leaves(
                 family, tol=params.tol, angle_tol=params.angle_tol)
+    for lam in lams.values():
+        lam.crossing_violations = crossing_audit(lam, params.angle_tol)
     if len(lams) == 2:
-        run.intersections = _audit_and_meet(lams["+"], lams["-"],
-                                            params.angle_tol)
-    else:
-        for lam in lams.values():
-            lam.crossing_violations = crossing_audit(lam, params.angle_tol)
+        run.intersections = transversal_intersections(
+            lams["+"], lams["-"], params.angle_tol)
     return drawn, run
 
 

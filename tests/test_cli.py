@@ -549,7 +549,8 @@ class TestLaminate:
         def degenerate(*args, **kwargs):
             raise NumericDegeneracyError("carriers graze tangentially")
 
-        monkeypatch.setattr(lamination, "geodesic_intersections", degenerate)
+        monkeypatch.setattr(lamination, "transversal_intersections",
+                            degenerate)
         report = tmp_path / "report.json"
         assert run_command(["laminate", str(schottky), "--horizon", "8",
                             "--ball", "1", "--json", str(report)]) == 2
@@ -1045,15 +1046,12 @@ class TestOnePipeline:
                                                       ("golden", 1, 0)])
     def test_one_audit_per_sign_and_one_intersection(
             self, command, scene, audits, meets, request, monkeypatch):
-        # Each sign's violations and the points are built once, from one
-        # sweep over the endpoints of every leaf.
         path = request.getfixturevalue(scene)
-        sweeps = self._count_calls(monkeypatch, "_interleaved")
-        audit_calls = self._count_calls(monkeypatch, "_violations")
-        meet_calls = self._count_calls(monkeypatch, "_meager_set")
+        audit_calls = self._count_calls(monkeypatch, "crossing_audit")
+        meet_calls = self._count_calls(monkeypatch,
+                                       "transversal_intersections")
         assert run_command([command, str(path), "--horizon", "10",
                             "--ball", "1"]) == 0
-        assert len(sweeps) == 1
         assert len(audit_calls) == audits
         assert len(meet_calls) == meets
 
