@@ -519,16 +519,25 @@ def _word_lines(words: np.ndarray, n: int) -> str:
 def cmd_markov_words(scene, params, args):
     A = build_matrix_A(_require_markov(scene))
     listing = admissible_words(A, args.length)
+    try:
+        count = str(listing.count)
+    except ValueError:
+        # Over the digits the interpreter converts to text, which the
+        # report, the listing budget's message and --json all need.
+        raise BudgetExceededError(
+            f"the number of admissible words of length {args.length} has "
+            f"more than {sys.get_int_max_str_digits()} digits, the "
+            f"interpreter's limit for integer text") from None
     if args.list_words and listing.words is None:
         raise BudgetExceededError(
-            f"{listing.count} admissible words of length {args.length} "
+            f"{count} admissible words of length {args.length} "
             f"exceed the listing budget of {LIST_BUDGET}")
     # The coding check runs at length 2 at least; it reuses the listing
     # when that has its length.
     coding = coding_consistency(
         A, max(2, args.length),
         listing=listing if args.length >= 2 else None)
-    print(f"admissible words of length {args.length}: {listing.count}")
+    print(f"admissible words of length {args.length}: {count}")
     if args.list_words:
         sys.stdout.write(_word_lines(listing.words, A.shape[0]))
     if coding.dead_end_symbols:
@@ -552,17 +561,9 @@ def _command(sub, name, func, text):
     return p
 
 
-def _chosen(registry, argv):
-    """The registration functions of the parsers ``argv`` may need: the one
-    ``argv[0]`` names, or all of them in registry order."""
-    if argv and argv[0] in registry:
-        return [registry[argv[0]]]
-    return list(registry.values())
-
-
-# Each function registers one subcommand's parser on ``sub``; ``rest`` is
-# the argv after its name, which only markov reads.
-def _add_limit_set(sub, rest):
+# Each function registers one subcommand's parser on ``sub``: a subparsers
+# action of the tree, or a _Lone that builds that parser alone.
+def _add_limit_set(sub):
     p = _command(sub, "limit-set", cmd_limit_set,
                  "sample the orbit and boundary fixed points")
     p.add_argument("--depth", type=int, default=6,
@@ -575,7 +576,7 @@ def _add_limit_set(sub, rest):
     _add_flags(p, ("angle_tol", "trace_tol", "max_words", "json"))
 
 
-def _add_laminate(sub, rest):
+def _add_laminate(sub):
     p = _command(sub, "laminate", cmd_laminate,
                  "extract certified limit leaves")
     p.add_argument("--out", default=None, help="write an SVG here")
@@ -583,7 +584,7 @@ def _add_laminate(sub, rest):
     _add_flags(p, (*_PARAM_HELP, "json"))
 
 
-def _add_escape(sub, rest):
+def _add_escape(sub):
     p = _command(sub, "escape", cmd_escape,
                  "translation-length escape dichotomy")
     p.add_argument("--growth-ratio", type=float,
@@ -594,7 +595,7 @@ def _add_escape(sub, rest):
                horizon=DEFAULT_ESCAPE_HORIZON)
 
 
-def _add_axioms(sub, rest):
+def _add_axioms(sub):
     p = _command(sub, "axioms", cmd_axioms, "finite-scale diagnostic report")
     _add_flags(p, (*_PARAM_HELP, "json"))
 
@@ -625,14 +626,14 @@ _MARKOV_COMMANDS = {
 }
 
 
-def _add_markov(sub, rest):
+def _add_markov(sub):
     p = sub.add_parser("markov", help="crossing-family checks and spectra")
     markov = p.add_subparsers(dest="markov_cmd", required=True, prog=p.prog)
-    for add in _chosen(_MARKOV_COMMANDS, rest):
+    for add in _MARKOV_COMMANDS.values():
         add(markov)
 
 
-def _add_render(sub, rest):
+def _add_render(sub):
     p = _command(sub, "render", cmd_render,
                  "draw juncture orbits (and leaves)")
     p.add_argument("--out", required=True)
@@ -652,35 +653,74 @@ _COMMANDS = {
     "render": _add_render,
 }
 
+_PROG = "endlam"
+
 
 def build_parser(argv=()) -> _Parser:
-    """The parser of the command line ``argv``, holding only the path that
-    ``argv`` names.
+    """The parser tree of the command line ``argv``.
 
-    When ``argv[0]`` is a command only its parser is registered, and under
-    ``markov`` only that of the subcommand ``argv[1]`` names.  argparse hands
-    every argument after a command's name to that command's parser, and a
-    parser prints its list of subcommands only when the name is missing or
-    unknown.  So every other argv gets all the parsers of its level: no
-    command, ``-h``, a flag or an unknown name in the command's place (the
-    full tree), and ``markov`` alone, ``markov -h`` or an unknown markov
-    subcommand (all four markov subcommands).
+    When ``argv[0]`` is a command only its parser is registered, with all
+    of its subcommands; else every command's.  argparse hands every
+    argument after a command's name to that command's parser, and a parser
+    lists its subcommands only when the name is missing or unknown.
+    ``run_command`` builds the tree only for an argv that ``_lone_parser``
+    does not take: no command, ``-h``, a flag or an unknown name in the
+    command's place, and ``markov`` alone, ``markov -h`` or an unknown
+    markov subcommand.
     """
-    parser = _Parser(prog="endlam",
+    parser = _Parser(prog=_PROG,
                      description="Desk-scale lamination approximations for "
                                  "endperiodic surface maps")
     # Each prog is given so that argparse does not format a usage line to
     # find it.
     sub = parser.add_subparsers(dest="command", prog=parser.prog)
-    for add in _chosen(_COMMANDS, argv):
-        add(sub, argv[1:])
+    if argv and argv[0] in _COMMANDS:
+        _COMMANDS[argv[0]](sub)
+    else:
+        for add in _COMMANDS.values():
+            add(sub)
     return parser
 
 
+class _Lone:
+    """Stands in for a subparsers action whose registration function adds
+    one parser: that parser is built alone, with the prog the tree gives
+    it and the defaults the parsers above it would set on the way down."""
+
+    def __init__(self, prog, **defaults):
+        self.prog = prog
+        self.defaults = defaults
+
+    def add_parser(self, name, help=None):
+        self.parser = _Parser(prog=f"{self.prog} {name}")
+        self.parser.set_defaults(**self.defaults)
+        return self.parser
+
+
+def _lone_parser(argv):
+    """(parser, the argv it parses) when ``argv`` names a command, and
+    under ``markov`` a markov subcommand: that command's parser alone,
+    which parses what follows the names as it would in the tree of
+    ``build_parser``; else None."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    name = argv[0]
+    if name != "markov":
+        lone = _Lone(_PROG, command=name)
+        _COMMANDS[name](lone)
+        return lone.parser, argv[1:]
+    if len(argv) < 2 or argv[1] not in _MARKOV_COMMANDS:
+        return None
+    lone = _Lone(f"{_PROG} {name}", command=name, markov_cmd=argv[1])
+    _MARKOV_COMMANDS[argv[1]](lone)
+    return lone.parser, argv[2:]
+
+
 def run_command(argv) -> int:
-    parser = build_parser(argv)
+    lone = _lone_parser(argv)
+    parser, rest = lone or (build_parser(argv), argv)
     try:
-        args, extras = parser.parse_known_args(argv)
+        args, extras = parser.parse_known_args(rest)
         if extras:
             # The subcommand's parser reports them, so that its usage line
             # shows the flags the subcommand does take.

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
 
@@ -124,12 +125,20 @@ def count_admissible(A, m: int) -> int:
     if m < 1:
         raise ValidationError("word length must be >= 1")
     # 1^T A^(m-1) 1 as m-1 vector-matrix products over Python integers,
-    # which never overflow; each column sums over its nonzero entries only.
-    columns = [[(k, int(a)) for k, a in enumerate(column) if a]
-               for column in A.T.tolist()]
+    # which never overflow; each column sums over its nonzero entries only,
+    # and a column whose nonzero entries are all 1 adds them without
+    # multiplying (weights None).
+    columns = []
+    for column in A.T.tolist():
+        rows = [k for k, a in enumerate(column) if a]
+        weights = [int(column[k]) for k in rows]
+        columns.append((rows, None if set(weights) <= {1} else weights))
     v = [1] * len(columns)
     for _ in range(m - 1):
-        v = [sum([v[k] * a for k, a in column]) for column in columns]
+        get = v.__getitem__
+        v = [sum(map(get, rows)) if weights is None
+             else sum(map(mul, map(get, rows), weights))
+             for rows, weights in columns]
     return sum(v)
 
 

@@ -3,8 +3,10 @@ import io
 import json
 import re
 import shutil
+import sys
 import tempfile
 from decimal import Decimal, localcontext
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,7 @@ from endlam.markov import PerronData
 from endlam.scene import load_scene, scene_path
 
 from conftest import reference_json_text, schottky_conjugate_data
+from test_cli_golden import COMMANDS, USAGE
 
 
 @pytest.fixture
@@ -780,6 +783,32 @@ class TestMarkov:
         assert capsys.readouterr().out == \
             "admissible words of length 30: 2178309\n"
 
+    @pytest.mark.parametrize("flags", [["-m", "20600"],
+                                       ["-m", "21000", "--list-words"],
+                                       ["-m", "21000", "--json"]])
+    def test_count_over_the_digit_limit_flagged(self, flags, golden,
+                                                tmp_path, capsys):
+        # Fibonacci counts: more than 4,300 digits from length 20,576 on.
+        report = tmp_path / "words.json"
+        argv = ["markov", "words", str(golden), *flags]
+        if argv[-1] == "--json":
+            argv.append(str(report))
+        assert run_command(argv) == 2
+        length = flags[1]
+        assert capsys.readouterr() == ("", (
+            f"flagged: the number of admissible words of length {length} "
+            f"has more than {sys.get_int_max_str_digits()} digits, the "
+            f"interpreter's limit for integer text\n"))
+        assert not report.exists()
+
+    def test_count_under_the_digit_limit_printed(self, golden, capsys):
+        assert run_command(["markov", "words", str(golden), "-m",
+                            "20000"]) == 0
+        count = markov.count_admissible(np.array([[1, 1], [1, 0]]), 20000)
+        assert len(str(count)) == 4180
+        assert capsys.readouterr().out == (
+            f"admissible words of length 20000: {count}\n")
+
     @pytest.mark.parametrize("length, calls", [(1, 2), (2, 1), (5, 1),
                                                (20, 1), (30, 1)])
     def test_one_enumeration_per_run(self, length, calls, golden,
@@ -983,16 +1012,33 @@ class TestUnreadFlags:
         assert max(map(len, errs[0].splitlines()[:-1])) <= 78
 
 
+# Each command's path of names: the markov subcommands under markov.
+PATHS = [*([name] for name in cli._COMMANDS if name != "markov"),
+         *(["markov", name] for name in cli._MARKOV_COMMANDS)]
+# Token groups in any order: flags of every command with good and bad
+# values, abbreviations, help, "--" and bare positionals.
+FLAG_TOKENS = [
+    ["S"], ["T"], ["--"], ["-h"], ["--he"], ["-"], ["-5"], ["--frob"],
+    ["--horizon", "3"], ["--hor", "3"], ["--horizon=x"], ["--ball", "1"],
+    ["--tol", "1e-6"], ["--angle-tol", "1e-9"], ["--trace-tol", "1e-9"],
+    ["--max-letters", "100"], ["--max-words", "10"], ["--json", "r.json"],
+    ["--out", "x.svg"], ["--size", "3"], ["--size", "500"],
+    ["--depth", "2"], ["--base", "0,2"], ["--growth-ratio", "1.5"],
+    ["--verbose"], ["--leaves"], ["-m", "7"], ["-m", "x"], ["-m7"],
+    ["--length=4"], ["--list-words"], ["--list"],
+]
+
+
 class TestParserPath:
-    """A run builds the parsers on the path its argv names; where a name is
-    missing or unknown it builds every parser of that level, whose usage
-    lists them all."""
+    """A run whose argv names a command builds that command's parser alone;
+    where a name is missing or unknown it builds every parser of that
+    level, whose usage lists them all."""
 
     @pytest.mark.parametrize("argv, built", [
-        (["markov", "entropy", "G"], 3),
-        (["markov", "words", "G", "-m", "x"], 3),
-        (["laminate", "S"], 2),
-        (["render", "-h"], 2),
+        (["markov", "entropy", "G"], 1),
+        (["markov", "words", "G", "-m", "x"], 1),
+        (["laminate", "S"], 1),
+        (["render", "-h"], 1),
         (["markov", "ent", "G"], 6),
         (["markov"], 6),
         (["frobnicate"], 11),
@@ -1010,6 +1056,43 @@ class TestParserPath:
         monkeypatch.setattr(cli._Parser, "__init__", counting)
         run_command(argv)
         assert len(count) == built
+
+    @staticmethod
+    def _parsed(parser, argv):
+        """What ``parser`` makes of ``argv``: its namespace (the ``parser``
+        default by its prog) and leftovers, or its exit code and what it
+        printed."""
+        stdout, stderr = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(stderr):
+                args, extras = parser.parse_known_args(argv)
+        except SystemExit as exc:
+            return exc.code, stdout.getvalue(), stderr.getvalue()
+        fields = vars(args)
+        fields["parser"] = fields["parser"].prog
+        return fields, extras
+
+    def _assert_as_in_tree(self, argv):
+        parser, rest = cli._lone_parser(argv)
+        assert self._parsed(parser, rest) == self._parsed(cli.build_parser(),
+                                                          argv)
+
+    def test_every_path_is_built_alone(self):
+        assert [cli._lone_parser(path)[0].prog for path in PATHS] == [
+            "endlam " + " ".join(path) for path in PATHS]
+
+    @pytest.mark.parametrize("command", [
+        *COMMANDS,
+        *(line for line in USAGE if cli._lone_parser(line.split()))])
+    def test_golden_lines_parse_as_in_tree(self, command):
+        self._assert_as_in_tree(command.split())
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(PATHS),
+           st.lists(st.sampled_from(FLAG_TOKENS), max_size=6))
+    def test_drawn_flags_parse_as_in_tree(self, path, tokens):
+        self._assert_as_in_tree([*path, *chain.from_iterable(tokens)])
 
 
 class TestOnePipeline:

@@ -279,6 +279,17 @@ class TestAdmissibleWords:
                 power = np.linalg.matrix_power(A.astype(object), m - 1)
                 assert count_admissible(A, m) == int(power.sum())
 
+    def test_counts_mix_unit_and_weighted_columns(self):
+        # Columns 1 and 3 hold only 0s and 1s, column 2 the weights 2 and
+        # 3, column 4 a 1 beside a 4; the pattern A > 0 has unit columns
+        # only.  Each count is the exact sum of the matrix power.
+        A = np.array([[1, 2, 0, 1], [0, 3, 1, 0], [1, 0, 1, 4],
+                      [1, 0, 0, 0]])
+        for M in (A, A > 0):
+            for m in range(1, 16):
+                power = np.linalg.matrix_power(M.astype(object), m - 1)
+                assert count_admissible(M, m) == int(power.sum())
+
     def test_budget_returns_count_only(self):
         # 3^12 words exceed markov.LIST_BUDGET.
         result = admissible_words(np.ones((3, 3), int), 12)
