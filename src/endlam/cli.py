@@ -32,7 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .group import Word, limit_set_sample
-from .hyperbolic import Geodesic, HPoint
+from .hyperbolic import HPoint
 from .lamination import (
     DEFAULT_ESCAPE_HORIZON,
     DEFAULT_GROWTH_RATIO,
@@ -110,17 +110,17 @@ class _ReportText:
     the payload with its result objects replaced by JSON values, built in
     one walk over the payload.
 
-    A ``Word`` becomes its spelling in the generator ``names``, a
-    ``Geodesic`` its ``a_angle``/``b_angle``, numpy values their
-    ``tolist()``, a dataclass the dict of its fields, dict keys ``str(k)``
-    and tuples lists; the types are tried in that order.  A column is a
-    list of scalars, of ``Word``s, of flat lists or tuples of scalars, of
-    str-keyed dicts of scalars or of ``Geodesic``s (``_column``), and goes
-    to json's C encoder in one call, whose text is split into its
-    members' texts at the separators (``_column_texts``).  A list of
-    records, members of one dataclass type whose every field is a column,
-    is written column by column, each record's text from one template.
-    Any other list, and every dict, is walked member by member.
+    A ``Word`` becomes its spelling in the generator ``names``, a numpy
+    array with named fields the list of its rows, a named row or a
+    dataclass the dict of its fields, other numpy values their
+    ``tolist()``, dict keys ``str(k)`` and tuples lists.  A column is a
+    list of scalars, of ``Word``s or of flat lists or tuples of scalars
+    (``_column``), and goes to json's C encoder in one call, whose text is
+    split into its members' texts at the separators (``_column_texts``).
+    A list of records, an array with named fields or members of one
+    dataclass type whose every field is a column, is written column by
+    column, each record's text from one template.  Any other list, and
+    every dict, is walked member by member.
     """
 
     def __init__(self, names):
@@ -136,11 +136,15 @@ class _ReportText:
             return scalar(obj)
         if isinstance(obj, Word):
             return self.text(obj.format(self.names), depth)
-        if isinstance(obj, Geodesic):
-            return self._mapping({"a_angle": obj.a.theta,
-                                  "b_angle": obj.b.theta}, depth)
         if isinstance(obj, (np.ndarray, np.generic)):
-            return self.text(obj.tolist(), depth)
+            names = obj.dtype.names
+            if not names:
+                return self.text(obj.tolist(), depth)
+            if obj.ndim == 0:           # a named row
+                return self._row_texts(obj.reshape(1), depth)[0]
+            if obj.ndim > 1 or not len(obj):
+                return self.text(list(obj), depth)
+            return _lines("[", self._row_texts(obj, depth + 1), depth, "]")
         names = self._field_names(kind)
         if names is not None:
             return self._mapping({name: getattr(obj, name)
@@ -175,8 +179,7 @@ class _ReportText:
         (see the class docstring), or None when it is not."""
         kind = type(obj[0])
         names = self._field_names(kind)
-        if (not names or issubclass(kind, (Word, Geodesic))
-                or not {kind}.issuperset(map(type, obj))):
+        if not names or not {kind}.issuperset(map(type, obj)):
             return None
         columns = []
         for name in names:
@@ -184,57 +187,51 @@ class _ReportText:
             if column is None:
                 return None
             columns.append(column)
-        # Field names are identifiers, so the template holds no other %.
-        row = _lines("{", [encode_basestring_ascii(name) + ": %s"
-                           for name in names], depth + 1, "}")
         texts = [self._column_texts(*column, depth + 2) for column in columns]
-        return _lines("[", (row % values for values in zip(*texts)), depth,
-                      "]")
+        return _lines("[", _rows(names, texts, depth + 1), depth, "]")
+
+    def _row_texts(self, records, depth):
+        """The JSON text at ``depth`` of each row of the one-dimensional
+        array ``records``, whose named fields hold scalars, flat arrays of
+        scalars or named fields of their own, written the same way."""
+        names = records.dtype.names
+        texts = [self._row_texts(field, depth + 1) if field.dtype.names
+                 else self._column_texts(*self._column(field.tolist()),
+                                         depth + 1)
+                 for field in map(records.__getitem__, names)]
+        return _rows(names, texts, depth)
 
     def _column(self, values):
-        """``values`` as one encoder call takes them and the brackets of
-        the containers among them (None for scalars), when they are all
-        scalars, all ``Word``s, all flat lists or tuples of scalars, all
-        str-keyed dicts of scalars or all ``Geodesic``s; else None."""
+        """``values`` as one encoder call takes them and whether they are
+        lists, when they are all scalars, all ``Word``s or all flat lists
+        or tuples of scalars; else None."""
         kinds = set(map(type, values))
         if kinds == {Word}:
-            return [w.format(self.names) for w in values], None
-        if kinds == {Geodesic}:
-            values, kinds = [{"a_angle": g.a.theta, "b_angle": g.b.theta}
-                             for g in values], {dict}
+            return [w.format(self.names) for w in values], False
         if _SCALAR_TYPES.issuperset(kinds):
-            return values, None
-        if kinds == {dict}:
-            if not {str}.issuperset(map(type, chain.from_iterable(values))):
-                return None
-            members, brackets = map(dict.values, values), "{}"
-        elif _SEQUENCE_TYPES.issuperset(kinds):
-            members, brackets = values, "[]"
-        else:
-            return None
-        if _SCALAR_TYPES.issuperset(map(type, chain.from_iterable(members))):
-            return values, brackets
+            return values, False
+        if _SEQUENCE_TYPES.issuperset(kinds) and _SCALAR_TYPES.issuperset(
+                map(type, chain.from_iterable(values))):
+            return values, True
         return None
 
-    def _column_texts(self, values, brackets, depth):
+    def _column_texts(self, values, lists, depth):
         """The JSON text at ``depth`` of each of ``values``, from one encoder
-        call and one split; ``brackets`` are those of the containers among
-        them, None for scalars."""
+        call and one split; ``lists`` says whether they are flat lists or
+        tuples of scalars rather than scalars."""
         encoder = self._flat_encoder(depth)
         text = encoder.encode(values)
-        if brackets is None:
+        if not lists:
             # No encoded scalar holds a raw newline, so the item
             # separators are the only places to split.
             return text[1:-1].split(encoder.item_separator)
-        # Between two containers the encoder writes the closing bracket,
-        # the item separator and the opening bracket, which no scalar text
-        # holds; inside one it writes the members at depth + 1 already.
-        opening, closing = brackets
-        head = opening + "\n" + "  " * (depth + 1)
-        outer = "\n" + "  " * depth + closing
-        return [f"{head}{members}{outer}" if members else brackets
+        # Between two lists the encoder writes "]", the item separator and
+        # "[", which no scalar text holds; inside one it writes the members
+        # at depth + 1 already.
+        head, outer = "[\n" + "  " * (depth + 1), "\n" + "  " * depth + "]"
+        return [f"{head}{members}{outer}" if members else "[]"
                 for members in text[2:-2].split(
-                    closing + encoder.item_separator + opening)]
+                    "]" + encoder.item_separator + "[")]
 
     def _mapping(self, obj: dict, depth) -> str:
         """``obj`` has str keys only."""
@@ -252,6 +249,15 @@ class _ReportText:
             encoder = self._flat[depth] = json.JSONEncoder(
                 separators=(",\n" + "  " * (depth + 1), ": "))
         return encoder
+
+
+def _rows(names, texts, depth) -> list[str]:
+    """The JSON text at ``depth`` of each record whose field ``names[k]``
+    has the text ``texts[k][row]``, from one template."""
+    # A % in a field name is doubled, so the template holds no other %.
+    row = _lines("{", [encode_basestring_ascii(name).replace("%", "%%")
+                       + ": %s" for name in names], depth, "}")
+    return [row % values for values in zip(*texts)]
 
 
 def _lines(opening, members, depth, closing) -> str:

@@ -301,8 +301,8 @@ def first_distinct(u, v, tol: float) -> np.ndarray:
     """Keep-mask of the angle pairs ``(u[i], v[i])``, angles in [0, 2*pi),
     taken in order: a pair is kept when no earlier kept pair lies within
     ``tol`` of it in both coordinates (``angular_gap``).  A geodesic
-    enters as its ``sorted_angles()``, a boundary point t as (t, t), which
-    tests it like :func:`same_ideal_point`.
+    enters as its two endpoint angles in ascending order, a boundary point
+    t as (t, t), which tests it like :func:`same_ideal_point`.
 
     Rows are decided a block at a time, each against the block's own rows
     and the kept rows of earlier blocks.  A block holds at most
@@ -390,10 +390,6 @@ class Geodesic:
     @classmethod
     def from_angles(cls, ta: float, tb: float) -> "Geodesic":
         return cls(IdealPoint(ta), IdealPoint(tb))
-
-    def sorted_angles(self) -> tuple[float, float]:
-        ta, tb = self.a.theta, self.b.theta
-        return (ta, tb) if ta <= tb else (tb, ta)
 
 
 def classify_isometry(m: Isometry, trace_tol: float = TRACE_TOL) -> str:

@@ -405,15 +405,25 @@ class SkippedChain:
     reason: str
 
 
+# Leaves (endpoint angles in [0, 2*pi)), crossing violations and
+# intersection points are record arrays, whose field names are the keys
+# of the --json reports.  Contiguous leaves read as an (n, 2) float array.
+LEAF = np.dtype([("a_angle", float), ("b_angle", float)])
+VIOLATION = np.dtype([("index_a", np.int64), ("index_b", np.int64),
+                      ("leaf_a", LEAF), ("leaf_b", LEAF)])
+POINT = np.dtype([("plus_index", np.int64), ("minus_index", np.int64),
+                  ("x", float), ("y", float)])
+
+
 @dataclass
 class LaminationApprox:
     """Certified limit leaves of one sign of lamination."""
 
-    leaves: list[Geodesic]
+    leaves: np.ndarray                # LEAF rows
     certificates: list[ChainCertificate]
     skipped: list[SkippedChain]
     # Axiom I audit of the leaves; None until laminate() runs it.
-    crossing_violations: list[CrossingViolation] | None = None
+    crossing_violations: np.ndarray | None = None     # VIOLATION rows
 
 
 def _aitken_angle(thetas) -> float:
@@ -490,8 +500,8 @@ def extract_limit_leaves(family: GeodesicFamily,
     Aitken step per endpoint where no base limit is known, else as the
     base limit's image under the chain's conjugator, one
     ``boundary_images`` call per base (``boundary_action`` bit for bit);
-    the records, with the leaves built in chain order, so that the first
-    chain whose endpoints coincide raises.
+    the records, the leaves as ``LEAF`` rows, after a check that raises,
+    as ``Geodesic`` would, when a leaf's endpoints coincide.
     """
     signs = {c.juncture.sign for c in family.chains}
     if len(signs) > 1:
@@ -530,8 +540,11 @@ def extract_limit_leaves(family: GeodesicFamily,
             *([getattr(g, x) for g in isometries] for x in "abcd"),
             list(map(IdealPoint, limits[base].tolist())))
 
-    rows = limits[verdicts == 0]
-    leaves = [Geodesic.from_angles(a, b) for a, b in rows.tolist()]
+    # The leaves' own angles, as IdealPoint reduces them (an Aitken limit
+    # of 2 pi is 0), checked as Geodesic checks them.
+    rows = limits[verdicts == 0] % TWO_PI
+    if (angular_gaps(rows[:, 0], rows[:, 1]) < ANGLE_TOL).any():
+        raise ValidationError("geodesic endpoints coincide")
     certificates, skipped = [], []
     steps, iterates = steps.tolist(), family.iterate.tolist()
     for prov, start, end, verdict in zip(provs, starts, ends,
@@ -546,25 +559,11 @@ def extract_limit_leaves(family: GeodesicFamily,
                 j.end, j.sign, prov.conjugator,
                 f"last gap {steps[end - 2]:.3e} above tolerance {tol:.1e}"
                 if verdict == _LAST_GAP else _REASONS[verdict]))
-    # The leaves' own angles: IdealPoint takes an Aitken limit of 2 pi to 0.
-    u, v = np.sort(rows % TWO_PI, axis=1).T
-    keep = first_distinct(u, v, angle_tol).tolist()
-    return LaminationApprox(leaves=list(compress(leaves, keep)),
-                            certificates=list(compress(certificates, keep)),
-                            skipped=skipped)
-
-
-@dataclass
-class CrossingViolation:
-    index_a: int
-    index_b: int
-    leaf_a: Geodesic
-    leaf_b: Geodesic
-
-
-def _endpoint_angles(leaves: list[Geodesic]) -> np.ndarray:
-    return np.array([(g.a.theta, g.b.theta) for g in leaves],
-                    dtype=float).reshape(-1, 2)
+    keep = first_distinct(*np.sort(rows, axis=1).T, angle_tol)
+    return LaminationApprox(
+        leaves=rows[keep].view(LEAF)[:, 0],
+        certificates=list(compress(certificates, keep.tolist())),
+        skipped=skipped)
 
 
 def _interleaved(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -633,30 +632,24 @@ def _crossing_pairs(p: np.ndarray, q: np.ndarray | None,
 
 
 def crossing_audit(lam: LaminationApprox,
-                   tol: float = ANGLE_TOL) -> list[CrossingViolation]:
+                   tol: float = ANGLE_TOL) -> np.ndarray:
     """Pairs of leaves of one lamination that transversely cross, i < j
     in row-major order, as ``geodesic_relation`` would read each pair;
     ``_crossing_pairs`` sweeps the leaves' endpoints once."""
     leaves = lam.leaves
-    ends = _endpoint_angles(leaves)
+    ends = np.ascontiguousarray(leaves).view(float).reshape(-1, 2)
     i, j = _crossing_pairs(ends, None, tol)
-    return [CrossingViolation(a, b, leaves[a], leaves[b])
-            for a, b in zip(i.tolist(), j.tolist())]
-
-
-@dataclass
-class IntersectionRecord:
-    plus_index: int
-    minus_index: int
-    x: float                     # disk coordinates
-    y: float
+    violations = np.empty(len(i), VIOLATION)
+    violations["index_a"], violations["index_b"] = i, j
+    violations["leaf_a"], violations["leaf_b"] = leaves[i], leaves[j]
+    return violations
 
 
 @dataclass
 class MeagerInvariantSet:
     """Transverse meeting points of the two laminations."""
 
-    points: list[IntersectionRecord]
+    points: np.ndarray           # POINT rows, x and y in disk coordinates
     uncovered_plus: list[int]    # leaves meeting nothing on the other side
     uncovered_minus: list[int]
 
@@ -676,15 +669,16 @@ def transversal_intersections(lam_plus: LaminationApprox,
     ``geodesic_intersections`` call, which equals the scalar
     ``geodesic_intersection`` and ``to_disk`` per pair, errors included.
     Two distinct geodesics meet at most once, so each pair contributes at
-    most one record.  Leaves meeting nothing opposite are flagged.
+    most one point.  Leaves meeting nothing opposite are flagged.
     """
-    plus, minus = (_endpoint_angles(lam.leaves)
+    plus, minus = (np.ascontiguousarray(lam.leaves).view(float).reshape(-1, 2)
                    for lam in (lam_plus, lam_minus))
     i, j = _crossing_pairs(plus, minus, tol)
-    x, y = geodesic_intersections(plus, minus, i, j)
+    points = np.empty(len(i), POINT)
+    points["plus_index"], points["minus_index"] = i, j
+    points["x"], points["y"] = geodesic_intersections(plus, minus, i, j)
     return MeagerInvariantSet(
-        points=list(map(IntersectionRecord, i.tolist(), j.tolist(),
-                        x.tolist(), y.tolist())),
+        points=points,
         uncovered_plus=np.flatnonzero(
             np.bincount(i, minlength=len(plus)) == 0).tolist(),
         uncovered_minus=np.flatnonzero(
@@ -708,6 +702,8 @@ class AxiomParams:
         if self.horizon < 0:
             raise ValidationError(
                 f"horizon must be nonnegative, got {self.horizon}")
+        if self.ball < 0:
+            raise ValidationError("ball radius must be nonnegative")
         for what, value in (("chain tolerance", self.tol),
                             ("angle tolerance", self.angle_tol),
                             ("trace tolerance", self.trace_tol)):
@@ -819,7 +815,7 @@ def axiom_report(scene, params: AxiomParams | None = None) -> AxiomReport:
     report = AxiomReport(
         caveat="finite-approximation evidence only",
         endperiodic_like=len(lams) == 2 and all(
-            lam.leaves for lam in lams.values()),
+            len(lam.leaves) for lam in lams.values()),
         axioms={},
         run=run,
     )
@@ -835,18 +831,15 @@ def axiom_report(scene, params: AxiomParams | None = None) -> AxiomReport:
     lam_plus, lam_minus = lams["+"], lams["-"]
     violations_plus = lam_plus.crossing_violations
     violations_minus = lam_minus.crossing_violations
-    ok = not violations_plus and not violations_minus
+    ok = not len(violations_plus) and not len(violations_minus)
     axioms["I"] = AxiomStatus(
         "pass" if ok else "fail",
         "no transverse crossings inside either leaf family" if ok else
         f"{len(violations_plus)} crossings in the plus family, "
         f"{len(violations_minus)} in the minus family",
-        data={
-            "violations_plus": [(v.index_a, v.index_b)
-                                for v in violations_plus],
-            "violations_minus": [(v.index_a, v.index_b)
-                                 for v in violations_minus],
-        },
+        data={f"violations_{side}": v[["index_a", "index_b"]].tolist()
+              for side, v in (("plus", violations_plus),
+                              ("minus", violations_minus))},
     )
 
     axioms["II"] = AxiomStatus(

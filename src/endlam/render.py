@@ -58,7 +58,7 @@ def _coerce_layer(label, payload) -> _Layer:
     if isinstance(payload, GeodesicFamily):
         layer.ends = list(zip(payload.ta.tolist(), payload.tb.tolist()))
     elif isinstance(payload, LaminationApprox):
-        layer.ends = [(g.a.theta, g.b.theta) for g in payload.leaves]
+        layer.ends = payload.leaves.tolist()     # (a_angle, b_angle) rows
     elif isinstance(payload, LimitSetSample):
         layer.points = list(payload.orbit)
         layer.boundary_angles = payload.fixed_point_angles
@@ -170,7 +170,8 @@ def render_svg(families, size: int = 1000) -> str:
     ``families`` is a sequence of (label, payload) pairs; a payload may be
     a GeodesicFamily, a LaminationApprox, a LimitSetSample, or a plain
     list of Geodesic/point entries.  A geodesic is drawn from its endpoint
-    angles: a family's ``ta``/``tb`` rows, a Geodesic's thetas.
+    angles: a family's ``ta``/``tb`` rows, a lamination's ``LEAF`` rows,
+    a Geodesic's thetas.
     """
     check_size(size)
     canvas = _Canvas(size)

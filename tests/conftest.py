@@ -36,6 +36,7 @@ from endlam.hyperbolic import (
 from endlam.lamination import (
     CONTRACTION_RATIO,
     GAP_FLOOR,
+    LEAF,
     ChainCertificate,
     ChainProvenance,
     GeodesicFamily,
@@ -227,9 +228,19 @@ def sequential_first_distinct(u, v, tol):
 def sorted_first_distinct(geodesics, tol):
     """:func:`sequential_first_distinct` over the geodesics' sorted
     endpoint angles."""
-    pairs = [g.sorted_angles() for g in geodesics]
+    pairs = [sorted((g.a.theta, g.b.theta)) for g in geodesics]
     return sequential_first_distinct([u for u, _ in pairs],
                                      [v for _, v in pairs], tol)
+
+
+def leaf_array(geodesics):
+    """The ``LEAF`` rows of ``geodesics``, as a lamination holds them."""
+    return np.array([(g.a.theta, g.b.theta) for g in geodesics], dtype=LEAF)
+
+
+def leaf_geodesics(leaves):
+    """A ``Geodesic`` per ``LEAF`` row, for the scalar references."""
+    return [Geodesic.from_angles(a, b) for a, b in leaves.tolist()]
 
 
 def reference_crossing_pairs(p, q, tol, upper=False):
@@ -343,7 +354,7 @@ def reference_extract(entries, tol, angle_tol=ANGLE_TOL):
             tuple(n for n, _ in items), tuple(gaps[-8:])))
     keep = sorted_first_distinct(leaves, angle_tol)
     return LaminationApprox(
-        [g for g, k in zip(leaves, keep) if k],
+        leaf_array(g for g, k in zip(leaves, keep) if k),
         [c for c, k in zip(certificates, keep) if k], skipped)
 
 
@@ -438,10 +449,14 @@ def reference_jsonable(obj, names):
     is the text the writer must build in one walk."""
     if isinstance(obj, Word):
         return obj.format(names)
-    if isinstance(obj, Geodesic):
-        return {"a_angle": obj.a.theta, "b_angle": obj.b.theta}
     if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
+        fields = obj.dtype.names
+        if not fields:
+            return obj.tolist()
+        # A named row is a dict, an array of them a list.
+        if obj.ndim == 0:
+            return {f: reference_jsonable(obj[f], names) for f in fields}
+        return [reference_jsonable(row, names) for row in obj]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: reference_jsonable(getattr(obj, f.name), names)
                 for f in dataclasses.fields(obj)}

@@ -18,7 +18,6 @@ from endlam import cli, hyperbolic, lamination, markov
 from endlam.cli import run_command
 from endlam.errors import NumericDegeneracyError
 from endlam.group import Word
-from endlam.hyperbolic import Geodesic
 from endlam.markov import PerronData
 from endlam.scene import load_scene, scene_path
 
@@ -141,22 +140,30 @@ _arrays = hnp.arrays(st.sampled_from([np.int64, np.float64, np.bool_]),
                                       max_side=4))
 _words = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=6).map(
     lambda letters: Word(tuple(letters)))
-_geodesics = st.builds(lambda a, gap: Geodesic.from_angles(a, a + gap),
-                       st.floats(0.0, 6.28), st.floats(0.01, 6.2))
+# Arrays with named fields, int and float ones and one with named fields
+# of its own, of zero rows or more, and their named rows.  A % in a field
+# name must not reach the writer's row template as a placeholder.
+_record_dtypes = st.sampled_from([
+    lamination.LEAF, lamination.POINT, lamination.VIOLATION,
+    np.dtype([("n", np.int64)]),
+    np.dtype([("%s", np.float64), ('"', np.int64), ("\u00e9", np.bool_)])])
+_record_arrays = _record_dtypes.flatmap(
+    lambda dtype: hnp.arrays(dtype, st.integers(0, 4)))
+_named_rows = _record_dtypes.flatmap(
+    lambda dtype: hnp.arrays(dtype, 1)).map(lambda rows: rows[0])
 _records = st.one_of(
     st.builds(lamination.EscapeRow, _numbers, _numbers, _numbers),
-    st.builds(lamination.IntersectionRecord, _numbers, _numbers, _numbers,
-              _numbers),
     st.builds(lamination.ChainCertificate, st.text(max_size=3),
               st.sampled_from(["+", "-"]), _words,
               st.lists(_numbers, max_size=5).map(tuple),
               st.lists(_numbers, max_size=5).map(tuple)),
-    st.builds(lamination.CrossingViolation, _numbers, _numbers, _geodesics,
-              _geodesics),
+    # A dataclass field that holds one named row.
+    st.builds(lamination.EscapeRow, _named_rows, _numbers, _numbers),
 )
-# Lists of flat rows of one kind, which the writer encodes in one call,
-# some with an odd member at either end, which makes it walk the list.
-# Columns with an empty member are split at the separators instead.
+# Lists of flat rows of one kind, some with an odd member at either end,
+# which makes the writer walk the list.  It encodes a list of flat lists
+# or tuples in one call, and splits a column with an empty member at the
+# separators instead; it walks a list of dicts or of named rows.
 _row_scalars = st.one_of(
     st.none(), st.booleans(), _ints, _floats, st.text(max_size=6),
     st.sampled_from(["],", "},", "[", "{", "\n", "],\n    [", "},\n{",
@@ -166,9 +173,7 @@ _row_kinds = [
     st.lists(_row_scalars, min_size=1, max_size=4).map(tuple),
     st.lists(_row_scalars, min_size=1, max_size=4),
     st.dictionaries(_row_keys, _row_scalars, min_size=1, max_size=3),
-    _geodesics,
-    st.builds(lamination.IntersectionRecord, _row_scalars, _row_scalars,
-              _row_scalars, _row_scalars),
+    _named_rows,
     st.builds(lamination.EscapeRow, _row_scalars, _row_scalars,
               _row_scalars),
     # Str-keyed dicts that may be empty, lists mixed with tuples, and Words,
@@ -194,8 +199,8 @@ _row_lists = st.one_of(*[
         lambda t: t[1] + t[0] if t[2] else t[0] + t[1])
     for kind in _row_kinds])
 # Lists of one dataclass type whose every field column is all scalars, all
-# Words, all flat lists or tuples of scalars or all Geodesics, which the
-# writer writes column by column, some with an odd member at either end,
+# Words or all flat lists or tuples of scalars, which the writer writes
+# column by column, some with an odd member at either end,
 # which makes it walk the list.  Strings that look like the separators it
 # splits encoded columns at, or like % templates, go in the string fields.
 _record_text = st.one_of(st.text(max_size=4), st.sampled_from(
@@ -208,14 +213,12 @@ _record_kinds = [
               _words, _record_seqs, _record_seqs),
     st.builds(lamination.SkippedChain, _record_text, _record_text, _words,
               _record_text),
-    st.builds(lamination.CrossingViolation, _row_scalars, _row_scalars,
-              _geodesics, _geodesics),
-    st.builds(lamination.IntersectionRecord, _row_scalars, _row_scalars,
-              _row_scalars, _row_scalars),
+    st.builds(lamination.EscapeRow, _row_scalars, _row_scalars,
+              _row_scalars),
 ]
 _odd_records = st.one_of(
     # A numpy scalar, a list that is not flat, a list for a Word and a
-    # None for a Geodesic in a column of their own.
+    # named row in a column of their own.
     st.builds(lamination.ChainCertificate, _record_text, _record_text,
               _words, st.lists(_numpy_scalars, min_size=1, max_size=2),
               _record_seqs),
@@ -225,17 +228,17 @@ _odd_records = st.one_of(
     st.builds(lamination.SkippedChain, _record_text, _record_text,
               st.lists(st.sampled_from([1, -1, 2, -2]), max_size=3),
               _record_text),
-    st.builds(lamination.CrossingViolation, _row_scalars, _row_scalars,
-              _geodesics, st.none()),
-    _python_scalars, _geodesics, _words, *_record_kinds)
+    st.builds(lamination.EscapeRow, _row_scalars, _named_rows,
+              _row_scalars),
+    _python_scalars, _named_rows, _words, *_record_kinds)
 _record_lists = st.one_of(*[
     st.tuples(st.lists(kind, min_size=1, max_size=6),
               st.lists(_odd_records, max_size=1), st.booleans()).map(
         lambda t: t[1] + t[0] if t[2] else t[0] + t[1])
     for kind in _record_kinds])
 _reports = st.recursive(
-    st.one_of(_python_scalars, _numpy_scalars, _arrays, _words, _geodesics,
-              _records, _row_lists, _record_lists),
+    st.one_of(_python_scalars, _numpy_scalars, _arrays, _words,
+              _record_arrays, _records, _row_lists, _record_lists),
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=4).map(tuple),
@@ -322,6 +325,44 @@ class TestJsonText:
         for report, count in (({"certificates": certificates}, 5),
                               ({"certificates": certificates + [odd]}, walk),
                               ({"certificates": [odd] + certificates}, walk)):
+            expected = reference_json_text(report, _NAMES).encode()
+            calls.clear()
+            assert _written(report, _NAMES) == expected
+            assert len(calls) == count
+
+    _LEAF_ROW = {"a_angle": 0.5, "b_angle": -0.0}
+
+    @pytest.mark.parametrize("report, dicts", [
+        (np.array([(3, -1, 0.1, float("nan"))], lamination.POINT),
+         [{"plus_index": 3, "minus_index": -1, "x": 0.1, "y": float("nan")}]),
+        (np.empty(0, lamination.POINT), []),
+        ({"leaves": np.array([(0.5, -0.0), (1.0, 2.0)], lamination.LEAF)},
+         {"leaves": [_LEAF_ROW, {"a_angle": 1.0, "b_angle": 2.0}]}),
+        (np.array([(0, 1, (0.5, -0.0), (1.0, 2.0))], lamination.VIOLATION),
+         [{"index_a": 0, "index_b": 1, "leaf_a": _LEAF_ROW,
+           "leaf_b": {"a_angle": 1.0, "b_angle": 2.0}}]),
+        ([lamination.EscapeRow(
+            np.array([(0.5, -0.0)], lamination.LEAF)[0], 7, 0.1)],
+         [{"iterate": _LEAF_ROW, "word_length": 7, "length": 0.1}]),
+    ])
+    def test_record_arrays_are_lists_of_dicts(self, report, dicts):
+        assert _written(report, _NAMES) == \
+            (json.dumps(dicts, indent=2) + "\n").encode()
+
+    def test_record_array_in_one_encoder_call_per_field(self, monkeypatch):
+        calls = []
+        encode = json.JSONEncoder.encode
+        monkeypatch.setattr(json.JSONEncoder, "encode",
+                            lambda self, o: calls.append(o) or encode(self, o))
+        rng = np.random.default_rng(0)
+        points = np.zeros(1272, lamination.POINT)
+        points["plus_index"] = np.arange(1272) // 3
+        points["x"], points["y"] = rng.normal(size=(2, 1272))
+        violations = np.zeros(152, lamination.VIOLATION)
+        violations["leaf_b"]["b_angle"] = rng.uniform(0, 6, 152)
+        # The leaves of a violation are a field with two fields of its own.
+        for report, count in ((points, 4), (violations, 6),
+                              ({"points": points, "none": points[:0]}, 4)):
             expected = reference_json_text(report, _NAMES).encode()
             calls.clear()
             assert _written(report, _NAMES) == expected

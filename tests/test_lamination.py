@@ -44,12 +44,9 @@ from endlam import lamination
 from endlam.lamination import (
     DEFAULT_TOL,
     AxiomParams,
-    CrossingViolation,
     GeodesicFamily,
-    IntersectionRecord,
     JunctureSpec,
     LaminationApprox,
-    MeagerInvariantSet,
     Provenance,
     _iterate_cores,
     axiom_report,
@@ -69,6 +66,8 @@ from conftest import (
     exact_word_matrix,
     family_of,
     frac_inverse,
+    leaf_array,
+    leaf_geodesics,
     frac_matrix,
     make_scene,
     one_holed_torus_leaf,
@@ -222,7 +221,7 @@ class TestExtract:
         fam = juncture_orbit(identity_scene, identity_scene.junctures[0],
                              n_range=range(0, 8), ball_k=0)
         lam = extract_limit_leaves(fam)
-        assert lam.leaves == []
+        assert len(lam.leaves) == 0
         assert any("family member" in s.reason for s in lam.skipped)
 
     def test_chain_limit_matches_quadratic_oracle(self, torus_scene):
@@ -236,7 +235,7 @@ class TestExtract:
                              n_range=range(-12, 13), ball_k=0)
         lam = extract_limit_leaves(fam)
         assert len(lam.leaves) == 1
-        leaf = lam.leaves[0]
+        leaf, = leaf_geodesics(lam.leaves)
         assert angular_gap(leaf.a.theta, angle_from_boundary(rep50)) < 1e-6
         assert angular_gap(leaf.b.theta, angle_from_boundary(att50)) < 1e-6
 
@@ -244,7 +243,7 @@ class TestExtract:
         # The limit should be (repelling(b), a * attracting(b)).
         fam = juncture_orbit(torus_scene, torus_scene.junctures[0],
                              n_range=range(-12, 13), ball_k=0)
-        leaf = extract_limit_leaves(fam).leaves[0]
+        leaf = leaf_geodesics(extract_limit_leaves(fam).leaves)[0]
         golden = (1 + math.sqrt(5)) / 2
         assert abs(leaf.a.boundary - (1 - math.sqrt(5)) / 2) < 1e-6
         assert abs(leaf.b.boundary - 16 * golden) < 1e-4  # large coordinate
@@ -256,8 +255,8 @@ class TestExtract:
         fam = juncture_orbit(torus_scene, torus_scene.junctures[0],
                              n_range=range(-8, 9), ball_k=2)
         lam = extract_limit_leaves(fam)
-        assert lam.leaves
-        for leaf in lam.leaves:
+        assert len(lam.leaves)
+        for leaf in leaf_geodesics(lam.leaves):
             for geo, _ in fam.entries:
                 assert geodesic_relation(leaf, geo) != "equal"
 
@@ -288,13 +287,13 @@ class TestExtract:
             juncture_orbit(conj, conj.junctures[0], range(-10, 11), 1)
         )
         assert len(base_lam.leaves) == len(conj_lam.leaves)
-        for leaf in base_lam.leaves:
+        for leaf in leaf_geodesics(base_lam.leaves):
             image = Geodesic(boundary_action(g, leaf.a),
                              boundary_action(g, leaf.b))
             assert any(
-                angular_gap(image.a.theta, other.a.theta) < 1e-6
-                and angular_gap(image.b.theta, other.b.theta) < 1e-6
-                for other in conj_lam.leaves
+                angular_gap(image.a.theta, a) < 1e-6
+                and angular_gap(image.b.theta, b) < 1e-6
+                for a, b in conj_lam.leaves.tolist()
             )
 
     def test_each_skip_reason(self):
@@ -322,7 +321,7 @@ class TestExtract:
             + chain((2, 2), pinch)
         )
         lam = extract_limit_leaves(fam, tol=1e-6)
-        assert lam.leaves == [] and lam.certificates == []
+        assert len(lam.leaves) == 0 and lam.certificates == []
         assert [(s.conjugator.letters, s.reason) for s in lam.skipped] == [
             ((), "chain collapsed to a single axis; its limit is a family "
                  "member"),
@@ -347,7 +346,7 @@ class TestExtract:
         lam = extract_limit_leaves(fam, tol=1e-6)
         gaps = [abs(a[0] - b[0]) for a, b in zip(pairs, pairs[1:])][-4:]
         assert gaps[-1] < 1e-6 and gaps == sorted(gaps, reverse=True)
-        assert lam.leaves == [] and lam.certificates == []
+        assert len(lam.leaves) == 0 and lam.certificates == []
         assert [s.reason for s in lam.skipped] == [
             "endpoint gaps not contracting"]
 
@@ -358,7 +357,7 @@ class TestExtract:
         # near the end to deduplication.
         run = laminate(alternating_scene(), AxiomParams(horizon=20, ball=2))
         plus = run.laminations["+"]
-        assert plus.leaves == [] and len(plus.skipped) == 37
+        assert len(plus.leaves) == 0 and len(plus.skipped) == 37
         assert sorted(s.conjugator.letters for s in plus.skipped
                       if s.reason == "endpoint gaps not contracting") == [
             (-3, -3), (-2, -1), (3, -1)]
@@ -378,27 +377,30 @@ class TestExtract:
 
 class TestCrossingAudit:
     def test_disjoint_pair_clean(self):
-        lam = LaminationApprox(
-            [Geodesic.from_boundary(0, 1), Geodesic.from_boundary(2, 3)],
-            [], [],
-        )
-        assert crossing_audit(lam) == []
+        assert audit([Geodesic.from_boundary(0, 1),
+                      Geodesic.from_boundary(2, 3)]) == []
 
     def test_injected_crossing_reported(self):
         lam = LaminationApprox(
-            [Geodesic.from_boundary(0, 2), Geodesic.from_boundary(1, 3)],
+            leaf_array([Geodesic.from_boundary(0, 2),
+                        Geodesic.from_boundary(1, 3)]),
             [], [],
         )
         violations = crossing_audit(lam)
-        assert len(violations) == 1
-        assert (violations[0].index_a, violations[0].index_b) == (0, 1)
+        assert violations.dtype == lamination.VIOLATION
+        assert violations[["index_a", "index_b"]].tolist() == [(0, 1)]
+        assert violations[0]["leaf_b"] == lam.leaves[1]
+        # Strided leaf rows are read as contiguous ones are.
+        strided = np.repeat(lam.leaves, 2)[::2]
+        assert crossing_audit(LaminationApprox(
+            strided, [], [])).tolist() == violations.tolist()
 
     def test_torus_scene_extraction_clean(self, torus_scene):
         fam = juncture_orbit(torus_scene, torus_scene.junctures[0],
                              n_range=range(-12, 13), ball_k=3)
         lam = extract_limit_leaves(fam)
         assert len(lam.leaves) > 10
-        assert crossing_audit(lam) == []
+        assert crossing_audit(lam).tolist() == []
 
     def test_single_crossing_against_opposite_junctures(self, torus_scene):
         # A leaf and a juncture axis are geodesics, so they meet at most
@@ -409,7 +411,7 @@ class TestCrossingAudit:
         plus_fam = juncture_orbit(torus_scene, torus_scene.junctures[1],
                                   range(-10, 11), 1)
         lam = extract_limit_leaves(minus_fam)
-        for leaf in lam.leaves:
+        for leaf in leaf_geodesics(lam.leaves):
             for geo, _ in plus_fam.entries:
                 rel = geodesic_relation(leaf, geo)
                 if rel == "cross":
@@ -418,20 +420,20 @@ class TestCrossingAudit:
 
 class TestIntersections:
     def test_symmetric_crossing_at_origin(self):
-        lam_p = LaminationApprox([Geodesic.from_boundary(0, INF)], [], [])
-        lam_m = LaminationApprox([Geodesic.from_boundary(-1, 1)], [], [])
+        lam_p = LaminationApprox(
+            leaf_array([Geodesic.from_boundary(0, INF)]), [], [])
+        lam_m = LaminationApprox(
+            leaf_array([Geodesic.from_boundary(-1, 1)]), [], [])
         meager = transversal_intersections(lam_p, lam_m)
+        assert meager.points.dtype == lamination.POINT
         assert len(meager.points) == 1
         rec = meager.points[0]
-        assert math.hypot(rec.x, rec.y) < 1e-9  # i maps to the disk origin
+        # i maps to the disk origin
+        assert math.hypot(rec["x"], rec["y"]) < 1e-9
 
     def test_disjoint_families_flagged(self):
-        lam_p = LaminationApprox([Geodesic.from_boundary(0, 1)], [], [])
-        lam_m = LaminationApprox([Geodesic.from_boundary(2, 3)], [], [])
-        meager = transversal_intersections(lam_p, lam_m)
-        assert meager.points == []
-        assert meager.uncovered_plus == [0]
-        assert meager.uncovered_minus == [0]
+        assert meet([Geodesic.from_boundary(0, 1)],
+                    [Geodesic.from_boundary(2, 3)]) == ([], [0], [0])
 
     def test_at_most_one_point_per_pair(self, torus_scene):
         fams = {j.sign: juncture_orbit(torus_scene, j, range(-10, 11), 1)
@@ -439,7 +441,7 @@ class TestIntersections:
         lam_p = extract_limit_leaves(fams["-"])
         lam_m = extract_limit_leaves(fams["+"])
         meager = transversal_intersections(lam_p, lam_m)
-        pairs = [(r.plus_index, r.minus_index) for r in meager.points]
+        pairs = meager.points[["plus_index", "minus_index"]].tolist()
         assert len(pairs) == len(set(pairs))
 
 
@@ -463,13 +465,19 @@ def alternating_scene():
 
 
 def reference_audit(leaves, tol):
-    """The per-pair scalar loop that the crossing mask replaces."""
-    return [CrossingViolation(i, j, leaves[i], leaves[j])
+    """The per-pair scalar loop that the crossing mask replaces, over
+    geodesics: a violation as the tuple of its ``VIOLATION`` row."""
+    def angles(g):
+        return g.a.theta, g.b.theta
+
+    return [(i, j, angles(leaves[i]), angles(leaves[j]))
             for i in range(len(leaves)) for j in range(i + 1, len(leaves))
             if geodesic_relation(leaves[i], leaves[j], tol) == "cross"]
 
 
 def reference_intersections(plus, minus, tol):
+    """The per-pair scalar loop of ``transversal_intersections`` over
+    geodesics, as ``meager_rows`` gives its result."""
     points, met_plus, met_minus = [], set(), set()
     for i, gp in enumerate(plus):
         for j, gm in enumerate(minus):
@@ -477,11 +485,32 @@ def reference_intersections(plus, minus, tol):
                 met_plus.add(i)
                 met_minus.add(j)
                 x, y = to_disk(geodesic_intersection(gp, gm, tol))
-                points.append(IntersectionRecord(i, j, x, y))
-    return MeagerInvariantSet(
-        points,
-        [i for i in range(len(plus)) if i not in met_plus],
-        [j for j in range(len(minus)) if j not in met_minus])
+                points.append((i, j, x, y))
+    return (points,
+            [i for i in range(len(plus)) if i not in met_plus],
+            [j for j in range(len(minus)) if j not in met_minus])
+
+
+def meager_rows(meager):
+    """The points of a ``MeagerInvariantSet`` as tuples of its ``POINT``
+    rows, then its uncovered leaves on either side."""
+    return (meager.points.tolist(), meager.uncovered_plus,
+            meager.uncovered_minus)
+
+
+def audit(leaves, tol=ANGLE_TOL):
+    """``crossing_audit`` of a lamination of the geodesics ``leaves``, a
+    violation as the tuple of its row."""
+    return crossing_audit(LaminationApprox(leaf_array(leaves), [], []),
+                          tol).tolist()
+
+
+def meet(plus, minus, tol=ANGLE_TOL):
+    """``meager_rows`` of the ``transversal_intersections`` of laminations
+    of the geodesics ``plus`` and ``minus``."""
+    return meager_rows(transversal_intersections(
+        LaminationApprox(leaf_array(plus), [], []),
+        LaminationApprox(leaf_array(minus), [], []), tol))
 
 
 def schottky_conjugate(conjugator):
@@ -564,13 +593,9 @@ class TestCrossingMask:
     def test_random_families_match_scalar_loops(self, case):
         tol, plus, minus = case
         for leaves in (plus, minus):
-            assert crossing_audit(LaminationApprox(leaves, [], []),
-                                  tol) == reference_audit(leaves, tol)
-        assert outcome(transversal_intersections,
-                       LaminationApprox(plus, [], []),
-                       LaminationApprox(minus, [], []),
-                       tol) == outcome(reference_intersections,
-                                       plus, minus, tol)
+            assert audit(leaves, tol) == reference_audit(leaves, tol)
+        assert outcome(meet, plus, minus, tol) == outcome(
+            reference_intersections, plus, minus, tol)
 
     @settings(max_examples=40, deadline=None)
     @given(block_case())
@@ -578,13 +603,9 @@ class TestCrossingMask:
         tol, plus, minus = case
         assert len(plus) > 64
         for leaves in (plus, minus):
-            assert crossing_audit(LaminationApprox(leaves, [], []),
-                                  tol) == reference_audit(leaves, tol)
-        assert outcome(transversal_intersections,
-                       LaminationApprox(plus, [], []),
-                       LaminationApprox(minus, [], []),
-                       tol) == outcome(reference_intersections,
-                                       plus, minus, tol)
+            assert audit(leaves, tol) == reference_audit(leaves, tol)
+        assert outcome(meet, plus, minus, tol) == outcome(
+            reference_intersections, plus, minus, tol)
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     @pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-3])
@@ -597,13 +618,10 @@ class TestCrossingMask:
         minus = [Geodesic.from_angles(1.5, 2.0),
                  Geodesic.from_angles(1.0, 2.0 + 1.001 * tol)][:n]
         for leaves in (plus, minus, plus + minus):
-            assert crossing_audit(LaminationApprox(leaves, [], []),
-                                  tol) == reference_audit(leaves, tol)
-        meager = transversal_intersections(
-            LaminationApprox(plus, [], []), LaminationApprox(minus, [], []),
-            tol)
+            assert audit(leaves, tol) == reference_audit(leaves, tol)
+        points, *_ = meager = meet(plus, minus, tol)
         assert meager == reference_intersections(plus, minus, tol)
-        assert len(meager.points) == (n == 2)
+        assert len(points) == (n == 2)
 
     @pytest.mark.parametrize("conjugator, horizon, ball", [
         (None, 16, 4), ((3.3, -0.3, 0.8), 14, 3)])
@@ -618,20 +636,21 @@ class TestCrossingMask:
         lams = run.laminations
         violations = 0
         for lam in lams.values():
-            assert lam.crossing_violations == reference_audit(
-                lam.leaves, ANGLE_TOL)
+            assert lam.crossing_violations.tolist() == reference_audit(
+                leaf_geodesics(lam.leaves), ANGLE_TOL)
             violations += len(lam.crossing_violations)
-        assert run.intersections == reference_intersections(
-            lams["+"].leaves, lams["-"].leaves, ANGLE_TOL)
-        assert run.intersections.points
+        assert meager_rows(run.intersections) == reference_intersections(
+            leaf_geodesics(lams["+"].leaves),
+            leaf_geodesics(lams["-"].leaves), ANGLE_TOL)
+        assert len(run.intersections.points)
         assert (violations > 0) == bool(conjugator)
 
     def test_deep_run_points_match_scalar_loop(self):
         # The benchmark's lam-deep depth: 485 leaves a side, 1272 points.
         run = laminate(load_scene(scene_path("schottky_ab.json")),
                        AxiomParams(horizon=20, ball=5))
-        assert run.intersections == reference_intersections(
-            run.laminations["+"].leaves, run.laminations["-"].leaves,
+        assert meager_rows(run.intersections) == reference_intersections(
+            *(leaf_geodesics(lam.leaves) for lam in run.laminations.values()),
             ANGLE_TOL)
         assert len(run.intersections.points) == 1272
 
@@ -645,7 +664,7 @@ class TestCrossingMask:
         i, j = lamination._interleaved(ends)
         assert len(i) == len(j) == 0
         leaves = [Geodesic.from_angles(*row) for row in ends.tolist()]
-        assert crossing_audit(LaminationApprox(leaves, [], [])) == []
+        assert audit(leaves) == []
 
     def test_mutually_crossing_family_gives_every_pair(self):
         # 300 diameters: any two cross, so all 300 * 299 / 2 pairs are
@@ -660,9 +679,9 @@ class TestCrossingMask:
         i, j = lamination._interleaved(ends)
         assert list(zip(i.tolist(), j.tolist())) == pairs
         leaves = [Geodesic.from_angles(*row) for row in ends.tolist()]
-        violations = crossing_audit(LaminationApprox(leaves, [], []))
+        violations = audit(leaves)
         assert violations == reference_audit(leaves, ANGLE_TOL)
-        assert [(v.index_a, v.index_b) for v in violations] == pairs
+        assert [v[:2] for v in violations] == pairs
 
     @pytest.mark.parametrize("swap", [False, True])
     @pytest.mark.parametrize("reverse", [False, True])
@@ -679,21 +698,19 @@ class TestCrossingMask:
         leaves = leaves[::-1] if reverse else leaves
         plus, minus = leaves[:5], leaves[4:]
         for tol in (1e-12, ANGLE_TOL, 1e-3):
-            audit = crossing_audit(LaminationApprox(leaves, [], []), tol)
-            assert audit == reference_audit(leaves, tol)
-            assert len(audit) > 0
-            assert outcome(transversal_intersections,
-                           LaminationApprox(plus, [], []),
-                           LaminationApprox(minus, [], []),
-                           tol) == outcome(reference_intersections,
-                                           plus, minus, tol)
+            violations = audit(leaves, tol)
+            assert violations == reference_audit(leaves, tol)
+            assert len(violations) > 0
+            assert outcome(meet, plus, minus, tol) == outcome(
+                reference_intersections, plus, minus, tol)
 
     @settings(max_examples=400, deadline=None)
     @given(chord_case())
     def test_every_crossing_pair_is_a_candidate(self, case):
         tol, plus, minus = case
         leaves = plus + minus
-        i, j = lamination._interleaved(lamination._endpoint_angles(leaves))
+        i, j = lamination._interleaved(
+            np.array([(g.a.theta, g.b.theta) for g in leaves]).reshape(-1, 2))
         candidates = set(zip(i.tolist(), j.tolist()))
         for a in range(len(leaves)):
             for b in range(a + 1, len(leaves)):
@@ -721,10 +738,11 @@ class TestCrossingMask:
 
         monkeypatch.setattr(lamination, "_crossing_pairs", mask_pairs)
         for lam in lams.values():
-            assert lam.crossing_violations == crossing_audit(lam, angle_tol)
-        assert run.intersections == transversal_intersections(
-            lams["+"], lams["-"], angle_tol)
-        assert run.intersections.points
+            assert lam.crossing_violations.tolist() == crossing_audit(
+                lam, angle_tol).tolist()
+        assert meager_rows(run.intersections) == meager_rows(
+            transversal_intersections(lams["+"], lams["-"], angle_tol))
+        assert len(run.intersections.points)
         assert sum(len(lam.crossing_violations)
                    for lam in lams.values()) == violations
 
@@ -752,7 +770,7 @@ def reference_orbit(scene, juncture, n_range, ball_k):
             base = axes[n]
             geo = base if g_word.is_identity() else Geodesic(
                 boundary_action(g_iso, base.a), boundary_action(g_iso, base.b))
-            if dedup.add(*geo.sorted_angles()):
+            if dedup.add(*sorted((geo.a.theta, geo.b.theta))):
                 entries.append((geo.a.theta.hex(), geo.b.theta.hex(),
                                 g_word.letters, g_iso.matrix, n))
     return entries
@@ -1129,8 +1147,7 @@ def entry_bits(entries):
 def assert_same_extraction(lam, ref):
     """Equal leaves (angle bits), certificates and skipped chains, in the
     same order, holding Python scalars only."""
-    assert [(g.a.theta.hex(), g.b.theta.hex()) for g in lam.leaves] == [
-        (g.a.theta.hex(), g.b.theta.hex()) for g in ref.leaves]
+    assert leaf_bits(lam) == leaf_bits(ref)
     assert lam.certificates == ref.certificates
     assert [[x.hex() for x in c.gaps] for c in lam.certificates] == [
         [x.hex() for x in c.gaps] for c in ref.certificates]
@@ -1297,7 +1314,7 @@ class TestExtractArrays:
         records = [c for fam in families for c in fam.chains]
         assert all(any(c is r for r in records) for c in merged.chains)
         lam = extract_limit_leaves(merged)
-        assert lam.leaves and lam.skipped
+        assert len(lam.leaves) and lam.skipped
         assert_same_extraction(lam, reference_extract(
             reference_merge(families), DEFAULT_TOL))
 
@@ -1377,7 +1394,8 @@ class TestExtractArrays:
         for family in (GeodesicFamily(), GeodesicFamily.merge([])):
             assert len(family) == 0 and family.entries == []
             lam = extract_limit_leaves(family)
-            assert (lam.leaves, lam.certificates, lam.skipped) == ([], [], [])
+            assert (len(lam.leaves), lam.certificates, lam.skipped) == (
+                0, [], [])
 
     def test_objects_keep_the_endpoint_check(self):
         family = family_of([(Geodesic.from_angles(1.0, 2.0),
@@ -1396,8 +1414,8 @@ class TestLaminate:
             juncture_orbit(torus_scene, j, range(-10, 11), 1))
             for j in torus_scene.junctures}
         assert list(run.laminations) == ["+", "-"]
-        assert run.laminations["+"].leaves == direct["-"].leaves
-        assert run.laminations["-"].leaves == direct["+"].leaves
+        assert leaf_bits(run.laminations["+"]) == leaf_bits(direct["-"])
+        assert leaf_bits(run.laminations["-"]) == leaf_bits(direct["+"])
 
     def test_one_sided_chains_keep_every_leaf_at_ball_6(self):
         # On -h..h families each sign's chain of a^6 kept iterates across
@@ -1438,11 +1456,32 @@ class TestLaminate:
         run = laminate(torus_scene, AxiomParams(horizon=10, ball=1))
         lams = run.laminations
         for lam in lams.values():
-            assert lam.leaves
-            assert lam.crossing_violations == crossing_audit(lam)
-        assert run.intersections == transversal_intersections(
-            lams["+"], lams["-"])
-        assert run.intersections.points
+            assert len(lam.leaves)
+            assert lam.crossing_violations.tolist() == crossing_audit(
+                lam).tolist()
+        assert meager_rows(run.intersections) == meager_rows(
+            transversal_intersections(lams["+"], lams["-"]))
+        assert len(run.intersections.points)
+
+    def test_no_geodesic_per_leaf_violation_or_point(self, tmp_path,
+                                                     monkeypatch):
+        # Leaves, violations and points are record arrays from extraction
+        # to --json: the only Geodesics are the per-iterate axes the orbit
+        # table builds, as many at ball 3 (53 leaves a side) as at ball 5
+        # (485 leaves a side, 1272 points).
+        built = []
+        check = Geodesic.__post_init__
+        monkeypatch.setattr(Geodesic, "__post_init__",
+                            lambda g: built.append(g) or check(g))
+        counts = []
+        for ball in ("3", "5"):
+            built.clear()
+            assert run_command([
+                "laminate", str(scene_path("schottky_ab.json")), "--horizon",
+                "20", "--ball", ball, "--json",
+                str(tmp_path / f"ball_{ball}.json")]) == 0
+            counts.append(len(built))
+        assert counts[0] == counts[1] > 0
 
     def test_extraction_alone_leaves_the_audit_unset(self, torus_scene):
         fam = juncture_orbit(torus_scene, torus_scene.junctures[0],
@@ -1455,8 +1494,8 @@ class TestLaminate:
                            junctures=[("e-", "-", "a")])
         run = laminate(scene, AxiomParams(horizon=8, ball=1))
         assert list(run.laminations) == ["+"]
-        assert run.laminations["+"].leaves
-        assert run.laminations["+"].crossing_violations == []
+        assert len(run.laminations["+"].leaves)
+        assert run.laminations["+"].crossing_violations.tolist() == []
         assert run.intersections is None
 
     def test_extract_false_builds_families_only(self, torus_scene):
@@ -1487,8 +1526,8 @@ class TestLaminate:
                     len(run.intersections.points)) == (
                 leaves, leaves, skipped, points)
         shared, own = (run.laminations["+"] for run in runs)
-        assert [g.sorted_angles() for g in shared.leaves] == [
-            g.sorted_angles() for g in own.leaves]
+        assert [sorted(row) for row in shared.leaves.tolist()] == [
+            sorted(row) for row in own.leaves.tolist()]
         assert [(c.conjugator, c.iterates) for c in shared.certificates] == [
             (c.conjugator, c.iterates) for c in own.certificates]
 
@@ -1542,18 +1581,17 @@ class TestOneHoledTorus:
         for sign in ("+", "-"):
             lam = run.laminations[sign]
             base = one_holed_torus_leaf(scene, sign)
-            identity, = [leaf for leaf, cert in zip(lam.leaves,
+            identity, = [leaf for leaf, cert in zip(lam.leaves.tolist(),
                                                     lam.certificates)
                          if cert.conjugator == Word.identity()]
-            assert angular_gap(identity.a.theta, base.a.theta) < 1e-12
-            assert angular_gap(identity.b.theta, base.b.theta) < 1e-12
+            assert angular_gap(identity[0], base.a.theta) < 1e-12
+            assert angular_gap(identity[1], base.b.theta) < 1e-12
             images = [(boundary_action(m, base.a).theta,
                        boundary_action(m, base.b).theta) for m in ball]
-            for leaf in lam.leaves:
-                assert min(max(angular_gap(leaf.a.theta, ta),
-                               angular_gap(leaf.b.theta, tb))
+            for a, b in lam.leaves.tolist():
+                assert min(max(angular_gap(a, ta), angular_gap(b, tb))
                            for ta, tb in images) < 1e-8
-            assert lam.crossing_violations == []
+            assert lam.crossing_violations.tolist() == []
 
     @pytest.mark.parametrize("triple, k", [
         pytest.param(*case.values, id=case.id, marks=[pytest.mark.xfail(
@@ -1573,7 +1611,7 @@ class TestOneHoledTorus:
         # kappa = -8.06; all 53 / 53 chains are certified.
         run = laminate(one_holed_torus_scene(3, 3.5, 4.75, 1),
                        AxiomParams(horizon=12, ball=3))
-        assert [lam.crossing_violations
+        assert [lam.crossing_violations.tolist()
                 for lam in run.laminations.values()] == [[], []]
 
 
@@ -1591,13 +1629,13 @@ def shift_scene(forward=("a b", "b"), inverse=("a b^-1", "b"),
 
 
 def leaf_bits(lam):
-    return [(g.a.theta.hex(), g.b.theta.hex()) for g in lam.leaves]
+    return [(a.hex(), b.hex()) for a, b in lam.leaves.tolist()]
 
 
 def near_every_leaf(lam, other, tol=1e-7):
     """Whether each leaf of ``lam`` lies within ``tol``, at both ends, of
     some leaf of ``other``."""
-    p, q = ([(g.a.theta, g.b.theta) for g in x.leaves] for x in (lam, other))
+    p, q = (x.leaves.tolist() for x in (lam, other))
     p, q = np.array(p)[:, None, :], np.array(q)[None, :, :]
     gaps = np.maximum(angular_gaps(p[..., 0], q[..., 0]),
                       angular_gaps(p[..., 1], q[..., 1]))
@@ -1628,7 +1666,7 @@ class TestInvariance:
                 run.laminations[other])
         for lam in [*run.laminations.values(),
                     *flipped.laminations.values()]:
-            assert lam.crossing_violations == []
+            assert lam.crossing_violations.tolist() == []
 
     def test_remarking_keeps_the_leaves(self):
         # psi: a -> a, b -> b a.  The re-marked scene has generators a and
@@ -1642,7 +1680,8 @@ class TestInvariance:
             assert list(run.laminations) == ["+", "-"]
             for sign, lam in run.laminations.items():
                 assert len(lam.leaves) == 53
-                assert lam.skipped == [] and lam.crossing_violations == []
+                assert lam.skipped == []
+                assert lam.crossing_violations.tolist() == []
                 assert set(leaf_bits(lam)) <= set(leaf_bits(
                     reference.laminations[sign]))
 
@@ -1690,6 +1729,7 @@ class TestAxiomParams:
         {"max_words": 0}, {"max_words": -1},
         {"angle_tol": 1e-13}, {"angle_tol": 1e-300},
         {"tol": math.inf}, {"angle_tol": math.inf}, {"trace_tol": math.inf},
+        {"ball": -1},
     ])
     def test_out_of_range_rejected(self, fields):
         with pytest.raises(ValidationError):
@@ -1697,6 +1737,29 @@ class TestAxiomParams:
 
     def test_zero_horizon_allowed(self):
         assert AxiomParams(horizon=0).horizon == 0
+
+    def test_negative_ball_named(self):
+        # Refused with the params, not only once a ball is enumerated.
+        with pytest.raises(ValidationError,
+                           match="^ball radius must be nonnegative$"):
+            AxiomParams(ball=-3)
+
+    @pytest.mark.parametrize("argv", [
+        ["laminate"], ["axioms"], ["render", "--out", "z.svg"]])
+    def test_negative_ball_refused_without_junctures(self, argv, tmp_path,
+                                                     capsys):
+        # No juncture means no ball is built, so the parameters alone
+        # can refuse --ball -1.
+        raw = schottky_conjugate_data(None)
+        raw["junctures"] = []
+        scene = tmp_path / "no_junctures.json"
+        scene.write_text(json.dumps(raw))
+        argv = argv[:1] + [str(scene), "--ball", "-1"] + [
+            str(tmp_path / a) if a.endswith(".svg") else a for a in argv[1:]]
+        assert run_command(argv) == 1
+        assert capsys.readouterr() == (
+            "", "error: ball radius must be nonnegative\n")
+        assert list(tmp_path.iterdir()) == [scene]
 
     def test_smallest_budgets_allowed(self):
         params = AxiomParams(max_letters=1, max_words=1)
