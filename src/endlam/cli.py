@@ -17,6 +17,7 @@ import errno
 import json
 import math
 import os
+import stat
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -270,8 +271,25 @@ def _lines(opening, members, depth, closing) -> str:
 
 
 def _write(path, text) -> None:
+    """Write ``text`` as UTF-8 to ``path``, in place: an existing file
+    keeps its inode, links and mode, and is cut to the new length only
+    after the new bytes are in, and only when it is a regular file (a
+    device or FIFO cannot be cut).  Truncating first would make the file
+    system free the old blocks and allocate new ones on every rewrite.
+    A new file gets the mode ``open(path, "w")`` gives.  Nothing is
+    fsynced."""
+    data = memoryview(text.encode("utf-8"))
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            written = 0
+            while written < len(data):
+                written += os.write(fd, data[written:])
+            info = os.fstat(fd)
+            if stat.S_ISREG(info.st_mode) and info.st_size > written:
+                os.ftruncate(fd, written)
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc.strerror}") from exc
     print(f"wrote {path}")
@@ -279,13 +297,16 @@ def _write(path, text) -> None:
 
 def _check_output(path) -> None:
     """Refuse, before the run, a path ``_write`` cannot write: its parent
-    must be a writable directory, and it must not be a directory itself."""
+    must be a writable directory, and it must not be a directory itself
+    nor an existing file this process may not write."""
     target = Path(path)
     if target.is_dir():
         code = errno.EISDIR
     elif not target.parent.is_dir():
         code = errno.ENOTDIR if target.parent.exists() else errno.ENOENT
     elif not os.access(target.parent, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    elif not os.access(target, os.W_OK) and target.exists():
         code = errno.EACCES
     else:
         return

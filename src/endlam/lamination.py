@@ -408,6 +408,8 @@ class SkippedChain:
 # Leaves (endpoint angles in [0, 2*pi)), crossing violations and
 # intersection points are record arrays, whose field names are the keys
 # of the --json reports.  Contiguous leaves read as an (n, 2) float array.
+# The results that hold them compare by identity (eq=False): an array
+# comparison has no single truth value.
 LEAF = np.dtype([("a_angle", float), ("b_angle", float)])
 VIOLATION = np.dtype([("index_a", np.int64), ("index_b", np.int64),
                       ("leaf_a", LEAF), ("leaf_b", LEAF)])
@@ -415,7 +417,7 @@ POINT = np.dtype([("plus_index", np.int64), ("minus_index", np.int64),
                   ("x", float), ("y", float)])
 
 
-@dataclass
+@dataclass(eq=False)
 class LaminationApprox:
     """Certified limit leaves of one sign of lamination."""
 
@@ -645,7 +647,7 @@ def crossing_audit(lam: LaminationApprox,
     return violations
 
 
-@dataclass
+@dataclass(eq=False)
 class MeagerInvariantSet:
     """Transverse meeting points of the two laminations."""
 
@@ -722,7 +724,7 @@ class AxiomParams:
                     f"{what} must be at least 1, got {value}")
 
 
-@dataclass
+@dataclass(eq=False)
 class LaminationRun:
     """Juncture families of a scene, the audited laminations they yield
     and where the two laminations meet."""

@@ -1,8 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import re
 import shutil
+import stat
 import sys
 import tempfile
 from decimal import Decimal, localcontext
@@ -553,6 +555,90 @@ class TestUnwritableOutput:
         assert code == 1
         assert capsys.readouterr() == (
             "", f"error: cannot write {path}: No such file or directory\n")
+
+    def _refused_before_the_run(self, golden, path, capsys):
+        code = run_command(["limit-set", str(golden), "--depth", "2",
+                            "--json", str(path)])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"error: cannot write {path}: Permission denied\n")
+        assert path.read_text() == "kept\n"
+
+    @pytest.mark.skipif(os.geteuid() == 0,
+                        reason="root's access() and open() ignore the mode")
+    def test_read_only_file_refused(self, golden, tmp_path, capsys):
+        path = tmp_path / "x.json"
+        path.write_text("kept\n")
+        path.chmod(0o444)
+        self._refused_before_the_run(golden, path, capsys)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o444
+
+    def test_file_denied_by_access_refused(self, golden, tmp_path,
+                                           monkeypatch, capsys):
+        path = tmp_path / "x.json"
+        path.write_text("kept\n")
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda p, mode: (
+            os.fspath(p) != str(path) and access(p, mode)))
+        self._refused_before_the_run(golden, path, capsys)
+
+
+class TestWrite:
+    """``cli._write`` rewrites an existing file in place: the same file
+    holds exactly the new bytes, whatever links lead to it."""
+
+    def _write(self, path, text, capsys):
+        cli._write(path, text)
+        assert capsys.readouterr() == (f"wrote {path}\n", "")
+
+    def test_shorter_text_over_a_longer_file(self, tmp_path, capsys):
+        path = tmp_path / "x.json"
+        path.write_text("a much longer earlier report\n")
+        inode = path.stat().st_ino
+        self._write(path, "short\n", capsys)
+        assert path.read_bytes() == b"short\n"
+        assert path.stat().st_ino == inode
+
+    def test_utf8_bytes(self, tmp_path, capsys):
+        path = tmp_path / "x.svg"
+        self._write(path, "λ\n", capsys)
+        assert path.read_bytes() == "λ\n".encode("utf-8")
+
+    def test_symbolic_link_followed(self, tmp_path, capsys):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_text("earlier text\n")
+        link.symlink_to(target)
+        self._write(link, "new\n", capsys)
+        assert link.is_symlink() and link.readlink() == target
+        assert target.read_bytes() == b"new\n"
+
+    def test_hard_links_share_the_new_bytes(self, tmp_path, capsys):
+        path, other = tmp_path / "x.json", tmp_path / "y.json"
+        path.write_text("earlier text\n")
+        other.hardlink_to(path)
+        self._write(path, "new\n", capsys)
+        assert path.read_bytes() == other.read_bytes() == b"new\n"
+        assert path.stat().st_nlink == 2
+
+    def test_new_file_mode(self, tmp_path, capsys):
+        path = tmp_path / "x.json"
+        umask = os.umask(0o027)
+        try:
+            self._write(path, "new\n", capsys)
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~0o027
+
+    def test_existing_mode_kept(self, tmp_path, capsys):
+        path = tmp_path / "x.json"
+        path.write_text("earlier text\n")
+        path.chmod(0o600)
+        self._write(path, "new\n", capsys)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+
+    def test_device_written_without_truncating(self, capsys):
+        # /dev/null cannot be cut to a length.
+        self._write(os.devnull, "x", capsys)
 
 
 class TestLimitSet:

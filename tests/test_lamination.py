@@ -46,7 +46,9 @@ from endlam.lamination import (
     AxiomParams,
     GeodesicFamily,
     JunctureSpec,
+    POINT,
     LaminationApprox,
+    MeagerInvariantSet,
     Provenance,
     _iterate_cores,
     axiom_report,
@@ -1462,6 +1464,23 @@ class TestLaminate:
         assert meager_rows(run.intersections) == meager_rows(
             transversal_intersections(lams["+"], lams["-"]))
         assert len(run.intersections.points)
+
+    def test_results_holding_arrays_compare_by_identity(self):
+        # Generated __eq__ would compare the record arrays and raise, on
+        # these 8 points as on two sets with none.
+        params = AxiomParams(horizon=10, ball=1)
+        scene = load_scene(scene_path("schottky_ab.json"))
+        run, again = laminate(scene, params), laminate(scene, params)
+        lams = run.laminations
+        meager = transversal_intersections(lams["+"], lams["-"])
+        assert len(meager.points) == 8
+        assert meager_rows(meager) == meager_rows(run.intersections)
+        empty = [MeagerInvariantSet(np.empty(0, POINT), [], [])
+                 for _ in range(2)]
+        for x, y in [(run.intersections, meager), (empty[0], empty[1]),
+                     (lams["+"], again.laminations["+"]), (run, again)]:
+            assert x != y and not x == y
+            assert x == x and y == y
 
     def test_no_geodesic_per_leaf_violation_or_point(self, tmp_path,
                                                      monkeypatch):
