@@ -64,6 +64,14 @@ class Word:
         return cls(())
 
     @classmethod
+    def _reduced(cls, letters: tuple[int, ...]) -> "Word":
+        """The word of ``letters``, a tuple of ints already freely reduced,
+        built without a second reduction pass."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "letters", letters)
+        return word
+
+    @classmethod
     def parse(cls, text: str, names) -> "Word":
         """Parse whitespace-separated tokens ``name`` or ``name^-1``."""
         index = {name: i + 1 for i, name in enumerate(names)}
@@ -95,13 +103,13 @@ class Word:
         return Word(self.letters + other.letters)
 
     def inverse(self) -> "Word":
-        return Word(tuple(-letter for letter in reversed(self.letters)))
+        return Word._reduced(tuple(-x for x in reversed(self.letters)))
 
     def is_identity(self) -> bool:
         return not self.letters
 
     def max_index(self) -> int:
-        return max((abs(letter) for letter in self.letters), default=0)
+        return max(map(abs, self.letters), default=0)
 
     def cyclic_decomposition(self) -> tuple["Word", "Word"]:
         """Split as (g, core) with self = g * core * g^-1, core cyclically
@@ -112,7 +120,8 @@ class Word:
         while j - i >= 2 and letters[i] == -letters[j - 1]:
             i += 1
             j -= 1
-        return Word(letters[:i]), Word(letters[i:j])
+        # A subword of a reduced word is reduced.
+        return Word._reduced(letters[:i]), Word._reduced(letters[i:j])
 
 
 def free_reduce(word) -> Word:
@@ -169,7 +178,11 @@ def evaluate_word(group: FuchsianGroup, word) -> Isometry:
 
 @dataclass(frozen=True)
 class FreeAutomorphism:
-    """Forward and inverse substitution rules, one word per generator."""
+    """Forward and inverse substitution rules, one word per generator.
+
+    The image of every signed letter under each rule, as a tuple of
+    letters, is built once on construction; ``apply_automorphism`` reads
+    those tables."""
 
     forward: tuple[Word, ...]
     inverse: tuple[Word, ...]
@@ -184,6 +197,12 @@ class FreeAutomorphism:
                     f"substitution uses generator index {rule.max_index()} "
                     f"beyond rank {rank}"
                 )
+        for name, rules in (("_forward_images", self.forward),
+                            ("_inverse_images", self.inverse)):
+            images = {}
+            for i, rule in enumerate(rules, 1):
+                images[i], images[-i] = rule.letters, rule.inverse().letters
+            object.__setattr__(self, name, images)
 
     @property
     def rank(self) -> int:
@@ -194,30 +213,33 @@ class FreeAutomorphism:
         rules = tuple(Word((i + 1,)) for i in range(rank))
         return cls(rules, rules)
 
-    def _substitute_once(self, word: Word, rules, max_letters: int) -> Word:
+    def _substitute_once(self, word: Word, images, max_letters: int) -> Word:
         out: list[int] = []
-        for letter in word:
-            rule = rules[abs(letter) - 1]
-            image = rule.letters if letter > 0 else rule.inverse().letters
-            for x in image:
-                if out and out[-1] == -x:
-                    out.pop()
-                else:
-                    out.append(x)
+        for letter in word.letters:
+            image = images[letter]
+            # The image is reduced, so only its head can cancel, against
+            # the tail of the letters so far: the stack reduction of
+            # pushing its letters one at a time.
+            k = 0
+            while out and k < len(image) and out[-1] == -image[k]:
+                out.pop()
+                k += 1
+            out.extend(image[k:])
             if len(out) > max_letters:
                 raise BudgetExceededError(
                     f"substitution exceeded {max_letters} letters"
                 )
-        return Word(tuple(out))
+        return Word._reduced(tuple(out))
 
 
 def apply_automorphism(phi: FreeAutomorphism, word, n: int,
                        max_letters: int = DEFAULT_MAX_LETTERS) -> Word:
-    """n-fold substitution; negative n applies the inverse rule."""
+    """n-fold substitution; negative n applies the inverse rule.  The
+    letter budget is checked after each letter's image."""
     word = free_reduce(word)
-    rules = phi.forward if n >= 0 else phi.inverse
+    images = phi._forward_images if n >= 0 else phi._inverse_images
     for _ in range(abs(int(n))):
-        word = phi._substitute_once(word, rules, max_letters)
+        word = phi._substitute_once(word, images, max_letters)
     return word
 
 

@@ -261,28 +261,35 @@ def _cell_runs(keys, query):
 def _close_pairs(u, v, tol, rows, i, lo, counts):
     """(i, j) for each row i and j < i one of ``rows[lo:lo + count]``, the
     two pairs within ``tol`` in both coordinates; i ascending when the
-    given i are."""
+    given i are.  The gaps are ``angular_gaps`` without its ``%``: on
+    angles in [0, 2*pi] a difference is at most 2*pi, where the ``%``
+    changes nothing but 2*pi itself, to 0, and both give a gap of 0."""
     at = np.arange(counts.sum()) - np.repeat(
         np.cumsum(counts) - counts - lo, counts)
     i, j = np.repeat(i, counts), rows[at]
     earlier = j < i
     i, j = i[earlier], j[earlier]
-    close = (angular_gaps(u[i], u[j]) < tol) & (angular_gaps(v[i], v[j]) < tol)
+    du, dv = np.abs(u[i] - u[j]), np.abs(v[i] - v[j])
+    close = (np.minimum(du, TWO_PI - du) < tol) & (
+        np.minimum(dv, TWO_PI - dv) < tol)
     return i[close], j[close]
 
 
 def _first_occurrences(u, v):
-    """Ascending indices of the first occurrence of each exact pair."""
+    """Ascending indices of the first occurrence of each exact pair, or
+    None when no pair repeats."""
     order = np.lexsort((v, u))
     su, sv = u[order], v[order]
     new = np.ones(len(u), dtype=bool)
     new[1:] = (su[1:] != su[:-1]) | (sv[1:] != sv[:-1])
+    if new.all():
+        return None
     return np.sort(order[new], kind="stable")
 
 
 def _grid_keys(u, v, tol):
     """Key of each pair's grid cell, and the keys of the nine cells around
-    it, its own included, as one row each.
+    it, its own included (the middle column), as one row each.
 
     The cells are 2 * tol wide and wrap around the circle, so a pair
     within tol of another lies in one of the nine.  Where a key overflows,
@@ -293,12 +300,12 @@ def _grid_keys(u, v, tol):
     step = np.array([-1, 0, 1])
     a = (cu[:, None] + step) % wrap * wrap
     b = (cv[:, None] + step) % wrap
-    keys = cu % wrap * wrap + cv % wrap
-    return keys, (a[:, :, None] + b[:, None, :]).reshape(len(u), 9)
+    query = (a[:, :, None] + b[:, None, :]).reshape(len(u), 9)
+    return query[:, 4], query
 
 
 def first_distinct(u, v, tol: float) -> np.ndarray:
-    """Keep-mask of the angle pairs ``(u[i], v[i])``, angles in [0, 2*pi),
+    """Keep-mask of the angle pairs ``(u[i], v[i])``, angles in [0, 2*pi],
     taken in order: a pair is kept when no earlier kept pair lies within
     ``tol`` of it in both coordinates (``angular_gap``).  A geodesic
     enters as its two endpoint angles in ascending order, a boundary point
@@ -308,12 +315,19 @@ def first_distinct(u, v, tol: float) -> np.ndarray:
     and the kept rows of earlier blocks.  A block holds at most
     ``_DEDUP_ROWS`` rows and ends before its candidates among its own rows
     would pass ``_DEDUP_PAIRS``, which bounds the temporaries whatever the
-    input."""
+    input.  A pass with nothing to do is skipped: the kept-row lookups of
+    the first block, the repeat map of an input without exact repeats, the
+    budget cut of a block within its pair budget, the in-order decisions
+    of a block without in-block pairs, and the kept table after the last
+    block."""
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-    mask = np.zeros(len(u), dtype=bool)
+    if not len(u):
+        return np.zeros(0, dtype=bool)
     # An exact repeat is never new, so only first occurrences go on.
     first = _first_occurrences(u, v)
-    u, v = u[first], v[first]
+    if first is not None:
+        mask = np.zeros(len(u), dtype=bool)
+        u, v = u[first], v[first]
     keys, query = _grid_keys(u, v, tol)
     kept = np.zeros(len(u), dtype=bool)
     # Kept rows of earlier blocks, sorted by key and within a key by row.
@@ -322,49 +336,66 @@ def first_distinct(u, v, tol: float) -> np.ndarray:
     while s < len(u):
         # One table holds the kept rows and the next _DEDUP_ROWS rows; a
         # cell's run lists its kept rows first, then the block's in order.
+        # The first block has no kept rows.
         e = min(len(u), s + _DEDUP_ROWS)
-        table = np.concatenate((kept_keys, keys[s:e]))
-        order = np.argsort(table, kind="stable")
-        table = table[order]
-        rows = np.concatenate((kept_rows, np.arange(s, e)))[order]
+        if s:
+            table = np.concatenate((kept_keys, keys[s:e]))
+            order = np.argsort(table, kind="stable")
+            table = table[order]
+            rows = np.concatenate((kept_rows, np.arange(s, e)))[order]
+        else:
+            rows = np.argsort(keys[:e], kind="stable")
+            table = keys[rows]
         found, lo, size = _cell_runs(table, query[s:e])
         i = s + found // query.shape[1]
-        kept_before = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(rows < s, out=kept_before[1:])
-        k = kept_before[lo + size]
-        k -= kept_before[lo]
-        # A row near a kept one is not kept.
-        hit, _ = _close_pairs(u, v, tol, rows, i, lo, k)
         blocked = np.zeros(e - s, dtype=bool)
-        blocked[hit - s] = True
+        if s:
+            kept_before = np.zeros(len(rows) + 1, dtype=np.int64)
+            np.cumsum(rows < s, out=kept_before[1:])
+            k = kept_before[lo + size]
+            k -= kept_before[lo]
+            # A row near a kept one is not kept.
+            hit, _ = _close_pairs(u, v, tol, rows, i, lo, k)
+            blocked[hit - s] = True
+            size -= k
+            size[blocked[i - s]] = 0
+            lo += k
         # The others meet the earlier rows of the block among the first
         # i - s block rows of a run.  The block ends before these
         # candidates pass _DEDUP_PAIRS; its first row has none.
-        size -= k
         np.minimum(size, i - s, out=size)
-        size[blocked[i - s]] = 0
-        e = s + int(np.searchsorted(
-            np.cumsum(np.bincount(i - s, size, e - s)), _DEDUP_PAIRS, "right"))
-        n = np.searchsorted(i, e)
-        i, j = _close_pairs(u, v, tol, rows, i[:n], lo[:n] + k[:n], size[:n])
+        if size.sum() > _DEDUP_PAIRS:
+            e = s + int(np.searchsorted(
+                np.cumsum(np.bincount(i - s, size, e - s)), _DEDUP_PAIRS,
+                "right"))
+            n = np.searchsorted(i, e)
+            i, lo, size = i[:n], lo[:n], size[:n]
+        i, j = _close_pairs(u, v, tol, rows, i, lo, size)
         i, j = i - s, j - s
         blocked = blocked[:e - s]
-        i, j = i[~blocked[j]], j[~blocked[j]]
+        if s:
+            i, j = i[~blocked[j]], j[~blocked[j]]
         # A row with no earlier conflict is kept, one in conflict with such
         # a row is not, and the others are decided in order.
         alone = ~blocked
-        alone[i] = False
-        beaten = blocked.copy()
-        beaten[i[alone[j]]] = True
-        open_rows = np.flatnonzero(~alone & ~beaten)
-        bounds = np.searchsorted(i, [open_rows, open_rows + 1]).tolist()
-        keep, j = alone.tolist(), j.tolist()
-        for r, a, b in zip(open_rows.tolist(), *bounds):
-            keep[r] = not any(map(keep.__getitem__, j[a:b]))
-        kept[s:e] = keep
-        stay = (rows < s) | kept[rows]
-        kept_keys, kept_rows = table[stay], rows[stay]
+        if len(i):
+            alone[i] = False
+            beaten = blocked.copy()
+            beaten[i[alone[j]]] = True
+            open_rows = np.flatnonzero(~alone & ~beaten)
+            bounds = np.searchsorted(i, [open_rows, open_rows + 1]).tolist()
+            keep, j = alone.tolist(), j.tolist()
+            for r, a, b in zip(open_rows.tolist(), *bounds):
+                keep[r] = not any(map(keep.__getitem__, j[a:b]))
+            kept[s:e] = keep
+        else:
+            kept[s:e] = alone
+        if e < len(u):
+            stay = (rows < s) | kept[rows]
+            kept_keys, kept_rows = table[stay], rows[stay]
         s = e
+    if first is None:
+        return kept
     mask[first[kept]] = True
     return mask
 

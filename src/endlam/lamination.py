@@ -313,7 +313,11 @@ def juncture_orbit(scene, juncture: JunctureSpec, n_range=None,
         raise ValidationError("geodesic endpoints coincide")
     keep = first_distinct(np.minimum(ta, tb), np.maximum(ta, tb), angle_tol)
     kept = np.flatnonzero(keep)
-    used, chain = np.unique(kept // len(iterates), return_inverse=True)
+    # Rows are g-major, so each chain's rows are one ascending run.
+    g = kept // len(iterates)
+    new = np.ones(len(g), dtype=bool)
+    new[1:] = g[1:] != g[:-1]
+    used, chain = g[new], np.cumsum(new) - 1
     return GeodesicFamily(
         ta[keep], tb[keep], chain, np.array(iterates)[kept % len(iterates)],
         [ChainProvenance(juncture, word, conjugator_isometry=g_m)
@@ -478,9 +482,10 @@ def _chain_verdicts(steps: np.ndarray, counts: np.ndarray,
     floor = b < GAP_FLOOR
     decreasing = ((b < a) | floor | missing).all(axis=0)
     contracting = ((b <= CONTRACTION_RATIO * a) | floor | missing).all(axis=0)
-    verdict[long] = np.select(
-        [steps[last] >= tol, ~decreasing, ~contracting],
-        [_LAST_GAP, _NOT_DECREASING, _NOT_CONTRACTING], 0)
+    verdict[long] = np.where(
+        steps[last] >= tol, _LAST_GAP,
+        np.where(decreasing, np.where(contracting, 0, _NOT_CONTRACTING),
+                 _NOT_DECREASING))
     return verdict
 
 
@@ -512,7 +517,9 @@ def extract_limit_leaves(family: GeodesicFamily,
     ta, tb = family.ta, family.tb
     steps = np.maximum(angular_gaps(ta[:-1], ta[1:]),
                        angular_gaps(tb[:-1], tb[1:]))
-    starts = np.flatnonzero(np.diff(family.chain, prepend=-1))
+    edge = np.ones(len(family), dtype=bool)
+    edge[1:] = family.chain[1:] != family.chain[:-1]
+    starts = np.flatnonzero(edge)
     ends = np.append(starts[1:], len(family))[:len(starts)]
     verdicts = _chain_verdicts(steps, ends - starts, ends, tol)
     provs = family.chains

@@ -148,6 +148,13 @@ def _geodesic_path(ta: float, tb: float, canvas: _Canvas) -> str:
                    x2 + 0.0, y2 + 0.0)
 
 
+def _attribute(text: str) -> str:
+    """``text`` as the value of a double-quoted XML attribute: ``&``, ``<``
+    and ``"`` escaped, every other character as it is."""
+    return (text.replace("&", "&amp;").replace("<", "&lt;")
+            .replace('"', "&quot;"))
+
+
 def numbered_labels(labels) -> list[str]:
     """The labels told apart: a label used once as it is, a label that
     several items share with ``-1``, ``-2``, ... in their order.  These
@@ -187,7 +194,7 @@ def render_svg(families, size: int = 1000) -> str:
         f'stroke="{BOUNDARY_COLOR}" '
         f'stroke-width="{_fmt(BOUNDARY_WIDTH)}"/>',
     ]
-    ids = numbered_labels([layer.label for layer in layers])
+    ids = map(_attribute, numbered_labels([layer.label for layer in layers]))
     for idx, (layer, gid) in enumerate(zip(layers, ids)):
         color = PALETTE[idx % len(PALETTE)]
         lines.append(f'<g id="{gid}" stroke="{color}" fill="none" '

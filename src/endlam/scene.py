@@ -16,6 +16,9 @@ the suffix ``^-1``.  A juncture's ``period`` may be omitted; when given it
 must be 1, since chains step by one iterate.  Rectangles are distinct id
 strings and crossing rows are exactly three integers, 1-based [i, j, count],
 one row per pair at most.  ``metadata.name``, when given, is a string.
+Every string the program reads (the name, generator names, words, juncture
+end labels and signs, rectangle ids) must encode as UTF-8, which a lone
+surrogate, spelt with a JSON escape, cannot.
 """
 
 from __future__ import annotations
@@ -64,6 +67,17 @@ def _expect(mapping, key, path, kind=None):
     return value
 
 
+def _utf8(text: str, path: str) -> str:
+    """``text``, refused when it holds a lone surrogate, which UTF-8
+    cannot encode."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise SceneError(
+            f"field {path} holds a lone surrogate, not UTF-8 text") from None
+    return text
+
+
 def _parse_matrix(value, path):
     if (not isinstance(value, list) or len(value) != 2
             or any(not isinstance(row, list) or len(row) != 2
@@ -79,6 +93,7 @@ def _parse_matrix(value, path):
 def _parse_word(text, names, path) -> Word:
     if not isinstance(text, str):
         raise SceneError(f"field {path} must be a word string")
+    _utf8(text, path)
     try:
         return Word.parse(text, names)
     except ValidationError as exc:
@@ -99,13 +114,15 @@ def parse_scene(text: str) -> Scene:
     metadata = raw.get("metadata", {})
     if not isinstance(metadata, dict):
         raise SceneError("field metadata must be an object")
-    name = (_expect(metadata, "name", "metadata.name", str)
+    name = (_utf8(_expect(metadata, "name", "metadata.name", str),
+                  "metadata.name")
             if "name" in metadata else "")
 
     group_block = _expect(raw, "group", "group", dict)
     if not group_block:
         raise SceneError("field group must name at least one generator")
-    names = tuple(group_block.keys())
+    names = tuple(_utf8(gen_name, f"group (name of generator {i})")
+                  for i, gen_name in enumerate(group_block, 1))
     generators = []
     for gen_name in names:
         rows = _parse_matrix(group_block[gen_name], f"group.{gen_name}")
@@ -156,8 +173,10 @@ def parse_scene(text: str) -> Scene:
             raise SceneError(f"field {path}.period must be 1")
         try:
             junctures.append(JunctureSpec(
-                end=_expect(item, "end", f"{path}.end", str),
-                sign=_expect(item, "sign", f"{path}.sign", str),
+                end=_utf8(_expect(item, "end", f"{path}.end", str),
+                          f"{path}.end"),
+                sign=_utf8(_expect(item, "sign", f"{path}.sign", str),
+                           f"{path}.sign"),
                 word=word,
             ))
         except ValidationError as exc:
@@ -173,6 +192,7 @@ def parse_scene(text: str) -> Scene:
             if not isinstance(item, str):
                 raise SceneError(f"field markov.rects[{idx}] must be an id "
                                  f"string")
+            _utf8(item, f"markov.rects[{idx}]")
         if len(set(ids)) != len(ids):
             raise SceneError("markov.rects: duplicate rectangle id")
         crossings = _expect(markov_block, "crossings", "markov.crossings",

@@ -8,8 +8,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from endlam.errors import ValidationError
+from endlam.errors import BudgetExceededError, ValidationError
 from endlam.group import (
+    DEFAULT_MAX_LETTERS,
     DEFAULT_MAX_WORDS,
     FreeAutomorphism,
     FuchsianGroup,
@@ -285,6 +286,30 @@ def family_of(entries):
     return GeodesicFamily(ta, tb, np.array(chain, dtype=np.int64),
                           np.array([p.iterate for _, p in entries],
                                    dtype=np.int64), chains)
+
+
+def reference_substitute(phi, word, n, max_letters=DEFAULT_MAX_LETTERS):
+    """``apply_automorphism`` as a per-letter loop: each letter's image,
+    its rule word or that word inverted, pushed one letter at a time onto
+    a reduction stack, the budget checked after each image, and each
+    step's result reduced again as a ``Word``."""
+    word = Word(tuple(word))
+    rules = phi.forward if n >= 0 else phi.inverse
+    for _ in range(abs(n)):
+        out = []
+        for letter in word.letters:
+            rule = rules[abs(letter) - 1].letters
+            image = rule if letter > 0 else [-x for x in reversed(rule)]
+            for x in image:
+                if out and out[-1] == -x:
+                    out.pop()
+                else:
+                    out.append(x)
+            if len(out) > max_letters:
+                raise BudgetExceededError(
+                    f"substitution exceeded {max_letters} letters")
+        word = Word(tuple(out))
+    return word
 
 
 def reference_merge(families, angle_tol=ANGLE_TOL):

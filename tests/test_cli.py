@@ -10,6 +10,7 @@ import tempfile
 from decimal import Decimal, localcontext
 from itertools import chain
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -65,6 +66,23 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text('{"group": {}}')
         assert run_command(["laminate", str(bad)]) == 1
+
+    @pytest.mark.parametrize("json_out", [False, True])
+    def test_lone_surrogate_in_scene_name_is_a_scene_error(
+            self, json_out, tmp_path, capsys):
+        raw = schottky_conjugate_data(None)
+        raw["metadata"]["name"] = "\ud800x"
+        scene = tmp_path / "surrogate.json"
+        scene.write_text(json.dumps(raw))
+        argv = ["laminate", str(scene)]
+        if json_out:
+            argv += ["--json", str(tmp_path / "report.json")]
+        assert run_command(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: {scene}: field metadata.name holds a lone "
+                       f"surrogate, not UTF-8 text\n")
+        assert not (tmp_path / "report.json").exists()
 
     def test_budget_exceeded_flagged(self, schottky, capsys):
         code = run_command(["limit-set", str(schottky), "--depth", "9",
@@ -980,6 +998,19 @@ class TestRender:
         assert run_command(["render", str(scene), "--out", str(out)]) == 0
         ids = re.findall(r'<g id="([^"]+)"', out.read_text())
         assert ids == ["junctures-e--1", "junctures-e+", "junctures-e--2"]
+
+    def test_markup_in_end_label_is_escaped(self, tmp_path):
+        # An end label may be any JSON string; in the group id it is
+        # attribute text, so the SVG parses and the id reads back.
+        raw = schottky_conjugate_data(None)
+        raw["junctures"][0]["end"] = 'e"<&-'
+        scene, out = tmp_path / "markup.json", tmp_path / "markup.svg"
+        scene.write_text(json.dumps(raw))
+        assert run_command(["render", str(scene), "--out", str(out),
+                            "--horizon", "8", "--ball", "1"]) == 0
+        root = ElementTree.parse(out).getroot()
+        ids = [g.get("id") for g in root.iter("{http://www.w3.org/2000/svg}g")]
+        assert 'junctures-e"<&-' in ids
 
 
 class TestRunRanges:

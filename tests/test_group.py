@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from endlam.errors import BudgetExceededError, NotHyperbolicError, ValidationError
 from endlam.group import (
@@ -29,7 +29,11 @@ from endlam.hyperbolic import (
 )
 from endlam.scene import load_scene, parse_scene, scene_path
 
-from conftest import reference_limit_set_sample, schottky_conjugate_data
+from conftest import (
+    reference_limit_set_sample,
+    reference_substitute,
+    schottky_conjugate_data,
+)
 
 
 def two_generator_group():
@@ -141,6 +145,51 @@ class TestGroup:
             )
 
 
+@st.composite
+def substitutions(draw):
+    """Forward and inverse rules of rank 1 to 3, arbitrary reduced words
+    (not always an automorphism), a word of up to 12 letters, a step count
+    and a letter budget: None for the default, or small enough to trip."""
+    rank = draw(st.integers(1, 3))
+    letters = st.lists(st.integers(-rank, rank).filter(bool), max_size=12)
+    rules = st.lists(letters.map(lambda xs: Word(tuple(xs[:4]))),
+                     min_size=rank, max_size=rank).map(tuple)
+    return (draw(rules), draw(rules), Word(tuple(draw(letters))),
+            draw(st.integers(-4, 4)),
+            draw(st.one_of(st.none(), st.integers(0, 40))))
+
+
+def outcome(call):
+    """The letters ``call`` returns, or the type and text of what it
+    raises."""
+    try:
+        return call().letters
+    except BudgetExceededError as exc:
+        return type(exc), str(exc)
+
+
+class TestReducedWord:
+    @given(st.lists(st.sampled_from((1, -1, 2, -2, 3, -3)), max_size=16),
+           st.data())
+    def test_equals_and_hashes_as_a_reduced_word(self, raw, data):
+        w = Word(tuple(raw))
+        assert Word._reduced(w.letters) == w
+        assert hash(Word._reduced(w.letters)) == hash(w)
+        i = data.draw(st.integers(0, len(w)))
+        j = data.draw(st.integers(i, len(w)))
+        part = Word._reduced(w.letters[i:j])
+        assert part == Word(w.letters[i:j])
+        assert hash(part) == hash(Word(w.letters[i:j]))
+
+    @given(st.lists(st.sampled_from((1, -1, 2, -2)), max_size=16))
+    def test_cyclic_decomposition(self, raw):
+        w = Word(tuple(raw))
+        g, core = w.cyclic_decomposition()
+        assert g == Word(g.letters) and core == Word(core.letters)
+        assert g * core * g.inverse() == w
+        assert w.inverse() == Word(tuple(-x for x in reversed(w.letters)))
+
+
 class TestAutomorphism:
     def test_single_substitution(self):
         phi = shift_automorphism()
@@ -176,6 +225,23 @@ class TestAutomorphism:
         phi = FreeAutomorphism(forward=(Word((1, 1)),), inverse=(Word((1,)),))
         with pytest.raises(BudgetExceededError):
             apply_automorphism(phi, Word((1,)), 40, max_letters=10 ** 4)
+
+    @settings(max_examples=300)
+    @given(substitutions())
+    # a -> a b, b -> b^-1 a^-1 b: the image of b cancels two letters, all
+    # of a's image, and a b goes to b.
+    @example(((Word((1, 2)), Word((-2, -1, 2))), (Word((1,)), Word((2,))),
+              Word((1, 2)), 1, None))
+    # a -> a b, b -> b^-1 a a: a b goes to a a a, past a budget of 2 that
+    # a's image meets and b's passes by one letter after a cancellation.
+    @example(((Word((1, 2)), Word((-2, 1, 1))), (Word((1,)), Word((2,))),
+              Word((1, 2)), 1, 2))
+    def test_matches_the_per_letter_loop(self, case):
+        forward, inverse, word, n, budget = case
+        phi = FreeAutomorphism(forward, inverse)
+        kwargs = {} if budget is None else {"max_letters": budget}
+        assert outcome(lambda: apply_automorphism(phi, word, n, **kwargs)) \
+            == outcome(lambda: reference_substitute(phi, word, n, **kwargs))
 
     def test_verify_ok(self):
         assert verify_automorphism(shift_automorphism()).ok

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -123,6 +124,34 @@ class TestParse:
         doc["metadata"]["name"] = name
         with pytest.raises(SceneError, match="metadata.name"):
             parse_scene(json.dumps(doc))
+
+    @pytest.mark.parametrize("field", [
+        "metadata.name", "group (name of generator 1)",
+        "automorphism.forward.b", "automorphism.inverse.a",
+        "junctures[0].word", "junctures[0].end", "junctures[0].sign",
+        "markov.rects[1]"])
+    def test_string_with_a_lone_surrogate_rejected(self, field):
+        # JSON's \ud800 escape decodes to a lone surrogate, which no output
+        # could encode as UTF-8: the scene is refused, naming the field.
+        bad = "\ud800x"
+        doc = json.loads(scene_text())
+        doc["markov"] = {"rects": ["R1", "R2"], "crossings": [[1, 2, 1]]}
+        if field == "metadata.name":
+            doc["metadata"]["name"] = bad
+        elif field.startswith("group"):
+            doc["group"] = {bad: doc["group"]["a"], "b": doc["group"]["b"]}
+        elif field.startswith("automorphism"):
+            _, side, gen = field.split(".")
+            doc["automorphism"][side][gen] += " " + bad
+        elif field.startswith("junctures"):
+            doc["junctures"][0][field.rsplit(".", 1)[1]] = bad
+        else:
+            doc["markov"]["rects"][1] = bad
+        text = json.dumps(doc)
+        assert "\\ud800x" in text
+        with pytest.raises(SceneError, match=re.escape(
+                f"field {field} holds a lone surrogate")):
+            parse_scene(text)
 
     def test_metadata_name_may_be_omitted(self):
         doc = json.loads(scene_text())
