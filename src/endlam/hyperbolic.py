@@ -235,27 +235,39 @@ def same_ideal_point(p: IdealPoint, q: IdealPoint,
 # rows of the block in the same cells.  The block ends before these
 # in-block candidates would pass _DEDUP_PAIRS (its first row has none), so
 # its index temporaries hold at most _DEDUP_PAIRS + 36 * _DEDUP_ROWS
-# entries, a few MB, whatever the input.  One block for the 16k distinct
-# rows of a horizon-20, ball-5 orbit is no faster and takes 2.4 times the
-# peak memory.
+# entries, a few MB, whatever the input; the rest grows with the input,
+# a few words per row and per cell.
 _DEDUP_ROWS = 2048
 _DEDUP_PAIRS = 1 << 18
 
+# The four cells after a cell, (du, dv) in grid steps: with the four before
+# it, which find it in turn, the eight around it.
+_AFTER = np.array([(0, 1), (1, -1), (1, 0), (1, 1)])
 
-def _cell_runs(keys, query):
-    """The query cells found in the sorted ``keys``, as flat indices into
-    ``query``, and the start and length of each one's run of keys, from
-    one search over the distinct cells."""
-    edge = np.ones(len(keys) + 1, dtype=bool)
-    edge[1:-1] = keys[1:] != keys[:-1]
-    edges = np.flatnonzero(edge)  # where each run starts, then len(keys)
-    cells = keys[edges[:-1]]
-    at = np.searchsorted(cells, query).ravel()
-    np.minimum(at, len(cells) - 1, out=at)
-    found = np.flatnonzero(cells[at] == query.ravel())
-    at = at[found]
-    lo = edges[at]
-    return found, lo, edges[at + 1] - lo
+
+def _grid(u, v, tol):
+    """Cell of each pair in a grid of cells 2 * tol wide that wraps around
+    the circle, as its two coordinates and its key, and the cells per turn.
+
+    A pair within tol of another lies in one of the nine cells around that
+    one's.  Two cells share a key only where it overflows, which needs
+    more than 2**32 cells per turn."""
+    q = 2.0 * max(tol, ANGLE_TOL_FLOOR)
+    wrap = max(1, round(TWO_PI / q))
+    a, b = (np.rint(t / q).astype(np.int64) % wrap for t in (u, v))
+    return a, b, a * wrap + b, wrap
+
+
+def _cells_after(keys, a, b, wrap):
+    """For each cell (a[n], b[n]) and each of the four cells after it that
+    has a key in the sorted distinct ``keys``, the index n and that key's
+    index."""
+    query = ((a + _AFTER[:, :1]) % wrap * wrap
+             + (b + _AFTER[:, 1:]) % wrap).ravel()
+    at = np.searchsorted(keys, query)
+    np.minimum(at, len(keys) - 1, out=at)
+    found = np.flatnonzero(keys[at] == query)
+    return found % len(a), at[found]
 
 
 def _close_pairs(u, v, tol, rows, i, lo, counts):
@@ -275,35 +287,6 @@ def _close_pairs(u, v, tol, rows, i, lo, counts):
     return i[close], j[close]
 
 
-def _first_occurrences(u, v):
-    """Ascending indices of the first occurrence of each exact pair, or
-    None when no pair repeats."""
-    order = np.lexsort((v, u))
-    su, sv = u[order], v[order]
-    new = np.ones(len(u), dtype=bool)
-    new[1:] = (su[1:] != su[:-1]) | (sv[1:] != sv[:-1])
-    if new.all():
-        return None
-    return np.sort(order[new], kind="stable")
-
-
-def _grid_keys(u, v, tol):
-    """Key of each pair's grid cell, and the keys of the nine cells around
-    it, its own included (the middle column), as one row each.
-
-    The cells are 2 * tol wide and wrap around the circle, so a pair
-    within tol of another lies in one of the nine.  Where a key overflows,
-    two cells may share it, which only adds candidates."""
-    q = 2.0 * max(tol, ANGLE_TOL_FLOOR)
-    wrap = max(1, round(TWO_PI / q))
-    cu, cv = (np.rint(t / q).astype(np.int64) for t in (u, v))
-    step = np.array([-1, 0, 1])
-    a = (cu[:, None] + step) % wrap * wrap
-    b = (cv[:, None] + step) % wrap
-    query = (a[:, :, None] + b[:, None, :]).reshape(len(u), 9)
-    return query[:, 4], query
-
-
 def first_distinct(u, v, tol: float) -> np.ndarray:
     """Keep-mask of the angle pairs ``(u[i], v[i])``, angles in [0, 2*pi],
     taken in order: a pair is kept when no earlier kept pair lies within
@@ -311,55 +294,105 @@ def first_distinct(u, v, tol: float) -> np.ndarray:
     enters as its two endpoint angles in ascending order, a boundary point
     t as (t, t), which tests it like :func:`same_ideal_point`.
 
+    The rows are sorted once by grid cell, a run of rows per cell, and
+    each cell finds the runs in the eight cells around it.  A run whose
+    angles span less than ``tol`` in both coordinates is tight: any two of
+    its rows are within ``tol``, so it keeps at most one of them, none
+    when an earlier block kept one, else the first that no kept row of
+    the cells around it blocks.  A dropped row blocks nothing, so the
+    rows of a tight run are never tested against each other, only against
+    the runs around it; the other runs, a seam cell's with angles near 0
+    and near 2*pi among them, also test their own rows pair by pair.
+
     Rows are decided a block at a time, each against the block's own rows
     and the kept rows of earlier blocks.  A block holds at most
     ``_DEDUP_ROWS`` rows and ends before its candidates among its own rows
     would pass ``_DEDUP_PAIRS``, which bounds the temporaries whatever the
-    input.  A pass with nothing to do is skipped: the kept-row lookups of
-    the first block, the repeat map of an input without exact repeats, the
-    budget cut of a block within its pair budget, the in-order decisions
-    of a block without in-block pairs, and the kept table after the last
-    block."""
+    input.  A pass with nothing to do is skipped: the per-block run counts
+    and kept-row tests of an input that is one block, the lookups for
+    cells that share a key where no key can overflow, the budget cut of a
+    block within its pair budget, and the in-order decisions of a block
+    whose rows are all settled at once."""
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-    if not len(u):
+    n = len(u)
+    if not n:
         return np.zeros(0, dtype=bool)
-    # An exact repeat is never new, so only first occurrences go on.
-    first = _first_occurrences(u, v)
-    if first is not None:
-        mask = np.zeros(len(u), dtype=bool)
-        u, v = u[first], v[first]
-    keys, query = _grid_keys(u, v, tol)
-    kept = np.zeros(len(u), dtype=bool)
-    # Kept rows of earlier blocks, sorted by key and within a key by row.
-    kept_keys = kept_rows = np.zeros(0, dtype=np.int64)
+    a, b, keys, wrap = _grid(u, v, tol)
+    # The rows by cell and within a cell in order, a run per cell: run t
+    # is order[edges[t]:edges[t + 1]].
+    order = np.argsort(keys, kind="stable")
+    table = keys[order]
+    edge = np.ones(n + 1, dtype=bool)
+    edge[1:-1] = table[1:] != table[:-1]
+    edges = np.flatnonzero(edge)
+    starts = edges[:-1]
+    run = np.cumsum(edge[:-1])
+    run -= 1
+    # A run of one row is tight, a longer one when its angles span less
+    # than tol in both coordinates.
+    several = np.flatnonzero(~(edge[:-1] & edge[1:]))
+    head = edge[several]
+    rows = order[several]
+    uv = np.stack((u[rows], v[rows]), axis=1)
+    at = np.flatnonzero(head)
+    tight = np.ones(len(starts), dtype=bool)
+    tight[run[several[head]]] = (np.maximum.reduceat(uv, at)
+                                 - np.minimum.reduceat(uv, at) < tol).all(1)
+    # The runs that meet, meets[k] and met[k]: a run meets the runs in the
+    # eight cells around its own, each pair found from the cell before,
+    # and meets itself unless it is tight.  A run's cell is its first
+    # row's; where keys can overflow, a row in another cell of the run
+    # looks up the cells after its own too.
+    cells = table[starts]
+    x, y = _cells_after(cells, a[order[starts]], b[order[starts]], wrap)
+    if wrap > 1 << 32:
+        a = a[order]
+        stray = np.flatnonzero(a[starts][run] != a)
+        z, w = _cells_after(cells, a[stray], b[order[stray]], wrap)
+        x, y = np.concatenate((x, run[stray[z]])), np.concatenate((y, w))
+    loose = np.flatnonzero(~tight)
+    meets = np.concatenate((x, y, loose))
+    met = np.concatenate((y, x, loose))
+    run_of = np.empty(n, dtype=np.int64)
+    run_of[order] = run
+    kept = np.zeros(n, dtype=bool)
     s = 0
-    while s < len(u):
-        # One table holds the kept rows and the next _DEDUP_ROWS rows; a
-        # cell's run lists its kept rows first, then the block's in order.
-        # The first block has no kept rows.
-        e = min(len(u), s + _DEDUP_ROWS)
-        if s:
-            table = np.concatenate((kept_keys, keys[s:e]))
-            order = np.argsort(table, kind="stable")
-            table = table[order]
-            rows = np.concatenate((kept_rows, np.arange(s, e)))[order]
+    while s < n:
+        e = min(n, s + _DEDUP_ROWS)
+        # The block's rows of run t are order[lo[t]:hi[t]]; only the runs
+        # that hold some look up the runs they meet.
+        if s or e < n:
+            lo = starts + done if s else starts
+            hi = lo + np.bincount(run_of[s:e], minlength=len(starts))
+            x = np.flatnonzero((hi > lo)[meets])
+            x, y = meets[x], met[x]
         else:
-            rows = np.argsort(keys[:e], kind="stable")
-            table = keys[rows]
-        found, lo, size = _cell_runs(table, query[s:e])
-        i = s + found // query.shape[1]
-        blocked = np.zeros(e - s, dtype=bool)
+            x, y, lo, hi = meets, met, starts, edges[1:]
         if s:
-            kept_before = np.zeros(len(rows) + 1, dtype=np.int64)
-            np.cumsum(rows < s, out=kept_before[1:])
-            k = kept_before[lo + size]
-            k -= kept_before[lo]
+            # The kept rows of earlier blocks, by position: run t's are
+            # kept_rows[bound[t]:bound[t + 1]].  A tight run holding one
+            # keeps none of the block's rows, which then meet no row.
+            bound = np.zeros(len(starts) + 1, dtype=np.int64)
+            np.cumsum(held, out=bound[1:])
+            kept_rows = order[np.flatnonzero(kept_at)]
+            hi = np.where(tight & (held > 0), lo, hi)
+        # Each block row i of run x meets the runs y, as candidates the
+        # rows order[start:start + size].
+        count = (hi - lo)[x]
+        i = order[np.arange(count.sum()) - np.repeat(
+            np.cumsum(count) - count - lo[x], count)]
+        y = np.repeat(y, count)
+        start = lo[y]
+        size = hi[y] - start
+        blocked = np.zeros(e - s, dtype=bool)
+        r = run_of[s:e]
+        chain = tight[r]
+        if s:
+            blocked[chain & (held[r] > 0)] = True
             # A row near a kept one is not kept.
-            hit, _ = _close_pairs(u, v, tol, rows, i, lo, k)
+            hit, _ = _close_pairs(u, v, tol, kept_rows, i, bound[y], held[y])
             blocked[hit - s] = True
-            size -= k
             size[blocked[i - s]] = 0
-            lo += k
         # The others meet the earlier rows of the block among the first
         # i - s block rows of a run.  The block ends before these
         # candidates pass _DEDUP_PAIRS; its first row has none.
@@ -368,36 +401,60 @@ def first_distinct(u, v, tol: float) -> np.ndarray:
             e = s + int(np.searchsorted(
                 np.cumsum(np.bincount(i - s, size, e - s)), _DEDUP_PAIRS,
                 "right"))
-            n = np.searchsorted(i, e)
-            i, lo, size = i[:n], lo[:n], size[:n]
-        i, j = _close_pairs(u, v, tol, rows, i, lo, size)
+            inside = i < e
+            i, start, size = i[inside], start[inside], size[inside]
+            blocked, r, chain = blocked[:e - s], r[:e - s], chain[:e - s]
+        i, j = _close_pairs(u, v, tol, order, i, start, size)
         i, j = i - s, j - s
-        blocked = blocked[:e - s]
         if s:
             i, j = i[~blocked[j]], j[~blocked[j]]
+        # The block rows of a tight run without a kept row form a chain
+        # from its first one: a row is kept only when no earlier one is.
+        # So the first is kept when no row around blocks it, and then the
+        # others are not.
+        first = order[lo[r]] - s
+        rest = chain & (first != np.arange(e - s))
         # A row with no earlier conflict is kept, one in conflict with such
         # a row is not, and the others are decided in order.
         alone = ~blocked
-        if len(i):
-            alone[i] = False
-            beaten = blocked.copy()
-            beaten[i[alone[j]]] = True
-            open_rows = np.flatnonzero(~alone & ~beaten)
-            bounds = np.searchsorted(i, [open_rows, open_rows + 1]).tolist()
-            keep, j = alone.tolist(), j.tolist()
-            for r, a, b in zip(open_rows.tolist(), *bounds):
-                keep[r] = not any(map(keep.__getitem__, j[a:b]))
-            kept[s:e] = keep
-        else:
-            kept[s:e] = alone
-        if e < len(u):
-            stay = (rows < s) | kept[rows]
-            kept_keys, kept_rows = table[stay], rows[stay]
+        alone[i] = False
+        alone[rest] = False
+        beaten = blocked.copy()
+        beaten[i[alone[j]]] = True
+        beaten[rest & alone[first]] = True
+        kept[s:e] = alone
+        open_rows = np.flatnonzero(~alone & ~beaten)
+        if len(open_rows):
+            # A chain's flag, past the block's rows at its first row's
+            # offset, tells its later rows that one of its rows is kept;
+            # a row outside a chain sets the last flag, which none reads.
+            flag = np.where(chain, first + (e - s), 2 * (e - s))[open_rows]
+            link = chain[open_rows]
+            pending = ~alone[i] & ~beaten[i]
+            i = np.concatenate((i[pending], open_rows[link]))
+            j = np.concatenate((j[pending], flag[link]))
+            by_row = np.argsort(i, kind="stable")
+            i, j = i[by_row], j[by_row].tolist()
+            ends = np.searchsorted(i, [open_rows, open_rows + 1]).tolist()
+            keep = bytearray(alone) + bytearray(e - s + 1)
+            for row, lo_j, hi_j, f in zip(open_rows.tolist(), *ends,
+                                          flag.tolist()):
+                if not any(map(keep.__getitem__, j[lo_j:hi_j])):
+                    keep[row] = keep[f] = True
+            kept[s:e] = np.frombuffer(keep, dtype=bool, count=e - s)
+        if e < n:
+            # Per run, the rows before the next block and the kept ones.
+            if not s:
+                done = np.zeros(len(starts), dtype=np.int64)
+                held = np.zeros(len(starts), dtype=np.int64)
+                kept_at = np.zeros(n, dtype=bool)
+                position = np.empty(n, dtype=np.int64)
+                position[order] = np.arange(n)
+            done += np.bincount(r, minlength=len(starts))
+            held += np.bincount(r[kept[s:e]], minlength=len(starts))
+            kept_at[position[s:e][kept[s:e]]] = True
         s = e
-    if first is None:
-        return kept
-    mask[first[kept]] = True
-    return mask
+    return kept
 
 
 @dataclass(frozen=True)
@@ -530,16 +587,21 @@ def boundary_action(m: Isometry, p: IdealPoint) -> IdealPoint:
 def _boundary_angles(t):
     """``IdealPoint.from_boundary(t).theta`` per element of the array t,
     bit for bit: 0.0 at +INF, elsewhere libm's atan2 element by element,
-    reduced twice as ``angle_from_boundary`` and ``IdealPoint`` reduce it.
+    reduced as ``angle_from_boundary`` and ``IdealPoint`` reduce it.
     numpy's SIMD arctan2 differs from libm's in the last bit on some inputs
     (21,716 of 500,000 images of random boundary points under the radius-5
     ball of schottky_ab, AVX-512 Xeon, numpy 2.4), which would move output
-    bytes.  Call it under ``np.errstate(all="ignore")``."""
+    bytes.  Call it under ``np.errstate(all="ignore")``.
+
+    atan2 lies in [-pi, pi], where the two ``% TWO_PI`` add 2*pi to a
+    negative angle, turn -0.0 into 0.0 and, where the sum rounds to 2*pi,
+    the second one turns that into 0.0; so do the steps here."""
     y, x = -2.0 * t, t * t - 1.0
     theta = np.fromiter(map(math.atan2, y.ravel().tolist(),
                             x.ravel().tolist()), float, t.size)
-    theta = theta.reshape(t.shape) % TWO_PI % TWO_PI
-    theta[t == INF] = 0.0
+    theta = theta.reshape(t.shape)
+    theta = np.where(theta < 0.0, theta + TWO_PI, theta + 0.0)
+    theta[(theta == TWO_PI) | (t == INF)] = 0.0
     return theta
 
 

@@ -18,12 +18,15 @@ strings and crossing rows are exactly three integers, 1-based [i, j, count],
 one row per pair at most.  ``metadata.name``, when given, is a string.
 Every string the program reads (the name, generator names, words, juncture
 end labels and signs, rectangle ids) must encode as UTF-8, which a lone
-surrogate, spelt with a JSON escape, cannot.
+surrogate, spelt with a JSON escape, cannot.  An end label names an SVG
+group and report lines, so it holds no control character (U+0000 to
+U+001F and DEL) and neither of the noncharacters U+FFFE and U+FFFF.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,6 +68,13 @@ def _expect(mapping, key, path, kind=None):
     if kind is not None and not isinstance(value, kind):
         raise SceneError(f"field {path} has the wrong type")
     return value
+
+
+# Characters refused in an end label, which names SVG groups and report
+# lines: the C0 controls, which XML refuses or, in an attribute, reads
+# back as spaces; DEL, which a terminal does not show; and the two
+# noncharacters XML refuses.
+_UNFIT_IN_LABEL = re.compile(r"[\x00-\x1f\x7f\ufffe\uffff]")
 
 
 def _utf8(text: str, path: str) -> str:
@@ -171,14 +181,16 @@ def parse_scene(text: str) -> Scene:
         period = item.get("period", 1)
         if type(period) is not int or period != 1:
             raise SceneError(f"field {path}.period must be 1")
+        end = _utf8(_expect(item, "end", f"{path}.end", str), f"{path}.end")
+        unfit = _UNFIT_IN_LABEL.search(end)
+        if unfit:
+            raise SceneError(
+                f"field {path}.end holds U+{ord(unfit.group()):04X}, which "
+                f"an SVG id or a report line cannot show")
+        sign = _utf8(_expect(item, "sign", f"{path}.sign", str),
+                     f"{path}.sign")
         try:
-            junctures.append(JunctureSpec(
-                end=_utf8(_expect(item, "end", f"{path}.end", str),
-                          f"{path}.end"),
-                sign=_utf8(_expect(item, "sign", f"{path}.sign", str),
-                           f"{path}.sign"),
-                word=word,
-            ))
+            junctures.append(JunctureSpec(end=end, sign=sign, word=word))
         except ValidationError as exc:
             raise SceneError(f"{path}: {exc}") from exc
 

@@ -1012,6 +1012,21 @@ class TestRender:
         ids = [g.get("id") for g in root.iter("{http://www.w3.org/2000/svg}g")]
         assert 'junctures-e"<&-' in ids
 
+    @pytest.mark.parametrize("command", ["render", "escape"])
+    def test_control_character_in_end_label_is_a_scene_error(
+            self, command, tmp_path, capsys):
+        # No SVG id or report line could show it: the scene is refused.
+        raw = schottky_conjugate_data(None)
+        raw["junctures"][1]["end"] = "e\u0001"
+        scene, out = tmp_path / "control.json", tmp_path / "control.svg"
+        scene.write_text(json.dumps(raw))
+        argv = [command, str(scene)]
+        if command == "render":
+            argv += ["--out", str(out)]
+        assert run_command(argv) == 1
+        assert "field junctures[1].end holds U+0001" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRunRanges:
     @pytest.mark.parametrize("command", ["laminate", "axioms", "render"])

@@ -391,6 +391,15 @@ class TestBoundaryImages:
         assert [bits(column) for column in got.T] == [
             self.reference(ms, p) for p in self.POINTS]
 
+    @pytest.mark.parametrize("t", [0.0, -0.0, INF, 1e16, -1e16, 1e308,
+                                   -1e308, 1e-300, -1e-300])
+    def test_boundary_angles_reduce_like_ideal_points(self, t):
+        # At t = 1e16, atan2 is -2e-16, and adding 2 pi rounds to 2 pi,
+        # which the second reduction takes to 0.0.
+        with np.errstate(all="ignore"):
+            got = hyperbolic._boundary_angles(np.array([t, t]))
+        assert bits(got) == bits([IdealPoint.from_boundary(t).theta] * 2)
+
     @pytest.mark.parametrize("k", range(2, len(POINTS)))
     def test_zero_denominator(self, k):
         # [[0, 1], [-1, t]] sends t to infinity: c t + d is exactly 0.
@@ -773,6 +782,91 @@ class TestAngleSet:
         assert_blocks_match_sequential(u, [2.0] * 500, tol)
         assert_blocks_match_sequential(u, u, tol)
 
+    def test_tight_cell_across_blocks(self):
+        # A tail converging inside one cell (cells are centred on multiples
+        # of 2 * tol) from row 5 to row 34: blocks of 1, 3 and 16 rows cut
+        # it, and the row kept before a cut drops the rest after it.
+        tol = 1e-3
+        u = [0.3, 1.5, 2.5, 3.5, 4.5]
+        u += [1.0 + 0.9 * tol * 0.7 ** k for k in range(30)]
+        v = [2.0] * 5 + [2.0 - 0.3 * tol * 0.7 ** k for k in range(30)]
+        assert sequential_first_distinct(u, v, tol) == [True] * 6 + [False] * 29
+        assert_blocks_match_sequential(u, v, tol)
+
+    def test_tight_cell_first_row_blocked_from_next_cell(self):
+        # The kept row at 1.0018 lies one cell up and within tol of the
+        # tight cell's first row, 1.0009, but not of its second, 1.0001:
+        # the second is kept and drops the third.  Rows before the cell
+        # put the cell's rows in one block or across blocks.
+        tol = 1e-3
+        for lead in ([], [0.5], [0.5, 0.7, 0.9]):
+            u = lead + [1.0018, 1.0009, 1.0001, 1.00015]
+            v = [2.0] * len(u)
+            assert sequential_first_distinct(u, v, tol)[-4:] == [
+                True, False, True, False]
+            assert_blocks_match_sequential(u, v, tol)
+
+    def test_spread_of_exactly_tol_is_not_tight(self):
+        # 1 and 1 + tol share a cell (512.5 rounds to even) and are not
+        # within tol of each other: both are kept, and the row between
+        # them is dropped.
+        tol = 2.0 ** -10
+        u = [1.0, 1.0 + tol, 1.0 + tol / 2]
+        v = [2.0] * 3
+        assert sequential_first_distinct(u, v, tol) == [True, True, False]
+        assert_blocks_match_sequential(u, v, tol)
+        assert_blocks_match_sequential(v, u, tol)
+
+    @pytest.mark.parametrize("tol", [1e-3, 1.25e-3, 1e-9])
+    def test_tails_at_the_seam(self, tol):
+        # Tails converging on 0 from both sides of the seam, in u, in v
+        # and in both, interleaved: the cells near 0 and near 2 pi wrap
+        # into one another.
+        steps = [0.9 * tol * 0.6 ** k for k in range(12)]
+        u, v = [], []
+        for d in steps:
+            for a, b in ((d, 3.0), (TWO_PI - d, 3.0), (3.0, d),
+                         (3.0, TWO_PI - 0.5 * d), (d, TWO_PI - d)):
+                u.append(a)
+                v.append(b)
+        assert_blocks_match_sequential(u, v, tol)
+
+    def test_cells_that_share_a_key(self):
+        # At tol 1e-12 a turn holds more than 2**32 cells, so keys
+        # overflow: the first row's cell and the third's share a key, and
+        # the third lies across the seam in v from the second, one cell
+        # after its own.  The third row looks up that cell itself.
+        tol = 1e-12
+        q = 2 * tol
+        wrap = round(TWO_PI / q)
+        step = -(-(1 << 64) // wrap)
+        shift = step * wrap - (1 << 64)
+        u = [(1000 + step) * q, 1000 * q, 1000 * q]
+        v = [(wrap - 1 - shift) * q, TWO_PI - 0.3 * tol, TWO_PI - 0.9 * tol]
+        _, _, keys, _ = hyperbolic._grid(np.array(u), np.array(v), tol)
+        assert keys[0] == keys[2] != keys[1]
+        assert sequential_first_distinct(u, v, tol) == [True, True, False]
+        assert_blocks_match_sequential(u, v, tol)
+
+    def test_pair_tests_on_a_deep_orbit(self):
+        # The candidates of the schottky_ab orbit at horizon 20, ball 5
+        # that reach the gap test, and those within tol.  Before tight
+        # cells these were 102,352 and 38,688, with exact repeats
+        # removed first.
+        (u, v, tol), = deep_orbit_calls()
+        counts = [0, 0]
+        close_pairs = hyperbolic._close_pairs
+
+        def counted(u, v, tol, rows, i, lo, n):
+            counts[0] += int(n.sum())
+            i, j = close_pairs(u, v, tol, rows, i, lo, n)
+            counts[1] += len(i)
+            return i, j
+
+        with mock.patch.object(hyperbolic, "_close_pairs", counted):
+            assert first_distinct(u, v, tol).sum() == 7702
+        assert counts == [34678, 10179]
+
     def test_peak_memory_on_a_deep_orbit(self):
         # The candidates of the schottky_ab orbit at horizon 20, ball 5:
         # the blocks keep the temporaries near the size of the input (one
@@ -798,8 +892,23 @@ class TestAngleSet:
         assert peak < DEDUP_PEAK_MB * 1e6
 
 
+def deep_orbit_calls():
+    """The first_distinct calls of the schottky_ab orbit at horizon 20,
+    ball 5: one, with 19,885 candidates."""
+    scene = load_scene(scene_path("schottky_ab.json"))
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return first_distinct(*args)
+
+    with mock.patch.object(lamination, "first_distinct", record):
+        juncture_orbit(scene, scene.junctures[0], range(-20, 21), 5)
+    return calls
+
+
 # Tracemalloc peak allowed to first_distinct on the deep orbit's
-# 19,885 candidates (about 2.9 MB).
+# 19,885 candidates (about 2.4 MB).
 DEDUP_PEAK_MB = 5
 
 # Block shapes (rows, pair budget) that take every path of first_distinct:
@@ -838,15 +947,18 @@ ANGLES = {tol: st.one_of(
                      TWO_PI - 0.5 * tol, TWO_PI - 0.999 * tol,
                      math.nextafter(TWO_PI, 0))))
     for tol in TOLERANCES}
-KINDS = st.sampled_from(("new", "point", "repeat", "offset", "chain"))
+KINDS = st.sampled_from(("new", "point", "repeat", "offset", "chain",
+                         "tail"))
 STEPS = {"chain": st.sampled_from((0.6, -0.6, 0.0)),
-         "offset": st.sampled_from((0.999, -0.999, 1.001, -1.001, 0.0))}
+         "offset": st.sampled_from((0.999, -0.999, 1.001, -1.001, 0.0)),
+         "tail": st.sampled_from((0.5, 0.25, 0.1))}
 
 
 @st.composite
 def angle_pairs(draw):
     """A tolerance and pairs that repeat, chain, straddle the tolerance
-    and the 0/2 pi seam, and include points (t, t)."""
+    and the 0/2 pi seam, converge on an earlier pair, and include points
+    (t, t)."""
     tol = draw(st.sampled_from(TOLERANCES))
     angle = ANGLES[tol]
     pairs = []
@@ -857,6 +969,15 @@ def angle_pairs(draw):
         elif kind == "point":
             t = draw(angle)
             pair = (t, t)
+        elif kind == "tail":
+            # The last pair moved toward an earlier one by a fixed ratio,
+            # the long way round never: a run of these steps shrinks
+            # geometrically below tol.
+            anchor = pairs[draw(st.integers(0, len(pairs) - 1))]
+            ratio = draw(STEPS["tail"])
+            pair = tuple(
+                (x + ((y - x + math.pi) % TWO_PI - math.pi) * ratio)
+                % TWO_PI for x, y in zip(anchor, pairs[-1]))
         else:
             base = pairs[-1] if kind == "chain" else pairs[
                 draw(st.integers(0, len(pairs) - 1))]

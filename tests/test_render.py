@@ -1,12 +1,14 @@
+import json
 import math
 import re
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from endlam import hyperbolic
-from endlam.errors import ValidationError
+from endlam.errors import SceneError, ValidationError
 from endlam.group import LimitSetSample, Word
 from endlam.hyperbolic import TWO_PI, Geodesic
 from endlam.lamination import (
@@ -21,9 +23,10 @@ from endlam.render import (
     MARGIN,
     POINT_RADIUS,
     _fmt,
+    numbered_labels,
     render_svg,
 )
-from endlam.scene import load_scene, scene_path
+from endlam.scene import load_scene, parse_scene, scene_path
 
 ARC_PATH_RE = re.compile(
     r'<path d="M (?P<x1>[-\d.]+) (?P<y1>[-\d.]+) '
@@ -322,3 +325,35 @@ class TestElementTemplates:
                  if line.startswith(("<path", "<circle"))]
         assert drawn == (reference_elements(geodesics, [], [], size)
                          + reference_elements([], points, angles, size))
+
+
+# End labels from any characters, with XML's special and refused ones, the
+# C0 controls and DEL among them, drawn often.
+_END_LABELS = st.lists(st.text(st.one_of(
+    st.characters(codec="utf-8"),
+    st.sampled_from('&<>"\'\x00\x01\t\n\r\x1f\x7f\x85\u2028\ufffe\uffff')),
+    max_size=5), min_size=1, max_size=4)
+
+
+class TestEndLabelIds:
+    @settings(max_examples=300, deadline=None)
+    @given(_END_LABELS)
+    def test_accepted_labels_read_back_from_the_svg(self, ends):
+        # Every end label a scene may hold names its juncture group, the
+        # numbered label reading back from a well-formed SVG; a scene with
+        # any other label is refused, naming that label's path.
+        doc = json.loads(scene_path("schottky_ab.json").read_text())
+        doc["junctures"] = [{"end": end, "sign": "-", "word": "a"}
+                            for end in ends]
+        try:
+            scene = parse_scene(json.dumps(doc))
+        except SceneError as exc:
+            k = next(k for k, end in enumerate(ends)
+                     if re.search("[\x00-\x1f\x7f\ufffe\uffff]", end))
+            assert str(exc).startswith(f"field junctures[{k}].end holds U+")
+            return
+        labels = [f"junctures-{j.end}" for j in scene.junctures]
+        svg = render_svg([(label, []) for label in labels], size=21)
+        root = ElementTree.fromstring(svg.encode("utf-8"))
+        ids = [g.get("id") for g in root.iter("{http://www.w3.org/2000/svg}g")]
+        assert ids == numbered_labels(labels)

@@ -153,6 +153,50 @@ class TestParse:
                 f"field {field} holds a lone surrogate")):
             parse_scene(text)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("end", None, "missing field junctures[0].end"),
+        ("sign", None, "missing field junctures[0].sign"),
+        ("word", None, "missing field junctures[0].word"),
+        ("end", "\ud800x",
+         "field junctures[0].end holds a lone surrogate, not UTF-8 text"),
+        ("sign", "\ud800x",
+         "field junctures[0].sign holds a lone surrogate, not UTF-8 text"),
+        ("sign", "x",
+         "junctures[0]: juncture sign must be '+' or '-', got 'x'"),
+        ("word", "", "junctures[0]: juncture word must be nonempty"),
+    ], ids=["no-end", "no-sign", "no-word", "surrogate-end",
+            "surrogate-sign", "bad-sign", "empty-word"])
+    def test_refused_juncture_field_names_its_path_once(self, field, value,
+                                                        message):
+        # The path prefix belongs to JunctureSpec's own errors only.
+        doc = json.loads(scene_text())
+        if value is None:
+            del doc["junctures"][0][field]
+        else:
+            doc["junctures"][0][field] = value
+        with pytest.raises(SceneError) as info:
+            parse_scene(json.dumps(doc))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("char", ["\x00", "\x01", "\t", "\n", "\r",
+                                      "\x1b", "\x1f", "\x7f", "\ufffe",
+                                      "\uffff"])
+    def test_end_label_with_a_control_character_rejected(self, char):
+        doc = json.loads(scene_text())
+        doc["junctures"].append({"end": "e" + char, "sign": "+", "word": "b"})
+        with pytest.raises(SceneError) as info:
+            parse_scene(json.dumps(doc))
+        assert str(info.value) == (
+            f"field junctures[1].end holds U+{ord(char):04X}, which an SVG "
+            f"id or a report line cannot show")
+
+    @pytest.mark.parametrize("label", ["e\x80", "e\x85", "e\u2028", "e ",
+                                       "e\ufdd0", "e\U0010ffff"])
+    def test_end_label_may_hold_other_characters(self, label):
+        doc = json.loads(scene_text())
+        doc["junctures"][0]["end"] = label
+        assert parse_scene(json.dumps(doc)).junctures[0].end == label
+
     def test_metadata_name_may_be_omitted(self):
         doc = json.loads(scene_text())
         del doc["metadata"]["name"]
