@@ -683,29 +683,19 @@ _COMMANDS = {
 _PROG = "endlam"
 
 
-def build_parser(argv=()) -> _Parser:
-    """The parser tree of the command line ``argv``.
-
-    When ``argv[0]`` is a command only its parser is registered, with all
-    of its subcommands; else every command's.  argparse hands every
-    argument after a command's name to that command's parser, and a parser
-    lists its subcommands only when the name is missing or unknown.
-    ``run_command`` builds the tree only for an argv that ``_lone_parser``
-    does not take: no command, ``-h``, a flag or an unknown name in the
-    command's place, and ``markov`` alone, ``markov -h`` or an unknown
-    markov subcommand.
-    """
+def build_parser() -> _Parser:
+    """The parser tree of every command.  ``run_command`` builds it only
+    for what ``_lone_parser`` does not take, help requests and usage errors:
+    no command, ``-h``, a flag or an unknown name in the command's place,
+    and ``markov`` alone, ``markov -h`` or an unknown markov subcommand."""
     parser = _Parser(prog=_PROG,
                      description="Desk-scale lamination approximations for "
                                  "endperiodic surface maps")
     # Each prog is given so that argparse does not format a usage line to
     # find it.
     sub = parser.add_subparsers(dest="command", prog=parser.prog)
-    if argv and argv[0] in _COMMANDS:
-        _COMMANDS[argv[0]](sub)
-    else:
-        for add in _COMMANDS.values():
-            add(sub)
+    for add in _COMMANDS.values():
+        add(sub)
     return parser
 
 
@@ -727,8 +717,8 @@ class _Lone:
 def _lone_parser(argv):
     """(parser, the argv it parses) when ``argv`` names a command, and
     under ``markov`` a markov subcommand: that command's parser alone,
-    which parses what follows the names as it would in the tree of
-    ``build_parser``; else None."""
+    which parses what follows the names as it would in ``build_parser``'s
+    tree; else None."""
     if not argv or argv[0] not in _COMMANDS:
         return None
     name = argv[0]
@@ -745,7 +735,7 @@ def _lone_parser(argv):
 
 def run_command(argv) -> int:
     lone = _lone_parser(argv)
-    parser, rest = lone or (build_parser(argv), argv)
+    parser, rest = lone or (build_parser(), argv)
     try:
         args, extras = parser.parse_known_args(rest)
         if extras:

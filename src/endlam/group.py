@@ -9,7 +9,9 @@ inverse rule, encodes the surface map on the fundamental group.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -267,11 +269,10 @@ def verify_automorphism(phi: FreeAutomorphism) -> AutomorphismReport:
 
 
 def ball_size(rank: int, k: int) -> int:
-    """Closed form 1 + sum over lengths of 2r*(2r-1)^(len-1)."""
-    total = 1
-    for length in range(1, k + 1):
-        total += 2 * rank * (2 * rank - 1) ** (length - 1)
-    return total
+    """Closed form of 1 + sum over lengths of 2r*(2r-1)^(len-1)."""
+    if rank == 1:
+        return 1 + 2 * k
+    return 1 + rank * ((2 * rank - 1) ** k - 1) // (rank - 1)
 
 
 def _letter_order(rank: int) -> list[int]:
@@ -282,38 +283,53 @@ def _letter_order(rank: int) -> list[int]:
 def _check_ball(rank: int, k: int, max_words: int) -> None:
     if k < 0:
         raise ValidationError("ball radius must be nonnegative")
-    expected = ball_size(rank, k)
-    if expected > max_words:
-        raise BudgetExceededError(
-            f"ball of radius {k} holds {expected} words, over the budget "
-            f"of {max_words}"
-        )
+    # Past rank 1 the ball holds at least 2^k words, so from the budget's
+    # bit length on a radius is over it; its size, a power that takes
+    # seconds at radius 30,000, is then made only if str() can print it.
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    long = rank > 1 and k * math.log10(2 * rank - 1) >= limit - 2
+    if not (long and k >= max_words.bit_length()):
+        size = ball_size(rank, k)
+        if size <= max_words:
+            return
+    raise BudgetExceededError(
+        f"ball of radius {k} holds "
+        f"{f'more than {max_words}' if long else size} words, over the "
+        f"budget of {max_words}")
+
+
+@dataclass(eq=False)
+class Ball:
+    """The freely reduced words of length <= k by length, then in the
+    letter order a < a^-1 < b < b^-1 < ...: word i is word ``parent[i]``
+    followed by the signed letter ``letter[i]`` (-1 and 0 for the identity,
+    first), and row ``g[i]`` holds the entries a, b, c, d of its isometry."""
+
+    parent: np.ndarray
+    letter: np.ndarray
+    g: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.parent)
+
+    @cached_property
+    def words(self) -> list[Word]:
+        """Each word, built once from its parent's letters, reduced as is."""
+        letters = [()]
+        for p, x in zip(self.parent[1:].tolist(), self.letter[1:].tolist()):
+            letters.append(letters[p] + (x,))
+        return [Word._reduced(x) for x in letters]
 
 
 def enumerate_ball(group: FuchsianGroup, k: int,
-                   max_words: int = DEFAULT_MAX_WORDS):
-    """All freely reduced words of length <= k with their isometries.
-
-    Ordered by length, then lexicographically with the letter order
-    a < a^-1 < b < b^-1 < ...; deterministic for a fixed group.
-    ``hyperbolic.ball_products`` gives the same isometries as arrays.
-    """
+                   max_words: int = DEFAULT_MAX_WORDS) -> Ball:
+    """All freely reduced words of length <= k with their isometries from
+    ``hyperbolic.ball_products``, each ``evaluate_word``'s bit for bit."""
     _check_ball(group.rank, k, max_words)
-    letter_order = _letter_order(group.rank)
-    out: list[tuple[Word, Isometry]] = [(Word.identity(), Isometry.identity())]
-    frontier = [((), Isometry.identity())]
-    for _ in range(k):
-        nxt = []
-        for letters, m in frontier:
-            for letter in letter_order:
-                if letters and letters[-1] == -letter:
-                    continue
-                entry = (letters + (letter,),
-                         m.compose(group.letter_isometry(letter)))
-                nxt.append(entry)
-        frontier = nxt
-        out.extend((Word(letters), m) for letters, m in frontier)
-    return out
+    order = _letter_order(group.rank)
+    parent, letter, g = ball_products(
+        [group.letter_isometry(x) for x in order], k)
+    return Ball(parent, np.array([0, *order])[letter + 1], g)
 
 
 @dataclass
@@ -338,17 +354,14 @@ def limit_set_sample(group: FuchsianGroup, base: HPoint, k: int,
     of every hyperbolic ball element (a dense subset of the limit set).
     Endpoints closer than ``angle_tol`` count once.
 
-    The ball's products, orbit points and axis endpoints are computed as
-    arrays (``hyperbolic.ball_products``, ``orbit_points``, ``is_hyperbolic``
-    and ``axis_angles``), in ``enumerate_ball``'s order and bit for bit
-    what ``to_disk(apply_isometry(m, base))`` and ``axis(m)`` give for each
-    of its isometries m.  A numeric breakdown raises what those calls
-    raise at the first ball element where one of them fails."""
+    The orbit points and axis endpoints of ``enumerate_ball``'s isometries
+    m are arrays (``orbit_points``, ``is_hyperbolic``, ``axis_angles``), bit
+    for bit ``to_disk(apply_isometry(m, base))`` and ``axis(m)``.  A numeric
+    breakdown raises what those raise at the first element that fails."""
     if k < 0:
         raise ValidationError("sample depth must be nonnegative")
-    _check_ball(group.rank, k, max_words)
-    a, b, c, d = ball_products(
-        [group.letter_isometry(x) for x in _letter_order(group.rank)], k)
+    ball = enumerate_ball(group, k, max_words)
+    a, b, c, d = ball.g.T
     x, y, fine = orbit_points(a, b, c, d, base)
     hyperbolic = is_hyperbolic(a, b, c, d, trace_tol)
     ends, ok = axis_angles(a[hyperbolic], b[hyperbolic], c[hyperbolic],
@@ -358,8 +371,7 @@ def limit_set_sample(group: FuchsianGroup, base: HPoint, k: int,
     # ball order: the first that fails raises, and one that passes has its
     # array values already, as the steps are the same.
     for i in np.flatnonzero(~fine).tolist():
-        m = Isometry._raw(float(a[i]), float(b[i]), float(c[i]),
-                          float(d[i]))
+        m = Isometry._raw(*ball.g[i].tolist())
         apply_isometry(m, base)
         if classify_isometry(m, trace_tol) == "hyperbolic":
             axis(m, trace_tol)
@@ -368,4 +380,4 @@ def limit_set_sample(group: FuchsianGroup, base: HPoint, k: int,
     return LimitSetSample(
         orbit=list(zip(x.tolist(), y.tolist())),
         fixed_point_angles=ends[keep].tolist(),
-        words=len(a))
+        words=len(ball))

@@ -631,54 +631,64 @@ def boundary_images(a, b, c, d, points) -> np.ndarray:
 
 
 def ball_products(letters, k: int):
-    """Entries a, b, c, d of the products of every word of length <= k in
-    ``letters`` (isometries in the order x1, x1^-1, x2, x2^-1, ..., so a
-    letter never follows its partner), as four arrays in
-    ``group.enumerate_ball``'s order: length by length, each word's
-    children in letter order.  Each product is the chained
-    ``Isometry.compose`` from the identity, bit for bit: products, Dekker
-    determinant, the ``_RENORM_CAP`` test, square-root normalisation and
-    sign canonicalisation.  A product that overflows or whose determinant
-    collapses raises what ``compose`` raises, for the first such word."""
+    """``(parent, letter, g)`` of the words of length <= k in ``letters``
+    (isometries x1, x1^-1, x2, x2^-1, ..., so a letter never follows its
+    partner), length by length, each word's children in letter order:
+    word i is word ``parent[i]`` then ``letters[letter[i]]`` (both -1 for
+    the empty word, first), and row ``g[i]`` holds its product's a, b, c, d.
+    Each product is the chained ``Isometry.compose`` from the identity,
+    bit for bit: products, Dekker determinant, the ``_RENORM_CAP`` test,
+    square-root normalisation and sign canonicalisation.  A product that
+    overflows or whose determinant collapses raises what ``compose``
+    raises, for the first such word."""
+    # Each matrix [[a, b], [c, d]] is a column of these (2, 2, n) arrays.
     mats = np.array([(m.a, m.b, m.c, m.d) for m in letters],
-                    dtype=float).reshape(-1, 4)
-    front = tuple(np.array([x]) for x in (1.0, 0.0, 0.0, 1.0))
+                    dtype=float).T.reshape(2, 2, -1)
+    n = len(letters)
+    # The letters that may follow each letter: all but its partner.
+    follow = np.array([[x for x in range(n) if x != i ^ 1] for i in range(n)])
+    front = np.array([[[1.0], [0.0]], [[0.0], [1.0]]])
+    weights = np.array([[[8.0], [4.0]], [[2.0], [1.0]]])
     last = np.array([-1])  # letter index of each word's last letter
-    levels = [front]
-    for _ in range(k):
-        parent = np.repeat(np.arange(len(last)), len(mats))
-        letter = np.tile(np.arange(len(mats)), len(last))
-        keep = letter != (last[parent] ^ 1)
-        parent, letter = parent[keep], letter[keep]
-        a1, b1, c1, d1 = (x[parent] for x in front)
-        a2, b2, c2, d2 = mats[letter].T
-        with np.errstate(all="ignore"):
-            a = a1 * a2 + b1 * c2
-            b = a1 * b2 + b1 * d2
-            c = c1 * a2 + d1 * c2
-            d = c1 * b2 + d1 * d2
-            small = np.maximum(np.maximum(np.abs(a), np.abs(b)),
-                               np.maximum(np.abs(c), np.abs(d))) <= _RENORM_CAP
-            det = _det(a, b, c, d)
-            ok = (np.isfinite(a) & np.isfinite(b) & np.isfinite(c)
-                  & np.isfinite(d) & ((det > 0.0) | ~small))
+    start = 0              # where the level of ``front`` starts
+    levels, parents, lasts = [front], [last], [last]
+    parent, letter = np.zeros(n, dtype=np.int64), np.arange(n)  # length 1
+    with np.errstate(all="ignore"):
+        for length in range(k):
+            if length:
+                parent = np.repeat(np.arange(len(last)), n - 1)
+                letter = follow[last].ravel()
+            m1, m2 = np.take(front, parent, 2), np.take(mats, letter, 2)
+            # Row i, column j: m1[i, 0] * m2[0, j] + m1[i, 1] * m2[1, j].
+            g = m1[:, :1] * m2[:1] + m1[:, 1:] * m2[1:]
+            big = np.abs(g).max(axis=(0, 1))
+            small = big <= _RENORM_CAP
+            # _det(a, b, c, d), its two products a*d and b*c at once.
+            p, e = _two_product(g[0], g[1, ::-1])
+            det = (p[0] - p[1]) + (e[0] - e[1])
+            # A small product needs det > 0, any other finite entries: the
+            # largest |entry| is not finite where an entry is not.
+            ok = np.where(small, det > 0.0, big < np.inf)
             if not ok.all():
                 bad = ok.argmin()
-                Isometry._raw(*(float(x[bad]) for x in (a1, b1, c1, d1))
-                              ).compose(letters[letter[bad]])
+                Isometry._raw(*m1[..., bad].ravel().tolist()).compose(
+                    letters[letter[bad]])
                 raise NumericDegeneracyError(
                     f"product {bad}: the scalar product is fine, the array "
                     "one is not")
-            # x / 1.0 is x, so the products left unnormalised stay as they are.
-            s = np.sqrt(np.where(small, det, 1.0))
-            a, b, c, d = a / s, b / s, c / s, d / s
-        lead = np.where(a != 0.0, a, np.where(b != 0.0, b,
-                                              np.where(c != 0.0, c, d)))
-        flip = lead < 0.0
-        front = tuple(np.where(flip, -x, x) for x in (a, b, c, d))
-        last = letter
-        levels.append(front)
-    return tuple(np.concatenate(parts) for parts in zip(*levels))
+            # x / 1.0 is x: the products left unnormalised stay as they are.
+            g = g / np.sqrt(np.where(small, det, 1.0))
+            # 8 sign(a) + 4 sign(b) + 2 sign(c) + sign(d) has the sign of
+            # the first nonzero entry.
+            flip = (weights * np.sign(g)).sum(axis=(0, 1)) < 0.0
+            front = np.where(flip, -g, g)
+            parents.append(parent + start)
+            start += len(last)
+            last = letter
+            levels.append(front)
+            lasts.append(last)
+    return (np.concatenate(parents), np.concatenate(lasts),
+            np.concatenate(levels, axis=2).reshape(4, -1).T)
 
 
 def orbit_points(a, b, c, d, p: HPoint):

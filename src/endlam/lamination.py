@@ -87,9 +87,6 @@ class ChainProvenance:
 
     juncture: JunctureSpec
     conjugator: Word
-    # Evaluated conjugator, kept so chain limits can be transported from
-    # the base chain equivariantly (equal endpoints stay equal in floats).
-    conjugator_isometry: Isometry | None = field(default=None, kw_only=True)
 
     def chain_key(self):
         # Nothing in endlam reads this: the benchmark tracer
@@ -98,21 +95,14 @@ class ChainProvenance:
         return (self.juncture, self.conjugator.letters)
 
 
-@dataclass(frozen=True)
-class Provenance(ChainProvenance):
-    """One entry's chain and iterate, as ``GeodesicFamily.entries`` gives
-    them."""
-
-    iterate: int
-
-
 @dataclass(eq=False)
 class GeodesicFamily:
     """Deduplicated geodesics held as arrays, one element per entry.
 
     Entry i has endpoint angles ``ta[i]``, ``tb[i]`` and is iterate
-    ``iterate[i]`` of chain ``chains[chain[i]]``.  ``entries`` builds
-    (checked) objects from the arrays on demand.
+    ``iterate[i]`` of chain ``chains[chain[i]]``, whose conjugator's
+    isometry has the entries a, b, c, d of row ``g[chain[i]]``.  ``entries``
+    builds each entry's (checked) ``Geodesic`` and gives it with its chain.
 
     The rows keep a contract, which ``extract_limit_leaves`` reads in
     place: the entries are grouped by chain; the chains are numbered
@@ -127,17 +117,16 @@ class GeodesicFamily:
     chain: np.ndarray = field(default_factory=lambda: np.empty(0, int))
     iterate: np.ndarray = field(default_factory=lambda: np.empty(0, int))
     chains: list[ChainProvenance] = field(default_factory=list)
+    g: np.ndarray = field(default_factory=lambda: np.empty((0, 4)))
 
     def __len__(self):
         return len(self.ta)
 
     @property
-    def entries(self) -> list[tuple[Geodesic, Provenance]]:
-        return [(Geodesic.from_angles(a, b), Provenance(**vars(c), iterate=n))
-                for a, b, c, n in zip(self.ta.tolist(), self.tb.tolist(),
-                                      map(self.chains.__getitem__,
-                                          self.chain.tolist()),
-                                      self.iterate.tolist())]
+    def entries(self) -> list[tuple[Geodesic, ChainProvenance]]:
+        return [(Geodesic.from_angles(a, b), self.chains[c])
+                for a, b, c in zip(self.ta.tolist(), self.tb.tolist(),
+                                   self.chain.tolist())]
 
     @classmethod
     def merge(cls, families,
@@ -156,6 +145,7 @@ class GeodesicFamily:
         offsets = np.cumsum([0] + [len(fam.chains) for fam in families])
         chain += np.repeat(offsets[:-1], [len(fam) for fam in families])
         chains = [c for fam in families for c in fam.chains]
+        g = np.concatenate([fam.g for fam in families])
         keep = first_distinct(np.minimum(ta, tb), np.maximum(ta, tb),
                               angle_tol)
         chain = chain[keep]
@@ -164,7 +154,7 @@ class GeodesicFamily:
         renumber = np.zeros(len(chains), dtype=np.int64)
         renumber[used] = np.arange(len(used))
         return cls(ta[keep], tb[keep], renumber[chain], iterate[keep],
-                   [chains[c] for c in used.tolist()])
+                   [chains[c] for c in used.tolist()], g[used])
 
 
 def _iterate_cores(scene, juncture: JunctureSpec, iterates,
@@ -266,11 +256,10 @@ class _OrbitTable:
                 base = Geodesic(boundary_action(conj_m, base.a),
                                 boundary_action(conj_m, base.b))
             axes.append(base)
-        mats = [[getattr(g, x) for _, g in self.ball] for x in "abcd"]
         ends = []
         for x in "ab":
             points = [getattr(base, x) for base in axes]
-            t = boundary_images(*mats, points)
+            t = boundary_images(*self.ball.g.T, points)
             t[0] = [p.theta for p in points]
             ends.append(t)
         return tuple(ends)
@@ -318,10 +307,11 @@ def juncture_orbit(scene, juncture: JunctureSpec, n_range=None,
     new = np.ones(len(g), dtype=bool)
     new[1:] = g[1:] != g[:-1]
     used, chain = g[new], np.cumsum(new) - 1
+    words = table.ball.words
     return GeodesicFamily(
         ta[keep], tb[keep], chain, np.array(iterates)[kept % len(iterates)],
-        [ChainProvenance(juncture, word, conjugator_isometry=g_m)
-         for word, g_m in map(table.ball.__getitem__, used.tolist())])
+        [ChainProvenance(juncture, words[i]) for i in used.tolist()],
+        table.ball.g[used])
 
 
 def _converging_iterates(juncture: JunctureSpec, horizon: int) -> list[int]:
@@ -533,8 +523,7 @@ def extract_limit_leaves(family: GeodesicFamily,
     transported: dict[int, list[int]] = {}      # base chain -> its images
     for i in np.flatnonzero(verdicts == 0).tolist():
         prov, end = provs[i], ends[i]
-        if (prov.conjugator.is_identity() or prov.juncture not in bases
-                or prov.conjugator_isometry is None):
+        if prov.conjugator.is_identity() or prov.juncture not in bases:
             limits[i] = ends_ab = (_aitken_angle(ta[end - 3:end].tolist()),
                                    _aitken_angle(tb[end - 3:end].tolist()))
             if angular_gap(*ends_ab) < angle_tol:
@@ -544,10 +533,8 @@ def extract_limit_leaves(family: GeodesicFamily,
         else:
             transported.setdefault(bases[prov.juncture], []).append(i)
     for base, images in transported.items():
-        isometries = [provs[i].conjugator_isometry for i in images]
         limits[images] = boundary_images(
-            *([getattr(g, x) for g in isometries] for x in "abcd"),
-            list(map(IdealPoint, limits[base].tolist())))
+            *family.g[images].T, list(map(IdealPoint, limits[base].tolist())))
 
     # The leaves' own angles, as IdealPoint reduces them (an Aitken limit
     # of 2 pi is 0), checked as Geodesic checks them.

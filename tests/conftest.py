@@ -16,7 +16,8 @@ from endlam.group import (
     FuchsianGroup,
     LimitSetSample,
     Word,
-    enumerate_ball,
+    _check_ball,
+    _letter_order,
 )
 from endlam.hyperbolic import (
     ANGLE_TOL,
@@ -270,22 +271,61 @@ def reference_crossing_pairs(p, q, tol, upper=False):
     return i[keep], j[keep]
 
 
+def reference_ball(group, k, max_words=DEFAULT_MAX_WORDS):
+    """``group.enumerate_ball`` as the scalar loop it was: a (Word,
+    Isometry) pair per element in the ball's order, each isometry its
+    parent's composed with its last letter's by ``Isometry.compose``, and
+    each word reduced again as a ``Word``."""
+    _check_ball(group.rank, k, max_words)
+    letter_order = _letter_order(group.rank)
+    out = [(Word.identity(), Isometry.identity())]
+    frontier = [((), Isometry.identity())]
+    for _ in range(k):
+        nxt = []
+        for letters, m in frontier:
+            for letter in letter_order:
+                if letters and letters[-1] == -letter:
+                    continue
+                nxt.append((letters + (letter,),
+                            m.compose(group.letter_isometry(letter))))
+        frontier = nxt
+        out.extend((Word(letters), m) for letters, m in frontier)
+    return out
+
+
+def entry(geodesic, juncture, letters, n, isometry=None):
+    """One family entry as the object loops below read it: (Geodesic,
+    ChainProvenance, iterate, conjugator isometry), the isometry the
+    identity's unless given."""
+    return (geodesic, ChainProvenance(juncture, Word(letters)), n,
+            isometry or Isometry.identity())
+
+
+def entries_of(family):
+    """The entries of ``family`` as ``entry`` gives them, the isometry
+    read off the chain's row of ``family.g``."""
+    return [(geo, chain, n, Isometry._raw(*family.g[c].tolist()))
+            for (geo, chain), c, n in zip(family.entries,
+                                          family.chain.tolist(),
+                                          family.iterate.tolist())]
+
+
 def family_of(entries):
-    """A GeodesicFamily holding the (Geodesic, Provenance) pairs in order;
-    a chain's record is its first entry's."""
-    numbers, chains, chain = {}, [], []
-    for _, prov in entries:
+    """A GeodesicFamily holding the entries (``entry``) in order; a
+    chain's record and isometry are its first entry's."""
+    numbers, chains, chain, g = {}, [], [], []
+    for _, prov, _, m in entries:
         if prov.chain_key() not in numbers:
             numbers[prov.chain_key()] = len(chains)
-            chains.append(ChainProvenance(
-                prov.juncture, prov.conjugator,
-                conjugator_isometry=prov.conjugator_isometry))
+            chains.append(prov)
+            g.append((m.a, m.b, m.c, m.d))
         chain.append(numbers[prov.chain_key()])
-    ta, tb = np.array([(g.a.theta, g.b.theta)
-                       for g, _ in entries]).reshape(-1, 2).T
+    ta, tb = np.array([(geo.a.theta, geo.b.theta)
+                       for geo, *_ in entries]).reshape(-1, 2).T
     return GeodesicFamily(ta, tb, np.array(chain, dtype=np.int64),
-                          np.array([p.iterate for _, p in entries],
-                                   dtype=np.int64), chains)
+                          np.array([n for _, _, n, _ in entries],
+                                   dtype=np.int64), chains,
+                          np.array(g, dtype=float).reshape(-1, 4))
 
 
 def reference_substitute(phi, word, n, max_letters=DEFAULT_MAX_LETTERS):
@@ -317,21 +357,21 @@ def reference_merge(families, angle_tol=ANGLE_TOL):
     sequential angle set: the merge before families were arrays.  Each
     entry names its juncture and conjugator, so families of distinct
     junctures keep their chains apart."""
-    entries = [entry for fam in families for entry in fam.entries]
-    keep = sorted_first_distinct([g for g, _ in entries], angle_tol)
-    return [entry for entry, kept in zip(entries, keep) if kept]
+    entries = [e for fam in families for e in entries_of(fam)]
+    keep = sorted_first_distinct([geo for geo, *_ in entries], angle_tol)
+    return [e for e, kept in zip(entries, keep) if kept]
 
 
 def reference_extract(entries, tol, angle_tol=ANGLE_TOL):
     """The object-based chain loop of ``extract_limit_leaves`` before
-    families were arrays, over (Geodesic, Provenance) pairs."""
+    families were arrays, over the entries of ``entry``."""
     chains, chain_meta = {}, {}
-    for geo, prov in entries:
-        chains.setdefault(prov.chain_key(), []).append((prov.iterate, geo))
-        chain_meta.setdefault(prov.chain_key(), prov)
+    for geo, prov, n, m in entries:
+        chains.setdefault(prov.chain_key(), []).append((n, geo))
+        chain_meta.setdefault(prov.chain_key(), (prov, m))
     leaves, certificates, skipped, base_limits = [], [], [], {}
     for key, items in chains.items():
-        prov = chain_meta[key]
+        prov, m = chain_meta[key]
         items.sort(key=lambda item: item[0],
                    reverse=prov.juncture.sign == "+")
         geos = [geo for _, geo in items]
@@ -340,8 +380,7 @@ def reference_extract(entries, tol, angle_tol=ANGLE_TOL):
                 for g1, g2 in zip(geos, geos[1:])]
         tail = gaps[-4:]
         base = base_limits.get(prov.juncture)
-        transported = not (prov.conjugator.is_identity() or base is None
-                           or prov.conjugator_isometry is None)
+        transported = not (prov.conjugator.is_identity() or base is None)
         ends = None
         if not transported and len(items) >= 4:
             ends = (_aitken_angle([g.a.theta for g in geos[-3:]]),
@@ -366,9 +405,8 @@ def reference_extract(entries, tol, angle_tol=ANGLE_TOL):
                                         prov.conjugator, reason))
             continue
         if transported:
-            limit = Geodesic(
-                boundary_action(prov.conjugator_isometry, base.a),
-                boundary_action(prov.conjugator_isometry, base.b))
+            limit = Geodesic(boundary_action(m, base.a),
+                             boundary_action(m, base.b))
         else:
             limit = Geodesic.from_angles(*ends)
             if prov.conjugator.is_identity():
@@ -385,12 +423,12 @@ def reference_extract(entries, tol, angle_tol=ANGLE_TOL):
 
 def reference_limit_set_sample(group, base, k, max_words=DEFAULT_MAX_WORDS,
                                angle_tol=ANGLE_TOL, trace_tol=TRACE_TOL):
-    """``group.limit_set_sample`` as a loop over ``enumerate_ball``: one
+    """``group.limit_set_sample`` as a loop over ``reference_ball``: one
     orbit point, classification and axis per ball element, as it ran
     before the ball's products, orbit points and axes were arrays."""
     if k < 0:
         raise ValidationError("sample depth must be nonnegative")
-    ball = enumerate_ball(group, k, max_words)
+    ball = reference_ball(group, k, max_words)
     orbit = []
     ends: list[float] = []
     for _, m in ball:

@@ -5,6 +5,7 @@ import os
 import re
 import shutil
 import stat
+import subprocess
 import sys
 import tempfile
 from decimal import Decimal, localcontext
@@ -108,6 +109,28 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "flagged: ball of radius 3 holds 53 words, over the budget of "
             "52\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["laminate", "--ball", "20000"], ["axioms", "--ball", "20000"],
+        ["render", "--ball", "20000", "--out", "x.svg"],
+        ["laminate", "--ball", "1000000"],
+        ["limit-set", "--depth", "1000000"]])
+    def test_radius_far_over_budget_flagged(self, argv, schottky):
+        # The budget is decided without the ball's exact size: at radius
+        # 20,000 it has more digits than the interpreter converts to text,
+        # and its power takes seconds from radius 30,000 on.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(cli.__file__).resolve().parent.parent),
+            env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "endlam", argv[0], str(schottky),
+             *argv[1:]], cwd=schottky.parent, env=env, capture_output=True,
+            text=True, timeout=10)
+        assert (result.returncode, result.stdout, result.stderr) == (
+            2, "", f"flagged: ball of radius {argv[2]} holds more than "
+            "1000000 words, over the budget of 1000000\n")
+        assert not (schottky.parent / "x.svg").exists()
 
     def test_numeric_breakdown_flagged(self, schottky, capsys):
         for base, depth, point in (("0,2e-12", "1", "(0.0, 2e-12)"),
@@ -1204,16 +1227,16 @@ FLAG_TOKENS = [
 
 class TestParserPath:
     """A run whose argv names a command builds that command's parser alone;
-    where a name is missing or unknown it builds every parser of that
-    level, whose usage lists them all."""
+    where a name is missing or unknown it builds the whole tree, whose
+    usage lists the names of that level."""
 
     @pytest.mark.parametrize("argv, built", [
         (["markov", "entropy", "G"], 1),
         (["markov", "words", "G", "-m", "x"], 1),
         (["laminate", "S"], 1),
         (["render", "-h"], 1),
-        (["markov", "ent", "G"], 6),
-        (["markov"], 6),
+        (["markov", "ent", "G"], 11),
+        (["markov"], 11),
         (["frobnicate"], 11),
         (["-h"], 11),
         ([], 11),

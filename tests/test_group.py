@@ -2,7 +2,6 @@ import json
 import math
 import random
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -23,13 +22,13 @@ from endlam.hyperbolic import (
     HPoint,
     Isometry,
     axis,
-    ball_products,
     classify_isometry,
     same_ideal_point,
 )
 from endlam.scene import load_scene, parse_scene, scene_path
 
 from conftest import (
+    reference_ball,
     reference_limit_set_sample,
     reference_substitute,
     schottky_conjugate_data,
@@ -263,7 +262,9 @@ class TestEnumerateBall:
     def test_radius_zero(self):
         G = two_generator_group()
         ball = enumerate_ball(G, 0)
-        assert len(ball) == 1 and ball[0][0].is_identity()
+        assert len(ball) == 1 and ball.words[0].is_identity()
+        assert (ball.parent.tolist(), ball.letter.tolist(),
+                ball.g.tolist()) == ([-1], [0], [[1.0, 0.0, 0.0, 1.0]])
 
     def test_radius_one(self):
         G = two_generator_group()
@@ -281,8 +282,9 @@ class TestEnumerateBall:
     def test_all_words_reduced_and_distinct(self):
         G = two_generator_group()
         ball = enumerate_ball(G, 3)
-        seen = {w.letters for w, _ in ball}
+        seen = {w.letters for w in ball.words}
         assert len(seen) == len(ball)
+        assert all(Word(w.letters) == w for w in ball.words)
 
     def test_budget_error_names_bound(self):
         G = two_generator_group()
@@ -291,10 +293,39 @@ class TestEnumerateBall:
 
     def test_deterministic_order(self):
         G = two_generator_group()
-        first = [w.letters for w, _ in enumerate_ball(G, 3)]
-        second = [w.letters for w, _ in enumerate_ball(G, 3)]
+        first = [w.letters for w in enumerate_ball(G, 3).words]
+        second = [w.letters for w in enumerate_ball(G, 3).words]
         assert first == second
         assert first[:5] == [(), (1,), (-1,), (2,), (-2,)]
+
+    def test_words_are_built_once(self):
+        ball = enumerate_ball(two_generator_group(), 2)
+        assert ball.words is ball.words
+
+    @pytest.mark.parametrize("rank, k, size", [
+        (1, 0, 1), (1, 7, 15), (2, 3, 53), (3, 4, 1 + 6 * (5 ** 4 - 1) // 4),
+        (2, 200, 1 + 2 * (3 ** 200 - 1))])
+    def test_closed_form_is_the_sum(self, rank, k, size):
+        assert ball_size(rank, k) == size == 1 + sum(
+            2 * rank * (2 * rank - 1) ** (n - 1) for n in range(1, k + 1))
+
+    @pytest.mark.parametrize("k, max_words, size", [
+        (3, 53, None), (3, 52, "53"), (12, 100, "1062881"),
+        (20, 10 ** 6, "6973568801"), (20000, 10 ** 6, "more than 1000000"),
+        (10 ** 6, 10 ** 6, "more than 1000000"),
+        (10 ** 12, 2, "more than 2")])
+    def test_budget_at_any_radius(self, k, max_words, size):
+        # The size is printed whole while the interpreter converts it to
+        # text; past that, the radius alone decides.
+        G = two_generator_group()
+        if size is None:
+            enumerate_ball(G, k, max_words=max_words)
+            return
+        with pytest.raises(BudgetExceededError) as err:
+            enumerate_ball(G, k, max_words=max_words)
+        assert str(err.value) == (
+            f"ball of radius {k} holds {size} words, over the budget of "
+            f"{max_words}")
 
 
 class TestLimitSetSample:
@@ -328,7 +359,7 @@ class TestLimitSetSample:
     def _fixed_points_by_scan(group, k, angle_tol):
         """The pairwise scan limit_set_sample once ran, as the reference."""
         fixed = []
-        for _, m in enumerate_ball(group, k):
+        for _, m in reference_ball(group, k):
             if classify_isometry(m) == "hyperbolic":
                 g = axis(m)
                 for p in (g.a, g.b):
@@ -408,11 +439,11 @@ class TestLimitSetArrays:
     @pytest.mark.parametrize("k", range(7))
     @pytest.mark.parametrize("name, group", GROUPS, ids=[g[0] for g in GROUPS])
     def test_ball_products_match_chained_compose(self, name, group, k):
-        a, b, c, d = ball_products(
-            [group.letter_isometry(x) for x in (1, -1, 2, -2)], k)
-        assert [row.hex() for row in np.stack([a, b, c, d], 1).ravel()] == [
-            x.hex() for _, m in enumerate_ball(group, k)
-            for x in (m.a, m.b, m.c, m.d)]
+        ball = enumerate_ball(group, k)
+        ref = reference_ball(group, k)
+        assert [x.hex() for x in ball.g.ravel().tolist()] == [
+            x.hex() for _, m in ref for x in (m.a, m.b, m.c, m.d)]
+        assert ball.words == [w for w, _ in ref]
 
     @pytest.mark.parametrize("k", range(7))
     @pytest.mark.parametrize("name, group", GROUPS, ids=[g[0] for g in GROUPS])

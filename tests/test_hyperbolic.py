@@ -15,7 +15,7 @@ from endlam.errors import (
     NumericDegeneracyError,
     ValidationError,
 )
-from endlam.group import FuchsianGroup, enumerate_ball
+from endlam.group import FuchsianGroup
 from endlam.hyperbolic import (
     ANGLE_TOL,
     TWO_PI,
@@ -46,7 +46,7 @@ from endlam.hyperbolic import (
 from endlam.lamination import juncture_orbit
 from endlam.scene import load_scene, scene_path
 
-from conftest import sequential_first_distinct
+from conftest import reference_ball, sequential_first_distinct
 
 
 def iso(rows):
@@ -536,21 +536,28 @@ RAW = st.builds(Isometry._raw, ENTRY, ENTRY, ENTRY, ENTRY)
 
 class TestBallProducts:
     """``ball_products`` against the chained ``Isometry.compose`` of
-    ``enumerate_ball``."""
+    ``reference_ball``."""
 
     @staticmethod
     def chained(letters, k):
-        """enumerate_ball's isometries over arbitrary letters, the one at
-        2i - 2 standing for +i and the one at 2i - 1 for -i."""
+        """reference_ball's words and isometries over arbitrary letters,
+        the one at 2i - 2 standing for +i and the one at 2i - 1 for -i."""
         group = SimpleNamespace(
             rank=len(letters) // 2,
             letter_isometry=lambda x: letters[2 * abs(x) - 2 + (x < 0)])
-        return [bits((m.a, m.b, m.c, m.d)) for _, m in enumerate_ball(
-            group, k)]
+        return [(w.letters, bits((m.a, m.b, m.c, m.d)))
+                for w, m in reference_ball(group, k)]
 
     @staticmethod
     def arrays(letters, k):
-        return [bits(row) for row in np.stack(ball_products(letters, k), 1)]
+        """Each word spelt from its parent's letters, the letter at index
+        2i - 2 as +i and at 2i - 1 as -i, with its product's bits."""
+        parent, letter, g = ball_products(letters, k)
+        words = [()]
+        for p, x in zip(parent[1:].tolist(), letter[1:].tolist()):
+            words.append(words[p] + (x // 2 + 1 if x % 2 == 0
+                                     else -(x // 2 + 1),))
+        return list(zip(words, map(bits, g)))
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(RAW, RAW, st.booleans()), min_size=1,
@@ -612,7 +619,7 @@ class TestOrbitPoints:
     def test_ball_of_schottky_ab(self, p):
         group = FuchsianGroup("ab", (iso([[4, 0], [0, 0.25]]),
                                      iso([[2, 1], [1, 1]])))
-        ref, fine = self.check([m for _, m in enumerate_ball(group, 5)], p)
+        ref, fine = self.check([m for _, m in reference_ball(group, 5)], p)
         assert [isinstance(r, list) for r in ref] == fine.tolist()
 
     @settings(max_examples=200, deadline=None)

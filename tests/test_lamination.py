@@ -49,7 +49,6 @@ from endlam.lamination import (
     POINT,
     LaminationApprox,
     MeagerInvariantSet,
-    Provenance,
     _iterate_cores,
     axiom_report,
     crossing_audit,
@@ -65,6 +64,8 @@ from conftest import (
     TORUS_A,
     TORUS_B,
     exact_translation_length,
+    entries_of,
+    entry,
     exact_word_matrix,
     family_of,
     frac_inverse,
@@ -77,6 +78,7 @@ from conftest import (
     quadratic_axis_oracle,
     reference_crossing_pairs,
     reference_extract,
+    reference_ball,
     reference_merge,
     schottky_conjugate_data,
     SequentialAngleSet,
@@ -126,14 +128,14 @@ class TestJunctureOrbit:
     def test_provenance_tracks_iterate(self, torus_scene):
         fam = juncture_orbit(torus_scene, torus_scene.junctures[0],
                              n_range=range(0, 4), ball_k=0)
-        assert sorted(p.iterate for _, p in fam.entries) == [0, 1, 2, 3]
+        assert sorted(fam.iterate.tolist()) == [0, 1, 2, 3]
 
     def test_sparse_iterates_match_single_ones(self, torus_scene):
         # Iterates are stepped from their neighbours toward 0; a sparse,
         # unordered range must give each axis as computed on its own.
         j = torus_scene.junctures[0]
         fam = juncture_orbit(torus_scene, j, (9, -5, 3), ball_k=0)
-        assert sorted(p.iterate for _, p in fam.entries) == [-5, 3, 9]
+        assert sorted(fam.iterate.tolist()) == [-5, 3, 9]
         for n, a, b in zip(fam.iterate.tolist(), fam.ta.tolist(),
                            fam.tb.tolist()):
             alone = juncture_orbit(torus_scene, j, [n], ball_k=0)
@@ -302,8 +304,7 @@ class TestExtract:
         # One hand-built chain per reason, in the order the verdict tests
         # them; every chain has a distinct conjugator.
         def chain(letters, pairs):
-            return [(Geodesic.from_angles(a, b),
-                     Provenance(E_MINUS, Word(letters), n))
+            return [entry(Geodesic.from_angles(a, b), E_MINUS, letters, n)
                     for n, (a, b) in enumerate(pairs)]
 
         def steps(gaps):
@@ -342,8 +343,7 @@ class TestExtract:
         error = [1e-6 * 0.5 ** n for n in range(11)]
         pairs = [(1.0 - error[n] if n % 2 == 0 else 1.5 + error[n], 3.0)
                  for n in range(11) if n != 9]
-        fam = family_of([(Geodesic.from_angles(*pair),
-                          Provenance(E_MINUS, Word((1,)), n))
+        fam = family_of([entry(Geodesic.from_angles(*pair), E_MINUS, (1,), n)
                          for n, pair in zip([*range(9), 10], pairs)])
         lam = extract_limit_leaves(fam, tol=1e-6)
         gaps = [abs(a[0] - b[0]) for a, b in zip(pairs, pairs[1:])][-4:]
@@ -755,7 +755,7 @@ def reference_orbit(scene, juncture, n_range, ball_k):
     sequential angle set.  Entries as (angle bits, conjugator letters,
     conjugator matrix, iterate)."""
     iterates = sorted(set(n_range), reverse=juncture.sign == "+")
-    ball = enumerate_ball(scene.group, ball_k)
+    ball = reference_ball(scene.group, ball_k)
     axes = {}
     for n, _, conj, core_m in _iterate_cores(
             scene, juncture, iterates, DEFAULT_MAX_LETTERS, TRACE_TOL):
@@ -780,8 +780,7 @@ def reference_orbit(scene, juncture, n_range, ball_k):
 
 def orbit_entries(family):
     return [(geo.a.theta.hex(), geo.b.theta.hex(), prov.conjugator.letters,
-             prov.conjugator_isometry.matrix, prov.iterate)
-            for geo, prov in family.entries]
+             m.matrix, n) for geo, prov, n, m in entries_of(family)]
 
 
 class TestOrbitArrays:
@@ -793,24 +792,34 @@ class TestOrbitArrays:
     @pytest.mark.parametrize("scene, horizon, ball, kept", [
         ("schottky_ab", 16, 4, 2857), ((3.3, -0.3, 0.8), 14, 3, 1026),
         ("golden", 14, 3, 27)])
-    def test_entries_match_scalar_loop(self, scene, horizon, ball, kept,
-                                       monkeypatch):
+    def test_entries_match_scalar_loop(self, scene, horizon, ball, kept):
         scene = (load_scene(scene_path(f"{scene}.json"))
                  if isinstance(scene, str) else schottky_conjugate(scene))
-        balls = []
-        monkeypatch.setattr(lamination, "enumerate_ball",
-                            lambda *a, **k: balls.append(
-                                enumerate_ball(*a, **k)) or balls[-1])
         n_range = range(-horizon, horizon + 1)
         for juncture in scene.junctures:
             family = juncture_orbit(scene, juncture, n_range, ball)
             assert orbit_entries(family) == reference_orbit(
                 scene, juncture, n_range, ball)
             assert len(family) == kept
-            # Each conjugator is the ball's own isometry, not a copy.
-            own = dict((g.letters, m) for g, m in balls[-1])
-            assert all(prov.conjugator_isometry is own[prov.conjugator.letters]
-                       for _, prov in family.entries)
+
+    @pytest.mark.parametrize("scene, horizon, ball", [
+        ("schottky_ab", 16, 4), ((3.3, -0.3, 0.8), 14, 3), ("inner_b", 6, 2),
+        ("two labels", 9, 2)])
+    def test_chain_rows_are_conjugator_matrices(self, scene, horizon, ball):
+        # Each chain's row of g is its conjugator's evaluate_word, bit for
+        # bit, in every family a run builds and in the merge of two.
+        two = scene == "two labels"
+        scene = sharing_scene(scene)
+        run = laminate(scene, AxiomParams(horizon=horizon, ball=ball))
+        families = [family for _, family in run.families]
+        minus = [fam for j, fam in run.families if j.sign == "-"]
+        assert len(minus) == 1 + two
+        families.append(GeodesicFamily.merge(minus))
+        for family in families:
+            assert len(family.g) == len(family.chains)
+            assert [[x.hex() for x in row] for row in family.g.tolist()] == [
+                matrix_bits(evaluate_word(scene.group, c.conjugator))
+                for c in family.chains]
 
     def test_every_candidate_is_validated(self, torus_scene, monkeypatch):
         # Ball row 1 maps the axis to (1, 1 + 2e-9) and every later row to
@@ -846,14 +855,12 @@ class TestOrbitArrays:
 
 
 def family_bits(family):
-    """Every array of a family, angles as hex, and its chains with their
-    conjugator matrices as hex."""
+    """Every array of a family, floats as hex, and its chains."""
     return ([x.hex() for x in family.ta.tolist()],
             [x.hex() for x in family.tb.tolist()],
             family.chain.tolist(), family.iterate.tolist(),
-            [(c.juncture, c.conjugator.letters,
-              [x.hex() for row in c.conjugator_isometry.matrix for x in row])
-             for c in family.chains])
+            [(c.juncture, c.conjugator.letters) for c in family.chains],
+            [x.hex() for x in family.g.ravel().tolist()])
 
 
 def two_minus_labels_scene():
@@ -1141,9 +1148,8 @@ class TestCorePrefixes:
 
 
 def entry_bits(entries):
-    return [(geo.a.theta.hex(), geo.b.theta.hex(), prov.chain_key(),
-             prov.iterate, prov.conjugator_isometry.matrix)
-            for geo, prov in entries]
+    return [(geo.a.theta.hex(), geo.b.theta.hex(), prov.chain_key(), n,
+             m.matrix) for geo, prov, n, m in entries]
 
 
 def assert_same_extraction(lam, ref):
@@ -1230,9 +1236,10 @@ class TestExtractArrays:
             thetas = [ta]
             for gap in gaps:
                 thetas.append(thetas[-1] + gap)
-            return [(Geodesic.from_angles(t, ta + 2.0),
-                     Provenance(E_MINUS, Word(letters), n))
-                    for n, t in enumerate(thetas)]
+            # Conjugator a moves the base limit by t -> 4t.
+            a = Isometry(2.0, 0.0, 0.0, 0.5) if letters else None
+            return [entry(Geodesic.from_angles(t, ta + 2.0), E_MINUS, letters,
+                          n, a) for n, t in enumerate(thetas)]
 
         entries = (chain((), 1.0, [1e-7, 1e-8, 1e-9])
                    + chain((1,), 2.0, [1e-8, 1e-9, 1e-10, 1e-11, 1e-12]))
@@ -1251,9 +1258,9 @@ class TestExtractArrays:
                (2,): Isometry(2.0, 0.0, 0.0, 0.5)}
 
         def chain(juncture, letters, ta, tb):
-            return [(Geodesic.from_angles(ta + 0.1 ** n, tb + 2 * 0.1 ** n),
-                     Provenance(juncture, Word(letters), n,
-                                conjugator_isometry=iso.get(letters)))
+            return [entry(Geodesic.from_angles(ta + 0.1 ** n,
+                                               tb + 2 * 0.1 ** n),
+                          juncture, letters, n, iso.get(letters))
                     for n in range(1, 9)]
 
         base = chain(E_MINUS, (), 1.0, 2.0)
@@ -1285,9 +1292,8 @@ class TestExtractArrays:
                (2,): Isometry(4.0, 0.0, 0.0, 0.25)}
 
         def chain(letters, pairs):
-            return [(Geodesic.from_angles(a, b),
-                     Provenance(E_MINUS, Word(letters), n,
-                                conjugator_isometry=iso.get(letters)))
+            return [entry(Geodesic.from_angles(a, b), E_MINUS, letters, n,
+                          iso.get(letters))
                     for n, (a, b) in enumerate(pairs)]
 
         def near(ta, tb):
@@ -1348,19 +1354,19 @@ class TestExtractArrays:
                                               angle_tol):
         families = three_juncture_families(torus_scene)[:count]
         merged = GeodesicFamily.merge(families, angle_tol)
-        assert entry_bits(merged.entries) == entry_bits(
+        assert entry_bits(entries_of(merged)) == entry_bits(
             reference_merge(families, angle_tol))
 
     def test_merge_orders_chains_by_first_kept_entry(self):
         # Chain (1,)'s first entry repeats chain ()'s and is dropped, so
         # chain (2,) appears before it; extraction visits them so too.
-        def entry(letters, n, a):
-            return (Geodesic.from_angles(a, a + 1.0),
-                    Provenance(E_MINUS, Word(letters), n))
+        def chord(letters, n, a):
+            return entry(Geodesic.from_angles(a, a + 1.0), E_MINUS, letters,
+                         n)
 
-        families = [family_of([entry((), 0, 1.0)]),
-                    family_of([entry((1,), 0, 1.0), entry((2,), 0, 2.0),
-                               entry((1,), 1, 3.0)])]
+        families = [family_of([chord((), 0, 1.0)]),
+                    family_of([chord((1,), 0, 1.0), chord((2,), 0, 2.0),
+                               chord((1,), 1, 3.0)])]
         merged = GeodesicFamily.merge(families)
         assert [c.conjugator.letters for c in merged.chains] == [
             (), (2,), (1,)]
@@ -1375,22 +1381,21 @@ class TestExtractArrays:
         merged = GeodesicFamily.merge([family])
         assert merged is not family
         assert family_bits(merged) == family_bits(family)
-        assert entry_bits(family.entries) == entry_bits(
+        assert entry_bits(entries_of(family)) == entry_bits(
             reference_merge([family]))
 
     def test_lone_family_at_another_tol_deduplicated(self, torus_scene):
         family = three_juncture_families(torus_scene)[0]
         merged = GeodesicFamily.merge([family], 1e-2)
         assert len(merged) < len(family)
-        assert entry_bits(merged.entries) == entry_bits(
+        assert entry_bits(entries_of(merged)) == entry_bits(
             reference_merge([family], 1e-2))
 
     def test_lone_family_of_unknown_tol_deduplicated(self):
-        pairs = [(Geodesic.from_angles(a, 3.0),
-                  Provenance(E_MINUS, Word(()), n))
-                 for n, a in enumerate([1.0, 2.0, 1.0 + 1e-10])]
-        merged = GeodesicFamily.merge([family_of(pairs)])
-        assert [p.iterate for _, p in merged.entries] == [0, 1]
+        entries = [entry(Geodesic.from_angles(a, 3.0), E_MINUS, (), n)
+                   for n, a in enumerate([1.0, 2.0, 1.0 + 1e-10])]
+        merged = GeodesicFamily.merge([family_of(entries)])
+        assert merged.iterate.tolist() == [0, 1]
 
     def test_empty_family(self):
         for family in (GeodesicFamily(), GeodesicFamily.merge([])):
@@ -1400,8 +1405,8 @@ class TestExtractArrays:
                 0, [], [])
 
     def test_objects_keep_the_endpoint_check(self):
-        family = family_of([(Geodesic.from_angles(1.0, 2.0),
-                             Provenance(E_MINUS, Word(()), 0))])
+        family = family_of([entry(Geodesic.from_angles(1.0, 2.0), E_MINUS,
+                                  (), 0)])
         family.tb[0] = 1.0
         with pytest.raises(ValidationError,
                            match="geodesic endpoints coincide"):
@@ -1409,6 +1414,35 @@ class TestExtractArrays:
 
 
 class TestLaminate:
+    def test_no_isometry_per_ball_element(self, monkeypatch):
+        # The ball is arrays and each chain's conjugator a row of g, so
+        # the isometries a run builds (core products and the conjugators
+        # of the iterates) do not grow with the ball.
+        scene = load_scene(scene_path("schottky_ab.json"))
+        built = []
+        init, raw = Isometry.__init__, Isometry._raw.__func__
+
+        def counted_init(self, *args):
+            built.append(None)
+            init(self, *args)
+
+        def counted_raw(cls, *args):
+            built.append(None)
+            return raw(cls, *args)
+
+        monkeypatch.setattr(Isometry, "__init__", counted_init)
+        monkeypatch.setattr(Isometry, "_raw", classmethod(counted_raw))
+        counts = []
+        for ball in (1, 5):
+            built.clear()
+            run = laminate(scene, AxiomParams(horizon=20, ball=ball))
+            counts.append(len(built))
+        assert len(run.laminations["+"].leaves) == 485
+        assert counts[0] == counts[1] > 0
+        built.clear()
+        enumerate_ball(scene.group, 8)
+        assert built == []
+
     def test_matches_orbit_then_extract(self, torus_scene):
         run = laminate(torus_scene, AxiomParams(horizon=10, ball=1))
         assert [j for j, _ in run.families] == torus_scene.junctures
@@ -1596,7 +1630,7 @@ class TestOneHoledTorus:
     @pytest.mark.parametrize("triple, k", _TORUS_CASES)
     def test_leaves_are_images_of_the_closed_form(self, triple, k):
         scene, run = _torus_run(triple, k)
-        ball = [m for _, m in enumerate_ball(scene.group, 4)]
+        ball = [m for _, m in reference_ball(scene.group, 4)]
         for sign in ("+", "-"):
             lam = run.laminations[sign]
             base = one_holed_torus_leaf(scene, sign)

@@ -177,7 +177,8 @@ class TestFamilyLayers:
         family = GeodesicFamily(
             ta, tb, np.zeros(len(pairs), dtype=np.int64),
             np.arange(len(pairs)),
-            [ChainProvenance(JunctureSpec("e-", "-", Word((1,))), Word(()))])
+            [ChainProvenance(JunctureSpec("e-", "-", Word((1,))), Word(()))],
+            np.array([[1.0, 0.0, 0.0, 1.0]]))
         listed = [Geodesic.from_angles(a, b) for a, b in pairs]
         assert [(g.a.theta, g.b.theta) for g in listed] == pairs
         svg = render_svg([("j", family)])
