@@ -529,16 +529,21 @@ def cmd_markov_measure(scene, params, args):
 
 def _word_lines(words: np.ndarray, n: int) -> str:
     """The ``--list-words`` text: per word, two spaces, the ``str`` of
-    each symbol and a newline.  Each symbol's digits fill a row of one
-    byte table, padded to the widest with a NUL, which is dropped after."""
+    each symbol and a newline; past nine symbols the symbols are parted
+    by one space, so that no two words print alike.  Each symbol's text
+    fills a row of one byte table, padded to the widest with a NUL, which
+    is dropped after."""
     width = len(str(n))
-    digits = np.frombuffer("".join([str(i).ljust(width, "\0")
+    sep = " " if width > 1 else ""
+    cell = width + len(sep)
+    digits = np.frombuffer("".join([sep + str(i).ljust(width, "\0")
                                     for i in range(n + 1)]).encode(),
-                           dtype=np.uint8).reshape(n + 1, width)
+                           dtype=np.uint8).reshape(n + 1, cell)
     count, m = words.shape
-    lines = np.empty((count, m * width + 3), dtype=np.uint8)
-    lines[:, :2] = ord(" ")
-    lines[:, 2:-1] = digits[words].reshape(count, m * width)
+    lead = 2 - len(sep)
+    lines = np.empty((count, m * cell + lead + 1), dtype=np.uint8)
+    lines[:, :lead] = ord(" ")
+    lines[:, lead:-1] = digits[words].reshape(count, m * cell)
     lines[:, -1] = ord("\n")
     return lines.tobytes().replace(b"\0", b"").decode("ascii")
 

@@ -152,99 +152,65 @@ class AdmissibleWords:
     words: np.ndarray | None  # None when the count is over the list budget
 
 
-class _Successors:
-    """CSR of a 0/1 pattern whose columns are cut to ``alive``: the
-    successors of symbol i, in symbol order, are ``to[start[i]:start[i +
-    1]]``.  ``single`` is set when every symbol of ``tails`` has exactly
-    one successor, and is then that successor per symbol."""
-
-    def __init__(self, P: np.ndarray, alive: np.ndarray, tails: np.ndarray):
-        pattern = P & alive
-        self.to = np.nonzero(pattern)[1]
-        degree = pattern.sum(axis=1)
-        self.start = np.concatenate(([0], np.cumsum(degree)))
-        self.single = (
-            self.to[np.minimum(self.start[:-1], len(self.to) - 1)]
-            if (degree[tails] == 1).all() else None)
-
-    def children(self, last: np.ndarray):
-        """(parent, child): every successor of every prefix ending in
-        ``last``, parents in order and each one's children in symbol
-        order."""
-        first = self.start[last]
-        degree = self.start[last + 1] - first
-        parent = np.repeat(np.arange(len(last)), degree)
-        # Child k of the level sits at to[first[parent] + its rank].
-        offset = first - (np.cumsum(degree) - degree)
-        return parent, self.to[offset[parent] + np.arange(len(parent))]
-
-
 def admissible_words(A, m: int) -> AdmissibleWords:
     """Count admissible words of length m; list them under the budget.
 
     Symbols are 1-based; a word (i_0, ..., i_{m-1}) is admissible when
-    A[i_k, i_{k+1}] is nonzero for every consecutive pair.  Each word
-    counts once, whatever the entries: the count is over A's nonzero
-    pattern, so it equals the number of rows of the listing.
+    A[i_k, i_{k+1}] is nonzero for every consecutive pair.  The count is
+    over A's nonzero pattern, so each word counts once, whatever the
+    entries.
 
     The words are built one symbol a level, every prefix's children in
     symbol order, so each level stays sorted.  A prefix is only extended
     by symbols that can still go the remaining steps: reach[k], the
     symbols that start a path of k steps, is P^k 1 > 0, which stops
-    changing once two steps agree (within n steps), so the successor
-    tables cut to it are built once each.  No level is then larger than
-    the listing, and the rows are read back along the parent indices.  A
-    level where every prefix has one successor is one gather and keeps no
-    array: its column is read off the column before.
+    changing once two steps agree (within n steps), so the successors cut
+    to each reach[k] are built once.  No level is then larger than the
+    listing, and the rows are read back along the parent indices into an
+    array sized by the last level.
     """
     A = _as_count_matrix(A)
     P = A > 0
     count = count_admissible(P, m)
     if count > LIST_BUDGET:
         return AdmissibleWords(count=count, words=None)
-    # Filled a column at a time, each contiguous, and returned as rows.
-    columns = np.empty((m, count), dtype=np.int64)
-    words = columns.T
-    if not count:
-        return AdmissibleWords(count=count, words=words)
     reach = [np.ones(P.shape[0], dtype=bool)]
     while len(reach) < m:
         step = P @ reach[-1]
         if (step == reach[-1]).all():
             break
         reach.append(step)
-    stable = len(reach) - 1
-    # tables[k]: the successors that go k more steps, of the symbols that
-    # go k + 1; past ``stable`` every k has the same table.
-    tables = [_Successors(P, reach[k], reach[min(k + 1, stable)])
-              for k in range(min(stable, m - 2) + 1)]
-    tables += tables[-1:] * (m - 1 - len(tables))
+    # successors[k]: P cut to reach[k] as CSR, the successors of symbol i
+    # in symbol order being to[start[i]:start[i + 1]]; past the last
+    # reach every k has the same successors.
+    successors = []
+    for alive in reach[:m - 1]:
+        pattern = P & alive
+        start = np.concatenate(([0], np.cumsum(pattern.sum(axis=1))))
+        successors.append((np.nonzero(pattern)[1], start))
+    # levels[c]: the parent row of each prefix at column c, and its last
+    # symbol.
     last = np.flatnonzero(reach[-1])
-    # levels[c]: (parent row of each prefix, its last symbol) at column c,
-    # or None where every prefix has one child, which the column before
-    # decides.
     levels = [(None, last)]
     for steps in range(m - 2, -1, -1):
-        table = tables[steps]
-        if table.single is not None:
-            last = table.single[last]
-            levels.append(None)
-        else:
-            parent, last = table.children(last)
-            levels.append((parent, last))
-    rows = None             # level row of each word; None: the same row
+        to, start = successors[min(steps, len(successors) - 1)]
+        first = start[last]
+        degree = start[last + 1] - first
+        parent = np.repeat(np.arange(len(last)), degree)
+        # Child k of the level sits at to[first[parent] + its rank].
+        offset = first - (np.cumsum(degree) - degree)
+        last = to[offset[parent] + np.arange(len(parent))]
+        levels.append((parent, last))
+    # Filled a column at a time, each contiguous, and returned as rows.
+    columns = np.empty((m, len(last)), dtype=np.int64)
+    rows = slice(None)      # level row of each word: at the last, all
     for column in range(m - 1, -1, -1):
-        if levels[column] is not None:
-            parent, last = levels[column]
-            columns[column] = last if rows is None else last[rows]
-            if parent is not None:
-                rows = parent if rows is None else parent[rows]
-    for column in range(1, m):
-        if levels[column] is None:
-            columns[column] = tables[m - 1 - column].single[
-                columns[column - 1]]
+        parent, last = levels[column]
+        columns[column] = last[rows]
+        if parent is not None:
+            rows = parent[rows]
     columns += 1
-    return AdmissibleWords(count=count, words=words)
+    return AdmissibleWords(count=count, words=columns.T)
 
 
 @dataclass

@@ -494,9 +494,11 @@ def reference_admissible_words(A, m) -> list[tuple[int, ...]]:
     return words
 
 
-def reference_word_lines(words) -> str:
-    """The ``--list-words`` text, one symbol's ``str`` at a time."""
-    return "".join("  " + "".join(str(s) for s in word) + "\n"
+def reference_word_lines(words, n) -> str:
+    """The ``--list-words`` text of a table of n symbols, one symbol's
+    ``str`` at a time, parted by a space once n has two digits."""
+    sep = " " if n > 9 else ""
+    return "".join("  " + sep.join(str(s) for s in word) + "\n"
                    for word in words)
 
 

@@ -917,7 +917,8 @@ class TestMarkov:
 
     def test_listing_spells_two_digit_symbols(self, golden, capsys):
         # 12 symbols, each followed by itself, the next and the one after:
-        # symbols 10-12 are two digits, as str() wrote them one by one.
+        # symbols 10-12 are two digits, as str() wrote them one by one,
+        # and every symbol is parted from the next by a space.
         n = 12
         doc = json.loads(golden.read_text())
         doc["markov"] = {
@@ -929,12 +930,25 @@ class TestMarkov:
                             "--list-words"]) == 0
         A = markov.build_matrix_A(load_scene(golden).markov)
         words = markov.admissible_words(A, 3).words
+        text = "".join("  " + " ".join(str(s) for s in word) + "\n"
+                       for word in words)
         assert capsys.readouterr().out == (
-            "admissible words of length 3: 108\n"
-            + "".join("  " + "".join(str(s) for s in word) + "\n"
-                      for word in words))
-        assert ("  101112\n" in "".join(
-            "  " + "".join(str(s) for s in word) + "\n" for word in words))
+            "admissible words of length 3: 108\n" + text)
+        assert "  10 11 12\n" in text and "  1 1 1\n" in text
+
+    def test_listing_tells_words_of_two_digit_symbols_apart(self, golden,
+                                                             capsys):
+        # 12 symbols, with only 1 -> 11 and 11 -> 1: the words (1, 11) and
+        # (11, 1) would both print as 111 without a separator.
+        doc = json.loads(golden.read_text())
+        doc["markov"] = {"rects": [f"R{i}" for i in range(1, 13)],
+                         "crossings": [[1, 11, 1], [11, 1, 1]]}
+        golden.write_text(json.dumps(doc))
+        assert run_command(["markov", "words", str(golden), "-m", "2",
+                            "--list-words"]) == 0
+        assert capsys.readouterr().out == (
+            "admissible words of length 2: 2\n  1 11\n  11 1\n"
+            "dead-end symbols: [2, 3, 4, 5, 6, 7, 8, 9, 10, 12]\n")
 
     def test_listing_over_budget_flagged(self, golden, tmp_path, capsys):
         report = tmp_path / "words.json"

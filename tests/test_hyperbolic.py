@@ -876,8 +876,9 @@ class TestAngleSet:
 
     def test_peak_memory_on_a_deep_orbit(self):
         # The candidates of the schottky_ab orbit at horizon 20, ball 5:
-        # the blocks keep the temporaries near the size of the input (one
-        # block for all 16,266 distinct rows takes about 6.8 MB).
+        # the blocks keep the temporaries near the size of the input (the
+        # default blocks peak at about 2.6 MB, one block for all 19,885
+        # rows at about 3.3 MB).
         scene = load_scene(scene_path("schottky_ab.json"))
         calls = []
 
@@ -915,7 +916,7 @@ def deep_orbit_calls():
 
 
 # Tracemalloc peak allowed to first_distinct on the deep orbit's
-# 19,885 candidates (about 2.4 MB).
+# 19,885 candidates (about 2.6 MB).
 DEDUP_PEAK_MB = 5
 
 # Block shapes (rows, pair budget) that take every path of first_distinct:

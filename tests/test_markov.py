@@ -359,7 +359,7 @@ class TestAdmissibleWords:
         assert result.words.shape == (len(expected), m)
         assert word_rows(result.words) == expected
         assert cli._word_lines(result.words, len(A)) == \
-            reference_word_lines(expected)
+            reference_word_lines(expected, len(A))
 
     def test_prefixes_that_die_early_are_not_walked(self):
         # 1,679,616 length-8 prefixes through the layers die before length
@@ -718,6 +718,18 @@ class TestCoding:
     def test_depth_validation(self):
         with pytest.raises(ValidationError):
             coding_consistency(GOLDEN, 1)
+
+    def test_count_mismatch_is_reported(self, monkeypatch):
+        # The enumerated count is the number of rows the walk built, so a
+        # matrix count one too high is a reported mismatch, not a crash.
+        true_count = markov.count_admissible
+        monkeypatch.setattr(markov, "count_admissible",
+                            lambda A, m: true_count(A, m) + 1)
+        report = coding_consistency(GOLDEN, 5)
+        assert report.count_matrix == 14
+        assert report.count_enumerated == 13
+        assert report.counts_match is False
+        assert report.ok is False
 
     def test_given_listing_is_not_enumerated_again(self, monkeypatch):
         expected = coding_consistency(GOLDEN, 5)
