@@ -229,6 +229,12 @@ def same_ideal_point(p: IdealPoint, q: IdealPoint,
     return angular_gap(p.theta, q.theta) < tol
 
 
+# Fewer rows than _DENSE_ROWS test every pair in one n x n mask, which
+# then costs less than the grid's fixed passes.  On the first rows of
+# lam-shallow and lam-deep calls the two cross between 96 and 112 rows,
+# where the mask's cost doubles.
+_DENSE_ROWS = 100
+
 # A block decides up to _DEDUP_ROWS rows.  Each row meets the kept pairs
 # of earlier blocks in its nine cells, at most four to a cell for tol at or
 # above ANGLE_TOL_FLOOR, and, unless one of those is within tol, earlier
@@ -239,11 +245,6 @@ def same_ideal_point(p: IdealPoint, q: IdealPoint,
 # a few words per row and per cell.
 _DEDUP_ROWS = 2048
 _DEDUP_PAIRS = 1 << 18
-
-# The four cells after a cell, (du, dv) in grid steps: with the four before
-# it, which find it in turn, the eight around it.
-_AFTER = np.array([(0, 1), (1, -1), (1, 0), (1, 1)])
-
 
 def _grid(u, v, tol):
     """Cell of each pair in a grid of cells 2 * tol wide that wraps around
@@ -259,15 +260,27 @@ def _grid(u, v, tol):
 
 
 def _cells_after(keys, a, b, wrap):
-    """For each cell (a[n], b[n]) and each of the four cells after it that
-    has a key in the sorted distinct ``keys``, the index n and that key's
-    index."""
-    query = ((a + _AFTER[:, :1]) % wrap * wrap
-             + (b + _AFTER[:, 1:]) % wrap).ravel()
+    """For each cell (a[n], b[n]) and each of the four cells after it,
+    (a, b + 1), (a + 1, b - 1), (a + 1, b) and (a + 1, b + 1) around the
+    circle, that has a key in the sorted distinct ``keys``, the index n
+    and that key's index.  With the four before it, which find it in
+    turn, these are the eight cells around a cell."""
+    up, right, left = a + 1, b + 1, b - 1
+    up[up == wrap] = 0
+    right[right == wrap] = 0
+    left[left < 0] = wrap - 1
+    a, up = a * wrap, up * wrap
+    query = np.concatenate((a + right, up + left, up + b, up + right))
     at = np.searchsorted(keys, query)
     np.minimum(at, len(keys) - 1, out=at)
     found = np.flatnonzero(keys[at] == query)
     return found % len(a), at[found]
+
+
+def _ranges(lo, counts):
+    """The ranges lo[k]:lo[k] + counts[k], one after another."""
+    return np.arange(counts.sum()) - np.repeat(
+        np.cumsum(counts) - counts - lo, counts)
 
 
 def _close_pairs(u, v, tol, rows, i, lo, counts):
@@ -276,15 +289,107 @@ def _close_pairs(u, v, tol, rows, i, lo, counts):
     given i are.  The gaps are ``angular_gaps`` without its ``%``: on
     angles in [0, 2*pi] a difference is at most 2*pi, where the ``%``
     changes nothing but 2*pi itself, to 0, and both give a gap of 0."""
-    at = np.arange(counts.sum()) - np.repeat(
-        np.cumsum(counts) - counts - lo, counts)
-    i, j = np.repeat(i, counts), rows[at]
+    i, j = np.repeat(i, counts), rows[_ranges(lo, counts)]
     earlier = j < i
     i, j = i[earlier], j[earlier]
     du, dv = np.abs(u[i] - u[j]), np.abs(v[i] - v[j])
     close = (np.minimum(du, TWO_PI - du) < tol) & (
         np.minimum(dv, TWO_PI - dv) < tol)
     return i[close], j[close]
+
+
+def _cell_runs(u, v, tol):
+    """The rows by grid cell and within a cell in order, a run per cell:
+    a run starts at each position k where edge[k] is set (edge[n] closes
+    the last), and run[k] is the run at position k.  Also the runs that
+    each run t meets besides itself, nbr[ptr[t]:ptr[t + 1]].
+
+    A run meets the runs in the eight cells around its own, each pair
+    found from the cell before.  A run's cell is its first row's; where
+    keys can overflow, a row in another cell of the run looks up the
+    cells after its own too."""
+    n = len(u)
+    a, b, keys, wrap = _grid(u, v, tol)
+    order = np.argsort(keys)
+    keys = keys[order]
+    edge = np.ones(n + 1, dtype=bool)
+    edge[1:-1] = keys[1:] != keys[:-1]
+    edges = np.flatnonzero(edge)
+    starts = edges[:-1]
+    run = np.cumsum(edge[:-1])
+    run -= 1
+    # The rows of a run in order: sorted as run * n + row.
+    order += run * n
+    order.sort()
+    order -= run * n
+    cells = keys[starts]
+    x, y = _cells_after(cells, a[order[starts]], b[order[starts]], wrap)
+    if wrap > 1 << 32:
+        a = a[order]
+        stray = np.flatnonzero(a[starts][run] != a)
+        z, w = _cells_after(cells, a[stray], b[order[stray]], wrap)
+        x, y = np.concatenate((x, run[stray[z]])), np.concatenate((y, w))
+    meets = np.concatenate((x, y))
+    ptr = np.zeros(len(starts) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(meets, minlength=len(starts)), out=ptr[1:])
+    return order, edge, run, ptr, np.concatenate((y, x))[np.argsort(meets)]
+
+
+def _tight_runs(u, v, tol, order, edge, run):
+    """Whether each run is tight: of one row, or of angles that span less
+    than tol in both coordinates."""
+    several = np.flatnonzero(~(edge[:-1] & edge[1:]))
+    head = edge[several]
+    rows = order[several]
+    at = np.flatnonzero(head)
+    tight = np.ones(run[-1] + 1, dtype=bool)
+    close_u, close_v = (
+        np.maximum.reduceat(t, at) - np.minimum.reduceat(t, at) < tol
+        for t in (u[rows], v[rows]))
+    tight[run[several[head]]] = close_u & close_v
+    return tight
+
+
+def _decide(blocked, i, j, chain=None, first=None):
+    """Keep-mask of m rows taken in order, none of them ``blocked``
+    kept, given the pairs (i, j), j < i, that are within tol.  A ``chain``
+    row, where given, is a row of a tight run, whose pairs are not given:
+    it is kept only when no earlier row of its run is, the first of them
+    here at ``first``.
+
+    A row with no earlier conflict is kept, one in conflict with such a
+    row is not, and the others are decided in order."""
+    m = len(blocked)
+    alone = ~blocked
+    alone[i] = False
+    beaten = blocked.copy()
+    if chain is not None:
+        rest = chain & (first != np.arange(m))
+        alone[rest] = False
+        beaten[rest & alone[first]] = True
+    beaten[i[alone[j]]] = True
+    open_rows = np.flatnonzero(~alone & ~beaten)
+    if not len(open_rows):
+        return alone
+    pending = ~alone[i] & ~beaten[i]
+    i, j = i[pending], j[pending]
+    # A chain's flag, past the m rows at its first row's offset, tells its
+    # later rows that one of its rows is kept; a row outside a chain sets
+    # the last flag, which none reads.
+    flag = np.full(len(open_rows), 2 * m)
+    if chain is not None:
+        link = chain[open_rows]
+        flag[link] = first[open_rows[link]] + m
+        i = np.concatenate((i, open_rows[link]))
+        j = np.concatenate((j, flag[link]))
+    by_row = np.argsort(i, kind="stable")
+    i, j = i[by_row], j[by_row].tolist()
+    ends = np.searchsorted(i, [open_rows, open_rows + 1]).tolist()
+    keep = bytearray(alone) + bytearray(m + 1)
+    for row, lo_j, hi_j, f in zip(open_rows.tolist(), *ends, flag.tolist()):
+        if not any(map(keep.__getitem__, j[lo_j:hi_j])):
+            keep[row] = keep[f] = True
+    return np.frombuffer(keep, dtype=bool, count=m)
 
 
 def first_distinct(u, v, tol: float) -> np.ndarray:
@@ -294,7 +399,8 @@ def first_distinct(u, v, tol: float) -> np.ndarray:
     enters as its two endpoint angles in ascending order, a boundary point
     t as (t, t), which tests it like :func:`same_ideal_point`.
 
-    The rows are sorted once by grid cell, a run of rows per cell, and
+    Fewer than ``_DENSE_ROWS`` rows test every pair in one mask.  Larger
+    inputs are sorted once by grid cell, a run of rows per cell, and
     each cell finds the runs in the eight cells around it.  A run whose
     angles span less than ``tol`` in both coordinates is tight: any two of
     its rows are within ``tol``, so it keeps at most one of them, none
@@ -303,94 +409,66 @@ def first_distinct(u, v, tol: float) -> np.ndarray:
     rows of a tight run are never tested against each other, only against
     the runs around it; the other runs, a seam cell's with angles near 0
     and near 2*pi among them, also test their own rows pair by pair.
+    Both kernels then decide the rows in order with :func:`_decide`.
 
     Rows are decided a block at a time, each against the block's own rows
     and the kept rows of earlier blocks.  A block holds at most
     ``_DEDUP_ROWS`` rows and ends before its candidates among its own rows
     would pass ``_DEDUP_PAIRS``, which bounds the temporaries whatever the
-    input.  A pass with nothing to do is skipped: the per-block run counts
-    and kept-row tests of an input that is one block, the lookups for
-    cells that share a key where no key can overflow, the budget cut of a
-    block within its pair budget, and the in-order decisions of a block
-    whose rows are all settled at once."""
+    input.  A block's passes touch only the runs that hold its rows, the
+    runs those meet and their kept rows, so its cost follows its own
+    size and not the input's."""
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     n = len(u)
+    if n < _DENSE_ROWS:
+        du, dv = np.abs(u[:, None] - u), np.abs(v[:, None] - v)
+        i, j = np.nonzero((np.minimum(du, TWO_PI - du) < tol)
+                          & (np.minimum(dv, TWO_PI - dv) < tol))
+        earlier = j < i
+        return _decide(np.zeros(n, dtype=bool), i[earlier], j[earlier])
     if not n:
         return np.zeros(0, dtype=bool)
-    a, b, keys, wrap = _grid(u, v, tol)
-    # The rows by cell and within a cell in order, a run per cell: run t
-    # is order[edges[t]:edges[t + 1]].
-    order = np.argsort(keys, kind="stable")
-    table = keys[order]
-    edge = np.ones(n + 1, dtype=bool)
-    edge[1:-1] = table[1:] != table[:-1]
+    order, edge, run, ptr, nbr = _cell_runs(u, v, tol)
+    tight = _tight_runs(u, v, tol, order, edge, run)
     edges = np.flatnonzero(edge)
     starts = edges[:-1]
-    run = np.cumsum(edge[:-1])
-    run -= 1
-    # A run of one row is tight, a longer one when its angles span less
-    # than tol in both coordinates.
-    several = np.flatnonzero(~(edge[:-1] & edge[1:]))
-    head = edge[several]
-    rows = order[several]
-    uv = np.stack((u[rows], v[rows]), axis=1)
-    at = np.flatnonzero(head)
-    tight = np.ones(len(starts), dtype=bool)
-    tight[run[several[head]]] = (np.maximum.reduceat(uv, at)
-                                 - np.minimum.reduceat(uv, at) < tol).all(1)
-    # The runs that meet, meets[k] and met[k]: a run meets the runs in the
-    # eight cells around its own, each pair found from the cell before,
-    # and meets itself unless it is tight.  A run's cell is its first
-    # row's; where keys can overflow, a row in another cell of the run
-    # looks up the cells after its own too.
-    cells = table[starts]
-    x, y = _cells_after(cells, a[order[starts]], b[order[starts]], wrap)
-    if wrap > 1 << 32:
-        a = a[order]
-        stray = np.flatnonzero(a[starts][run] != a)
-        z, w = _cells_after(cells, a[stray], b[order[stray]], wrap)
-        x, y = np.concatenate((x, run[stray[z]])), np.concatenate((y, w))
-    loose = np.flatnonzero(~tight)
-    meets = np.concatenate((x, y, loose))
-    met = np.concatenate((y, x, loose))
+    lengths = edges[1:] - starts
     run_of = np.empty(n, dtype=np.int64)
     run_of[order] = run
+    # Per run: its rows in earlier blocks, order[starts[t]:starts[t] +
+    # done[t]]; its kept rows among them, kept_rows[starts[t]:starts[t] +
+    # held[t]]; and, in a block of several, its rows in the block, which
+    # count holds while the block finds its candidates.
+    done, held, count = (np.zeros(len(starts), dtype=np.int64)
+                         for _ in range(3))
+    kept_rows = np.empty(n, dtype=np.int64)
     kept = np.zeros(n, dtype=bool)
     s = 0
     while s < n:
         e = min(n, s + _DEDUP_ROWS)
-        # The block's rows of run t are order[lo[t]:hi[t]]; only the runs
-        # that hold some look up the runs they meet.
-        if s or e < n:
-            lo = starts + done if s else starts
-            hi = lo + np.bincount(run_of[s:e], minlength=len(starts))
-            x = np.flatnonzero((hi > lo)[meets])
-            x, y = meets[x], met[x]
-        else:
-            x, y, lo, hi = meets, met, starts, edges[1:]
-        if s:
-            # The kept rows of earlier blocks, by position: run t's are
-            # kept_rows[bound[t]:bound[t + 1]].  A tight run holding one
-            # keeps none of the block's rows, which then meet no row.
-            bound = np.zeros(len(starts) + 1, dtype=np.int64)
-            np.cumsum(held, out=bound[1:])
-            kept_rows = order[np.flatnonzero(kept_at)]
-            hi = np.where(tight & (held > 0), lo, hi)
-        # Each block row i of run x meets the runs y, as candidates the
-        # rows order[start:start + size].
-        count = (hi - lo)[x]
-        i = order[np.arange(count.sum()) - np.repeat(
-            np.cumsum(count) - count - lo[x], count)]
-        y = np.repeat(y, count)
-        start = lo[y]
-        size = hi[y] - start
-        blocked = np.zeros(e - s, dtype=bool)
         r = run_of[s:e]
         chain = tight[r]
+        # A row of a tight run holding a kept row is not kept, and meets
+        # no row.
+        blocked = chain & (held[r] > 0)
+        whole = not s and e == n
+        if not whole:
+            np.add.at(count, r[~blocked], 1)
+        # Each block row i meets the runs y that its run meets, as
+        # candidates their block rows order[start:start + size].
+        degree = ptr[r + 1] - ptr[r]
+        degree[blocked] = 0
+        loose = np.flatnonzero(~chain)
+        i = np.concatenate((np.repeat(np.arange(s, e), degree), s + loose))
+        y = np.concatenate((nbr[_ranges(ptr[r], degree)], r[loose]))
+        if whole:
+            start, size = starts[y], lengths[y]
+        else:
+            start, size = starts[y] + done[y], count[y]
+            count[r] = 0
         if s:
-            blocked[chain & (held[r] > 0)] = True
             # A row near a kept one is not kept.
-            hit, _ = _close_pairs(u, v, tol, kept_rows, i, bound[y], held[y])
+            hit, _ = _close_pairs(u, v, tol, kept_rows, i, starts[y], held[y])
             blocked[hit - s] = True
             size[blocked[i - s]] = 0
         # The others meet the earlier rows of the block among the first
@@ -409,50 +487,20 @@ def first_distinct(u, v, tol: float) -> np.ndarray:
         if s:
             i, j = i[~blocked[j]], j[~blocked[j]]
         # The block rows of a tight run without a kept row form a chain
-        # from its first one: a row is kept only when no earlier one is.
-        # So the first is kept when no row around blocks it, and then the
-        # others are not.
-        first = order[lo[r]] - s
-        rest = chain & (first != np.arange(e - s))
-        # A row with no earlier conflict is kept, one in conflict with such
-        # a row is not, and the others are decided in order.
-        alone = ~blocked
-        alone[i] = False
-        alone[rest] = False
-        beaten = blocked.copy()
-        beaten[i[alone[j]]] = True
-        beaten[rest & alone[first]] = True
-        kept[s:e] = alone
-        open_rows = np.flatnonzero(~alone & ~beaten)
-        if len(open_rows):
-            # A chain's flag, past the block's rows at its first row's
-            # offset, tells its later rows that one of its rows is kept;
-            # a row outside a chain sets the last flag, which none reads.
-            flag = np.where(chain, first + (e - s), 2 * (e - s))[open_rows]
-            link = chain[open_rows]
-            pending = ~alone[i] & ~beaten[i]
-            i = np.concatenate((i[pending], open_rows[link]))
-            j = np.concatenate((j[pending], flag[link]))
-            by_row = np.argsort(i, kind="stable")
-            i, j = i[by_row], j[by_row].tolist()
-            ends = np.searchsorted(i, [open_rows, open_rows + 1]).tolist()
-            keep = bytearray(alone) + bytearray(e - s + 1)
-            for row, lo_j, hi_j, f in zip(open_rows.tolist(), *ends,
-                                          flag.tolist()):
-                if not any(map(keep.__getitem__, j[lo_j:hi_j])):
-                    keep[row] = keep[f] = True
-            kept[s:e] = np.frombuffer(keep, dtype=bool, count=e - s)
+        # from its first one.
+        kept[s:e] = _decide(blocked, i, j, chain,
+                            order[starts[r] + done[r]] - s)
         if e < n:
-            # Per run, the rows before the next block and the kept ones.
             if not s:
-                done = np.zeros(len(starts), dtype=np.int64)
-                held = np.zeros(len(starts), dtype=np.int64)
-                kept_at = np.zeros(n, dtype=bool)
                 position = np.empty(n, dtype=np.int64)
                 position[order] = np.arange(n)
-            done += np.bincount(r, minlength=len(starts))
-            held += np.bincount(r[kept[s:e]], minlength=len(starts))
-            kept_at[position[s:e][kept[s:e]]] = True
+            np.add.at(done, r, 1)
+            # The block's kept rows, filed under their runs.
+            at = np.sort(position[s:e][kept[s:e]])
+            t = run[at]
+            kept_rows[starts[t] + held[t] + np.arange(len(t))
+                      - np.searchsorted(t, t)] = order[at]
+            np.add.at(held, t, 1)
         s = e
     return kept
 

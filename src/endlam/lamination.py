@@ -711,6 +711,11 @@ class AxiomParams:
             raise ValidationError(
                 f"angle tolerance must be at least {ANGLE_TOL_FLOOR:g}, "
                 f"got {self.angle_tol:g}")
+        # No two angles lie more than pi apart, so from pi on every ideal
+        # point would equal every other.
+        if self.angle_tol >= math.pi:
+            raise ValidationError(
+                f"angle tolerance must be below pi, got {self.angle_tol:g}")
         for what, value in (("letter budget", self.max_letters),
                             ("word budget", self.max_words)):
             if value < 1:

@@ -1094,7 +1094,8 @@ class TestRunRanges:
             ("escape", ("--trace-tol", "--max-letters")),
         )
         for flag in flags
-        for value in {"--angle-tol": ("0", "-1", "1e-13", "1e-300"),
+        for value in {"--angle-tol": ("0", "-1", "1e-13", "1e-300",
+                                      "3.141592653589793", "1e300"),
                       "--trace-tol": ("0", "-1")}.get(flag, ("0",))
     ])
     def test_tolerance_and_budget_rejected(self, command, flag, value,
@@ -1131,6 +1132,16 @@ class TestRunRanges:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: {what} must be finite, got inf\n"
+
+    @pytest.mark.parametrize("command", ["laminate", "axioms", "limit-set"])
+    def test_angle_tol_of_pi_or_more_rejected(self, command, schottky,
+                                              capsys):
+        # Every angular gap is at most pi: such a tolerance made every
+        # ideal point equal and every chain read as collapsed, exit 0.
+        assert run_command([command, str(schottky), "--angle-tol",
+                            "1e300"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: angle tolerance must be below pi, got 1e+300\n")
 
     @pytest.mark.parametrize("argv", [
         ["render", "schottky_ab.json", "--out", "x.svg", "--size", "0"],

@@ -704,15 +704,17 @@ class TestAngleSet:
     def test_keeps_new_pairs_only(self):
         u = [1.0, 1.0, 1.0 + 5e-4, 1.0]
         v = [2.0, 2.0, 2.0 - 5e-4, 2.0 + 2e-3]   # one coordinate apart is new
-        assert first_distinct(u, v, 1e-3).tolist() == [True, False, False,
-                                                        True]
+        for _ in each_kernel():
+            assert first_distinct(u, v, 1e-3).tolist() == [True, False,
+                                                            False, True]
 
     @pytest.mark.parametrize("shift, new", [(0.999e-3, False),
                                             (1.001e-3, True)])
     def test_tolerance_boundary(self, shift, new):
         u = [1.0, 1.0 + shift, 1.0]
         v = [2.0, 2.0, 2.0 - shift]
-        assert first_distinct(u, v, 1e-3).tolist() == [True, new, new]
+        for _ in each_kernel():
+            assert first_distinct(u, v, 1e-3).tolist() == [True, new, new]
 
     @pytest.mark.parametrize("first, second", [(1e-4, TWO_PI - 1e-4),
                                                (TWO_PI - 1e-4, 1e-4),
@@ -720,8 +722,9 @@ class TestAngleSet:
     def test_pairs_wrap_at_zero(self, first, second):
         u = [first, second, 3.0, 3.0]
         v = [3.0, 3.0, first, second]
-        assert first_distinct(u, v, 1e-3).tolist() == [True, False, True,
-                                                        False]
+        for _ in each_kernel():
+            assert first_distinct(u, v, 1e-3).tolist() == [True, False,
+                                                            True, False]
 
     @pytest.mark.parametrize("first, second, new", [
         (TWO_PI - 2e-4, 3e-4, False),
@@ -731,7 +734,8 @@ class TestAngleSet:
     ])
     def test_points_wrap_like_same_ideal_point(self, first, second, new):
         t = [first, second]
-        assert first_distinct(t, t, 1e-3).tolist() == [True, new]
+        for _ in each_kernel():
+            assert first_distinct(t, t, 1e-3).tolist() == [True, new]
         assert new is not same_ideal_point(IdealPoint(first),
                                            IdealPoint(second), 1e-3)
 
@@ -741,21 +745,25 @@ class TestAngleSet:
         # first and the 1st is kept again.
         tol = 1e-3
         u = [1.0, 1.0 + 0.6 * tol, 1.0 + 1.2 * tol]
-        assert first_distinct(u, u, tol).tolist() == [True, False, True]
-        assert first_distinct(u[::-1], u[::-1], tol).tolist() == [
-            True, False, True]
-        assert first_distinct(u[1:], u[1:], tol).tolist() == [True, False]
+        for _ in each_kernel():
+            assert first_distinct(u, u, tol).tolist() == [True, False, True]
+            assert first_distinct(u[::-1], u[::-1], tol).tolist() == [
+                True, False, True]
+            assert first_distinct(u[1:], u[1:], tol).tolist() == [True,
+                                                                  False]
 
     def test_repeat_of_a_dropped_pair_is_dropped(self):
         tol = 1e-3
         u = [1.0, 1.0 + 0.6 * tol, 1.0 + 1.2 * tol, 1.0 + 0.6 * tol]
-        assert first_distinct(u, u, tol).tolist() == [True, False, True,
-                                                      False]
+        for _ in each_kernel():
+            assert first_distinct(u, u, tol).tolist() == [True, False, True,
+                                                          False]
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_empty_and_single(self, n):
-        assert first_distinct([2.0] * n, [3.0] * n, 1e-9).tolist() == (
-            [True] * n)
+        for _ in each_kernel():
+            assert first_distinct([2.0] * n, [3.0] * n, 1e-9).tolist() == (
+                [True] * n)
 
     def test_many_blocks(self):
         # A long chain across every block boundary; a budget of 0 ends a
@@ -877,8 +885,8 @@ class TestAngleSet:
     def test_peak_memory_on_a_deep_orbit(self):
         # The candidates of the schottky_ab orbit at horizon 20, ball 5:
         # the blocks keep the temporaries near the size of the input (the
-        # default blocks peak at about 2.6 MB, one block for all 19,885
-        # rows at about 3.3 MB).
+        # default blocks peak at about 2.0 MB, one block for all 19,885
+        # rows at about 2.5 MB).
         scene = load_scene(scene_path("schottky_ab.json"))
         calls = []
 
@@ -899,6 +907,59 @@ class TestAngleSet:
             tracemalloc.stop()
         assert peak < DEDUP_PEAK_MB * 1e6
 
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_rows_around_the_dense_cut(self, extra):
+        # One row short of the cut takes the n x n mask, the cut and one
+        # past it the grid: rows at 0 and 2 pi, tails converging on 0 from
+        # both sides of the seam in u and in v, chains and repeats.
+        rng = random.Random(13 + extra)
+        tol = 1e-3
+        n = hyperbolic._DENSE_ROWS + extra
+        u, v = [0.0, TWO_PI, 0.0, TWO_PI], [1.0, 1.0, TWO_PI, 0.0]
+        for k in range(n):
+            d = 0.9 * tol * 0.6 ** (k % 15)
+            pair = rng.choice((
+                (d, 2.0), (TWO_PI - d, 2.0), (2.0, d), (2.0, TWO_PI - d),
+                (d, TWO_PI - d), (1.0 + 0.6 * tol * k, 3.0),
+                (rng.uniform(0.0, TWO_PI), rng.uniform(0.0, TWO_PI))))
+            u.append(pair[0])
+            v.append(pair[1])
+        u, v = u[:n], v[:n]
+        expected = sequential_first_distinct(u, v, tol)
+        assert 10 < sum(expected) < n - 10
+        assert first_distinct(u, v, tol).tolist() == expected
+        assert_blocks_match_sequential(u, v, tol)
+
+    def test_desk_scale_orbit_in_blocks(self):
+        # The - juncture's 0..20 orbit of schottky_ab at ball 7: the
+        # default blocks keep what one block keeps, within the tracemalloc
+        # peak they had when each block still passed over every run and
+        # row (10.6 MB; about 8 MB since).
+        scene = load_scene(scene_path("schottky_ab.json"))
+        juncture = next(j for j in scene.junctures if j.sign == "-")
+        calls = []
+
+        def record(*args):
+            calls.append(args)
+            return first_distinct(*args)
+
+        with mock.patch.object(lamination, "first_distinct", record):
+            juncture_orbit(scene, juncture, range(0, 21), 7)
+        (u, v, tol), = calls
+        assert len(u) == 91833
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            keep = first_distinct(u, v, tol)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert keep.sum() == 26996
+        assert peak < 10.6e6
+        with mock.patch.multiple(hyperbolic, _DEDUP_ROWS=len(u),
+                                 _DEDUP_PAIRS=1 << 62):
+            assert first_distinct(u, v, tol).tolist() == keep.tolist()
+
 
 def deep_orbit_calls():
     """The first_distinct calls of the schottky_ab orbit at horizon 20,
@@ -916,7 +977,7 @@ def deep_orbit_calls():
 
 
 # Tracemalloc peak allowed to first_distinct on the deep orbit's
-# 19,885 candidates (about 2.6 MB).
+# 19,885 candidates (about 2.0 MB).
 DEDUP_PEAK_MB = 5
 
 # Block shapes (rows, pair budget) that take every path of first_distinct:
@@ -927,10 +988,26 @@ BLOCK_SHAPES = ((1, 0), (3, 0), (3, 2), (16, 0), (16, 40),
                 (hyperbolic._DEDUP_ROWS, hyperbolic._DEDUP_PAIRS))
 
 
+# A cut past every input here: the n x n mask decides each input whole.
+ALL_DENSE = 1000
+
+
+def each_kernel():
+    """Selects each kernel of first_distinct in turn: the n x n mask of
+    small inputs, then the grid of cells in default blocks."""
+    for cut in (ALL_DENSE, 0):
+        with mock.patch.object(hyperbolic, "_DENSE_ROWS", cut):
+            yield cut
+
+
 def assert_blocks_match_sequential(u, v, tol, shapes=BLOCK_SHAPES):
+    """The dense kernel, and the grid in blocks of every shape, keep what
+    the sequential angle set keeps."""
     expected = sequential_first_distinct(u, v, tol)
+    with mock.patch.object(hyperbolic, "_DENSE_ROWS", ALL_DENSE):
+        assert first_distinct(u, v, tol).tolist() == expected, "dense"
     for rows, pairs in shapes:
-        with mock.patch.multiple(hyperbolic, _DEDUP_ROWS=rows,
+        with mock.patch.multiple(hyperbolic, _DENSE_ROWS=0, _DEDUP_ROWS=rows,
                                  _DEDUP_PAIRS=pairs):
             assert first_distinct(u, v, tol).tolist() == expected, (
                 rows, pairs)
@@ -1013,6 +1090,8 @@ class TestFirstDistinct:
         # pass at the same tol keeps them all: why laminate extracts a
         # lone family, already deduplicated, without a merge.
         tol, u, v = case
-        keep = first_distinct(u, v, tol)
-        assert first_distinct(np.asarray(u, dtype=float)[keep],
-                              np.asarray(v, dtype=float)[keep], tol).all()
+        for cut in each_kernel():
+            keep = first_distinct(u, v, tol)
+            assert first_distinct(np.asarray(u, dtype=float)[keep],
+                                  np.asarray(v, dtype=float)[keep],
+                                  tol).all(), cut

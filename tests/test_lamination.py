@@ -1826,6 +1826,18 @@ class TestAxiomParams:
                            "at least 1e-12, got 1e-13"):
             AxiomParams(angle_tol=1e-13)
 
+    @pytest.mark.parametrize("tol", [math.pi, 4.0, 1e300])
+    def test_angle_tol_of_pi_or_more_named(self, tol):
+        # No angular gap exceeds pi: every ideal point would equal every
+        # other, and every chain would read as collapsed.
+        with pytest.raises(ValidationError, match=re.escape(
+                f"angle tolerance must be below pi, got {tol:g}")):
+            AxiomParams(angle_tol=tol)
+
+    def test_angle_tol_below_pi_allowed(self):
+        tol = math.nextafter(math.pi, 0)
+        assert AxiomParams(angle_tol=tol).angle_tol == tol
+
 
 class TestAxiomReport:
     def test_identity_not_endperiodic(self, identity_scene):
