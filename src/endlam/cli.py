@@ -38,6 +38,7 @@ from .lamination import (
     DEFAULT_ESCAPE_HORIZON,
     DEFAULT_GROWTH_RATIO,
     AxiomParams,
+    CertificateTable,
     _laminate,
     axiom_report,
     escape_test,
@@ -111,7 +112,8 @@ class _ReportText:
     the payload with its result objects replaced by JSON values, built in
     one walk over the payload.
 
-    A ``Word`` becomes its spelling in the generator ``names``, a numpy
+    A ``Word`` becomes its spelling in the generator ``names``, a
+    ``CertificateTable`` the list of its rows' records, a numpy
     array with named fields the list of its rows, a named row or a
     dataclass the dict of its fields, other numpy values their
     ``tolist()``, dict keys ``str(k)`` and tuples lists.  A column is a
@@ -137,6 +139,8 @@ class _ReportText:
             return scalar(obj)
         if isinstance(obj, Word):
             return self.text(obj.format(self.names), depth)
+        if kind is CertificateTable:
+            return self._certificates_text(obj, depth)
         if isinstance(obj, (np.ndarray, np.generic)):
             names = obj.dtype.names
             if not names:
@@ -190,6 +194,27 @@ class _ReportText:
             columns.append(column)
         texts = [self._column_texts(*column, depth + 2) for column in columns]
         return _lines("[", _rows(names, texts, depth + 1), depth, "]")
+
+    def _certificates_text(self, table, depth):
+        """The ``CertificateTable`` as the list of its rows' records,
+        written column by column; each conjugator's ball word is spelled
+        once, and the iterates and gaps are slices of the family's lists."""
+        if not len(table):
+            return "[]"
+        ends, signs = zip(*[(j.end, j.sign) for j in table.junctures])
+        juncture, conj = table.juncture.tolist(), table.conj.tolist()
+        words = table.ball.spellings(self.names, max(conj) + 1)
+        iterate, gaps = table.iterate.tolist(), table.gaps.tolist()
+        columns = [
+            ([ends[j] for j in juncture], False),
+            ([signs[j] for j in juncture], False),
+            ([words[c] for c in conj], False),
+            ([iterate[a:b] for a, b in zip(table.start.tolist(),
+                                           table.end.tolist())], True),
+            ([gaps[a:b] for a, b in zip(table.gap_start.tolist(),
+                                        table.gap_end.tolist())], True)]
+        texts = [self._column_texts(*column, depth + 2) for column in columns]
+        return _lines("[", _rows(table.FIELDS, texts, depth + 1), depth, "]")
 
     def _row_texts(self, records, depth):
         """The JSON text at ``depth`` of each row of the one-dimensional

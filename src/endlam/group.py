@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -303,7 +302,10 @@ class Ball:
     """The freely reduced words of length <= k by length, then in the
     letter order a < a^-1 < b < b^-1 < ...: word i is word ``parent[i]``
     followed by the signed letter ``letter[i]`` (-1 and 0 for the identity,
-    first), and row ``g[i]`` holds the entries a, b, c, d of its isometry."""
+    first), and row ``g[i]`` holds the entries a, b, c, d of its isometry.
+    A ball of radius k is the first rows of every larger ball of its
+    group.  A ``Word`` is built only for the rows ``words`` is asked for;
+    ``spellings`` writes words out without building any."""
 
     parent: np.ndarray
     letter: np.ndarray
@@ -312,13 +314,29 @@ class Ball:
     def __len__(self) -> int:
         return len(self.parent)
 
-    @cached_property
-    def words(self) -> list[Word]:
-        """Each word, built once from its parent's letters, reduced as is."""
-        letters = [()]
-        for p, x in zip(self.parent[1:].tolist(), self.letter[1:].tolist()):
-            letters.append(letters[p] + (x,))
-        return [Word._reduced(x) for x in letters]
+    def words(self, rows) -> list[Word]:
+        """Words ``rows`` (ints), each read up its parents."""
+        parent, letter = self.parent.tolist(), self.letter.tolist()
+        words = []
+        for i in rows:
+            letters = []
+            while i > 0:
+                letters.append(letter[i])
+                i = parent[i]
+            words.append(Word._reduced(tuple(reversed(letters))))
+        return words
+
+    def spellings(self, names, count: int) -> list[str]:
+        """``Word.format(names)`` of words 0 .. count - 1, in one pass: each
+        word's text is its parent's, then its last letter's token."""
+        tokens = {}
+        for i, name in enumerate(names, 1):
+            tokens[i], tokens[-i] = name, name + "^-1"
+        texts = [""]
+        for p, x in zip(self.parent[1:count].tolist(),
+                        self.letter[1:count].tolist()):
+            texts.append(f"{texts[p]} {tokens[x]}" if p else tokens[x])
+        return texts[:count]
 
 
 def enumerate_ball(group: FuchsianGroup, k: int,

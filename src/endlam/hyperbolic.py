@@ -711,8 +711,15 @@ def ball_products(letters, k: int):
             g = m1[:, :1] * m2[:1] + m1[:, 1:] * m2[1:]
             big = np.abs(g).max(axis=(0, 1))
             small = big <= _RENORM_CAP
-            # _det(a, b, c, d), its two products a*d and b*c at once.
-            p, e = _two_product(g[0], g[1, ::-1])
+            # _det(a, b, c, d), its two products a*d and b*c at once, from
+            # one Dekker split of all four entries: _two_product's steps.
+            high = _SPLIT * g
+            high = high - (high - g)
+            low = g - high
+            x, xh, xl = g[0], high[0], low[0]
+            y, yh, yl = g[1, ::-1], high[1, ::-1], low[1, ::-1]
+            p = x * y
+            e = ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
             det = (p[0] - p[1]) + (e[0] - e[1])
             # A small product needs det > 0, any other finite entries: the
             # largest |entry| is not finite where an entry is not.

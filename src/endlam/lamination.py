@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import compress
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from .errors import NotHyperbolicError, ValidationError
 from .group import (
     DEFAULT_MAX_LETTERS,
     DEFAULT_MAX_WORDS,
+    Ball,
     Word,
     apply_automorphism,
     enumerate_ball,
@@ -83,7 +83,9 @@ class JunctureSpec:
 @dataclass(frozen=True)
 class ChainProvenance:
     """Where one chain of a family comes from: a juncture component and a
-    conjugator (fixed along the chain while the iterate advances)."""
+    conjugator (fixed along the chain while the iterate advances).  A
+    family holds its chains as integer rows; these records are built only
+    by its ``chains`` and ``entries`` views."""
 
     juncture: JunctureSpec
     conjugator: Word
@@ -100,31 +102,45 @@ class GeodesicFamily:
     """Deduplicated geodesics held as arrays, one element per entry.
 
     Entry i has endpoint angles ``ta[i]``, ``tb[i]`` and is iterate
-    ``iterate[i]`` of chain ``chains[chain[i]]``, whose conjugator's
-    isometry has the entries a, b, c, d of row ``g[chain[i]]``.  ``entries``
-    builds each entry's (checked) ``Geodesic`` and gives it with its chain.
+    ``iterate[i]`` of chain ``chain[i]``.  Chain c is of juncture
+    ``junctures[juncture[c]]``, and its conjugator is word ``conj[c]`` of
+    ``ball`` (0 is the identity), whose isometry has the entries a, b, c,
+    d of row ``g[c]``.  No object is held per chain: ``chains`` builds
+    each chain's ``ChainProvenance``, and ``entries`` each entry's
+    (checked) ``Geodesic`` with its chain's record.
 
     The rows keep a contract, which ``extract_limit_leaves`` reads in
     place: the entries are grouped by chain; the chains are numbered
-    0, 1, ... in row order; and each chain's iterates run in its
-    convergence direction, ascending for sign - and descending for +.
-    ``juncture_orbit`` builds its families so, and ``merge`` keeps the
-    contract of families that keep it.
+    0, 1, ... in row order; each chain's iterates run in its convergence
+    direction, ascending for sign - and descending for +; and the
+    junctures are distinct.  ``juncture_orbit`` builds its families so,
+    and ``merge`` keeps the contract of families that keep it.
     """
 
     ta: np.ndarray = field(default_factory=lambda: np.empty(0))
     tb: np.ndarray = field(default_factory=lambda: np.empty(0))
     chain: np.ndarray = field(default_factory=lambda: np.empty(0, int))
     iterate: np.ndarray = field(default_factory=lambda: np.empty(0, int))
-    chains: list[ChainProvenance] = field(default_factory=list)
+    junctures: tuple[JunctureSpec, ...] = ()
+    juncture: np.ndarray = field(default_factory=lambda: np.empty(0, int))
+    conj: np.ndarray = field(default_factory=lambda: np.empty(0, int))
     g: np.ndarray = field(default_factory=lambda: np.empty((0, 4)))
+    ball: Ball | None = None
 
     def __len__(self):
         return len(self.ta)
 
     @property
+    def chains(self) -> list[ChainProvenance]:
+        if not len(self.conj):
+            return []
+        return [ChainProvenance(self.junctures[j], word) for j, word in zip(
+            self.juncture.tolist(), self.ball.words(self.conj.tolist()))]
+
+    @property
     def entries(self) -> list[tuple[Geodesic, ChainProvenance]]:
-        return [(Geodesic.from_angles(a, b), self.chains[c])
+        chains = self.chains
+        return [(Geodesic.from_angles(a, b), chains[c])
                 for a, b, c in zip(self.ta.tolist(), self.tb.tolist(),
                                    self.chain.tolist())]
 
@@ -134,27 +150,40 @@ class GeodesicFamily:
         """The entries of ``families`` in order, kept by
         :func:`first_distinct` at ``angle_tol``.  Chains of different
         families stay apart; a chain left without entries is dropped and
-        the rest are numbered by their first kept entries.  The result is
-        a new family, also for a lone one."""
+        the rest are numbered by their first kept entries.  Equal
+        junctures become one, and the conjugators are read from the
+        largest ball, whose first rows are every smaller ball of the
+        group.  The result is a new family, also for a lone one."""
         families = list(families)
         if not families:
             return cls()
         ta, tb, chain, iterate = (
             np.concatenate([getattr(fam, name) for fam in families])
             for name in ("ta", "tb", "chain", "iterate"))
-        offsets = np.cumsum([0] + [len(fam.chains) for fam in families])
+        offsets = np.cumsum([0] + [len(fam.conj) for fam in families])
         chain += np.repeat(offsets[:-1], [len(fam) for fam in families])
-        chains = [c for fam in families for c in fam.chains]
-        g = np.concatenate([fam.g for fam in families])
+        junctures = []
+        for fam in families:
+            for j in fam.junctures:
+                if j not in junctures:
+                    junctures.append(j)
+        juncture = np.concatenate([
+            np.array([junctures.index(j) for j in fam.junctures],
+                     dtype=np.int64)[fam.juncture] for fam in families])
+        conj, g = (np.concatenate([getattr(fam, name) for fam in families])
+                   for name in ("conj", "g"))
+        ball = max((fam.ball for fam in families if fam.ball is not None),
+                   key=len, default=None)
         keep = first_distinct(np.minimum(ta, tb), np.maximum(ta, tb),
                               angle_tol)
         chain = chain[keep]
         ids, first = np.unique(chain, return_index=True)
         used = ids[np.argsort(first)]
-        renumber = np.zeros(len(chains), dtype=np.int64)
+        renumber = np.zeros(len(conj), dtype=np.int64)
         renumber[used] = np.arange(len(used))
         return cls(ta[keep], tb[keep], renumber[chain], iterate[keep],
-                   [chains[c] for c in used.tolist()], g[used])
+                   tuple(junctures), juncture[used], conj[used], g[used],
+                   ball)
 
 
 def _iterate_cores(scene, juncture: JunctureSpec, iterates,
@@ -307,11 +336,10 @@ def juncture_orbit(scene, juncture: JunctureSpec, n_range=None,
     new = np.ones(len(g), dtype=bool)
     new[1:] = g[1:] != g[:-1]
     used, chain = g[new], np.cumsum(new) - 1
-    words = table.ball.words
     return GeodesicFamily(
         ta[keep], tb[keep], chain, np.array(iterates)[kept % len(iterates)],
-        [ChainProvenance(juncture, words[i]) for i in used.tolist()],
-        table.ball.g[used])
+        (juncture,), np.zeros(len(used), dtype=np.int64), used,
+        table.ball.g[used], table.ball)
 
 
 def _converging_iterates(juncture: JunctureSpec, horizon: int) -> list[int]:
@@ -382,13 +410,33 @@ def escape_test(scene, juncture: JunctureSpec,
                         growth_ratio=growth_ratio, horizon=horizon)
 
 
-@dataclass
-class ChainCertificate:
-    juncture: str
-    sign: str
-    conjugator: Word
-    iterates: tuple[int, ...]
-    gaps: tuple[float, ...]      # successive endpoint gaps, oldest first
+@dataclass(eq=False)
+class CertificateTable:
+    """The Cauchy certificates of a lamination's leaves, one row per leaf
+    in leaf order, read from the arrays of the family they came from.
+
+    Row i is a chain of juncture ``junctures[juncture[i]]`` whose
+    conjugator is word ``conj[i]`` of ``ball``; it holds the iterates
+    ``iterate[start[i]:end[i]]`` and ends in the successive endpoint gaps
+    ``gaps[gap_start[i]:gap_end[i]]`` (at most eight, oldest first).  The
+    ``--json`` writer spells each conjugator from the ball once."""
+
+    junctures: tuple[JunctureSpec, ...]
+    juncture: np.ndarray
+    conj: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    gap_start: np.ndarray
+    gap_end: np.ndarray
+    iterate: np.ndarray
+    gaps: np.ndarray
+    ball: Ball | None               # None for an empty family's table
+
+    # The keys of a certificate in the --json report.
+    FIELDS = ("juncture", "sign", "conjugator", "iterates", "gaps")
+
+    def __len__(self):
+        return len(self.juncture)
 
 
 @dataclass
@@ -416,7 +464,7 @@ class LaminationApprox:
     """Certified limit leaves of one sign of lamination."""
 
     leaves: np.ndarray                # LEAF rows
-    certificates: list[ChainCertificate]
+    certificates: CertificateTable
     skipped: list[SkippedChain]
     # Axiom I audit of the leaves; None until laminate() runs it.
     crossing_violations: np.ndarray | None = None     # VIOLATION rows
@@ -494,14 +542,17 @@ def extract_limit_leaves(family: GeodesicFamily,
     Three passes over the entry arrays, read in place by the row
     contract of ``GeodesicFamily``: every chain's tests at once
     (``_chain_verdicts``); the limits of the chains they pass, by one
-    Aitken step per endpoint where no base limit is known, else as the
-    base limit's image under the chain's conjugator, one
-    ``boundary_images`` call per base (``boundary_action`` bit for bit);
-    the records, the leaves as ``LEAF`` rows, after a check that raises,
-    as ``Geodesic`` would, when a leaf's endpoints coincide.
+    Aitken step per endpoint for the identity chains (ball row 0) and
+    for each chain that no identity chain of its juncture before it
+    gives a base limit, else as the last such base limit's image under
+    the chain's conjugator, one ``boundary_images`` call per base
+    (``boundary_action`` bit for bit), the chains told apart by their
+    juncture index and ball row; the leaves as ``LEAF`` rows, after a
+    check that raises, as ``Geodesic`` would, when a leaf's endpoints
+    coincide, and their certificates as one ``CertificateTable``.
     """
-    signs = {c.juncture.sign for c in family.chains}
-    if len(signs) > 1:
+    junctures, juncture, conj = family.junctures, family.juncture, family.conj
+    if len({junctures[j].sign for j in set(juncture.tolist())}) > 1:
         raise ValidationError("family mixes juncture signs; extract per sign")
 
     ta, tb = family.ta, family.tb
@@ -512,53 +563,55 @@ def extract_limit_leaves(family: GeodesicFamily,
     starts = np.flatnonzero(edge)
     ends = np.append(starts[1:], len(family))[:len(starts)]
     verdicts = _chain_verdicts(steps, ends - starts, ends, tol)
-    provs = family.chains
-    starts, ends = starts.tolist(), ends.tolist()
 
     # A conjugated chain converges to exactly the image of its base
     # chain's limit, and computing it as a single Mobius image keeps
     # endpoints that are shared between leaves equal at float resolution.
-    limits = np.zeros((len(provs), 2))
-    bases: dict[JunctureSpec, int] = {}         # juncture -> base chain
-    transported: dict[int, list[int]] = {}      # base chain -> its images
-    for i in np.flatnonzero(verdicts == 0).tolist():
-        prov, end = provs[i], ends[i]
-        if prov.conjugator.is_identity() or prov.juncture not in bases:
-            limits[i] = ends_ab = (_aitken_angle(ta[end - 3:end].tolist()),
-                                   _aitken_angle(tb[end - 3:end].tolist()))
-            if angular_gap(*ends_ab) < angle_tol:
-                verdicts[i] = _COLLAPSES
-            elif prov.conjugator.is_identity():
-                bases[prov.juncture] = i
-        else:
-            transported.setdefault(bases[prov.juncture], []).append(i)
+    limits = np.zeros((len(starts), 2))
+    bases: dict[int, int] = {}              # juncture index -> base chain
+    transported: dict[int, list[int]] = {}  # base chain -> its images
+    passed = np.flatnonzero(verdicts == 0)
+    for i, j, c, end in zip(passed.tolist(), juncture[passed].tolist(),
+                            conj[passed].tolist(), ends[passed].tolist()):
+        if c and j in bases:
+            transported.setdefault(bases[j], []).append(i)
+            continue
+        limits[i] = ends_ab = (_aitken_angle(ta[end - 3:end].tolist()),
+                               _aitken_angle(tb[end - 3:end].tolist()))
+        if angular_gap(*ends_ab) < angle_tol:
+            verdicts[i] = _COLLAPSES
+        elif not c:
+            bases[j] = i
     for base, images in transported.items():
         limits[images] = boundary_images(
             *family.g[images].T, list(map(IdealPoint, limits[base].tolist())))
 
     # The leaves' own angles, as IdealPoint reduces them (an Aitken limit
     # of 2 pi is 0), checked as Geodesic checks them.
-    rows = limits[verdicts == 0] % TWO_PI
+    certified = np.flatnonzero(verdicts == 0)
+    rows = limits[certified] % TWO_PI
     if (angular_gaps(rows[:, 0], rows[:, 1]) < ANGLE_TOL).any():
         raise ValidationError("geodesic endpoints coincide")
-    certificates, skipped = [], []
-    steps, iterates = steps.tolist(), family.iterate.tolist()
-    for prov, start, end, verdict in zip(provs, starts, ends,
-                                         verdicts.tolist()):
-        j = prov.juncture
-        if not verdict:
-            certificates.append(ChainCertificate(
-                j.end, j.sign, prov.conjugator, tuple(iterates[start:end]),
-                tuple(steps[max(start, end - 9):end - 1])))
-        else:
+    skipped = []
+    skips = np.flatnonzero(verdicts)
+    if len(skips):      # an empty family has no ball
+        for j, word, verdict, end in zip(
+                juncture[skips].tolist(),
+                family.ball.words(conj[skips].tolist()),
+                verdicts[skips].tolist(), ends[skips].tolist()):
             skipped.append(SkippedChain(
-                j.end, j.sign, prov.conjugator,
-                f"last gap {steps[end - 2]:.3e} above tolerance {tol:.1e}"
-                if verdict == _LAST_GAP else _REASONS[verdict]))
+                junctures[j].end, junctures[j].sign, word,
+                f"last gap {float(steps[end - 2]):.3e} above tolerance "
+                f"{tol:.1e}" if verdict == _LAST_GAP else _REASONS[verdict]))
     keep = first_distinct(*np.sort(rows, axis=1).T, angle_tol)
+    cert = certified[keep]
+    first, last = starts[cert], ends[cert]
     return LaminationApprox(
         leaves=rows[keep].view(LEAF)[:, 0],
-        certificates=list(compress(certificates, keep.tolist())),
+        certificates=CertificateTable(
+            junctures, juncture[cert], conj[cert], first, last,
+            np.maximum(first, last - 9), last - 1, family.iterate, steps,
+            family.ball),
         skipped=skipped)
 
 

@@ -13,6 +13,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ValidationError
 from .group import LimitSetSample
 from .hyperbolic import TWO_PI, Geodesic
@@ -47,8 +49,8 @@ def check_size(size: int) -> None:
 @dataclass
 class _Layer:
     label: str
-    # The endpoint angles (ta, tb) of each geodesic.
-    ends: list[tuple[float, float]] = field(default_factory=list)
+    # The endpoint angles (ta, tb) of each geodesic, one row each.
+    ends: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
     points: list[tuple[float, float]] = field(default_factory=list)
     boundary_angles: list[float] = field(default_factory=list)
 
@@ -56,22 +58,25 @@ class _Layer:
 def _coerce_layer(label, payload) -> _Layer:
     layer = _Layer(label=label)
     if isinstance(payload, GeodesicFamily):
-        layer.ends = list(zip(payload.ta.tolist(), payload.tb.tolist()))
+        layer.ends = np.column_stack((payload.ta, payload.tb))
     elif isinstance(payload, LaminationApprox):
-        layer.ends = payload.leaves.tolist()     # (a_angle, b_angle) rows
+        layer.ends = np.column_stack((payload.leaves["a_angle"],
+                                      payload.leaves["b_angle"]))
     elif isinstance(payload, LimitSetSample):
         layer.points = list(payload.orbit)
         layer.boundary_angles = payload.fixed_point_angles
     elif isinstance(payload, (list, tuple)):
+        ends = []
         for item in payload:
             if isinstance(item, Geodesic):
-                layer.ends.append((item.a.theta, item.b.theta))
+                ends.append((item.a.theta, item.b.theta))
             elif isinstance(item, (list, tuple)) and len(item) == 2:
                 layer.points.append((float(item[0]), float(item[1])))
             else:
                 raise ValidationError(
                     f"cannot render item of type {type(item).__name__}"
                 )
+        layer.ends = np.array(ends, dtype=float).reshape(-1, 2)
     else:
         raise ValidationError(
             f"cannot render family of type {type(payload).__name__}"
@@ -87,13 +92,21 @@ def _fmt(value: float) -> str:
 
 # One template per element kind.  Each coordinate goes in as ``x + 0.0``,
 # which turns -0.0 into 0.0 and leaves every other float as it is, so
-# "%.9f" writes what _fmt writes.
+# "%.9f" writes what _fmt writes.  A path takes its endpoints ("x y") and
+# its radius as ready-made text.
 _POINT = '<circle cx="%%.9f" cy="%%.9f" r="%s"/>' % _fmt(POINT_RADIUS)
 _BOUNDARY_POINT = ('<circle cx="%%.9f" cy="%%.9f" r="%s"/>'
                    % _fmt(BOUNDARY_POINT_RADIUS))
-_CHORD = '<path d="M %.9f %.9f L %.9f %.9f"/>'
-_ARC = ('<path d="M %.9f %.9f A %.9f %.9f 0 0 %d %.9f %.9f '
-        'A %.9f %.9f 0 0 %d %.9f %.9f"/>')
+_CHORD = '<path d="M %s L %s"/>'
+_ARC = '<path d="M %s A %s %s 0 0 %d %.9f %.9f A %s %s 0 0 %d %s"/>'
+
+
+def _libm(func, *args: np.ndarray) -> np.ndarray:
+    """``func`` of the math module on the flat arrays ``args`` element by
+    element: numpy's SIMD cos, sin and arctan2 differ from libm's in the
+    last bit on some CPUs, which would move output bytes."""
+    return np.fromiter(map(func, *(x.tolist() for x in args)), float,
+                       len(args[0]))
 
 
 class _Canvas:
@@ -101,9 +114,11 @@ class _Canvas:
         self.cx = size / 2.0
         self.cy = size / 2.0
         self.scale = size / 2.0 - MARGIN
-
-    def point(self, x: float, y: float) -> tuple[float, float]:
-        return (self.cx + self.scale * x, self.cy - self.scale * y)
+        # Canvas coordinates of disk points, (x, y) rows of (2, n) arrays,
+        # are offset + factor * (x, y): cy - scale * y is cy + (-scale) * y
+        # exactly.
+        self.offset = np.array([[self.cx], [self.cy]])
+        self.factor = np.array([[self.scale], [-self.scale]])
 
     def points(self, points) -> list[str]:
         """The orbit point elements of disk points ``(x, y)``."""
@@ -118,34 +133,60 @@ class _Canvas:
                                    cy - scale * math.sin(t) + 0.0)
                 for t in angles]
 
+    def geodesics(self, ends: np.ndarray) -> list[str]:
+        """The path element of each geodesic, a row of endpoint angles
+        (ta, tb), computed for all rows at once in the steps of the one-arc
+        computation, bit for bit (the scalar reference is in
+        ``tests/conftest.py``).
 
-def _geodesic_path(ta: float, tb: float, canvas: _Canvas) -> str:
-    ux, uy = math.cos(ta), math.sin(ta)
-    vx, vy = math.cos(tb), math.sin(tb)
-    x1, y1 = canvas.point(ux, uy)
-    x2, y2 = canvas.point(vx, vy)
-    dot = ux * vx + uy * vy
-    if 1.0 + dot <= ANTIPODAL_DOT:
-        return _CHORD % (x1 + 0.0, y1 + 0.0, x2 + 0.0, y2 + 0.0)
-    cx = (ux + vx) / (1.0 + dot)
-    cy = (uy + vy) / (1.0 + dot)
-    # Rounding can take |C|^2 just below 1 for endpoints a hair apart.
-    r = math.sqrt(max(cx * cx + cy * cy - 1.0, 0.0))
-    # Central angle from u to v; the minor arc is the one inside the disk.
-    # Emit it as two half-arcs split at its deepest point, keeping every
-    # segment's central angle below pi/2 so the coordinates re-determine
-    # the center in a well-conditioned way.
-    alpha_u = math.atan2(uy - cy, ux - cx)
-    alpha_v = math.atan2(vy - cy, vx - cx)
-    delta = (alpha_v - alpha_u + math.pi) % TWO_PI - math.pi
-    alpha_m = alpha_u + delta / 2.0
-    xm, ym = canvas.point(cx + r * math.cos(alpha_m),
-                          cy + r * math.sin(alpha_m))
-    sweep = 1 if delta < 0 else 0  # canvas y points down
-    r_canvas = r * canvas.scale + 0.0
-    return _ARC % (x1 + 0.0, y1 + 0.0, r_canvas, r_canvas, sweep,
-                   xm + 0.0, ym + 0.0, r_canvas, r_canvas, sweep,
-                   x2 + 0.0, y2 + 0.0)
+        A geodesic with boundary points u, v is the arc of the circle of
+        center C = (u + v)/(1 + u.v) and radius r = sqrt(|C|^2 - 1)
+        (rounding can take |C|^2 just below 1 for endpoints a hair apart,
+        so r is clamped at 0), or the chord uv for nearly antipodal points.
+        The minor arc, the one inside the disk, goes out as two half-arcs
+        split at its deepest point, so that each segment's central angle
+        stays below pi/2 and the coordinates re-determine the center in a
+        well-conditioned way.  Each distinct endpoint angle's canvas
+        coordinates, and each radius, are formatted once."""
+        if not len(ends):
+            return []
+        offset, factor = self.offset, self.factor
+        # The distinct endpoint angles, told apart by their bits, and each
+        # row's two indices among them.
+        bits, at = np.unique(
+            np.ascontiguousarray(ends, dtype=float).view(np.int64),
+            return_inverse=True)
+        angles, at = bits.view(float), at.reshape(-1, 2)
+        # Points and vectors are (x, y) rows of (2, n) arrays.
+        unit = np.array((_libm(math.cos, angles), _libm(math.sin, angles)))
+        texts = ["%.9f %.9f" % xy
+                 for xy in zip(*(offset + factor * unit + 0.0).tolist())]
+        pairs = unit[:, at]
+        u, v = pairs[..., 0], pairs[..., 1]
+        uv = u * v
+        one_dot = 1.0 + (uv[0] + uv[1])
+        with np.errstate(all="ignore"):
+            center = (u + v) / one_dot
+            square = center * center
+            # r2 is never -0.0 (x - 1.0 is +0.0 at x = 1.0), so this is
+            # max(r2, 0.0) as Python takes it, NaN included.
+            r = np.sqrt(np.maximum(square[0] + square[1] - 1.0, 0.0))
+            du, dv = u - center, v - center
+            alpha_u = _libm(math.atan2, du[1], du[0])
+            delta = (_libm(math.atan2, dv[1], dv[0]) - alpha_u
+                     + math.pi) % TWO_PI - math.pi
+            alpha_m = alpha_u + delta / 2.0
+            deep = center + r * np.array((_libm(math.cos, alpha_m),
+                                          _libm(math.sin, alpha_m)))
+            xm, ym = (offset + factor * deep + 0.0).tolist()
+            radii = ["%.9f" % x for x in (r * self.scale + 0.0).tolist()]
+        # The sweep flag is 1 where delta < 0: canvas y points down.
+        return [_CHORD % (texts[a], texts[b]) if flat else
+                _ARC % (texts[a], radius, radius, cw, x, y, radius, radius,
+                        cw, texts[b])
+                for a, b, flat, radius, cw, x, y in zip(
+                    *at.T.tolist(), (one_dot <= ANTIPODAL_DOT).tolist(),
+                    radii, (delta < 0.0).tolist(), xm, ym)]
 
 
 def _attribute(text: str) -> str:
@@ -195,11 +236,16 @@ def render_svg(families, size: int = 1000) -> str:
         f'stroke-width="{_fmt(BOUNDARY_WIDTH)}"/>',
     ]
     ids = map(_attribute, numbered_labels([layer.label for layer in layers]))
+    # Every layer's paths from one pass over all their rows.
+    paths = canvas.geodesics(np.concatenate(
+        [layer.ends for layer in layers] or [np.empty((0, 2))]))
+    end = 0
     for idx, (layer, gid) in enumerate(zip(layers, ids)):
         color = PALETTE[idx % len(PALETTE)]
         lines.append(f'<g id="{gid}" stroke="{color}" fill="none" '
                      f'stroke-width="{_fmt(STROKE_WIDTH)}">')
-        lines += [_geodesic_path(ta, tb, canvas) for ta, tb in layer.ends]
+        start, end = end, end + len(layer.ends)
+        lines += paths[start:end]
         lines.append('</g>')
         if layer.points or layer.boundary_angles:
             lines.append(f'<g id="{gid}-points" fill="{color}" '

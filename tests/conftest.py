@@ -18,6 +18,7 @@ from endlam.group import (
     Word,
     _check_ball,
     _letter_order,
+    enumerate_ball,
 )
 from endlam.hyperbolic import (
     ANGLE_TOL,
@@ -39,7 +40,7 @@ from endlam.lamination import (
     CONTRACTION_RATIO,
     GAP_FLOOR,
     LEAF,
-    ChainCertificate,
+    CertificateTable,
     ChainProvenance,
     GeodesicFamily,
     JunctureSpec,
@@ -48,6 +49,7 @@ from endlam.lamination import (
     _aitken_angle,
 )
 from endlam.markov import PERRON_TOL, PerronData
+from endlam.render import ANTIPODAL_DOT
 from endlam.scene import scene_path
 
 TORUS_A = [[4, 0], [0, 0.25]]
@@ -293,6 +295,13 @@ def reference_ball(group, k, max_words=DEFAULT_MAX_WORDS):
     return out
 
 
+def torus_ball(k):
+    """The radius-k ``Ball`` of the group of ``TORUS_A`` and ``TORUS_B``:
+    the word rows of the hand-built families of ``family_of``."""
+    return enumerate_ball(FuchsianGroup(("a", "b"), (
+        Isometry.from_matrix(TORUS_A), Isometry.from_matrix(TORUS_B))), k)
+
+
 def entry(geodesic, juncture, letters, n, isometry=None):
     """One family entry as the object loops below read it: (Geodesic,
     ChainProvenance, iterate, conjugator isometry), the isometry the
@@ -312,20 +321,57 @@ def entries_of(family):
 
 def family_of(entries):
     """A GeodesicFamily holding the entries (``entry``) in order; a
-    chain's record and isometry are its first entry's."""
-    numbers, chains, chain, g = {}, [], [], []
+    chain's juncture, conjugator and isometry are its first entry's, and
+    its conjugator's row is the word's in ``torus_ball`` of the longest
+    conjugator's length."""
+    ball = torus_ball(max((len(prov.conjugator) for _, prov, _, _ in entries),
+                          default=0))
+    rows = {w.letters: i
+            for i, w in enumerate(ball.words(range(len(ball))))}
+    junctures, numbers, chain, juncture, conj, g = [], {}, [], [], [], []
     for _, prov, _, m in entries:
         if prov.chain_key() not in numbers:
-            numbers[prov.chain_key()] = len(chains)
-            chains.append(prov)
+            numbers[prov.chain_key()] = len(numbers)
+            if prov.juncture not in junctures:
+                junctures.append(prov.juncture)
+            juncture.append(junctures.index(prov.juncture))
+            conj.append(rows[prov.conjugator.letters])
             g.append((m.a, m.b, m.c, m.d))
         chain.append(numbers[prov.chain_key()])
     ta, tb = np.array([(geo.a.theta, geo.b.theta)
                        for geo, *_ in entries]).reshape(-1, 2).T
-    return GeodesicFamily(ta, tb, np.array(chain, dtype=np.int64),
-                          np.array([n for _, _, n, _ in entries],
-                                   dtype=np.int64), chains,
-                          np.array(g, dtype=float).reshape(-1, 4))
+    return GeodesicFamily(
+        ta, tb, np.array(chain, dtype=np.int64),
+        np.array([n for _, _, n, _ in entries], dtype=np.int64),
+        tuple(junctures), np.array(juncture, dtype=np.int64),
+        np.array(conj, dtype=np.int64),
+        np.array(g, dtype=float).reshape(-1, 4), ball)
+
+
+@dataclasses.dataclass
+class ChainCertificate:
+    """One certified chain as a record: the rows of ``CertificateTable``
+    before they were a table, and the records of ``reference_extract``."""
+
+    juncture: str
+    sign: str
+    conjugator: Word
+    iterates: tuple[int, ...]
+    gaps: tuple[float, ...]      # successive endpoint gaps, oldest first
+
+
+def certificates_of(table):
+    """The rows of a ``CertificateTable`` as ``ChainCertificate`` records,
+    each conjugator its ball's ``Word``."""
+    if not len(table):
+        return []
+    iterate, gaps = table.iterate.tolist(), table.gaps.tolist()
+    return [ChainCertificate(table.junctures[j].end, table.junctures[j].sign,
+                             word, tuple(iterate[a:b]), tuple(gaps[c0:c1]))
+            for j, word, a, b, c0, c1 in zip(
+                table.juncture.tolist(), table.ball.words(table.conj.tolist()),
+                *(x.tolist() for x in (table.start, table.end,
+                                       table.gap_start, table.gap_end)))]
 
 
 def reference_substitute(phi, word, n, max_letters=DEFAULT_MAX_LETTERS):
@@ -364,11 +410,15 @@ def reference_merge(families, angle_tol=ANGLE_TOL):
 
 def reference_extract(entries, tol, angle_tol=ANGLE_TOL):
     """The object-based chain loop of ``extract_limit_leaves`` before
-    families were arrays, over the entries of ``entry``."""
-    chains, chain_meta = {}, {}
+    families were arrays, over the entries of ``entry``.  A chain is a run
+    of entries of one chain key, so the chains of one key in two merged
+    families stay apart, as the family rows keep them."""
+    chains, chain_meta, runs, last = {}, {}, 0, None
     for geo, prov, n, m in entries:
-        chains.setdefault(prov.chain_key(), []).append((n, geo))
-        chain_meta.setdefault(prov.chain_key(), (prov, m))
+        if prov.chain_key() != last:
+            runs, last = runs + 1, prov.chain_key()
+        chains.setdefault((runs, last), []).append((n, geo))
+        chain_meta.setdefault((runs, last), (prov, m))
     leaves, certificates, skipped, base_limits = [], [], [], {}
     for key, items in chains.items():
         prov, m = chain_meta[key]
@@ -514,6 +564,8 @@ def reference_jsonable(obj, names):
     is the text the writer must build in one walk."""
     if isinstance(obj, Word):
         return obj.format(names)
+    if isinstance(obj, CertificateTable):
+        return reference_jsonable(certificates_of(obj), names)
     if isinstance(obj, (np.ndarray, np.generic)):
         fields = obj.dtype.names
         if not fields:
@@ -540,6 +592,36 @@ def reference_json_text(payload, names) -> str:
 def _mul(x, y):
     return [[sum(x[i][k] * y[k][j] for k in range(2)) for j in range(2)]
             for i in range(2)]
+
+
+def _geodesic_path(ta, tb, canvas):
+    """The path element of one geodesic with endpoint angles ta, tb, one
+    scalar step at a time: what ``render._Canvas.geodesics`` writes for
+    its row."""
+    cx, cy, scale = canvas.cx, canvas.cy, canvas.scale
+    ux, uy = math.cos(ta), math.sin(ta)
+    vx, vy = math.cos(tb), math.sin(tb)
+    x1, y1 = cx + scale * ux, cy - scale * uy
+    x2, y2 = cx + scale * vx, cy - scale * vy
+    dot = ux * vx + uy * vy
+    if 1.0 + dot <= ANTIPODAL_DOT:
+        return '<path d="M %.9f %.9f L %.9f %.9f"/>' % (
+            x1 + 0.0, y1 + 0.0, x2 + 0.0, y2 + 0.0)
+    ccx = (ux + vx) / (1.0 + dot)
+    ccy = (uy + vy) / (1.0 + dot)
+    r = math.sqrt(max(ccx * ccx + ccy * ccy - 1.0, 0.0))
+    alpha_u = math.atan2(uy - ccy, ux - ccx)
+    alpha_v = math.atan2(vy - ccy, vx - ccx)
+    delta = (alpha_v - alpha_u + math.pi) % TWO_PI - math.pi
+    alpha_m = alpha_u + delta / 2.0
+    xm = cx + scale * (ccx + r * math.cos(alpha_m))
+    ym = cy - scale * (ccy + r * math.sin(alpha_m))
+    sweep = 1 if delta < 0 else 0
+    r_canvas = r * scale + 0.0
+    return ('<path d="M %.9f %.9f A %.9f %.9f 0 0 %d %.9f %.9f '
+            'A %.9f %.9f 0 0 %d %.9f %.9f"/>' % (
+                x1 + 0.0, y1 + 0.0, r_canvas, r_canvas, sweep, xm + 0.0,
+                ym + 0.0, r_canvas, r_canvas, sweep, x2 + 0.0, y2 + 0.0))
 
 
 def schottky_conjugate_data(conjugator):

@@ -46,6 +46,7 @@ from endlam.render import render_svg
 from endlam.scene import load_scene, scene_path
 
 from conftest import (
+    certificates_of,
     exact_translation_length,
     exact_word_matrix,
     frac_inverse,
@@ -205,7 +206,8 @@ def test_criterion_5_lamination_convergence():
 
     lam_plus = lams["-"]
     chain_leaf = None
-    for leaf, cert in zip(lam_plus.leaves, lam_plus.certificates):
+    for leaf, cert in zip(lam_plus.leaves,
+                          certificates_of(lam_plus.certificates)):
         if cert.conjugator.is_identity() and cert.juncture == "e-":
             chain_leaf = leaf
             break

@@ -25,7 +25,11 @@ from endlam.group import Word
 from endlam.markov import PerronData
 from endlam.scene import load_scene, scene_path
 
-from conftest import reference_json_text, schottky_conjugate_data
+from conftest import (
+    ChainCertificate,
+    reference_json_text,
+    schottky_conjugate_data,
+)
 from test_cli_golden import COMMANDS, USAGE
 
 
@@ -196,7 +200,7 @@ _named_rows = _record_dtypes.flatmap(
     lambda dtype: hnp.arrays(dtype, 1)).map(lambda rows: rows[0])
 _records = st.one_of(
     st.builds(lamination.EscapeRow, _numbers, _numbers, _numbers),
-    st.builds(lamination.ChainCertificate, st.text(max_size=3),
+    st.builds(ChainCertificate, st.text(max_size=3),
               st.sampled_from(["+", "-"]), _words,
               st.lists(_numbers, max_size=5).map(tuple),
               st.lists(_numbers, max_size=5).map(tuple)),
@@ -252,7 +256,7 @@ _record_seqs = st.one_of(
     st.just(()), st.lists(_row_scalars, min_size=1, max_size=1),
     st.lists(_row_scalars, min_size=2, max_size=24).map(tuple))
 _record_kinds = [
-    st.builds(lamination.ChainCertificate, _record_text, _record_text,
+    st.builds(ChainCertificate, _record_text, _record_text,
               _words, _record_seqs, _record_seqs),
     st.builds(lamination.SkippedChain, _record_text, _record_text, _words,
               _record_text),
@@ -262,10 +266,10 @@ _record_kinds = [
 _odd_records = st.one_of(
     # A numpy scalar, a list that is not flat, a list for a Word and a
     # named row in a column of their own.
-    st.builds(lamination.ChainCertificate, _record_text, _record_text,
+    st.builds(ChainCertificate, _record_text, _record_text,
               _words, st.lists(_numpy_scalars, min_size=1, max_size=2),
               _record_seqs),
-    st.builds(lamination.ChainCertificate, _record_text, _record_text,
+    st.builds(ChainCertificate, _record_text, _record_text,
               _words, st.lists(st.lists(_row_scalars, max_size=2),
                                min_size=1, max_size=2), _record_seqs),
     st.builds(lamination.SkippedChain, _record_text, _record_text,
@@ -339,7 +343,7 @@ class TestJsonText:
     @settings(max_examples=300, deadline=None)
     @given(records=_record_lists, depth=st.integers(0, 2),
            names=st.just(_NAMES))
-    @example(records=[lamination.ChainCertificate(
+    @example(records=[ChainCertificate(
         "],\n      [", "%s", Word((1, -2)), (), (0.5,))], depth=1,
         names=_NAMES)
     @example(records=[lamination.SkippedChain("e-", "-", Word((1,)), "r"),
@@ -357,10 +361,10 @@ class TestJsonText:
         encode = json.JSONEncoder.encode
         monkeypatch.setattr(json.JSONEncoder, "encode",
                             lambda self, o: calls.append(o) or encode(self, o))
-        certificates = [lamination.ChainCertificate(
+        certificates = [ChainCertificate(
             "e-", "-", Word((1, 2, -1)[:i % 4]), tuple(range(1 + i % 20)),
             tuple(0.5 ** k for k in range(1 + i % 8))) for i in range(970)]
-        odd = lamination.ChainCertificate("e-", "-", Word(()),
+        odd = ChainCertificate("e-", "-", Word(()),
                                           (np.int64(1),), ())
         # Walked member by member, each non-empty list is one call: the
         # iterates and the gaps.

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from endlam import cli
 from endlam.cli import run_command
 from endlam.errors import (
     BudgetExceededError,
@@ -64,6 +65,7 @@ from conftest import (
     TORUS_A,
     TORUS_B,
     exact_translation_length,
+    certificates_of,
     entries_of,
     entry,
     exact_word_matrix,
@@ -79,6 +81,7 @@ from conftest import (
     reference_crossing_pairs,
     reference_extract,
     reference_ball,
+    reference_jsonable,
     reference_merge,
     schottky_conjugate_data,
     SequentialAngleSet,
@@ -268,8 +271,8 @@ class TestExtract:
         fam = juncture_orbit(torus_scene, torus_scene.junctures[0],
                              n_range=range(-12, 13), ball_k=2)
         lam = extract_limit_leaves(fam)
-        assert lam.certificates
-        for cert in lam.certificates:
+        assert len(lam.certificates)
+        for cert in certificates_of(lam.certificates):
             tail = cert.gaps[-4:]
             assert all(b < a or b < 1e-13 for a, b in zip(tail, tail[1:]))
 
@@ -324,7 +327,7 @@ class TestExtract:
             + chain((2, 2), pinch)
         )
         lam = extract_limit_leaves(fam, tol=1e-6)
-        assert len(lam.leaves) == 0 and lam.certificates == []
+        assert len(lam.leaves) == 0 and len(lam.certificates) == 0
         assert [(s.conjugator.letters, s.reason) for s in lam.skipped] == [
             ((), "chain collapsed to a single axis; its limit is a family "
                  "member"),
@@ -348,7 +351,7 @@ class TestExtract:
         lam = extract_limit_leaves(fam, tol=1e-6)
         gaps = [abs(a[0] - b[0]) for a, b in zip(pairs, pairs[1:])][-4:]
         assert gaps[-1] < 1e-6 and gaps == sorted(gaps, reverse=True)
-        assert len(lam.leaves) == 0 and lam.certificates == []
+        assert len(lam.leaves) == 0 and len(lam.certificates) == 0
         assert [s.reason for s in lam.skipped] == [
             "endpoint gaps not contracting"]
 
@@ -1154,14 +1157,21 @@ def entry_bits(entries):
 
 def assert_same_extraction(lam, ref):
     """Equal leaves (angle bits), certificates and skipped chains, in the
-    same order, holding Python scalars only."""
+    same order.  The certificate table's rows hold Python scalars, equal
+    field by field to the reference's records, gaps bit for bit; and the
+    ``--json`` writer spells each row's conjugator as ``Word.format``
+    does."""
     assert leaf_bits(lam) == leaf_bits(ref)
-    assert lam.certificates == ref.certificates
-    assert [[x.hex() for x in c.gaps] for c in lam.certificates] == [
+    records = certificates_of(lam.certificates)
+    assert records == ref.certificates
+    assert [[x.hex() for x in c.gaps] for c in records] == [
         [x.hex() for x in c.gaps] for c in ref.certificates]
-    for cert in lam.certificates:
+    for cert in records:
         assert {type(n) for n in cert.iterates} == {int}
         assert {type(x) for x in cert.gaps} <= {float}
+    names = ("a", "b", "c")
+    assert cli._ReportText(names).text(lam.certificates) == json.dumps(
+        reference_jsonable(ref.certificates, names), indent=2)
     assert lam.skipped == ref.skipped
 
 
@@ -1245,7 +1255,8 @@ class TestExtractArrays:
                    + chain((1,), 2.0, [1e-8, 1e-9, 1e-10, 1e-11, 1e-12]))
         lam = extract_limit_leaves(family_of(entries))
         assert_same_extraction(lam, reference_extract(entries, DEFAULT_TOL))
-        assert [c.conjugator.letters for c in lam.certificates] == [(), (1,)]
+        assert [c.conjugator.letters
+                for c in certificates_of(lam.certificates)] == [(), (1,)]
 
     def test_collapsed_leaf_refused_at_its_chain(self):
         # E_MINUS's base chain converges to the chord (1, 2).  Conjugator
@@ -1271,7 +1282,8 @@ class TestExtractArrays:
         lam = extract_limit_leaves(family_of(base + fine), angle_tol=1e-12)
         assert_same_extraction(lam, reference_extract(base + fine,
                                                       DEFAULT_TOL, 1e-12))
-        assert [c.conjugator.letters for c in lam.certificates] == [(), (2,)]
+        assert [c.conjugator.letters
+                for c in certificates_of(lam.certificates)] == [(), (2,)]
         # The first chain in chain order that fails raises, transported or
         # not.
         for entries in (base + squeezed + fine, base + fine + squeezed,
@@ -1307,7 +1319,8 @@ class TestExtractArrays:
                    + chain((2, 2), [(t, 3.0) for t in (1.0, 1.1, 1.2, 1.3)]))
         lam = extract_limit_leaves(family_of(entries))
         assert_same_extraction(lam, reference_extract(entries, DEFAULT_TOL))
-        assert [c.conjugator.letters for c in lam.certificates] == [
+        assert [c.conjugator.letters
+                for c in certificates_of(lam.certificates)] == [
             (1,), (2,)]
         assert [(s.conjugator.letters, s.reason) for s in lam.skipped] == [
             ((1, 1), "fewer than 4 distinct iterates"),
@@ -1318,9 +1331,9 @@ class TestExtractArrays:
         families = three_juncture_families(torus_scene)
         merged = GeodesicFamily.merge(families)
         assert len(merged.chains) < sum(len(f.chains) for f in families)
-        # The chains left are the families' own records.
+        # The chains left are the families' own chains.
         records = [c for fam in families for c in fam.chains]
-        assert all(any(c is r for r in records) for c in merged.chains)
+        assert all(c in records for c in merged.chains)
         lam = extract_limit_leaves(merged)
         assert len(lam.leaves) and lam.skipped
         assert_same_extraction(lam, reference_extract(
@@ -1347,6 +1360,85 @@ class TestExtractArrays:
         offset = len(families[0].chains)
         assert merged.chain.tolist() == families[0].chain.tolist() + [
             offset + c for c in families[1].chain.tolist()]
+
+    @pytest.mark.parametrize("pieces, identities", [
+        # The first piece's identity chain is skipped (its last gap is
+        # above tol); the second's is certified and is the base of its
+        # conjugated chains.
+        ((range(0, 8), range(8, 16)), 2),
+        # The second piece's identity entries repeat the first's and are
+        # dropped; its chains (1,) and (2,) collapse to single axes.
+        ((range(0, 12), range(14, 20)), 1),
+        # The second piece, iterates before the first, skips every chain.
+        ((range(0, 16), range(-4, 0)), 2),
+    ])
+    def test_pieces_of_one_orbit_match_object_loop(self, torus_scene,
+                                                   pieces, identities):
+        # The merged family holds the juncture once, and its chains stay
+        # apart by piece.
+        j = torus_scene.junctures[0]
+        families = [juncture_orbit(torus_scene, j, n_range, 1)
+                    for n_range in pieces]
+        merged = GeodesicFamily.merge(families)
+        assert merged.junctures == (j,)
+        assert merged.conj.tolist().count(0) == identities
+        assert_same_extraction(extract_limit_leaves(merged), reference_extract(
+            reference_merge(families), DEFAULT_TOL))
+
+    def test_conjugated_chains_take_the_last_base(self):
+        # Two families of E_MINUS, each an identity chain and chain (1,),
+        # merged: both identity chains are certified, and each chain (1,)
+        # is the image under a of the identity limit before it.
+        a = Isometry(2.0, 0.0, 0.0, 0.5)
+
+        def chain(letters, ta, tb):
+            return [entry(Geodesic.from_angles(ta + 0.1 ** n,
+                                               tb + 2 * 0.1 ** n),
+                          E_MINUS, letters, n, a if letters else None)
+                    for n in range(1, 9)]
+
+        families = [family_of(chain((), 1.0, 2.0) + chain((1,), 3.0, 4.0)),
+                    family_of(chain((), 5.0, 5.5) + chain((1,), 0.5, 1.0))]
+        merged = GeodesicFamily.merge(families)
+        lam = extract_limit_leaves(merged)
+        assert_same_extraction(lam, reference_extract(
+            reference_merge(families), DEFAULT_TOL))
+        first, image, second, second_image = leaf_geodesics(lam.leaves)
+        for base, moved in ((first, image), (second, second_image)):
+            assert (moved.a.theta, moved.b.theta) == (
+                boundary_action(a, base.a).theta,
+                boundary_action(a, base.b).theta)
+
+    def test_skipped_identity_chain_gives_no_base(self):
+        # E_MINUS's identity chain has three iterates and is skipped, so
+        # its chains (1,) and (2,) each take their own Aitken step.  The
+        # identity chain of juncture f- is certified, and its chain (1,)
+        # is that limit's image under a, not an Aitken limit.
+        f_minus = JunctureSpec("f-", "-", Word((2,)))
+        a = Isometry(2.0, 0.0, 0.0, 0.5)
+
+        def chain(juncture, letters, ta, tb, count=8):
+            return [entry(Geodesic.from_angles(ta + 0.1 ** n,
+                                               tb + 2 * 0.1 ** n),
+                          juncture, letters, n, a if letters else None)
+                    for n in range(1, count + 1)]
+
+        entries = (chain(E_MINUS, (), 1.0, 2.0, count=3)
+                   + chain(E_MINUS, (1,), 3.0, 4.0)
+                   + chain(E_MINUS, (2,), 0.5, 1.5)
+                   + chain(f_minus, (), 5.0, 5.5)
+                   + chain(f_minus, (1,), 3.5, 4.5))
+        lam = extract_limit_leaves(family_of(entries))
+        assert_same_extraction(lam, reference_extract(entries, DEFAULT_TOL))
+        records = certificates_of(lam.certificates)
+        assert [(c.juncture, c.conjugator.letters) for c in records] == [
+            ("e-", (1,)), ("e-", (2,)), ("f-", ()), ("f-", (1,))]
+        (base,) = leaf_geodesics(lam.leaves[2:3])
+        assert lam.leaves[3].tolist() == (boundary_action(a, base.a).theta,
+                                          boundary_action(a, base.b).theta)
+        assert [(s.juncture, s.conjugator.letters, s.reason)
+                for s in lam.skipped] == [
+            ("e-", (), "fewer than 4 distinct iterates")]
 
     @pytest.mark.parametrize("count", [2, 3])
     @pytest.mark.parametrize("angle_tol", [ANGLE_TOL, 1e-3])
@@ -1401,8 +1493,8 @@ class TestExtractArrays:
         for family in (GeodesicFamily(), GeodesicFamily.merge([])):
             assert len(family) == 0 and family.entries == []
             lam = extract_limit_leaves(family)
-            assert (len(lam.leaves), lam.certificates, lam.skipped) == (
-                0, [], [])
+            assert (len(lam.leaves), len(lam.certificates),
+                    lam.skipped) == (0, 0, [])
 
     def test_objects_keep_the_endpoint_check(self):
         family = family_of([entry(Geodesic.from_angles(1.0, 2.0), E_MINUS,
@@ -1443,6 +1535,43 @@ class TestLaminate:
         enumerate_ball(scene.group, 8)
         assert built == []
 
+    def test_no_object_per_chain(self, monkeypatch):
+        # A chain is a ball row and the certificates one table, and the
+        # writer spells conjugators from the ball: the Words and chain
+        # records a run and its --json text build (juncture iterates and
+        # cores) do not grow with the ball.
+        scene = load_scene(scene_path("schottky_ab.json"))
+        built = []
+        init, reduced = Word.__init__, Word._reduced.__func__
+        record = lamination.ChainProvenance.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append("Word")
+            init(self, *args, **kwargs)
+
+        def counted_reduced(cls, *args):
+            built.append("Word")
+            return reduced(cls, *args)
+
+        def counted_record(self, *args, **kwargs):
+            built.append("ChainProvenance")
+            record(self, *args, **kwargs)
+
+        monkeypatch.setattr(Word, "__init__", counted_init)
+        monkeypatch.setattr(Word, "_reduced", classmethod(counted_reduced))
+        monkeypatch.setattr(lamination.ChainProvenance, "__init__",
+                            counted_record)
+        counts = []
+        for ball in (1, 5):
+            built.clear()
+            run = laminate(scene, AxiomParams(horizon=20, ball=ball))
+            cli._ReportText(scene.group.names).text(run.laminations)
+            counts.append((built.count("Word"),
+                           built.count("ChainProvenance")))
+        assert len(run.laminations["+"].leaves) == 485
+        assert counts[0] == counts[1] and counts[0][0] > 0
+        assert counts[1][1] == 0
+
     def test_matches_orbit_then_extract(self, torus_scene):
         run = laminate(torus_scene, AxiomParams(horizon=10, ball=1))
         assert [j for j, _ in run.families] == torus_scene.junctures
@@ -1469,7 +1598,7 @@ class TestLaminate:
         run = laminate(schottky_conjugate(conjugator),
                        AxiomParams(horizon=12, ball=3))
         for sign, direction in (("+", 1), ("-", -1)):
-            certificates = run.laminations[sign].certificates
+            certificates = certificates_of(run.laminations[sign].certificates)
             assert certificates
             for cert in certificates:
                 steps = [direction * n for n in cert.iterates]
@@ -1581,8 +1710,10 @@ class TestLaminate:
         shared, own = (run.laminations["+"] for run in runs)
         assert [sorted(row) for row in shared.leaves.tolist()] == [
             sorted(row) for row in own.leaves.tolist()]
-        assert [(c.conjugator, c.iterates) for c in shared.certificates] == [
-            (c.conjugator, c.iterates) for c in own.certificates]
+        assert [(c.conjugator, c.iterates)
+                for c in certificates_of(shared.certificates)] == [
+            (c.conjugator, c.iterates)
+            for c in certificates_of(own.certificates)]
 
     def test_angle_tol_reaches_orbit_dedup(self, torus_scene):
         sizes = [sum(len(fam) for _, fam in lamination._laminate(
@@ -1634,8 +1765,9 @@ class TestOneHoledTorus:
         for sign in ("+", "-"):
             lam = run.laminations[sign]
             base = one_holed_torus_leaf(scene, sign)
-            identity, = [leaf for leaf, cert in zip(lam.leaves.tolist(),
-                                                    lam.certificates)
+            identity, = [leaf for leaf, cert in zip(
+                             lam.leaves.tolist(),
+                             certificates_of(lam.certificates))
                          if cert.conjugator == Word.identity()]
             assert angular_gap(identity[0], base.a.theta) < 1e-12
             assert angular_gap(identity[1], base.b.theta) < 1e-12

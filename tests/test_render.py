@@ -12,7 +12,6 @@ from endlam.errors import SceneError, ValidationError
 from endlam.group import LimitSetSample, Word
 from endlam.hyperbolic import TWO_PI, Geodesic
 from endlam.lamination import (
-    ChainProvenance,
     GeodesicFamily,
     JunctureSpec,
     juncture_orbit,
@@ -22,11 +21,14 @@ from endlam.render import (
     BOUNDARY_POINT_RADIUS,
     MARGIN,
     POINT_RADIUS,
+    _Canvas,
     _fmt,
     numbered_labels,
     render_svg,
 )
 from endlam.scene import load_scene, parse_scene, scene_path
+
+from conftest import _geodesic_path, torus_ball
 
 ARC_PATH_RE = re.compile(
     r'<path d="M (?P<x1>[-\d.]+) (?P<y1>[-\d.]+) '
@@ -177,8 +179,10 @@ class TestFamilyLayers:
         family = GeodesicFamily(
             ta, tb, np.zeros(len(pairs), dtype=np.int64),
             np.arange(len(pairs)),
-            [ChainProvenance(JunctureSpec("e-", "-", Word((1,))), Word(()))],
-            np.array([[1.0, 0.0, 0.0, 1.0]]))
+            junctures=(JunctureSpec("e-", "-", Word((1,))),),
+            juncture=np.zeros(1, dtype=np.int64),
+            conj=np.zeros(1, dtype=np.int64),
+            g=np.array([[1.0, 0.0, 0.0, 1.0]]), ball=torus_ball(0))
         listed = [Geodesic.from_angles(a, b) for a, b in pairs]
         assert [(g.a.theta, g.b.theta) for g in listed] == pairs
         svg = render_svg([("j", family)])
@@ -326,6 +330,62 @@ class TestElementTemplates:
                  if line.startswith(("<path", "<circle"))]
         assert drawn == (reference_elements(geodesics, [], [], size)
                          + reference_elements([], points, angles, size))
+
+
+_TOP = math.nextafter(TWO_PI, 0.0)
+
+
+@st.composite
+def _arc_rows(draw):
+    """Endpoint angle rows of one layer, unchecked as a family's arrays
+    are: generic ends; ends a few ulps apart, where |C|^2 rounds to 1 or
+    below it and r is clamped at 0; ends on either side of the chord
+    threshold 1 + u.v <= ANTIPODAL_DOT; the angles 0 and 2 pi - ulp; and
+    ends that earlier rows already hold."""
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        held = [t for row in rows for t in row]
+        a = draw(st.one_of(st.floats(0.0, TWO_PI, exclude_max=True),
+                           st.sampled_from([0.0, _TOP, *held])))
+        b = draw(st.one_of(
+            st.floats(0.0, TWO_PI, exclude_max=True),
+            st.sampled_from([0.0, _TOP, *held]),
+            st.integers(1, 8).map(
+                lambda k: a + k * math.ulp(max(a, 1.0))),
+            st.floats(-2e-3, 2e-3).map(
+                lambda d: (a + math.pi + d) % TWO_PI)))
+        rows.append((a, b))
+    return rows
+
+
+class TestArrayArcs:
+    """``_Canvas.geodesics`` draws a layer's arcs as arrays, equal byte for
+    byte to the one-arc steps of ``tests/conftest.py::_geodesic_path``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=_arc_rows(), size=_sizes)
+    @example(rows=[], size=1000)
+    @example(rows=[(0.0, math.pi), (0.0, _TOP), (_TOP, math.pi - 1e-4),
+                   (1.0, math.nextafter(1.0, 2.0)), (0.0, math.pi)],
+             size=1000)
+    def test_bytes_of_one_arc_steps(self, rows, size):
+        canvas = _Canvas(size)
+        ends = np.array(rows, dtype=float).reshape(-1, 2)
+        assert canvas.geodesics(ends) == [
+            _geodesic_path(a, b, canvas) for a, b in rows]
+
+    def test_cases_reach_every_branch(self):
+        # Nearly antipodal ends draw a chord, ends one ulp apart an arc of
+        # radius 0.
+        canvas = _Canvas(1000)
+        a = 1.0
+        for b, kind in ((a + math.pi, LINE_RE),
+                        (math.nextafter(a, 2.0), ARC_PATH_RE),
+                        (2.0, ARC_PATH_RE)):
+            (path,) = canvas.geodesics(np.array([(a, b)]))
+            assert kind.fullmatch(path)
+        (tiny,) = canvas.geodesics(np.array([(a, math.nextafter(a, 2.0))]))
+        assert ARC_PATH_RE.fullmatch(tiny)["r"] == _fmt(0.0)
 
 
 # End labels from any characters, with XML's special and refused ones, the
