@@ -130,6 +130,7 @@ class _ReportText:
         self.names = names
         self._fields = {}   # type -> its dataclass field names, or None
         self._flat = {}     # depth -> encoder of flat containers there
+        self._ball = self._words = None   # the last ball, its words' texts
 
     def text(self, obj, depth=0) -> str:
         """``obj`` as JSON whose members are indented to ``depth + 1``."""
@@ -197,24 +198,39 @@ class _ReportText:
 
     def _certificates_text(self, table, depth):
         """The ``CertificateTable`` as the list of its rows' records,
-        written column by column; each conjugator's ball word is spelled
-        once, and the iterates and gaps are slices of the family's lists."""
+        written column by column.  Each distinct value is written once and
+        its text indexed per row: a juncture's end and sign, an iterates
+        list, and a conjugator, whose texts come from one spelling of the
+        whole ball per report (a report's tables share their run's ball).
+        The gaps are slices of the family's list."""
         if not len(table):
             return "[]"
         ends, signs = zip(*[(j.end, j.sign) for j in table.junctures])
         juncture, conj = table.juncture.tolist(), table.conj.tolist()
-        words = table.ball.spellings(self.names, max(conj) + 1)
         iterate, gaps = table.iterate.tolist(), table.gaps.tolist()
-        columns = [
-            ([ends[j] for j in juncture], False),
-            ([signs[j] for j in juncture], False),
-            ([words[c] for c in conj], False),
-            ([iterate[a:b] for a, b in zip(table.start.tolist(),
-                                           table.end.tolist())], True),
-            ([gaps[a:b] for a, b in zip(table.gap_start.tolist(),
-                                        table.gap_end.tolist())], True)]
-        texts = [self._column_texts(*column, depth + 2) for column in columns]
+        distinct = {}       # iterates -> their index, in order of first row
+        which = [distinct.setdefault(tuple(iterate[a:b]), len(distinct))
+                 for a, b in zip(table.start.tolist(), table.end.tolist())]
+        item = depth + 2
+        indexed = [
+            (self._column_texts(ends, False, item), juncture),
+            (self._column_texts(signs, False, item), juncture),
+            (self._ball_texts(table.ball), conj),
+            (self._column_texts(list(distinct), True, item), which)]
+        texts = [[values[k] for k in rows] for values, rows in indexed]
+        texts.append(self._column_texts(
+            [gaps[a:b] for a, b in zip(table.gap_start.tolist(),
+                                       table.gap_end.tolist())], True, item))
         return _lines("[", _rows(table.FIELDS, texts, depth + 1), depth, "]")
+
+    def _ball_texts(self, ball):
+        """The JSON text of each word of ``ball``, spelled once per report
+        and ball; a scalar's text does not depend on its depth."""
+        if self._ball is not ball:
+            self._ball = ball
+            self._words = self._column_texts(
+                ball.spellings(self.names, len(ball)), False, 0)
+        return self._words
 
     def _row_texts(self, records, depth):
         """The JSON text at ``depth`` of each row of the one-dimensional

@@ -239,12 +239,16 @@ _DENSE_ROWS = 100
 # of earlier blocks in its nine cells, at most four to a cell for tol at or
 # above ANGLE_TOL_FLOOR, and, unless one of those is within tol, earlier
 # rows of the block in the same cells.  The block ends before these
-# in-block candidates would pass _DEDUP_PAIRS (its first row has none), so
-# its index temporaries hold at most _DEDUP_PAIRS + 36 * _DEDUP_ROWS
-# entries, a few MB, whatever the input; the rest grows with the input,
-# a few words per row and per cell.
-_DEDUP_ROWS = 2048
+# in-block candidates would pass _DEDUP_PAIRS (its first row has none).
+# The row cap is derived from that one budget: a block's kept-row
+# candidates, at most 36 * _DEDUP_ROWS, stay within 2.25 budgets, so its
+# index temporaries hold under 3.25 * _DEDUP_PAIRS entries, a few MB,
+# whatever the input; the rest grows with the input, a few words per row
+# and per cell.  A smaller cap splits a lam-deep orbit call (10,185 rows)
+# into blocks that each pay the loop's fixed passes; no cap at all raises
+# the peak by a quarter or more at ball 7.
 _DEDUP_PAIRS = 1 << 18
+_DEDUP_ROWS = _DEDUP_PAIRS // 16
 
 def _grid(u, v, tol):
     """Cell of each pair in a grid of cells 2 * tol wide that wraps around
@@ -413,9 +417,12 @@ def first_distinct(u, v, tol: float) -> np.ndarray:
 
     Rows are decided a block at a time, each against the block's own rows
     and the kept rows of earlier blocks.  A block holds at most
-    ``_DEDUP_ROWS`` rows and ends before its candidates among its own rows
-    would pass ``_DEDUP_PAIRS``, which bounds the temporaries whatever the
-    input.  A block's passes touch only the runs that hold its rows, the
+    ``_DEDUP_ROWS`` = ``_DEDUP_PAIRS // 16`` rows and ends before its
+    candidates among its own rows would pass ``_DEDUP_PAIRS``; its
+    candidates among the kept rows of earlier blocks, at most 36 a row,
+    stay within 2.25 times ``_DEDUP_PAIRS``, so its temporaries hold under
+    3.25 times ``_DEDUP_PAIRS`` entries whatever the input.  A block's
+    passes touch only the runs that hold its rows, the
     runs those meet and their kept rows, so its cost follows its own
     size and not the input's."""
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)

@@ -568,21 +568,37 @@ def extract_limit_leaves(family: GeodesicFamily,
     # chain's limit, and computing it as a single Mobius image keeps
     # endpoints that are shared between leaves equal at float resolution.
     limits = np.zeros((len(starts), 2))
-    bases: dict[int, int] = {}              # juncture index -> base chain
-    transported: dict[int, list[int]] = {}  # base chain -> its images
+
+    def own_limits(chains):
+        """Set each chain's Aitken limit, skip a chain whose limit
+        collapses, and return the others in order."""
+        kept = []
+        for i, end in zip(chains.tolist(), ends[chains].tolist()):
+            limits[i] = ends_ab = (_aitken_angle(ta[end - 3:end].tolist()),
+                                   _aitken_angle(tb[end - 3:end].tolist()))
+            if angular_gap(*ends_ab) < angle_tol:
+                verdicts[i] = _COLLAPSES
+            else:
+                kept.append(i)
+        return kept
+
     passed = np.flatnonzero(verdicts == 0)
-    for i, j, c, end in zip(passed.tolist(), juncture[passed].tolist(),
-                            conj[passed].tolist(), ends[passed].tolist()):
-        if c and j in bases:
-            transported.setdefault(bases[j], []).append(i)
-            continue
-        limits[i] = ends_ab = (_aitken_angle(ta[end - 3:end].tolist()),
-                               _aitken_angle(tb[end - 3:end].tolist()))
-        if angular_gap(*ends_ab) < angle_tol:
-            verdicts[i] = _COLLAPSES
-        elif not c:
-            bases[j] = i
-    for base, images in transported.items():
+    identity = conj[passed] == 0
+    # The bases are the identity chains that passed and did not collapse.
+    # Every other chain that passed takes the last base of its juncture
+    # before it, or, with none, its own limit: one search of the bases'
+    # keys juncture * n + chain, sorted after a key -1 that stands for none.
+    bases = own_limits(passed[identity])
+    others = passed[~identity]
+    n = len(starts)
+    keys = np.array([-1] + sorted(j * n + b for j, b in zip(
+        juncture[bases].tolist(), bases)))
+    row = juncture[others] * n
+    base_of = keys[np.searchsorted(keys, row + others) - 1] - row
+    own = base_of < 0
+    own_limits(others[own])
+    for base in set(base_of[~own].tolist()):
+        images = others[base_of == base]
         limits[images] = boundary_images(
             *family.g[images].T, list(map(IdealPoint, limits[base].tolist())))
 

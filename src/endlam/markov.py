@@ -145,8 +145,9 @@ def count_admissible(A, m: int) -> int:
 @dataclass
 class AdmissibleWords:
     """The number of admissible words of one length and, within the list
-    budget, the words: one integer array, one row per word, 1-based
-    symbols, rows in lexicographic order."""
+    budget, the words: one array of the smallest unsigned integer type
+    that holds the symbol count (uint8 up to 255 symbols), one row per
+    word, 1-based symbols, rows in lexicographic order."""
 
     count: int
     words: np.ndarray | None  # None when the count is over the list budget
@@ -201,8 +202,9 @@ def admissible_words(A, m: int) -> AdmissibleWords:
         offset = first - (np.cumsum(degree) - degree)
         last = to[offset[parent] + np.arange(len(parent))]
         levels.append((parent, last))
-    # Filled a column at a time, each contiguous, and returned as rows.
-    columns = np.empty((m, len(last)), dtype=np.int64)
+    # Filled a column at a time, each contiguous, and returned as rows of
+    # the smallest unsigned type that holds every symbol.
+    columns = np.empty((m, len(last)), dtype=np.min_scalar_type(P.shape[0]))
     rows = slice(None)      # level row of each word: at the last, all
     for column in range(m - 1, -1, -1):
         parent, last = levels[column]

@@ -21,14 +21,18 @@ from hypothesis.extra import numpy as hnp
 from endlam import cli, hyperbolic, lamination, markov
 from endlam.cli import run_command
 from endlam.errors import NumericDegeneracyError
-from endlam.group import Word
+from endlam.group import Ball, Word
+from endlam.lamination import JunctureSpec
 from endlam.markov import PerronData
 from endlam.scene import load_scene, scene_path
 
 from conftest import (
     ChainCertificate,
+    certificates_of,
     reference_json_text,
+    reference_jsonable,
     schottky_conjugate_data,
+    torus_ball,
 )
 from test_cli_golden import COMMANDS, USAGE
 
@@ -376,6 +380,39 @@ class TestJsonText:
             calls.clear()
             assert _written(report, _NAMES) == expected
             assert len(calls) == count
+
+    def test_certificate_tables_sharing_a_ball(self, monkeypatch):
+        # Two tables of one run's ball, the second reading rows the first
+        # does not, with repeated iterates lists and juncture texts that
+        # look like the separators: the bytes of json.dumps, and the
+        # ball's words spelled once.
+        ball = torus_ball(3)
+        spelled = []
+        spellings = Ball.spellings
+        monkeypatch.setattr(Ball, "spellings", lambda self, *args: (
+            spelled.append(args), spellings(self, *args))[1])
+        e, f = (JunctureSpec(end, sign, Word((1,))) for end, sign in (
+            ("],\n      [", "-"), ("%s\u00e9", "+")))
+        iterate = np.array([0, 1, 2, 3, 0, 1, 2, 3, 4, 0, 1, 2, 3])
+        gaps = 0.5 ** np.arange(13.0)
+
+        def table(juncture, conj, start, end):
+            start, end = np.array(start), np.array(end)
+            return lamination.CertificateTable(
+                (e, f), np.array(juncture), np.array(conj), start, end,
+                np.maximum(start, end - 3), end - 1, iterate, gaps, ball)
+
+        report = {"laminations": {
+            "+": table([0, 1, 0, 1], [0, 3, 7, 0], [0, 4, 9, 0],
+                       [4, 9, 13, 4]),
+            "-": table([1, 1, 0], [len(ball) - 1, 12, 3], [9, 0, 9],
+                       [13, 4, 13])}}
+        expected = {"laminations": {
+            sign: reference_jsonable(certificates_of(t), _NAMES)
+            for sign, t in report["laminations"].items()}}
+        assert _written(report, _NAMES) == (
+            json.dumps(expected, indent=2) + "\n").encode()
+        assert spelled == [(_NAMES, len(ball))]
 
     _LEAF_ROW = {"a_angle": 0.5, "b_angle": -0.0}
 
@@ -733,6 +770,22 @@ class TestLaminate:
         assert out == ""
         assert err == "flagged: carriers graze tangentially\n"
         assert not report.exists()
+
+    def test_ball_spelled_once_per_report(self, schottky, tmp_path,
+                                          monkeypatch):
+        # The certificates of both signs read the run's one ball, whose
+        # words are spelled once for the report.
+        spelled = []
+        spellings = Ball.spellings
+        monkeypatch.setattr(Ball, "spellings", lambda self, *args: (
+            spelled.append(len(self)), spellings(self, *args))[1])
+        report = tmp_path / "lam.json"
+        assert run_command(["laminate", str(schottky), "--horizon", "12",
+                            "--ball", "3", "--json", str(report)]) == 0
+        certificates = json.loads(report.read_text())["laminations"]
+        assert certificates["+"]["certificates"]
+        assert certificates["-"]["certificates"]
+        assert spelled == [53]
 
     def test_svg_deterministic(self, schottky, tmp_path):
         a = tmp_path / "a.svg"

@@ -868,7 +868,7 @@ class TestAngleSet:
         # that reach the gap test, and those within tol.  Before tight
         # cells these were 102,352 and 38,688, with exact repeats
         # removed first.
-        (u, v, tol), = deep_orbit_calls()
+        (u, v, tol), = orbit_calls()
         counts = [0, 0]
         close_pairs = hyperbolic._close_pairs
 
@@ -880,7 +880,8 @@ class TestAngleSet:
 
         with mock.patch.object(hyperbolic, "_close_pairs", counted):
             assert first_distinct(u, v, tol).sum() == 7702
-        assert counts == [34678, 10179]
+        # Two blocks; 34,678 and 10,179 in 2,048-row blocks.
+        assert counts == [34885, 10234]
 
     def test_peak_memory_on_a_deep_orbit(self):
         # The candidates of the schottky_ab orbit at horizon 20, ball 5:
@@ -960,10 +961,38 @@ class TestAngleSet:
                                  _DEDUP_PAIRS=1 << 62):
             assert first_distinct(u, v, tol).tolist() == keep.tolist()
 
+    @pytest.mark.parametrize("n_range, ball, rows, blocks", [
+        # An orbit call of a lam-deep job, the -h..h orbit at ball 5, and
+        # the one-sided orbit at ball 7.
+        (range(0, 21), 5, 10185, 1),
+        (range(-20, 21), 5, 19885, 2),
+        (range(0, 21), 7, 91833, 6)])
+    def test_blocks_of_schottky_orbits(self, n_range, ball, rows, blocks):
+        # The - juncture's orbits of schottky_ab: the row cap, derived
+        # from the pair budget, decides them in this many blocks (5, 10
+        # and 45 at 2,048 rows), and 2,048-row blocks and one block keep
+        # the same rows.
+        (u, v, tol), = orbit_calls(n_range, ball)
+        assert len(u) == rows
+        decide, sizes = hyperbolic._decide, []
 
-def deep_orbit_calls():
-    """The first_distinct calls of the schottky_ab orbit at horizon 20,
-    ball 5: one, with 19,885 candidates."""
+        def counted(blocked, *args):
+            sizes.append(len(blocked))
+            return decide(blocked, *args)
+
+        with mock.patch.object(hyperbolic, "_decide", counted):
+            keep = first_distinct(u, v, tol).tolist()
+        assert len(sizes) == blocks and sum(sizes) == rows
+        for shape in ((2048, hyperbolic._DEDUP_PAIRS), (rows, 1 << 62)):
+            with mock.patch.multiple(hyperbolic, _DEDUP_ROWS=shape[0],
+                                     _DEDUP_PAIRS=shape[1]):
+                assert first_distinct(u, v, tol).tolist() == keep, shape
+
+
+def orbit_calls(n_range=range(-20, 21), ball=5):
+    """The first_distinct calls of the schottky_ab orbit of its -
+    juncture over ``n_range`` at radius ``ball``: one.  By default the
+    orbit at horizon 20, ball 5, with 19,885 candidates."""
     scene = load_scene(scene_path("schottky_ab.json"))
     calls = []
 
@@ -972,7 +1001,7 @@ def deep_orbit_calls():
         return first_distinct(*args)
 
     with mock.patch.object(lamination, "first_distinct", record):
-        juncture_orbit(scene, scene.junctures[0], range(-20, 21), 5)
+        juncture_orbit(scene, scene.junctures[0], n_range, ball)
     return calls
 
 
@@ -982,9 +1011,9 @@ DEDUP_PEAK_MB = 5
 
 # Block shapes (rows, pair budget) that take every path of first_distinct:
 # one-row blocks, blocks cut by the budget, kept rows of earlier blocks,
-# and the defaults.
+# the row cap before it was derived from the budget, and the defaults.
 BLOCK_SHAPES = ((1, 0), (3, 0), (3, 2), (16, 0), (16, 40),
-                (hyperbolic._DEDUP_ROWS, 300),
+                (2048, 300), (hyperbolic._DEDUP_ROWS, 300),
                 (hyperbolic._DEDUP_ROWS, hyperbolic._DEDUP_PAIRS))
 
 

@@ -1440,6 +1440,53 @@ class TestExtractArrays:
                 for s in lam.skipped] == [
             ("e-", (), "fewer than 4 distinct iterates")]
 
+    def test_bases_by_juncture_and_position(self):
+        # Four families of two junctures merged, their chains in this
+        # order: e- (1,) with no base before it takes its own Aitken
+        # step; f- () is f-'s first base, of f- (1,) and of the f- (2,)
+        # after it; e- () is e-'s first base; a second e- () collapses
+        # and is no base, so the e- (1,) after it still takes the first;
+        # a third e- () is the last base of e- (2,).
+        f_minus = JunctureSpec("f-", "-", Word((2,)))
+        iso = {(1,): Isometry(2.0, 0.0, 0.0, 0.5),
+               (2,): Isometry(4.0, 0.0, 0.0, 0.25)}
+
+        def chain(juncture, letters, ta, tb):
+            return [entry(Geodesic.from_angles(ta + 0.1 ** n,
+                                               tb + 2 * 0.1 ** n),
+                          juncture, letters, n, iso.get(letters))
+                    for n in range(1, 9)]
+
+        pinched = [entry(Geodesic.from_angles(2.0 - 0.5 ** n, 2.0 + 0.5 ** n),
+                         E_MINUS, (), n) for n in range(22)]
+        families = [
+            family_of(chain(E_MINUS, (1,), 3.0, 4.0)
+                      + chain(f_minus, (), 5.0, 5.5)
+                      + chain(f_minus, (1,), 3.5, 4.5)),
+            family_of(chain(E_MINUS, (), 1.0, 2.0)
+                      + chain(f_minus, (2,), 0.5, 1.5)),
+            family_of(pinched + chain(E_MINUS, (1,), 0.3, 0.6)),
+            family_of(chain(E_MINUS, (), 4.2, 4.8)
+                      + chain(E_MINUS, (2,), 2.5, 3.2))]
+        merged = GeodesicFamily.merge(families)
+        assert merged.conj.tolist().count(0) == 4
+        lam = extract_limit_leaves(merged)
+        assert_same_extraction(lam, reference_extract(
+            reference_merge(families), DEFAULT_TOL))
+        records = certificates_of(lam.certificates)
+        assert [(c.juncture, c.conjugator.letters) for c in records] == [
+            ("e-", (1,)), ("f-", ()), ("f-", (1,)), ("e-", ()), ("f-", (2,)),
+            ("e-", (1,)), ("e-", ()), ("e-", (2,))]
+        assert [(s.conjugator.letters, s.reason) for s in lam.skipped] == [
+            ((), "chain collapses toward a single boundary point")]
+        leaves = leaf_geodesics(lam.leaves)
+        for base, moved, letters in ((1, 2, (1,)), (1, 4, (2,)),
+                                     (3, 5, (1,)), (6, 7, (2,))):
+            m = iso[letters]
+            assert (leaves[moved].a.theta, leaves[moved].b.theta) == (
+                boundary_action(m, leaves[base].a).theta,
+                boundary_action(m, leaves[base].b).theta)
+
     @pytest.mark.parametrize("count", [2, 3])
     @pytest.mark.parametrize("angle_tol", [ANGLE_TOL, 1e-3])
     def test_merge_matches_concatenated_dedup(self, torus_scene, count,

@@ -361,6 +361,21 @@ class TestAdmissibleWords:
         assert cli._word_lines(result.words, len(A)) == \
             reference_word_lines(expected, len(A))
 
+    @pytest.mark.parametrize("n, dtype", [
+        (2, np.uint8), (255, np.uint8), (256, np.uint16)])
+    def test_listing_in_the_smallest_type_of_its_symbols(self, n, dtype):
+        # Each symbol goes to itself and the next, round the cycle: the
+        # widest symbol fits the listing's type, and the rows and their
+        # text are the walk's.
+        A = np.eye(n, dtype=np.int64) + np.roll(np.eye(n, dtype=np.int64),
+                                                1, axis=1)
+        result = admissible_words(A, 3)
+        assert result.words.dtype == dtype
+        expected = reference_admissible_words(A, 3)
+        assert word_rows(result.words) == expected
+        assert cli._word_lines(result.words, n) == \
+            reference_word_lines(expected, n)
+
     def test_prefixes_that_die_early_are_not_walked(self):
         # 1,679,616 length-8 prefixes through the layers die before length
         # 20; the two self-loops give the only words.
