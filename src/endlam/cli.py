@@ -122,8 +122,10 @@ class _ReportText:
     split into its members' texts at the separators (``_column_texts``).
     A list of records, an array with named fields or members of one
     dataclass type whose every field is a column, is written column by
-    column, each record's text from one template.  Any other list, and
-    every dict, is walked member by member.
+    column, each record's text from one template; a non-empty 2-D array
+    of bools or numbers from one encoder call over all its scalars and
+    one template of its rows.  Any other list, and every dict, is walked
+    member by member.
     """
 
     def __init__(self, names):
@@ -145,6 +147,8 @@ class _ReportText:
         if isinstance(obj, (np.ndarray, np.generic)):
             names = obj.dtype.names
             if not names:
+                if obj.ndim == 2 and obj.size and obj.dtype.kind in "biuf":
+                    return self._matrix_text(obj, depth)
                 return self.text(obj.tolist(), depth)
             if obj.ndim == 0:           # a named row
                 return self._row_texts(obj.reshape(1), depth)[0]
@@ -222,6 +226,14 @@ class _ReportText:
             [gaps[a:b] for a, b in zip(table.gap_start.tolist(),
                                        table.gap_end.tolist())], True, item))
         return _lines("[", _rows(table.FIELDS, texts, depth + 1), depth, "]")
+
+    def _matrix_text(self, matrix, depth):
+        """The non-empty 2-D array ``matrix`` of bools or numbers as its
+        list of rows: its scalars' texts from one encoder call and one
+        split, put in one template of all its rows."""
+        texts = self._column_texts(matrix.ravel().tolist(), False, depth)
+        row = _lines("[", ["%s"] * matrix.shape[1], depth + 1, "]")
+        return _lines("[", [row] * len(matrix), depth, "]") % tuple(texts)
 
     def _ball_texts(self, ball):
         """The JSON text of each word of ``ball``, spelled once per report

@@ -51,8 +51,9 @@ class _Layer:
     label: str
     # The endpoint angles (ta, tb) of each geodesic, one row each.
     ends: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
-    points: list[tuple[float, float]] = field(default_factory=list)
-    boundary_angles: list[float] = field(default_factory=list)
+    # Disk points, (x, y) rows, and boundary angles.
+    points: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
+    boundary_angles: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
 def _coerce_layer(label, payload) -> _Layer:
@@ -63,20 +64,21 @@ def _coerce_layer(label, payload) -> _Layer:
         layer.ends = np.column_stack((payload.leaves["a_angle"],
                                       payload.leaves["b_angle"]))
     elif isinstance(payload, LimitSetSample):
-        layer.points = list(payload.orbit)
+        layer.points = payload.orbit
         layer.boundary_angles = payload.fixed_point_angles
     elif isinstance(payload, (list, tuple)):
-        ends = []
+        ends, points = [], []
         for item in payload:
             if isinstance(item, Geodesic):
                 ends.append((item.a.theta, item.b.theta))
             elif isinstance(item, (list, tuple)) and len(item) == 2:
-                layer.points.append((float(item[0]), float(item[1])))
+                points.append((float(item[0]), float(item[1])))
             else:
                 raise ValidationError(
                     f"cannot render item of type {type(item).__name__}"
                 )
         layer.ends = np.array(ends, dtype=float).reshape(-1, 2)
+        layer.points = np.array(points, dtype=float).reshape(-1, 2)
     else:
         raise ValidationError(
             f"cannot render family of type {type(payload).__name__}"
@@ -110,6 +112,11 @@ def _libm(func, *args: np.ndarray) -> np.ndarray:
 
 
 class _Canvas:
+    """The canvas coordinates of a ``size`` x ``size`` picture and the
+    elements drawn on it, computed for a whole layer at once.  A point
+    layer's elements come out as one text, an element to a line, from one
+    ``%`` call over its template; a layer's paths as a list."""
+
     def __init__(self, size: int):
         self.cx = size / 2.0
         self.cy = size / 2.0
@@ -120,18 +127,27 @@ class _Canvas:
         self.offset = np.array([[self.cx], [self.cy]])
         self.factor = np.array([[self.scale], [-self.scale]])
 
-    def points(self, points) -> list[str]:
-        """The orbit point elements of disk points ``(x, y)``."""
-        cx, cy, scale = self.cx, self.cy, self.scale
-        return [_POINT % (cx + scale * x + 0.0, cy - scale * y + 0.0)
-                for x, y in points]
+    def _circles(self, template, xy) -> str:
+        """``template`` at the canvas point of each disk point, the (x, y)
+        rows of the (2, n) array ``xy``, one element to a line.  Python's
+        float arithmetic overflows to inf silently, so numpy's does here
+        too."""
+        with np.errstate(over="ignore"):
+            xy = self.offset + self.factor * xy + 0.0
+        return ("\n".join([template] * xy.shape[1])
+                % tuple(xy.T.ravel().tolist()))
 
-    def boundary_points(self, angles) -> list[str]:
+    def points(self, points) -> str:
+        """The orbit point elements of disk points, an (n, 2) array or a
+        sequence of ``(x, y)``."""
+        return self._circles(
+            _POINT, np.asarray(points, dtype=float).reshape(-1, 2).T)
+
+    def boundary_points(self, angles) -> str:
         """The boundary point elements of disk angles."""
-        cx, cy, scale = self.cx, self.cy, self.scale
-        return [_BOUNDARY_POINT % (cx + scale * math.cos(t) + 0.0,
-                                   cy - scale * math.sin(t) + 0.0)
-                for t in angles]
+        angles = np.asarray(angles, dtype=float)
+        return self._circles(_BOUNDARY_POINT, np.array(
+            (_libm(math.cos, angles), _libm(math.sin, angles))))
 
     def geodesics(self, ends: np.ndarray) -> list[str]:
         """The path element of each geodesic, a row of endpoint angles
@@ -247,11 +263,12 @@ def render_svg(families, size: int = 1000) -> str:
         start, end = end, end + len(layer.ends)
         lines += paths[start:end]
         lines.append('</g>')
-        if layer.points or layer.boundary_angles:
+        if len(layer.points) or len(layer.boundary_angles):
             lines.append(f'<g id="{gid}-points" fill="{color}" '
                          f'stroke="none">')
-            lines += canvas.points(layer.points)
-            lines += canvas.boundary_points(layer.boundary_angles)
+            lines += filter(None, (
+                canvas.points(layer.points),
+                canvas.boundary_points(layer.boundary_angles)))
             lines.append('</g>')
     lines.append('</svg>')
     return "\n".join(lines) + "\n"

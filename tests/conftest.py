@@ -2,7 +2,6 @@ import dataclasses
 import json
 import math
 from fractions import Fraction
-from itertools import compress
 from types import SimpleNamespace
 
 import numpy as np
@@ -49,7 +48,7 @@ from endlam.lamination import (
     _aitken_angle,
 )
 from endlam.markov import PERRON_TOL, PerronData
-from endlam.render import ANTIPODAL_DOT
+from endlam.render import ANTIPODAL_DOT, _BOUNDARY_POINT, _POINT
 from endlam.scene import scene_path
 
 TORUS_A = [[4, 0], [0, 0.25]]
@@ -471,11 +470,19 @@ def reference_extract(entries, tol, angle_tol=ANGLE_TOL):
         [c for c, k in zip(certificates, keep) if k], skipped)
 
 
+class _ReferenceSample(LimitSetSample):
+    def min_boundary_gap(self) -> float:
+        """The smallest 1 - |p|, one point at a time."""
+        return min(1.0 - math.hypot(x, y) for x, y in self.orbit.tolist())
+
+
 def reference_limit_set_sample(group, base, k, max_words=DEFAULT_MAX_WORDS,
                                angle_tol=ANGLE_TOL, trace_tol=TRACE_TOL):
     """``group.limit_set_sample`` as a loop over ``reference_ball``: one
     orbit point, classification and axis per ball element, as it ran
-    before the ball's products, orbit points and axes were arrays."""
+    before the ball's products, orbit points and axes were arrays; every
+    axis endpoint goes to ``first_distinct``, exact repeats included, and
+    the gap is the smallest 1 - |p| point by point."""
     if k < 0:
         raise ValidationError("sample depth must be nonnegative")
     ball = reference_ball(group, k, max_words)
@@ -486,10 +493,28 @@ def reference_limit_set_sample(group, base, k, max_words=DEFAULT_MAX_WORDS,
         if classify_isometry(m, trace_tol) == "hyperbolic":
             g = axis(m, trace_tol)
             ends.extend((g.a.theta, g.b.theta))
-    keep = first_distinct(ends, ends, angle_tol).tolist()
-    return LimitSetSample(orbit=orbit,
-                          fixed_point_angles=list(compress(ends, keep)),
-                          words=len(ball))
+    ends = np.array(ends, dtype=float)
+    return _ReferenceSample(
+        orbit=np.array(orbit, dtype=float).reshape(-1, 2),
+        fixed_point_angles=ends[first_distinct(ends, ends, angle_tol)],
+        words=len(ball))
+
+
+def reference_point_elements(points, canvas) -> list[str]:
+    """The circle element of each disk point ``(x, y)``, one at a time:
+    what ``render._Canvas.points`` writes, one to a line."""
+    cx, cy, scale = canvas.cx, canvas.cy, canvas.scale
+    return [_POINT % (cx + scale * x + 0.0, cy - scale * y + 0.0)
+            for x, y in points]
+
+
+def reference_boundary_point_elements(angles, canvas) -> list[str]:
+    """The circle element of each boundary angle, one at a time: what
+    ``render._Canvas.boundary_points`` writes, one to a line."""
+    cx, cy, scale = canvas.cx, canvas.cy, canvas.scale
+    return [_BOUNDARY_POINT % (cx + scale * math.cos(t) + 0.0,
+                               cy - scale * math.sin(t) + 0.0)
+            for t in angles]
 
 
 def reference_power_iteration(M, tol=PERRON_TOL, maxiter=10 ** 5):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -339,6 +340,44 @@ class TestJsonText:
         rows = [(0.1 * i, -0.0, "],\n      [") for i in range(40)]
         for report, count in (({"orbit": rows}, 1),
                               ({"orbit": rows + [(np.float64(1.0),)]}, 40)):
+            expected = reference_json_text(report, _NAMES).encode()
+            calls.clear()
+            assert _written(report, _NAMES) == expected
+            assert len(calls) == count
+
+    _MATRIX_VALUES = {
+        np.float64: [math.nan, math.inf, -0.0, -math.inf, 0.1, 1e300, 0.0,
+                     -2.5, 5e-324, 1.0],
+        np.int64: [-2 ** 63, 2 ** 63 - 1, 0, -1, 7, 10 ** 12, 3, -5, 1, 2],
+        np.bool_: [True, False, False, True, True, False, True, False,
+                   False, True]}
+
+    @pytest.mark.parametrize("depth", range(4))
+    @pytest.mark.parametrize("dtype", list(_MATRIX_VALUES))
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 1), (2, 5), (0, 2),
+                                       (2, 0)])
+    def test_two_dimensional_arrays(self, shape, dtype, depth):
+        count = shape[0] * shape[1]
+        matrix = np.array(self._MATRIX_VALUES[dtype][:count],
+                          dtype=dtype).reshape(shape)
+        report, expected = matrix, matrix.tolist()
+        for _ in range(depth):
+            report = {"rows": [report, "x"]}
+            expected = {"rows": [expected, "x"]}
+        assert _written(report, _NAMES) == \
+            (json.dumps(expected, indent=2) + "\n").encode()
+
+    def test_two_dimensional_array_in_one_encoder_call(self, monkeypatch):
+        calls = []
+        encode = json.JSONEncoder.encode
+        monkeypatch.setattr(json.JSONEncoder, "encode",
+                            lambda self, o: calls.append(o) or encode(self, o))
+        orbit = np.random.default_rng(0).normal(size=(1457, 2))
+        orbit[0] = -0.0, math.nan
+        for report, count in ((orbit, 1), (orbit > 0.0, 1),
+                              (np.arange(2914).reshape(-1, 2), 1),
+                              ({"orbit": orbit, "angles": orbit[:, 0]}, 2),
+                              (orbit[:0], 0)):
             expected = reference_json_text(report, _NAMES).encode()
             calls.clear()
             assert _written(report, _NAMES) == expected
@@ -721,6 +760,53 @@ class TestWrite:
     def test_device_written_without_truncating(self, capsys):
         # /dev/null cannot be cut to a length.
         self._write(os.devnull, "x", capsys)
+
+
+# Runs each job of argv[1], a JSON list of argument lists, with stdout
+# discarded, and prints their exit codes and the numpy.ma modules loaded.
+_GUARD_CHILD = """
+import contextlib, io, json, sys
+from endlam.cli import run_command
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(run_command(argv))
+print(json.dumps([codes, sorted(m for m in sys.modules
+                                if m.split(".")[:2] == ["numpy", "ma"])]))
+"""
+
+
+class TestNoMaskedArrays:
+    def test_benchmark_command_forms_leave_numpy_ma_unloaded(self, tmp_path):
+        # Importing numpy.ma costs a job about 1.6 MB of peak RSS; a bare
+        # np.unique imports it, the return_index and return_inverse forms
+        # do not.  One job of each command form the benchmark runs, in a
+        # fresh interpreter.
+        schottky, golden = (str(scene_path(f"{name}.json"))
+                            for name in ("schottky_ab", "golden"))
+        out = {suffix: str(tmp_path / f"out.{suffix}")
+               for suffix in ("json", "svg")}
+        jobs = [
+            ["limit-set", schottky, "--depth", "6", "--base=0.3,1.1",
+             "--out", out["svg"], "--json", out["json"]],
+            ["laminate", schottky, "--horizon", "20", "--ball", "5",
+             "--json", out["json"], "--out", out["svg"]],
+            ["axioms", schottky, "--horizon", "8", "--ball", "2"],
+            ["render", golden, "--out", out["svg"], "--leaves"],
+            ["escape", golden, "--horizon", "20", "--json", out["json"]],
+            ["markov", "entropy", golden, "--json", out["json"]],
+            ["markov", "measure", golden, "--json", out["json"]],
+            ["markov", "words", golden, "-m", "20", "--list-words"]]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(cli.__file__).resolve().parent.parent),
+            env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", _GUARD_CHILD, json.dumps(jobs)],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == [[0] * len(jobs), []]
 
 
 class TestLimitSet:

@@ -2,14 +2,17 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from endlam.errors import BudgetExceededError, NotHyperbolicError, ValidationError
 from endlam.group import (
     FreeAutomorphism,
     FuchsianGroup,
     Word,
+    _distinct_angles,
     apply_automorphism,
     ball_size,
     enumerate_ball,
@@ -19,10 +22,12 @@ from endlam.group import (
     verify_automorphism,
 )
 from endlam.hyperbolic import (
+    TWO_PI,
     HPoint,
     Isometry,
     axis,
     classify_isometry,
+    first_distinct,
     same_ideal_point,
 )
 from endlam.scene import load_scene, parse_scene, scene_path
@@ -392,7 +397,8 @@ class TestLimitSetSample:
         sample = limit_set_sample(group, HPoint(0, 1), 5,
                                   angle_tol=angle_tol)
         expected = self._fixed_points_by_scan(group, 5, angle_tol)
-        assert sample.fixed_point_angles == [p.theta for p in expected]
+        assert sample.fixed_point_angles.tolist() == [
+            p.theta for p in expected]
 
     def test_min_gap_decreases_with_depth(self):
         G = two_generator_group()
@@ -400,6 +406,57 @@ class TestLimitSetSample:
         gaps = [limit_set_sample(G, base, k).min_boundary_gap()
                 for k in range(1, 7)]
         assert all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
+
+
+@st.composite
+def _angle_lists(draw):
+    """Angles in [0, 2*pi] drawn around a few centres, 0 and 2*pi - ulp
+    among them, on either side of the seam: exact repeats, angles a few
+    ulps apart and angles up to 1e-3 apart; long enough at times to take
+    first_distinct's grid."""
+    top = math.nextafter(TWO_PI, 0.0)
+    centres = draw(st.lists(st.one_of(
+        st.floats(0.0, TWO_PI, exclude_max=True),
+        st.sampled_from([0.0, top])), min_size=1, max_size=6))
+    n = draw(st.integers(0, 150))
+    which = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 5)))
+    ulps = draw(hnp.arrays(np.int64, n, elements=st.integers(-4, 4)))
+    offsets = draw(hnp.arrays(float, n, elements=st.sampled_from(
+        [0.0, 0.0, 0.0, 1e-12, -1e-9, 1e-6, -1e-4, 1e-3])))
+    angles = []
+    for i, k, d in zip(which.tolist(), ulps.tolist(), offsets.tolist()):
+        t = centres[i % len(centres)] + d
+        angles.append(min(max(t + k * math.ulp(t), 0.0), top))
+    return angles
+
+
+class TestDistinctAngles:
+    """Exact repeats leave before first_distinct, which keeps the mask of
+    every other row: the kept angles are first_distinct's over all rows."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(angles=_angle_lists(),
+           tol=st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3, 1e-1]))
+    @example(angles=[1.0, 1.0 + 2e-3, 1.0 + 1e-3, 1.0, 1.0 + 2e-3],
+             tol=1.5e-3)
+    @example(angles=[0.0, 6.283185307179585, 0.0, 3.0, 3.0], tol=1e-12)
+    def test_kept_angles_of_first_distinct_over_every_row(self, angles,
+                                                          tol):
+        ends = np.array(angles, dtype=float)
+        got = _distinct_angles(ends, tol)
+        want = ends[first_distinct(ends, ends, tol)]
+        assert [t.hex() for t in got.tolist()] == [
+            t.hex() for t in want.tolist()]
+
+    def test_word_and_inverse_share_an_axis(self):
+        # On schottky_ab at depth 6, 2,912 axis endpoints hold 1,344 bit
+        # patterns, of which 1,324 are told apart.
+        group = load_scene(scene_path("schottky_ab.json")).group
+        sample = limit_set_sample(group, HPoint(0.3, 1.1), 6)
+        ref = reference_limit_set_sample(group, HPoint(0.3, 1.1), 6)
+        assert len(sample.fixed_point_angles) == 1324
+        assert sample.fixed_point_angles.tobytes() == \
+            ref.fixed_point_angles.tobytes()
 
 
 def shipped_and_conjugate_groups():
@@ -427,8 +484,9 @@ def sample_bits(func):
         sample = func()
     except Exception as exc:
         return type(exc), str(exc)
-    return ([(x.hex(), y.hex()) for x, y in sample.orbit],
-            [t.hex() for t in sample.fixed_point_angles], sample.words,
+    return ([(x.hex(), y.hex()) for x, y in sample.orbit.tolist()],
+            [t.hex() for t in sample.fixed_point_angles.tolist()],
+            sample.words,
             sample.min_boundary_gap().hex())
 
 

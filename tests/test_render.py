@@ -28,7 +28,12 @@ from endlam.render import (
 )
 from endlam.scene import load_scene, parse_scene, scene_path
 
-from conftest import _geodesic_path, torus_ball
+from conftest import (
+    _geodesic_path,
+    reference_boundary_point_elements,
+    reference_point_elements,
+    torus_ball,
+)
 
 ARC_PATH_RE = re.compile(
     r'<path d="M (?P<x1>[-\d.]+) (?P<y1>[-\d.]+) '
@@ -325,11 +330,65 @@ class TestElementTemplates:
                   if data is None else
                   data.draw(st.lists(_points_to_draw(size), max_size=6)))
         svg = render_svg([("g", geodesics), ("s", LimitSetSample(
-            orbit=points, fixed_point_angles=angles, words=0))], size)
+            orbit=np.array(points, dtype=float).reshape(-1, 2),
+            fixed_point_angles=np.array(angles, dtype=float), words=0))],
+            size)
         drawn = [line for line in svg.splitlines()[3:]
                  if line.startswith(("<path", "<circle"))]
         assert drawn == (reference_elements(geodesics, [], [], size)
                          + reference_elements([], points, angles, size))
+
+
+class TestPointLayers:
+    """``_Canvas.points`` and ``boundary_points`` write a layer's circles
+    from arrays, byte for byte the per-element templates of
+    ``tests/conftest.py``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), size=_sizes, angles=st.lists(_angles,
+                                                        max_size=8))
+    @example(data=None, size=21, angles=[-0.0, 1e-12, math.pi / 2])
+    def test_bytes_of_per_element_templates(self, data, size, angles):
+        # At size 21 the first two points land on 0.0 and -0.0...01.
+        points = ([(-21.0, 21.0), (-21.000000000002, 21.000000000002),
+                   (-0.0, -0.0), (1e-12, -1e-12)]
+                  if data is None else
+                  data.draw(st.lists(_points_to_draw(size), max_size=8)))
+        canvas = _Canvas(size)
+        want = "\n".join(reference_point_elements(points, canvas))
+        assert canvas.points(points) == want
+        assert canvas.points(np.array(points, dtype=float).reshape(-1, 2)) \
+            == want
+        want = "\n".join(reference_boundary_point_elements(angles, canvas))
+        assert canvas.boundary_points(angles) == want
+        assert canvas.boundary_points(np.array(angles, dtype=float)) == want
+
+    def test_overflow_to_inf_without_warning(self):
+        # Python's float arithmetic overflows silently; a numpy warning
+        # would fail the run.
+        canvas = _Canvas(1000)
+        points = [(1e308, -1e308), (-1.7e308, 1.7e308), (math.inf, math.nan)]
+        text = canvas.points(np.array(points))
+        assert text == "\n".join(reference_point_elements(points, canvas))
+        assert text.count("inf") == 5
+
+    def test_empty_layers(self):
+        canvas = _Canvas(1000)
+        for empty in ([], np.empty((0, 2)), np.empty(0)):
+            assert canvas.points(empty) == ""
+            assert canvas.boundary_points(np.ravel(empty)) == ""
+        # A layer of points alone, or of boundary points alone, has no
+        # empty line in its group.
+        for sample in (
+                LimitSetSample(np.array([[0.5, 0.0]]), np.empty(0), 1),
+                LimitSetSample(np.empty((0, 2)), np.array([1.0]), 1)):
+            lines = render_svg([("s", sample)], 1000).splitlines()
+            assert lines[5:] == [
+                '<g id="s-points" fill="#c0392b" stroke="none">',
+                lines[6], "</g>", "</svg>"]
+            assert lines[6].startswith("<circle")
+        assert "s-points" not in render_svg([("s", LimitSetSample(
+            np.empty((0, 2)), np.empty(0), 0))], 1000)
 
 
 _TOP = math.nextafter(TWO_PI, 0.0)
