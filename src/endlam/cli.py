@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import errno
+import functools
 import json
 import math
 import os
@@ -772,23 +773,38 @@ class _Lone:
         return self.parser
 
 
-def _lone_parser(argv):
-    """(parser, the argv it parses) when ``argv`` names a command, and
-    under ``markov`` a markov subcommand: that command's parser alone,
-    which parses what follows the names as it would in ``build_parser``'s
-    tree; else None."""
-    if not argv or argv[0] not in _COMMANDS:
-        return None
-    name = argv[0]
-    if name != "markov":
+@functools.cache
+def _path_parser(path):
+    """The parser of the command path ``path``, ``("laminate",)`` or
+    ``("markov", "entropy")`` say, built alone through ``_Lone`` at its
+    first run and reused by every later run in the process.  A parser
+    holds no run data: each parse makes a fresh namespace, and every
+    default is immutable (numbers, strings, ``func`` and ``parser``).
+    argparse translates a few messages through gettext when a parser is
+    built (the ``-h`` help line and the group titles), so those follow
+    the locale of the process at a path's first run."""
+    name = path[0]
+    if len(path) == 1:
         lone = _Lone(_PROG, command=name)
         _COMMANDS[name](lone)
-        return lone.parser, argv[1:]
+    else:
+        lone = _Lone(f"{_PROG} {name}", command=name, markov_cmd=path[1])
+        _MARKOV_COMMANDS[path[1]](lone)
+    return lone.parser
+
+
+def _lone_parser(argv):
+    """(parser, the argv it parses) when ``argv`` names a command, and
+    under ``markov`` a markov subcommand: that command's parser alone
+    (``_path_parser``), which parses what follows the names as it would
+    in ``build_parser``'s tree; else None."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    if argv[0] != "markov":
+        return _path_parser((argv[0],)), argv[1:]
     if len(argv) < 2 or argv[1] not in _MARKOV_COMMANDS:
         return None
-    lone = _Lone(f"{_PROG} {name}", command=name, markov_cmd=argv[1])
-    _MARKOV_COMMANDS[argv[1]](lone)
-    return lone.parser, argv[2:]
+    return _path_parser((argv[0], argv[1])), argv[2:]
 
 
 def run_command(argv) -> int:

@@ -1393,10 +1393,21 @@ FLAG_TOKENS = [
 ]
 
 
+# Flags other than the first run's, on each lone path test_parsers_built
+# runs; the scene files need not exist, since the parse comes first.
+OTHER_FLAGS = {
+    ("markov", "entropy"): ["G", "--json", "r.json"],
+    ("markov", "words"): ["G", "-m", "3", "--list-words"],
+    ("laminate",): ["S", "--horizon", "3", "--ball", "1", "--size", "500"],
+    ("render",): ["S", "--out", "x.svg", "--leaves"],
+}
+
+
 class TestParserPath:
-    """A run whose argv names a command builds that command's parser alone;
-    where a name is missing or unknown it builds the whole tree, whose
-    usage lists the names of that level."""
+    """A run whose argv names a command uses that command's parser alone,
+    built at the path's first run in the process and reused after; where
+    a name is missing or unknown it builds the whole tree, whose usage
+    lists the names of that level."""
 
     @pytest.mark.parametrize("argv, built", [
         (["markov", "entropy", "G"], 1),
@@ -1409,7 +1420,14 @@ class TestParserPath:
         (["-h"], 11),
         ([], 11),
     ])
-    def test_parsers_built(self, argv, built, monkeypatch, capsys):
+    def test_parsers_built(self, argv, built, monkeypatch, tmp_path, capsys):
+        """``built`` parsers at the first run.  A lone path builds none
+        after that, with the same flags or others, while another path
+        builds its own one; a tree path builds all eleven every run.  The
+        cache is cleared here alone, so that every other test runs on
+        shared parsers, as the benchmark's passes do."""
+        monkeypatch.chdir(tmp_path)
+        cli._path_parser.cache_clear()
         count = []
         original = cli._Parser.__init__
 
@@ -1418,8 +1436,24 @@ class TestParserPath:
             original(self, *args, **kwargs)
 
         monkeypatch.setattr(cli._Parser, "__init__", counting)
-        run_command(argv)
-        assert len(count) == built
+
+        def built_by(argv):
+            before = len(count)
+            run_command(argv)
+            return len(count) - before
+
+        assert built_by(argv) == built
+        if built == 11:
+            assert [built_by(argv), built_by(argv)] == [11, 11]
+            return
+        path = tuple(argv[:2] if argv[0] == "markov" else argv[:1])
+        assert built_by(argv) == 0
+        assert built_by([*path, *OTHER_FLAGS[path]]) == 0
+        assert built_by([*path, "-h"]) == 0
+        other = ["axioms", "S"] if path[0] == "markov" else [
+            "markov", "verify", "G"]
+        assert [built_by(other), built_by(other)] == [1, 0]
+        assert built_by(argv) == 0
 
     @staticmethod
     def _parsed(parser, argv):
@@ -1456,7 +1490,51 @@ class TestParserPath:
     @given(st.sampled_from(PATHS),
            st.lists(st.sampled_from(FLAG_TOKENS), max_size=6))
     def test_drawn_flags_parse_as_in_tree(self, path, tokens):
+        """Each path's parser is built once and reused across all the
+        examples, so this also checks that no parse leaves anything on
+        the parser that a later parse sees."""
         self._assert_as_in_tree([*path, *chain.from_iterable(tokens)])
+
+
+class TestReusedParsers:
+    """A run on a reused parser prints, exits and writes what a run of the
+    same argv does on a freshly built one, after runs on its path that
+    set other flags and that end in usage errors."""
+
+    @pytest.mark.parametrize("before, argv", [
+        ([["laminate", "golden.json", "--horizon", "3", "--ball", "1",
+           "--tol", "1e-3", "--json", "A.json", "--out", "S.svg"],
+          ["laminate", "golden.json", "--size", "5"],
+          ["laminate", "golden.json", "--horizon", "-1"]],
+         ["laminate", "golden.json", "--json", "B.json"]),
+        ([["markov", "words", "golden.json", "-m", "3", "--list-words"],
+          ["markov", "words", "golden.json", "-m", "x"]],
+         ["markov", "words", "golden.json"]),
+        ([["render", "golden.json", "--out", "A.svg", "--leaves"],
+          ["render", "golden.json", "--out", "A.svg", "--size", "5"]],
+         ["render", "golden.json", "--out", "B.svg"]),
+    ], ids=["laminate", "markov-words", "render"])
+    def test_runs_leak_nothing(self, before, argv, golden, monkeypatch,
+                               capsys):
+        monkeypatch.chdir(golden.parent)
+        output = Path(argv[-1]) if argv[-2] in ("--json", "--out") else None
+
+        def run(argv):
+            if output:
+                output.unlink(missing_ok=True)
+            code = run_command(argv)
+            return (code, *capsys.readouterr(),
+                    output.read_bytes() if output else None)
+
+        cli._path_parser.cache_clear()
+        codes = [run_command(line) for line in before]
+        capsys.readouterr()
+        assert codes == [0, *[1] * (len(before) - 1)]
+        reused = run(argv)
+        assert cli._path_parser.cache_info().misses == 1
+        cli._path_parser.cache_clear()
+        assert reused == run(argv)
+        assert reused[0] == 0
 
 
 class TestOnePipeline:
