@@ -21,14 +21,15 @@ from .errors import (
 )
 from .hyperbolic import (
     ANGLE_TOL,
+    AXIS_FAILURES,
+    ORBIT_FAILURES,
     TRACE_TOL,
     HPoint,
     Isometry,
-    apply_isometry,
-    axis,
     axis_angles,
     ball_products,
     classify_isometry,
+    failure,
     first_distinct,
     is_hyperbolic,
     orbit_points,
@@ -379,24 +380,23 @@ def limit_set_sample(group: FuchsianGroup, base: HPoint, k: int,
     The orbit points and axis endpoints of ``enumerate_ball``'s isometries
     m are arrays (``orbit_points``, ``is_hyperbolic``, ``axis_angles``), bit
     for bit ``to_disk(apply_isometry(m, base))`` and ``axis(m)``.  A numeric
-    breakdown raises what those raise at the first element that fails."""
+    breakdown raises the failure row of the first element that fails, its
+    orbit point's before its axis'; a disk point that is not finite is one."""
     if k < 0:
         raise ValidationError("sample depth must be nonnegative")
     ball = enumerate_ball(group, k, max_words)
     a, b, c, d = ball.g.T
-    x, y, fine = orbit_points(a, b, c, d, base)
+    x, y, fail = orbit_points(a, b, c, d, base)
     hyperbolic = is_hyperbolic(a, b, c, d, trace_tol)
-    ends, ok = axis_angles(a[hyperbolic], b[hyperbolic], c[hyperbolic],
-                           d[hyperbolic])
-    fine[hyperbolic] &= ok
-    # The scalar calls for each element the arrays do not vouch for, in
-    # ball order: the first that fails raises, and one that passes has its
-    # array values already, as the steps are the same.
-    for i in np.flatnonzero(~fine).tolist():
-        m = Isometry._raw(*ball.g[i].tolist())
-        apply_isometry(m, base)
-        if classify_isometry(m, trace_tol) == "hyperbolic":
-            axis(m, trace_tol)
+    ends, axis_fail = axis_angles(a[hyperbolic], b[hyperbolic],
+                                  c[hyperbolic], d[hyperbolic])
+    # One table: the axis rows follow the orbit point rows.
+    point_fail = fail[hyperbolic]
+    fail[hyperbolic] = np.where(point_fail | (axis_fail == 0), point_fail,
+                                axis_fail + len(ORBIT_FAILURES))
+    if fail.any():
+        raise failure(ORBIT_FAILURES + AXIS_FAILURES, fail[fail > 0][0],
+                      x=base.x, y=base.y)
     return LimitSetSample(
         orbit=np.column_stack((x, y)),
         fixed_point_angles=_distinct_angles(ends.ravel(), angle_tol),

@@ -672,6 +672,36 @@ def _complex_quotient(ar, ai, br, bi):
             np.where(wide, ai - ar * ratio, ai * ratio - ar) / denom)
 
 
+# An array kernel's failure code per element is 0 where it passes, else k
+# for row k - 1 of its (error class, message) table, in its steps' order.
+_PRODUCT_FAILURES = (  # Isometry.compose
+    (NumericDegeneracyError, "isometry product overflowed"),
+    (NumericDegeneracyError, "product determinant collapsed to {det!r}"))
+ORBIT_FAILURES = (  # apply_isometry at the point (x, y), then to_disk
+    (NumericDegeneracyError, "denominator c*z + d collapsed"),
+    (NumericDegeneracyError,
+     "image of ({x}, {y}) collapsed onto the boundary"),
+    (NumericDegeneracyError, "image of ({x}, {y}) has no finite disk point"))
+AXIS_FAILURES = (  # _fixed_points, IdealPoint and Geodesic
+    (ZeroDivisionError, "float division by zero"),
+    (NotHyperbolicError, "no real axis: discriminant <= 0"),
+    (ValidationError, "ideal point angle must be finite"),
+    (ValidationError, "geodesic endpoints coincide"))
+_MEET_FAILURES = (  # the two carriers, then HPoint
+    (NumericDegeneracyError, "degenerate geodesic at infinity"),
+    (NoIntersectionError, "parallel vertical carriers"),
+    (NumericDegeneracyError, "concentric carriers"),
+    (NumericDegeneracyError, "carriers graze tangentially"),
+    (ValidationError, "half-plane coordinates must be finite"),
+    (ValidationError, "y = {y!r} is on (or below) the boundary"))
+
+
+def failure(table, code, **fields) -> Exception:
+    """The error of row ``code`` - 1 of a kernel's failure ``table``."""
+    cls, message = table[code - 1]
+    return cls(message.format(**fields))
+
+
 def boundary_images(a, b, c, d, points) -> np.ndarray:
     """Angles of g(p), a row per isometry g with entries a, b, c, d and a
     column per ideal point p: ``boundary_action(g, p).theta`` bit for bit,
@@ -693,9 +723,9 @@ def ball_products(letters, k: int):
     the empty word, first), and row ``g[i]`` holds its product's a, b, c, d.
     Each product is the chained ``Isometry.compose`` from the identity,
     bit for bit: products, Dekker determinant, the ``_RENORM_CAP`` test,
-    square-root normalisation and sign canonicalisation.  A product that
-    overflows or whose determinant collapses raises what ``compose``
-    raises, for the first such word."""
+    square-root normalisation and sign canonicalisation.  The first word
+    whose product overflows or whose determinant collapses raises its row
+    of ``compose``'s failures."""
     # Each matrix [[a, b], [c, d]] is a column of these (2, 2, n) arrays.
     mats = np.array([(m.a, m.b, m.c, m.d) for m in letters],
                     dtype=float).T.reshape(2, 2, -1)
@@ -728,16 +758,14 @@ def ball_products(letters, k: int):
             p = x * y
             e = ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
             det = (p[0] - p[1]) + (e[0] - e[1])
-            # A small product needs det > 0, any other finite entries: the
-            # largest |entry| is not finite where an entry is not.
+            # A small product (finite entries) needs det > 0, compose's
+            # second test, any other finite entries, its first: the largest
+            # |entry| is not finite where an entry is not.
             ok = np.where(small, det > 0.0, big < np.inf)
             if not ok.all():
                 bad = ok.argmin()
-                Isometry._raw(*m1[..., bad].ravel().tolist()).compose(
-                    letters[letter[bad]])
-                raise NumericDegeneracyError(
-                    f"product {bad}: the scalar product is fine, the array "
-                    "one is not")
+                raise failure(_PRODUCT_FAILURES, 1 + int(small[bad]),
+                              det=float(det[bad]))
             # x / 1.0 is x: the products left unnormalised stay as they are.
             g = g / np.sqrt(np.where(small, det, 1.0))
             # 8 sign(a) + 4 sign(b) + 2 sign(c) + sign(d) has the sign of
@@ -756,9 +784,11 @@ def ball_products(letters, k: int):
 def orbit_points(a, b, c, d, p: HPoint):
     """Disk coordinates (x, y) of g(p), one per isometry g with entries a,
     b, c, d: ``to_disk(apply_isometry(g, p))`` bit for bit, with CPython's
-    complex steps written out; and a mask of the isometries for which
-    ``apply_isometry`` surely does not raise.  Elsewhere the scalar path
-    decides: it raises, or gives these coordinates."""
+    complex steps written out; and each g's failure code, its row of
+    ``ORBIT_FAILURES`` with p's coordinates as the fields: the two errors
+    of ``apply_isometry``, then a disk point that is not finite.  Where
+    ``abs(c*z + d)`` overflows, ``apply_isometry`` raises OverflowError;
+    here that denominator has not collapsed, and the next steps decide."""
     x, y = p.x, p.y
     with np.errstate(all="ignore"):
         # CPython 3.11 computes f*z + g, floats f and g, as complex(f, 0.0)
@@ -767,14 +797,16 @@ def orbit_points(a, b, c, d, p: HPoint):
         nr, ni = a * x + b, a * y + 0.0
         dr, di = c * x + d, c * y + 0.0
         wr, wi = _complex_quotient(nr, ni, dr, di)
-        # abs(c*z + d) is the hypot of its parts: no smaller than the
-        # larger part, and finite (no OverflowError) while that is at most
-        # 1e307.
-        big = np.maximum(np.abs(dr), np.abs(di))
-        fine = ((big >= 1e-14) & (big <= 1e307) & np.isfinite(wr)
-                & np.isfinite(wi) & (wi > 1e-12))
-        return (*_complex_quotient(wr - 0.0, wi - 1.0, wr + 0.0, wi + 1.0),
-                fine)
+        # abs(c*z + d) is the hypot of its parts, no smaller than the
+        # larger part: only where that is below 1e-14 can it be.
+        tiny = np.flatnonzero(~(np.maximum(np.abs(dr), np.abs(di)) >= 1e-14))
+        collapsed = np.zeros(np.shape(dr), dtype=bool)
+        collapsed[tiny] = [abs(complex(u, v)) < 1e-14 for u, v in
+                           zip(dr[tiny].tolist(), di[tiny].tolist())]
+        px, py = _complex_quotient(wr - 0.0, wi - 1.0, wr + 0.0, wi + 1.0)
+        return px, py, np.select(
+            [collapsed, ~(np.isfinite(wr) & np.isfinite(wi) & (wi > 1e-12)),
+             ~(np.isfinite(px) & np.isfinite(py))], [1, 2, 3])
 
 
 def is_hyperbolic(a, b, c, d, trace_tol: float = TRACE_TOL) -> np.ndarray:
@@ -789,8 +821,8 @@ def is_hyperbolic(a, b, c, d, trace_tol: float = TRACE_TOL) -> np.ndarray:
 def axis_angles(a, b, c, d):
     """Endpoint angles, one (repelling, attracting) row per hyperbolic
     isometry with entries a, b, c, d: ``to_disk(axis(g))`` bit for bit,
-    through the branches of ``_fixed_points`` and libm's atan2; and a mask
-    of the isometries whose ``axis`` does not raise."""
+    through the branches of ``_fixed_points`` and libm's atan2; and each
+    isometry's failure code, its row of ``AXIS_FAILURES``."""
     with np.errstate(all="ignore"):
         flat = c == 0.0
         amd = a - d
@@ -806,23 +838,20 @@ def axis_angles(a, b, c, d):
         rep = np.where(flat, np.where(out, t, INF), np.where(swap, t2, t1))
         att = np.where(flat, np.where(out, INF, t), np.where(swap, t1, t2))
         ends = _boundary_angles(np.stack([rep, att], axis=1))
-        # _fixed_points divides by d - a when c == 0 and refuses disc <= 0;
-        # IdealPoint refuses a non-finite angle and Geodesic endpoints
-        # closer than ANGLE_TOL.
-        fine = (np.where(flat, d - a != 0.0, disc > 0.0)
-                & np.isfinite(ends).all(axis=1)
-                & (angular_gaps(ends[:, 0], ends[:, 1]) >= ANGLE_TOL))
-    return ends, fine
+        # _fixed_points divides by d - a when c == 0 and refuses disc <= 0
+        # (a NaN disc passes, to NaN endpoints); IdealPoint refuses a
+        # non-finite angle and Geodesic endpoints closer than ANGLE_TOL.
+        return ends, np.select(
+            [flat & (d - a == 0.0), ~flat & (disc <= 0.0),
+             ~np.isfinite(ends).all(axis=1),
+             angular_gaps(ends[:, 0], ends[:, 1]) < ANGLE_TOL], [1, 2, 3, 4])
 
 
-def geodesic_intersections(first, second, i, j):
-    """Disk coordinates (x, y) of the points where geodesic ``i[k]`` of
-    ``first`` crosses geodesic ``j[k]`` of ``second``, for pairs that
-    cross; ``first`` and ``second`` hold one row of endpoint angles per
-    geodesic.  Bit for bit ``to_disk(geodesic_intersection(...))`` of the
-    ``Geodesic.from_angles`` of the rows.  Carriers are computed once per
-    geodesic.  A degenerate pair raises what the scalar path raises, for
-    the first such k."""
+def _carrier_meets(first, second, i, j):
+    """Half-plane (x, y) where the carriers of geodesic ``i[k]`` of
+    ``first`` and ``j[k]`` of ``second`` (rows of any two endpoint angles)
+    meet; a carrier, a line at a finite end or a circle, is computed once
+    per geodesic.  The first pair that fails raises its row."""
     first, second = (np.asarray(ends, dtype=float).reshape(-1, 2)
                      for ends in (first, second))
     # boundary_from_angle per endpoint, with libm's sin and cos (see
@@ -833,8 +862,6 @@ def geodesic_intersections(first, second, i, j):
             for f in (math.sin, math.cos))
     with np.errstate(all="ignore"):
         u, v = np.where(s == 0.0, INF, -c / s).T
-        # _carrier: a line at the finite end, or a circle.  No geodesic has
-        # both ends at infinity: they would coincide.
         at_u = u == INF
         line = at_u | (v == INF)
         x0 = np.where(at_u, v, u)
@@ -856,18 +883,28 @@ def geodesic_intersections(first, second, i, j):
         x = np.where(one_line, x_line, x_circ)
         y2 = np.where(one_line, y2_line, y2_circ)
         y = np.sqrt(y2)
-        # A pair fails this test exactly when the scalar path raises on
-        # it: parallel, concentric and grazing carriers leave x or y
-        # non-finite or y at most 1e-12, and HPoint refuses the rest.  The
-        # first such pair goes through the scalar path, which raises.
+        # Exactly the pairs with a failure row fail this test: each row's
+        # case leaves x or y non-finite or y at most 1e-12.
         fine = np.isfinite(x) & np.isfinite(y) & (y > 1e-12)
         if not fine.all():
             bad = fine.argmin()
-            _carrier_meet(Geodesic.from_angles(*first[i[bad]].tolist()),
-                          Geodesic.from_angles(*second[j[bad]].tolist()))
-            raise NumericDegeneracyError(
-                f"pair {bad}: the scalar carriers meet, the array ones "
-                "do not")
+            at_both = at_u & (v == INF)
+            code = np.select(
+                [at_both[i] | at_both[k], line1 & line2,
+                 ~one_line & (cx1 == cx2), y2 <= 0.0,
+                 ~(np.isfinite(x) & np.isfinite(y))], [1, 2, 3, 4, 5], 6)
+            raise failure(_MEET_FAILURES, code[bad], y=float(y[bad]))
+    return x, y
+
+
+def geodesic_intersections(first, second, i, j):
+    """Disk coordinates (x, y) of the points where geodesic ``i[k]`` of
+    ``first`` crosses geodesic ``j[k]`` of ``second``, for pairs that
+    cross; ``first`` and ``second`` hold one row of endpoint angles per
+    geodesic.  Bit for bit ``to_disk(geodesic_intersection(...))`` of the
+    ``Geodesic.from_angles`` of the rows: the same meet, errors included."""
+    x, y = _carrier_meets(first, second, i, j)
+    with np.errstate(all="ignore"):
         # to_disk: (z - i)/(z + i).
         return _complex_quotient(x - 0.0, y - 1.0, x + 0.0, y + 1.0)
 
@@ -895,50 +932,13 @@ def geodesic_relation(g1: Geodesic, g2: Geodesic,
     return "cross" if (x < beta) != (y < beta) else "disjoint"
 
 
-def _carrier(g: Geodesic):
-    """Half-plane carrier: ('line', x0) or ('circle', center, radius)."""
-    u = g.a.boundary
-    v = g.b.boundary
-    if u == INF and v == INF:
-        raise NumericDegeneracyError("degenerate geodesic at infinity")
-    if u == INF:
-        return ("line", v)
-    if v == INF:
-        return ("line", u)
-    return ("circle", (u + v) / 2.0, abs(u - v) / 2.0)
-
-
 def geodesic_intersection(g1: Geodesic, g2: Geodesic,
                           tol: float = ANGLE_TOL) -> HPoint:
-    """Unique crossing point of two transverse geodesics."""
+    """Unique crossing point of two transverse geodesics, one meet."""
     if geodesic_relation(g1, g2, tol) != "cross":
         raise NoIntersectionError("geodesics do not cross")
-    return _carrier_meet(g1, g2)
-
-
-def _carrier_meet(g1: Geodesic, g2: Geodesic) -> HPoint:
-    """Where the carriers of two crossing geodesics meet."""
-    c1 = _carrier(g1)
-    c2 = _carrier(g2)
-    if c1[0] == "line" and c2[0] == "line":
-        raise NoIntersectionError("parallel vertical carriers")
-    if c1[0] == "line" or c2[0] == "line":
-        line, circ = (c1, c2) if c1[0] == "line" else (c2, c1)
-        x = line[1]
-        _, cx, r = circ
-        y2 = r * r - (x - cx) * (x - cx)
-        if y2 <= 0.0:
-            raise NumericDegeneracyError("carriers graze tangentially")
-        return HPoint(x, math.sqrt(y2))
-    _, cx1, r1 = c1
-    _, cx2, r2 = c2
-    if cx1 == cx2:
-        raise NumericDegeneracyError("concentric carriers")
-    x = (r1 * r1 - r2 * r2 + cx2 * cx2 - cx1 * cx1) / (2.0 * (cx2 - cx1))
-    y2 = r1 * r1 - (x - cx1) * (x - cx1)
-    if y2 <= 0.0:
-        raise NumericDegeneracyError("carriers graze tangentially")
-    return HPoint(x, math.sqrt(y2))
+    x, y = _carrier_meets(to_disk(g1), to_disk(g2), [0], [0])
+    return HPoint(x.item(), y.item())
 
 
 def to_disk(obj):

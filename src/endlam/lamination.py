@@ -731,8 +731,8 @@ def transversal_intersections(lam_plus: LaminationApprox,
 
     The crossing pairs come row-major from ``_crossing_pairs``, one sweep
     over the endpoints of both families, and their points from one
-    ``geodesic_intersections`` call, which equals the scalar
-    ``geodesic_intersection`` and ``to_disk`` per pair, errors included.
+    ``geodesic_intersections`` call, of which ``geodesic_intersection`` is
+    the one-pair form: the same carrier meet and failure rows.
     Two distinct geodesics meet at most once, so each pair contributes at
     most one point.  Leaves meeting nothing opposite are flagged.
     """

@@ -7,7 +7,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from endlam.errors import BudgetExceededError, ValidationError
+from endlam.errors import (
+    BudgetExceededError,
+    NoIntersectionError,
+    NumericDegeneracyError,
+    ValidationError,
+)
 from endlam.group import (
     DEFAULT_MAX_LETTERS,
     DEFAULT_MAX_WORDS,
@@ -24,13 +29,16 @@ from endlam.hyperbolic import (
     ANGLE_TOL_FLOOR,
     TRACE_TOL,
     TWO_PI,
+    INF,
     Geodesic,
+    HPoint,
     Isometry,
     angular_gap,
     angular_gaps,
     apply_isometry,
     axis,
     boundary_action,
+    boundary_from_angle,
     classify_isometry,
     first_distinct,
     to_disk,
@@ -470,6 +478,72 @@ def reference_extract(entries, tol, angle_tol=ANGLE_TOL):
         [c for c, k in zip(certificates, keep) if k], skipped)
 
 
+def reference_carrier(ends):
+    """Half-plane carrier of the geodesic with the endpoint angles ``ends``,
+    any two: ('line', x0) or ('circle', center, radius)."""
+    u, v = map(boundary_from_angle, ends)
+    if u == INF and v == INF:
+        raise NumericDegeneracyError("degenerate geodesic at infinity")
+    if u == INF:
+        return ("line", v)
+    if v == INF:
+        return ("line", u)
+    return ("circle", (u + v) / 2.0, abs(u - v) / 2.0)
+
+
+def reference_carrier_meet(ends1, ends2) -> HPoint:
+    """Where the carriers of the geodesics with the endpoint angles
+    ``ends1`` and ``ends2`` meet, one step at a time: the scalar meet that
+    ``hyperbolic.geodesic_intersections`` and ``geodesic_intersection``
+    replace, errors included."""
+    c1 = reference_carrier(ends1)
+    c2 = reference_carrier(ends2)
+    if c1[0] == "line" and c2[0] == "line":
+        raise NoIntersectionError("parallel vertical carriers")
+    if c1[0] == "line" or c2[0] == "line":
+        line, circ = (c1, c2) if c1[0] == "line" else (c2, c1)
+        x = line[1]
+        _, cx, r = circ
+        y2 = r * r - (x - cx) * (x - cx)
+        if y2 <= 0.0:
+            raise NumericDegeneracyError("carriers graze tangentially")
+        return HPoint(x, math.sqrt(y2))
+    _, cx1, r1 = c1
+    _, cx2, r2 = c2
+    if cx1 == cx2:
+        raise NumericDegeneracyError("concentric carriers")
+    x = (r1 * r1 - r2 * r2 + cx2 * cx2 - cx1 * cx1) / (2.0 * (cx2 - cx1))
+    y2 = r1 * r1 - (x - cx1) * (x - cx1)
+    if y2 <= 0.0:
+        raise NumericDegeneracyError("carriers graze tangentially")
+    return HPoint(x, math.sqrt(y2))
+
+
+def reference_orbit_point(m, p):
+    """``to_disk(apply_isometry(m, p))``, what ``hyperbolic.orbit_points``
+    gives per isometry, but for two steps.  A disk point that is not
+    finite raises NumericDegeneracyError.  And the one named exception to
+    the scalar outcome: where ``abs(c*z + d)`` overflows, apply_isometry
+    raises OverflowError though that denominator has not collapsed; here
+    its next steps, written out, decide."""
+    try:
+        q = apply_isometry(m, p)
+    except OverflowError:
+        z = p.as_complex()
+        w = (m.a * z + m.b) / (m.c * z + m.d)
+        try:
+            q = HPoint(w.real, w.imag)
+        except ValidationError as exc:
+            raise NumericDegeneracyError(
+                f"image of ({p.x}, {p.y}) collapsed onto the boundary"
+            ) from exc
+    x, y = to_disk(q)
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise NumericDegeneracyError(
+            f"image of ({p.x}, {p.y}) has no finite disk point")
+    return x, y
+
+
 class _ReferenceSample(LimitSetSample):
     def min_boundary_gap(self) -> float:
         """The smallest 1 - |p|, one point at a time."""
@@ -479,8 +553,9 @@ class _ReferenceSample(LimitSetSample):
 def reference_limit_set_sample(group, base, k, max_words=DEFAULT_MAX_WORDS,
                                angle_tol=ANGLE_TOL, trace_tol=TRACE_TOL):
     """``group.limit_set_sample`` as a loop over ``reference_ball``: one
-    orbit point, classification and axis per ball element, as it ran
-    before the ball's products, orbit points and axes were arrays; every
+    orbit point (``reference_orbit_point``), classification and axis per
+    ball element, as it ran before the ball's products, orbit points and
+    axes were arrays; every
     axis endpoint goes to ``first_distinct``, exact repeats included, and
     the gap is the smallest 1 - |p| point by point."""
     if k < 0:
@@ -489,7 +564,7 @@ def reference_limit_set_sample(group, base, k, max_words=DEFAULT_MAX_WORDS,
     orbit = []
     ends: list[float] = []
     for _, m in ball:
-        orbit.append(to_disk(apply_isometry(m, base)))
+        orbit.append(reference_orbit_point(m, base))
         if classify_isometry(m, trace_tol) == "hyperbolic":
             g = axis(m, trace_tol)
             ends.extend((g.a.theta, g.b.theta))

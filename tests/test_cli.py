@@ -152,6 +152,34 @@ class TestExitCodes:
                 "", f"flagged: image of {point} collapsed onto the "
                 "boundary\n")
 
+    def test_denominator_past_float_range_flagged(self, tmp_path, capsys):
+        # At the base point, a's denominator c*z + d has finite parts near
+        # 1.3e308 whose abs() overflows; the image, about 2.3e-300, lies on
+        # the boundary.
+        scene = tmp_path / "huge.json"
+        scene.write_text(json.dumps({
+            "group": {"a": [[3, 0], [1.3e300, 0.3333333333333333]],
+                      "b": [[2, 1], [1, 1]]},
+            "automorphism": {"forward": {"a": "a b", "b": "b"},
+                             "inverse": {"a": "a b^-1", "b": "b"}},
+            "junctures": [{"end": "e-", "sign": "-", "word": "a"}]}))
+        code = run_command(["limit-set", str(scene), "--base=1e8,1e8",
+                            "--depth", "1"])
+        assert (code, capsys.readouterr()) == (2, (
+            "", "flagged: image of (100000000.0, 100000000.0) collapsed "
+            "onto the boundary\n"))
+
+    def test_disk_point_past_float_range_flagged(self, schottky, tmp_path,
+                                                 capsys):
+        # (z - i)/(z + i) at z = 1e308 + 1e308i is nan + nan*i.
+        report = tmp_path / "report.json"
+        code = run_command(["limit-set", str(schottky), "--base=1e308,1e308",
+                            "--depth", "0", "--json", str(report)])
+        assert (code, capsys.readouterr()) == (2, (
+            "", "flagged: image of (1e+308, 1e+308) has no finite disk "
+            "point\n"))
+        assert not report.exists()
+
     def test_markov_without_block(self, schottky, capsys):
         assert run_command(["markov", "verify", str(schottky)]) == 1
         assert "no markov block" in capsys.readouterr().err

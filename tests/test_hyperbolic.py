@@ -15,9 +15,11 @@ from endlam.errors import (
     NumericDegeneracyError,
     ValidationError,
 )
-from endlam.group import FuchsianGroup
+from endlam.group import FuchsianGroup, limit_set_sample
 from endlam.hyperbolic import (
     ANGLE_TOL,
+    AXIS_FAILURES,
+    ORBIT_FAILURES,
     TWO_PI,
     Geodesic,
     HPoint,
@@ -32,6 +34,7 @@ from endlam.hyperbolic import (
     boundary_action,
     boundary_images,
     classify_isometry,
+    failure,
     first_distinct,
     geodesic_intersection,
     geodesic_intersections,
@@ -46,7 +49,12 @@ from endlam.hyperbolic import (
 from endlam.lamination import juncture_orbit
 from endlam.scene import load_scene, scene_path
 
-from conftest import reference_ball, sequential_first_distinct
+from conftest import (
+    reference_ball,
+    reference_carrier_meet,
+    reference_orbit_point,
+    sequential_first_distinct,
+)
 
 
 def iso(rows):
@@ -421,14 +429,42 @@ def point_outcome(func):
 
 
 class TestGeodesicIntersections:
-    """``geodesic_intersections`` against ``to_disk`` of the scalar
-    ``geodesic_intersection`` per crossing pair."""
+    """``geodesic_intersections`` against ``to_disk`` of the scalar carrier
+    meet, ``conftest.reference_carrier_meet``, per pair of raw endpoint
+    angles, and ``geodesic_intersection`` against it per crossing pair."""
 
-    # Angle 0 is the point at infinity (a vertical carrier); endpoints a
-    # hair from it give huge carriers that graze or overflow.
-    ANGLES = [0.0, 1e-300, 1e-13, 3e-13, 1e-9, math.nextafter(TWO_PI, 0),
-              TWO_PI - 1e-13, TWO_PI - 1e-9, math.pi,
-              math.nextafter(math.pi, 0)]
+    # Angle 0 (and 2*pi) is the point at infinity (a vertical carrier);
+    # endpoints a hair from it give huge carriers that graze or overflow.
+    ANGLES = [0.0, TWO_PI, 1e-300, 1e-13, 3e-13, 1e-9,
+              math.nextafter(TWO_PI, 0), TWO_PI - 1e-13, TWO_PI - 1e-9,
+              math.pi, math.nextafter(math.pi, 0)]
+    # Offsets from an endpoint already drawn: repeated and ulp-close
+    # endpoints give concentric, grazing and tiny carriers.
+    NEAR = [0.0, 1e-13, -3e-13, 2e-12, -1e-11]
+    FAILURES = {"degenerate geodesic at infinity",
+                "parallel vertical carriers", "concentric carriers",
+                "carriers graze tangentially",
+                "half-plane coordinates must be finite", "y = "}
+
+    @classmethod
+    def raw_pairs(cls, seed, count):
+        """Pairs of endpoint-angle pairs in [0, 2*pi], unchecked: ends may
+        coincide, both lie at infinity, and the two need not cross."""
+        rng = random.Random(seed)
+        pairs = []
+        for _ in range(count):
+            ends = []
+            for _ in range(4):
+                x = rng.random()
+                if x < 0.4:
+                    ends.append(rng.choice(cls.ANGLES))
+                elif x < 0.7 or not ends:
+                    ends.append(rng.uniform(0.0, TWO_PI))
+                else:
+                    ends.append(min(TWO_PI, max(0.0, rng.choice(ends)
+                                                + rng.choice(cls.NEAR))))
+            pairs.append((tuple(ends[:2]), tuple(ends[2:])))
+        return pairs
 
     @classmethod
     def crossing_pairs(cls, seed, count):
@@ -447,44 +483,57 @@ class TestGeodesicIntersections:
         return pairs
 
     @staticmethod
-    def reference(g1, g2):
-        return point_outcome(lambda: to_disk(geodesic_intersection(g1, g2)))
+    def reference(ends1, ends2):
+        return point_outcome(
+            lambda: to_disk(reference_carrier_meet(ends1, ends2)))
 
-    @staticmethod
-    def angles(geodesics):
-        return [(g.a.theta, g.b.theta) for g in geodesics]
+    @classmethod
+    def failures_reached(cls, outcomes):
+        return {o[1][:4] if o[1].startswith("y = ") else o[1]
+                for o in outcomes if isinstance(o, tuple)}
 
     def test_each_pair_alone(self):
         outcomes = []
-        for g1, g2 in self.crossing_pairs(3, 1500):
+        for ends1, ends2 in self.raw_pairs(3, 2000):
             got = point_outcome(lambda: (
                 float(t[0]) for t in geodesic_intersections(
-                    self.angles([g1]), self.angles([g2]), [0], [0])))
-            assert got == self.reference(g1, g2)
+                    [ends1], [ends2], [0], [0])))
+            assert got == self.reference(ends1, ends2)
             outcomes.append(got)
-        # Points, and both errors the pool reaches.
-        assert {o[1] for o in outcomes if isinstance(o, tuple)} == {
+        # Points, and every failure row.
+        assert self.failures_reached(outcomes) == self.FAILURES
+        assert sum(isinstance(o, list) for o in outcomes) > 200
+
+    def test_one_pair_form(self):
+        outcomes = []
+        for g1, g2 in self.crossing_pairs(3, 1500):
+            got = point_outcome(lambda: to_disk(geodesic_intersection(g1,
+                                                                      g2)))
+            assert got == self.reference(to_disk(g1), to_disk(g2))
+            outcomes.append(got)
+        # Points, and both failures crossing pairs reach.
+        assert self.failures_reached(outcomes) == {
             "carriers graze tangentially",
             "half-plane coordinates must be finite"}
         assert sum(isinstance(o, list) for o in outcomes) > 500
 
     def test_pairs_at_once(self):
-        pairs = [(g1, g2) for g1, g2 in self.crossing_pairs(5, 3000)
-                 if isinstance(self.reference(g1, g2), list)]
+        pairs = [(e1, e2) for e1, e2 in self.raw_pairs(5, 6000)
+                 if isinstance(self.reference(e1, e2), list)]
         # The first family in reverse order, so that i and j differ.
-        first = self.angles(g1 for g1, _ in reversed(pairs))
-        second = self.angles(g2 for _, g2 in pairs)
+        first = [e1 for e1, _ in reversed(pairs)]
+        second = [e2 for _, e2 in pairs]
         k = np.arange(len(pairs))
         x, y = geodesic_intersections(first, second, k[::-1], k)
         assert [bits(p) for p in zip(x, y)] == [
-            self.reference(g1, g2) for g1, g2 in pairs]
+            self.reference(e1, e2) for e1, e2 in pairs]
         assert geodesic_intersections(first, second, [], [])[0].size == 0
         assert geodesic_intersections([], [], [], [])[0].size == 0
 
     def test_first_degenerate_pair_raises(self):
-        pairs = self.crossing_pairs(7, 400)
-        outcomes = [self.reference(g1, g2) for g1, g2 in pairs]
-        assert len({o for o in outcomes if isinstance(o, tuple)}) == 2
+        pairs = self.raw_pairs(7, 400)
+        outcomes = [self.reference(e1, e2) for e1, e2 in pairs]
+        assert self.failures_reached(outcomes) == self.FAILURES
         for last in range(len(pairs)):
             ref = next((o for o in outcomes[:last + 1]
                         if isinstance(o, tuple)), None)
@@ -492,21 +541,10 @@ class TestGeodesicIntersections:
                 continue
             with pytest.raises(ref[0]) as info:
                 geodesic_intersections(
-                    self.angles(g1 for g1, _ in pairs[:last + 1]),
-                    self.angles(g2 for _, g2 in pairs[:last + 1]),
+                    [e1 for e1, _ in pairs[:last + 1]],
+                    [e2 for _, e2 in pairs[:last + 1]],
                     range(last + 1), range(last + 1))
             assert str(info.value) == ref[1]
-
-    def test_pair_the_scalar_path_places_still_raises(self, monkeypatch):
-        # A pair the array test rejects never passes through silently,
-        # even if the scalar carrier code returned a point for it.
-        g1, g2 = next((g1, g2) for g1, g2 in self.crossing_pairs(7, 400)
-                      if isinstance(self.reference(g1, g2), tuple))
-        monkeypatch.setattr(hyperbolic, "_carrier_meet",
-                            lambda g1, g2: HPoint(0.0, 1.0))
-        with pytest.raises(NumericDegeneracyError, match="pair 0"):
-            geodesic_intersections(self.angles([g1]), self.angles([g2]),
-                                   [0], [0])
 
 
 def outcome_bits(func):
@@ -588,39 +626,40 @@ class TestBallProducts:
                            match=r"^product determinant collapsed to 0\.0$"):
             ball_products(singular, 1)
 
-    def test_product_the_scalar_path_takes_still_raises(self, monkeypatch):
-        singular = [Isometry._raw(1.0, 1.0, 1.0, 1.0)] * 2
-        monkeypatch.setattr(Isometry, "compose", lambda self, other: other)
-        with pytest.raises(NumericDegeneracyError, match="product 0"):
-            ball_products(singular, 1)
+
+def failure_outcome(table, code, **fields):
+    """The type and message of the error of a kernel's failure code."""
+    exc = failure(table, code, **fields)
+    return type(exc), str(exc)
 
 
 class TestOrbitPoints:
-    """``orbit_points`` against ``to_disk(apply_isometry(g, p))``."""
+    """``orbit_points`` against ``conftest.reference_orbit_point``, which is
+    ``to_disk(apply_isometry(g, p))`` but for one named exception."""
 
     BASES = [HPoint(0.0, 1.0), HPoint(-0.0, 1.0), HPoint(0.3, 1.2),
              HPoint(-1.7, 0.4), HPoint(0.0, 2e-12), HPoint(1e308, 1.0),
-             HPoint(0.0, 1e300), HPoint(-1e8, 1e-8), HPoint(0.0, 1e-11)]
+             HPoint(0.0, 1e300), HPoint(-1e8, 1e-8), HPoint(0.0, 1e-11),
+             HPoint(1e8, 1e8), HPoint(1e308, 1e308)]
 
     @staticmethod
     def check(isometries, p):
-        """The array points where the mask vouches for them, and the scalar
-        outcome of every isometry; a masked-out one that passes the scalar
-        path must have the array point."""
-        x, y, fine = orbit_points(*entries(isometries), p)
-        ref = [outcome_bits(lambda: to_disk(apply_isometry(m, p)))
+        """Each isometry's array point, or the row its failure code names,
+        against the reference outcome."""
+        x, y, fail = orbit_points(*entries(isometries), p)
+        got = [failure_outcome(ORBIT_FAILURES, code, x=p.x, y=p.y) if code
+               else bits(point) for point, code in zip(zip(x, y),
+                                                       fail.tolist())]
+        ref = [outcome_bits(lambda: reference_orbit_point(m, p))
                for m in isometries]
-        got = [bits(pair) for pair in zip(x, y)]
-        for r, g, ok in zip(ref, got, fine):
-            assert r == g if ok else (isinstance(r, tuple) or r == g)
-        return ref, fine
+        assert got == ref
+        return ref
 
     @pytest.mark.parametrize("p", BASES, ids=repr)
     def test_ball_of_schottky_ab(self, p):
         group = FuchsianGroup("ab", (iso([[4, 0], [0, 0.25]]),
                                      iso([[2, 1], [1, 1]])))
-        ref, fine = self.check([m for _, m in reference_ball(group, 5)], p)
-        assert [isinstance(r, list) for r in ref] == fine.tolist()
+        self.check([m for _, m in reference_ball(group, 5)], p)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(RAW, min_size=1, max_size=20),
@@ -628,26 +667,43 @@ class TestOrbitPoints:
                      st.builds(HPoint, st.floats(-1e3, 1e3),
                                st.floats(1e-11, 1e3))))
     @example([Isometry._raw(1.0, 0.0, 1e-3, 1e-15)], HPoint(0.0, 2e-12))
+    @example([Isometry._raw(3.0, 0.0, 1.3e300, 1.0 / 3.0)], HPoint(1e8, 1e8))
     def test_arbitrary_matrices(self, isometries, p):
         self.check(isometries, p)
 
     def test_both_errors_come_through(self):
-        # The last image lies at y = 1e-12 exactly, which HPoint refuses.
-        ref, fine = self.check([Isometry._raw(1.0, 0.0, 1e-3, 1e-15),
-                                Isometry._raw(1e-200, 0.0, 0.0, 1.0),
-                                Isometry._raw(0.5, 0.0, 0.0, 1.0)],
-                               HPoint(0.0, 2e-12))
+        # The second image lies at y = 1e-12 exactly, which HPoint refuses.
+        ref = self.check([Isometry._raw(1.0, 0.0, 1e-3, 1e-15),
+                          Isometry._raw(1e-200, 0.0, 0.0, 1.0),
+                          Isometry._raw(0.5, 0.0, 0.0, 1.0),
+                          Isometry._raw(1.0, 0.0, 0.0, 1.0)],
+                         HPoint(0.0, 2e-12))
         collapsed = (NumericDegeneracyError,
                      "image of (0.0, 2e-12) collapsed onto the boundary")
-        assert ref == [
+        assert ref[:3] == [
             (NumericDegeneracyError, "denominator c*z + d collapsed"),
             collapsed, collapsed]
-        assert not fine.any()
+        assert isinstance(ref[3], list)
+
+    def test_past_float_range(self):
+        # |c*z + d| = 1.8e308 overflows abs(), not the parts; the image,
+        # about 2.3e-300 * (1 + 0i), lies on the boundary.
+        m, p = Isometry._raw(3.0, 0.0, 1.3e300, 1.0 / 3.0), HPoint(1e8, 1e8)
+        with pytest.raises(OverflowError, match="absolute value too large"):
+            apply_isometry(m, p)
+        assert self.check([m], p) == [(
+            NumericDegeneracyError,
+            "image of (100000000.0, 100000000.0) collapsed onto the "
+            "boundary")]
+        # (z - i)/(z + i) is nan + nan*i at z = 1e308 + 1e308i.
+        assert self.check([Isometry.identity()], HPoint(1e308, 1e308)) == [(
+            NumericDegeneracyError,
+            "image of (1e+308, 1e+308) has no finite disk point")]
 
 
 class TestAxisAngles:
     """``is_hyperbolic`` and ``axis_angles`` against ``classify_isometry``
-    and ``to_disk(axis(g))``."""
+    and ``to_disk(axis(g))``, errors included."""
 
     @staticmethod
     def check(isometries, trace_tol=1e-9):
@@ -655,12 +711,12 @@ class TestAxisAngles:
         assert hyp.tolist() == [classify_isometry(m, trace_tol) == "hyperbolic"
                                 for m in isometries]
         chosen = [m for m, h in zip(isometries, hyp) if h]
-        ends, fine = axis_angles(*entries(chosen))
+        ends, fail = axis_angles(*entries(chosen))
+        got = [failure_outcome(AXIS_FAILURES, code) if code else bits(row)
+               for row, code in zip(ends, fail.tolist())]
         ref = [outcome_bits(lambda: to_disk(axis(m, trace_tol)))
                for m in chosen]
-        assert [isinstance(r, list) for r in ref] == fine.tolist()
-        assert [r for r in ref if isinstance(r, list)] == [
-            bits(row) for row in ends[fine]]
+        assert got == ref
         return ref
 
     def test_random_hyperbolic(self):
@@ -678,16 +734,19 @@ class TestAxisAngles:
 
     def test_every_error_comes_through(self):
         # c == 0 with d == a (b / 0.0 is +inf or -inf in numpy), a
-        # negative discriminant, and fixed points 0 and 1e-10, whose angles
-        # lie 2e-10 apart.
+        # negative discriminant, a discriminant that overflows to nan
+        # (inf - inf), which passes the test for <= 0 to nan endpoints, and
+        # fixed points 0 and 1e-10, whose angles lie 2e-10 apart.
         ref = self.check([Isometry._raw(3.0, 1.0, 0.0, 3.0),
                           Isometry._raw(3.0, -1.0, 0.0, 3.0),
                           Isometry._raw(3.0, 1.0, -10.0, 3.0),
+                          Isometry._raw(1e200, 1e200, -1e200, 1.0),
                           Isometry(0.5, 0.0, -1.5e10, 2.0)])
         assert ref == [
             (ZeroDivisionError, "float division by zero"),
             (ZeroDivisionError, "float division by zero"),
             (NotHyperbolicError, "no real axis: discriminant <= 0"),
+            (ValidationError, "ideal point angle must be finite"),
             (ValidationError, "geodesic endpoints coincide")]
 
     def test_near_identity_is_not_hyperbolic(self):
@@ -696,6 +755,56 @@ class TestAxisAngles:
         m = Isometry._raw(1.0 + 5e-13, 0.0, 0.0, 1.0 + 5e-13)
         assert classify_isometry(m, 1e-13) == "identity"
         assert self.check([m], 1e-13) == []
+
+
+def test_no_array_path_calls_a_scalar_twin(monkeypatch):
+    # Every scalar form an array kernel once handed an element to raises
+    # here; the array paths still give their pinned errors.
+    schottky = FuchsianGroup("ab", (iso([[4, 0], [0, 0.25]]),
+                                    iso([[2, 1], [1, 1]])))
+    huge = FuchsianGroup("ab", (iso([[3, 0], [1.3e300, 1.0 / 3.0]]),
+                                iso([[2, 1], [1, 1]])))
+    flat_axis = FuchsianGroup("a", (Isometry(0.5, 0.0, -1.5e10, 2.0),))
+
+    def twin(*args, **kwargs):
+        raise AssertionError("an array path called a scalar twin")
+
+    monkeypatch.setattr(Isometry, "compose", twin)
+    for name in ("apply_isometry", "classify_isometry", "axis",
+                 "geodesic_intersection", "geodesic_relation"):
+        monkeypatch.setattr(hyperbolic, name, twin)
+        # Also where group would look a name up, had it imported it.
+        monkeypatch.setattr(f"endlam.group.{name}", twin, raising=False)
+    overflow = [Isometry._raw(1e200, 0.0, 0.0, 1e-200)]
+    overflow.append(overflow[0].inverse())
+    singular = [Isometry._raw(1.0, 1.0, 1.0, 1.0)] * 2
+    for call, error, message in [
+            (lambda: ball_products(overflow, 2), NumericDegeneracyError,
+             "isometry product overflowed"),
+            (lambda: ball_products(singular, 1), NumericDegeneracyError,
+             "product determinant collapsed to 0.0"),
+            (lambda: limit_set_sample(schottky, HPoint(0.0, 2e-12), 1),
+             NumericDegeneracyError,
+             "image of (0.0, 2e-12) collapsed onto the boundary"),
+            (lambda: limit_set_sample(huge, HPoint(1e8, 1e8), 1),
+             NumericDegeneracyError,
+             "image of (100000000.0, 100000000.0) collapsed onto the "
+             "boundary"),
+            (lambda: limit_set_sample(schottky, HPoint(1e308, 1e308), 0),
+             NumericDegeneracyError,
+             "image of (1e+308, 1e+308) has no finite disk point"),
+            (lambda: limit_set_sample(flat_axis, HPoint(0.0, 1e-10), 1),
+             ValidationError, "geodesic endpoints coincide"),
+            (lambda: geodesic_intersections([(0.0, 1.0)], [(TWO_PI, 2.0)],
+                                            [0], [0]),
+             NoIntersectionError, "parallel vertical carriers"),
+            (lambda: geodesic_intersections([(1.0, 2.0)], [(2.0, 1.0)],
+                                            [0], [0]),
+             NumericDegeneracyError, "concentric carriers")]:
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == message
+    assert limit_set_sample(schottky, HPoint(0.0, 1.0), 3).words == 53
 
 
 class TestAngleSet:

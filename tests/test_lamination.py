@@ -37,7 +37,6 @@ from endlam.hyperbolic import (
     angular_gaps,
     axis,
     boundary_action,
-    geodesic_intersection,
     geodesic_relation,
     to_disk,
 )
@@ -81,6 +80,7 @@ from conftest import (
     reference_crossing_pairs,
     reference_extract,
     reference_ball,
+    reference_carrier_meet,
     reference_jsonable,
     reference_merge,
     schottky_conjugate_data,
@@ -489,7 +489,8 @@ def reference_intersections(plus, minus, tol):
             if geodesic_relation(gp, gm, tol) == "cross":
                 met_plus.add(i)
                 met_minus.add(j)
-                x, y = to_disk(geodesic_intersection(gp, gm, tol))
+                x, y = to_disk(reference_carrier_meet(to_disk(gp),
+                                                      to_disk(gm)))
                 points.append((i, j, x, y))
     return (points,
             [i for i in range(len(plus)) if i not in met_plus],
