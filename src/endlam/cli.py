@@ -37,7 +37,6 @@ from .group import Word, limit_set_sample
 from .hyperbolic import HPoint
 from .lamination import (
     DEFAULT_ESCAPE_HORIZON,
-    DEFAULT_GROWTH_RATIO,
     AxiomParams,
     CertificateTable,
     _laminate,
@@ -507,12 +506,10 @@ def cmd_laminate(scene, params, args):
 
 def cmd_escape(scene, params, args):
     reports = [escape_test(scene, j, horizon=params.horizon,
-                           growth_ratio=args.growth_ratio,
                            max_letters=params.max_letters,
                            trace_tol=params.trace_tol)
                for j in scene.junctures]
-    print(f"scene: {scene.name} (horizon {params.horizon}, "
-          f"growth ratio {args.growth_ratio:g})")
+    print(f"scene: {scene.name} (horizon {params.horizon})")
     labels = numbered_labels([rep.juncture for rep in reports])
     for rep, label in zip(reports, labels):
         first, last = rep.rows[0].length, rep.rows[-1].length
@@ -673,8 +670,6 @@ def _add_laminate(sub):
 def _add_escape(sub):
     p = _command(sub, "escape", cmd_escape,
                  "translation-length escape dichotomy")
-    p.add_argument("--growth-ratio", type=float,
-                   default=DEFAULT_GROWTH_RATIO)
     p.add_argument("--verbose", action="store_true",
                    help="print the full length table")
     _add_flags(p, ("horizon", "trace_tol", "max_letters", "json"),

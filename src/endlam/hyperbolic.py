@@ -556,7 +556,8 @@ def apply_isometry(m: Isometry, p: HPoint) -> HPoint:
     """Mobius action (a*z + b)/(c*z + d) on the half-plane."""
     z = p.as_complex()
     den = m.c * z + m.d
-    if abs(den) < 1e-14:
+    # abs() can overflow; a part of 1e-14 or more rules a collapse out.
+    if max(abs(den.real), abs(den.imag)) < 1e-14 and abs(den) < 1e-14:
         raise NumericDegeneracyError("denominator c*z + d collapsed")
     w = (m.a * z + m.b) / den
     try:

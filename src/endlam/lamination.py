@@ -60,7 +60,6 @@ CONTRACTION_RATIO = 0.5
 DEFAULT_TOL = 1e-6
 DEFAULT_HORIZON = 12
 DEFAULT_BALL = 3
-DEFAULT_GROWTH_RATIO = 1.5
 DEFAULT_ESCAPE_HORIZON = 20
 
 
@@ -350,11 +349,6 @@ def _converging_iterates(juncture: JunctureSpec, horizon: int) -> list[int]:
     return [direction * step for step in range(horizon + 1)]
 
 
-def _require_finite(what: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ValidationError(f"{what} must be finite, got {value:g}")
-
-
 @dataclass
 class EscapeRow:
     iterate: int
@@ -368,46 +362,52 @@ class EscapeReport:
     sign: str
     verdict: str                 # 'escaping' | 'non-escaping' | 'inconclusive'
     rows: list[EscapeRow]
-    growth_ratio: float
+    period: int | None           # least 1 <= |n| <= horizon, phi^n[w] = [w]
     horizon: int
 
 
 def escape_test(scene, juncture: JunctureSpec,
                 horizon: int = DEFAULT_ESCAPE_HORIZON,
-                growth_ratio: float = DEFAULT_GROWTH_RATIO,
                 max_letters: int = DEFAULT_MAX_LETTERS,
                 trace_tol: float = TRACE_TOL) -> EscapeReport:
-    """Translation-length dichotomy along the juncture's growth direction.
+    """The exact dichotomy of the juncture's conjugacy class [w] along its
+    growth direction: under an automorphism a class either repeats or
+    grows without bound.
 
-    Bounded lengths over the horizon read as escaping; growth past the
-    ratio with a monotone tail reads as non-escaping; anything else is
-    inconclusive.
+    phi permutes classes, so [w] is periodic exactly when some phi^n(w),
+    1 <= |n| <= horizon, has a cyclic core that is a rotation of w's: the
+    verdict is escaping, with the first such |n| as ``period``.  Otherwise
+    the exact cyclic lengths decide: non-escaping when they end longer
+    than they start and never fall over the tail window, else
+    inconclusive.  The rows' float translation lengths decide nothing.
     """
     if horizon < 3:
         raise ValidationError("escape horizon must be at least 3")
-    if not growth_ratio > 1:
-        raise ValidationError(
-            f"escape growth ratio must exceed 1, got {growth_ratio:g}")
-    _require_finite("escape growth ratio", growth_ratio)
-    iterates = _converging_iterates(juncture, horizon)
-    # Translation length depends only on the conjugacy class, so the core
-    # alone gives it.
-    rows = [EscapeRow(iterate=n, word_length=len(word_n),
-                      length=translation_length(core_m, trace_tol))
-            for n, word_n, _, core_m in _iterate_cores(
-                scene, juncture, iterates, max_letters, trace_tol)]
-    lengths = [r.length for r in rows]
-    base = lengths[0]
-    if all(ell <= growth_ratio * base for ell in lengths):
-        verdict = "escaping"
-    else:
-        tail = lengths[-(max(2, horizon // 2) + 1):]
-        grew = lengths[-1] / base > growth_ratio
-        monotone = all(b >= a for a, b in zip(tail, tail[1:]))
-        verdict = "non-escaping" if (grew and monotone) else "inconclusive"
+    rows, cyclic, period = [], [], None
+    for n, word_n, conj, core_m in _iterate_cores(
+            scene, juncture, _converging_iterates(juncture, horizon),
+            max_letters, trace_tol):
+        # Translation length depends only on the conjugacy class, so the
+        # core alone gives it.
+        rows.append(EscapeRow(iterate=n, word_length=len(word_n),
+                              length=translation_length(core_m, trace_tol)))
+        cyclic.append(len(word_n) - 2 * len(conj))
+        if n == 0 or (period is None and cyclic[-1] == cyclic[0]):
+            # One character per letter, so a match is a rotation.
+            core = "".join([chr(x % 0x110000) for x in
+                            word_n.letters[len(conj):len(word_n) - len(conj)]])
+            if n == 0:
+                twice = core * 2
+            elif core in twice:
+                period = abs(n)
+    tail = cyclic[-(max(2, horizon // 2) + 1):]
+    rising = all(b >= a for a, b in zip(tail, tail[1:]))
+    verdict = ("escaping" if period is not None else
+               "non-escaping" if rising and cyclic[-1] > cyclic[0] else
+               "inconclusive")
     return EscapeReport(juncture=juncture.end, sign=juncture.sign,
-                        verdict=verdict, rows=rows,
-                        growth_ratio=growth_ratio, horizon=horizon)
+                        verdict=verdict, rows=rows, period=period,
+                        horizon=horizon)
 
 
 @dataclass(eq=False)
@@ -775,7 +775,8 @@ class AxiomParams:
             if not value > 0:
                 raise ValidationError(
                     f"{what} must be positive, got {value:g}")
-            _require_finite(what, value)
+            if not math.isfinite(value):
+                raise ValidationError(f"{what} must be finite, got {value:g}")
         if self.angle_tol < ANGLE_TOL_FLOOR:
             raise ValidationError(
                 f"angle tolerance must be at least {ANGLE_TOL_FLOOR:g}, "

@@ -522,22 +522,8 @@ def reference_carrier_meet(ends1, ends2) -> HPoint:
 def reference_orbit_point(m, p):
     """``to_disk(apply_isometry(m, p))``, what ``hyperbolic.orbit_points``
     gives per isometry, but for two steps.  A disk point that is not
-    finite raises NumericDegeneracyError.  And the one named exception to
-    the scalar outcome: where ``abs(c*z + d)`` overflows, apply_isometry
-    raises OverflowError though that denominator has not collapsed; here
-    its next steps, written out, decide."""
-    try:
-        q = apply_isometry(m, p)
-    except OverflowError:
-        z = p.as_complex()
-        w = (m.a * z + m.b) / (m.c * z + m.d)
-        try:
-            q = HPoint(w.real, w.imag)
-        except ValidationError as exc:
-            raise NumericDegeneracyError(
-                f"image of ({p.x}, {p.y}) collapsed onto the boundary"
-            ) from exc
-    x, y = to_disk(q)
+    finite raises NumericDegeneracyError."""
+    x, y = to_disk(apply_isometry(m, p))
     if not (math.isfinite(x) and math.isfinite(y)):
         raise NumericDegeneracyError(
             f"image of ({p.x}, {p.y}) has no finite disk point")

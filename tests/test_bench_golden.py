@@ -9,7 +9,8 @@ the bytes of each file its ``--out``/``--json`` flags name (absent files
 as null).
 
 Regenerate only when an output change is intended, from the repo root:
-``PYTHONPATH=src python tests/test_bench_golden.py``.
+``PYTHONPATH=src python tests/test_bench_golden.py``, which prints the
+key, index and argv of every job whose digest changed.
 """
 
 import contextlib
@@ -63,9 +64,12 @@ def job_digest(job, work: Path) -> str:
         str(work), "<work>").encode()).hexdigest()
 
 
-def digests(workload: str, seed: int, work: Path) -> list[str]:
+def digests(workload: str, seed: int, work: Path) -> list[tuple[str, str]]:
+    """(argv, digest) of each job in job order, the argv joined by spaces
+    with the work directory shown as ``<work>``."""
     jobs = inputs.generate(workload, seed, SCENES, work)
-    return [job_digest(job, work) for job in jobs]
+    return [(" ".join(job["argv"]).replace(str(work), "<work>"),
+             job_digest(job, work)) for job in jobs]
 
 
 @pytest.mark.parametrize("workload, seed", CASES)
@@ -74,14 +78,30 @@ def test_jobs_match_golden(workload, seed, tmp_path):
         f"{workload}/{seed}"]
     got = digests(workload, seed, tmp_path)
     assert len(got) == len(expected)
-    assert [i for i, (a, b) in enumerate(zip(got, expected)) if a != b] == []
+    moved = [f"job {i}: {argv}" for i, ((argv, digest), pinned)
+             in enumerate(zip(got, expected)) if digest != pinned]
+    assert not moved, "digests moved:\n" + "\n".join(moved)
 
 
 def _regenerate() -> None:
+    """Rewrite the golden file, printing each job whose digest changed:
+    its ``workload/seed`` key, its index and its argv."""
+    old = json.loads(GOLDEN.read_text(encoding="utf-8"))
     table = {}
     for workload, seed in CASES:
+        key = f"{workload}/{seed}"
         with tempfile.TemporaryDirectory() as tmp:
-            table[f"{workload}/{seed}"] = digests(workload, seed, Path(tmp))
+            jobs = digests(workload, seed, Path(tmp))
+        table[key] = [digest for _, digest in jobs]
+        pinned = old.get(key, [])
+        for i, (argv, digest) in enumerate(jobs):
+            if i >= len(pinned) or pinned[i] != digest:
+                print(f"changed {key} job {i}: {argv}", file=sys.stderr)
+        if len(pinned) > len(jobs):
+            print(f"removed {key} jobs {len(jobs)}-{len(pinned) - 1}",
+                  file=sys.stderr)
+    for key in [key for key in old if key not in table]:
+        print(f"removed {key}", file=sys.stderr)
     GOLDEN.write_text(json.dumps(table, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN}: {sum(map(len, table.values()))} jobs",
           file=sys.stderr)

@@ -929,6 +929,7 @@ class TestEscape:
         assert len(data["reports"]) == 2
         assert len(data["reports"][0]["rows"]) == 7
         assert data["reports"][0]["verdict"] == "escaping"
+        assert [r["period"] for r in data["reports"]] == [1, 1]
 
     def test_shared_end_label_gets_numbered_rows(self, tmp_path, capsys):
         # As the SVG group ids: the two e- rows are numbered in scene
@@ -947,27 +948,48 @@ class TestEscape:
         data = json.loads(report.read_text())
         assert [r["juncture"] for r in data["reports"]] == ["e-", "e+", "e-"]
 
-    def test_growth_ratio_at_most_one_rejected(self, inner, capsys):
-        assert run_command(["escape", str(inner),
-                            "--growth-ratio", "0.5"]) == 1
+    def test_growth_ratio_is_a_usage_error(self, capsys):
+        assert run_command(["escape", "S", "--growth-ratio", "1.5"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "error: escape growth ratio must exceed 1, got 0.5\n"
+        assert err.startswith("usage: endlam escape")
+
+    @staticmethod
+    def run_on_word(word, horizon, tmp_path, capsys):
+        """Run escape on schottky_ab with the one juncture e- on ``word``:
+        the exit code, the juncture's stdout line and its --json report."""
+        raw = schottky_conjugate_data(None)
+        raw["junctures"] = [{"end": "e-", "sign": "-", "word": word}]
+        scene, report = tmp_path / "scene.json", tmp_path / "escape.json"
+        scene.write_text(json.dumps(raw))
+        code = run_command(["escape", str(scene), "--horizon", str(horizon),
+                            "--json", str(report)])
+        line, = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("juncture ")]
+        data, = json.loads(report.read_text())["reports"]
+        return code, line, data
 
     def test_inconclusive_exits_two(self, tmp_path, capsys):
-        scene = {
-            "metadata": {"name": "swap", "description": ""},
-            "group": {"a": [[2, 0], [0, 0.5]],
-                      "b": [[8, 0.5], [0.5, 0.25]]},
-            "automorphism": {"forward": {"a": "b", "b": "a"},
-                             "inverse": {"a": "b", "b": "a"}},
-            "junctures": [
-                {"end": "e-", "sign": "-", "word": "a", "period": 1}
-            ],
-        }
-        path = tmp_path / "swap.json"
-        path.write_text(json.dumps(scene))
-        assert run_command(["escape", str(path), "--horizon", "3"]) == 2
+        # The cyclic lengths of a b^-5 fall, 6, 5, 4, 3, and the class
+        # does not repeat.
+        code, line, data = self.run_on_word("a b^-1 b^-1 b^-1 b^-1 b^-1", 3,
+                                            tmp_path, capsys)
+        assert code == 2
+        assert line.startswith("juncture e- (sign -): inconclusive;")
+        assert (data["verdict"], data["period"]) == ("inconclusive", None)
+
+    @pytest.mark.parametrize("word, horizon", [
+        # Cyclic lengths 6, 5, ..., 1 at n = 5, then 2, ..., 16 at n = 20.
+        ("a b^-1 b^-1 b^-1 b^-1 b^-1", 20),
+        # 11, 12, 13, 14.
+        ("a b b b b b b b b b b", 3),
+    ])
+    def test_growing_cyclic_lengths_non_escaping(self, word, horizon,
+                                                 tmp_path, capsys):
+        code, line, data = self.run_on_word(word, horizon, tmp_path, capsys)
+        assert code == 0
+        assert line.startswith("juncture e- (sign -): non-escaping;")
+        assert (data["verdict"], data["period"]) == ("non-escaping", None)
 
 
 class TestAxioms:
@@ -1289,16 +1311,14 @@ class TestRunRanges:
         assert err == "error: horizon must be nonnegative, got -1\n"
 
     @pytest.mark.parametrize("command, flag, what", [
-        ("escape", "--growth-ratio", "escape growth ratio"),
         ("laminate", "--tol", "chain tolerance"),
         ("laminate", "--angle-tol", "angle tolerance"),
         ("laminate", "--trace-tol", "trace tolerance"),
     ])
     def test_infinite_value_rejected(self, command, flag, what, schottky,
                                      capsys):
-        # An infinite ratio read as escaping, and infinite tolerances cut
-        # every orbit to one entry, blamed a parabolic isometry or dropped
-        # the last-gap bound.
+        # Infinite tolerances cut every orbit to one entry, blamed a
+        # parabolic isometry or dropped the last-gap bound.
         assert run_command([command, str(schottky), flag, "inf"]) == 1
         out, err = capsys.readouterr()
         assert out == ""

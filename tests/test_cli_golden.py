@@ -7,7 +7,8 @@ requests and usage errors of ``USAGE``, ``golden/cli_usage.json`` holds
 the exit code, stdout and stderr.
 
 Regenerate both only when an output change is intended, from the repo
-root: ``PYTHONPATH=src python tests/test_cli_golden.py``.
+root: ``PYTHONPATH=src python tests/test_cli_golden.py``, which prints
+every command whose entry changed, was added or was removed.
 """
 
 import contextlib
@@ -33,7 +34,7 @@ COMMANDS = (
     "laminate schottky_ab.json --horizon 12 --ball 3 --tol 1e-6 "
     "--json report.json",
     "laminate golden.json --json golden_report.json",
-    "escape schottky_ab.json --horizon 20 --growth-ratio 1.5",
+    "escape schottky_ab.json --horizon 20",
     "axioms schottky_ab.json --horizon 12 --ball 3",
     "markov verify golden.json",
     "markov entropy golden.json",
@@ -137,12 +138,20 @@ def test_readme_lists_these_commands():
 
 
 def _regenerate() -> None:
+    """Rewrite both golden files, printing each README line or usage case
+    whose entry changed, was added or was removed."""
     for path, commands, describe in ((GOLDEN, COMMANDS, record),
                                      (USAGE_GOLDEN, USAGE, run)):
+        old = json.loads(path.read_text(encoding="utf-8"))
         table = {}
         for command in commands:
             with tempfile.TemporaryDirectory() as tmp:
                 table[command] = describe(command, Path(tmp))
+            if old.get(command) != table[command]:
+                change = "changed" if command in old else "added"
+                print(f"{path.name}: {change} {command!r}", file=sys.stderr)
+        for command in [c for c in old if c not in table]:
+            print(f"{path.name}: removed {command!r}", file=sys.stderr)
         path.write_text(json.dumps(table, indent=2) + "\n", encoding="utf-8")
         print(f"wrote {path}", file=sys.stderr)
 

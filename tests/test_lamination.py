@@ -165,6 +165,21 @@ class TestJunctureOrbit:
                            range(-12, 13), 0, max_letters=5)
 
 
+def reference_period(scene, juncture, horizon):
+    """The least n >= 1 for which a plain rotation scan over the cyclic
+    core of phi^(+-n)(w), on the juncture's converging side, finds w's
+    core; None when no n up to ``horizon`` does."""
+    step = 1 if juncture.sign == "-" else -1
+    core = juncture.word.cyclic_decomposition()[1].letters
+    for n in range(1, horizon + 1):
+        image = apply_automorphism(scene.automorphism, juncture.word,
+                                   step * n).cyclic_decomposition()[1].letters
+        if any(image[i:] + image[:i] == core
+               for i in range(max(1, len(image)))):
+            return n
+    return None
+
+
 class TestEscape:
     def test_inner_automorphism_escaping(self, inner_scene):
         for j in inner_scene.junctures:
@@ -188,15 +203,51 @@ class TestEscape:
             )
             assert abs(row.length - exact) <= 1e-9
 
-    def test_alternating_is_inconclusive(self):
-        # Swapping a and b makes lengths alternate between two values.
+    def test_swap_is_periodic(self):
+        # Swapping a and b moves the class of a to that of b and back.
         scene = make_scene(
             [[2, 0], [0, 0.5]], [[8, 0.5], [0.5, 0.25]],
             forward=("b", "a"), inverse=("b", "a"),
             junctures=[("e-", "-", "a")],
         )
-        report = escape_test(scene, scene.junctures[0], horizon=3)
-        assert report.verdict == "inconclusive"
+        for horizon in (3, 4, 20):
+            report = escape_test(scene, scene.junctures[0], horizon)
+            assert (report.verdict, report.period) == ("escaping", 2)
+            assert reference_period(scene, scene.junctures[0], horizon) == 2
+
+    def test_rotated_core_is_the_same_class(self, inner_scene):
+        # Conjugation by b sends a b to b a b^-1 b = b a: a rotation of
+        # a b, not a b itself.
+        juncture = JunctureSpec("e-", "-", inner_scene.group.word("a b"))
+        report = escape_test(inner_scene, juncture, horizon=3)
+        assert (report.verdict, report.period) == ("escaping", 1)
+        assert reference_period(inner_scene, juncture, 3) == 1
+
+    @pytest.mark.parametrize("word, horizon, verdict", [
+        # Cyclic lengths 6, 5, 4, 3: they fall, and nothing repeats.
+        ("a b^-1 b^-1 b^-1 b^-1 b^-1", 3, "inconclusive"),
+        # ... 1 at n = 5, then 2, ..., 16 at n = 20, rising over the tail.
+        ("a b^-1 b^-1 b^-1 b^-1 b^-1", 20, "non-escaping"),
+        ("a b b b b b b b b b b", 3, "non-escaping"),
+    ])
+    def test_cyclic_lengths_decide_growth(self, torus_scene, word, horizon,
+                                          verdict):
+        juncture = JunctureSpec("e-", "-", torus_scene.group.word(word))
+        report = escape_test(torus_scene, juncture, horizon)
+        assert (report.verdict, report.period) == (verdict, None)
+        assert reference_period(torus_scene, juncture, horizon) is None
+
+    @pytest.mark.parametrize("name", ["schottky_ab", "golden", "inner_b"])
+    @pytest.mark.parametrize("horizon", [3, 6, 12, 20])
+    def test_shipped_verdicts(self, name, horizon):
+        scene = load_scene(scene_path(f"{name}.json"))
+        for juncture in scene.junctures:
+            report = escape_test(scene, juncture, horizon)
+            period = reference_period(scene, juncture, horizon)
+            assert report.period == period
+            assert (report.verdict, period) == (
+                ("non-escaping", None) if name == "schottky_ab"
+                else ("escaping", 1))
 
     def test_verdict_stable_under_longer_horizon(self, torus_scene,
                                                  inner_scene):
@@ -209,13 +260,6 @@ class TestEscape:
     def test_horizon_validated(self, torus_scene):
         with pytest.raises(ValidationError):
             escape_test(torus_scene, torus_scene.junctures[0], horizon=2)
-
-    @pytest.mark.parametrize("ratio", [1.0, 0.5, -2.0, math.nan, math.inf])
-    def test_growth_ratio_must_exceed_one(self, inner_scene, ratio):
-        # With a ratio <= 1 bounded lengths would read as non-escaping.
-        with pytest.raises(ValidationError):
-            escape_test(inner_scene, inner_scene.junctures[0],
-                        growth_ratio=ratio)
 
     def test_letter_budget_enforced(self, torus_scene):
         with pytest.raises(BudgetExceededError):
